@@ -7,6 +7,13 @@ time past the budget is pruned. A greedy beam keeps the search
 tractable; beam width ``None`` enumerates exhaustively (used as the
 test oracle mode). Trips are ranked by summed constraint-discounted
 preference score, lower total travel time breaking ties.
+
+The part of the search that does not depend on the request is done
+once per fit: ``neighbour_lists`` gives every POI its POIs within the
+threshold, with the walking time and the constraint discount of the
+step, at O(n_pois²) scalar distance work. A request then reads only
+those lists, and memoises the preference score of each (POI, hour) it
+reaches for the length of the call.
 """
 
 from __future__ import annotations
@@ -32,47 +39,79 @@ class _Trip:
     score: float
 
 
-def apriori_generate(
+def _check_settings(epsilon_km: float, beam_width: int | None) -> None:
+    if not epsilon_km > 0:
+        raise ValueError(f"epsilon_km must be > 0, got {epsilon_km}")
+    if beam_width is not None and beam_width < 1:
+        raise ValueError(f"beam_width must be None or >= 1, got {beam_width}")
+
+
+def neighbour_lists(tables: FeatureTables, epsilon_km: float) -> list:
+    """Per POI ``last``, the ascending ``(nxt, km, travel_s, discount)``
+    entries of every other POI within ``epsilon_km`` of it.
+
+    ``discount`` is the factor ``FeatureTables.consolidated`` applies to
+    the preference score of ``nxt`` when the trip stands at ``last``.
+    Distances and discounts come from the same scalar table calls, in
+    the same direction, as a step of the search would make them, so
+    every float, and with it every threshold test and score tie, is the
+    same as computing them per step.
+    """
+    out = []
+    for last in range(tables.n_pois):
+        row = []
+        for nxt in range(tables.n_pois):
+            if nxt == last:
+                continue
+            km = tables.distance_km(last, nxt)
+            if km > epsilon_km:
+                continue
+            values = tables.constraint_values(nxt, last)
+            row.append((nxt, km, km / WALK_SPEED_KMH * 3600.0,
+                        1.0 - sum(values) / len(values)))
+        out.append(tuple(row))
+    return out
+
+
+def apriori_search(
     tables: FeatureTables,
+    neighbours: list,
     user: int | None,
     start: int,
     start_hour: float,
     length: int,
-    epsilon_km: float = DEFAULT_EPSILON_KM,
     budget_hours: float = DEFAULT_BUDGET_HOURS,
     k: int = 10,
     beam_width: int | None = DEFAULT_BEAM_WIDTH,
 ) -> list:
-    """Top-k trips from ``start``; every returned trip respects the
-    distance threshold between consecutive stops and the time budget."""
-    if epsilon_km <= 0:
-        raise ValueError("epsilon_km must be > 0")
+    """Top-k trips from ``start`` over precomputed ``neighbour_lists``."""
     budget = budget_hours * 3600.0
-    n_pois = tables.n_pois
+    stay = [tables.stay.mean(poi) for poi in range(tables.n_pois)]
+    preferences: dict[tuple[int, int], float] = {}
 
     def extensions(trip: _Trip) -> list:
-        last = trip.pois[-1]
+        pois = trip.pois
+        last = pois[-1]
         hour = trip.hours[-1]
         out = []
-        for nxt in range(n_pois):
-            if nxt in trip.pois:
+        for nxt, _, travel, discount in neighbours[last]:
+            if nxt in pois:
                 continue
-            dist = tables.distance_km(last, nxt)
-            if dist > epsilon_km:
-                continue
-            travel = dist / WALK_SPEED_KMH * 3600.0
-            elapsed = trip.elapsed + travel + tables.stay.mean(nxt)
+            elapsed = trip.elapsed + travel + stay[nxt]
             if elapsed > budget:
                 continue
-            new_hour = (hour + (tables.stay.mean(last) + travel) / 3600.0) % HOURS
-            gain = tables.consolidated(user, nxt, int(new_hour), last)
+            new_hour = (hour + (stay[last] + travel) / 3600.0) % HOURS
+            arrival = int(new_hour)
+            ps = preferences.get((nxt, arrival))
+            if ps is None:
+                ps = preferences[nxt, arrival] = tables.preference(user, nxt, arrival)
             out.append(
                 _Trip(
-                    pois=trip.pois + (nxt,),
+                    pois=pois + (nxt,),
                     hours=trip.hours + (new_hour,),
                     elapsed=elapsed,
                     travel=trip.travel + travel,
-                    score=trip.score + gain,
+                    score=trip.score + ps * discount,
                 )
             )
         return out
@@ -80,7 +119,7 @@ def apriori_generate(
     seed_trip = _Trip(
         pois=(start,),
         hours=(float(start_hour) % HOURS,),
-        elapsed=tables.stay.mean(start),
+        elapsed=stay[start],
         travel=0.0,
         score=tables.preference(user, start, int(start_hour)),
     )
@@ -108,6 +147,33 @@ def apriori_generate(
     ]
 
 
+def apriori_generate(
+    tables: FeatureTables,
+    user: int | None,
+    start: int,
+    start_hour: float,
+    length: int,
+    epsilon_km: float = DEFAULT_EPSILON_KM,
+    budget_hours: float = DEFAULT_BUDGET_HOURS,
+    k: int = 10,
+    beam_width: int | None = DEFAULT_BEAM_WIDTH,
+) -> list:
+    """Top-k trips from ``start``; every returned trip respects the
+    distance threshold between consecutive stops and the time budget."""
+    _check_settings(epsilon_km, beam_width)
+    return apriori_search(
+        tables,
+        neighbour_lists(tables, epsilon_km),
+        user,
+        start,
+        start_hour,
+        length,
+        budget_hours=budget_hours,
+        k=k,
+        beam_width=beam_width,
+    )
+
+
 class AprioriRecommender(SequenceRecommender):
     requires_tables = True
 
@@ -117,6 +183,7 @@ class AprioriRecommender(SequenceRecommender):
         budget_hours: float = DEFAULT_BUDGET_HOURS,
         beam_width: int | None = DEFAULT_BEAM_WIDTH,
     ):
+        _check_settings(epsilon_km, beam_width)
         self.epsilon_km = epsilon_km
         self.budget_hours = budget_hours
         self.beam_width = beam_width
@@ -124,18 +191,20 @@ class AprioriRecommender(SequenceRecommender):
     def fit(self, sessions, tables=None):
         if tables is None:
             raise ValueError("AprioriRecommender.fit requires feature tables")
+        _check_settings(self.epsilon_km, self.beam_width)
         self.tables_ = tables
+        self.neighbours_ = neighbour_lists(tables, self.epsilon_km)
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
-        self._check_fitted("tables_")
-        return apriori_generate(
+        self._check_fitted("tables_", "neighbours_")
+        return apriori_search(
             self.tables_,
+            self.neighbours_,
             request.user,
             request.start_poi,
             request.start_hour,
             request.length,
-            epsilon_km=self.epsilon_km,
             budget_hours=self.budget_hours,
             k=request.k,
             beam_width=self.beam_width,

@@ -241,8 +241,19 @@ def cmd_features(args) -> int:
 
 def _load_tables(args, sessions, encodings, graph) -> FeatureTables:
     if getattr(args, "tables", None):
-        return FeatureTables.load(args.tables)
+        try:
+            return FeatureTables.load(args.tables)
+        except ValueError as exc:  # bad JSON, text encoding or field value
+            raise DataError(f"{args.tables}: not a feature tables file: {exc}") from exc
     return FeatureTables.build(sessions, graph, encodings)
+
+
+def _construct(name: str, cls, kwargs: dict):
+    """Build a recommender; a hyperparameter it rejects is a config error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise configmod.ConfigError(f"{name}: {exc}") from exc
 
 
 def _model_from_config(kind: str, cfg: dict):
@@ -252,7 +263,7 @@ def _model_from_config(kind: str, cfg: dict):
                 "clip_threshold", "batch_size", "epochs", "seed"):
         if cfg.get(key) is not None and key in cls._param_names():
             kwargs[key] = cfg[key]
-    return cls(**kwargs)
+    return _construct(kind, cls, kwargs)
 
 
 def cmd_train(args) -> int:
@@ -347,7 +358,7 @@ def _baseline_from_config(name: str, cfg: dict):
         for key in cls._param_names()
         if cfg.get(key) is not None
     }
-    return cls(**kwargs)
+    return _construct(name, cls, kwargs)
 
 
 def _select_models(spec: str, cfg: dict) -> dict:

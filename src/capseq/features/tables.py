@@ -266,6 +266,30 @@ class _AstComputation:
         return out
 
 
+def _preference(
+    comp: _AstComputation, u: int, poi_ix: int, cat: int, hour: int, beta: float
+) -> float:
+    """Temporal preference score of stats key ``u`` of ``comp`` for a POI
+    of category ``cat`` at ``hour`` (0-23), with category weight ``beta``:
+    visit frequency at that hour, blended with the hourly visit shares of
+    the user's same-category POIs, against aggregate-stay interest."""
+    st = comp.stats[u]
+    theta = comp.catfrac(u, cat)
+
+    count_lt = st.counts_lt.get((poi_ix, hour), 0)
+    norm_count = count_lt / st.max_lt if st.max_lt else 0.0
+    freq_term = (1.0 - theta) * norm_count
+
+    cat_term = 0.0
+    g = comp._g_term(u, cat)
+    if g:
+        acc = 0.0
+        for l in st.locs_by_cat.get(cat, ()):
+            acc += st.counts_lt.get((l, hour), 0) / st.counts[l]
+        cat_term = theta * g * acc
+    return beta * (freq_term + cat_term) + (1.0 - beta) * comp.ast(u, poi_ix, cat)
+
+
 class FeatureTables:
     """All context statistics bundle: built once, then immutable.
 
@@ -479,44 +503,10 @@ class FeatureTables:
         history) uses the population-generalized score."""
         self._check_poi(poi_ix)
         hour = int(hour) % HOURS
+        cat = int(self.poi_cat[poi_ix])
         if u is None or u not in self._comp.stats:
-            return self._pooled_preference(poi_ix, hour)
-        comp = self._comp
-        st = comp.stats[u]
-        cat = int(self.poi_cat[poi_ix])
-        theta = comp.catfrac(u, cat)
-        beta = self.beta(u, cat)
-
-        count_lt = st.counts_lt.get((poi_ix, hour), 0)
-        norm_count = count_lt / st.max_lt if st.max_lt else 0.0
-        freq_term = (1.0 - theta) * norm_count
-
-        cat_term = 0.0
-        g = comp._g_term(u, cat)
-        if g:
-            acc = 0.0
-            for l in st.locs_by_cat.get(cat, ()):
-                acc += st.counts_lt.get((l, hour), 0) / st.counts[l]
-            cat_term = theta * g * acc
-        return beta * (freq_term + cat_term) + (1.0 - beta) * comp.ast(u, poi_ix, cat)
-
-    def _pooled_preference(self, poi_ix: int, hour: int) -> float:
-        comp = self._pooled
-        st = comp.stats[0]
-        cat = int(self.poi_cat[poi_ix])
-        theta = comp.catfrac(0, cat)
-        beta = self.beta(None, cat)
-        count_lt = st.counts_lt.get((poi_ix, hour), 0)
-        norm_count = count_lt / st.max_lt if st.max_lt else 0.0
-        freq_term = (1.0 - theta) * norm_count
-        cat_term = 0.0
-        g = comp._g_term(0, cat)
-        if g:
-            acc = 0.0
-            for l in st.locs_by_cat.get(cat, ()):
-                acc += st.counts_lt.get((l, hour), 0) / st.counts[l]
-            cat_term = theta * g * acc
-        return beta * (freq_term + cat_term) + (1.0 - beta) * comp.ast(0, poi_ix, cat)
+            return _preference(self._pooled, 0, poi_ix, cat, hour, self.beta(None, cat))
+        return _preference(self._comp, u, poi_ix, cat, hour, self.beta(u, cat))
 
     def distance_constraint(self, poi_ix: int, current_ix: int) -> float:
         """Distance from the current location, min-max normalized by the
@@ -629,8 +619,11 @@ class FeatureTables:
         if self._attr_scale is None:
             ps_max = 0.0
             for l in range(self.n_pois):
+                cat = int(self.poi_cat[l])
+                beta = self.beta(None, cat)
                 for h in range(HOURS):
-                    ps_max = max(ps_max, abs(self._pooled_preference(l, h)))
+                    ps = _preference(self._pooled, 0, l, cat, h, beta)
+                    ps_max = max(ps_max, abs(ps))
             scale = np.ones(ATTRIBUTE_DIM)
             scale[1] = max(1.0, float(np.abs(self.ast_poi).max(initial=0.0)))
             scale[2] = max(1.0, float(np.abs(self.astcat_hour).max(initial=0.0)))

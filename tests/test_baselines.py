@@ -23,6 +23,7 @@ from capseq.baselines import (
     popularity_next,
     power_iterate,
 )
+from capseq.baselines.apriori import DEFAULT_EPSILON_KM, neighbour_lists
 from capseq.baselines.hits import sequence_score
 
 
@@ -198,6 +199,43 @@ class TestApriori:
                 assert d <= 2.0 + 1e-9
                 elapsed += d / WALK_SPEED_KMH * 3600.0 + tables.stay.mean(b)
             assert elapsed <= 8.0 * 3600.0 + 1e-6
+
+    def test_neighbour_lists_hold_exactly_the_pois_within_epsilon(self, synth_tables):
+        tables = synth_tables
+        for epsilon in (0.5, DEFAULT_EPSILON_KM):
+            neighbours = neighbour_lists(tables, epsilon)
+            assert len(neighbours) == tables.n_pois
+            for last, row in enumerate(neighbours):
+                listed = [nxt for nxt, _, _, _ in row]
+                assert listed == sorted(listed)
+                for nxt, km, _, _ in row:
+                    assert km == tables.distance_km(last, nxt)
+                    assert km <= epsilon
+                for other in set(range(tables.n_pois)) - set(listed) - {last}:
+                    assert tables.distance_km(last, other) > epsilon
+
+    def test_fitted_recommender_matches_exhaustive_enumeration(self, synth_small,
+                                                                synth_tables):
+        sessions, _, _ = synth_small
+        model = AprioriRecommender(beam_width=None).fit(sessions, synth_tables)
+        for user, start, hour in ((0, 0, 9.0), (3, 7, 17.5), (None, 12, 23.75)):
+            for length in (2, 3, 4):
+                request = GenRequest(user=user, start_poi=start, start_hour=hour,
+                                     length=length, candidates=50, k=50)
+                got = model.generate(request)
+                expected = brute_force_trips(synth_tables, user, start, hour,
+                                             length, DEFAULT_EPSILON_KM, 8.0)
+                assert [tuple(s.pois) for s in got] == [e[0] for e in expected[:50]]
+                assert [s.score for s in got] == [e[1] for e in expected[:50]]
+
+    def test_bad_settings_rejected_before_generation(self, synth_small, synth_tables):
+        sessions, _, _ = synth_small
+        for bad in ({"epsilon_km": 0.0}, {"beam_width": 0}):
+            with pytest.raises(ValueError):
+                AprioriRecommender(**bad)
+            model = AprioriRecommender().set_params(**bad)
+            with pytest.raises(ValueError):
+                model.fit(sessions, synth_tables)
 
 
 def independent_power_iteration(M, iterations=100):

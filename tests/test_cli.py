@@ -115,7 +115,8 @@ class TestPipeline:
         for threads in ("1", "2"):
             out = tmp_path / f"thr{threads}"
             assert main([
-                "evaluate", "--data-dir", str(data), "--models", "popularity",
+                "evaluate", "--data-dir", str(data),
+                "--models", "popularity,apriori",
                 "--folds", "3", "--seed", "5", "--candidates", "3",
                 "--threads", threads, "--out-dir", str(out),
             ]) == 0
@@ -187,6 +188,38 @@ class TestExitCodes:
             "--epochs", "3", "--lr", "0.05", "--seed", "3",
             "--out-dir", str(tmp_path),
         ]) == 3
+
+
+# case -> (files to write, subcommand and its arguments, expected exit code);
+# the test adds --data-dir and --out-dir after the subcommand
+BAD_INPUTS = {
+    "corrupt-tables-json": (
+        {"tables.json": '{"encodings": {"poi_to_ix'},
+        ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"], 2),
+    "binary-tables": (
+        {"tables.json": "\udcff\udcfe"},
+        ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"], 2),
+    "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
+    "apriori-zero-epsilon": (
+        {"run.cfg": "epsilon_km = 0\n"},
+        ["evaluate", "--models", "apriori", "--config", "{tmp}/run.cfg"], 1),
+    "apriori-zero-beam": (
+        {"run.cfg": "beam_width = 0\n"},
+        ["evaluate", "--models", "apriori", "--config", "{tmp}/run.cfg"], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_with_one_line(case, pipeline_dirs, tmp_path, capsys):
+    files, argv, code = BAD_INPUTS[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8", errors="surrogateescape")
+    root, raw, data = pipeline_dirs
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv[:1] + ["--data-dir", str(data), "--out-dir", str(tmp_path)]
+                + argv[1:]) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
 
 
 class TestConfigFile:
