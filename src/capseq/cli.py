@@ -84,7 +84,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="key = value config file (flags win)")
         p.add_argument("--seed", type=int, default=None, help="root seed (default 7)")
         p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker cap")
 
     p = sub.add_parser("synth", help="generate a synthetic check-in corpus")
     add_common(p)
@@ -186,7 +185,6 @@ def _merged_config(args) -> dict:
     }
     merged = configmod.merge_config(file_values, flag_values)
     merged.setdefault("seed", 7)
-    merged.setdefault("threads", 1)
     return merged
 
 
@@ -294,7 +292,10 @@ def cmd_generate(args) -> int:
     seed = cfg["seed"]
     sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(args))
     tables = _load_tables(args, sessions, encodings, graph)
-    model = load_checkpoint(args.checkpoint, tables)
+    try:
+        model = load_checkpoint(args.checkpoint, tables)
+    except (OSError, ValueError, KeyError, TypeError, NumericError) as exc:
+        raise DataError(f"{args.checkpoint}: cannot load checkpoint: {exc}") from exc
 
     user_ix = encodings.user(args.user)
     if args.start_poi:
@@ -392,7 +393,6 @@ def cmd_evaluate(args) -> int:
         folds=cfg.get("folds") or 5,
         seed=seed,
         candidates=cfg.get("candidates") or 10,
-        threads=cfg.get("threads") or 1,
         sweep_lengths=sweep_lengths,
     )
     out = _out_dir(cfg)

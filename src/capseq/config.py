@@ -22,7 +22,6 @@ CONFIG_KEYS = {
     "candidates": int,
     "k": int,
     "length": int,
-    "threads": int,
     "radius_km": float,
     "growth_factor": float,
     "epsilon_km": float,

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .types import CheckinRecord, Encodings, Poi, Session, SocialGraph, Visit
+from .types import CheckinRecord, DataError, Encodings, Poi, Session, SocialGraph, Visit
 
 SESSIONS_FILE = "sessions.jsonl"
 ENCODINGS_FILE = "encodings.json"
@@ -74,23 +74,31 @@ def save_dataset(
         _dump_json(graph.to_dict(), out / GRAPH_FILE)
 
 
+def _read_json(where, raw: bytes | None = None):
+    """Parse ``raw`` (default: the bytes of the file ``where``) as JSON."""
+    try:
+        return json.loads(Path(where).read_bytes() if raw is None else raw)
+    except ValueError as exc:  # bad JSON or text encoding
+        raise DataError(f"{where}: not valid UTF-8 JSON: {exc}") from exc
+
+
 def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
+    """Read a dataset directory; a file that is not valid JSON raises
+    ``DataError`` naming it (and the line, for ``sessions.jsonl``)."""
     data = Path(data_dir)
-    encodings = Encodings.from_dict(
-        json.loads((data / ENCODINGS_FILE).read_text(encoding="utf-8"))
-    )
-    poi_table = json.loads((data / POIS_FILE).read_text(encoding="utf-8"))
+    encodings = Encodings.from_dict(_read_json(data / ENCODINGS_FILE))
+    poi_table = _read_json(data / POIS_FILE)
     pois = {
         int(ix): Poi(rec["id"], rec["lat"], rec["lon"], rec["category"])
         for ix, rec in poi_table.items()
     }
     sessions = []
-    with open(data / SESSIONS_FILE, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    sessions_path = data / SESSIONS_FILE
+    with open(sessions_path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
+            obj = _read_json(f"{sessions_path}:{lineno}", line)
             visits = tuple(
                 Visit(pois[p], a, d)
                 for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"])
@@ -98,7 +106,7 @@ def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
             sessions.append(Session(encodings.ix_to_user[obj["user"]], visits))
     graph_path = data / GRAPH_FILE
     graph = (
-        SocialGraph.from_dict(json.loads(graph_path.read_text(encoding="utf-8")))
+        SocialGraph.from_dict(_read_json(graph_path))
         if graph_path.exists()
         else SocialGraph()
     )
@@ -125,12 +133,3 @@ def write_friendships_csv(path, graph: SocialGraph) -> None:
             for f in friends:
                 if u < f:
                     writer.writerow([u, f])
-
-
-def poi_index(sessions: Iterable[Session]) -> dict[str, Poi]:
-    """poi_id -> Poi over everything observed in the sessions."""
-    out: dict[str, Poi] = {}
-    for session in sessions:
-        for visit in session.visits:
-            out.setdefault(visit.poi.poi_id, visit.poi)
-    return out

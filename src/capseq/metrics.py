@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -196,7 +195,6 @@ def cross_validate(
     folds: int = 5,
     seed: int = 0,
     candidates: int = 10,
-    threads: int = 1,
     sweep_lengths: Sequence[int] = (),
 ) -> EvalResult:
     """Fit every model on each training split and score its generated
@@ -223,19 +221,13 @@ def cross_validate(
         for name, prototype in models.items():
             started = time.perf_counter()
             model = prototype.clone_unfitted().fit(train, tables)
-
-            def one(item):
-                i, session = item
-                return _evaluate_session(
+            rows = [
+                _evaluate_session(
                     model, session, geography, encodings,
                     seed=seed * 100003 + i, candidates=candidates,
                 )
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    rows = list(pool.map(one, held))
-            else:
-                rows = [one(item) for item in held]
+                for i, session in held
+            ]
             elapsed = time.perf_counter() - started
             arr = np.asarray(rows) if rows else np.zeros((0, 7))
             means = arr.mean(axis=0) if len(arr) else np.zeros(7)

@@ -17,6 +17,10 @@ equations all carry the same feature term); the forget-gate input
 weight is a separate block. Peepholes (w_c*) are diagonal and read the
 previous memory cell. With ``contextual=False`` and zero peepholes this
 is the textbook LSTM cell.
+
+Only the cell lives here: the public step, the sequence losses and the
+output-layer backward are those of ``training.RecurrentNet``, shared
+with ``ContextRnn``.
 """
 
 from __future__ import annotations
@@ -25,12 +29,12 @@ import numpy as np
 
 from .. import numerics
 from ..features import ATTRIBUTE_DIM, FEATURE_DIM
-from .training import Batch
+from .training import RecurrentNet
 
 GATES = ("i", "f", "z", "o")
 
 
-class ContextLstm:
+class ContextLstm(RecurrentNet):
     def __init__(
         self,
         n_pois: int,
@@ -42,18 +46,9 @@ class ContextLstm:
         peepholes: bool = True,
         seed: int = 0,
     ):
-        if n_pois < 2:
-            raise ValueError("need at least two POIs to model sequences")
-        self.n_pois = n_pois
-        self.hidden_size = hidden_size
-        self.n_layers = 1
-        self.embedding_size = embedding_size
-        self.attribute_dim = attribute_dim
-        self.feature_dim = feature_dim
-        self.contextual = contextual
-        self.peepholes = peepholes
-        self.pad_ix = n_pois
-        self.params = self._init_params(np.random.default_rng(seed))
+        self.peepholes = peepholes  # before the base init: _init_params reads it
+        super().__init__(n_pois, hidden_size, 1, embedding_size, attribute_dim,
+                         feature_dim, contextual, seed)
 
     def _init_params(self, rng) -> dict:
         H, E, K = self.hidden_size, self.embedding_size, self.n_pois
@@ -119,63 +114,14 @@ class ContextLstm:
             cache.append((x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h))
         return (h, c), logits
 
-    def forward_step(self, state, inputs, attrs=None, feats=None):
-        """One public step; returns (new_state, logits, probabilities)."""
-        inputs = np.atleast_1d(np.asarray(inputs, dtype=np.int64))
-        if np.any(inputs < 0) or np.any(inputs >= self.n_pois):
-            raise IndexError(
-                f"poi index out of range [0, {self.n_pois}): {inputs.tolist()}"
-            )
-        attrs, feats = self._default_context(len(inputs), attrs, feats)
-        new_state, logits = self._step(state, inputs, attrs, feats)
-        return new_state, logits, numerics.softmax(logits, axis=-1)
-
-    def _default_context(self, batch, attrs, feats):
-        if attrs is None:
-            attrs = np.zeros((batch, self.attribute_dim))
-        if feats is None:
-            feats = np.zeros((batch, self.feature_dim))
-        return np.atleast_2d(attrs), np.atleast_2d(feats)
-
-    def _forward_sequence(self, batch, collect_cache: bool):
-        B, T = batch.inputs.shape
-        state = self.init_state(B)
-        steps = []
-        for t in range(T):
-            cache: list | None = [] if collect_cache else None
-            state, logits = self._step(
-                state, batch.inputs[:, t], batch.attrs[:, t, :], batch.feats, cache
-            )
-            steps.append((numerics.softmax(logits, axis=-1), cache))
-        return steps
-
-    def batch_nll(self, batch) -> float:
-        steps = self._forward_sequence(batch, collect_cache=False)
-        B, T = batch.inputs.shape
-        rows = np.arange(B)
-        total = 0.0
-        for t, (probs, _) in enumerate(steps):
-            picked = probs[rows, batch.targets[:, t]]
-            total += float(np.sum(-np.log(np.maximum(picked, 1e-300)) * batch.mask[:, t]))
-        return total / B
-
-    def sequence_nll(self, inputs, targets, attrs, feat) -> float:
-        T = len(inputs)
-        batch = Batch(
-            inputs=np.asarray(inputs, dtype=np.int64).reshape(1, T),
-            targets=np.asarray(targets, dtype=np.int64).reshape(1, T),
-            mask=np.ones((1, T)),
-            attrs=np.asarray(attrs).reshape(1, T, -1),
-            feats=np.asarray(feat).reshape(1, -1),
-        )
-        return self.batch_nll(batch)
+    # an entry in this class's own __dict__: the benchmark tracer wraps it per class
+    forward_step = RecurrentNet.forward_step
 
     # -- backward ----------------------------------------------------------
 
     def loss_and_grads(self, batch):
         p = self.params
         B, T = batch.inputs.shape
-        rows = np.arange(B)
         steps = self._forward_sequence(batch, collect_cache=True)
 
         grads = {name: np.zeros_like(arr) for name, arr in p.items()}
@@ -185,20 +131,8 @@ class ContextLstm:
         for t in range(T - 1, -1, -1):
             probs, cache = steps[t]
             x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h = cache[0]
-            mask = batch.mask[:, t]
-            targets = batch.targets[:, t]
-            picked = probs[rows, targets]
-            loss += float(np.sum(-np.log(np.maximum(picked, 1e-300)) * mask))
-
-            dlogits = probs.copy()
-            dlogits[rows, targets] -= 1.0
-            dlogits *= (mask / B)[:, None]
-
-            grads["V"] += dlogits.T @ h
-            grads["c"] += dlogits.sum(axis=0)
-            if self.contextual:
-                grads["G"] += dlogits.T @ batch.feats
-            dh = dlogits @ p["V"] + dh_next
+            loss += self._step_nll(probs, batch, t)
+            dh = self._output_backward(probs, batch, t, h, grads) + dh_next
 
             do = dh * tc
             dc = dh * o * (1.0 - tc * tc) + dc_next

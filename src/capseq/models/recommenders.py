@@ -80,9 +80,13 @@ class _NeuralRecommender(SequenceRecommender):
         model = cls(**sidecar["params"])
         model.tables_ = tables
         model.net_ = model._build_net(sidecar["n_pois"])
+        if set(weights) != set(model.net_.params):
+            raise numerics.NumericError(
+                f"parameter blocks do not match a {cls.kind} net: missing "
+                f"{sorted(set(model.net_.params) - set(weights))}, unexpected "
+                f"{sorted(set(weights) - set(model.net_.params))}"
+            )
         for name, arr in weights.items():
-            if name not in model.net_.params:
-                raise numerics.NumericError(f"unexpected parameter block {name!r}")
             if model.net_.params[name].shape != arr.shape:
                 raise numerics.NumericError(
                     f"shape mismatch for {name!r}: "
@@ -97,6 +101,7 @@ class PlainRnnRecommender(_NeuralRecommender):
     """Plain recurrent sequence model; no context or feature inputs."""
 
     kind = KIND_PLAIN_RNN
+    contextual = False
 
     def __init__(
         self,
@@ -126,7 +131,7 @@ class PlainRnnRecommender(_NeuralRecommender):
             hidden_size=self.hidden_size,
             n_layers=self.n_layers,
             embedding_size=self.embedding_size,
-            contextual=False,
+            contextual=self.contextual,
             seed=self.seed,
         )
 
@@ -135,16 +140,7 @@ class CapsRnnRecommender(PlainRnnRecommender):
     """Context-aware RNN: attribute gating plus feature injection."""
 
     kind = KIND_CAPS_RNN
-
-    def _build_net(self, n_pois: int):
-        return ContextRnn(
-            n_pois,
-            hidden_size=self.hidden_size,
-            n_layers=self.n_layers,
-            embedding_size=self.embedding_size,
-            contextual=True,
-            seed=self.seed,
-        )
+    contextual = True
 
 
 class CapsLstmRecommender(_NeuralRecommender):

@@ -1,5 +1,5 @@
-"""Session encoding and the mini-batch training loop shared by the
-recurrent models.
+"""Session encoding, the recurrent-model scaffold and the mini-batch
+training loop shared by the recurrent models.
 
 Sessions become (input, target) index pairs under teacher forcing, with
 per-step attribute vectors and one per-sequence feature vector. Batches
@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import numerics
 from ..data.types import Encodings, Session
-from ..features import ATTRIBUTE_DIM, FeatureTables
+from ..features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 
 MAX_STEPS = 25  # cap on teacher-forcing steps per session
 
@@ -41,6 +41,112 @@ class Batch:
     mask: np.ndarray     # (B, T) 0/1
     attrs: np.ndarray    # (B, T, attribute_dim)
     feats: np.ndarray    # (B, feature_dim)
+
+
+class RecurrentNet:
+    """Scaffold shared by ``ContextRnn`` and ``ContextLstm``.
+
+    Subclasses supply ``_init_params(rng)``, ``init_state(batch_size)``,
+    ``_step(state, inputs, attrs, feats, cache)`` returning
+    ``(new_state, logits)``, and ``loss_and_grads(batch)``, whose cell
+    backward starts from ``_output_backward``. The constructor defaults
+    are the multi-layer RNN's. Index ``n_pois`` is the padding token
+    (extra embedding row, never a valid output class).
+    """
+
+    def __init__(
+        self,
+        n_pois: int,
+        hidden_size: int = 256,
+        n_layers: int = 5,
+        embedding_size: int = 384,
+        attribute_dim: int = ATTRIBUTE_DIM,
+        feature_dim: int = FEATURE_DIM,
+        contextual: bool = True,
+        seed: int = 0,
+    ):
+        if n_pois < 2:
+            raise ValueError("need at least two POIs to model sequences")
+        self.n_pois = n_pois
+        self.hidden_size = hidden_size
+        self.n_layers = n_layers
+        self.embedding_size = embedding_size
+        self.attribute_dim = attribute_dim
+        self.feature_dim = feature_dim
+        self.contextual = contextual
+        self.pad_ix = n_pois
+        self.params = self._init_params(np.random.default_rng(seed))
+
+    def forward_step(self, state, inputs, attrs=None, feats=None):
+        """One public step; returns (new_state, logits, probabilities)."""
+        inputs = np.atleast_1d(np.asarray(inputs, dtype=np.int64))
+        if np.any(inputs < 0) or np.any(inputs >= self.n_pois):
+            raise IndexError(
+                f"poi index out of range [0, {self.n_pois}): {inputs.tolist()}"
+            )
+        attrs, feats = self._default_context(len(inputs), attrs, feats)
+        new_state, logits = self._step(state, inputs, attrs, feats)
+        return new_state, logits, numerics.softmax(logits, axis=-1)
+
+    def _default_context(self, batch, attrs, feats):
+        if attrs is None:
+            attrs = np.zeros((batch, self.attribute_dim))
+        if feats is None:
+            feats = np.zeros((batch, self.feature_dim))
+        return np.atleast_2d(attrs), np.atleast_2d(feats)
+
+    def _forward_sequence(self, batch, collect_cache: bool):
+        """Run the whole padded batch; returns per-step probs and caches."""
+        B, T = batch.inputs.shape
+        state = self.init_state(B)
+        steps = []
+        for t in range(T):
+            cache: list | None = [] if collect_cache else None
+            state, logits = self._step(
+                state, batch.inputs[:, t], batch.attrs[:, t, :], batch.feats, cache
+            )
+            steps.append((numerics.softmax(logits, axis=-1), cache))
+        return steps
+
+    @staticmethod
+    def _step_nll(probs, batch, t) -> float:
+        """Masked summed NLL of the step-``t`` targets."""
+        picked = probs[np.arange(len(probs)), batch.targets[:, t]]
+        return float(np.sum(-np.log(np.maximum(picked, 1e-300)) * batch.mask[:, t]))
+
+    def _output_backward(self, probs, batch, t, top_h, grads):
+        """Add step ``t``'s output-layer grads (V, c, G) to ``grads``;
+        returns the loss gradient w.r.t. the top hidden state."""
+        B = len(probs)
+        dlogits = probs.copy()
+        dlogits[np.arange(B), batch.targets[:, t]] -= 1.0
+        dlogits *= (batch.mask[:, t] / B)[:, None]
+        grads["V"] += dlogits.T @ top_h
+        grads["c"] += dlogits.sum(axis=0)
+        if self.contextual:
+            grads["G"] += dlogits.T @ batch.feats
+        return dlogits @ self.params["V"]
+
+    def batch_nll(self, batch) -> float:
+        """Mean (over sequences) of the per-sequence summed negative
+        log-likelihood of the targets under teacher forcing."""
+        steps = self._forward_sequence(batch, collect_cache=False)
+        total = 0.0
+        for t, (probs, _) in enumerate(steps):
+            total += self._step_nll(probs, batch, t)
+        return total / len(batch.inputs)
+
+    def sequence_nll(self, inputs, targets, attrs, feat) -> float:
+        """NLL of a single encoded session."""
+        T = len(inputs)
+        batch = Batch(
+            inputs=np.asarray(inputs, dtype=np.int64).reshape(1, T),
+            targets=np.asarray(targets, dtype=np.int64).reshape(1, T),
+            mask=np.ones((1, T)),
+            attrs=np.asarray(attrs).reshape(1, T, -1),
+            feats=np.asarray(feat).reshape(1, -1),
+        )
+        return self.batch_nll(batch)
 
 
 def encode_session(

@@ -2,10 +2,9 @@
 
 Everything is 64-bit; the gradient checker needs the precision and the
 corpus sizes here never justify float32. Gradients are hand-derived per
-model, so this module only supplies elementwise ops, the softmax /
-cross-entropy pieces, SGD with global-norm clipping, seeded init, a
-finite-difference checker, and a flat binary snapshot format for
-parameter dictionaries.
+model, so this module only supplies the sigmoid, the softmax, SGD with
+global-norm clipping, seeded init, a finite-difference checker, and a
+flat binary snapshot format for parameter dictionaries.
 """
 
 from __future__ import annotations
@@ -19,41 +18,9 @@ import numpy as np
 Params = dict[str, np.ndarray]
 
 
-class ShapeError(ValueError):
-    """Raised when operand shapes do not conform."""
-
-
 class NumericError(RuntimeError):
-    """Raised on NaN/Inf in places they must never appear."""
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    return a @ b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(np.asarray(a), np.asarray(b), "add")
-    return a + b
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _check_same_shape(np.asarray(a), np.asarray(b), "hadamard")
-    return a * b
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def dtanh_from_output(y: np.ndarray) -> np.ndarray:
-    return 1.0 - y * y
+    """Raised on NaN/Inf in places they must never appear, and on a
+    malformed parameter snapshot."""
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -63,10 +30,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def dsigmoid_from_output(y: np.ndarray) -> np.ndarray:
-    return y * (1.0 - y)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -100,18 +63,9 @@ def global_norm(grads: Mapping[str, np.ndarray]) -> float:
     return float(np.sqrt(total))
 
 
-def clip_gradients(grads: Params, threshold: float, mode: str = "norm") -> Params:
-    """Clip gradients in place and return them.
-
-    ``norm`` rescales so the global L2 norm is at most ``threshold``
-    (idempotent); ``value`` clips each element to [-threshold, threshold].
-    """
-    if mode == "value":
-        for g in grads.values():
-            np.clip(g, -threshold, threshold, out=g)
-        return grads
-    if mode != "norm":
-        raise ValueError(f"unknown clip mode {mode!r}")
+def clip_gradients(grads: Params, threshold: float) -> Params:
+    """Rescale gradients in place so their global L2 norm is at most
+    ``threshold`` (idempotent) and return them."""
     norm = global_norm(grads)
     if norm > threshold:
         scale = threshold / norm
@@ -120,13 +74,12 @@ def clip_gradients(grads: Params, threshold: float, mode: str = "norm") -> Param
     return grads
 
 
-def sgd_step(params: Params, grads: Mapping[str, np.ndarray], config: SgdConfig,
-             clip_mode: str = "norm") -> Params:
+def sgd_step(params: Params, grads: Mapping[str, np.ndarray], config: SgdConfig) -> Params:
     """Clip, then update ``params`` in place: p <- p - lr * g."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter block {name!r}")
-    clip_gradients(dict(grads), config.clip_threshold, clip_mode)
+    clip_gradients(dict(grads), config.clip_threshold)
     for name, g in grads.items():
         params[name] -= config.learning_rate * g
     return params
@@ -211,22 +164,28 @@ def save_params(path, params: Mapping[str, np.ndarray]) -> None:
 
 def load_params(path) -> Params:
     with open(path, "rb") as fh:
-        magic = fh.read(len(SNAPSHOT_MAGIC))
-        if magic != SNAPSHOT_MAGIC:
+
+        def read(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise NumericError(f"{path}: parameter snapshot is truncated")
+            return data
+
+        if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
             raise NumericError(f"{path}: not a parameter snapshot")
-        version, count = struct.unpack("<HI", fh.read(6))
+        version, count = struct.unpack("<HI", read(6))
         if version != SNAPSHOT_VERSION:
             raise NumericError(f"{path}: unsupported snapshot version {version}")
         headers = []
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
+            (name_len,) = struct.unpack("<H", read(2))
+            name = read(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim)) if ndim else ()
             headers.append((name, shape))
         params: Params = {}
         for name, shape in headers:
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").astype(np.float64)
+            data = np.frombuffer(read(8 * n), dtype="<f8").astype(np.float64)
             params[name] = data.reshape(shape)
     return params

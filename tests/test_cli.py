@@ -2,6 +2,7 @@
 output determinism."""
 
 import json
+import shutil
 
 import pytest
 
@@ -109,20 +110,6 @@ class TestPipeline:
                      "plain-rnn", "caps-rnn", "caps-lstm"):
             assert f"{name},mean" in report
 
-    def test_threads_flag_keeps_results_identical(self, pipeline_dirs, tmp_path):
-        root, raw, data = pipeline_dirs
-        reports = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"thr{threads}"
-            assert main([
-                "evaluate", "--data-dir", str(data),
-                "--models", "popularity,apriori",
-                "--folds", "3", "--seed", "5", "--candidates", "3",
-                "--threads", threads, "--out-dir", str(out),
-            ]) == 0
-            reports.append((out / "eval_report.csv").read_bytes())
-        assert reports[0] == reports[1]
-
     def test_data_dir_env_fallback(self, pipeline_dirs, tmp_path, monkeypatch):
         root, raw, data = pipeline_dirs
         monkeypatch.setenv("CAPSEQ_DATA_DIR", str(data))
@@ -190,8 +177,33 @@ class TestExitCodes:
         ]) == 3
 
 
-# case -> (files to write, subcommand and its arguments, expected exit code);
-# the test adds --data-dir and --out-dir after the subcommand
+@pytest.fixture(scope="module")
+def bad_input_sources(pipeline_dirs):
+    """The pipeline dataset plus a small trained plain-rnn checkpoint."""
+    root, raw, data = pipeline_dirs
+    out = root / "ckpt"
+    assert main([
+        "train", "--data-dir", str(data), "--model", "plain-rnn",
+        "--hidden-size", "4", "--n-layers", "1", "--embedding-size", "3",
+        "--epochs", "1", "--out-dir", str(out),
+    ]) == 0
+    return data, out / "plain-rnn.ckpt"
+
+
+def _with_sidecar(**changes):
+    """Checkpoint sidecar edit: set the given keys."""
+    def edit(raw: bytes) -> bytes:
+        return json.dumps({**json.loads(raw), **changes}).encode("utf-8")
+    return edit
+
+
+GENERATE = ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "u0000"]
+
+# case -> (files to write, subcommand and its arguments, expected exit code).
+# The test first copies the pipeline dataset to {tmp}/ds and the trained
+# checkpoint to {tmp}/m.ckpt; a file given as text replaces its copy, one
+# given as a function of its copy's bytes edits it. The test adds --out-dir,
+# and --data-dir with the pipeline dataset unless the arguments name one.
 BAD_INPUTS = {
     "corrupt-tables-json": (
         {"tables.json": '{"encodings": {"poi_to_ix'},
@@ -206,18 +218,46 @@ BAD_INPUTS = {
     "apriori-zero-beam": (
         {"run.cfg": "beam_width = 0\n"},
         ["evaluate", "--models", "apriori", "--config", "{tmp}/run.cfg"], 1),
+    "corrupt-encodings-json": (
+        {"ds/encodings.json": '{"users": ['},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "corrupt-pois-json": (
+        {"ds/pois.json": '{"0": {"id": '},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "corrupt-graph-json": (
+        {"ds/graph.json": "\udcff"},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "corrupt-sessions-line": (
+        {"ds/sessions.jsonl": lambda raw: raw + b'{"user": 0, "pois": [\n'},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "checkpoint-cut-to-100-bytes": (
+        {"m.ckpt": lambda raw: raw[:100]}, GENERATE, 2),
+    "checkpoint-cut-to-10-bytes": (
+        {"m.ckpt": lambda raw: raw[:10]}, GENERATE, 2),
+    "checkpoint-of-other-encodings": (
+        {"m.ckpt.json": _with_sidecar(encodings_sha256="0" * 64)}, GENERATE, 2),
+    "checkpoint-missing-blocks": (
+        {"m.ckpt.json": _with_sidecar(kind="caps-rnn")}, GENERATE, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_exits_with_one_line(case, pipeline_dirs, tmp_path, capsys):
+def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys):
     files, argv, code = BAD_INPUTS[case]
-    for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8", errors="surrogateescape")
-    root, raw, data = pipeline_dirs
+    data, ckpt = bad_input_sources
+    shutil.copytree(data, tmp_path / "ds")
+    for src in (ckpt, ckpt.with_suffix(".ckpt.json")):
+        shutil.copy(src, tmp_path / src.name.replace("plain-rnn", "m"))
+    for name, content in files.items():
+        path = tmp_path / name
+        if callable(content):
+            path.write_bytes(content(path.read_bytes()))
+        else:
+            path.write_text(content, encoding="utf-8", errors="surrogateescape")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    assert main(argv[:1] + ["--data-dir", str(data), "--out-dir", str(tmp_path)]
-                + argv[1:]) == code
+    if "--data-dir" not in argv:
+        argv[1:1] = ["--data-dir", str(data)]
+    assert main(argv[:1] + ["--out-dir", str(tmp_path)] + argv[1:]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
 

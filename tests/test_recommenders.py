@@ -14,6 +14,7 @@ from capseq.models import (
     load_checkpoint,
 )
 from capseq.baselines import MarkovRecommender, PopularityRecommender
+from capseq.numerics import NumericError
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +140,18 @@ class TestCheckpoints:
         )
         with pytest.raises(ValueError, match="encodings"):
             load_checkpoint(path, other)
+
+    def test_rejects_snapshot_missing_blocks(self, world, tmp_path):
+        """A plain-rnn snapshot whose sidecar says caps-rnn lacks the
+        context blocks; loading it must fail, not fill them at random."""
+        import json
+
+        model, tables = self.make(world, PlainRnnRecommender)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        sidecar_path = path.with_suffix(".ckpt.json")
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["kind"] = "caps-rnn"
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(NumericError, match="missing.*'G'"):
+            load_checkpoint(path, tables)

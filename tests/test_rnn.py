@@ -1,14 +1,26 @@
 """Recurrent model: forward fixtures, degeneration to the plain RNN,
-full-BPTT gradient checks, and training behaviour."""
+full-BPTT gradient checks, and training behaviour. The sequence-loss
+tests that exercise the scaffold shared with the LSTM run on both nets."""
 
 import numpy as np
 import pytest
 
 from capseq import numerics
 from capseq.models import Batch, make_batch, train, EncodedSequence
+from capseq.models.lstm import ContextLstm
 from capseq.models.rnn import ContextRnn
 
 ADIM, FDIM = 30, 7
+
+# small nets over 6 POIs, by seed, for the tests of the shared scaffold
+SHARED_NETS = {
+    "ContextRnn": lambda seed: ContextRnn(6, hidden_size=4, n_layers=2,
+                                          embedding_size=3, seed=seed),
+    "ContextLstm": lambda seed: ContextLstm(6, hidden_size=4, embedding_size=3,
+                                            seed=seed),
+}
+over_shared_nets = pytest.mark.parametrize(
+    "make_net", list(SHARED_NETS.values()), ids=list(SHARED_NETS))
 
 
 def toy_batch(rng, K=6, T=3, B=2, adim=ADIM, fdim=FDIM):
@@ -151,9 +163,10 @@ class TestSequenceNll:
         )
         assert loss == pytest.approx(T * np.log(K), rel=1e-12)
 
-    def test_matches_stepwise_summation(self):
+    @over_shared_nets
+    def test_matches_stepwise_summation(self, make_net):
         rng = np.random.default_rng(9)
-        net = ContextRnn(6, hidden_size=4, n_layers=2, embedding_size=3, seed=5)
+        net = make_net(5)
         T = 6
         inputs = rng.integers(0, 6, size=T)
         targets = rng.integers(0, 6, size=T)
@@ -170,9 +183,10 @@ class TestSequenceNll:
             expected, rel=1e-12
         )
 
-    def test_batch_loss_is_mean_of_sequence_losses(self):
+    @over_shared_nets
+    def test_batch_loss_is_mean_of_sequence_losses(self, make_net):
         rng = np.random.default_rng(3)
-        net = ContextRnn(6, hidden_size=4, n_layers=2, embedding_size=3, seed=1)
+        net = make_net(1)
         seqs = []
         for T in (2, 4, 5):
             seqs.append(
@@ -217,9 +231,10 @@ class TestBackward:
         assert np.all(grads["G"] == 0.0)
         assert np.all(grads["F0"] == 0.0)
 
-    def test_loss_invariant_to_batch_order(self):
+    @over_shared_nets
+    def test_loss_invariant_to_batch_order(self, make_net):
         rng = np.random.default_rng(14)
-        net = ContextRnn(6, hidden_size=4, n_layers=2, embedding_size=3, seed=2)
+        net = make_net(2)
         batch = toy_batch(rng, K=6, T=4, B=5)
         loss1, grads1 = net.loss_and_grads(batch)
         perm = np.array([3, 0, 4, 1, 2])
