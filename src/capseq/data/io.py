@@ -74,39 +74,50 @@ def save_dataset(
         _dump_json(graph.to_dict(), out / GRAPH_FILE)
 
 
-def _read_json(where, raw: bytes | None = None):
-    """Parse ``raw`` (default: the bytes of the file ``where``) as JSON."""
+def _read_json(where, raw: bytes | None = None, build=None):
+    """Parse ``raw`` (default: the bytes of the file ``where``) as JSON and
+    turn it into objects with ``build``; bad JSON, or a value ``build``
+    cannot take (wrong shape, bad field), raises ``DataError`` naming
+    ``where``."""
     try:
-        return json.loads(Path(where).read_bytes() if raw is None else raw)
+        obj = json.loads(Path(where).read_bytes() if raw is None else raw)
     except ValueError as exc:  # bad JSON or text encoding
         raise DataError(f"{where}: not valid UTF-8 JSON: {exc}") from exc
+    if build is None:
+        return obj
+    try:
+        return build(obj)
+    except (TypeError, AttributeError, KeyError, IndexError, ValueError) as exc:
+        raise DataError(f"{where}: invalid content: {type(exc).__name__}: {exc}") from exc
 
 
 def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
-    """Read a dataset directory; a file that is not valid JSON raises
-    ``DataError`` naming it (and the line, for ``sessions.jsonl``)."""
+    """Read a dataset directory; a file that is not valid JSON, or whose
+    JSON has the wrong shape, raises ``DataError`` naming it (and the
+    line, for ``sessions.jsonl``)."""
     data = Path(data_dir)
-    encodings = Encodings.from_dict(_read_json(data / ENCODINGS_FILE))
-    poi_table = _read_json(data / POIS_FILE)
-    pois = {
+    encodings = _read_json(data / ENCODINGS_FILE, build=Encodings.from_dict)
+    pois = _read_json(data / POIS_FILE, build=lambda table: {
         int(ix): Poi(rec["id"], rec["lat"], rec["lon"], rec["category"])
-        for ix, rec in poi_table.items()
-    }
+        for ix, rec in table.items()
+    })
+
+    def session(obj) -> Session:
+        visits = tuple(
+            Visit(pois[p], a, d)
+            for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"])
+        )
+        return Session(encodings.ix_to_user[obj["user"]], visits)
+
     sessions = []
     sessions_path = data / SESSIONS_FILE
     with open(sessions_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _read_json(f"{sessions_path}:{lineno}", line)
-            visits = tuple(
-                Visit(pois[p], a, d)
-                for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"])
-            )
-            sessions.append(Session(encodings.ix_to_user[obj["user"]], visits))
+            if line.strip():
+                sessions.append(_read_json(f"{sessions_path}:{lineno}", line, session))
     graph_path = data / GRAPH_FILE
     graph = (
-        SocialGraph.from_dict(_read_json(graph_path))
+        _read_json(graph_path, build=SocialGraph.from_dict)
         if graph_path.exists()
         else SocialGraph()
     )

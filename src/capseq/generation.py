@@ -3,10 +3,13 @@
 Each candidate rollout samples the next POI from the model's
 multinomial output, feeds it back as the next input, advances the clock
 by the POI's expected stay plus travel time, and recomputes the
-attribute vector. Candidates are then ranked by the summed preference
-score of their POIs and the top k are returned. Every candidate owns an
-RNG stream derived from (seed, candidate index), so rollouts are
-independent and reproducible.
+attribute vector. A request's candidates step together as one batch:
+one ``forward_step`` per step for all of them, and one draw per row.
+Every candidate still owns an RNG stream derived from (seed, candidate
+index) and draws from it alone, so each row is the rollout that
+candidate would make on its own, and rollouts stay reproducible.
+Candidates are then ranked by the summed preference score of their
+POIs and the top k are returned.
 """
 
 from __future__ import annotations
@@ -48,55 +51,73 @@ class GeneratedSequence:
         return len(self.pois)
 
 
+def sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
+    """Draw one index per row of a (B, K) array of categorical weights;
+    row ``b`` draws from ``rngs[b]`` alone and gets the index that
+    ``rngs[b].choice(K, p=row / row.sum())`` would give."""
+    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    if len(rngs) != len(probs):
+        raise ValueError(f"{len(probs)} rows of probabilities, {len(rngs)} streams")
+    totals = probs.sum(axis=1, keepdims=True)
+    if not (np.isfinite(totals).all() and (totals > 0).all()):
+        raise ValueError("probabilities must be positive and finite")
+    if (probs < 0).any():
+        raise ValueError("probabilities must be non-negative")
+    # Generator.choice's own arithmetic: normalise, cumulate, renormalise,
+    # then count the cdf entries <= one uniform draw (a right-side search)
+    cdf = (probs / totals).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    uniform = np.array([rng.random() for rng in rngs])
+    return (cdf <= uniform[:, None]).sum(axis=1)
+
+
 def sample_next(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one POI index from a categorical distribution."""
-    probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-    total = probs.sum()
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("probabilities must be positive and finite")
-    return int(rng.choice(len(probs), p=probs / total))
+    return int(sample_rows(np.reshape(probs, (1, -1)), [rng])[0])
 
 
-def _rollout(net, request: GenRequest, tables: FeatureTables, rng) -> GeneratedSequence:
-    pois = [request.start_poi]
-    hours = [float(request.start_hour) % HOURS]
-    step_probs: list[float] = []
-    state = net.init_state(1)
+def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
+    """Roll out one candidate per RNG stream, all of them as one batch."""
+    seqs = [
+        GeneratedSequence(pois=[request.start_poi], step_probs=[], score=0.0,
+                          hours=[float(request.start_hour) % HOURS])
+        for _ in rngs
+    ]
+    state = net.init_state(len(seqs))
     feat = (
         tables.expected_feature(
             request.user, request.start_poi, int(request.start_hour)
         )
         / tables.feature_scale
     )
-    current = request.start_poi
-    hour = float(request.start_hour)
-    prev: int | None = None
+    feats = np.repeat(feat[None, :], len(seqs), axis=0)
+    clock = [float(request.start_hour)] * len(seqs)
     for _ in range(request.length - 1):
-        attr = (
-            tables.attribute_vector(current, int(hour) % HOURS, prev)
-            / tables.attribute_scale
-        )
-        state, _, probs = net.forward_step(
-            state, np.array([current]), attr[None, :], feat[None, :]
-        )
-        p = probs[0]
+        current = [seq.pois[-1] for seq in seqs]
+        attrs = np.array([
+            tables.attribute_vector(
+                cur, int(hour) % HOURS, seq.pois[-2] if len(seq.pois) > 1 else None
+            )
+            for seq, cur, hour in zip(seqs, current, clock)
+        ]) / tables.attribute_scale
+        state, _, probs = net.forward_step(state, np.array(current), attrs, feats)
+        p = probs
         if request.no_repeat:
-            p = p.copy()
-            p[np.asarray(pois, dtype=np.int64)] = 0.0
-            if p.sum() <= 0:
-                p = probs[0]  # everything visited: fall back to repeats
-        nxt = sample_next(p, rng)
-        step_probs.append(float(probs[0][nxt]))
-        advance = (
-            tables.stay.mean(current)
-            + tables.distance_km(current, nxt) / WALK_SPEED_KMH * 3600.0
-        )
-        hour = (hour + advance / 3600.0) % HOURS
-        prev = current
-        current = nxt
-        pois.append(nxt)
-        hours.append(hour)
-    return GeneratedSequence(pois=pois, step_probs=step_probs, score=0.0, hours=hours)
+            p = probs.copy()
+            np.put_along_axis(p, np.array([seq.pois for seq in seqs]), 0.0, axis=1)
+            spent = p.sum(axis=1) <= 0
+            p[spent] = probs[spent]  # everything visited: fall back to repeats
+        nxt = sample_rows(p, rngs).tolist()
+        for b, (seq, cur, poi) in enumerate(zip(seqs, current, nxt)):
+            seq.step_probs.append(float(probs[b, poi]))
+            advance = (
+                tables.stay.mean(cur)
+                + tables.distance_km(cur, poi) / WALK_SPEED_KMH * 3600.0
+            )
+            clock[b] = (clock[b] + advance / 3600.0) % HOURS
+            seq.pois.append(poi)
+            seq.hours.append(clock[b])
+    return seqs
 
 
 def advance_hours(tables: FeatureTables, pois, start_hour: float) -> list:
@@ -141,11 +162,9 @@ def generate(
 ) -> list:
     """Top-k generated sequences, best score first; ties keep the
     earlier candidate."""
-    scored = []
-    for cand in range(request.candidates):
-        rng = np.random.default_rng([seed, cand])
-        seq = _rollout(net, request, tables, rng)
+    rngs = [np.random.default_rng([seed, cand]) for cand in range(request.candidates)]
+    scored = _rollout(net, request, tables, rngs)
+    for seq in scored:
         seq.score = score_sequence(seq, request.user, tables, request.consolidated)
-        scored.append(seq)
     order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
     return [scored[i] for i in order[: request.k]]

@@ -230,6 +230,15 @@ BAD_INPUTS = {
     "corrupt-sessions-line": (
         {"ds/sessions.jsonl": lambda raw: raw + b'{"user": 0, "pois": [\n'},
         ["features", "--data-dir", "{tmp}/ds"], 2),
+    "encodings-json-a-list": (
+        {"ds/encodings.json": "[]"}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "pois-json-a-list": (
+        {"ds/pois.json": "[]"}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "graph-json-a-list": (
+        {"ds/graph.json": "[]"}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-a-list": (
+        {"ds/sessions.jsonl": lambda raw: raw + b"[1]\n"},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
     "checkpoint-cut-to-100-bytes": (
         {"m.ckpt": lambda raw: raw[:100]}, GENERATE, 2),
     "checkpoint-cut-to-10-bytes": (

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from capseq.data import training_sessions
-from capseq.generation import GenRequest, sample_next, generate, score_sequence
-from capseq.models import CapsRnnRecommender
+from capseq.generation import (
+    GenRequest,
+    _rollout,
+    generate,
+    sample_next,
+    sample_rows,
+    score_sequence,
+)
+from capseq.models import CapsLstmRecommender, CapsRnnRecommender
 from capseq.models.rnn import ContextRnn
 
 
@@ -32,6 +39,45 @@ class TestSampleNext:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_next(np.zeros(3), rng)
+
+
+def random_weights(rng, B, K):
+    """(B, K) non-negative weights, some rows peaked, with zeros in them."""
+    w = np.exp(rng.normal(scale=rng.uniform(0.1, 8.0), size=(B, K)))
+    w[rng.random((B, K)) < rng.uniform(0.0, 0.9)] = 0.0
+    w[np.arange(B), rng.integers(K, size=B)] += rng.random(B) + 1e-3
+    return w
+
+
+class TestSampleRows:
+    def test_matches_generator_choice_row_by_row(self):
+        """Row b draws what ``default_rng(s_b).choice`` draws, over
+        consecutive draws of the same streams."""
+        cases = np.random.default_rng(2024)
+        for _ in range(400):
+            B, K = int(cases.integers(1, 13)), int(cases.integers(2, 401))
+            seeds = cases.integers(2**32, size=B).tolist()
+            rngs = [np.random.default_rng(s) for s in seeds]
+            oracles = [np.random.default_rng(s) for s in seeds]
+            for _ in range(3):
+                w = random_weights(cases, B, K)
+                got = sample_rows(w, rngs)
+                want = [o.choice(K, p=row / row.sum()) for o, row in zip(oracles, w)]
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.5])
+    def test_rejects_bad_row(self, bad):
+        w = np.full((3, 5), 0.2)
+        if bad == 0.0:
+            w[1] = 0.0
+        else:
+            w[1, 2] = bad
+        with pytest.raises(ValueError):
+            sample_rows(w, [np.random.default_rng(i) for i in range(3)])
+
+    def test_one_stream_per_row(self):
+        with pytest.raises(ValueError):
+            sample_rows(np.full((2, 3), 1.0), [np.random.default_rng(0)])
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +180,44 @@ class TestGenerate:
         plain = score_sequence(seq, 0, tables, consolidated=False)
         discounted = score_sequence(seq, 0, tables, consolidated=True)
         assert discounted <= plain + 1e-12
+
+
+class TestBatchedCandidates:
+    """A request's candidates roll out as one batch; each row must be the
+    rollout its candidate makes alone with stream [seed, cand]."""
+
+    @pytest.fixture(scope="class", params=["caps-rnn", "caps-lstm"])
+    def net(self, request, synth_tables_module):
+        sessions, tables = synth_tables_module
+        if request.param == "caps-rnn":
+            model = CapsRnnRecommender(hidden_size=12, n_layers=2, embedding_size=8,
+                                       epochs=2, learning_rate=0.05, seed=1)
+        else:
+            model = CapsLstmRecommender(hidden_size=12, embedding_size=8,
+                                        epochs=2, learning_rate=0.05, seed=1)
+        return model.fit(training_sessions(sessions), tables).net_
+
+    @pytest.mark.parametrize("mode", ["plain", "consolidated", "no_repeat"])
+    def test_rows_equal_solo_rollouts(self, net, mode, synth_tables_module):
+        _, tables = synth_tables_module
+        # no_repeat runs past the 40 POIs, so its fallback is taken too
+        req = GenRequest(user=2, start_poi=5, start_hour=21.5,
+                         length=44 if mode == "no_repeat" else 12,
+                         candidates=6, k=4, no_repeat=mode == "no_repeat",
+                         consolidated=mode == "consolidated")
+        seed = 17
+        batch = _rollout(net, req, tables,
+                         [np.random.default_rng([seed, c]) for c in range(6)])
+        solos = [_rollout(net, req, tables, [np.random.default_rng([seed, c])])[0]
+                 for c in range(6)]
+        for row, solo in zip(batch, solos):
+            assert row.pois == solo.pois
+            assert row.hours == solo.hours
+            np.testing.assert_allclose(row.step_probs, solo.step_probs,
+                                       rtol=1e-12, atol=0)
+        for solo in solos:
+            solo.score = score_sequence(solo, req.user, tables, req.consolidated)
+        ranked = sorted(range(6), key=lambda i: (-solos[i].score, i))[: req.k]
+        got = generate(net, req, tables, seed=seed)
+        assert [s.pois for s in got] == [solos[i].pois for i in ranked]
+        assert [s.score for s in got] == [solos[i].score for i in ranked]
