@@ -191,9 +191,12 @@ def _merged_config(args) -> dict:
 def cmd_synth(args) -> int:
     cfg = _merged_config(args)
     seed = cfg["seed"]
-    records, graph = synth_dataset(
-        seed=seed, n_users=args.users, n_pois=args.pois, days=args.days
-    )
+    try:
+        records, graph = synth_dataset(
+            seed=seed, n_users=args.users, n_pois=args.pois, days=args.days
+        )
+    except ValueError as exc:
+        raise configmod.ConfigError(f"synth: {exc}") from exc
     out = _out_dir(cfg)
     dataio.write_checkins_csv(out / "checkins.csv", records)
     dataio.write_friendships_csv(out / "friendships.csv", graph)
@@ -246,8 +249,15 @@ def _load_tables(args, sessions, encodings, graph) -> FeatureTables:
     return FeatureTables.build(sessions, graph, encodings)
 
 
+def _default(cfg: dict, key: str, default):
+    """``cfg[key]`` unless unset; an explicit 0 is kept (and then rejected
+    by whatever validates it), never swapped for the default."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
 def _construct(name: str, cls, kwargs: dict):
-    """Build a recommender; a hyperparameter it rejects is a config error."""
+    """Build a recommender or request; a value it rejects is a config error."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
@@ -311,16 +321,17 @@ def cmd_generate(args) -> int:
             raise DataError(f"user {args.user!r} has no observed check-ins")
         start_ix = max(sorted(counts), key=lambda ix: counts[ix])
 
-    request = GenRequest(
+    candidates = _default(cfg, "candidates", 10)
+    request = _construct("generate", GenRequest, dict(
         user=user_ix,
         start_poi=start_ix,
         start_hour=args.start_hour,
-        length=cfg.get("length") or 25,
-        candidates=cfg.get("candidates") or 10,
-        k=cfg.get("k") or min(10, cfg.get("candidates") or 10),
+        length=_default(cfg, "length", 25),
+        candidates=candidates,
+        k=_default(cfg, "k", min(10, candidates)),
         no_repeat=args.no_repeat,
         consolidated=args.consolidated,
-    )
+    ))
     sequences = model.generate(request, seed=seed)
     out = _out_dir(cfg)
     path = out / "sequences.jsonl"
@@ -380,19 +391,29 @@ def _select_models(spec: str, cfg: dict) -> dict:
 def cmd_evaluate(args) -> int:
     cfg = _merged_config(args)
     seed = cfg["seed"]
+    folds = _default(cfg, "folds", 5)
+    candidates = _default(cfg, "candidates", 10)
+    if folds < 2:
+        raise configmod.ConfigError(f"folds must be >= 2, got {folds}")
+    if candidates < 1:
+        raise configmod.ConfigError(f"candidates must be >= 1, got {candidates}")
+    try:
+        sweep_lengths = [int(x) for x in args.sweep_lengths.split(",") if x.strip()]
+    except ValueError as exc:
+        raise configmod.ConfigError(f"sweep lengths: {exc}") from exc
+    if any(n < 1 for n in sweep_lengths):
+        raise configmod.ConfigError(
+            f"sweep lengths must be >= 1, got {args.sweep_lengths!r}")
     sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(args))
     models = _select_models(args.models, cfg)
-    sweep_lengths = [
-        int(x) for x in args.sweep_lengths.split(",") if x.strip()
-    ]
     result = cross_validate(
         sessions,
         graph,
         encodings,
         models,
-        folds=cfg.get("folds") or 5,
+        folds=folds,
         seed=seed,
-        candidates=cfg.get("candidates") or 10,
+        candidates=candidates,
         sweep_lengths=sweep_lengths,
     )
     out = _out_dir(cfg)

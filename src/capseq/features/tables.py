@@ -313,6 +313,7 @@ class FeatureTables:
         self._beta_pooled: dict[int, float] = {}
         self._dist_in: dict[int, tuple[float, float]] = {}
         self._dist_global = (0.0, 0.0)
+        self._attr_table: np.ndarray | None = None  # (n_pois, 24, ATTRIBUTE_DIM)
         self._attr_scale: np.ndarray | None = None
         self._feat_scale: np.ndarray | None = None
         self._session_features: dict[tuple, np.ndarray] = {}
@@ -562,19 +563,25 @@ class FeatureTables:
         """Per-step context: stay, interest, hourly category interest,
         preference, category code, distance to the previous stop, and the
         24-hour popularity profile of the POI."""
-        self._check_poi(poi_ix)
-        hour = int(hour) % HOURS
-        cat = int(self.poi_cat[poi_ix])
-        dist_prev = 0.0 if prev_poi_ix is None else self.distance_km(prev_poi_ix, poi_ix)
-        vec = np.empty(ATTRIBUTE_DIM)
-        vec[0] = self.stay.norm(poi_ix)
-        vec[1] = self.ast_poi[poi_ix]
-        vec[2] = self.astcat_hour[cat, hour]
-        vec[3] = self.preference(None, poi_ix, hour)
-        vec[4] = float(cat)
-        vec[5] = dist_prev
-        vec[6:] = self.popularity[poi_ix]
-        return vec
+        return self.attribute_rows([poi_ix], [int(hour) % HOURS], [prev_poi_ix])[0]
+
+    def attribute_rows(self, pois, hours, prevs) -> np.ndarray:
+        """Attribute vectors of many steps as one (n, ATTRIBUTE_DIM)
+        array: row i is ``attribute_vector(pois[i], hours[i], prevs[i])``
+        for hours of day 0-23, with ``None`` in ``prevs`` for no previous
+        stop. Every field but ``dist_prev`` is a gather from the static
+        (POI, hour) table."""
+        pois = np.asarray(pois, dtype=np.int64)
+        bad = pois[(pois < 0) | (pois >= self.n_pois)]
+        if bad.size:
+            self._check_poi(int(bad[0]))
+        if self._attr_table is None:
+            self._build_attribute_table()
+        rows = self._attr_table[pois, hours]
+        for i, (prev, cur) in enumerate(zip(prevs, pois.tolist())):
+            if prev is not None:
+                rows[i, 5] = self.distance_km(prev, cur)
+        return rows
 
     def feature_vector(self, session: Session) -> np.ndarray:
         """Whole-sequence features: start/end category and place codes,
@@ -617,21 +624,34 @@ class FeatureTables:
     @property
     def attribute_scale(self) -> np.ndarray:
         if self._attr_scale is None:
-            ps_max = 0.0
-            for l in range(self.n_pois):
-                cat = int(self.poi_cat[l])
-                beta = self.beta(None, cat)
-                for h in range(HOURS):
-                    ps = _preference(self._pooled, 0, l, cat, h, beta)
-                    ps_max = max(ps_max, abs(ps))
-            scale = np.ones(ATTRIBUTE_DIM)
-            scale[1] = max(1.0, float(np.abs(self.ast_poi).max(initial=0.0)))
-            scale[2] = max(1.0, float(np.abs(self.astcat_hour).max(initial=0.0)))
-            scale[3] = max(1.0, ps_max)
-            scale[4] = max(1.0, self.encodings.n_categories - 1.0)
-            scale[5] = max(1.0, self._dist_global[1])
-            self._attr_scale = scale
+            self._build_attribute_table()
         return self._attr_scale
+
+    def _build_attribute_table(self) -> None:
+        """The static fields of every (POI, hour) attribute vector, with
+        ``dist_prev`` left at 0, and the per-field input scales."""
+        table = np.zeros((self.n_pois, HOURS, ATTRIBUTE_DIM))
+        ps_max = 0.0
+        for l in range(self.n_pois):
+            cat = int(self.poi_cat[l])
+            beta = self.beta(None, cat)
+            for h in range(HOURS):
+                ps = _preference(self._pooled, 0, l, cat, h, beta)
+                table[l, h, 3] = ps
+                ps_max = max(ps_max, abs(ps))
+            table[l, :, 0] = self.stay.norm(l)
+        table[:, :, 1] = self.ast_poi[:, None]
+        table[:, :, 2] = self.astcat_hour[self.poi_cat]
+        table[:, :, 4] = self.poi_cat[:, None]
+        table[:, :, 6:] = self.popularity[:, None, :]
+        scale = np.ones(ATTRIBUTE_DIM)
+        scale[1] = max(1.0, float(np.abs(self.ast_poi).max(initial=0.0)))
+        scale[2] = max(1.0, float(np.abs(self.astcat_hour).max(initial=0.0)))
+        scale[3] = max(1.0, ps_max)
+        scale[4] = max(1.0, self.encodings.n_categories - 1.0)
+        scale[5] = max(1.0, self._dist_global[1])
+        self._attr_table = table
+        self._attr_scale = scale
 
     @property
     def feature_scale(self) -> np.ndarray:

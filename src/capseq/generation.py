@@ -14,6 +14,7 @@ POIs and the top k are returned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ class GenRequest:
     consolidated: bool = False  # rank with constraint-discounted scores
 
     def __post_init__(self):
+        if not math.isfinite(self.start_hour):
+            raise ValueError(f"start_hour must be finite, got {self.start_hour}")
         if self.length < 1:
             raise ValueError("length must be >= 1")
         if self.k < 1 or self.candidates < self.k:
@@ -94,12 +97,11 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
     clock = [float(request.start_hour)] * len(seqs)
     for _ in range(request.length - 1):
         current = [seq.pois[-1] for seq in seqs]
-        attrs = np.array([
-            tables.attribute_vector(
-                cur, int(hour) % HOURS, seq.pois[-2] if len(seq.pois) > 1 else None
-            )
-            for seq, cur, hour in zip(seqs, current, clock)
-        ]) / tables.attribute_scale
+        attrs = tables.attribute_rows(
+            current,
+            [int(hour) % HOURS for hour in clock],
+            [seq.pois[-2] if len(seq.pois) > 1 else None for seq in seqs],
+        ) / tables.attribute_scale
         state, _, probs = net.forward_step(state, np.array(current), attrs, feats)
         p = probs
         if request.no_repeat:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data.types import Encodings, Session, SocialGraph
+from .data.types import DataError, Encodings, Session, SocialGraph
 from .features import FeatureTables
 from .generation import GenRequest
 from .geo import haversine_km
@@ -200,10 +201,12 @@ def cross_validate(
     """Fit every model on each training split and score its generated
     sequences against the held-out sessions, seeding each model with the
     held-out session's first POI and hour."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
     sessions = list(sessions)
-    fold_of, evaluated_users = assign_folds(sessions, folds, seed)
-    if not evaluated_users:
-        raise ValueError(f"no user has at least {folds} sessions to evaluate")
+    if max(Counter(s.user_id for s in sessions).values(), default=0) < folds:
+        raise DataError(f"no user has at least {folds} sessions to evaluate")
+    fold_of, _ = assign_folds(sessions, folds, seed)
     geography = poi_geography(sessions, encodings)
 
     result = EvalResult()

@@ -160,11 +160,9 @@ def encode_session(
         raise ValueError("training sessions must have at least two visits")
     visits = session.visits[: max_steps + 1]
     ixs = [encodings.poi(v.poi.poi_id) for v in visits]
-    T = len(ixs) - 1
-    attrs = np.zeros((T, ATTRIBUTE_DIM))
-    for t in range(T):
-        prev = ixs[t - 1] if t > 0 else None
-        attrs[t] = tables.attribute_vector(ixs[t], visits[t].hour, prev)
+    attrs = tables.attribute_rows(
+        ixs[:-1], [v.hour for v in visits[:-1]], [None] + ixs[:-2]
+    )
     attrs /= tables.attribute_scale
     feat = tables.feature_vector(session) / tables.feature_scale
     return EncodedSequence(

@@ -24,12 +24,12 @@ class NumericError(RuntimeError):
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without branches: 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) below, the same floating-point operations as a
+    masked two-branch form. ``exp`` only ever sees -|x|, so it cannot
+    overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -247,6 +247,27 @@ BAD_INPUTS = {
         {"m.ckpt.json": _with_sidecar(encodings_sha256="0" * 64)}, GENERATE, 2),
     "checkpoint-missing-blocks": (
         {"m.ckpt.json": _with_sidecar(kind="caps-rnn")}, GENERATE, 2),
+    "generate-zero-length": ({}, GENERATE + ["--length", "0"], 1),
+    "generate-zero-candidates": ({}, GENERATE + ["--candidates", "0"], 1),
+    "generate-zero-k": ({}, GENERATE + ["--k", "0"], 1),
+    "generate-k-above-candidates": (
+        {}, GENERATE + ["--k", "20", "--candidates", "5"], 1),
+    "generate-nan-start-hour": ({}, GENERATE + ["--start-hour", "nan"], 1),
+    "generate-inf-start-hour": ({}, GENERATE + ["--start-hour", "inf"], 1),
+    "generate-zero-length-in-config": (
+        {"run.cfg": "length = 0\n"}, GENERATE + ["--config", "{tmp}/run.cfg"], 1),
+    "evaluate-zero-folds": (
+        {}, ["evaluate", "--models", "popularity", "--folds", "0"], 1),
+    "evaluate-one-fold": (
+        {}, ["evaluate", "--models", "popularity", "--folds", "1"], 1),
+    "evaluate-zero-candidates": (
+        {}, ["evaluate", "--models", "popularity", "--candidates", "0"], 1),
+    "evaluate-sweep-length-not-a-number": (
+        {}, ["evaluate", "--models", "popularity", "--sweep-lengths", "3,abc"], 1),
+    "evaluate-zero-sweep-length": (
+        {}, ["evaluate", "--models", "popularity", "--sweep-lengths", "0"], 1),
+    "evaluate-more-folds-than-sessions": (
+        {}, ["evaluate", "--models", "popularity", "--folds", "1000"], 2),
 }
 
 
@@ -269,6 +290,13 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
     assert main(argv[:1] + ["--out-dir", str(tmp_path)] + argv[1:]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("flag", ["--users", "--pois", "--days"])
+def test_synth_rejects_zero_size_with_one_line(flag, tmp_path, capsys):
+    assert main(["synth", flag, "0", "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
 
 
 class TestConfigFile:

@@ -343,6 +343,50 @@ class TestVectors:
         assert tables.preference(None, 0, 9) > 0.0
 
 
+class TestAttributeFields:
+    """Every field of ``attribute_vector`` pinned to the lookup it stands
+    for, on built tables and on a saved-then-loaded copy."""
+
+    @pytest.fixture(params=["built", "loaded"])
+    def tables(self, request, synth_tables, tmp_path):
+        if request.param == "built":
+            return synth_tables
+        synth_tables.save(tmp_path / "tables.json")
+        return FeatureTables.load(tmp_path / "tables.json")
+
+    def test_fields_equal_their_sources(self, tables):
+        for l in range(tables.n_pois):
+            cat = int(tables.poi_cat[l])
+            prev = (l * 7 + 3) % tables.n_pois
+            for h in range(24):
+                vec = tables.attribute_vector(l, h, prev)
+                assert vec[0] == tables.stay.norm(l)
+                assert vec[1] == tables.ast_poi[l]
+                assert vec[2] == tables.astcat_hour[cat, h]
+                assert vec[3] == tables.preference(None, l, h)
+                assert vec[4] == cat
+                assert vec[5] == tables.distance_km(prev, l)
+                assert np.array_equal(vec[6:], tables.popularity[l])
+                assert tables.attribute_vector(l, h, None)[5] == 0.0
+
+    def test_encoded_attrs_are_scaled_step_vectors(self, tables, synth_small):
+        from capseq.models import encode_session
+
+        sessions, _, encodings = synth_small
+        for session in sessions:
+            if len(session) < 2:
+                continue
+            encoded = encode_session(session, tables, encodings)
+            ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
+            rows = [
+                tables.attribute_vector(ixs[t], session.visits[t].hour,
+                                        ixs[t - 1] if t > 0 else None)
+                for t in range(len(encoded.inputs))
+            ]
+            expected = np.array(rows) / tables.attribute_scale
+            assert np.array_equal(encoded.attrs, expected)
+
+
 class TestSnapshot:
     def test_round_trip_preserves_lookups(self, tiny_world, tmp_path):
         sessions, graph, encodings = tiny_world

@@ -170,6 +170,9 @@ class TestGenerate:
             GenRequest(user=0, start_poi=0, start_hour=9, length=0)
         with pytest.raises(ValueError):
             GenRequest(user=0, start_poi=0, start_hour=9, candidates=2, k=5)
+        for hour in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                GenRequest(user=0, start_poi=0, start_hour=hour)
 
     def test_consolidated_scoring_discounts(self, synth_tables_module):
         sessions, tables = synth_tables_module

@@ -28,6 +28,38 @@ class TestElementwiseOps:
         assert s[2] == 0.5
 
 
+def masked_sigmoid(x):
+    """Reference: the two-branch boolean-mask logistic. The branch-free
+    ``sigmoid`` must match it bit for bit."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+SPECIAL_VALUES = [0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308, np.nan]
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (50, 64), (50, 512)])
+def test_sigmoid_bit_equal_to_masked_form(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(scale=20.0, size=shape)
+    flat = x.reshape(-1)
+    picks = rng.choice(flat.size, size=min(flat.size, len(SPECIAL_VALUES)),
+                       replace=False)
+    flat[picks] = SPECIAL_VALUES[: len(picks)]
+    if flat.size < len(SPECIAL_VALUES):  # too small to hold them all: widen
+        x = np.concatenate([x, np.array(SPECIAL_VALUES).reshape(1, -1)], axis=1)
+    with np.errstate(all="ignore"):
+        expected = masked_sigmoid(x)
+    # the CLI's floating-point setting: an exp overflow would be exit 3
+    with np.errstate(all="raise", under="ignore"):
+        got = sigmoid(x)
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
 class TestSoftmax:
     def test_uniform_logits(self):
         p = softmax(np.zeros(7))
