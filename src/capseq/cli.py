@@ -75,6 +75,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse reads "-1e9" or "-inf" as an unknown option; no capseq
+        # option looks like a number, so whatever float() reads is a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="capseq", description=__doc__)

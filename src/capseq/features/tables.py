@@ -6,10 +6,15 @@ per-step attribute vectors and per-sequence feature vectors consumed by
 the sequence models.
 
 All POIs, users and categories are handled as dense encoded integers;
-``FeatureTables.build`` does the encoding. The implementation here is
-the optimized one (sufficient statistics + algebraic regrouping); the
-test suite keeps an independent literal transcription of the defining
-formulas to cross-check it.
+``FeatureTables.build`` does the encoding. Every interest statistic comes
+from dense (rows, n_pois) visit-count arrays: ``_interest`` turns one
+such matrix into category shares, categorical and socially blended
+interest, once for the full data (the pooled population as an extra
+row) and once per hour of day. Every float sum adds its terms one at a
+time in a fixed order (users in first-appearance order, friends
+ascending, a category's POIs ascending), so the tables equal a literal
+evaluation of the defining formulas in that order bit for bit; the test
+suite keeps an independent literal transcription to cross-check them.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,206 +99,120 @@ def temporal_popularity(sessions: Sequence[Session], encodings: Encodings) -> np
     return counts
 
 
-class _UserStats:
-    """Sufficient statistics of one user's (or the pooled population's)
-    visits: counts per location, per (location, hour), distinct
-    locations per category."""
-
-    __slots__ = ("total", "counts", "counts_lt", "cat_counts", "locs_by_cat",
-                 "locations", "max_lt")
-
-    def __init__(self):
-        self.total = 0
-        self.counts: dict[int, int] = {}
-        self.counts_lt: dict[tuple[int, int], int] = {}
-        self.cat_counts: dict[int, int] = {}
-        self.locs_by_cat: dict[int, list] = {}
-        self.locations: set = set()
-        self.max_lt = 0
-
-    def add(self, l: int, cat: int, hour: int) -> None:
-        self.total += 1
-        self.counts[l] = self.counts.get(l, 0) + 1
-        key = (l, hour)
-        self.counts_lt[key] = self.counts_lt.get(key, 0) + 1
-        self.cat_counts[cat] = self.cat_counts.get(cat, 0) + 1
-        if l not in self.locations:
-            self.locations.add(l)
-            self.locs_by_cat.setdefault(cat, []).append(l)
-
-    def finalize(self) -> None:
-        self.max_lt = max(self.counts_lt.values(), default=0)
-        for locs in self.locs_by_cat.values():
-            locs.sort()
+def _divide(num, den, where) -> np.ndarray:
+    """``num / den`` where ``where`` holds, 0.0 elsewhere (never divides
+    by zero)."""
+    shape = np.broadcast_shapes(np.shape(num), np.shape(den), np.shape(where))
+    return np.divide(num, den, out=np.zeros(shape), where=where)
 
 
-class _AstComputation:
-    """Aggregate-stay interest over a visit collection.
-
-    ``visits``: user -> list of (location, category, hour). The same
-    machinery runs on the full data and on hour-restricted slices.
-    """
-
-    def __init__(
-        self,
-        visits: dict[int, list],
-        friends: dict[int, list],
-        stay_norm,
-        n_users: int,
-    ):
-        self.friends = friends
-        self.stay_norm = stay_norm
-        self.n_users = n_users
-        self.stats: dict[int, _UserStats] = {}
-        for u, vlist in visits.items():
-            st = _UserStats()
-            for l, c, h in vlist:
-                st.add(l, c, h)
-            st.finalize()
-            self.stats[u] = st
-
-        # locations shared with friends, for the social blending weights
-        self._shared: dict[int, set] = {}
-        for u, st in self.stats.items():
-            shared: set = set()
-            for k in friends.get(u, ()):
-                kst = self.stats.get(k)
-                if kst is not None:
-                    shared |= st.locations & kst.locations
-            self._shared[u] = shared
-
-        self._s_cache: dict[tuple[int, int], float] = {}
-
-    def catfrac(self, u: int, cat: int) -> float:
-        st = self.stats.get(u)
-        if st is None or st.total == 0:
-            return 0.0
-        return st.cat_counts.get(cat, 0) / st.total
-
-    def psi1(self, u: int) -> float:
-        """Fraction of the user's check-ins at locations any friend
-        also visited."""
-        st = self.stats.get(u)
-        if st is None or st.total == 0:
-            return 0.0
-        shared = self._shared.get(u, set())
-        common = sum(n for l, n in st.counts.items() if l in shared)
-        return common / st.total
-
-    def gamma1(self, u: int, cat: int) -> float:
-        """Fraction of the user's check-ins at friend-shared locations
-        of this category."""
-        st = self.stats.get(u)
-        if st is None or st.total == 0:
-            return 0.0
-        shared = self._shared.get(u, set())
-        cat_locs = set(st.locs_by_cat.get(cat, ()))
-        common = sum(n for l, n in st.counts.items() if l in shared and l in cat_locs)
-        return common / st.total
-
-    def _norm_count(self, u: int, l: int) -> float:
-        """V'(u, l): visit share of location l among u's check-ins."""
-        st = self.stats[u]
-        return st.counts.get(l, 0) / st.total
-
-    def _f_term(self, u: int, l: int) -> float:
-        st = self.stats.get(u)
-        if st is None or st.counts.get(l, 0) == 0:
-            return 0.0
-        return self.stay_norm(l) / self._norm_count(u, l)
-
-    def _g_term(self, u: int, cat: int) -> float:
-        st = self.stats.get(u)
-        if st is None:
-            return 0.0
-        locs = st.locs_by_cat.get(cat)
-        return 1.0 / len(locs) if locs else 0.0
-
-    def _s_term(self, u: int, cat: int) -> float:
-        """Sum over the user's distinct same-category locations of
-        normalized stay over visit share."""
-        key = (u, cat)
-        cached = self._s_cache.get(key)
-        if cached is not None:
-            return cached
-        st = self.stats.get(u)
-        total = 0.0
-        if st is not None:
-            for l in st.locs_by_cat.get(cat, ()):
-                total += self.stay_norm(l) / self._norm_count(u, l)
-        self._s_cache[key] = total
-        return total
-
-    def ast_cat(self, u: int, l: int, cat: int) -> float:
-        """Categorical aggregate-stay interest of user u in location l."""
-        alpha = self.catfrac(u, cat)
-        own = self._f_term(u, l)
-        social = self._g_term(u, cat) * self._s_term(u, cat)
-        return (1.0 - alpha) * own + alpha * social
-
-    def ast(self, u: int, l: int, cat: int) -> float:
-        """Socially blended aggregate-stay interest."""
-        base = self.ast_cat(u, l, cat)
-        friends = self.friends.get(u, ())
-        if not friends:
-            return base
-        psi = self.psi1(u)
-        friend_sum = sum(self.ast_cat(k, l, cat) for k in friends)
-        return (1.0 - psi) * base + psi * friend_sum / len(friends)
-
-    def _cat_interest_sum(self, u: int, cat: int) -> float:
-        st = self.stats.get(u)
-        if st is None:
-            return 0.0
-        return sum(self.ast_cat(u, l, cat) for l in st.locs_by_cat.get(cat, ()))
-
-    def user_cat_interest(self, u: int, cat: int) -> float:
-        """Per-user interest in a whole category, socially blended."""
-        gamma = self.gamma1(u, cat)
-        own = self._cat_interest_sum(u, cat)
-        social = sum(self._cat_interest_sum(j, cat) for j in self.friends.get(u, ()))
-        return (1.0 - gamma) * own + gamma * social
-
-    def aggregate_cat(self, categories: Iterable[int]) -> dict:
-        """Category -> mean user interest over the full population."""
-        out = {}
-        if self.n_users == 0:
-            return {c: 0.0 for c in categories}
-        for c in categories:
-            out[c] = (
-                sum(self.user_cat_interest(u, c) for u in self.stats) / self.n_users
-            )
-        return out
+def _cat_sums(values: np.ndarray, poi_cat: np.ndarray, n_cats: int) -> np.ndarray:
+    """(rows, n_cats) sums of a (rows, n_pois) array over each category's
+    POIs, added one at a time in ascending POI order."""
+    rows = values.shape[0]
+    bins = (np.arange(rows)[:, None] * n_cats + poi_cat).ravel()
+    sums = np.bincount(bins, weights=values.ravel(), minlength=rows * n_cats)
+    return sums.reshape(rows, n_cats)
 
 
-def _preference(
-    comp: _AstComputation, u: int, poi_ix: int, cat: int, hour: int, beta: float
-) -> float:
-    """Temporal preference score of stats key ``u`` of ``comp`` for a POI
-    of category ``cat`` at ``hour`` (0-23), with category weight ``beta``:
-    visit frequency at that hour, blended with the hourly visit shares of
-    the user's same-category POIs, against aggregate-stay interest."""
-    st = comp.stats[u]
-    theta = comp.catfrac(u, cat)
+def _ordered_mean(values: np.ndarray, order: np.ndarray, n_users: int) -> np.ndarray:
+    """Column sums of the rows ``order`` names, added one row at a time in
+    that order, over ``n_users``."""
+    cols = values.shape[1]
+    if not n_users:
+        return np.zeros(cols)
+    bins = np.tile(np.arange(cols), len(order))
+    return np.bincount(bins, weights=values[order].ravel(), minlength=cols) / n_users
 
-    count_lt = st.counts_lt.get((poi_ix, hour), 0)
-    norm_count = count_lt / st.max_lt if st.max_lt else 0.0
-    freq_term = (1.0 - theta) * norm_count
 
-    cat_term = 0.0
-    g = comp._g_term(u, cat)
-    if g:
-        acc = 0.0
-        for l in st.locs_by_cat.get(cat, ()):
-            acc += st.counts_lt.get((l, hour), 0) / st.counts[l]
-        cat_term = theta * g * acc
-    return beta * (freq_term + cat_term) + (1.0 - beta) * comp.ast(u, poi_ix, cat)
+def _friend_slots(friends: list) -> list:
+    """Slot j pairs every user with more than j friends (as row arrays)
+    with that user's j-th friend; adding slot by slot sums each user's
+    friends in list order."""
+    slots = []
+    for j in range(max(map(len, friends), default=0)):
+        who = [u for u, fs in enumerate(friends) if len(fs) > j]
+        slots.append((np.array(who), np.array([friends[u][j] for u in who])))
+    return slots
+
+
+class _Interest(NamedTuple):
+    alpha: np.ndarray  # (rows, n_cats) share of the row's check-ins in the category
+    g: np.ndarray  # (rows, n_cats) 1 / distinct POIs of the category visited
+    ac: np.ndarray  # (rows, n_pois) categorical aggregate-stay interest
+    ast: np.ndarray  # (rows, n_pois) socially blended interest
+    psi: np.ndarray  # (rows, 1) share of check-ins at friend-shared POIs
+    gamma: np.ndarray  # (rows, n_cats) the same, per category
+
+
+def _interest(counts, slots, stay_norm, poi_cat, n_cats) -> _Interest:
+    """Aggregate-stay interest of every row of a (rows, n_pois) visit-count
+    matrix; ``slots`` (see ``_friend_slots``) names each row's friends."""
+    total = counts.sum(axis=1)[:, None]
+    visited = counts > 0
+    alpha = _divide(_cat_sums(counts, poi_cat, n_cats), total, total > 0)
+    own = _divide(stay_norm, _divide(counts, total, visited), visited)
+    distinct = _cat_sums(visited, poi_cat, n_cats)
+    g = _divide(1.0, distinct, distinct > 0)
+    social = g * _cat_sums(own, poi_cat, n_cats)
+    # in place, to keep few (rows, n_pois) temporaries alive; products and
+    # sums commute exactly, so this is (1 - alpha) * own + alpha * social
+    a = alpha[:, poi_cat]
+    ac = a * social[:, poi_cat]
+    own *= 1.0 - a
+    ac += own
+    del a, own
+
+    n_friends = np.zeros((len(counts), 1), dtype=np.int64)
+    friend_seen = np.zeros_like(visited)
+    ast = np.zeros(counts.shape)
+    for who, k in slots:
+        n_friends[who] += 1
+        friend_seen[who] |= visited[k]
+        ast[who] += ac[k]
+    shared = np.where(visited & friend_seen, counts, 0)
+    psi = _divide(shared.sum(axis=1)[:, None], total, total > 0)
+    gamma = _divide(_cat_sums(shared, poi_cat, n_cats), total, total > 0)
+    # (1 - psi) * ac + psi * friend_sum / n_friends; psi is 0 without friends
+    ast *= psi
+    np.divide(ast, n_friends, out=ast, where=n_friends > 0)
+    ast += (1.0 - psi) * ac
+    return _Interest(alpha, g, ac, ast, psi, gamma)
+
+
+def _category_interest(counts, slots, stay_norm, poi_cat, n_cats) -> np.ndarray:
+    """(rows, n_cats) per-user interest in whole categories: the user's
+    categorical interest summed over the category's visited POIs,
+    socially blended with the same sums of the user's friends."""
+    it = _interest(counts, slots, stay_norm, poi_cat, n_cats)
+    own = _cat_sums(np.where(counts > 0, it.ac, 0.0), poi_cat, n_cats)
+    social = np.zeros(own.shape)
+    for who, k in slots:
+        social[who] += own[k]
+    return (1.0 - it.gamma) * own + it.gamma * social
+
+
+def _index(value, high: int, what: str) -> int:
+    """``value`` (an int or its decimal string) as an index below ``high``."""
+    ix = int(value) if isinstance(value, str) else value
+    if type(ix) is not int or not 0 <= ix < high:
+        raise ValueError(f"{what} {value!r} is not an index below {high}")
+    return ix
+
+
+def _array(value, shape: tuple, what: str, dtype=float) -> np.ndarray:
+    arr = np.array(value, dtype=dtype)
+    if arr.shape != shape:
+        raise ValueError(f"{what}: shape {arr.shape}, expected {shape}")
+    return arr
 
 
 class FeatureTables:
     """All context statistics bundle: built once, then immutable.
 
-    Lookups use encoded integer ids throughout (see ``Encodings``).
+    Lookups use encoded integer ids throughout (see ``Encodings``). Per-user
+    arrays have one row per user plus the pooled population as row
+    ``n_users``.
     """
 
     def __init__(self, encodings: Encodings):
@@ -306,11 +225,14 @@ class FeatureTables:
         self.poi_cat: np.ndarray | None = None
         self.ast_poi: np.ndarray | None = None
         self.astcat_hour: np.ndarray | None = None  # (n_categories, 24)
-        self._comp: _AstComputation | None = None
-        self._pooled: _AstComputation | None = None
-        self._friends: dict[int, list] = {}
-        self._beta: dict[tuple[int, int], float] = {}
-        self._beta_pooled: dict[int, float] = {}
+        self._friends: list = []  # per user, ascending
+        self._counts_lt: dict = {}  # (row * n_pois + poi) * 24 + hour -> visits
+        self._max_lt: list = []  # per row, largest (poi, hour) count
+        self._catacc: np.ndarray | None = None  # (rows, n_cats, 24)
+        self._stay_norm: np.ndarray | None = None  # (n_pois,)
+        self._slots: list = []  # see _friend_slots
+        self._stats: _Interest | None = None  # full data, pooled row last
+        self._beta: np.ndarray | None = None  # (n_users + 1, n_cats)
         self._dist_in: dict[int, tuple[float, float]] = {}
         self._dist_global = (0.0, 0.0)
         self._attr_table: np.ndarray | None = None  # (n_pois, 24, ATTRIBUTE_DIM)
@@ -333,93 +255,108 @@ class FeatureTables:
         tables.stay = compute_stay_stats(sessions, encodings)
         tables.popularity = temporal_popularity(sessions, encodings)
 
-        coords = np.zeros((encodings.n_pois, 2))
-        cats = np.zeros(encodings.n_pois, dtype=np.int64)
-        visits: dict[int, list] = defaultdict(list)
-        pooled: dict[int, list] = {0: []}
+        n_users, n_pois = encodings.n_users, encodings.n_pois
+        coords = np.zeros((n_pois, 2))
+        cats = np.zeros(n_pois, dtype=np.int64)
+        users, pois, hours = [], [], []
         for session in sessions:
             u = encodings.user(session.user_id)
             for visit in session.visits:
                 l = encodings.poi(visit.poi.poi_id)
-                c = encodings.category(visit.poi.category)
                 coords[l] = (visit.poi.lat, visit.poi.lon)
-                cats[l] = c
-                visits[u].append((l, c, visit.hour))
-                pooled[0].append((l, c, visit.hour))
+                cats[l] = encodings.category(visit.poi.category)
+                users.append(u)
+                pois.append(l)
+                hours.append(visit.hour)
         tables.poi_coords = coords
         tables.poi_cat = cats
-
-        friends = {
-            encodings.user(u): sorted(
-                encodings.user(f) for f in graph.friends(u) if f in encodings.user_to_ix
-            )
-            for u in encodings.user_to_ix
-        }
-        tables._friends = friends
-        tables._comp = _AstComputation(
-            visits, friends, tables.stay.norm, encodings.n_users
+        tables._friends = [
+            sorted(encodings.user(f) for f in graph.friends(encodings.ix_to_user[u])
+                   if f in encodings.user_to_ix)
+            for u in range(n_users)
+        ]
+        users = np.array(users, dtype=np.int64)
+        cells = np.array(pois, dtype=np.int64) * HOURS + np.array(hours, dtype=np.int64)
+        entries = tables._set_counts(
+            np.concatenate([users * n_pois * HOURS + cells, n_users * n_pois * HOURS + cells]),
+            np.ones(2 * len(cells), dtype=np.int64),
         )
-        tables._pooled = _AstComputation(pooled, {}, tables.stay.norm, 1)
 
-        tables._build_ast_aggregates(visits, friends)
+        order = np.array(list(dict.fromkeys(users.tolist())), dtype=np.int64)
+        tables.ast_poi = _ordered_mean(tables._stats.ast, order, n_users)
+        tables._build_astcat_hour(order, entries)
         tables._build_beta()
         tables._build_distance_bounds(sessions, encodings)
         tables._build_session_features(sessions, encodings)
         return tables
 
-    def _build_ast_aggregates(self, visits, friends) -> None:
-        comp = self._comp
-        ast_poi = np.zeros(self.n_pois)
-        for l in range(self.n_pois):
-            c = int(self.poi_cat[l])
-            total = sum(comp.ast(u, l, c) for u in comp.stats)
-            ast_poi[l] = total / self.n_users if self.n_users else 0.0
-        self.ast_poi = ast_poi
-
+    def _set_counts(self, keys: np.ndarray, counts: np.ndarray) -> tuple:
+        """Everything read from the visit counts: ``keys`` holds
+        ``(row * n_pois + poi) * 24 + hour`` and ``counts`` its visits
+        (repeats add up). Returns the (row, poi, hour, visits) entries,
+        ascending."""
+        rows, n_pois = self.n_users + 1, self.n_pois
         n_cats = self.encodings.n_categories
+        order = np.argsort(keys, kind="stable")
+        keys, counts = keys[order], counts[order]
+        first = np.flatnonzero(np.diff(keys, prepend=-1))
+        keys, counts = keys[first], np.add.reduceat(counts, first)
+        row, cell = np.divmod(keys, n_pois * HOURS)
+        poi, hour = np.divmod(cell, HOURS)
+        self._counts_lt = dict(zip(keys.tolist(), counts.tolist()))
+        visits = np.bincount(
+            row * n_pois + poi, weights=counts, minlength=rows * n_pois
+        ).astype(np.int64).reshape(rows, n_pois)
+        max_lt = np.zeros(rows, dtype=np.int64)
+        np.maximum.at(max_lt, row, counts)
+        self._max_lt = max_lt.tolist()
+        # keys ascend, so each (row, category, hour) adds its POIs in order
+        self._catacc = np.bincount(
+            (row * n_cats + self.poi_cat[poi]) * HOURS + hour,
+            weights=counts / visits[row, poi],
+            minlength=rows * n_cats * HOURS,
+        ).reshape(rows, n_cats, HOURS)
+        self._stay_norm = np.array([self.stay.norm(l) for l in range(n_pois)])
+        self._slots = _friend_slots(self._friends)
+        self._stats = _interest(
+            visits, self._slots, self._stay_norm, self.poi_cat, n_cats
+        )
+        return row, poi, hour, counts
+
+    def _build_astcat_hour(self, order: np.ndarray, entries: tuple) -> None:
+        """Population mean of per-user category interest, with every
+        statistic restricted to one hour's check-ins (stay norms stay
+        global)."""
+        n_users, n_cats = self.n_users, self.encodings.n_categories
+        row, poi, hour, counts = entries
+        users = row < n_users
         astcat_hour = np.zeros((n_cats, HOURS))
-        for hour in range(HOURS):
-            hour_visits = {
-                u: [(l, c, h) for (l, c, h) in vlist if h == hour]
-                for u, vlist in visits.items()
-            }
-            hour_visits = {u: v for u, v in hour_visits.items() if v}
-            hcomp = _AstComputation(hour_visits, friends, self.stay.norm, self.n_users)
-            agg = hcomp.aggregate_cat(range(n_cats))
-            for c in range(n_cats):
-                astcat_hour[c, hour] = agg[c]
+        for h in range(HOURS):
+            at = users & (hour == h)
+            # only the POIs visited at this hour, ascending: every sum
+            # skips the others' zero terms and keeps its order
+            cols = np.flatnonzero(np.bincount(poi[at], minlength=self.n_pois))
+            sliced = np.zeros((n_users, len(cols)), dtype=np.int64)
+            sliced[row[at], np.searchsorted(cols, poi[at])] = counts[at]
+            per_user = _category_interest(
+                sliced, self._slots, self._stay_norm[cols], self.poi_cat[cols], n_cats
+            )
+            astcat_hour[:, h] = _ordered_mean(per_user, order, n_users)
         self.astcat_hour = astcat_hour
 
     def _build_beta(self) -> None:
         """Category weight per user via tf-idf over check-in 'documents',
-        min-max normalized to [0, 1] within each user."""
-        comp = self._comp
-        n_cats = self.encodings.n_categories
-        users_with_cat = np.zeros(n_cats)
-        for st in comp.stats.values():
-            for c in st.cat_counts:
-                users_with_cat[c] += 1
-
-        def idf(c: int) -> float:
-            return math.log(self.n_users / users_with_cat[c]) if users_with_cat[c] else 0.0
-
-        for u, st in comp.stats.items():
-            raw = {
-                c: (st.cat_counts.get(c, 0) / st.total) * idf(c) if st.total else 0.0
-                for c in range(n_cats)
-            }
-            normalized, _, _ = _minmax(raw)
-            for c, v in normalized.items():
-                self._beta[(u, c)] = v
-
-        pooled = self._pooled.stats[0]
-        raw = {
-            c: (pooled.cat_counts.get(c, 0) / pooled.total) * idf(c)
-            if pooled.total
-            else 0.0
-            for c in range(n_cats)
-        }
-        self._beta_pooled, _, _ = _minmax(raw)
+        min-max normalized to [0, 1] within each user (and the pooled
+        row); 0 for users without check-ins."""
+        alpha = self._stats.alpha
+        users_with_cat = np.count_nonzero(alpha[: self.n_users], axis=0).tolist()
+        idf = np.array(
+            [math.log(self.n_users / n) if n else 0.0 for n in users_with_cat]
+        )
+        raw = alpha * idf
+        lo = raw.min(axis=1, initial=np.inf)[:, None]
+        span = raw.max(axis=1, initial=-np.inf)[:, None] - lo
+        self._beta = _divide(raw - lo, span, span > 0)
 
     def _build_distance_bounds(self, sessions, encodings) -> None:
         """Observed incoming travel distances per target POI, for the
@@ -480,6 +417,9 @@ class FeatureTables:
         if not 0 <= poi_ix < self.n_pois:
             raise KeyError(f"unknown poi index {poi_ix}: encodings are closed-world")
 
+    def _is_user(self, u) -> bool:
+        return u is not None and 0 <= u < self.n_users
+
     def distance_km(self, a_ix: int, b_ix: int) -> float:
         self._check_poi(a_ix)
         self._check_poi(b_ix)
@@ -488,26 +428,39 @@ class FeatureTables:
 
     def beta(self, u: int | None, cat: int) -> float:
         if u is None:
-            return self._beta_pooled.get(cat, 0.0)
-        return self._beta.get((u, cat), 0.0)
+            return self._beta.item(self.n_users, cat)
+        return self._beta.item(u, cat) if self._is_user(u) else 0.0
 
     def ast(self, u: int, poi_ix: int) -> float:
         self._check_poi(poi_ix)
-        return self._comp.ast(u, poi_ix, int(self.poi_cat[poi_ix]))
+        return self._stats.ast.item(u, poi_ix) if self._is_user(u) else 0.0
 
     def ast_cat_user(self, u: int, poi_ix: int) -> float:
         self._check_poi(poi_ix)
-        return self._comp.ast_cat(u, poi_ix, int(self.poi_cat[poi_ix]))
+        return self._stats.ac.item(u, poi_ix) if self._is_user(u) else 0.0
 
     def preference(self, u: int | None, poi_ix: int, hour: int) -> float:
         """Temporal preference score; ``u=None`` (or a user without any
         history) uses the population-generalized score."""
         self._check_poi(poi_ix)
-        hour = int(hour) % HOURS
-        cat = int(self.poi_cat[poi_ix])
-        if u is None or u not in self._comp.stats:
-            return _preference(self._pooled, 0, poi_ix, cat, hour, self.beta(None, cat))
-        return _preference(self._comp, u, poi_ix, cat, hour, self.beta(u, cat))
+        row = u if self._is_user(u) and self._max_lt[u] else self.n_users
+        return self._preference(row, poi_ix, int(hour) % HOURS)
+
+    def _preference(self, row: int, poi_ix: int, hour: int) -> float:
+        """Preference of stats row ``row`` for a POI at ``hour`` (0-23):
+        visit frequency at that hour, blended with the hourly visit shares
+        of the row's same-category POIs, against aggregate-stay interest."""
+        cat = self.poi_cat.item(poi_ix)
+        it = self._stats
+        theta = it.alpha.item(row, cat)
+        top = self._max_lt[row]
+        key = (row * self.n_pois + poi_ix) * HOURS + hour
+        norm_count = self._counts_lt.get(key, 0) / top if top else 0.0
+        freq_term = (1.0 - theta) * norm_count
+        g = it.g.item(row, cat)
+        cat_term = theta * g * self._catacc.item(row, cat, hour) if g else 0.0
+        beta = self._beta.item(row, cat)
+        return beta * (freq_term + cat_term) + (1.0 - beta) * it.ast.item(row, poi_ix)
 
     def distance_constraint(self, poi_ix: int, current_ix: int) -> float:
         """Distance from the current location, min-max normalized by the
@@ -633,10 +586,8 @@ class FeatureTables:
         table = np.zeros((self.n_pois, HOURS, ATTRIBUTE_DIM))
         ps_max = 0.0
         for l in range(self.n_pois):
-            cat = int(self.poi_cat[l])
-            beta = self.beta(None, cat)
             for h in range(HOURS):
-                ps = _preference(self._pooled, 0, l, cat, h, beta)
+                ps = self._preference(self.n_users, l, h)
                 table[l, h, 3] = ps
                 ps_max = max(ps_max, abs(ps))
             table[l, :, 0] = self.stay.norm(l)
@@ -668,18 +619,19 @@ class FeatureTables:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        comp = self._comp
-
-        def stats_dict(st: _UserStats) -> dict:
-            return {
-                "total": st.total,
-                "counts": {str(k): v for k, v in sorted(st.counts.items())},
-                "counts_lt": {
-                    f"{l}:{t}": v for (l, t), v in sorted(st.counts_lt.items())
-                },
-                "cat_counts": {str(k): v for k, v in sorted(st.cat_counts.items())},
-            }
-
+        stats: dict[int, dict] = defaultdict(
+            lambda: {"total": 0, "counts": {}, "counts_lt": {}, "cat_counts": {}}
+        )
+        for key, n in self._counts_lt.items():
+            row, cell = divmod(key, self.n_pois * HOURS)
+            l, c = str(cell // HOURS), str(self.poi_cat.item(cell // HOURS))
+            st = stats[row]
+            st["total"] += n
+            st["counts"][l] = st["counts"].get(l, 0) + n
+            st["counts_lt"][f"{l}:{cell % HOURS}"] = n
+            st["cat_counts"][c] = st["cat_counts"].get(c, 0) + n
+        users = [u for u in range(self.n_users) if self._max_lt[u]]
+        beta = self._beta.tolist()
         return {
             "encodings": self.encodings.to_dict(),
             "stay": {
@@ -693,11 +645,11 @@ class FeatureTables:
             "poi_cat": self.poi_cat.tolist(),
             "ast_poi": self.ast_poi.tolist(),
             "astcat_hour": self.astcat_hour.tolist(),
-            "friends": {str(u): v for u, v in sorted(self._friends.items())},
-            "users": {str(u): stats_dict(st) for u, st in sorted(comp.stats.items())},
-            "pooled": stats_dict(self._pooled.stats[0]),
-            "beta": {f"{u}:{c}": v for (u, c), v in sorted(self._beta.items())},
-            "beta_pooled": {str(c): v for c, v in sorted(self._beta_pooled.items())},
+            "friends": {str(u): fs for u, fs in enumerate(self._friends)},
+            "users": {str(u): stats[u] for u in users},
+            "pooled": stats[self.n_users],
+            "beta": {f"{u}:{c}": v for u in users for c, v in enumerate(beta[u])},
+            "beta_pooled": {str(c): v for c, v in enumerate(beta[self.n_users])},
             "dist_in": {str(l): list(b) for l, b in sorted(self._dist_in.items())},
             "dist_global": list(self._dist_global),
             "session_features": {
@@ -708,52 +660,73 @@ class FeatureTables:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureTables":
+        """Tables from ``to_dict`` output. Raises ``ValueError`` for
+        anything else: a missing field, a wrong type or shape, or an
+        index out of range."""
+        try:
+            return cls._from_dict(d)
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"field of the wrong type: {exc}") from exc
+
+    @classmethod
+    def _from_dict(cls, d: dict) -> "FeatureTables":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         encodings = Encodings.from_dict(d["encodings"])
+        n_users, n_pois = encodings.n_users, encodings.n_pois
+        n_cats = encodings.n_categories
         tables = cls(encodings)
         tables.stay = StayStats(
-            {int(k): v for k, v in d["stay"]["mean"].items()},
-            {int(k): v for k, v in d["stay"]["norm"].items()},
-            d["stay"]["global_mean"],
-            d["stay"]["global_norm"],
+            {_index(k, n_pois, "stay POI"): float(v) for k, v in d["stay"]["mean"].items()},
+            {_index(k, n_pois, "stay POI"): float(v) for k, v in d["stay"]["norm"].items()},
+            float(d["stay"]["global_mean"]),
+            float(d["stay"]["global_norm"]),
         )
-        tables.popularity = np.array(d["popularity"])
-        tables.poi_coords = np.array(d["poi_coords"])
-        tables.poi_cat = np.array(d["poi_cat"], dtype=np.int64)
-        tables.ast_poi = np.array(d["ast_poi"])
-        tables.astcat_hour = np.array(d["astcat_hour"])
-        tables._friends = {int(u): v for u, v in d["friends"].items()}
-
-        def load_visits(stats: dict) -> list:
-            # reconstruct a visit multiset equivalent to the recorded stats
-            out = []
-            for key, n in stats["counts_lt"].items():
-                l, t = (int(x) for x in key.split(":"))
-                out.extend([(l, None, t)] * n)
-            return out
-
-        visits = {}
-        for u, st in d["users"].items():
-            vlist = [
-                (l, int(tables.poi_cat[l]), t) for (l, _, t) in load_visits(st)
+        tables.popularity = _array(d["popularity"], (n_pois, HOURS), "popularity")
+        tables.poi_coords = _array(d["poi_coords"], (n_pois, 2), "poi_coords")
+        tables.poi_cat = np.array(
+            [_index(c, n_cats, "poi_cat") for c in d["poi_cat"]], dtype=np.int64
+        )
+        if len(tables.poi_cat) != n_pois:
+            raise ValueError(f"poi_cat: {len(tables.poi_cat)} entries, expected {n_pois}")
+        tables.ast_poi = _array(d["ast_poi"], (n_pois,), "ast_poi")
+        tables.astcat_hour = _array(d["astcat_hour"], (n_cats, HOURS), "astcat_hour")
+        tables._friends = [[] for _ in range(n_users)]
+        for u, fs in d["friends"].items():
+            tables._friends[_index(u, n_users, "user")] = [
+                _index(f, n_users, "friend") for f in fs
             ]
-            visits[int(u)] = vlist
-        tables._comp = _AstComputation(
-            visits, tables._friends, tables.stay.norm, encodings.n_users
+
+        keys, counts = [], []
+        stats = [(_index(u, n_users, "user"), st) for u, st in d["users"].items()]
+        for row, st in stats + [(n_users, d["pooled"])]:
+            for key, n in st["counts_lt"].items():
+                l, t = key.split(":")
+                cell = _index(l, n_pois, "POI") * HOURS + _index(t, HOURS, "hour")
+                keys.append(row * n_pois * HOURS + cell)
+                counts.append(_index(n, 1 << 53, "visit count"))
+        tables._set_counts(
+            np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64)
         )
-        pooled_visits = [
-            (l, int(tables.poi_cat[l]), t) for (l, _, t) in load_visits(d["pooled"])
-        ]
-        tables._pooled = _AstComputation(
-            {0: pooled_visits}, {}, tables.stay.norm, 1
-        )
-        tables._beta = {
-            tuple(int(x) for x in k.split(":")): v for k, v in d["beta"].items()
+
+        beta = np.zeros((n_users + 1, n_cats))
+        for key, v in d["beta"].items():
+            u, c = key.split(":")
+            beta[_index(u, n_users, "beta user"), _index(c, n_cats, "category")] = v
+        for c, v in d["beta_pooled"].items():
+            beta[n_users, _index(c, n_cats, "category")] = v
+        tables._beta = beta
+        tables._dist_in = {
+            _index(k, n_pois, "dist_in POI"): tuple(_array(v, (2,), "dist_in").tolist())
+            for k, v in d["dist_in"].items()
         }
-        tables._beta_pooled = {int(k): v for k, v in d["beta_pooled"].items()}
-        tables._dist_in = {int(k): tuple(v) for k, v in d["dist_in"].items()}
-        tables._dist_global = tuple(d["dist_global"])
+        tables._dist_global = tuple(_array(d["dist_global"], (2,), "dist_global").tolist())
         tables._session_features = {
-            tuple(int(x) for x in key.split(":")): np.array(vec)
+            tuple(int(x) for x in key.split(":")): _array(
+                vec, (FEATURE_DIM,), "session_features"
+            )
             for key, vec in d["session_features"].items()
         }
         return tables

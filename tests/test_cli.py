@@ -179,15 +179,17 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def bad_input_sources(pipeline_dirs):
-    """The pipeline dataset plus a small trained plain-rnn checkpoint."""
+    """The pipeline dataset, its feature tables and a small trained
+    plain-rnn checkpoint."""
     root, raw, data = pipeline_dirs
     out = root / "ckpt"
+    assert main(["features", "--data-dir", str(data), "--out-dir", str(out)]) == 0
     assert main([
         "train", "--data-dir", str(data), "--model", "plain-rnn",
         "--hidden-size", "4", "--n-layers", "1", "--embedding-size", "3",
         "--epochs", "1", "--out-dir", str(out),
     ]) == 0
-    return data, out / "plain-rnn.ckpt"
+    return data, out / "plain-rnn.ckpt", out / "tables.json"
 
 
 def _with_sidecar(**changes):
@@ -197,20 +199,38 @@ def _with_sidecar(**changes):
     return edit
 
 
+def _with_tables(change):
+    """Feature tables edit: ``change`` alters the parsed JSON in place."""
+    def edit(raw: bytes) -> bytes:
+        tables = json.loads(raw)
+        change(tables)
+        return json.dumps(tables).encode("utf-8")
+    return edit
+
+
+def _category_past_end(tables):
+    tables["poi_cat"][0] = len(tables["encodings"]["categories"])
+
+
 GENERATE = ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "u0000"]
+TRAIN_TABLES = ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"]
 
 # case -> (files to write, subcommand and its arguments, expected exit code).
-# The test first copies the pipeline dataset to {tmp}/ds and the trained
-# checkpoint to {tmp}/m.ckpt; a file given as text replaces its copy, one
-# given as a function of its copy's bytes edits it. The test adds --out-dir,
-# and --data-dir with the pipeline dataset unless the arguments name one.
+# The test first copies the pipeline dataset to {tmp}/ds, its feature
+# tables to {tmp}/tables.json and the trained checkpoint to {tmp}/m.ckpt; a
+# file given as text replaces its copy, one given as a function of its
+# copy's bytes edits it. The test adds --out-dir, and --data-dir with the
+# pipeline dataset unless the arguments name one.
 BAD_INPUTS = {
     "corrupt-tables-json": (
-        {"tables.json": '{"encodings": {"poi_to_ix'},
-        ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"], 2),
-    "binary-tables": (
-        {"tables.json": "\udcff\udcfe"},
-        ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"], 2),
+        {"tables.json": '{"encodings": {"poi_to_ix'}, TRAIN_TABLES, 2),
+    "binary-tables": ({"tables.json": "\udcff\udcfe"}, TRAIN_TABLES, 2),
+    "tables-json-a-list": ({"tables.json": "[]"}, TRAIN_TABLES, 2),
+    "tables-category-past-end": (
+        {"tables.json": _with_tables(_category_past_end)}, TRAIN_TABLES, 2),
+    "tables-without-encodings": (
+        {"tables.json": _with_tables(lambda tables: tables.pop("encodings"))},
+        TRAIN_TABLES, 2),
     "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
     "apriori-zero-epsilon": (
         {"run.cfg": "epsilon_km = 0\n"},
@@ -274,8 +294,9 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys):
     files, argv, code = BAD_INPUTS[case]
-    data, ckpt = bad_input_sources
+    data, ckpt, tables = bad_input_sources
     shutil.copytree(data, tmp_path / "ds")
+    shutil.copy(tables, tmp_path / "tables.json")
     for src in (ckpt, ckpt.with_suffix(".ckpt.json")):
         shutil.copy(src, tmp_path / src.name.replace("plain-rnn", "m"))
     for name, content in files.items():
@@ -289,6 +310,26 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
         argv[1:1] = ["--data-dir", str(data)]
     assert main(argv[:1] + ["--out-dir", str(tmp_path)] + argv[1:]) == code
     err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    if "tables.json" in files:
+        assert err.startswith(f"data error: {tmp_path / 'tables.json'}: "
+                              "not a feature tables file:"), err
+
+
+def test_generate_start_hour_takes_any_float(bad_input_sources, tmp_path, capsys):
+    """A value float() reads reaches the command even when argparse would
+    take it for an option: -1e9 runs like -5, -inf is rejected as
+    non-finite."""
+    data, ckpt, _ = bad_input_sources
+    argv = ["generate", "--data-dir", str(data), "--checkpoint", str(ckpt),
+            "--user", "u0000", "--length", "3", "--candidates", "2", "--k", "1",
+            "--out-dir", str(tmp_path), "--start-hour"]
+    assert main(argv + ["-5"]) == 0
+    assert main(argv + ["-1e9"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["-inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "start_hour must be finite" in err
     assert len(err.strip().splitlines()) == 1, err
 
 

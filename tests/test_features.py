@@ -227,12 +227,12 @@ class TestInvariants:
         for trial in range(25):
             sessions, graph, = random_world(rng)
             tables, encodings = build_tables(sessions, graph)
-            comp = tables._comp
+            stats = tables._stats  # full data, one row per user
             for u in range(encodings.n_users):
-                assert 0.0 <= comp.psi1(u) <= 1.0
+                assert 0.0 <= stats.psi[u, 0] <= 1.0
                 for c in range(encodings.n_categories):
-                    assert 0.0 <= comp.catfrac(u, c) <= 1.0
-                    assert 0.0 <= comp.gamma1(u, c) <= 1.0
+                    assert 0.0 <= stats.alpha[u, c] <= 1.0
+                    assert 0.0 <= stats.gamma[u, c] <= 1.0
                     assert 0.0 <= tables.beta(u, c) <= 1.0
 
     def test_consolidated_monotone_in_constraints(self):
@@ -267,10 +267,23 @@ class TestInvariants:
         )
         sessions = [Session("u0", visits)]
         tables, encodings = build_tables(sessions)
-        comp = tables._comp
         for l in range(3):
-            f_term = comp._f_term(0, l)
+            f_term = tables.stay.norm(l) / (1 / 3)  # one of three visits
             assert tables.ast_cat_user(0, l) == pytest.approx(f_term)
+
+    def test_user_encoding_order_does_not_matter(self, tiny_world):
+        """Tables follow the user indices, not the order in which the
+        encoding lists its users (a loaded encodings.json is sorted by id)."""
+        sessions, graph, encodings = tiny_world
+        shuffled = Encodings(
+            encodings.poi_to_ix, encodings.cat_to_ix,
+            dict(reversed(list(encodings.user_to_ix.items()))),
+        )
+        a = FeatureTables.build(sessions, graph, encodings).to_dict()
+        b = FeatureTables.build(sessions, graph, shuffled).to_dict()
+        assert a.pop("encodings") == encodings.to_dict()
+        b.pop("encodings")
+        assert a == b
 
     def test_preference_nonnegative_and_p_not_above_ps(self):
         rng = np.random.default_rng(31)
@@ -388,16 +401,33 @@ class TestAttributeFields:
 
 
 class TestSnapshot:
-    def test_round_trip_preserves_lookups(self, tiny_world, tmp_path):
-        sessions, graph, encodings = tiny_world
+    def test_round_trip_preserves_lookups(self, request, tmp_path):
+        for world in ("tiny_world", "synth_small"):
+            self.check_round_trip(*request.getfixturevalue(world), tmp_path / world)
+
+    @staticmethod
+    def check_round_trip(sessions, graph, encodings, tmp_path):
         tables, _ = build_tables(sessions, graph)
+        tmp_path.mkdir()
         path = tmp_path / "tables.json"
         tables.save(path)
         loaded = FeatureTables.load(path)
-        for u in range(encodings.n_users):
+        np.testing.assert_array_equal(loaded.ast_poi, tables.ast_poi)
+        np.testing.assert_array_equal(loaded.astcat_hour, tables.astcat_hour)
+        # users out of range take the pooled score, like users without
+        # check-ins: a dense row index must never wrap around
+        users = [None, *range(encodings.n_users), encodings.n_users, -1]
+        for u in users:
             for l in range(encodings.n_pois):
-                assert loaded.ast(u, l) == tables.ast(u, l)
-                assert loaded.preference(u, l, 10) == tables.preference(u, l, 10)
+                if u is not None:
+                    assert loaded.ast(u, l) == tables.ast(u, l)
+                for h in range(24):
+                    assert loaded.preference(u, l, h) == tables.preference(u, l, h)
+                    if u is not None and not 0 <= u < encodings.n_users:
+                        assert tables.preference(u, l, h) == tables.preference(None, l, h)
+        again = tmp_path / "again.json"
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
         for l in range(encodings.n_pois):
             np.testing.assert_array_equal(
                 loaded.attribute_vector(l, 9, None), tables.attribute_vector(l, 9, None)
