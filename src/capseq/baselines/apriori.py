@@ -11,14 +11,16 @@ preference score, lower total travel time breaking ties.
 The part of the search that does not depend on the request is done
 once per fit: ``neighbour_lists`` gives every POI its POIs within the
 threshold, with the walking time and the constraint discount of the
-step, at O(n_pois²) scalar distance work. A request then reads only
-those lists, and memoises the preference score of each (POI, hour) it
-reaches for the length of the call.
+step, from one read of the tables' pairwise distance matrix. A request
+then reads only those lists, and the preference scores of every (POI,
+hour) as one array read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..generation import GenRequest, GeneratedSequence
 from ..geo import WALK_SPEED_KMH
@@ -50,27 +52,24 @@ def neighbour_lists(tables: FeatureTables, epsilon_km: float) -> list:
     """Per POI ``last``, the ascending ``(nxt, km, travel_s, discount)``
     entries of every other POI within ``epsilon_km`` of it.
 
-    ``discount`` is the factor ``FeatureTables.consolidated`` applies to
-    the preference score of ``nxt`` when the trip stands at ``last``.
-    Distances and discounts come from the same scalar table calls, in
-    the same direction, as a step of the search would make them, so
-    every float, and with it every threshold test and score tie, is the
-    same as computing them per step.
+    ``discount`` is ``FeatureTables.discount``, the factor
+    ``FeatureTables.consolidated`` applies to the preference score of
+    ``nxt`` when the trip stands at ``last``. Distances and discounts
+    come from the same table reads, in the same direction, as a step of
+    the search would make them, so every float, and with it every
+    threshold test and score tie, is the same as computing them per step.
     """
-    out = []
-    for last in range(tables.n_pois):
-        row = []
-        for nxt in range(tables.n_pois):
-            if nxt == last:
-                continue
-            km = tables.distance_km(last, nxt)
-            if km > epsilon_km:
-                continue
-            values = tables.constraint_values(nxt, last)
-            row.append((nxt, km, km / WALK_SPEED_KMH * 3600.0,
-                        1.0 - sum(values) / len(values)))
-        out.append(tuple(row))
-    return out
+    pois = np.arange(tables.n_pois)
+    km = tables.distance_km(pois[:, None], pois)
+    # row-major, so each POI's entries come out together and ascending
+    last, nxt = np.nonzero(~(km > epsilon_km) & (pois[:, None] != pois))
+    km = km[last, nxt]
+    entries = zip(nxt.tolist(), km.tolist(), (km / WALK_SPEED_KMH * 3600.0).tolist(),
+                  tables.discount(nxt, last).tolist())
+    out = [[] for _ in pois]
+    for row, entry in zip(last.tolist(), entries):
+        out[row].append(entry)
+    return [tuple(row) for row in out]
 
 
 def apriori_search(
@@ -86,8 +85,9 @@ def apriori_search(
 ) -> list:
     """Top-k trips from ``start`` over precomputed ``neighbour_lists``."""
     budget = budget_hours * 3600.0
-    stay = [tables.stay.mean(poi) for poi in range(tables.n_pois)]
-    preferences: dict[tuple[int, int], float] = {}
+    every_poi = np.arange(tables.n_pois)
+    stay = tables.stay.mean_stay.tolist()
+    preferences = tables.preference(user, every_poi[:, None], np.arange(HOURS)).tolist()
 
     def extensions(trip: _Trip) -> list:
         pois = trip.pois
@@ -101,10 +101,7 @@ def apriori_search(
             if elapsed > budget:
                 continue
             new_hour = (hour + (stay[last] + travel) / 3600.0) % HOURS
-            arrival = int(new_hour)
-            ps = preferences.get((nxt, arrival))
-            if ps is None:
-                ps = preferences[nxt, arrival] = tables.preference(user, nxt, arrival)
+            ps = preferences[nxt][int(new_hour)]
             out.append(
                 _Trip(
                     pois=pois + (nxt,),

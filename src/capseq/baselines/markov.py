@@ -121,15 +121,18 @@ class MarkovRecommender(SequenceRecommender):
     def generate(self, request: GenRequest, seed: int = 0):
         self._check_fitted("model_", "tables_")
         tables = self.tables_
-        scored = []
-        for cand in range(request.candidates):
-            rng = np.random.default_rng([seed, cand])
-            pois = markov_generate(
-                self.model_, request.user, request.start_poi, request.length, rng
-            )
-            hours = advance_hours(tables, pois, request.start_hour)
-            seq = GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=hours)
-            seq.score = score_sequence(seq, request.user, tables)
-            scored.append(seq)
+        walks = [
+            markov_generate(self.model_, request.user, request.start_poi,
+                            request.length, np.random.default_rng([seed, cand]))
+            for cand in range(request.candidates)
+        ]
+        # every walk has request.length stops: one read for all of them
+        hours = advance_hours(tables, walks, request.start_hour)
+        scored = [
+            GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=h)
+            for pois, h in zip(walks, hours)
+        ]
+        for seq, score in zip(scored, score_sequence(scored, request.user, tables)):
+            seq.score = score
         order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
         return [scored[i] for i in order[: request.k]]

@@ -347,10 +347,7 @@ def cmd_generate(args) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"header": True, "seed": seed, "model": model.kind}) + "\n")
         for rank, seq in enumerate(sequences):
-            steps = [
-                tables.distance_km(a, b)
-                for a, b in zip(seq.pois, seq.pois[1:])
-            ]
+            steps = tables.distance_km(seq.pois[:-1], seq.pois[1:]).tolist()
             fh.write(
                 json.dumps(
                     {

@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..geo import haversine_km
-from ..data.types import Encodings, Session, SocialGraph
+from ..data.types import DataError, Encodings, Session, SocialGraph
 
 HOURS = 24
 # attribute vector: 6 scalars + 24 hourly popularity entries
@@ -39,18 +39,34 @@ FEATURE_DIM = 7
 
 @dataclass
 class StayStats:
-    """Mean stay seconds per POI and its 0-1 min-max normalization."""
+    """Mean stay seconds per POI and its 0-1 min-max normalization, one
+    entry per POI; POIs nobody stayed at (``own`` false) hold the global
+    values."""
 
-    mean_stay: dict
-    normalized: dict
+    mean_stay: np.ndarray
+    normalized: np.ndarray
+    own: np.ndarray
     global_mean: float
     global_norm: float
 
+    @classmethod
+    def from_values(cls, n_pois: int, mean_stay: dict, normalized: dict,
+                    global_mean: float, global_norm: float) -> "StayStats":
+        """Stats from per-POI dicts holding the same POIs."""
+        if mean_stay.keys() != normalized.keys():
+            raise ValueError("stay: the mean and norm entries name different POIs")
+        pois = list(mean_stay)
+        means, norms = np.full(n_pois, global_mean), np.full(n_pois, global_norm)
+        means[pois], norms[pois] = list(mean_stay.values()), list(normalized.values())
+        own = np.zeros(n_pois, dtype=bool)
+        own[pois] = True
+        return cls(means, norms, own, global_mean, global_norm)
+
     def mean(self, poi_ix: int) -> float:
-        return self.mean_stay.get(poi_ix, self.global_mean)
+        return self.mean_stay.item(poi_ix)
 
     def norm(self, poi_ix: int) -> float:
-        return self.normalized.get(poi_ix, self.global_norm)
+        return self.normalized.item(poi_ix)
 
 
 def _minmax(values: dict) -> tuple[dict, float, float]:
@@ -83,7 +99,9 @@ def compute_stay_stats(sessions: Sequence[Session], encodings: Encodings) -> Sta
     global_mean = sum(mean_stay.values()) / len(mean_stay) if mean_stay else 0.0
     span = hi - lo
     global_norm = (global_mean - lo) / span if span > 0 else 0.0
-    return StayStats(mean_stay, normalized, global_mean, global_norm)
+    return StayStats.from_values(
+        encodings.n_pois, mean_stay, normalized, global_mean, global_norm
+    )
 
 
 def temporal_popularity(sessions: Sequence[Session], encodings: Encodings) -> np.ndarray:
@@ -99,11 +117,41 @@ def temporal_popularity(sessions: Sequence[Session], encodings: Encodings) -> np
     return counts
 
 
+def _step_km(session: Session) -> list:
+    """Distance in km between each pair of consecutive visits."""
+    return [
+        haversine_km(a.poi.lat, a.poi.lon, b.poi.lat, b.poi.lon)
+        for a, b in zip(session.visits, session.visits[1:])
+    ]
+
+
+def _float(value):
+    """A 0-d result as a Python float; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _hours(hour):
+    """Hour of day 0-23 of an hour or an array of hours, each truncated
+    toward zero first, as ``int`` does."""
+    if np.ndim(hour) == 0:
+        return int(hour) % HOURS
+    return np.asarray(hour).astype(np.int64, copy=False) % HOURS
+
+
 def _divide(num, den, where) -> np.ndarray:
     """``num / den`` where ``where`` holds, 0.0 elsewhere (never divides
     by zero)."""
     shape = np.broadcast_shapes(np.shape(num), np.shape(den), np.shape(where))
     return np.divide(num, den, out=np.zeros(shape), where=where)
+
+
+def _scaled(d, lo, hi) -> np.ndarray:
+    """``d`` min-max normalized by ``lo`` and ``hi`` and clipped to
+    [0, 1]; where ``hi <= lo``, 0 up to ``lo`` and 1 beyond it."""
+    span = hi - lo
+    wide = span > 0
+    inside = np.minimum(np.maximum((d - lo) / np.where(wide, span, 1.0), 0.0), 1.0)
+    return np.where(wide, inside, d > lo)  # distances are finite, never NaN
 
 
 def _cat_sums(values: np.ndarray, poi_cat: np.ndarray, n_cats: int) -> np.ndarray:
@@ -200,10 +248,19 @@ def _index(value, high: int, what: str) -> int:
     return ix
 
 
-def _array(value, shape: tuple, what: str, dtype=float) -> np.ndarray:
-    arr = np.array(value, dtype=dtype)
+def _number(value, what: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{what}: {value!r} is not a finite number")
+    return x
+
+
+def _array(value, shape: tuple, what: str) -> np.ndarray:
+    arr = np.array(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{what}: shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what}: holds a value that is not a finite number")
     return arr
 
 
@@ -212,7 +269,9 @@ class FeatureTables:
 
     Lookups use encoded integer ids throughout (see ``Encodings``). Per-user
     arrays have one row per user plus the pooled population as row
-    ``n_users``.
+    ``n_users``. The POI and hour arguments of the lookups take an index
+    or an array of indices: an index gives a float, arrays broadcast and
+    give an array of the same values.
     """
 
     def __init__(self, encodings: Encodings):
@@ -226,15 +285,27 @@ class FeatureTables:
         self.ast_poi: np.ndarray | None = None
         self.astcat_hour: np.ndarray | None = None  # (n_categories, 24)
         self._friends: list = []  # per user, ascending
-        self._counts_lt: dict = {}  # (row * n_pois + poi) * 24 + hour -> visits
+        # ascending (row * n_pois + poi) * 24 + hour keys of the visited
+        # cells, then one key past every cell; the visits of each cell,
+        # and their share of the row's largest count (0 past every cell)
+        self._lt_keys: np.ndarray | None = None
+        self._lt_counts: np.ndarray | None = None
+        self._lt_share: np.ndarray | None = None
         self._max_lt: list = []  # per row, largest (poi, hour) count
         self._catacc: np.ndarray | None = None  # (rows, n_cats, 24)
-        self._stay_norm: np.ndarray | None = None  # (n_pois,)
         self._slots: list = []  # see _friend_slots
         self._stats: _Interest | None = None  # full data, pooled row last
         self._beta: np.ndarray | None = None  # (n_users + 1, n_cats)
-        self._dist_in: dict[int, tuple[float, float]] = {}
+        # (n_pois, 2) observed incoming-distance bounds per POI, the global
+        # ones where the POI has none of its own (``_dist_own`` false)
+        self._dist_in: np.ndarray | None = None
+        self._dist_own: np.ndarray | None = None
         self._dist_global = (0.0, 0.0)
+        # km from each source POI read so far to every POI: source l's
+        # row is _dist_rows[_dist_slot[l]], and _dist_slot[l] is -1 until
+        # l is first read
+        self._dist_slot: np.ndarray | None = None
+        self._dist_rows: np.ndarray | None = None
         self._attr_table: np.ndarray | None = None  # (n_pois, 24, ATTRIBUTE_DIM)
         self._attr_scale: np.ndarray | None = None
         self._feat_scale: np.ndarray | None = None
@@ -250,6 +321,8 @@ class FeatureTables:
         encodings: Encodings | None = None,
     ) -> "FeatureTables":
         encodings = encodings or Encodings.fit(sessions)
+        if not encodings.n_pois:
+            raise DataError("no POIs to build feature tables from: no session has a visit")
         graph = graph or SocialGraph()
         tables = cls(encodings)
         tables.stay = compute_stay_stats(sessions, encodings)
@@ -286,8 +359,9 @@ class FeatureTables:
         tables.ast_poi = _ordered_mean(tables._stats.ast, order, n_users)
         tables._build_astcat_hour(order, entries)
         tables._build_beta()
-        tables._build_distance_bounds(sessions, encodings)
-        tables._build_session_features(sessions, encodings)
+        step_km = [_step_km(session) for session in sessions]
+        tables._build_distance_bounds(sessions, step_km)
+        tables._build_session_features(sessions, step_km)
         return tables
 
     def _set_counts(self, keys: np.ndarray, counts: np.ndarray) -> tuple:
@@ -303,23 +377,24 @@ class FeatureTables:
         keys, counts = keys[first], np.add.reduceat(counts, first)
         row, cell = np.divmod(keys, n_pois * HOURS)
         poi, hour = np.divmod(cell, HOURS)
-        self._counts_lt = dict(zip(keys.tolist(), counts.tolist()))
+        self._lt_keys = np.append(keys, rows * n_pois * HOURS)
+        self._lt_counts = counts
         visits = np.bincount(
             row * n_pois + poi, weights=counts, minlength=rows * n_pois
         ).astype(np.int64).reshape(rows, n_pois)
         max_lt = np.zeros(rows, dtype=np.int64)
         np.maximum.at(max_lt, row, counts)
         self._max_lt = max_lt.tolist()
+        self._lt_share = np.append(counts / max_lt[row], 0.0)
         # keys ascend, so each (row, category, hour) adds its POIs in order
         self._catacc = np.bincount(
             (row * n_cats + self.poi_cat[poi]) * HOURS + hour,
             weights=counts / visits[row, poi],
             minlength=rows * n_cats * HOURS,
         ).reshape(rows, n_cats, HOURS)
-        self._stay_norm = np.array([self.stay.norm(l) for l in range(n_pois)])
         self._slots = _friend_slots(self._friends)
         self._stats = _interest(
-            visits, self._slots, self._stay_norm, self.poi_cat, n_cats
+            visits, self._slots, self.stay.normalized, self.poi_cat, n_cats
         )
         return row, poi, hour, counts
 
@@ -339,7 +414,7 @@ class FeatureTables:
             sliced = np.zeros((n_users, len(cols)), dtype=np.int64)
             sliced[row[at], np.searchsorted(cols, poi[at])] = counts[at]
             per_user = _category_interest(
-                sliced, self._slots, self._stay_norm[cols], self.poi_cat[cols], n_cats
+                sliced, self._slots, self.stay.normalized[cols], self.poi_cat[cols], n_cats
             )
             astcat_hour[:, h] = _ordered_mean(per_user, order, n_users)
         self.astcat_hour = astcat_hour
@@ -358,36 +433,45 @@ class FeatureTables:
         span = raw.max(axis=1, initial=-np.inf)[:, None] - lo
         self._beta = _divide(raw - lo, span, span > 0)
 
-    def _build_distance_bounds(self, sessions, encodings) -> None:
+    def _build_distance_bounds(self, sessions, step_km) -> None:
         """Observed incoming travel distances per target POI, for the
-        constraint normalization."""
+        constraint normalization; ``step_km`` holds each session's
+        ``_step_km``."""
         bounds: dict[int, list] = {}
         gmin, gmax = math.inf, -math.inf
-        for session in sessions:
-            for a, b in zip(session.visits, session.visits[1:]):
-                d = haversine_km(a.poi.lat, a.poi.lon, b.poi.lat, b.poi.lon)
-                l = encodings.poi(b.poi.poi_id)
+        for session, dists in zip(sessions, step_km):
+            for b, d in zip(session.visits[1:], dists):
+                l = self.encodings.poi(b.poi.poi_id)
                 if l in bounds:
                     lo, hi = bounds[l]
                     bounds[l] = [min(lo, d), max(hi, d)]
                 else:
                     bounds[l] = [d, d]
                 gmin, gmax = min(gmin, d), max(gmax, d)
-        self._dist_in = {l: (lo, hi) for l, (lo, hi) in bounds.items()}
-        self._dist_global = (gmin, gmax) if gmin <= gmax else (0.0, 0.0)
+        self._set_distance_bounds(bounds, (gmin, gmax) if gmin <= gmax else (0.0, 0.0))
+
+    def _set_distance_bounds(self, dist_in: dict, dist_global: tuple) -> None:
+        """Bounds from ``dist_in`` (POI -> (lo, hi)) and the global pair."""
+        self._dist_global = dist_global
+        self._dist_in = np.tile(dist_global, (self.n_pois, 1))
+        self._dist_own = np.zeros(self.n_pois, dtype=bool)
+        if dist_in:
+            pois = list(dist_in)
+            self._dist_in[pois] = list(dist_in.values())
+            self._dist_own[pois] = True
 
     HOUR_BUCKET = 6  # sessions bucketed by start-hour quadrant
 
-    def _build_session_features(self, sessions, encodings) -> None:
+    def _build_session_features(self, sessions, step_km) -> None:
         """Historical mean of whole-sequence features keyed by (user,
         start POI, start-hour bucket), with coarser fallbacks. Used to
         estimate the feature vector at generation time, when the end of
         the sequence is not known yet."""
         acc: dict[tuple, list] = defaultdict(list)
-        for session in sessions:
-            vec = self.feature_vector(session)
-            u = encodings.user(session.user_id)
-            start = encodings.poi(session.visits[0].poi.poi_id)
+        for session, dists in zip(sessions, step_km):
+            vec = self._feature_vector(session, dists)
+            u = self.encodings.user(session.user_id)
+            start = self.encodings.poi(session.visits[0].poi.poi_id)
             bucket = session.visits[0].hour // self.HOUR_BUCKET
             acc[(u, start, bucket)].append(vec)
             acc[(u, bucket)].append(vec)
@@ -417,14 +501,47 @@ class FeatureTables:
         if not 0 <= poi_ix < self.n_pois:
             raise KeyError(f"unknown poi index {poi_ix}: encodings are closed-world")
 
+    def _pois(self, poi_ix) -> np.ndarray:
+        """A POI index or index array as an int64 array; ``KeyError``
+        names the first index out of range."""
+        pois = np.asarray(poi_ix, dtype=np.int64)
+        unsigned = pois.view(np.uint64)  # negatives wrap past the last POI
+        if unsigned.max(initial=0) >= self.n_pois:
+            self._check_poi(int(pois[unsigned >= self.n_pois][0]))
+        return pois
+
     def _is_user(self, u) -> bool:
         return u is not None and 0 <= u < self.n_users
 
-    def distance_km(self, a_ix: int, b_ix: int) -> float:
-        self._check_poi(a_ix)
-        self._check_poi(b_ix)
-        (lat1, lon1), (lat2, lon2) = self.poi_coords[a_ix], self.poi_coords[b_ix]
-        return haversine_km(lat1, lon1, lat2, lon2)
+    def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Great-circle km from POIs ``a`` to POIs ``b`` (checked index
+        arrays), read from the row of each source. A source's row is
+        filled with the scalar ``haversine_km`` to every POI when the
+        source is first read, so memory grows with the sources read."""
+        if self._dist_slot is None:
+            self._dist_slot = np.full(self.n_pois, -1, dtype=np.int64)
+            self._dist_rows = np.empty((0, self.n_pois))
+        slot = self._dist_slot[a]
+        new = slot < 0
+        if new.any():
+            sources = np.unique(a[new]).tolist()
+            used = np.count_nonzero(self._dist_slot >= 0)
+            if used + len(sources) > len(self._dist_rows):  # grow by doubling
+                size = min(self.n_pois, max(used + len(sources), 2 * used))
+                rows = np.empty((size, self.n_pois))
+                rows[:used] = self._dist_rows[:used]
+                self._dist_rows = rows
+            coords = self.poi_coords.tolist()
+            for i, source in enumerate(sources, used):
+                lat, lon = coords[source]
+                self._dist_rows[i] = [haversine_km(lat, lon, *to) for to in coords]
+                self._dist_slot[source] = i
+            slot = self._dist_slot[a]
+        return self._dist_rows[slot, b]
+
+    def distance_km(self, a_ix, b_ix):
+        """Great-circle km from POI ``a_ix`` to POI ``b_ix``."""
+        return _float(self._distances(self._pois(a_ix), self._pois(b_ix)))
 
     def beta(self, u: int | None, cat: int) -> float:
         if u is None:
@@ -439,74 +556,81 @@ class FeatureTables:
         self._check_poi(poi_ix)
         return self._stats.ac.item(u, poi_ix) if self._is_user(u) else 0.0
 
-    def preference(self, u: int | None, poi_ix: int, hour: int) -> float:
+    def preference(self, u: int | None, poi_ix, hour):
         """Temporal preference score; ``u=None`` (or a user without any
         history) uses the population-generalized score."""
-        self._check_poi(poi_ix)
+        pois = self._pois(poi_ix)
         row = u if self._is_user(u) and self._max_lt[u] else self.n_users
-        return self._preference(row, poi_ix, int(hour) % HOURS)
+        return _float(self._preference(row, pois, _hours(hour)))
 
-    def _preference(self, row: int, poi_ix: int, hour: int) -> float:
-        """Preference of stats row ``row`` for a POI at ``hour`` (0-23):
+    def _preference(self, row: int, pois, hours) -> np.ndarray:
+        """Preference of stats row ``row`` for POIs at hours (0-23):
         visit frequency at that hour, blended with the hourly visit shares
         of the row's same-category POIs, against aggregate-stay interest."""
-        cat = self.poi_cat.item(poi_ix)
+        cat = self.poi_cat[pois]
         it = self._stats
-        theta = it.alpha.item(row, cat)
-        top = self._max_lt[row]
-        key = (row * self.n_pois + poi_ix) * HOURS + hour
-        norm_count = self._counts_lt.get(key, 0) / top if top else 0.0
+        theta = it.alpha[row][cat]
+        keys = (pois + row * self.n_pois) * HOURS + hours
+        at = self._lt_keys.searchsorted(keys)
+        norm_count = self._lt_share[at] * (self._lt_keys[at] == keys)
         freq_term = (1.0 - theta) * norm_count
-        g = it.g.item(row, cat)
-        cat_term = theta * g * self._catacc.item(row, cat, hour) if g else 0.0
-        beta = self._beta.item(row, cat)
-        return beta * (freq_term + cat_term) + (1.0 - beta) * it.ast.item(row, poi_ix)
-
-    def distance_constraint(self, poi_ix: int, current_ix: int) -> float:
-        """Distance from the current location, min-max normalized by the
-        observed incoming travel distances of the target POI."""
-        d = self.distance_km(current_ix, poi_ix)
-        lo, hi = self._dist_in.get(poi_ix, self._dist_global)
-        span = hi - lo
-        if span <= 0:
-            return 0.0 if d <= lo else 1.0
-        return min(max((d - lo) / span, 0.0), 1.0)
-
-    def travel_time_constraint(self, poi_ix: int, current_ix: int) -> float:
-        """Travel time to the target, normalized by the global observed
-        incoming-distance bounds (travel time is monotone in distance)."""
-        d = self.distance_km(current_ix, poi_ix)
-        lo, hi = self._dist_global
-        span = hi - lo
-        if span <= 0:
-            return 0.0 if d <= lo else 1.0
-        return min(max((d - lo) / span, 0.0), 1.0)
+        # g is 0 only where the row never visited the category, and the
+        # hourly shares are 0 there too, so the term is 0 without a branch
+        cat_term = theta * it.g[row][cat] * self._catacc[row][cat, hours]
+        beta = self._beta[row][cat]
+        return beta * (freq_term + cat_term) + (1.0 - beta) * it.ast[row][pois]
 
     DEFAULT_CONSTRAINTS = ("distance", "travel_time")
 
+    def distance_constraint(self, poi_ix, current_ix):
+        """Distance from the current location, min-max normalized by the
+        observed incoming travel distances of the target POI."""
+        return self.constraint_values(poi_ix, current_ix, ("distance",))[0]
+
+    def travel_time_constraint(self, poi_ix, current_ix):
+        """Travel time to the target, normalized by the global observed
+        incoming-distance bounds (travel time is monotone in distance)."""
+        return self.constraint_values(poi_ix, current_ix, ("travel_time",))[0]
+
     def constraint_values(self, poi_ix, current_ix, names=None) -> list:
-        registry = {
-            "distance": self.distance_constraint,
-            "travel_time": self.travel_time_constraint,
-        }
-        names = names or self.DEFAULT_CONSTRAINTS
-        return [registry[n](poi_ix, current_ix) for n in names]
+        """The named constraint measures of stepping from ``current_ix``
+        to ``poi_ix``, each in [0, 1]; all read one distance."""
+        pois = self._pois(poi_ix)
+        d = self._distances(self._pois(current_ix), pois)
+        out = []
+        for name in names or self.DEFAULT_CONSTRAINTS:
+            if name == "distance":
+                lo, hi = self._dist_in[pois, 0], self._dist_in[pois, 1]
+            elif name == "travel_time":
+                lo, hi = self._dist_global
+            else:
+                raise KeyError(f"unknown constraint {name!r}")
+            out.append(_float(_scaled(d, lo, hi)))
+        return out
+
+    def discount(self, poi_ix, current_ix, constraint_names=None):
+        """The factor ``consolidated`` applies to a preference score: one
+        minus the mean of the constraint measures."""
+        values = self.constraint_values(poi_ix, current_ix, constraint_names)
+        total = 0
+        for value in values:  # builtin sum() compensates floats from Python 3.12 on
+            total = total + value
+        return 1.0 - total / len(values)
 
     def consolidated(
         self,
         u: int | None,
-        poi_ix: int,
-        hour: int,
-        current_ix: int | None = None,
+        poi_ix,
+        hour,
+        current_ix=None,
         constraint_names=None,
-    ) -> float:
+    ):
         """Preference score discounted by the mean of the normalized
         constraint measures against the current location."""
         ps = self.preference(u, poi_ix, hour)
         if current_ix is None:
             return ps
-        values = self.constraint_values(poi_ix, current_ix, constraint_names)
-        return ps * (1.0 - sum(values) / len(values))
+        return ps * self.discount(poi_ix, current_ix, constraint_names)
 
     # -- context vectors --------------------------------------------------
 
@@ -524,28 +648,26 @@ class FeatureTables:
         for hours of day 0-23, with ``None`` in ``prevs`` for no previous
         stop. Every field but ``dist_prev`` is a gather from the static
         (POI, hour) table."""
-        pois = np.asarray(pois, dtype=np.int64)
-        bad = pois[(pois < 0) | (pois >= self.n_pois)]
-        if bad.size:
-            self._check_poi(int(bad[0]))
+        pois = self._pois(pois)
         if self._attr_table is None:
             self._build_attribute_table()
         rows = self._attr_table[pois, hours]
+        coords = self.poi_coords
         for i, (prev, cur) in enumerate(zip(prevs, pois.tolist())):
-            if prev is not None:
-                rows[i, 5] = self.distance_km(prev, cur)
+            if prev is not None:  # scalar, so that encoding fills no distance rows
+                self._check_poi(prev)
+                rows[i, 5] = haversine_km(*coords[prev].tolist(), *coords[cur].tolist())
         return rows
 
     def feature_vector(self, session: Session) -> np.ndarray:
         """Whole-sequence features: start/end category and place codes,
         mean consecutive distance, start/end hours."""
+        return self._feature_vector(session, _step_km(session))
+
+    def _feature_vector(self, session: Session, dists: list) -> np.ndarray:
         first, last = session.visits[0], session.visits[-1]
         start_ix = self.encodings.poi(first.poi.poi_id)
         end_ix = self.encodings.poi(last.poi.poi_id)
-        dists = [
-            haversine_km(a.poi.lat, a.poi.lon, b.poi.lat, b.poi.lon)
-            for a, b in zip(session.visits, session.visits[1:])
-        ]
         mean_dist = sum(dists) / len(dists) if dists else 0.0
         return np.array(
             [
@@ -584,21 +706,19 @@ class FeatureTables:
         """The static fields of every (POI, hour) attribute vector, with
         ``dist_prev`` left at 0, and the per-field input scales."""
         table = np.zeros((self.n_pois, HOURS, ATTRIBUTE_DIM))
-        ps_max = 0.0
-        for l in range(self.n_pois):
-            for h in range(HOURS):
-                ps = self._preference(self.n_users, l, h)
-                table[l, h, 3] = ps
-                ps_max = max(ps_max, abs(ps))
-            table[l, :, 0] = self.stay.norm(l)
+        ps = self._preference(
+            self.n_users, np.arange(self.n_pois)[:, None], np.arange(HOURS)
+        )
+        table[:, :, 0] = self.stay.normalized[:, None]
         table[:, :, 1] = self.ast_poi[:, None]
         table[:, :, 2] = self.astcat_hour[self.poi_cat]
+        table[:, :, 3] = ps
         table[:, :, 4] = self.poi_cat[:, None]
         table[:, :, 6:] = self.popularity[:, None, :]
         scale = np.ones(ATTRIBUTE_DIM)
         scale[1] = max(1.0, float(np.abs(self.ast_poi).max(initial=0.0)))
         scale[2] = max(1.0, float(np.abs(self.astcat_hour).max(initial=0.0)))
-        scale[3] = max(1.0, ps_max)
+        scale[3] = max(1.0, float(np.abs(ps).max(initial=0.0)))
         scale[4] = max(1.0, self.encodings.n_categories - 1.0)
         scale[5] = max(1.0, self._dist_global[1])
         self._attr_table = table
@@ -622,7 +742,8 @@ class FeatureTables:
         stats: dict[int, dict] = defaultdict(
             lambda: {"total": 0, "counts": {}, "counts_lt": {}, "cat_counts": {}}
         )
-        for key, n in self._counts_lt.items():
+        visited = zip(self._lt_keys[:-1].tolist(), self._lt_counts.tolist())
+        for key, n in visited:
             row, cell = divmod(key, self.n_pois * HOURS)
             l, c = str(cell // HOURS), str(self.poi_cat.item(cell // HOURS))
             st = stats[row]
@@ -632,11 +753,14 @@ class FeatureTables:
             st["cat_counts"][c] = st["cat_counts"].get(c, 0) + n
         users = [u for u in range(self.n_users) if self._max_lt[u]]
         beta = self._beta.tolist()
+        stay_pois = np.flatnonzero(self.stay.own)
+        own_stay = [str(l) for l in stay_pois.tolist()]
+        bounded = np.flatnonzero(self._dist_own)
         return {
             "encodings": self.encodings.to_dict(),
             "stay": {
-                "mean": {str(k): v for k, v in sorted(self.stay.mean_stay.items())},
-                "norm": {str(k): v for k, v in sorted(self.stay.normalized.items())},
+                "mean": dict(zip(own_stay, self.stay.mean_stay[stay_pois].tolist())),
+                "norm": dict(zip(own_stay, self.stay.normalized[stay_pois].tolist())),
                 "global_mean": self.stay.global_mean,
                 "global_norm": self.stay.global_norm,
             },
@@ -650,7 +774,7 @@ class FeatureTables:
             "pooled": stats[self.n_users],
             "beta": {f"{u}:{c}": v for u in users for c, v in enumerate(beta[u])},
             "beta_pooled": {str(c): v for c, v in enumerate(beta[self.n_users])},
-            "dist_in": {str(l): list(b) for l, b in sorted(self._dist_in.items())},
+            "dist_in": dict(zip(map(str, bounded.tolist()), self._dist_in[bounded].tolist())),
             "dist_global": list(self._dist_global),
             "session_features": {
                 ":".join(str(k) for k in key): vec.tolist()
@@ -678,11 +802,15 @@ class FeatureTables:
         n_users, n_pois = encodings.n_users, encodings.n_pois
         n_cats = encodings.n_categories
         tables = cls(encodings)
-        tables.stay = StayStats(
-            {_index(k, n_pois, "stay POI"): float(v) for k, v in d["stay"]["mean"].items()},
-            {_index(k, n_pois, "stay POI"): float(v) for k, v in d["stay"]["norm"].items()},
-            float(d["stay"]["global_mean"]),
-            float(d["stay"]["global_norm"]),
+        stay = d["stay"]
+        tables.stay = StayStats.from_values(
+            n_pois,
+            {_index(k, n_pois, "stay POI"): _number(v, "stay mean")
+             for k, v in stay["mean"].items()},
+            {_index(k, n_pois, "stay POI"): _number(v, "stay norm")
+             for k, v in stay["norm"].items()},
+            _number(stay["global_mean"], "stay global_mean"),
+            _number(stay["global_norm"], "stay global_norm"),
         )
         tables.popularity = _array(d["popularity"], (n_pois, HOURS), "popularity")
         tables.poi_coords = _array(d["poi_coords"], (n_pois, 2), "poi_coords")
@@ -714,15 +842,18 @@ class FeatureTables:
         beta = np.zeros((n_users + 1, n_cats))
         for key, v in d["beta"].items():
             u, c = key.split(":")
-            beta[_index(u, n_users, "beta user"), _index(c, n_cats, "category")] = v
+            beta[_index(u, n_users, "beta user"), _index(c, n_cats, "category")] = (
+                _number(v, "beta"))
         for c, v in d["beta_pooled"].items():
-            beta[n_users, _index(c, n_cats, "category")] = v
+            beta[n_users, _index(c, n_cats, "category")] = _number(v, "beta")
         tables._beta = beta
-        tables._dist_in = {
-            _index(k, n_pois, "dist_in POI"): tuple(_array(v, (2,), "dist_in").tolist())
-            for k, v in d["dist_in"].items()
-        }
-        tables._dist_global = tuple(_array(d["dist_global"], (2,), "dist_global").tolist())
+        tables._set_distance_bounds(
+            {
+                _index(k, n_pois, "dist_in POI"): _array(v, (2,), "dist_in").tolist()
+                for k, v in d["dist_in"].items()
+            },
+            tuple(_array(d["dist_global"], (2,), "dist_global").tolist()),
+        )
         tables._session_features = {
             tuple(int(x) for x in key.split(":")): _array(
                 vec, (FEATURE_DIM,), "session_features"

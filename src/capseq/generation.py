@@ -86,6 +86,7 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
                           hours=[float(request.start_hour) % HOURS])
         for _ in rngs
     ]
+    rows = np.arange(len(seqs))
     state = net.init_state(len(seqs))
     feat = (
         tables.expected_feature(
@@ -95,65 +96,83 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
     )
     feats = np.repeat(feat[None, :], len(seqs), axis=0)
     clock = [float(request.start_hour)] * len(seqs)
+    stay = tables.stay.mean_stay
+    current = np.full(len(seqs), request.start_poi, dtype=np.int64)
+    prev = [None] * len(seqs)
+    visited = np.zeros((len(seqs), net.n_pois), dtype=bool)
+    visited[:, request.start_poi] = True
     for _ in range(request.length - 1):
-        current = [seq.pois[-1] for seq in seqs]
         attrs = tables.attribute_rows(
-            current,
-            [int(hour) % HOURS for hour in clock],
-            [seq.pois[-2] if len(seq.pois) > 1 else None for seq in seqs],
+            current, [int(hour) % HOURS for hour in clock], prev
         ) / tables.attribute_scale
-        state, _, probs = net.forward_step(state, np.array(current), attrs, feats)
+        state, _, probs = net.forward_step(state, current, attrs, feats)
         p = probs
         if request.no_repeat:
-            p = probs.copy()
-            np.put_along_axis(p, np.array([seq.pois for seq in seqs]), 0.0, axis=1)
+            p = np.where(visited, 0.0, probs)
             spent = p.sum(axis=1) <= 0
             p[spent] = probs[spent]  # everything visited: fall back to repeats
-        nxt = sample_rows(p, rngs).tolist()
-        for b, (seq, cur, poi) in enumerate(zip(seqs, current, nxt)):
-            seq.step_probs.append(float(probs[b, poi]))
-            advance = (
-                tables.stay.mean(cur)
-                + tables.distance_km(cur, poi) / WALK_SPEED_KMH * 3600.0
-            )
-            clock[b] = (clock[b] + advance / 3600.0) % HOURS
+        nxt = sample_rows(p, rngs)
+        advance = (
+            stay[current] + tables.distance_km(current, nxt) / WALK_SPEED_KMH * 3600.0
+        )
+        clock = [
+            (hour + step / 3600.0) % HOURS for hour, step in zip(clock, advance.tolist())
+        ]
+        for seq, poi, prob, hour in zip(seqs, nxt.tolist(), probs[rows, nxt].tolist(), clock):
             seq.pois.append(poi)
-            seq.hours.append(clock[b])
+            seq.step_probs.append(prob)
+            seq.hours.append(hour)
+        visited[rows, nxt] = True
+        prev, current = current.tolist(), nxt
     return seqs
 
 
 def advance_hours(tables: FeatureTables, pois, start_hour: float) -> list:
     """Hour-of-day at each POI of a sequence, advancing by expected stay
-    plus travel time between consecutive stops."""
-    hours = [float(start_hour) % HOURS]
-    hour = float(start_hour)
-    for a, b in zip(pois, pois[1:]):
-        advance = (
-            tables.stay.mean(a) / 3600.0
-            + tables.distance_km(a, b) / WALK_SPEED_KMH
-        )
-        hour = (hour + advance) % HOURS
-        hours.append(hour)
-    return hours
+    plus travel time between consecutive stops. ``pois`` may also hold
+    one equally long sequence per row: then one read serves them all,
+    and the hours come back as one list per row."""
+    pois = np.asarray(pois, dtype=np.int64)
+    km = tables.distance_km(pois[..., :-1], pois[..., 1:])  # checks the indices
+    advance = tables.stay.mean_stay[pois[..., :-1]] / 3600.0 + km / WALK_SPEED_KMH
+    out = []
+    for steps in np.atleast_2d(advance).tolist():
+        hours = [float(start_hour) % HOURS]
+        hour = float(start_hour)
+        for step in steps:
+            hour = (hour + step) % HOURS
+            hours.append(hour)
+        out.append(hours)
+    return out if pois.ndim > 1 else out[0]
 
 
 def score_sequence(
-    seq: GeneratedSequence,
+    seq,
     user: int | None,
     tables: FeatureTables,
     consolidated: bool = False,
-) -> float:
+):
     """Sum of per-POI preference scores at the hour each POI is reached;
-    optionally the constraint-discounted variant."""
-    total = 0.0
-    prev = None
-    for poi, hour in zip(seq.pois, seq.hours):
-        if consolidated and prev is not None:
-            total += tables.consolidated(user, poi, int(hour), prev)
-        else:
-            total += tables.preference(user, poi, int(hour))
-        prev = poi
-    return total
+    optionally the constraint-discounted variant. ``seq`` may also be a
+    list of sequences: then one read serves them all, and the scores
+    come back as a list."""
+    seqs = [seq] if isinstance(seq, GeneratedSequence) else seq
+    pois = np.array([poi for s in seqs for poi in s.pois], dtype=np.int64)
+    hours = np.array([hour for s in seqs for hour in s.hours], dtype=np.int64)
+    scores = tables.preference(user, pois, hours)
+    ends = np.cumsum([len(s.pois) for s in seqs]).tolist()
+    if consolidated:  # every stop but a sequence's first, against the one before
+        later = np.ones(len(pois), dtype=bool)
+        later[[0] + ends[:-1]] = False
+        scores[later] *= tables.discount(pois[later], pois[np.flatnonzero(later) - 1])
+    scores = scores.tolist()
+    totals = []
+    for start, end in zip([0] + ends, ends):
+        total = 0.0
+        for score in scores[start:end]:  # left to right; np.sum adds pairwise
+            total += score
+        totals.append(total)
+    return totals[0] if isinstance(seq, GeneratedSequence) else totals
 
 
 def generate(
@@ -166,7 +185,8 @@ def generate(
     earlier candidate."""
     rngs = [np.random.default_rng([seed, cand]) for cand in range(request.candidates)]
     scored = _rollout(net, request, tables, rngs)
-    for seq in scored:
-        seq.score = score_sequence(seq, request.user, tables, request.consolidated)
+    scores = score_sequence(scored, request.user, tables, request.consolidated)
+    for seq, score in zip(scored, scores):
+        seq.score = score
     order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
     return [scored[i] for i in order[: request.k]]

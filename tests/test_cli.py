@@ -212,7 +212,16 @@ def _category_past_end(tables):
     tables["poi_cat"][0] = len(tables["encodings"]["categories"])
 
 
+def _infinite_stay_means(tables):
+    tables["stay"]["mean"] = dict.fromkeys(tables["stay"]["mean"], float("inf"))
+
+
+def _nan_coordinate(tables):
+    tables["poi_coords"][0][0] = float("nan")
+
+
 GENERATE = ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "u0000"]
+GENERATE_TABLES = GENERATE + ["--tables", "{tmp}/tables.json"]
 TRAIN_TABLES = ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"]
 
 # case -> (files to write, subcommand and its arguments, expected exit code).
@@ -231,6 +240,10 @@ BAD_INPUTS = {
     "tables-without-encodings": (
         {"tables.json": _with_tables(lambda tables: tables.pop("encodings"))},
         TRAIN_TABLES, 2),
+    "tables-infinite-stay-means": (
+        {"tables.json": _with_tables(_infinite_stay_means)}, GENERATE_TABLES, 2),
+    "tables-nan-coordinate": (
+        {"tables.json": _with_tables(_nan_coordinate)}, GENERATE_TABLES, 2),
     "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
     "apriori-zero-epsilon": (
         {"run.cfg": "epsilon_km = 0\n"},
@@ -258,6 +271,10 @@ BAD_INPUTS = {
         {"ds/graph.json": "[]"}, ["features", "--data-dir", "{tmp}/ds"], 2),
     "sessions-line-a-list": (
         {"ds/sessions.jsonl": lambda raw: raw + b"[1]\n"},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "dataset-without-pois": (
+        {"ds/encodings.json": '{"pois": {}, "categories": {}, "users": {}}',
+         "ds/sessions.jsonl": ""},
         ["features", "--data-dir", "{tmp}/ds"], 2),
     "checkpoint-cut-to-100-bytes": (
         {"m.ckpt": lambda raw: raw[:100]}, GENERATE, 2),

@@ -434,3 +434,61 @@ class TestSnapshot:
             )
         np.testing.assert_array_equal(loaded.attribute_scale, tables.attribute_scale)
         np.testing.assert_array_equal(loaded.feature_scale, tables.feature_scale)
+
+    # every float field of a tables file, as a function that breaks it
+    NON_FINITE = {
+        "stay-mean": lambda d, x: d["stay"]["mean"].update({"0": x}),
+        "stay-norm": lambda d, x: d["stay"]["norm"].update({"0": x}),
+        "stay-global-mean": lambda d, x: d["stay"].update(global_mean=x),
+        "stay-global-norm": lambda d, x: d["stay"].update(global_norm=x),
+        "popularity": lambda d, x: d["popularity"][1].__setitem__(3, x),
+        "poi-coords": lambda d, x: d["poi_coords"][2].__setitem__(1, x),
+        "ast-poi": lambda d, x: d["ast_poi"].__setitem__(0, x),
+        "astcat-hour": lambda d, x: d["astcat_hour"][0].__setitem__(5, x),
+        "beta": lambda d, x: d["beta"].update({next(iter(d["beta"])): x}),
+        "beta-pooled": lambda d, x: d["beta_pooled"].update({"0": x}),
+        "dist-in": lambda d, x: d["dist_in"][next(iter(d["dist_in"]))].__setitem__(1, x),
+        "dist-global": lambda d, x: d["dist_global"].__setitem__(0, x),
+        "session-features": lambda d, x: (
+            d["session_features"][next(iter(d["session_features"]))].__setitem__(4, x)),
+    }
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_rejects_non_finite_numbers(self, synth_tables, field, value):
+        d = synth_tables.to_dict()
+        self.NON_FINITE[field](d, value)
+        with pytest.raises(ValueError, match="not a finite number"):
+            FeatureTables.from_dict(d)
+
+    def test_rejects_stay_means_and_norms_of_different_pois(self, synth_tables):
+        d = synth_tables.to_dict()
+        del d["stay"]["norm"][next(iter(d["stay"]["norm"]))]
+        with pytest.raises(ValueError, match="different POIs"):
+            FeatureTables.from_dict(d)
+
+
+class TestBuild:
+    def test_rejects_a_corpus_without_pois(self):
+        with pytest.raises(ValueError, match="no POIs"):
+            FeatureTables.build([])
+
+    def test_computes_each_step_distance_once(self, synth_small, monkeypatch):
+        """One scalar haversine call per consecutive visit pair, session
+        by session, serves the distance bounds and the session features."""
+        import capseq.features.tables as tables_module
+
+        sessions, graph, encodings = synth_small
+        calls = []
+        haversine = tables_module.haversine_km
+
+        def counted(*args):
+            calls.append(args)
+            return haversine(*args)
+
+        monkeypatch.setattr(tables_module, "haversine_km", counted)
+        FeatureTables.build(sessions, graph, encodings)
+        assert calls == [
+            (a.poi.lat, a.poi.lon, b.poi.lat, b.poi.lon)
+            for s in sessions for a, b in zip(s.visits, s.visits[1:])
+        ]
