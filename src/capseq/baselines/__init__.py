@@ -4,7 +4,6 @@ from .hits import (
     HitsRecommender,
     cluster_regions,
     hits_fit,
-    hits_rank,
     power_iterate,
 )
 from .markov import MarkovModel, MarkovRecommender, markov_fit, markov_generate
@@ -20,7 +19,6 @@ __all__ = [
     "apriori_generate",
     "cluster_regions",
     "hits_fit",
-    "hits_rank",
     "markov_fit",
     "markov_generate",
     "popularity_next",

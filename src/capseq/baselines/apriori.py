@@ -172,8 +172,6 @@ def apriori_generate(
 
 
 class AprioriRecommender(SequenceRecommender):
-    requires_tables = True
-
     def __init__(
         self,
         epsilon_km: float = DEFAULT_EPSILON_KM,

@@ -16,7 +16,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..generation import GenRequest, GeneratedSequence, advance_hours
+from ..generation import GenRequest, GeneratedSequence, advance_hours, top_k
 from ..geo import haversine_km
 from ..models.base import SequenceRecommender
 
@@ -156,18 +156,7 @@ def sequence_score(model: HitsModel, pois) -> float:
     return auth * (sum(hubs) / len(hubs))
 
 
-def hits_rank(model: HitsModel, candidates, k: int) -> list:
-    """Top-k candidate sequences by HITS score; earlier candidate wins ties."""
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (-sequence_score(model, candidates[i]), i),
-    )
-    return [list(candidates[i]) for i in order[:k]]
-
-
 class HitsRecommender(SequenceRecommender):
-    requires_tables = True
-
     def __init__(self, region_radius_km: float = DEFAULT_REGION_RADIUS_KM):
         if region_radius_km <= 0:
             raise ValueError("region_radius_km must be > 0")
@@ -199,16 +188,13 @@ class HitsRecommender(SequenceRecommender):
                 int(filler[i % len(filler)]) for i in range(request.length - 1)
             ]
             pool = [tuple(pois)]
-        ranked = hits_rank(model, pool, request.k)
-        out = []
-        for pois in ranked:
-            hours = advance_hours(self.tables_, pois, request.start_hour)
-            out.append(
-                GeneratedSequence(
-                    pois=list(pois),
-                    step_probs=[],
-                    score=sequence_score(model, pois),
-                    hours=hours,
-                )
+        scores = [sequence_score(model, pois) for pois in pool]
+        return [
+            GeneratedSequence(
+                pois=list(pool[i]),
+                step_probs=[],
+                score=scores[i],
+                hours=advance_hours(self.tables_, pool[i], request.start_hour),
             )
-        return out
+            for i in top_k(scores, request.k)
+        ]

@@ -12,7 +12,13 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..generation import GenRequest, GeneratedSequence, advance_hours, score_sequence
+from ..generation import (
+    GenRequest,
+    GeneratedSequence,
+    advance_hours,
+    score_sequence,
+    top_k,
+)
 from ..models.base import SequenceRecommender
 
 POPULATION = -1  # pooled pseudo-user key
@@ -104,8 +110,6 @@ def markov_generate(
 
 
 class MarkovRecommender(SequenceRecommender):
-    requires_tables = True
-
     def __init__(self, smoothing: float = 1.0):
         if smoothing < 0:
             raise ValueError("smoothing must be >= 0")
@@ -132,7 +136,7 @@ class MarkovRecommender(SequenceRecommender):
             GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=h)
             for pois, h in zip(walks, hours)
         ]
-        for seq, score in zip(scored, score_sequence(scored, request.user, tables)):
+        scores = score_sequence(scored, request.user, tables)
+        for seq, score in zip(scored, scores):
             seq.score = score
-        order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
-        return [scored[i] for i in order[: request.k]]
+        return [scored[i] for i in top_k(scores, request.k)]

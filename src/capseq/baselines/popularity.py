@@ -54,8 +54,6 @@ def popularity_next(
 class PopularityRecommender(SequenceRecommender):
     """Deterministic nearest-popular chain from the start POI."""
 
-    requires_tables = True
-
     def __init__(self, radius_km: float = DEFAULT_RADIUS_KM,
                  growth_factor: float = DEFAULT_GROWTH):
         if radius_km <= 0 or growth_factor <= 1.0:

@@ -40,6 +40,8 @@ from .features import FeatureTables
 from .generation import GenRequest
 from .metrics import (
     cross_validate,
+    csv_rows,
+    read_report_csv,
     report_csv,
     sweep_csv,
     text_tables,
@@ -65,6 +67,7 @@ BASELINE_FACTORIES = {
     "apriori": AprioriRecommender,
     "hits": HitsRecommender,
 }
+RECOMMENDERS = {**BASELINE_FACTORIES, **MODEL_KINDS}
 
 
 class UsageError(Exception):
@@ -273,14 +276,11 @@ def _construct(name: str, cls, kwargs: dict):
         raise configmod.ConfigError(f"{name}: {exc}") from exc
 
 
-def _model_from_config(kind: str, cfg: dict):
-    cls = MODEL_KINDS[kind]
-    kwargs = {}
-    for key in ("hidden_size", "n_layers", "embedding_size", "learning_rate",
-                "clip_threshold", "batch_size", "epochs", "seed"):
-        if cfg.get(key) is not None and key in cls._param_names():
-            kwargs[key] = cfg[key]
-    return _construct(kind, cls, kwargs)
+def _recommender(name: str, cfg: dict):
+    """The recommender ``name``, with every parameter of it set in ``cfg``."""
+    cls = RECOMMENDERS[name]
+    kwargs = {key: cfg[key] for key in cls._param_names() if cfg.get(key) is not None}
+    return _construct(name, cls, kwargs)
 
 
 def cmd_train(args) -> int:
@@ -290,7 +290,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"unknown model kind {kind!r}")
     sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(args))
     tables = _load_tables(args, sessions, encodings, graph)
-    model = _model_from_config(kind, cfg)
+    model = _recommender(kind, cfg)
     model.fit(training_sessions(sessions), tables)
     out = _out_dir(cfg)
     ckpt = out / f"{kind}.ckpt"
@@ -369,28 +369,15 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _baseline_from_config(name: str, cfg: dict):
-    cls = BASELINE_FACTORIES[name]
-    kwargs = {
-        key: cfg[key]
-        for key in cls._param_names()
-        if cfg.get(key) is not None
-    }
-    return _construct(name, cls, kwargs)
-
-
 def _select_models(spec: str, cfg: dict) -> dict:
     names = sorted(BASELINE_FACTORIES) + sorted(MODEL_KINDS) if spec == "all" else [
         s.strip() for s in spec.split(",") if s.strip()
     ]
     models = {}
     for name in names:
-        if name in BASELINE_FACTORIES:
-            models[name] = _baseline_from_config(name, cfg)
-        elif name in MODEL_KINDS:
-            models[name] = _model_from_config(name, cfg)
-        else:
+        if name not in RECOMMENDERS:
             raise UsageError(f"unknown model {name!r}")
+        models[name] = _recommender(name, cfg)
     return models
 
 
@@ -437,30 +424,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _merged_config(args)
-    from .metrics import EvalReport, EvalResult
-
-    result = EvalResult()
-    header: list = []
-    for line in Path(args.eval_csv).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        if not header:
-            header = line.split(",")
-            continue
-        row = dict(zip(header, line.split(",")))
-        result.reports.append(
-            EvalReport(
-                model=row["model"],
-                fold=row["fold"],
-                precision_pair=float(row["precision_pair"]),
-                recall_pair=float(row["recall_pair"]),
-                pairs_f1=float(row["pairs_f1"]),
-                diversity=float(row["diversity"]),
-                displacement_sum_km=float(row["displacement_sum_km"]),
-                displacement_mean_km=float(row["displacement_mean_km"]),
-                sessions=int(row["sessions"]),
-            )
-        )
+    result = read_report_csv(Path(args.eval_csv).read_text(encoding="utf-8"))
     out = _out_dir(cfg)
     tables_text = text_tables(result)
     (out / "report.txt").write_text(tables_text, encoding="utf-8")
@@ -468,14 +432,7 @@ def cmd_report(args) -> int:
 
     if args.sweep_csv:
         per_model: dict[str, list] = {}
-        sweep_header: list = []
-        for line in Path(args.sweep_csv).read_text(encoding="utf-8").splitlines():
-            if line.startswith("#") or not line.strip():
-                continue
-            if not sweep_header:
-                sweep_header = line.split(",")
-                continue
-            row = dict(zip(sweep_header, line.split(",")))
+        for row in csv_rows(Path(args.sweep_csv).read_text(encoding="utf-8")):
             per_model.setdefault(row["model"], []).append(row)
         for model, rows in sorted(per_model.items()):
             path = out / f"sweep_{model}.csv"

@@ -175,6 +175,12 @@ def score_sequence(
     return totals[0] if isinstance(seq, GeneratedSequence) else totals
 
 
+def top_k(scores, k: int) -> list:
+    """Indices of the ``k`` highest scores, best first; a tie keeps the
+    earlier candidate."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+
+
 def generate(
     net,
     request: GenRequest,
@@ -188,5 +194,4 @@ def generate(
     scores = score_sequence(scored, request.user, tables, request.consolidated)
     for seq, score in zip(scored, scores):
         seq.score = score
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
-    return [scored[i] for i in order[: request.k]]
+    return [scored[i] for i in top_k(scores, request.k)]

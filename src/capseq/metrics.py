@@ -68,21 +68,33 @@ def diversity_raw(categories: Sequence) -> int:
 
 
 def displacement(actual_coords, predicted_coords) -> tuple:
-    """(sum km, mean km) of position-wise distances; unequal lengths are
-    truncated to the shorter sequence with a warning."""
-    na, np_ = len(actual_coords), len(predicted_coords)
-    if na != np_:
-        warnings.warn(
-            f"displacement: unequal lengths {na} vs {np_}; truncating",
-            stacklevel=2,
+    """(sum km, mean km) of position-wise distances between two equally
+    long sequences of (lat, lon)."""
+    n = len(actual_coords)
+    if len(predicted_coords) != n:
+        raise ValueError(
+            f"displacement needs equal lengths, got {n} and {len(predicted_coords)}"
         )
-    n = min(na, np_)
     dists = [
         haversine_km(a[0], a[1], p[0], p[1])
-        for a, p in zip(actual_coords[:n], predicted_coords[:n])
+        for a, p in zip(actual_coords, predicted_coords)
     ]
     total = sum(dists)
     return total, (total / n if n else 0.0)
+
+
+# the per-session metrics, in the order ``_evaluate`` returns them
+METRICS = (
+    "precision_pair",
+    "recall_pair",
+    "pairs_f1",
+    "diversity",
+    "displacement_sum_km",
+    "displacement_mean_km",
+    "diversity_raw",
+)
+_DIVERSITY = METRICS.index("diversity")
+_DISPLACEMENT_MEAN = METRICS.index("displacement_mean_km")
 
 
 @dataclass
@@ -166,26 +178,31 @@ def poi_geography(sessions: Sequence[Session], encodings: Encodings):
     return coords, cats
 
 
-def _evaluate_session(model, session, geography, encodings, seed, candidates):
+def _evaluate(model, i, session, length, geography, encodings, seed, candidates):
+    """Generate ``length`` stops from held-out session ``i``'s first POI
+    and hour, and score them against the session: the METRICS values.
+
+    A trip shorter than the session is scored as it stands: pairs-F1
+    precision over its own pairs, recall over the session's, and
+    displacement over the common prefix.
+    """
     coords, cats_of = geography
-    actual_ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
+    actual = [encodings.poi(v.poi.poi_id) for v in session.visits]
     request = GenRequest(
         user=encodings.user(session.user_id),
-        start_poi=actual_ixs[0],
+        start_poi=actual[0],
         start_hour=session.visits[0].hour,
-        length=len(session),
+        length=length,
         candidates=candidates,
         k=1,
     )
-    predicted = model.generate(request, seed=seed)[0]
-    p, r, f1 = pairs_f1(actual_ixs, predicted.pois)
-    cats = [int(cats_of[ix]) for ix in predicted.pois]
+    predicted = model.generate(request, seed=seed * 100003 + i)[0].pois
+    p, r, f1 = pairs_f1(actual, predicted)
+    cats = [int(cats_of[ix]) for ix in predicted]
     div = diversity(cats) if len(cats) >= 2 else 0.0
-    raw = float(diversity_raw(cats))
-    actual_coords = [coords[ix] for ix in actual_ixs]
-    pred_coords = [coords[ix] for ix in predicted.pois]
-    d_sum, d_mean = displacement(actual_coords, pred_coords)
-    return p, r, f1, div, d_sum, d_mean, raw
+    n = min(len(actual), len(predicted))
+    d_sum, d_mean = displacement(coords[actual[:n]], coords[predicted[:n]])
+    return p, r, f1, div, d_sum, d_mean, float(diversity_raw(cats))
 
 
 def cross_validate(
@@ -224,56 +241,36 @@ def cross_validate(
         for name, prototype in models.items():
             started = time.perf_counter()
             model = prototype.clone_unfitted().fit(train, tables)
-            rows = [
-                _evaluate_session(
-                    model, session, geography, encodings,
-                    seed=seed * 100003 + i, candidates=candidates,
-                )
-                for i, session in held
-            ]
+            context = (geography, encodings, seed, candidates)
+            rows = [_evaluate(model, i, s, len(s), *context) for i, s in held]
             elapsed = time.perf_counter() - started
-            arr = np.asarray(rows) if rows else np.zeros((0, 7))
-            means = arr.mean(axis=0) if len(arr) else np.zeros(7)
+            means = np.asarray(rows).mean(axis=0) if rows else np.zeros(len(METRICS))
             report = EvalReport(
                 model=name,
                 fold=str(fold),
-                precision_pair=float(means[0]),
-                recall_pair=float(means[1]),
-                pairs_f1=float(means[2]),
-                diversity=float(means[3]),
-                displacement_sum_km=float(means[4]),
-                displacement_mean_km=float(means[5]),
                 seconds=elapsed,
                 sessions=len(rows),
-                diversity_raw=float(means[6]),
+                **{m: float(v) for m, v in zip(METRICS, means)},
             )
             result.reports.append(report)
             per_model_fold_rows[name].append(report)
 
             for length in sweep_lengths:
-                vals = _sweep_fold(
-                    model, held, geography, encodings, length, seed, candidates
+                swept = [_evaluate(model, i, s, length, *context) for i, s in held]
+                sweep_acc.setdefault((name, length), []).extend(
+                    (row[_DIVERSITY], row[_DISPLACEMENT_MEAN]) for row in swept
                 )
-                sweep_acc.setdefault((name, length), []).extend(vals)
 
     for name, fold_rows in per_model_fold_rows.items():
         result.reports.append(
             EvalReport(
                 model=name,
                 fold="mean",
-                precision_pair=float(np.mean([r.precision_pair for r in fold_rows])),
-                recall_pair=float(np.mean([r.recall_pair for r in fold_rows])),
-                pairs_f1=float(np.mean([r.pairs_f1 for r in fold_rows])),
-                diversity=float(np.mean([r.diversity for r in fold_rows])),
-                displacement_sum_km=float(
-                    np.mean([r.displacement_sum_km for r in fold_rows])
-                ),
-                displacement_mean_km=float(
-                    np.mean([r.displacement_mean_km for r in fold_rows])
-                ),
                 seconds=float(np.sum([r.seconds for r in fold_rows])),
                 sessions=int(np.sum([r.sessions for r in fold_rows])),
-                diversity_raw=float(np.mean([r.diversity_raw for r in fold_rows])),
+                # one np.mean per field, not one reduction over all of them,
+                # so that no last bit moves
+                **{m: float(np.mean([getattr(r, m) for r in fold_rows])) for m in METRICS},
             )
         )
 
@@ -290,48 +287,9 @@ def cross_validate(
     return result
 
 
-def _sweep_fold(model, held, geography, encodings, length, seed, candidates):
-    """Generate fixed-length sequences from each held-out start and
-    collect (diversity, truncated mean displacement)."""
-    coords, cats_of = geography
-    out = []
-    for i, session in held:
-        actual_ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
-        request = GenRequest(
-            user=encodings.user(session.user_id),
-            start_poi=actual_ixs[0],
-            start_hour=session.visits[0].hour,
-            length=length,
-            candidates=candidates,
-            k=1,
-        )
-        predicted = model.generate(request, seed=seed * 100003 + i)[0]
-        cats = [int(cats_of[ix]) for ix in predicted.pois]
-        div = diversity(cats) if len(cats) >= 2 else 0.0
-        n = min(len(actual_ixs), len(predicted.pois))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _, d_mean = displacement(
-                [coords[ix] for ix in actual_ixs[:n]],
-                [coords[ix] for ix in predicted.pois[:n]],
-            )
-        out.append((div, d_mean))
-    return out
-
-
 # -- report output -----------------------------------------------------------
 
-REPORT_COLUMNS = [
-    "model",
-    "fold",
-    "precision_pair",
-    "recall_pair",
-    "pairs_f1",
-    "diversity",
-    "displacement_sum_km",
-    "displacement_mean_km",
-    "sessions",
-]
+REPORT_COLUMNS = ["model", "fold", *METRICS[:-1], "sessions"]
 
 
 def report_csv(result: EvalResult, seed: int, include_raw: bool = False) -> str:
@@ -340,21 +298,44 @@ def report_csv(result: EvalResult, seed: int, include_raw: bool = False) -> str:
     columns = REPORT_COLUMNS + (["diversity_raw"] if include_raw else [])
     lines = [f"# seed={seed}", ",".join(columns)]
     for r in result.reports:
-        row = [
-            r.model,
-            r.fold,
-            f"{r.precision_pair:.6f}",
-            f"{r.recall_pair:.6f}",
-            f"{r.pairs_f1:.6f}",
-            f"{r.diversity:.6f}",
-            f"{r.displacement_sum_km:.6f}",
-            f"{r.displacement_mean_km:.6f}",
-            str(r.sessions),
-        ]
+        row = [r.model, r.fold]
+        row += [f"{getattr(r, m):.6f}" for m in METRICS[:-1]]
+        row.append(str(r.sessions))
         if include_raw:
             row.append(f"{r.diversity_raw:.6f}")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def csv_rows(text: str) -> list:
+    """One dict per data row of a CSV written here: ``#`` lines and blank
+    lines are skipped, and the first other line is the header."""
+    header, rows = None, []
+    for line in text.splitlines():
+        if line.startswith("#") or not line.strip():
+            continue
+        if header is None:
+            header = line.split(",")
+        else:
+            rows.append(dict(zip(header, line.split(","))))
+    return rows
+
+
+def read_report_csv(text: str) -> EvalResult:
+    """The metric rows of a ``report_csv`` text; seconds are not in it and
+    read 0, and so does ``diversity_raw`` when its column is absent."""
+    result = EvalResult()
+    for row in csv_rows(text):
+        row.setdefault("diversity_raw", "0")
+        result.reports.append(
+            EvalReport(
+                model=row["model"],
+                fold=row["fold"],
+                sessions=int(row["sessions"]),
+                **{m: float(row[m]) for m in METRICS},
+            )
+        )
+    return result
 
 
 def timings_csv(result: EvalResult, seed: int) -> str:

@@ -65,8 +65,6 @@ class SequenceRecommender(BaseEstimator):
     """Common interface: ``fit(sessions, tables)`` then
     ``generate(request, rng)`` returning ranked ``GeneratedSequence``."""
 
-    requires_tables = False
-
     def fit(self, sessions: Sequence[Session], tables=None):
         raise NotImplementedError
 

@@ -33,7 +33,6 @@ def encodings_hash(encodings: Encodings) -> str:
 
 
 class _NeuralRecommender(SequenceRecommender):
-    requires_tables = True
     kind: str = ""
 
     def _build_net(self, n_pois: int):

@@ -7,7 +7,7 @@ import pytest
 
 from capseq.data.types import Encodings, Poi, Session, SocialGraph, Visit
 from capseq.features import FeatureTables
-from capseq.generation import GenRequest
+from capseq.generation import GenRequest, top_k
 from capseq.geo import WALK_SPEED_KMH
 from capseq.baselines import (
     AprioriRecommender,
@@ -17,7 +17,6 @@ from capseq.baselines import (
     apriori_generate,
     cluster_regions,
     hits_fit,
-    hits_rank,
     markov_fit,
     markov_generate,
     popularity_next,
@@ -314,13 +313,14 @@ class TestHits:
         assert scores == sorted(scores, reverse=True)
         assert all(len(s.pois) == req.length for s in seqs)
 
-    def test_hits_rank_tie_break_keeps_earlier(self):
+    def test_top_k_tie_keeps_earlier(self):
         model_like = hits_fit(
             toy_sessions_for_markov(),
             Encodings.fit(toy_sessions_for_markov()),
             np.array([[40.0, -74.0], [40.01, -74.0]]),
         )
-        cands = [(0, 1), (0, 1)]
-        ranked = hits_rank(model_like, cands, k=2)
-        assert ranked == [[0, 1], [0, 1]]
-        assert sequence_score(model_like, (0, 1)) > 0
+        score = sequence_score(model_like, (0, 1))
+        assert score > 0
+        assert top_k([score, score], 2) == [0, 1]
+        assert top_k([1.0, 3.0, 2.0, 3.0], 3) == [1, 3, 2]
+        assert top_k([0.5, 0.5, 0.5], 2) == [0, 1]

@@ -1,11 +1,14 @@
 """Metrics: pairs-F1 vs brute-force enumeration, diversity and
 displacement fixtures, fold assignment and the cross-validation loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from capseq.data import Encodings, SocialGraph, build_sessions, synth_dataset
 from capseq.generation import GeneratedSequence
+from capseq.geo import haversine_km
 from capseq.metrics import (
     EvalReport,
     assign_folds,
@@ -13,7 +16,9 @@ from capseq.metrics import (
     displacement,
     diversity,
     diversity_raw,
+    METRICS,
     pairs_f1,
+    read_report_csv,
     report_csv,
     text_tables,
 )
@@ -127,10 +132,9 @@ class TestDisplacement:
         assert total == pytest.approx(8.0, rel=1e-3)
         assert mean == pytest.approx(4.0, rel=1e-3)
 
-    def test_unequal_lengths_truncate_with_warning(self):
-        with pytest.warns(UserWarning, match="truncating"):
-            total, mean = displacement([(0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)])
-        assert total == 0.0
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            displacement([(0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)])
 
     def test_triangle_bound(self):
         rng = np.random.default_rng(4)
@@ -255,3 +259,113 @@ class TestCrossValidate:
         assert "diversity_raw" in raw
         text = text_tables(result)
         assert "Pairs-F1" in text and "oracle" in text
+
+
+class ScriptedTrips(SequenceRecommender):
+    """Answers a request with ``trip(pois, length)`` of the session that
+    starts at the requested user and POI (each start is unique to its
+    session in ``unambiguous_sessions``)."""
+
+    def __init__(self, sessions, encodings, trip):
+        self.answers = {
+            (encodings.user(s.user_id), encodings.poi(s.visits[0].poi.poi_id)): s
+            for s in sessions
+        }
+        self.encodings = encodings
+        self.trip = trip
+
+    def clone_unfitted(self):
+        return self
+
+    def fit(self, sessions, tables=None):
+        return self
+
+    def generate(self, request, seed=0):
+        session = self.answers[(request.user, request.start_poi)]
+        pois = self.trip([self.encodings.poi(v.poi.poi_id) for v in session.visits],
+                         request.length)
+        return [GeneratedSequence(pois=pois, step_probs=[], score=1.0,
+                                  hours=[float(request.start_hour)] * len(pois))]
+
+
+def held_out(sessions, folds, seed):
+    fold_of, _ = assign_folds(sessions, folds, seed)
+    return [[s for i, s in enumerate(sessions) if fold_of[i] == fold]
+            for fold in range(folds)]
+
+
+def km(a, b):
+    return haversine_km(a.poi.lat, a.poi.lon, b.poi.lat, b.poi.lon)
+
+
+class TestShortTrips:
+    """A trip shorter than the held-out session is scored as it stands:
+    pairs-F1 over its own pairs, displacement over the common prefix."""
+
+    def test_trip_one_stop_short(self):
+        sessions = unambiguous_sessions()
+        encodings = Encodings.fit(sessions)
+        # every session is a, b, c; the stub skips b and returns a, c
+        stub = ScriptedTrips(sessions, encodings, lambda pois, n: [pois[0], pois[2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cross_validate(sessions, SocialGraph(), encodings,
+                                    {"short": stub}, folds=3, seed=2)
+        for fold, held in enumerate(held_out(sessions, 3, seed=2)):
+            row = result.reports[fold]
+            assert row.fold == str(fold) and row.sessions == len(held)
+            # one predicted pair (a, c), which the session also has, of its three
+            assert row.precision_pair == 1.0
+            assert row.recall_pair == pytest.approx(1 / 3, rel=1e-12)
+            assert row.pairs_f1 == pytest.approx(0.5, rel=1e-12)
+            # a and c have different categories
+            assert row.diversity == 1.0 and row.diversity_raw == 1.0
+            # positions 0 and 1 of a, c against a, b: 0 km and |b c|
+            bc = [km(s.visits[1], s.visits[2]) for s in held]
+            assert row.displacement_sum_km == pytest.approx(sum(bc) / len(bc), rel=1e-12)
+            assert row.displacement_mean_km == pytest.approx(
+                sum(bc) / 2 / len(bc), rel=1e-12)
+
+    def test_sweep_longer_than_every_session(self):
+        sessions = unambiguous_sessions()
+        encodings = Encodings.fit(sessions)
+        # a, b, c becomes a, c, b, a, a, ... of the requested length
+        stub = ScriptedTrips(sessions, encodings,
+                             lambda p, n: [p[0], p[2], p[1]] + [p[0]] * (n - 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cross_validate(sessions, SocialGraph(), encodings,
+                                    {"stub": stub}, folds=3, seed=2,
+                                    sweep_lengths=[5])
+        [point] = result.sweep
+        assert (point.model, point.length) == ("stub", 5)
+        held = [s for fold in held_out(sessions, 3, seed=2) for s in fold]
+        # a, b and c have three different categories, so of the ten pairs
+        # of a, c, b, a, a only (a, a), (a, a) and (a, a) match: 7 differ
+        assert point.diversity == pytest.approx(0.7, rel=1e-12)
+        # the common prefix is the session's three stops: 0, |c b|, |b c|
+        per_session = [2 * km(s.visits[1], s.visits[2]) / 3 for s in held]
+        assert point.displacement_mean_km == pytest.approx(
+            sum(per_session) / len(per_session), rel=1e-12)
+
+
+def test_read_report_csv_round_trips_every_row():
+    sessions = unambiguous_sessions()
+    encodings = Encodings.fit(sessions)
+    models = {
+        "short": ScriptedTrips(sessions, encodings, lambda p, n: [p[0], p[2]]),
+        "swapped": ScriptedTrips(sessions, encodings, lambda p, n: [p[0], p[2], p[1]]),
+    }
+    result = cross_validate(sessions, SocialGraph(), encodings, models,
+                            folds=3, seed=2)
+    for include_raw in (False, True):
+        text = report_csv(result, seed=2, include_raw=include_raw)
+        back = read_report_csv(text)
+        assert report_csv(back, seed=2, include_raw=include_raw) == text
+        assert len(back.reports) == len(result.reports)
+        for old, new in zip(result.reports, back.reports):
+            assert (new.model, new.fold, new.sessions) == (old.model, old.fold, old.sessions)
+            for m in METRICS:
+                # without its column, diversity_raw reads 0
+                want = getattr(old, m) if include_raw or m != "diversity_raw" else 0.0
+                assert abs(getattr(new, m) - want) <= 5e-7, m
