@@ -70,12 +70,14 @@ def power_iterate(adjacency: np.ndarray, tol: float = POWER_TOL,
 
 
 class HitsModel:
-    def __init__(self, region_of_poi, hub, authority, pair_users, region_windows):
+    def __init__(self, region_of_poi, hub, authority, pair_users, region_windows,
+                 region_ranked):
         self.region_of_poi = region_of_poi       # poi -> region id
         self.hub = hub                           # (region, user) -> hub score
         self.authority = authority               # poi -> authority score
         self.pair_users = pair_users             # (poi, poi) -> set of users
         self.region_windows = region_windows     # region -> {length: [windows]}
+        self.region_ranked = region_ranked       # region -> POIs, most authority first
 
 
 def hits_fit(sessions, encodings, coords,
@@ -138,8 +140,13 @@ def hits_fit(sessions, encodings, coords,
                     bucket = region_windows[rid][ln]
                     if window not in bucket:
                         bucket.append(window)
+    region_ranked = []
+    for rid in range(n_regions):
+        locs = np.flatnonzero(region_of_poi == rid)
+        # stable, so equal authorities keep index order
+        region_ranked.append(locs[np.argsort(-authority[locs], kind="stable")].tolist())
     return HitsModel(region_of_poi, hub, authority, dict(pair_users),
-                     {r: dict(v) for r, v in region_windows.items()})
+                     {r: dict(v) for r, v in region_windows.items()}, region_ranked)
 
 
 def sequence_score(model: HitsModel, pois) -> float:
@@ -176,13 +183,11 @@ class HitsRecommender(SequenceRecommender):
         model = self.model_
         rid = int(model.region_of_poi[request.start_poi])
         windows = model.region_windows.get(rid, {}).get(request.length, [])
-        starting = [w for w in windows if w[0] == request.start_poi]
-        pool = starting or [w for w in windows if request.start_poi in w] or windows
+        pool = [w for w in windows if w[0] == request.start_poi]
         if not pool:
-            # nothing observed at this length: repeat the most authoritative
-            # POIs of the region after the start
-            locs = np.flatnonzero(model.region_of_poi == rid)
-            ranked = sorted(locs, key=lambda l: -model.authority[l])
+            # no observed window of this length starts here: repeat the most
+            # authoritative POIs of the region after the start
+            ranked = model.region_ranked[rid]
             filler = [l for l in ranked if l != request.start_poi] or [request.start_poi]
             pois = [request.start_poi] + [
                 int(filler[i % len(filler)]) for i in range(request.length - 1)

@@ -313,6 +313,17 @@ class TestHits:
         assert scores == sorted(scores, reverse=True)
         assert all(len(s.pois) == req.length for s in seqs)
 
+    def test_every_sequence_starts_at_the_requested_poi(self, synth_small, synth_tables):
+        # POIs that only end or sit inside observed windows get the filler
+        sessions, _, enc = synth_small
+        rec = HitsRecommender().fit(sessions, synth_tables)
+        for poi in range(enc.n_pois):
+            for length in (2, 3, 4):
+                req = GenRequest(user=0, start_poi=poi, start_hour=9.0,
+                                 length=length, candidates=3, k=3)
+                for seq in rec.generate(req):
+                    assert seq.pois[0] == poi and len(seq.pois) == length
+
     def test_top_k_tie_keeps_earlier(self):
         model_like = hits_fit(
             toy_sessions_for_markov(),
