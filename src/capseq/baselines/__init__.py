@@ -1,4 +1,4 @@
-from .apriori import AprioriRecommender, apriori_generate
+from .apriori import AprioriRecommender
 from .hits import (
     HitsModel,
     HitsRecommender,
@@ -16,7 +16,6 @@ __all__ = [
     "MarkovModel",
     "MarkovRecommender",
     "PopularityRecommender",
-    "apriori_generate",
     "cluster_regions",
     "hits_fit",
     "markov_fit",

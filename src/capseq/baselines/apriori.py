@@ -144,33 +144,6 @@ def apriori_search(
     ]
 
 
-def apriori_generate(
-    tables: FeatureTables,
-    user: int | None,
-    start: int,
-    start_hour: float,
-    length: int,
-    epsilon_km: float = DEFAULT_EPSILON_KM,
-    budget_hours: float = DEFAULT_BUDGET_HOURS,
-    k: int = 10,
-    beam_width: int | None = DEFAULT_BEAM_WIDTH,
-) -> list:
-    """Top-k trips from ``start``; every returned trip respects the
-    distance threshold between consecutive stops and the time budget."""
-    _check_settings(epsilon_km, beam_width)
-    return apriori_search(
-        tables,
-        neighbour_lists(tables, epsilon_km),
-        user,
-        start,
-        start_hour,
-        length,
-        budget_hours=budget_hours,
-        k=k,
-        beam_width=beam_width,
-    )
-
-
 class AprioriRecommender(SequenceRecommender):
     def __init__(
         self,

@@ -25,6 +25,7 @@ from .baselines import (
     PopularityRecommender,
 )
 from .data import (
+    DEFAULT_MIN_CHECKINS,
     DataError,
     Encodings,
     SocialGraph,
@@ -109,7 +110,8 @@ def build_parser() -> _Parser:
     p.add_argument("--friends", help="friendship edge CSV path")
     p.add_argument("--format", choices=["weeplaces", "gowalla"], default="weeplaces")
     p.add_argument("--min-checkins", type=int, default=None,
-                   help="drop users below this many check-ins (default 25)")
+                   help="drop users below this many check-ins "
+                   f"(default {DEFAULT_MIN_CHECKINS})")
     p.add_argument("--travel-time", choices=["deterministic", "lognormal"],
                    default="deterministic")
 
@@ -173,10 +175,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_data_dir(args) -> Path:
-    data_dir = getattr(args, "data_dir", None) or os.environ.get(DATA_DIR_ENV)
+def _resolve_data_dir(cfg: dict) -> Path:
+    """The dataset directory: the flag, else the config file, else the
+    environment."""
+    data_dir = cfg.get("data_dir") or os.environ.get(DATA_DIR_ENV)
     if not data_dir:
-        raise UsageError("--data-dir (or CAPSEQ_DATA_DIR) is required")
+        raise UsageError("--data-dir (or data_dir in --config, or CAPSEQ_DATA_DIR) "
+                         "is required")
     return Path(data_dir)
 
 
@@ -225,9 +230,7 @@ def cmd_ingest(args) -> int:
     travel = TravelTimeModel(args.travel_time)
     if args.travel_time == "lognormal":
         travel.fit(parsed.records)
-    min_checkins = cfg.get("min_checkins")
-    if min_checkins is None:
-        min_checkins = 25
+    min_checkins = _default(cfg, "min_checkins", DEFAULT_MIN_CHECKINS)
     sessions = build_sessions(parsed.records, travel, min_checkins=min_checkins)
     if not sessions:
         raise DataError("no sessions remain after filtering")
@@ -244,7 +247,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_features(args) -> int:
     cfg = _merged_config(args)
-    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(args))
+    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
     tables = FeatureTables.build(sessions, graph, encodings)
     out = _out_dir(cfg)
     tables.save(out / "tables.json")
@@ -288,7 +291,7 @@ def cmd_train(args) -> int:
     kind = cfg.get("model") or "caps-lstm"
     if kind not in MODEL_KINDS:
         raise UsageError(f"unknown model kind {kind!r}")
-    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(args))
+    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
     tables = _load_tables(args, sessions, encodings, graph)
     model = _recommender(kind, cfg)
     model.fit(training_sessions(sessions), tables)
@@ -309,7 +312,7 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _merged_config(args)
     seed = cfg["seed"]
-    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(args))
+    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
     tables = _load_tables(args, sessions, encodings, graph)
     try:
         model = load_checkpoint(args.checkpoint, tables)
@@ -397,7 +400,7 @@ def cmd_evaluate(args) -> int:
     if any(n < 1 for n in sweep_lengths):
         raise configmod.ConfigError(
             f"sweep lengths must be >= 1, got {args.sweep_lengths!r}")
-    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(args))
+    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
     models = _select_models(args.models, cfg)
     result = cross_validate(
         sessions,
@@ -424,7 +427,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _merged_config(args)
-    result = read_report_csv(Path(args.eval_csv).read_text(encoding="utf-8"))
+    try:
+        result = read_report_csv(Path(args.eval_csv).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or a cell that is not a number
+        raise DataError(f"{args.eval_csv}: {exc}") from exc
     out = _out_dir(cfg)
     tables_text = text_tables(result)
     (out / "report.txt").write_text(tables_text, encoding="utf-8")

@@ -31,11 +31,10 @@ class TravelTimeModel:
     consecutive check-in gaps and predicts with the distribution median.
     """
 
-    def __init__(self, mode: str = "deterministic", speed_kmh: float = WALK_SPEED_KMH):
+    def __init__(self, mode: str = "deterministic"):
         if mode not in ("deterministic", "lognormal"):
             raise ValueError(f"unknown travel time mode {mode!r}")
         self.mode = mode
-        self.speed_kmh = speed_kmh
         self.log_mu: float | None = None
         self.log_sigma: float | None = None
 
@@ -60,7 +59,7 @@ class TravelTimeModel:
     def seconds(self, a: Poi, b: Poi) -> float:
         dist = haversine_km(a.lat, a.lon, b.lat, b.lon)
         if self.mode == "deterministic" or self.log_mu is None:
-            return dist / self.speed_kmh * 3600.0
+            return dist / WALK_SPEED_KMH * 3600.0
         return dist * math.exp(self.log_mu)
 
 
@@ -92,18 +91,14 @@ def derive_visits(
     return visits
 
 
-def sessionize(
-    visits: Sequence[Visit],
-    user_id: str,
-    window_seconds: int = SESSION_WINDOW_SECONDS,
-) -> list[Session]:
+def sessionize(visits: Sequence[Visit], user_id: str) -> list[Session]:
     """Greedy split: a new session starts when the next arrival falls
-    outside ``window_seconds`` of the current session's start."""
+    outside ``SESSION_WINDOW_SECONDS`` of the current session's start."""
     sessions = []
     current: list[Visit] = []
     start = None
     for visit in visits:
-        if start is None or visit.arrival > start + window_seconds:
+        if start is None or visit.arrival > start + SESSION_WINDOW_SECONDS:
             if current:
                 sessions.append(Session(user_id, tuple(current)))
             current = [visit]
@@ -130,7 +125,6 @@ def build_sessions(
     records: Sequence[CheckinRecord],
     travel_time: TravelTimeModel | None = None,
     min_checkins: int = 0,
-    window_seconds: int = SESSION_WINDOW_SECONDS,
 ) -> list[Session]:
     """records -> visits -> sessions for every user, optionally filtered.
 
@@ -150,7 +144,7 @@ def build_sessions(
                 continue
             deduped.append(r)
         visits = derive_visits(deduped, travel_time)
-        sessions.extend(sessionize(visits, user_id, window_seconds))
+        sessions.extend(sessionize(visits, user_id))
     if min_checkins:
         sessions = filter_users(sessions, min_checkins)
     return sessions

@@ -90,18 +90,6 @@ class Session:
         if any(b <= a for a, b in zip(arrivals, arrivals[1:])):
             raise DataError("visit arrivals must be strictly increasing")
 
-    @property
-    def start(self) -> int:
-        return self.visits[0].arrival
-
-    @property
-    def end(self) -> int:
-        return self.visits[-1].arrival
-
-    @property
-    def singleton(self) -> bool:
-        return len(self.visits) == 1
-
     def __len__(self) -> int:
         return len(self.visits)
 

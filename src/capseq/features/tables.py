@@ -62,12 +62,6 @@ class StayStats:
         own[pois] = True
         return cls(means, norms, own, global_mean, global_norm)
 
-    def mean(self, poi_ix: int) -> float:
-        return self.mean_stay.item(poi_ix)
-
-    def norm(self, poi_ix: int) -> float:
-        return self.normalized.item(poi_ix)
-
 
 def _minmax(values: dict) -> tuple[dict, float, float]:
     if not values:
@@ -434,8 +428,8 @@ class FeatureTables:
         self._beta = _divide(raw - lo, span, span > 0)
 
     def _build_distance_bounds(self, sessions, step_km) -> None:
-        """Observed incoming travel distances per target POI, for the
-        constraint normalization; ``step_km`` holds each session's
+        """Observed incoming travel distances per target POI, which
+        ``discount`` scales by; ``step_km`` holds each session's
         ``_step_km``."""
         bounds: dict[int, list] = {}
         gmin, gmax = math.inf, -math.inf
@@ -580,57 +574,25 @@ class FeatureTables:
         beta = self._beta[row][cat]
         return beta * (freq_term + cat_term) + (1.0 - beta) * it.ast[row][pois]
 
-    DEFAULT_CONSTRAINTS = ("distance", "travel_time")
-
-    def distance_constraint(self, poi_ix, current_ix):
-        """Distance from the current location, min-max normalized by the
-        observed incoming travel distances of the target POI."""
-        return self.constraint_values(poi_ix, current_ix, ("distance",))[0]
-
-    def travel_time_constraint(self, poi_ix, current_ix):
-        """Travel time to the target, normalized by the global observed
-        incoming-distance bounds (travel time is monotone in distance)."""
-        return self.constraint_values(poi_ix, current_ix, ("travel_time",))[0]
-
-    def constraint_values(self, poi_ix, current_ix, names=None) -> list:
-        """The named constraint measures of stepping from ``current_ix``
-        to ``poi_ix``, each in [0, 1]; all read one distance."""
+    def discount(self, poi_ix, current_ix):
+        """The factor ``consolidated`` applies to a preference score: one
+        minus the mean of two measures of the step from ``current_ix`` to
+        ``poi_ix``, each in [0, 1]. Both scale the one distance: ``near``
+        by the target's observed incoming distances, ``quick`` (travel
+        time, monotone in distance) by the global ones."""
         pois = self._pois(poi_ix)
         d = self._distances(self._pois(current_ix), pois)
-        out = []
-        for name in names or self.DEFAULT_CONSTRAINTS:
-            if name == "distance":
-                lo, hi = self._dist_in[pois, 0], self._dist_in[pois, 1]
-            elif name == "travel_time":
-                lo, hi = self._dist_global
-            else:
-                raise KeyError(f"unknown constraint {name!r}")
-            out.append(_float(_scaled(d, lo, hi)))
-        return out
+        near = _scaled(d, self._dist_in[pois, 0], self._dist_in[pois, 1])
+        quick = _scaled(d, *self._dist_global)
+        return _float(1.0 - (near + quick) / 2)
 
-    def discount(self, poi_ix, current_ix, constraint_names=None):
-        """The factor ``consolidated`` applies to a preference score: one
-        minus the mean of the constraint measures."""
-        values = self.constraint_values(poi_ix, current_ix, constraint_names)
-        total = 0
-        for value in values:  # builtin sum() compensates floats from Python 3.12 on
-            total = total + value
-        return 1.0 - total / len(values)
-
-    def consolidated(
-        self,
-        u: int | None,
-        poi_ix,
-        hour,
-        current_ix=None,
-        constraint_names=None,
-    ):
-        """Preference score discounted by the mean of the normalized
-        constraint measures against the current location."""
+    def consolidated(self, u: int | None, poi_ix, hour, current_ix=None):
+        """Preference score discounted by ``discount`` against the current
+        location."""
         ps = self.preference(u, poi_ix, hour)
         if current_ix is None:
             return ps
-        return ps * self.discount(poi_ix, current_ix, constraint_names)
+        return ps * self.discount(poi_ix, current_ix)
 
     # -- context vectors --------------------------------------------------
 

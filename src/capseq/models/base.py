@@ -12,6 +12,7 @@ from __future__ import annotations
 import inspect
 from typing import Iterable, Sequence
 
+from ..data.sessions import training_sessions
 from ..data.types import Session
 
 
@@ -63,26 +64,26 @@ class BaseEstimator:
 
 class SequenceRecommender(BaseEstimator):
     """Common interface: ``fit(sessions, tables)`` then
-    ``generate(request, rng)`` returning ranked ``GeneratedSequence``."""
+    ``generate(request, seed=0)`` returning ranked ``GeneratedSequence``."""
 
     def fit(self, sessions: Sequence[Session], tables=None):
         raise NotImplementedError
 
-    def generate(self, request, rng=None):
+    def generate(self, request, seed: int = 0):
         raise NotImplementedError
 
 
-def check_sessions(sessions: Iterable[Session], min_length: int = 1) -> list:
-    """Validate and materialize a session collection."""
+def check_sessions(sessions: Iterable[Session]) -> list:
+    """Validate a session collection; returns its training sessions."""
     sessions = list(sessions)
     if not sessions:
         raise ValueError("at least one session is required")
     for s in sessions:
         if not isinstance(s, Session):
             raise TypeError(f"expected Session, got {type(s).__name__}")
-    usable = [s for s in sessions if len(s) >= min_length]
+    usable = training_sessions(sessions)
     if not usable:
-        raise ValueError(f"no session has length >= {min_length}")
+        raise ValueError("no session has length >= 2")
     return usable
 
 

@@ -40,15 +40,12 @@ class ContextLstm(RecurrentNet):
         n_pois: int,
         hidden_size: int = 512,
         embedding_size: int = 384,
-        attribute_dim: int = ATTRIBUTE_DIM,
-        feature_dim: int = FEATURE_DIM,
         contextual: bool = True,
         peepholes: bool = True,
         seed: int = 0,
     ):
         self.peepholes = peepholes  # before the base init: _init_params reads it
-        super().__init__(n_pois, hidden_size, 1, embedding_size, attribute_dim,
-                         feature_dim, contextual, seed)
+        super().__init__(n_pois, hidden_size, 1, embedding_size, contextual, seed)
 
     def _init_params(self, rng) -> dict:
         H, E, K = self.hidden_size, self.embedding_size, self.n_pois
@@ -65,10 +62,10 @@ class ContextLstm(RecurrentNet):
                 # start inert; training grows them if they help
                 p[f"wc{g}"] = np.zeros(H)
         if self.contextual:
-            p["P"] = numerics.xavier_uniform(rng, (H, self.attribute_dim))
+            p["P"] = numerics.xavier_uniform(rng, (H, ATTRIBUTE_DIM))
             p["pb"] = np.zeros(H)
-            p["Wq"] = numerics.xavier_uniform(rng, (H, self.feature_dim))
-            p["G"] = numerics.xavier_uniform(rng, (K, self.feature_dim))
+            p["Wq"] = numerics.xavier_uniform(rng, (H, FEATURE_DIM))
+            p["G"] = numerics.xavier_uniform(rng, (K, FEATURE_DIM))
         p["V"] = numerics.xavier_uniform(rng, (K, H))
         p["c"] = np.zeros(K)
         return p

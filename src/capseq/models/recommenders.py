@@ -41,18 +41,21 @@ class _NeuralRecommender(SequenceRecommender):
     def fit(self, sessions, tables: FeatureTables = None):
         if tables is None:
             raise ValueError(f"{type(self).__name__}.fit requires feature tables")
-        sessions = check_sessions(sessions, min_length=2)
+        sessions = check_sessions(sessions)
         self.tables_ = tables
         self.net_ = self._build_net(tables.encodings.n_pois)
-        encoded = encode_sessions(sessions, tables, tables.encodings)
-        config = numerics.SgdConfig(
+        encoded = encode_sessions(sessions, tables)
+        self.loss_curve_ = train(self.net_, encoded, self._sgd_config(), seed=self.seed)
+        return self
+
+    def _sgd_config(self) -> numerics.SgdConfig:
+        """The training settings; raises ``ValueError`` for a bad one."""
+        return numerics.SgdConfig(
             learning_rate=self.learning_rate,
             clip_threshold=self.clip_threshold,
             batch_size=self.batch_size,
             epochs=self.epochs,
         )
-        self.loss_curve_ = train(self.net_, encoded, config, seed=self.seed)
-        return self
 
     def generate(self, request: GenRequest, seed: int = 0):
         self._check_fitted("net_", "tables_")
@@ -114,7 +117,7 @@ class PlainRnnRecommender(_NeuralRecommender):
         seed: int = 0,
     ):
         check_positive(hidden_size=hidden_size, n_layers=n_layers,
-                       embedding_size=embedding_size, epochs=epochs)
+                       embedding_size=embedding_size)
         self.hidden_size = hidden_size
         self.n_layers = n_layers
         self.embedding_size = embedding_size
@@ -123,6 +126,7 @@ class PlainRnnRecommender(_NeuralRecommender):
         self.batch_size = batch_size
         self.epochs = epochs
         self.seed = seed
+        self._sgd_config()  # check the training settings now, not at fit
 
     def _build_net(self, n_pois: int):
         return ContextRnn(
@@ -158,8 +162,7 @@ class CapsLstmRecommender(_NeuralRecommender):
         epochs: int = 100,
         seed: int = 0,
     ):
-        check_positive(hidden_size=hidden_size, embedding_size=embedding_size,
-                       epochs=epochs)
+        check_positive(hidden_size=hidden_size, embedding_size=embedding_size)
         self.hidden_size = hidden_size
         self.embedding_size = embedding_size
         self.learning_rate = learning_rate
@@ -167,6 +170,7 @@ class CapsLstmRecommender(_NeuralRecommender):
         self.batch_size = batch_size
         self.epochs = epochs
         self.seed = seed
+        self._sgd_config()  # check the training settings now, not at fit
 
     def _build_net(self, n_pois: int):
         return ContextLstm(

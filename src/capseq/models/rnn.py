@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import numerics
+from ..features import ATTRIBUTE_DIM, FEATURE_DIM
 from .training import RecurrentNet
 
 
@@ -41,13 +42,13 @@ class ContextRnn(RecurrentNet):
             p[f"W{layer}"] = numerics.xavier_uniform(rng, (H, H))
             p[f"b{layer}"] = np.zeros(H)
             if self.contextual:
-                p[f"P{layer}"] = numerics.xavier_uniform(rng, (H, self.attribute_dim))
+                p[f"P{layer}"] = numerics.xavier_uniform(rng, (H, ATTRIBUTE_DIM))
                 p[f"pb{layer}"] = np.zeros(H)
-                p[f"F{layer}"] = numerics.xavier_uniform(rng, (H, self.feature_dim))
+                p[f"F{layer}"] = numerics.xavier_uniform(rng, (H, FEATURE_DIM))
         p["V"] = numerics.xavier_uniform(rng, (K, H))
         p["c"] = np.zeros(K)
         if self.contextual:
-            p["G"] = numerics.xavier_uniform(rng, (K, self.feature_dim))
+            p["G"] = numerics.xavier_uniform(rng, (K, FEATURE_DIM))
         return p
 
     def init_state(self, batch_size: int = 1) -> list:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import numerics
-from ..data.types import Encodings, Session
+from ..data.types import Session
 from ..features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 
 MAX_STEPS = 25  # cap on teacher-forcing steps per session
@@ -30,8 +30,8 @@ class TrainingDivergedError(RuntimeError):
 class EncodedSequence:
     inputs: np.ndarray   # (T,) int
     targets: np.ndarray  # (T,) int
-    attrs: np.ndarray    # (T, attribute_dim)
-    feat: np.ndarray     # (feature_dim,)
+    attrs: np.ndarray    # (T, ATTRIBUTE_DIM)
+    feat: np.ndarray     # (FEATURE_DIM,)
 
 
 @dataclass
@@ -39,8 +39,8 @@ class Batch:
     inputs: np.ndarray   # (B, T) int
     targets: np.ndarray  # (B, T) int
     mask: np.ndarray     # (B, T) 0/1
-    attrs: np.ndarray    # (B, T, attribute_dim)
-    feats: np.ndarray    # (B, feature_dim)
+    attrs: np.ndarray    # (B, T, ATTRIBUTE_DIM)
+    feats: np.ndarray    # (B, FEATURE_DIM)
 
 
 class RecurrentNet:
@@ -60,8 +60,6 @@ class RecurrentNet:
         hidden_size: int = 256,
         n_layers: int = 5,
         embedding_size: int = 384,
-        attribute_dim: int = ATTRIBUTE_DIM,
-        feature_dim: int = FEATURE_DIM,
         contextual: bool = True,
         seed: int = 0,
     ):
@@ -71,8 +69,6 @@ class RecurrentNet:
         self.hidden_size = hidden_size
         self.n_layers = n_layers
         self.embedding_size = embedding_size
-        self.attribute_dim = attribute_dim
-        self.feature_dim = feature_dim
         self.contextual = contextual
         self.pad_ix = n_pois
         self.params = self._init_params(np.random.default_rng(seed))
@@ -90,9 +86,9 @@ class RecurrentNet:
 
     def _default_context(self, batch, attrs, feats):
         if attrs is None:
-            attrs = np.zeros((batch, self.attribute_dim))
+            attrs = np.zeros((batch, ATTRIBUTE_DIM))
         if feats is None:
-            feats = np.zeros((batch, self.feature_dim))
+            feats = np.zeros((batch, FEATURE_DIM))
         return np.atleast_2d(attrs), np.atleast_2d(feats)
 
     def _forward_sequence(self, batch, collect_cache: bool):
@@ -136,30 +132,14 @@ class RecurrentNet:
             total += self._step_nll(probs, batch, t)
         return total / len(batch.inputs)
 
-    def sequence_nll(self, inputs, targets, attrs, feat) -> float:
-        """NLL of a single encoded session."""
-        T = len(inputs)
-        batch = Batch(
-            inputs=np.asarray(inputs, dtype=np.int64).reshape(1, T),
-            targets=np.asarray(targets, dtype=np.int64).reshape(1, T),
-            mask=np.ones((1, T)),
-            attrs=np.asarray(attrs).reshape(1, T, -1),
-            feats=np.asarray(feat).reshape(1, -1),
-        )
-        return self.batch_nll(batch)
 
-
-def encode_session(
-    session: Session,
-    tables: FeatureTables,
-    encodings: Encodings,
-    max_steps: int = MAX_STEPS,
-) -> EncodedSequence:
-    """Teacher-forcing encoding of one session (length >= 2)."""
+def encode_session(session: Session, tables: FeatureTables) -> EncodedSequence:
+    """Teacher-forcing encoding of one session (length >= 2), capped at
+    ``MAX_STEPS`` steps."""
     if len(session) < 2:
         raise ValueError("training sessions must have at least two visits")
-    visits = session.visits[: max_steps + 1]
-    ixs = [encodings.poi(v.poi.poi_id) for v in visits]
+    visits = session.visits[: MAX_STEPS + 1]
+    ixs = [tables.encodings.poi(v.poi.poi_id) for v in visits]
     attrs = tables.attribute_rows(
         ixs[:-1], [v.hour for v in visits[:-1]], [None] + ixs[:-2]
     )
@@ -173,17 +153,8 @@ def encode_session(
     )
 
 
-def encode_sessions(
-    sessions: Sequence[Session],
-    tables: FeatureTables,
-    encodings: Encodings,
-    max_steps: int = MAX_STEPS,
-) -> list:
-    return [
-        encode_session(s, tables, encodings, max_steps)
-        for s in sessions
-        if len(s) >= 2
-    ]
+def encode_sessions(sessions: Sequence[Session], tables: FeatureTables) -> list:
+    return [encode_session(s, tables) for s in sessions]
 
 
 def make_batch(sequences: Sequence[EncodedSequence], pad_ix: int) -> Batch:

@@ -50,9 +50,9 @@ class SgdConfig:
     epochs: int = 100
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.clip_threshold <= 0 or self.batch_size <= 0 or self.epochs <= 0:
+        if not self.learning_rate >= 0:  # NaN fails too
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (self.clip_threshold > 0 and self.batch_size > 0 and self.epochs > 0):
             raise ValueError("clip_threshold, batch_size and epochs must be > 0")
 
 

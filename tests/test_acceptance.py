@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 import naive_reference as naive
-from test_baselines import brute_force_trips, independent_power_iteration
+from test_baselines import (
+    apriori_trips,
+    brute_force_trips,
+    independent_power_iteration,
+)
 from test_features import random_world
 from test_metrics import brute_force_pairs_f1
 
@@ -21,7 +25,6 @@ from capseq import numerics
 from capseq.baselines import (
     MarkovRecommender,
     PopularityRecommender,
-    apriori_generate,
     markov_fit,
     power_iterate,
 )
@@ -258,16 +261,16 @@ def test_criterion_6_baseline_validity():
 
         sessions, enc, tables = small_world(n_pois=6, spacing_km=0.9)
         for length in (2, 3, 4, 5):
-            got = apriori_generate(tables, 0, 0, 9, length=length, epsilon_km=2.0,
-                                   budget_hours=8.0, k=500, beam_width=None)
+            got = apriori_trips(tables, 0, 0, 9, length=length, epsilon_km=2.0,
+                                budget_hours=8.0, k=500, beam_width=None)
             expected = brute_force_trips(tables, 0, 0, 9, length, 2.0, 8.0)
             assert [tuple(s.pois) for s in got] == [e[0] for e in expected[:500]]
             for s in got:
-                elapsed = tables.stay.mean(s.pois[0])
+                elapsed = tables.stay.mean_stay[s.pois[0]]
                 for a, b in zip(s.pois, s.pois[1:]):
                     d = tables.distance_km(a, b)
                     assert d <= 2.0 + 1e-9
-                    elapsed += d / WALK_SPEED_KMH * 3600.0 + tables.stay.mean(b)
+                    elapsed += d / WALK_SPEED_KMH * 3600.0 + tables.stay.mean_stay[b]
                 assert elapsed <= 8.0 * 3600.0 + 1e-6
 
         records, graph = synth_dataset(seed=9, n_users=8, n_pois=40, days=4)

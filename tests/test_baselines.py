@@ -14,7 +14,6 @@ from capseq.baselines import (
     HitsRecommender,
     MarkovRecommender,
     PopularityRecommender,
-    apriori_generate,
     cluster_regions,
     hits_fit,
     markov_fit,
@@ -140,42 +139,50 @@ def brute_force_trips(tables, user, start, start_hour, length, epsilon_km,
             if dist > epsilon_km:
                 continue
             t = dist / WALK_SPEED_KMH * 3600.0
-            e = elapsed + t + tables.stay.mean(nxt)
+            e = elapsed + t + tables.stay.mean_stay[nxt]
             if e > budget:
                 continue
             grown = True
-            new_hour = (hours[-1] + (tables.stay.mean(pois[-1]) + t) / 3600.0) % 24
+            new_hour = (hours[-1] + (tables.stay.mean_stay[pois[-1]] + t) / 3600.0) % 24
             gain = tables.consolidated(user, nxt, int(new_hour), pois[-1])
             walk(pois + [nxt], hours + [new_hour], e, travel + t, score + gain)
         if not grown and len(pois) < length:
             results.append((tuple(pois), score, travel))
 
     walk([start], [float(start_hour) % 24],
-         tables.stay.mean(start), 0.0,
+         tables.stay.mean_stay[start], 0.0,
          tables.preference(user, start, int(start_hour)))
     full = [r for r in results if len(r[0]) == length]
     pool = full or results
     return sorted(pool, key=lambda r: (-r[1], r[2], r[0]))
 
 
+def apriori_trips(tables, user, start, start_hour, length, k=10, **settings):
+    """The top-k trips of an ``AprioriRecommender`` with ``settings``,
+    fitted on ``tables``."""
+    model = AprioriRecommender(**settings).fit([], tables)
+    return model.generate(GenRequest(user=user, start_poi=start, start_hour=start_hour,
+                                     length=length, candidates=k, k=k))
+
+
 class TestApriori:
     def test_neighbors_within_epsilon_form_candidates(self):
         sessions, enc, tables = small_world(n_pois=3, spacing_km=1.0)
-        seqs = apriori_generate(tables, 0, 1, 9, length=2, epsilon_km=2.0, k=10,
-                                beam_width=None)
+        seqs = apriori_trips(tables, 0, 1, 9, length=2, epsilon_km=2.0, k=10,
+                             beam_width=None)
         two_sets = {tuple(s.pois) for s in seqs}
         assert two_sets == {(1, 0), (1, 2)}
 
     def test_zero_budget_keeps_singleton(self):
         sessions, enc, tables = small_world(n_pois=3)
-        seqs = apriori_generate(tables, 0, 0, 9, length=3, budget_hours=0.0, k=5)
+        seqs = apriori_trips(tables, 0, 0, 9, length=3, budget_hours=0.0, k=5)
         assert [s.pois for s in seqs] == [[0]]
 
     def test_matches_exhaustive_enumeration(self):
         sessions, enc, tables = small_world(n_pois=5)
         for length in (2, 3, 4, 5):
-            got = apriori_generate(tables, 0, 0, 9, length=length, epsilon_km=2.0,
-                                   budget_hours=8.0, k=200, beam_width=None)
+            got = apriori_trips(tables, 0, 0, 9, length=length, epsilon_km=2.0,
+                                budget_hours=8.0, k=200, beam_width=None)
             expected = brute_force_trips(tables, 0, 0, 9, length, 2.0, 8.0)
             assert [tuple(s.pois) for s in got] == [e[0] for e in expected[:200]]
             for s, e in zip(got, expected):
@@ -183,20 +190,20 @@ class TestApriori:
 
     def test_beam_equals_exhaustive_when_wide_enough(self):
         sessions, enc, tables = small_world(n_pois=6, spacing_km=0.8)
-        wide = apriori_generate(tables, 0, 0, 9, length=4, k=5, beam_width=10_000)
-        exact = apriori_generate(tables, 0, 0, 9, length=4, k=5, beam_width=None)
+        wide = apriori_trips(tables, 0, 0, 9, length=4, k=5, beam_width=10_000)
+        exact = apriori_trips(tables, 0, 0, 9, length=4, k=5, beam_width=None)
         assert [s.pois for s in wide] == [s.pois for s in exact]
 
     def test_constraints_respected_on_every_output(self):
         sessions, enc, tables = small_world(n_pois=6, spacing_km=1.5)
-        seqs = apriori_generate(tables, 0, 0, 9, length=4, epsilon_km=2.0,
-                                budget_hours=8.0, k=50, beam_width=50)
+        seqs = apriori_trips(tables, 0, 0, 9, length=4, epsilon_km=2.0,
+                             budget_hours=8.0, k=50, beam_width=50)
         for s in seqs:
-            elapsed = tables.stay.mean(s.pois[0])
+            elapsed = tables.stay.mean_stay[s.pois[0]]
             for a, b in zip(s.pois, s.pois[1:]):
                 d = tables.distance_km(a, b)
                 assert d <= 2.0 + 1e-9
-                elapsed += d / WALK_SPEED_KMH * 3600.0 + tables.stay.mean(b)
+                elapsed += d / WALK_SPEED_KMH * 3600.0 + tables.stay.mean_stay[b]
             assert elapsed <= 8.0 * 3600.0 + 1e-6
 
     def test_neighbour_lists_hold_exactly_the_pois_within_epsilon(self, synth_tables):

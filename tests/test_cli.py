@@ -8,6 +8,7 @@ import pytest
 
 from capseq.cli import main
 from capseq.config import ConfigError, parse_config_file
+from capseq.metrics import REPORT_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,19 @@ class TestPipeline:
         out = tmp_path / "envfeat"
         assert main(["features", "--out-dir", str(out)]) == 0
         assert (out / "tables.json").exists()
+
+    def test_data_dir_flag_then_config_file_then_env(self, pipeline_dirs, tmp_path,
+                                                    monkeypatch):
+        root, raw, data = pipeline_dirs
+        monkeypatch.setenv("CAPSEQ_DATA_DIR", str(tmp_path / "missing"))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data_dir = {data}\n", encoding="utf-8")
+        out = tmp_path / "cfgfeat"
+        assert main(["features", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert (out / "tables.json").exists()
+        cfg.write_text(f"data_dir = {tmp_path / 'missing'}\n", encoding="utf-8")
+        assert main(["features", "--config", str(cfg), "--data-dir", str(data),
+                     "--out-dir", str(out)]) == 0
 
     def test_missing_data_dir_is_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.delenv("CAPSEQ_DATA_DIR", raising=False)
@@ -245,6 +259,14 @@ BAD_INPUTS = {
     "tables-nan-coordinate": (
         {"tables.json": _with_tables(_nan_coordinate)}, GENERATE_TABLES, 2),
     "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
+    "train-zero-batch-size": (
+        {}, ["train", "--model", "plain-rnn", "--batch-size", "0"], 1),
+    "train-negative-lr": ({}, ["train", "--model", "plain-rnn", "--lr", "-1"], 1),
+    "train-nan-lr": ({}, ["train", "--model", "plain-rnn", "--lr", "nan"], 1),
+    "train-zero-clip": ({}, ["train", "--model", "plain-rnn", "--clip", "0"], 1),
+    "evaluate-zero-clip-in-config": (
+        {"run.cfg": "clip_threshold = 0\n"},
+        ["evaluate", "--models", "plain-rnn", "--config", "{tmp}/run.cfg"], 1),
     "apriori-zero-epsilon": (
         {"run.cfg": "epsilon_km = 0\n"},
         ["evaluate", "--models", "apriori", "--config", "{tmp}/run.cfg"], 1),
@@ -331,6 +353,18 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
     if "tables.json" in files:
         assert err.startswith(f"data error: {tmp_path / 'tables.json'}: "
                               "not a feature tables file:"), err
+
+
+def test_report_non_numeric_cell_is_data_error(tmp_path, capsys):
+    """``report`` takes no --data-dir, so it is not a BAD_INPUTS row."""
+    path = tmp_path / "eval_report.csv"
+    row = ["popularity", "0", "abc"] + ["0.5"] * (len(REPORT_COLUMNS) - 4) + ["3"]
+    lines = ["# seed=7", ",".join(REPORT_COLUMNS), ",".join(row)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["report", "--eval-csv", str(path), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith(f"data error: {path}: "), err
 
 
 def test_generate_start_hour_takes_any_float(bad_input_sources, tmp_path, capsys):

@@ -221,11 +221,11 @@ class TestSessionize:
             flattened = [v for s in sessions for v in s.visits]
             assert flattened == visits
             for s in sessions:
-                assert s.end - s.start <= 8 * 3600
+                assert s.visits[-1].arrival - s.visits[0].arrival <= 8 * 3600
 
     def test_singleton_flagged(self):
         sessions = sessionize(self.visits_at_hours([9, 20]), "u")
-        assert all(s.singleton for s in sessions)
+        assert all(len(s.visits) == 1 for s in sessions)
         assert training_sessions(sessions) == []
 
 

@@ -36,14 +36,14 @@ class TestStayStats:
             ),
         ]
         stats = compute_stay_stats(sessions, Encodings.fit(sessions))
-        assert stats.mean(0) == pytest.approx(20 * 60)
+        assert stats.mean_stay[0] == pytest.approx(20 * 60)
 
     def test_single_poi_normalizes_to_zero(self):
         sessions = [
             Session("u0", (make_visit("p", 40.0, -74.0, "Food", 9, 10),)),
         ]
         stats = compute_stay_stats(sessions, Encodings.fit(sessions))
-        assert stats.norm(0) == 0.0
+        assert stats.normalized[0] == 0.0
 
     def test_equal_stays_normalize_identically(self):
         sessions = [
@@ -56,16 +56,16 @@ class TestStayStats:
             ),
         ]
         stats = compute_stay_stats(sessions, Encodings.fit(sessions))
-        assert stats.norm(0) == stats.norm(1) == 0.0
+        assert stats.normalized[0] == stats.normalized[1] == 0.0
 
     def test_matches_naive_on_fixture(self, tiny_world):
         sessions, graph, encodings = tiny_world
         stats = compute_stay_stats(sessions, encodings)
         for poi_id, ix in encodings.poi_to_ix.items():
-            assert stats.mean(ix) == pytest.approx(
+            assert stats.mean_stay[ix] == pytest.approx(
                 naive.stay_time(sessions, poi_id), rel=1e-12
             )
-            assert stats.norm(ix) == pytest.approx(
+            assert stats.normalized[ix] == pytest.approx(
                 naive.stay_time_normalized(sessions, poi_id), rel=1e-12
             )
 
@@ -268,7 +268,7 @@ class TestInvariants:
         sessions = [Session("u0", visits)]
         tables, encodings = build_tables(sessions)
         for l in range(3):
-            f_term = tables.stay.norm(l) / (1 / 3)  # one of three visits
+            f_term = tables.stay.normalized[l] / (1 / 3)  # one of three visits
             assert tables.ast_cat_user(0, l) == pytest.approx(f_term)
 
     def test_user_encoding_order_does_not_matter(self, tiny_world):
@@ -373,7 +373,7 @@ class TestAttributeFields:
             prev = (l * 7 + 3) % tables.n_pois
             for h in range(24):
                 vec = tables.attribute_vector(l, h, prev)
-                assert vec[0] == tables.stay.norm(l)
+                assert vec[0] == tables.stay.normalized[l]
                 assert vec[1] == tables.ast_poi[l]
                 assert vec[2] == tables.astcat_hour[cat, h]
                 assert vec[3] == tables.preference(None, l, h)
@@ -389,7 +389,7 @@ class TestAttributeFields:
         for session in sessions:
             if len(session) < 2:
                 continue
-            encoded = encode_session(session, tables, encodings)
+            encoded = encode_session(session, tables)
             ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
             rows = [
                 tables.attribute_vector(ixs[t], session.visits[t].hour,

@@ -65,8 +65,7 @@ class TestSessionEncoding:
         from capseq.models import MAX_STEPS, encode_session
 
         sessions, tables = world
-        enc = tables.encodings
-        poi_ids = list(enc.poi_to_ix)
+        poi_ids = list(tables.encodings.poi_to_ix)
         base = 1330905600
         visits = tuple(
             Visit(Poi(poi_ids[i % len(poi_ids)], 40.0, -74.0, "Home/Work:Home"),
@@ -74,7 +73,7 @@ class TestSessionEncoding:
             for i in range(30)
         )
         long_session = Session("u0000", visits)
-        encoded = encode_session(long_session, tables, enc)
+        encoded = encode_session(long_session, tables)
         assert len(encoded.inputs) == MAX_STEPS
         assert encoded.attrs.shape[0] == MAX_STEPS
 
@@ -89,7 +88,7 @@ class TestSessionEncoding:
             (Visit(Poi(poi_id, 40.0, -74.0, "Home/Work:Home"), 1, 601),),
         )
         with pytest.raises(ValueError):
-            encode_session(single, tables, tables.encodings)
+            encode_session(single, tables)
 
 
 class TestCheckpoints:

@@ -23,6 +23,12 @@ over_shared_nets = pytest.mark.parametrize(
     "make_net", list(SHARED_NETS.values()), ids=list(SHARED_NETS))
 
 
+def sequence_nll(net, inputs, targets, attrs, feat) -> float:
+    """NLL of one encoded session, as a batch of one."""
+    seq = EncodedSequence(np.asarray(inputs), np.asarray(targets), attrs, feat)
+    return net.batch_nll(make_batch([seq], net.pad_ix))
+
+
 def toy_batch(rng, K=6, T=3, B=2, adim=ADIM, fdim=FDIM):
     return Batch(
         inputs=rng.integers(0, K, size=(B, T)),
@@ -148,8 +154,8 @@ class TestSequenceNll:
             net.params[name][:] = 0.0
         net.params["c"][2] = 500.0  # class 2 gets probability exactly 1
         T = 5
-        loss = net.sequence_nll(
-            np.zeros(T, dtype=int), np.full(T, 2), np.zeros((T, ADIM)), np.zeros(FDIM)
+        loss = sequence_nll(
+            net, np.zeros(T, dtype=int), np.full(T, 2), np.zeros((T, ADIM)), np.zeros(FDIM)
         )
         assert loss == 0.0
 
@@ -158,8 +164,8 @@ class TestSequenceNll:
         net = ContextRnn(K, hidden_size=3, n_layers=1, embedding_size=2, seed=0)
         for name in net.params:
             net.params[name][:] = 0.0
-        loss = net.sequence_nll(
-            np.zeros(T, dtype=int), np.arange(T) % K, np.zeros((T, ADIM)), np.zeros(FDIM)
+        loss = sequence_nll(
+            net, np.zeros(T, dtype=int), np.arange(T) % K, np.zeros((T, ADIM)), np.zeros(FDIM)
         )
         assert loss == pytest.approx(T * np.log(K), rel=1e-12)
 
@@ -179,7 +185,7 @@ class TestSequenceNll:
                 state, inputs[t : t + 1], attrs[t : t + 1], feat[None, :]
             )
             expected += -np.log(probs[0, targets[t]])
-        assert net.sequence_nll(inputs, targets, attrs, feat) == pytest.approx(
+        assert sequence_nll(net, inputs, targets, attrs, feat) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -199,7 +205,7 @@ class TestSequenceNll:
             )
         batch = make_batch(seqs, net.pad_ix)
         individual = [
-            net.sequence_nll(s.inputs, s.targets, s.attrs, s.feat) for s in seqs
+            sequence_nll(net, s.inputs, s.targets, s.attrs, s.feat) for s in seqs
         ]
         assert net.batch_nll(batch) == pytest.approx(np.mean(individual), rel=1e-12)
 

@@ -1,5 +1,5 @@
 """Array table reads against their scalar reference: the distance
-matrix, preference and constraint reads over index arrays, and the
+matrix, preference and discount reads over index arrays, and the
 rollouts, clocks and scores generation builds on them, bit for bit."""
 
 import numpy as np
@@ -57,7 +57,7 @@ class TestArrayReads:
         sources read, not with n_pois squared."""
         sessions, graph, encodings = synth_small
         tables = FeatureTables.build(sessions, graph, encodings)
-        encode_sessions(training_sessions(sessions), tables, encodings)
+        encode_sessions(training_sessions(sessions), tables)
         assert tables._dist_rows is None
         coords = tables.poi_coords
         for a, b in ((np.array([3, 3, 5]), np.array([1, 2, 3])), (4, 3), (3, 0)):
@@ -101,12 +101,9 @@ class TestArrayReads:
         scalar = ref.ScalarTables(tables)
         pois = np.arange(tables.n_pois)
         for current in (0, 5, tables.n_pois - 1):
-            assert tables.distance_constraint(pois, current).tolist() == [
-                scalar.distance_constraint(l, current) for l in pois.tolist()]
-            assert tables.travel_time_constraint(pois, current).tolist() == [
-                scalar.travel_time_constraint(l, current) for l in pois.tolist()]
-            assert tables.discount(pois, current).tolist() == [
-                scalar.discount(l, current) for l in pois.tolist()]
+            want = [scalar.discount(l, current) for l in pois.tolist()]
+            assert tables.discount(pois, current).tolist() == want
+            assert [tables.discount(l, current) for l in pois.tolist()] == want
 
     def test_neighbour_lists_equal_scalar_reads(self, any_tables):
         tables = any_tables
