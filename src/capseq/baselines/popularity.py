@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..generation import GenRequest, GeneratedSequence, advance_hours, score_sequence
-from ..geo import haversine_km_vec
 from ..models.base import SequenceRecommender
 
 DEFAULT_RADIUS_KM = 2.0
@@ -19,26 +18,19 @@ DEFAULT_GROWTH = 1.5
 
 def popularity_next(
     counts: np.ndarray,
-    coords: np.ndarray,
-    current_ix: int,
+    dists: np.ndarray,
     exclusions,
     radius_km: float = DEFAULT_RADIUS_KM,
     growth_factor: float = DEFAULT_GROWTH,
 ) -> int:
-    """Most-visited POI within the (expanding) radius of ``current_ix``
-    that is not excluded. Ties break toward the lower index."""
+    """Most-visited POI not excluded within the (expanding) radius, with
+    ``dists`` the km from the current POI to each POI; ties go to the lower index."""
     n = len(counts)
     excluded = np.zeros(n, dtype=bool)
     for e in exclusions:
         excluded[e] = True
     if excluded.all():
         raise LookupError("every POI is excluded; nothing to recommend")
-    dists = haversine_km_vec(
-        np.full(n, coords[current_ix, 0]),
-        np.full(n, coords[current_ix, 1]),
-        coords[:, 0],
-        coords[:, 1],
-    )
     max_dist = float(dists[~excluded].max())
     radius = radius_km
     while True:
@@ -78,19 +70,14 @@ class PopularityRecommender(SequenceRecommender):
         pois = [request.start_poi]
         exclusions = {request.start_poi}
         current = request.start_poi
+        every_poi = np.arange(tables.n_pois)
         for _ in range(request.length - 1):
-            try:
-                nxt = popularity_next(
-                    self.counts_, tables.poi_coords, current, exclusions,
-                    self.radius_km, self.growth_factor,
-                )
-            except LookupError:
-                # pool exhausted: allow revisits rather than truncate
-                exclusions = {current}
-                nxt = popularity_next(
-                    self.counts_, tables.poi_coords, current, exclusions,
-                    self.radius_km, self.growth_factor,
-                )
+            if len(exclusions) == tables.n_pois:
+                exclusions = {current}  # pool exhausted: revisit rather than truncate
+            nxt = popularity_next(
+                self.counts_, tables.distance_km(current, every_poi), exclusions,
+                self.radius_km, self.growth_factor,
+            )
             exclusions.add(nxt)
             current = nxt
             pois.append(nxt)

@@ -28,6 +28,7 @@ from .data import (
     DEFAULT_MIN_CHECKINS,
     DataError,
     Encodings,
+    ParseResult,
     SocialGraph,
     TravelTimeModel,
     build_sessions,
@@ -223,14 +224,18 @@ def cmd_synth(args) -> int:
 
 def cmd_ingest(args) -> int:
     cfg = _merged_config(args)
+    min_checkins = _default(cfg, "min_checkins", DEFAULT_MIN_CHECKINS)
+    if min_checkins < 0:
+        raise configmod.ConfigError(f"min_checkins must be >= 0, got {min_checkins}")
     parsed = parse_checkins(args.checkins, args.format)
-    if parsed.dropped:
-        print(f"ingest: dropped {parsed.dropped} malformed rows", file=sys.stderr)
-    graph = parse_friendships(args.friends) if args.friends else SocialGraph()
+    friends = parse_friendships(args.friends) if args.friends else ParseResult([], 0)
+    for what, result in (("check-in", parsed), ("friendship", friends)):
+        if result.dropped:
+            print(f"ingest: dropped {result.dropped} malformed {what} rows", file=sys.stderr)
+    graph = SocialGraph(friends.records)
     travel = TravelTimeModel(args.travel_time)
     if args.travel_time == "lognormal":
         travel.fit(parsed.records)
-    min_checkins = _default(cfg, "min_checkins", DEFAULT_MIN_CHECKINS)
     sessions = build_sessions(parsed.records, travel, min_checkins=min_checkins)
     if not sessions:
         raise DataError("no sessions remain after filtering")
@@ -437,16 +442,17 @@ def cmd_report(args) -> int:
     print(tables_text)
 
     if args.sweep_csv:
-        per_model: dict[str, list] = {}
-        for row in csv_rows(Path(args.sweep_csv).read_text(encoding="utf-8")):
-            per_model.setdefault(row["model"], []).append(row)
-        for model, rows in sorted(per_model.items()):
+        try:
+            rows = csv_rows(Path(args.sweep_csv).read_text(encoding="utf-8"))
+            rows.sort(key=lambda r: int(r["length"]))
+        except ValueError as exc:  # not UTF-8, or a length that is not an integer
+            raise DataError(f"{args.sweep_csv}: {exc}") from exc
+        for model in sorted({row["model"] for row in rows}):
             path = out / f"sweep_{model}.csv"
-            lines = ["length,diversity,displacement_mean_km"]
-            for row in sorted(rows, key=lambda r: int(r["length"])):
-                lines.append(
-                    f"{row['length']},{row['diversity']},{row['displacement_mean_km']}"
-                )
+            lines = ["length,diversity,displacement_mean_km"] + [
+                f"{row['length']},{row['diversity']},{row['displacement_mean_km']}"
+                for row in rows if row["model"] == model
+            ]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"report: plot data -> {path}")
     return EXIT_OK

@@ -40,7 +40,10 @@ class ConfigError(ValueError):
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
     out: dict = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -5,7 +5,8 @@ An ingested dataset directory contains:
 * ``sessions.jsonl`` — one JSON object per session with encoded ids:
   ``{"user": int, "pois": [int...], "arrivals": [s...], "departures": [s...]}``
 * ``encodings.json`` — the label encoding maps
-* ``pois.json`` — per encoded POI: id, lat, lon, category
+* ``pois.json`` — per encoded POI: id, lat, lon, category; written from,
+  and read back into, the POI catalogue of ``Encodings``
 * ``graph.json`` — adjacency lists of the friendship graph (optional)
 
 Everything is written with sorted keys and no timestamps so identical
@@ -19,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .types import CheckinRecord, DataError, Encodings, Poi, Session, SocialGraph, Visit
+from .types import CheckinRecord, DataError, Encodings, Session, SocialGraph, Visit
 
 SESSIONS_FILE = "sessions.jsonl"
 ENCODINGS_FILE = "encodings.json"
@@ -40,20 +41,11 @@ def save_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    poi_table: dict[int, dict] = {}
     lines = []
     for session in sessions:
         pois, arrivals, departures = [], [], []
         for visit in session.visits:
-            ix = encodings.poi(visit.poi.poi_id)
-            if ix not in poi_table:
-                poi_table[ix] = {
-                    "id": visit.poi.poi_id,
-                    "lat": visit.poi.lat,
-                    "lon": visit.poi.lon,
-                    "category": visit.poi.category,
-                }
-            pois.append(ix)
+            pois.append(encodings.poi(visit.poi.poi_id))
             arrivals.append(visit.arrival)
             departures.append(visit.departure)
         lines.append(
@@ -69,7 +61,9 @@ def save_dataset(
         )
     (out / SESSIONS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _dump_json(encodings.to_dict(), out / ENCODINGS_FILE)
-    _dump_json({str(k): v for k, v in sorted(poi_table.items())}, out / POIS_FILE)
+    table = {str(l): {"id": p.poi_id, "lat": p.lat, "lon": p.lon, "category": p.category}
+             for l, p in enumerate(encodings.pois())}
+    _dump_json(table, out / POIS_FILE)
     if graph is not None:
         _dump_json(graph.to_dict(), out / GRAPH_FILE)
 
@@ -91,16 +85,25 @@ def _read_json(where, raw: bytes | None = None, build=None):
         raise DataError(f"{where}: invalid content: {type(exc).__name__}: {exc}") from exc
 
 
+def _with_pois(encodings: Encodings, table: dict) -> Encodings:
+    """``encodings`` with the catalogue of a ``pois.json`` table, which
+    holds one entry per encoded POI, under its index and naming it."""
+    rows = [table[str(l)] for l in range(encodings.n_pois)]
+    ids = [encodings.ix_to_poi[l] for l in range(encodings.n_pois)]
+    if len(table) != len(rows) or [r["id"] for r in rows] != ids:
+        raise ValueError("the entries are not the encoded POIs, each under its index")
+    return encodings.with_catalogue([(r["lat"], r["lon"]) for r in rows],
+                                    [encodings.category(r["category"]) for r in rows])
+
+
 def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
     """Read a dataset directory; a file that is not valid JSON, or whose
     JSON has the wrong shape, raises ``DataError`` naming it (and the
     line, for ``sessions.jsonl``)."""
     data = Path(data_dir)
     encodings = _read_json(data / ENCODINGS_FILE, build=Encodings.from_dict)
-    pois = _read_json(data / POIS_FILE, build=lambda table: {
-        int(ix): Poi(rec["id"], rec["lat"], rec["lon"], rec["category"])
-        for ix, rec in table.items()
-    })
+    encodings = _read_json(data / POIS_FILE, build=lambda table: _with_pois(encodings, table))
+    pois = dict(enumerate(encodings.pois()))
 
     def session(obj) -> Session:
         visits = tuple(

@@ -16,7 +16,7 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .types import CheckinRecord, DataError, SocialGraph
+from .types import CheckinRecord, DataError
 
 # canonical field -> acceptable source column names, in priority order
 FORMATS = {
@@ -43,8 +43,19 @@ FORMATS = {
 
 @dataclass
 class ParseResult:
-    records: list
-    dropped: int
+    records: list  # check-in records, or friendship edges
+    dropped: int  # malformed rows skipped
+
+
+def _lines(path, what: str):
+    """The lines of a UTF-8 file, for ``csv``; ``DataError`` if it cannot be read."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file {path} is not UTF-8: {exc}") from exc
 
 
 def _parse_timestamp(raw: str) -> int:
@@ -65,46 +76,40 @@ def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(FORMATS)}")
     columns = FORMATS[fmt]
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read check-in file {path}: {exc}") from exc
-
     records = []
     dropped = 0
     total = 0
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, header row required")
-        header = {name.strip().lower() for name in reader.fieldnames}
-        mapping = {}
-        for field, candidates in columns.items():
-            found = next((c for c in candidates if c in header), None)
-            if found is None and field not in ("city",):
-                raise DataError(
-                    f"{path}: missing required column for {field!r} "
-                    f"(expected one of {candidates})"
-                )
-            mapping[field] = found
-        for row in reader:
-            total += 1
-            row = {k.strip().lower(): (v or "").strip() for k, v in row.items() if k}
-            try:
-                city = row.get(mapping["city"]) if mapping["city"] else None
-                record = CheckinRecord(
-                    user_id=row[mapping["user"]],
-                    poi_id=row[mapping["poi"]],
-                    timestamp=_parse_timestamp(row[mapping["time"]]),
-                    lat=float(row[mapping["lat"]]),
-                    lon=float(row[mapping["lon"]]),
-                    category=row[mapping["category"]],
-                    city=city or None,
-                )
-            except (KeyError, ValueError, DataError):
-                dropped += 1
-                continue
-            records.append(record)
+    reader = csv.DictReader(_lines(path, "check-in"))
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: empty file, header row required")
+    header = {name.strip().lower() for name in reader.fieldnames}
+    mapping = {}
+    for field, candidates in columns.items():
+        found = next((c for c in candidates if c in header), None)
+        if found is None and field not in ("city",):
+            raise DataError(
+                f"{path}: missing required column for {field!r} "
+                f"(expected one of {candidates})"
+            )
+        mapping[field] = found
+    for row in reader:
+        total += 1
+        row = {k.strip().lower(): (v or "").strip() for k, v in row.items() if k}
+        try:
+            city = row.get(mapping["city"]) if mapping["city"] else None
+            record = CheckinRecord(
+                user_id=row[mapping["user"]],
+                poi_id=row[mapping["poi"]],
+                timestamp=_parse_timestamp(row[mapping["time"]]),
+                lat=float(row[mapping["lat"]]),
+                lon=float(row[mapping["lon"]]),
+                category=row[mapping["category"]],
+                city=city or None,
+            )
+        except (KeyError, ValueError, DataError):
+            dropped += 1
+            continue
+        records.append(record)
 
     if total > 0 and dropped > total / 2:
         raise DataError(
@@ -115,22 +120,17 @@ def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
     return ParseResult(records=records, dropped=dropped)
 
 
-def parse_friendships(path) -> SocialGraph:
-    """Parse a friendship edge list CSV ``userid1,userid2`` (header row)."""
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read friendship file {path}: {exc}") from exc
-    edges = []
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return SocialGraph()
-        for row in reader:
-            if len(row) < 2:
-                continue
-            a, b = row[0].strip(), row[1].strip()
-            if a and b:
-                edges.append((a, b))
-    return SocialGraph(edges)
+def parse_friendships(path) -> ParseResult:
+    """Parse a friendship edge list CSV ``userid1,userid2`` (header row)
+    into (a, b) edges; blank lines are skipped, and rows without two
+    non-empty fields are dropped and counted."""
+    edges, dropped = [], 0
+    reader = csv.reader(_lines(path, "friendship"))
+    next(reader, None)  # header
+    for row in reader:
+        a, b = (row + ["", ""])[:2]
+        if a.strip() and b.strip():
+            edges.append((a.strip(), b.strip()))
+        elif row:
+            dropped += 1
+    return ParseResult(records=edges, dropped=dropped)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 
 class DataError(ValueError):
     """Raised when input data violates a structural requirement."""
@@ -95,13 +97,17 @@ class Session:
 
 
 class Encodings:
-    """Bijective label encodings for POIs, categories and users.
+    """Bijective label encodings for POIs, categories and users, and the
+    POI catalogue: ``poi_coords`` (n_pois, 2) lat, lon and ``poi_cat``
+    (n_pois,) category indices.
 
     Dense indices run 0..n-1 in first-seen order of the fit input, so a
-    round trip through ``save``/``load`` is stable.
+    round trip through ``save``/``load`` is stable. ``to_dict`` holds the
+    label maps only: ``from_dict`` gives encodings without a catalogue.
     """
 
-    def __init__(self, poi_to_ix: dict, cat_to_ix: dict, user_to_ix: dict):
+    def __init__(self, poi_to_ix: dict, cat_to_ix: dict, user_to_ix: dict,
+                 poi_coords=None, poi_cat=None):
         self.poi_to_ix = dict(poi_to_ix)
         self.cat_to_ix = dict(cat_to_ix)
         self.user_to_ix = dict(user_to_ix)
@@ -114,18 +120,44 @@ class Encodings:
             raise DataError("category encoding is not bijective")
         if len(self.ix_to_user) != len(self.user_to_ix):
             raise DataError("user encoding is not bijective")
+        self.poi_coords = self.poi_cat = None
+        if poi_coords is not None:
+            coords, cats = np.array(poi_coords, dtype=float), np.asarray(poi_cat)
+            n, n_cats = self.n_pois, self.n_categories
+            if coords.shape != (n, 2) or cats.shape != (n,):
+                raise DataError(f"POI catalogue of shapes {coords.shape} and "
+                                f"{cats.shape} for {n} POIs")
+            if not np.isfinite(coords).all():
+                raise DataError("poi_coords: holds a value that is not a finite number")
+            if n and (cats.dtype.kind != "i" or not 0 <= cats.min() <= cats.max() < n_cats):
+                raise DataError(f"poi_cat: holds a value that is not an index below {n_cats}")
+            self.poi_coords, self.poi_cat = coords, cats.astype(np.int64)
+
+    def with_catalogue(self, poi_coords, poi_cat) -> "Encodings":
+        """These label maps with the catalogue ``poi_coords``, ``poi_cat``."""
+        return Encodings(self.poi_to_ix, self.cat_to_ix, self.user_to_ix,
+                         poi_coords, poi_cat)
 
     @classmethod
     def fit(cls, sessions: Iterable[Session]) -> "Encodings":
-        pois: dict = {}
-        cats: dict = {}
-        users: dict = {}
+        """Encodings of every POI, category and user in ``sessions``; a
+        POI's catalogue entry is its first visit's."""
+        pois, cats, users, coords, poi_cat = {}, {}, {}, [], []
         for session in sessions:
             users.setdefault(session.user_id, len(users))
             for visit in session.visits:
-                pois.setdefault(visit.poi.poi_id, len(pois))
-                cats.setdefault(visit.poi.category, len(cats))
-        return cls(pois, cats, users)
+                poi = visit.poi
+                cats.setdefault(poi.category, len(cats))
+                if poi.poi_id not in pois:
+                    pois[poi.poi_id] = len(pois)
+                    coords.append((poi.lat, poi.lon))
+                    poi_cat.append(cats[poi.category])
+        return cls(pois, cats, users, np.reshape(coords, (-1, 2)), poi_cat)
+
+    def pois(self) -> list:
+        """The catalogue as one ``Poi`` per encoded index."""
+        rows = enumerate(zip(self.poi_coords.tolist(), self.poi_cat.tolist()))
+        return [Poi(self.ix_to_poi[l], *where, self.ix_to_cat[c]) for l, (where, c) in rows]
 
     @property
     def n_pois(self) -> int:
@@ -169,6 +201,7 @@ class Encodings:
         return cls(d["pois"], d["categories"], d["users"])
 
     def __eq__(self, other) -> bool:
+        """Equal label maps; the catalogue is not compared."""
         return (
             isinstance(other, Encodings)
             and self.poi_to_ix == other.poi_to_ix

@@ -111,14 +111,6 @@ def temporal_popularity(sessions: Sequence[Session], encodings: Encodings) -> np
     return counts
 
 
-def _step_km(session: Session) -> list:
-    """Distance in km between each pair of consecutive visits."""
-    return [
-        haversine_km(a.poi.lat, a.poi.lon, b.poi.lat, b.poi.lon)
-        for a, b in zip(session.visits, session.visits[1:])
-    ]
-
-
 def _float(value):
     """A 0-d result as a Python float; arrays pass through."""
     return float(value) if np.ndim(value) == 0 else value
@@ -274,8 +266,9 @@ class FeatureTables:
         self.n_users = encodings.n_users
         self.stay: StayStats | None = None
         self.popularity: np.ndarray | None = None
-        self.poi_coords: np.ndarray | None = None
-        self.poi_cat: np.ndarray | None = None
+        # the catalogue of ``encodings``: every POI's (lat, lon) and category
+        self.poi_coords: np.ndarray | None = encodings.poi_coords
+        self.poi_cat: np.ndarray | None = encodings.poi_cat
         self.ast_poi: np.ndarray | None = None
         self.astcat_hour: np.ndarray | None = None  # (n_categories, 24)
         self._friends: list = []  # per user, ascending
@@ -317,26 +310,21 @@ class FeatureTables:
         encodings = encodings or Encodings.fit(sessions)
         if not encodings.n_pois:
             raise DataError("no POIs to build feature tables from: no session has a visit")
+        if encodings.poi_coords is None:
+            raise DataError("the encodings carry no POI catalogue to build tables on")
         graph = graph or SocialGraph()
         tables = cls(encodings)
         tables.stay = compute_stay_stats(sessions, encodings)
         tables.popularity = temporal_popularity(sessions, encodings)
 
         n_users, n_pois = encodings.n_users, encodings.n_pois
-        coords = np.zeros((n_pois, 2))
-        cats = np.zeros(n_pois, dtype=np.int64)
         users, pois, hours = [], [], []
         for session in sessions:
             u = encodings.user(session.user_id)
             for visit in session.visits:
-                l = encodings.poi(visit.poi.poi_id)
-                coords[l] = (visit.poi.lat, visit.poi.lon)
-                cats[l] = encodings.category(visit.poi.category)
                 users.append(u)
-                pois.append(l)
+                pois.append(encodings.poi(visit.poi.poi_id))
                 hours.append(visit.hour)
-        tables.poi_coords = coords
-        tables.poi_cat = cats
         tables._friends = [
             sorted(encodings.user(f) for f in graph.friends(encodings.ix_to_user[u])
                    if f in encodings.user_to_ix)
@@ -353,7 +341,7 @@ class FeatureTables:
         tables.ast_poi = _ordered_mean(tables._stats.ast, order, n_users)
         tables._build_astcat_hour(order, entries)
         tables._build_beta()
-        step_km = [_step_km(session) for session in sessions]
+        step_km = [tables._step_km(session) for session in sessions]
         tables._build_distance_bounds(sessions, step_km)
         tables._build_session_features(sessions, step_km)
         return tables
@@ -624,7 +612,13 @@ class FeatureTables:
     def feature_vector(self, session: Session) -> np.ndarray:
         """Whole-sequence features: start/end category and place codes,
         mean consecutive distance, start/end hours."""
-        return self._feature_vector(session, _step_km(session))
+        return self._feature_vector(session, self._step_km(session))
+
+    def _step_km(self, session: Session) -> list:
+        """Distance in km between each pair of consecutive visits."""
+        pois = [self.encodings.poi(visit.poi.poi_id) for visit in session.visits]
+        ends = self.poi_coords[pois].tolist()
+        return [haversine_km(*a, *b) for a, b in zip(ends, ends[1:])]
 
     def _feature_vector(self, session: Session, dists: list) -> np.ndarray:
         first, last = session.visits[0], session.visits[-1]
@@ -760,7 +754,8 @@ class FeatureTables:
     def _from_dict(cls, d: dict) -> "FeatureTables":
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        encodings = Encodings.from_dict(d["encodings"])
+        encodings = Encodings.from_dict(d["encodings"]).with_catalogue(
+            d["poi_coords"], d["poi_cat"])
         n_users, n_pois = encodings.n_users, encodings.n_pois
         n_cats = encodings.n_categories
         tables = cls(encodings)
@@ -775,12 +770,6 @@ class FeatureTables:
             _number(stay["global_norm"], "stay global_norm"),
         )
         tables.popularity = _array(d["popularity"], (n_pois, HOURS), "popularity")
-        tables.poi_coords = _array(d["poi_coords"], (n_pois, 2), "poi_coords")
-        tables.poi_cat = np.array(
-            [_index(c, n_cats, "poi_cat") for c in d["poi_cat"]], dtype=np.int64
-        )
-        if len(tables.poi_cat) != n_pois:
-            raise ValueError(f"poi_cat: {len(tables.poi_cat)} entries, expected {n_pois}")
         tables.ast_poi = _array(d["ast_poi"], (n_pois,), "ast_poi")
         tables.astcat_hour = _array(d["astcat_hour"], (n_cats, HOURS), "astcat_hour")
         tables._friends = [[] for _ in range(n_users)]

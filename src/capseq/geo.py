@@ -5,8 +5,6 @@ All distances are kilometres on a spherical earth (R = 6371 km).
 
 from math import asin, cos, radians, sin, sqrt
 
-import numpy as np
-
 EARTH_RADIUS_KM = 6371.0
 
 # Default walking speed used by the deterministic travel-time model.
@@ -21,11 +19,3 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     a = sin(dlat / 2.0) ** 2 + cos(lat1) * cos(lat2) * sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * asin(sqrt(a))
 
-
-def haversine_km_vec(lats1, lons1, lats2, lons2):
-    """Vectorised haversine over numpy arrays, km."""
-    lats1, lons1, lats2, lons2 = map(np.radians, (lats1, lons1, lats2, lons2))
-    dlat = lats2 - lats1
-    dlon = lons2 - lons1
-    a = np.sin(dlat / 2.0) ** 2 + np.cos(lats1) * np.cos(lats2) * np.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))

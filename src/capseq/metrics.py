@@ -165,28 +165,16 @@ def assign_folds(
     return fold_of, evaluated
 
 
-def poi_geography(sessions: Sequence[Session], encodings: Encodings):
-    """Ground-truth (coords, category) per encoded POI over the whole
-    corpus; metrics use these regardless of what a training fold saw."""
-    coords = np.zeros((encodings.n_pois, 2))
-    cats = np.zeros(encodings.n_pois, dtype=np.int64)
-    for session in sessions:
-        for visit in session.visits:
-            ix = encodings.poi(visit.poi.poi_id)
-            coords[ix] = (visit.poi.lat, visit.poi.lon)
-            cats[ix] = encodings.category(visit.poi.category)
-    return coords, cats
-
-
-def _evaluate(model, i, session, length, geography, encodings, seed, candidates):
+def _evaluate(model, i, session, length, encodings, seed, candidates):
     """Generate ``length`` stops from held-out session ``i``'s first POI
     and hour, and score them against the session: the METRICS values.
 
     A trip shorter than the session is scored as it stands: pairs-F1
     precision over its own pairs, recall over the session's, and
-    displacement over the common prefix.
+    displacement over the common prefix. Coordinates and categories are
+    the catalogue's, whatever the training split saw.
     """
-    coords, cats_of = geography
+    coords, cats_of = encodings.poi_coords, encodings.poi_cat
     actual = [encodings.poi(v.poi.poi_id) for v in session.visits]
     request = GenRequest(
         user=encodings.user(session.user_id),
@@ -224,7 +212,6 @@ def cross_validate(
     if max(Counter(s.user_id for s in sessions).values(), default=0) < folds:
         raise DataError(f"no user has at least {folds} sessions to evaluate")
     fold_of, _ = assign_folds(sessions, folds, seed)
-    geography = poi_geography(sessions, encodings)
 
     result = EvalResult()
     per_model_fold_rows: dict[str, list] = {name: [] for name in models}
@@ -241,7 +228,7 @@ def cross_validate(
         for name, prototype in models.items():
             started = time.perf_counter()
             model = prototype.clone_unfitted().fit(train, tables)
-            context = (geography, encodings, seed, candidates)
+            context = (encodings, seed, candidates)
             rows = [_evaluate(model, i, s, len(s), *context) for i, s in held]
             elapsed = time.perf_counter() - started
             means = np.asarray(rows).mean(axis=0) if rows else np.zeros(len(METRICS))

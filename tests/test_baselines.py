@@ -8,7 +8,7 @@ import pytest
 from capseq.data.types import Encodings, Poi, Session, SocialGraph, Visit
 from capseq.features import FeatureTables
 from capseq.generation import GenRequest, top_k
-from capseq.geo import WALK_SPEED_KMH
+from capseq.geo import WALK_SPEED_KMH, haversine_km
 from capseq.baselines import (
     AprioriRecommender,
     HitsRecommender,
@@ -29,27 +29,32 @@ def line_coords(n, spacing_km=1.0, lat0=40.0, lon=-74.0):
     return np.array([[lat0 + i * spacing_km / 111.19, lon] for i in range(n)])
 
 
+def km_from(coords, ix):
+    """The km from POI ``ix`` to every POI: its row of the distance matrix."""
+    return np.array([haversine_km(*coords[ix], *to) for to in coords])
+
+
 class TestPopularityNext:
     def test_most_visited_within_radius(self):
         coords = line_coords(3, spacing_km=0.5)
         counts = np.array([1.0, 5.0, 9.0])
-        assert popularity_next(counts, coords, 0, exclusions={0}) == 2
+        assert popularity_next(counts, km_from(coords, 0), exclusions={0}) == 2
 
     def test_excluded_best_falls_to_second(self):
         coords = line_coords(3, spacing_km=0.5)
         counts = np.array([1.0, 5.0, 9.0])
-        assert popularity_next(counts, coords, 0, exclusions={0, 2}) == 1
+        assert popularity_next(counts, km_from(coords, 0), exclusions={0, 2}) == 1
 
     def test_radius_grows_geometrically(self):
         # nearest eligible POI at 5 km; 2 -> 3 -> 4.5 -> 6.75 finds it
         coords = np.array([[40.0, -74.0], [40.0 + 5.0 / 111.19, -74.0]])
         counts = np.array([3.0, 1.0])
-        assert popularity_next(counts, coords, 0, exclusions={0}) == 1
+        assert popularity_next(counts, km_from(coords, 0), exclusions={0}) == 1
 
     def test_everything_excluded_errors(self):
         coords = line_coords(2)
         with pytest.raises(LookupError):
-            popularity_next(np.ones(2), coords, 0, exclusions={0, 1})
+            popularity_next(np.ones(2), km_from(coords, 0), exclusions={0, 1})
 
 
 def toy_sessions_for_markov():

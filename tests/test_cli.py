@@ -234,6 +234,14 @@ def _nan_coordinate(tables):
     tables["poi_coords"][0][0] = float("nan")
 
 
+def _without_last_poi(raw: bytes) -> bytes:
+    pois = json.loads(raw)
+    del pois[str(len(pois) - 1)]
+    return json.dumps(pois).encode("utf-8")
+
+
+CHECKINS = ("userid,placeid,datetime,lat,lon,city,category\n"
+            "u1,p1,1330905600,40.0,-74.0,,Food\n")
 GENERATE = ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "u0000"]
 GENERATE_TABLES = GENERATE + ["--tables", "{tmp}/tables.json"]
 TRAIN_TABLES = ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"]
@@ -243,7 +251,8 @@ TRAIN_TABLES = ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"
 # tables to {tmp}/tables.json and the trained checkpoint to {tmp}/m.ckpt; a
 # file given as text replaces its copy, one given as a function of its
 # copy's bytes edits it. The test adds --out-dir, and --data-dir with the
-# pipeline dataset unless the arguments name one.
+# pipeline dataset unless the arguments name one or run ingest, which
+# takes none.
 BAD_INPUTS = {
     "corrupt-tables-json": (
         {"tables.json": '{"encodings": {"poi_to_ix'}, TRAIN_TABLES, 2),
@@ -294,6 +303,19 @@ BAD_INPUTS = {
     "sessions-line-a-list": (
         {"ds/sessions.jsonl": lambda raw: raw + b"[1]\n"},
         ["features", "--data-dir", "{tmp}/ds"], 2),
+    "pois-json-missing-a-poi": (
+        {"ds/pois.json": _without_last_poi}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "config-not-utf8": (
+        {"run.cfg": "seed = 3 \udcff\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
+    "checkins-not-utf8": (
+        {"c.csv": CHECKINS.replace("Food", "F\udcffood")},
+        ["ingest", "--checkins", "{tmp}/c.csv"], 2),
+    "friendships-not-utf8": (
+        {"c.csv": CHECKINS, "f.csv": "userid1,userid2\nu1,u\udcff2\n"},
+        ["ingest", "--checkins", "{tmp}/c.csv", "--friends", "{tmp}/f.csv"], 2),
+    "ingest-negative-min-checkins": (
+        {"c.csv": CHECKINS},
+        ["ingest", "--checkins", "{tmp}/c.csv", "--min-checkins", "-5"], 1),
     "dataset-without-pois": (
         {"ds/encodings.json": '{"pois": {}, "categories": {}, "users": {}}',
          "ds/sessions.jsonl": ""},
@@ -345,7 +367,7 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
         else:
             path.write_text(content, encoding="utf-8", errors="surrogateescape")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    if "--data-dir" not in argv:
+    if "--data-dir" not in argv and argv[0] != "ingest":
         argv[1:1] = ["--data-dir", str(data)]
     assert main(argv[:1] + ["--out-dir", str(tmp_path)] + argv[1:]) == code
     err = capsys.readouterr().err
@@ -355,16 +377,53 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
                               "not a feature tables file:"), err
 
 
+def _sweep_csv(length: str) -> str:
+    return ("# seed=7\nmodel,length,diversity,displacement_mean_km\n"
+            f"popularity,{length},0.5,1.0\n")
+
+
+# case -> sweep.csv text; None breaks a cell of eval_report.csv instead
+REPORT_BAD_INPUTS = {
+    "eval-cell-not-a-number": None,
+    "sweep-length-not-a-number": _sweep_csv("x"),
+    "sweep-not-utf8": _sweep_csv("2\udcff"),
+    "sweep-without-length-column": (
+        "model,diversity,displacement_mean_km\npopularity,0.5,1.0\n"),
+}
+
+
 def test_report_non_numeric_cell_is_data_error(tmp_path, capsys):
-    """``report`` takes no --data-dir, so it is not a BAD_INPUTS row."""
-    path = tmp_path / "eval_report.csv"
-    row = ["popularity", "0", "abc"] + ["0.5"] * (len(REPORT_COLUMNS) - 4) + ["3"]
-    lines = ["# seed=7", ",".join(REPORT_COLUMNS), ",".join(row)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert main(["report", "--eval-csv", str(path), "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1, err
-    assert err.startswith(f"data error: {path}: "), err
+    """Every row of REPORT_BAD_INPUTS exits 2 with one ``data error`` line;
+    ``report`` takes no --data-dir, so these are not BAD_INPUTS rows."""
+    row = ["popularity", "0", "0.5"] + ["0.5"] * (len(REPORT_COLUMNS) - 4) + ["3"]
+    good = "\n".join(["# seed=7", ",".join(REPORT_COLUMNS), ",".join(row)]) + "\n"
+    for case, sweep in REPORT_BAD_INPUTS.items():
+        path = tmp_path / f"{case}.csv"
+        argv = ["report", "--eval-csv", str(path), "--out-dir", str(tmp_path)]
+        if sweep is None:
+            path.write_text(good.replace(",0.5,", ",abc,", 1), encoding="utf-8")
+        else:
+            path.write_text(good, encoding="utf-8")
+            path = tmp_path / f"{case}-sweep.csv"
+            path.write_text(sweep, encoding="utf-8", errors="surrogateescape")
+            argv += ["--sweep-csv", str(path)]
+        assert main(argv) == 2, case
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1, (case, err)
+        assert err.startswith("data error: "), (case, err)
+        if case != "sweep-without-length-column":  # a KeyError names the column
+            assert err.startswith(f"data error: {path}: "), (case, err)
+
+
+def test_ingest_reports_dropped_friendship_rows(pipeline_dirs, tmp_path, capsys):
+    root, raw, data = pipeline_dirs
+    friends = tmp_path / "f.csv"
+    friends.write_text("userid1,userid2\nu0000,u0001\nu0002\n\n,u0003\n",
+                       encoding="utf-8")
+    assert main(["ingest", "--checkins", str(raw / "checkins.csv"),
+                 "--friends", str(friends), "--min-checkins", "10",
+                 "--out-dir", str(tmp_path / "ds")]) == 0
+    assert "ingest: dropped 2 malformed friendship rows" in capsys.readouterr().err
 
 
 def test_generate_start_hour_takes_any_float(bad_input_sources, tmp_path, capsys):

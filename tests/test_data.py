@@ -132,11 +132,20 @@ class TestParse:
     def test_friendship_graph_symmetric_no_self_loops(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("userid1,userid2\nu1,u2\nu2,u1\nu3,u3\n", encoding="utf-8")
-        graph = parse_friendships(path)
+        result = parse_friendships(path)
+        assert result.dropped == 0
+        graph = SocialGraph(result.records)
         assert graph.friends("u1") == {"u2"}
         assert graph.friends("u2") == {"u1"}
         assert graph.friends("u3") == frozenset()
         assert graph.n_edges() == 1
+
+    def test_friendship_rows_without_two_fields_dropped_and_counted(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("userid1,userid2\nu1,u2\nu3\n\nu4, \n,u5\n", encoding="utf-8")
+        result = parse_friendships(path)
+        assert result.records == [("u1", "u2")]
+        assert result.dropped == 3
 
 
 def rec(user, poi, ts, lat=40.0, lon=-74.0, cat="Food"):
@@ -271,6 +280,42 @@ class TestEncodings:
             json.loads(json.dumps(encodings.to_dict()))
         )
         assert restored == encodings
+
+    def test_fit_catalogues_every_poi_at_its_first_visit(self, tiny_world):
+        sessions, _, encodings = tiny_world
+        first = {}
+        for s in sessions:
+            for v in s.visits:
+                first.setdefault(v.poi.poi_id, v.poi)
+        assert encodings.pois() == [first[encodings.ix_to_poi[l]]
+                                    for l in range(encodings.n_pois)]
+        assert encodings.poi_coords.shape == (encodings.n_pois, 2)
+        assert encodings.poi_cat.dtype == np.int64
+
+    def test_catalogue_survives_save_and_load(self, tmp_path):
+        records, graph = synth_dataset(seed=7, n_users=6, n_pois=40, days=5)
+        sessions = build_sessions(records)
+        encodings = Encodings.fit(sessions)
+        dataio.save_dataset(tmp_path, sessions, encodings, graph)
+        _, loaded, _ = dataio.load_dataset(tmp_path)
+        np.testing.assert_array_equal(loaded.poi_coords, encodings.poi_coords)
+        np.testing.assert_array_equal(loaded.poi_cat, encodings.poi_cat)
+        assert loaded.pois() == encodings.pois()
+
+    @pytest.mark.parametrize("case", ["short", "nan", "category-past-end", "float-category"])
+    def test_rejects_a_bad_catalogue(self, tiny_world, case):
+        _, _, encodings = tiny_world
+        coords, cats = encodings.poi_coords.copy(), encodings.poi_cat.tolist()
+        if case == "short":
+            coords = coords[:-1]
+        elif case == "nan":
+            coords[1, 0] = np.nan
+        elif case == "category-past-end":
+            cats[0] = encodings.n_categories
+        else:
+            cats[0] = 0.5
+        with pytest.raises(DataError):
+            encodings.with_catalogue(coords, cats)
 
     def test_closed_world(self, tiny_world):
         _, _, encodings = tiny_world

@@ -7,7 +7,7 @@ import pytest
 
 import naive_reference as naive
 from conftest import make_visit
-from capseq.data.types import Encodings, Poi, Session, SocialGraph, Visit
+from capseq.data.types import DataError, Encodings, Poi, Session, SocialGraph, Visit
 from capseq.features import (
     ATTRIBUTE_DIM,
     FEATURE_DIM,
@@ -278,6 +278,7 @@ class TestInvariants:
         shuffled = Encodings(
             encodings.poi_to_ix, encodings.cat_to_ix,
             dict(reversed(list(encodings.user_to_ix.items()))),
+            encodings.poi_coords, encodings.poi_cat,
         )
         a = FeatureTables.build(sessions, graph, encodings).to_dict()
         b = FeatureTables.build(sessions, graph, shuffled).to_dict()
@@ -472,6 +473,24 @@ class TestBuild:
     def test_rejects_a_corpus_without_pois(self):
         with pytest.raises(ValueError, match="no POIs"):
             FeatureTables.build([])
+
+    def test_poi_seen_only_in_held_out_sessions_keeps_its_geography(self, tiny_world):
+        """Coordinates and categories come from the encodings' catalogue,
+        not from the sessions the tables are built on."""
+        sessions, graph, encodings = tiny_world
+        train = [s for s in sessions
+                 if all(v.poi.poi_id != "p3" for v in s.visits)]
+        tables = FeatureTables.build(train, graph, encodings)
+        p3 = encodings.poi("p3")
+        [poi] = {v.poi for s in sessions for v in s.visits if v.poi.poi_id == "p3"}
+        assert tables.poi_coords[p3].tolist() == [poi.lat, poi.lon]
+        assert tables.poi_cat[p3] == encodings.category("Park")
+        assert tables.distance_km(encodings.poi("p2"), p3) == pytest.approx(1.0, abs=0.01)
+
+    def test_rejects_encodings_without_a_catalogue(self, tiny_world):
+        sessions, graph, encodings = tiny_world
+        with pytest.raises(DataError, match="catalogue"):
+            FeatureTables.build(sessions, graph, Encodings.from_dict(encodings.to_dict()))
 
     def test_computes_each_step_distance_once(self, synth_small, monkeypatch):
         """One scalar haversine call per consecutive visit pair, session

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from capseq.baselines import HitsRecommender
 from capseq.data import Encodings, SocialGraph, build_sessions, synth_dataset
 from capseq.generation import GeneratedSequence
 from capseq.geo import haversine_km
@@ -259,6 +260,22 @@ class TestCrossValidate:
         assert "diversity_raw" in raw
         text = text_tables(result)
         assert "Pairs-F1" in text and "oracle" in text
+
+    def test_hits_regions_see_pois_unseen_in_training(self):
+        """Fold training splits of this corpus leave POIs unvisited; HITS
+        still clusters them at their own coordinates, so no region is
+        empty and nothing warns (pytest runs with UserWarning as an error)."""
+        records, graph = synth_dataset(seed=7000, n_users=4, n_pois=120, days=7)
+        sessions = build_sessions(records)
+        encodings = Encodings.fit(sessions)
+        fold_of, _ = assign_folds(sessions, 5, 7)
+        seen = [{v.poi.poi_id for i, s in enumerate(sessions) if fold_of[i] != fold
+                 for v in s.visits} for fold in range(5)]
+        assert min(map(len, seen)) < encodings.n_pois
+        result = cross_validate(
+            sessions, graph, encodings, {"hits": HitsRecommender()}, folds=5, seed=7
+        )
+        assert result.aggregate("hits").sessions > 0
 
 
 class ScriptedTrips(SequenceRecommender):
