@@ -6,7 +6,7 @@ from .hits import (
     hits_fit,
     power_iterate,
 )
-from .markov import MarkovModel, MarkovRecommender, markov_fit, markov_generate
+from .markov import MarkovModel, MarkovRecommender, markov_fit, markov_walks
 from .popularity import PopularityRecommender, popularity_next
 
 __all__ = [
@@ -19,7 +19,7 @@ __all__ = [
     "cluster_regions",
     "hits_fit",
     "markov_fit",
-    "markov_generate",
+    "markov_walks",
     "popularity_next",
     "power_iterate",
 ]

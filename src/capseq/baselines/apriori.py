@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..generation import GenRequest, GeneratedSequence
-from ..geo import WALK_SPEED_KMH
+from ..generation import GenRequest, GeneratedSequence, next_hour
+from ..geo import travel_seconds
 from ..features import HOURS, FeatureTables
 from ..models.base import SequenceRecommender
 
@@ -64,7 +64,7 @@ def neighbour_lists(tables: FeatureTables, epsilon_km: float) -> list:
     # row-major, so each POI's entries come out together and ascending
     last, nxt = np.nonzero(~(km > epsilon_km) & (pois[:, None] != pois))
     km = km[last, nxt]
-    entries = zip(nxt.tolist(), km.tolist(), (km / WALK_SPEED_KMH * 3600.0).tolist(),
+    entries = zip(nxt.tolist(), km.tolist(), travel_seconds(km).tolist(),
                   tables.discount(nxt, last).tolist())
     out = [[] for _ in pois]
     for row, entry in zip(last.tolist(), entries):
@@ -100,7 +100,7 @@ def apriori_search(
             elapsed = trip.elapsed + travel + stay[nxt]
             if elapsed > budget:
                 continue
-            new_hour = (hour + (stay[last] + travel) / 3600.0) % HOURS
+            new_hour = next_hour(hour, stay[last], travel)
             ps = preferences[nxt][int(new_hour)]
             out.append(
                 _Trip(
@@ -113,12 +113,13 @@ def apriori_search(
             )
         return out
 
+    hour = float(start_hour) % HOURS
     seed_trip = _Trip(
         pois=(start,),
-        hours=(float(start_hour) % HOURS,),
+        hours=(hour,),
         elapsed=stay[start],
         travel=0.0,
-        score=tables.preference(user, start, int(start_hour)),
+        score=tables.preference(user, start, int(hour)),
     )
     level = [seed_trip]
     completed: list[_Trip] = []

@@ -194,12 +194,10 @@ class HitsRecommender(SequenceRecommender):
             ]
             pool = [tuple(pois)]
         scores = [sequence_score(model, pois) for pois in pool]
+        top = top_k(scores, request.k)
+        # every window has request.length stops: one read for all of them
+        hours = advance_hours(self.tables_, [pool[i] for i in top], request.start_hour)
         return [
-            GeneratedSequence(
-                pois=list(pool[i]),
-                step_probs=[],
-                score=scores[i],
-                hours=advance_hours(self.tables_, pool[i], request.start_hour),
-            )
-            for i in top_k(scores, request.k)
+            GeneratedSequence(pois=list(pool[i]), step_probs=[], score=scores[i], hours=h)
+            for i, h in zip(top, hours)
         ]

@@ -16,6 +16,7 @@ from ..generation import (
     GenRequest,
     GeneratedSequence,
     advance_hours,
+    sample_rows,
     score_sequence,
     top_k,
 )
@@ -89,24 +90,20 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
     return MarkovModel(chains)
 
 
-def markov_generate(
-    model: MarkovModel,
-    user: int | None,
-    start: int,
-    length: int,
-    rng: np.random.Generator,
-) -> list:
-    """Sample a POI sequence from the user's chain starting at ``start``."""
+def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
+                 rngs) -> list:
+    """One POI walk per RNG stream from ``start`` on the user's chain, all
+    of them stepping as one batch; row ``b`` draws from ``rngs[b]`` alone."""
     chain = model.chain_for(user, start)
-    seq = [start]
-    current = chain.index.get(start)
-    if current is None:
-        # start unseen even in the population chain: draw from initials
-        current = int(rng.choice(len(chain.alphabet), p=chain.initial))
+    walks = [[start] for _ in rngs]
+    current = np.full(len(rngs), chain.index.get(start, -1))
+    if start not in chain.index:  # unseen even in the population chain: draw from initials
+        current = sample_rows(np.tile(chain.initial, (len(rngs), 1)), rngs)
     for _ in range(length - 1):
-        current = int(rng.choice(len(chain.alphabet), p=chain.transition[current]))
-        seq.append(chain.alphabet[current])
-    return seq
+        current = sample_rows(chain.transition[current], rngs)
+        for walk, state in zip(walks, current.tolist()):
+            walk.append(chain.alphabet[state])
+    return walks
 
 
 class MarkovRecommender(SequenceRecommender):
@@ -125,11 +122,10 @@ class MarkovRecommender(SequenceRecommender):
     def generate(self, request: GenRequest, seed: int = 0):
         self._check_fitted("model_", "tables_")
         tables = self.tables_
-        walks = [
-            markov_generate(self.model_, request.user, request.start_poi,
-                            request.length, np.random.default_rng([seed, cand]))
-            for cand in range(request.candidates)
-        ]
+        walks = markov_walks(
+            self.model_, request.user, request.start_poi, request.length,
+            [np.random.default_rng([seed, cand]) for cand in range(request.candidates)],
+        )
         # every walk has request.length stops: one read for all of them
         hours = advance_hours(tables, walks, request.start_hour)
         scored = [

@@ -81,7 +81,7 @@ class PopularityRecommender(SequenceRecommender):
             exclusions.add(nxt)
             current = nxt
             pois.append(nxt)
-        hours = advance_hours(tables, pois, request.start_hour)
+        hours = advance_hours(tables, [pois], request.start_hour)[0]
         seq = GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=hours)
-        seq.score = score_sequence(seq, request.user, tables)
+        seq.score = score_sequence([seq], request.user, tables)[0]
         return [seq]

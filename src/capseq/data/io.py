@@ -108,7 +108,7 @@ def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
     def session(obj) -> Session:
         visits = tuple(
             Visit(pois[p], a, d)
-            for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"])
+            for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"], strict=True)
         )
         return Session(encodings.ix_to_user[obj["user"]], visits)
 

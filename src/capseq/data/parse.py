@@ -47,15 +47,17 @@ class ParseResult:
     dropped: int  # malformed rows skipped
 
 
-def _lines(path, what: str):
-    """The lines of a UTF-8 file, for ``csv``; ``DataError`` if it cannot be read."""
+def _rows(path, what: str):
+    """The rows of a UTF-8 CSV file; ``DataError`` if it cannot be read or split."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            yield from fh
+            yield from csv.reader(fh)
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} file {path} is not UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise DataError(f"{what} file {path}: {exc}") from exc
 
 
 def _parse_timestamp(raw: str) -> int:
@@ -79,22 +81,26 @@ def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
     records = []
     dropped = 0
     total = 0
-    reader = csv.DictReader(_lines(path, "check-in"))
-    if reader.fieldnames is None:
+    rows = _rows(path, "check-in")
+    names = next(rows, None)
+    if names is None:
         raise DataError(f"{path}: empty file, header row required")
-    header = {name.strip().lower() for name in reader.fieldnames}
+    names = [name.strip().lower() for name in names]
     mapping = {}
     for field, candidates in columns.items():
-        found = next((c for c in candidates if c in header), None)
+        found = next((c for c in candidates if c in names), None)
         if found is None and field not in ("city",):
             raise DataError(
                 f"{path}: missing required column for {field!r} "
                 f"(expected one of {candidates})"
             )
         mapping[field] = found
-    for row in reader:
+    for values in rows:
+        if not values:
+            continue  # blank line
         total += 1
-        row = {k.strip().lower(): (v or "").strip() for k, v in row.items() if k}
+        # a short row lacks its last fields, and drops if one is mandatory
+        row = {k: v.strip() for k, v in zip(names, values) if k}
         try:
             city = row.get(mapping["city"]) if mapping["city"] else None
             record = CheckinRecord(
@@ -125,9 +131,9 @@ def parse_friendships(path) -> ParseResult:
     into (a, b) edges; blank lines are skipped, and rows without two
     non-empty fields are dropped and counted."""
     edges, dropped = [], 0
-    reader = csv.reader(_lines(path, "friendship"))
-    next(reader, None)  # header
-    for row in reader:
+    rows = _rows(path, "friendship")
+    next(rows, None)  # header
+    for row in rows:
         a, b = (row + ["", ""])[:2]
         if a.strip() and b.strip():
             edges.append((a.strip(), b.strip()))

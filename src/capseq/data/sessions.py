@@ -14,7 +14,7 @@ import statistics
 from collections import defaultdict
 from typing import Iterable, Sequence
 
-from ..geo import WALK_SPEED_KMH, haversine_km
+from ..geo import haversine_km, travel_seconds
 from .types import CheckinRecord, Poi, Session, Visit
 
 SESSION_WINDOW_SECONDS = 8 * 3600
@@ -59,7 +59,7 @@ class TravelTimeModel:
     def seconds(self, a: Poi, b: Poi) -> float:
         dist = haversine_km(a.lat, a.lon, b.lat, b.lon)
         if self.mode == "deterministic" or self.log_mu is None:
-            return dist / WALK_SPEED_KMH * 3600.0
+            return travel_seconds(dist)
         return dist * math.exp(self.log_mu)
 
 

@@ -127,8 +127,9 @@ class Encodings:
             if coords.shape != (n, 2) or cats.shape != (n,):
                 raise DataError(f"POI catalogue of shapes {coords.shape} and "
                                 f"{cats.shape} for {n} POIs")
-            if not np.isfinite(coords).all():
-                raise DataError("poi_coords: holds a value that is not a finite number")
+            if not (np.abs(coords) <= [90.0, 180.0]).all():  # NaN fails too
+                raise DataError("poi_coords: holds a value that is not a finite number "
+                                "in [-90, 90] (lat) or [-180, 180] (lon)")
             if n and (cats.dtype.kind != "i" or not 0 <= cats.min() <= cats.max() < n_cats):
                 raise DataError(f"poi_cat: holds a value that is not an index below {n_cats}")
             self.poi_coords, self.poi_cat = coords, cats.astype(np.int64)

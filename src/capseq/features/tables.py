@@ -786,6 +786,8 @@ class FeatureTables:
                 cell = _index(l, n_pois, "POI") * HOURS + _index(t, HOURS, "hour")
                 keys.append(row * n_pois * HOURS + cell)
                 counts.append(_index(n, 1 << 53, "visit count"))
+                if counts[-1] == 0:  # to_dict writes visited cells only
+                    raise ValueError(f"visit count of cell {key} is 0")
         tables._set_counts(
             np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64)
         )

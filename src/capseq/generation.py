@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureTables, HOURS
-from .geo import WALK_SPEED_KMH
+from .geo import travel_seconds
 
 
 @dataclass
@@ -56,8 +56,8 @@ class GeneratedSequence:
 
 def sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
     """Draw one index per row of a (B, K) array of categorical weights;
-    row ``b`` draws from ``rngs[b]`` alone and gets the index that
-    ``rngs[b].choice(K, p=row / row.sum())`` would give."""
+    row ``b`` draws from ``rngs[b]`` alone and gets the index that the
+    ``choice`` of ``rngs[b]`` would give with ``p=row / row.sum()``."""
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     if len(rngs) != len(probs):
         raise ValueError(f"{len(probs)} rows of probabilities, {len(rngs)} streams")
@@ -79,23 +79,28 @@ def sample_next(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(sample_rows(np.reshape(probs, (1, -1)), [rng])[0])
 
 
+def next_hour(hour, stay_s, travel_s):
+    """The clock's one step: the hour of day after ``stay_s`` and ``travel_s``
+    seconds (floats or arrays). A sequence's hours start at its start hour
+    modulo ``HOURS``, and each later one is this step of the one before."""
+    return (hour + (stay_s + travel_s) / 3600.0) % HOURS
+
+
 def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
     """Roll out one candidate per RNG stream, all of them as one batch."""
+    clock = np.full(len(rngs), float(request.start_hour) % HOURS)
     seqs = [
         GeneratedSequence(pois=[request.start_poi], step_probs=[], score=0.0,
-                          hours=[float(request.start_hour) % HOURS])
-        for _ in rngs
+                          hours=[hour])
+        for hour in clock.tolist()
     ]
     rows = np.arange(len(seqs))
     state = net.init_state(len(seqs))
     feat = (
-        tables.expected_feature(
-            request.user, request.start_poi, int(request.start_hour)
-        )
+        tables.expected_feature(request.user, request.start_poi, int(clock[0]))
         / tables.feature_scale
     )
     feats = np.repeat(feat[None, :], len(seqs), axis=0)
-    clock = [float(request.start_hour)] * len(seqs)
     stay = tables.stay.mean_stay
     current = np.full(len(seqs), request.start_poi, dtype=np.int64)
     prev = [None] * len(seqs)
@@ -103,7 +108,7 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
     visited[:, request.start_poi] = True
     for _ in range(request.length - 1):
         attrs = tables.attribute_rows(
-            current, [int(hour) % HOURS for hour in clock], prev
+            current, clock.astype(np.int64) % HOURS, prev
         ) / tables.attribute_scale
         state, _, probs = net.forward_step(state, current, attrs, feats)
         p = probs
@@ -112,13 +117,9 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
             spent = p.sum(axis=1) <= 0
             p[spent] = probs[spent]  # everything visited: fall back to repeats
         nxt = sample_rows(p, rngs)
-        advance = (
-            stay[current] + tables.distance_km(current, nxt) / WALK_SPEED_KMH * 3600.0
-        )
-        clock = [
-            (hour + step / 3600.0) % HOURS for hour, step in zip(clock, advance.tolist())
-        ]
-        for seq, poi, prob, hour in zip(seqs, nxt.tolist(), probs[rows, nxt].tolist(), clock):
+        clock = next_hour(clock, stay[current], travel_seconds(tables.distance_km(current, nxt)))
+        for seq, poi, prob, hour in zip(seqs, nxt.tolist(), probs[rows, nxt].tolist(),
+                                        clock.tolist()):
             seq.pois.append(poi)
             seq.step_probs.append(prob)
             seq.hours.append(hour)
@@ -127,36 +128,25 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
     return seqs
 
 
-def advance_hours(tables: FeatureTables, pois, start_hour: float) -> list:
-    """Hour-of-day at each POI of a sequence, advancing by expected stay
-    plus travel time between consecutive stops. ``pois`` may also hold
-    one equally long sequence per row: then one read serves them all,
-    and the hours come back as one list per row."""
-    pois = np.asarray(pois, dtype=np.int64)
-    km = tables.distance_km(pois[..., :-1], pois[..., 1:])  # checks the indices
-    advance = tables.stay.mean_stay[pois[..., :-1]] / 3600.0 + km / WALK_SPEED_KMH
+def advance_hours(tables: FeatureTables, seqs, start_hour: float) -> list:
+    """Hour of day at each POI of each of the equally long sequences
+    ``seqs``, one list per sequence, from one read of the tables."""
+    pois = np.asarray(seqs, dtype=np.int64)
+    travel = travel_seconds(tables.distance_km(pois[:, :-1], pois[:, 1:])).tolist()
     out = []
-    for steps in np.atleast_2d(advance).tolist():
+    for stays, walks in zip(tables.stay.mean_stay[pois[:, :-1]].tolist(), travel):
         hours = [float(start_hour) % HOURS]
-        hour = float(start_hour)
-        for step in steps:
-            hour = (hour + step) % HOURS
-            hours.append(hour)
+        for stay_s, travel_s in zip(stays, walks):
+            hours.append(next_hour(hours[-1], stay_s, travel_s))
         out.append(hours)
-    return out if pois.ndim > 1 else out[0]
+    return out
 
 
-def score_sequence(
-    seq,
-    user: int | None,
-    tables: FeatureTables,
-    consolidated: bool = False,
-):
-    """Sum of per-POI preference scores at the hour each POI is reached;
-    optionally the constraint-discounted variant. ``seq`` may also be a
-    list of sequences: then one read serves them all, and the scores
-    come back as a list."""
-    seqs = [seq] if isinstance(seq, GeneratedSequence) else seq
+def score_sequence(seqs, user: int | None, tables: FeatureTables,
+                   consolidated: bool = False) -> list:
+    """Per sequence of ``seqs``, the sum of its POIs' preference scores at
+    the hour each is reached, from one read of the tables; optionally the
+    constraint-discounted variant."""
     pois = np.array([poi for s in seqs for poi in s.pois], dtype=np.int64)
     hours = np.array([hour for s in seqs for hour in s.hours], dtype=np.int64)
     scores = tables.preference(user, pois, hours)
@@ -172,7 +162,7 @@ def score_sequence(
         for score in scores[start:end]:  # left to right; np.sum adds pairwise
             total += score
         totals.append(total)
-    return totals[0] if isinstance(seq, GeneratedSequence) else totals
+    return totals
 
 
 def top_k(scores, k: int) -> list:

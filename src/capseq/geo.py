@@ -1,4 +1,4 @@
-"""Great-circle distance helpers shared across the package.
+"""Great-circle distance and walking-time helpers shared across the package.
 
 All distances are kilometres on a spherical earth (R = 6371 km).
 """
@@ -7,8 +7,13 @@ from math import asin, cos, radians, sin, sqrt
 
 EARTH_RADIUS_KM = 6371.0
 
-# Default walking speed used by the deterministic travel-time model.
+# Walking speed of the deterministic travel time; read only by travel_seconds.
 WALK_SPEED_KMH = 5.0
+
+
+def travel_seconds(km):
+    """Walking time in seconds over ``km`` (a float or an array)."""
+    return km / WALK_SPEED_KMH * 3600.0
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

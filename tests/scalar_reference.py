@@ -124,7 +124,8 @@ class ScalarTables:
 
 
 def rollout(net, request, ref: ScalarTables, rngs) -> list:
-    """All candidates as one batch, with every table read made per row."""
+    """All candidates as one batch, with every table read made per row;
+    the clock is each sequence's list of hours."""
     tables = ref.tables
     seqs = [
         GeneratedSequence(pois=[request.start_poi], step_probs=[], score=0.0,
@@ -133,17 +134,16 @@ def rollout(net, request, ref: ScalarTables, rngs) -> list:
     ]
     state = net.init_state(len(seqs))
     feat = (
-        tables.expected_feature(request.user, request.start_poi, int(request.start_hour))
+        tables.expected_feature(request.user, request.start_poi, int(seqs[0].hours[0]))
         / tables.feature_scale
     )
     feats = np.repeat(feat[None, :], len(seqs), axis=0)
-    clock = [float(request.start_hour)] * len(seqs)
     for _ in range(request.length - 1):
         current = [seq.pois[-1] for seq in seqs]
         attrs = np.array([
-            ref.attribute_vector(cur, int(hour) % HOURS,
+            ref.attribute_vector(cur, int(seq.hours[-1]) % HOURS,
                                  seq.pois[-2] if len(seq.pois) > 1 else None)
-            for cur, hour, seq in zip(current, clock, seqs)
+            for cur, seq in zip(current, seqs)
         ]) / ref.attr_scale
         state, _, probs = net.forward_step(state, np.array(current), attrs, feats)
         p = probs
@@ -155,26 +155,17 @@ def rollout(net, request, ref: ScalarTables, rngs) -> list:
         nxt = sample_rows(p, rngs).tolist()
         for b, (seq, cur, poi) in enumerate(zip(seqs, current, nxt)):
             seq.step_probs.append(float(probs[b, poi]))
-            advance = (
-                ref.stay_mean(cur)
-                + ref.distance_km(cur, poi) / WALK_SPEED_KMH * 3600.0
-            )
-            clock[b] = (clock[b] + advance / 3600.0) % HOURS
+            travel = ref.distance_km(cur, poi) / WALK_SPEED_KMH * 3600.0
+            seq.hours.append((seq.hours[-1] + (ref.stay_mean(cur) + travel) / 3600.0) % HOURS)
             seq.pois.append(poi)
-            seq.hours.append(clock[b])
     return seqs
 
 
 def advance_hours(ref: ScalarTables, pois, start_hour: float) -> list:
     hours = [float(start_hour) % HOURS]
-    hour = float(start_hour)
     for a, b in zip(pois, pois[1:]):
-        advance = (
-            ref.stay_mean(a) / 3600.0
-            + ref.distance_km(a, b) / WALK_SPEED_KMH
-        )
-        hour = (hour + advance) % HOURS
-        hours.append(hour)
+        travel = ref.distance_km(a, b) / WALK_SPEED_KMH * 3600.0
+        hours.append((hours[-1] + (ref.stay_mean(a) + travel) / 3600.0) % HOURS)
     return hours
 
 

@@ -17,7 +17,7 @@ from capseq.baselines import (
     cluster_regions,
     hits_fit,
     markov_fit,
-    markov_generate,
+    markov_walks,
     popularity_next,
     power_iterate,
 )
@@ -93,17 +93,59 @@ class TestMarkov:
         sessions = toy_sessions_for_markov()
         enc = Encodings.fit(sessions)
         model = markov_fit(sessions, enc, smoothing=0.0)
-        rng = np.random.default_rng(0)
-        seq = markov_generate(model, enc.user("u0"), enc.poi("a"), 2, rng)
-        assert seq == [enc.poi("a"), enc.poi("b")]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        walks = markov_walks(model, enc.user("u0"), enc.poi("a"), 2, rngs)
+        assert walks == [[enc.poi("a"), enc.poi("b")]] * 2
 
     def test_unknown_user_uses_population_chain(self):
         sessions = toy_sessions_for_markov()
         enc = Encodings.fit(sessions)
         model = markov_fit(sessions, enc, smoothing=0.0)
-        rng = np.random.default_rng(0)
-        seq = markov_generate(model, 999, enc.poi("a"), 2, rng)
-        assert seq == [enc.poi("a"), enc.poi("b")]
+        walks = markov_walks(model, 999, enc.poi("a"), 2, [np.random.default_rng(0)])
+        assert walks == [[enc.poi("a"), enc.poi("b")]]
+
+    @staticmethod
+    def requests(sessions, enc):
+        """(user, start) pairs: known and unknown users, and a start that
+        only the first sessions' chains have not seen."""
+        unseen = enc.poi(sessions[-1].visits[-1].poi.poi_id)
+        return [(enc.user(sessions[0].user_id), enc.poi(sessions[0].visits[0].poi.poi_id)),
+                (None, enc.poi(sessions[1].visits[0].poi.poi_id)), (999, unseen),
+                (enc.user(sessions[0].user_id), unseen)]
+
+    @pytest.mark.parametrize("smoothing", [1.0, 0.5, 0.0])
+    def test_walks_equal_choice_reference(self, synth_small, smoothing):
+        """Each walk is the one ``rng.choice`` draws step by step from the
+        same stream, on chains fitted to part of the corpus."""
+        sessions, graph, enc = synth_small
+        model = markov_fit(sessions[:6], enc, smoothing)
+
+        def choice_walk(user, start, length, rng):
+            chain = model.chain_for(user, start)
+            walk, current = [start], chain.index.get(start)
+            if current is None:
+                current = int(rng.choice(len(chain.alphabet), p=chain.initial))
+            for _ in range(length - 1):
+                current = int(rng.choice(len(chain.alphabet), p=chain.transition[current]))
+                walk.append(chain.alphabet[current])
+            return walk
+
+        for user, start in self.requests(sessions[:6], enc) + self.requests(sessions, enc):
+            for seed in (0, 7, 123):
+                rngs = [np.random.default_rng([seed, c]) for c in range(5)]
+                want = [choice_walk(user, start, 9, np.random.default_rng([seed, c]))
+                        for c in range(5)]
+                assert markov_walks(model, user, start, 9, rngs) == want
+
+    def test_rows_equal_solo_walks(self, synth_small):
+        sessions, graph, enc = synth_small
+        model = markov_fit(sessions[:6], enc)
+        for user, start in self.requests(sessions, enc):
+            rows = markov_walks(model, user, start, 12,
+                                [np.random.default_rng([4, c]) for c in range(6)])
+            solos = [markov_walks(model, user, start, 12, [np.random.default_rng([4, c])])[0]
+                     for c in range(6)]
+            assert rows == solos
 
 
 def small_world(n_pois=5, spacing_km=1.0):

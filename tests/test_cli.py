@@ -234,14 +234,33 @@ def _nan_coordinate(tables):
     tables["poi_coords"][0][0] = float("nan")
 
 
+def _zero_visit_count(tables):
+    counts = tables["pooled"]["counts_lt"]
+    counts[next(iter(counts))] = 0
+
+
 def _without_last_poi(raw: bytes) -> bytes:
     pois = json.loads(raw)
     del pois[str(len(pois) - 1)]
     return json.dumps(pois).encode("utf-8")
 
 
+def _latitude_1000(raw: bytes) -> bytes:
+    pois = json.loads(raw)
+    pois["0"]["lat"] = 1000.0
+    return json.dumps(pois).encode("utf-8")
+
+
+def _first_session_one_departure_short(raw: bytes) -> bytes:
+    first, rest = raw.split(b"\n", 1)
+    session = json.loads(first)
+    session["departures"].pop()
+    return json.dumps(session).encode("utf-8") + b"\n" + rest
+
+
 CHECKINS = ("userid,placeid,datetime,lat,lon,city,category\n"
             "u1,p1,1330905600,40.0,-74.0,,Food\n")
+LONG_FIELD = "x" * 200_000  # over csv.field_size_limit(), 131,072 by default
 GENERATE = ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "u0000"]
 GENERATE_TABLES = GENERATE + ["--tables", "{tmp}/tables.json"]
 TRAIN_TABLES = ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"]
@@ -267,6 +286,8 @@ BAD_INPUTS = {
         {"tables.json": _with_tables(_infinite_stay_means)}, GENERATE_TABLES, 2),
     "tables-nan-coordinate": (
         {"tables.json": _with_tables(_nan_coordinate)}, GENERATE_TABLES, 2),
+    "tables-zero-visit-count": (
+        {"tables.json": _with_tables(_zero_visit_count)}, GENERATE_TABLES, 2),
     "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
     "train-zero-batch-size": (
         {}, ["train", "--model", "plain-rnn", "--batch-size", "0"], 1),
@@ -305,6 +326,11 @@ BAD_INPUTS = {
         ["features", "--data-dir", "{tmp}/ds"], 2),
     "pois-json-missing-a-poi": (
         {"ds/pois.json": _without_last_poi}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "pois-json-latitude-1000": (
+        {"ds/pois.json": _latitude_1000}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-lengths-differ": (
+        {"ds/sessions.jsonl": _first_session_one_departure_short},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
     "config-not-utf8": (
         {"run.cfg": "seed = 3 \udcff\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
     "checkins-not-utf8": (
@@ -312,6 +338,12 @@ BAD_INPUTS = {
         ["ingest", "--checkins", "{tmp}/c.csv"], 2),
     "friendships-not-utf8": (
         {"c.csv": CHECKINS, "f.csv": "userid1,userid2\nu1,u\udcff2\n"},
+        ["ingest", "--checkins", "{tmp}/c.csv", "--friends", "{tmp}/f.csv"], 2),
+    "checkins-field-over-csv-limit": (
+        {"c.csv": CHECKINS.replace("Food", LONG_FIELD)},
+        ["ingest", "--checkins", "{tmp}/c.csv"], 2),
+    "friendships-field-over-csv-limit": (
+        {"c.csv": CHECKINS, "f.csv": f"userid1,userid2\nu1,{LONG_FIELD}\n"},
         ["ingest", "--checkins", "{tmp}/c.csv", "--friends", "{tmp}/f.csv"], 2),
     "ingest-negative-min-checkins": (
         {"c.csv": CHECKINS},

@@ -180,8 +180,8 @@ class TestGenerate:
 
         seq = GeneratedSequence(pois=[0, 1, 2], step_probs=[], score=0.0,
                                 hours=[9.0, 10.0, 11.0])
-        plain = score_sequence(seq, 0, tables, consolidated=False)
-        discounted = score_sequence(seq, 0, tables, consolidated=True)
+        [plain] = score_sequence([seq], 0, tables, consolidated=False)
+        [discounted] = score_sequence([seq], 0, tables, consolidated=True)
         assert discounted <= plain + 1e-12
 
 
@@ -219,7 +219,7 @@ class TestBatchedCandidates:
             np.testing.assert_allclose(row.step_probs, solo.step_probs,
                                        rtol=1e-12, atol=0)
         for solo in solos:
-            solo.score = score_sequence(solo, req.user, tables, req.consolidated)
+            [solo.score] = score_sequence([solo], req.user, tables, req.consolidated)
         ranked = sorted(range(6), key=lambda i: (-solos[i].score, i))[: req.k]
         got = generate(net, req, tables, seed=seed)
         assert [s.pois for s in got] == [solos[i].pois for i in ranked]

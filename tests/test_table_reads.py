@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from capseq.baselines import (
+    AprioriRecommender,
+    HitsRecommender,
+    MarkovRecommender,
+    PopularityRecommender,
+)
 from capseq.baselines.apriori import neighbour_lists
 from capseq.data import training_sessions
 from capseq.features import HOURS, FeatureTables
@@ -147,18 +153,18 @@ class TestSequenceReads:
         tables = any_tables
         scalar = ref.ScalarTables(tables)
         for pois, start in random_sequences(tables):
-            hours = advance_hours(tables, pois, start)
+            [hours] = advance_hours(tables, [pois], start)
             assert hours == ref.advance_hours(scalar, pois, start)
             seq = GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=hours)
             for u in users_of(tables):
                 for consolidated in (False, True):
-                    assert score_sequence(seq, u, tables, consolidated) == (
-                        ref.score_sequence(seq, u, scalar, consolidated))
+                    assert score_sequence([seq], u, tables, consolidated) == [
+                        ref.score_sequence(seq, u, scalar, consolidated)]
 
 
     def test_many_sequences_in_one_read_equal_one_at_a_time(self, any_tables):
-        """Hours of equally long sequences in one 2-D read, and scores of
-        sequences of any length (one stop too) in one list read."""
+        """Hours of equally long sequences in one read, and scores of
+        sequences of any length (one stop too) in one read."""
         tables = any_tables
         scalar = ref.ScalarTables(tables)
         rng = np.random.default_rng(11)
@@ -176,17 +182,36 @@ class TestSequenceReads:
                     ref.score_sequence(seq, u, scalar, consolidated) for seq in seqs]
 
 
-@pytest.fixture(scope="module", params=["caps-rnn", "caps-lstm", "plain-rnn"])
-def fitted(request, cold_tables, synth_small):
+RECOMMENDERS = {"caps-rnn": CapsRnnRecommender, "caps-lstm": CapsLstmRecommender,
+                "plain-rnn": PlainRnnRecommender, "popularity": PopularityRecommender,
+                "markov": MarkovRecommender, "hits": HitsRecommender,
+                "apriori": AprioriRecommender}
+NEURAL = ("caps-rnn", "caps-lstm", "plain-rnn")
+
+
+@pytest.fixture(scope="module")
+def fit_kind(cold_tables, synth_small):
+    """Fits each recommender kind once, on the sessions of the cold tables."""
     sessions, _, encodings = synth_small
-    kept = [s for s in sessions if s.user_id != encodings.ix_to_user[3]]
-    kinds = {"caps-rnn": CapsRnnRecommender, "caps-lstm": CapsLstmRecommender,
-             "plain-rnn": PlainRnnRecommender}
-    params = dict(hidden_size=12, embedding_size=8, epochs=2, learning_rate=0.05, seed=1)
-    if request.param != "caps-lstm":
-        params["n_layers"] = 1
-    model = kinds[request.param](**params)
-    return model.fit(training_sessions(kept), cold_tables).net_
+    kept = training_sessions([s for s in sessions if s.user_id != encodings.ix_to_user[3]])
+    models = {}
+
+    def fit(kind):
+        if kind not in models:
+            params = {}
+            if kind in NEURAL:
+                params = dict(hidden_size=12, embedding_size=8, epochs=2,
+                              learning_rate=0.05, seed=1)
+                if kind != "caps-lstm":
+                    params["n_layers"] = 1
+            models[kind] = RECOMMENDERS[kind](**params).fit(kept, cold_tables)
+        return models[kind]
+    return fit
+
+
+@pytest.fixture(scope="module", params=NEURAL)
+def fitted(request, fit_kind):
+    return fit_kind(request.param).net_
 
 
 class TestRollouts:
@@ -205,3 +230,18 @@ class TestRollouts:
         assert [s.hours for s in got] == [s.hours for s in want]
         assert [s.step_probs for s in got] == [s.step_probs for s in want]
         assert [s.score for s in got] == [s.score for s in want]
+
+
+class TestGenerationContract:
+    @pytest.mark.parametrize("start_hour", START_HOURS)
+    @pytest.mark.parametrize("kind", sorted(RECOMMENDERS))
+    def test_hours_are_advance_hours_of_the_pois(self, fit_kind, cold_tables, kind,
+                                                 start_hour):
+        """Every recommender reads its hours off the one clock: the hours
+        of each sequence it returns are ``advance_hours`` of its POIs."""
+        model = fit_kind(kind)
+        for start_poi, user, length in ((5, 2, 6), (0, None, 4), (11, 0, 1)):
+            req = GenRequest(user=user, start_poi=start_poi, start_hour=start_hour,
+                             length=length, candidates=5, k=3)
+            for seq in model.generate(req, seed=3):
+                assert seq.hours == advance_hours(cold_tables, [seq.pois], start_hour)[0]
