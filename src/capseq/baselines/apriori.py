@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..generation import GenRequest, GeneratedSequence, next_hour
+from ..generation import GenRequest, GeneratedSequence, first_hour, next_hour
 from ..geo import travel_seconds
 from ..features import HOURS, FeatureTables
 from ..models.base import SequenceRecommender
@@ -113,7 +113,7 @@ def apriori_search(
             )
         return out
 
-    hour = float(start_hour) % HOURS
+    hour = first_hour(start_hour)
     seed_trip = _Trip(
         pois=(start,),
         hours=(hour,),

@@ -93,17 +93,19 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
 def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
                  rngs) -> list:
     """One POI walk per RNG stream from ``start`` on the user's chain, all
-    of them stepping as one batch; row ``b`` draws from ``rngs[b]`` alone."""
+    of them stepping as one batch; row ``b`` draws all its uniforms from ``rngs[b]``."""
     chain = model.chain_for(user, start)
-    walks = [[start] for _ in rngs]
-    current = np.full(len(rngs), chain.index.get(start, -1))
-    if start not in chain.index:  # unseen even in the population chain: draw from initials
-        current = sample_rows(np.tile(chain.initial, (len(rngs), 1)), rngs)
-    for _ in range(length - 1):
-        current = sample_rows(chain.transition[current], rngs)
-        for walk, state in zip(walks, current.tolist()):
-            walk.append(chain.alphabet[state])
-    return walks
+    unseen = start not in chain.index  # unseen even in the population chain
+    draws = np.array([rng.random(length - 1 + unseen) for rng in rngs])
+    walks = np.full((len(draws), length), start, dtype=np.int64)
+    alphabet = np.asarray(chain.alphabet, dtype=np.int64)
+    current = np.full(len(draws), chain.index.get(start, -1))
+    if unseen:  # the walk leaves from a state drawn from the initials
+        current = sample_rows(np.tile(chain.initial, (len(draws), 1)), draws[:, 0])
+    for t in range(length - 1):
+        current = sample_rows(chain.transition[current], draws[:, unseen + t])
+        walks[:, t + 1] = alphabet[current]
+    return walks.tolist()
 
 
 class MarkovRecommender(SequenceRecommender):

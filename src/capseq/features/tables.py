@@ -341,7 +341,7 @@ class FeatureTables:
         tables.ast_poi = _ordered_mean(tables._stats.ast, order, n_users)
         tables._build_astcat_hour(order, entries)
         tables._build_beta()
-        step_km = [tables._step_km(session) for session in sessions]
+        step_km = [tables.step_km(session) for session in sessions]
         tables._build_distance_bounds(sessions, step_km)
         tables._build_session_features(sessions, step_km)
         return tables
@@ -418,7 +418,7 @@ class FeatureTables:
     def _build_distance_bounds(self, sessions, step_km) -> None:
         """Observed incoming travel distances per target POI, which
         ``discount`` scales by; ``step_km`` holds each session's
-        ``_step_km``."""
+        ``step_km``."""
         bounds: dict[int, list] = {}
         gmin, gmax = math.inf, -math.inf
         for session, dists in zip(sessions, step_km):
@@ -451,7 +451,7 @@ class FeatureTables:
         the sequence is not known yet."""
         acc: dict[tuple, list] = defaultdict(list)
         for session, dists in zip(sessions, step_km):
-            vec = self._feature_vector(session, dists)
+            vec = self.feature_vector(session, dists)
             u = self.encodings.user(session.user_id)
             start = self.encodings.poi(session.visits[0].poi.poi_id)
             bucket = session.visits[0].hour // self.HOUR_BUCKET
@@ -590,37 +590,34 @@ class FeatureTables:
         """Per-step context: stay, interest, hourly category interest,
         preference, category code, distance to the previous stop, and the
         24-hour popularity profile of the POI."""
-        return self.attribute_rows([poi_ix], [int(hour) % HOURS], [prev_poi_ix])[0]
+        dist = 0.0
+        if prev_poi_ix is not None:  # scalar, so that it fills no distance rows
+            cur, prev = self.poi_coords[self._pois([poi_ix, prev_poi_ix])].tolist()
+            dist = haversine_km(*prev, *cur)
+        return self.attribute_rows([poi_ix], [int(hour) % HOURS], [dist])[0]
 
-    def attribute_rows(self, pois, hours, prevs) -> np.ndarray:
+    def attribute_rows(self, pois, hours, dist_prev) -> np.ndarray:
         """Attribute vectors of many steps as one (n, ATTRIBUTE_DIM)
-        array: row i is ``attribute_vector(pois[i], hours[i], prevs[i])``
-        for hours of day 0-23, with ``None`` in ``prevs`` for no previous
-        stop. Every field but ``dist_prev`` is a gather from the static
-        (POI, hour) table."""
+        array: row i is the static (POI, hour) row of ``pois[i]`` at hour
+        of day ``hours[i]`` (0-23), with ``dist_prev[i]`` km from the
+        previous stop (0 for none) as its only per-step field."""
         pois = self._pois(pois)
         if self._attr_table is None:
             self._build_attribute_table()
         rows = self._attr_table[pois, hours]
-        coords = self.poi_coords
-        for i, (prev, cur) in enumerate(zip(prevs, pois.tolist())):
-            if prev is not None:  # scalar, so that encoding fills no distance rows
-                self._check_poi(prev)
-                rows[i, 5] = haversine_km(*coords[prev].tolist(), *coords[cur].tolist())
+        rows[:, 5] = dist_prev
         return rows
 
-    def feature_vector(self, session: Session) -> np.ndarray:
-        """Whole-sequence features: start/end category and place codes,
-        mean consecutive distance, start/end hours."""
-        return self._feature_vector(session, self._step_km(session))
-
-    def _step_km(self, session: Session) -> list:
+    def step_km(self, session: Session) -> list:
         """Distance in km between each pair of consecutive visits."""
         pois = [self.encodings.poi(visit.poi.poi_id) for visit in session.visits]
         ends = self.poi_coords[pois].tolist()
         return [haversine_km(*a, *b) for a, b in zip(ends, ends[1:])]
 
-    def _feature_vector(self, session: Session, dists: list) -> np.ndarray:
+    def feature_vector(self, session: Session, dists: list) -> np.ndarray:
+        """Whole-sequence features: start/end category and place codes,
+        mean consecutive distance (of ``dists``, its ``step_km``),
+        start/end hours."""
         first, last = session.visits[0], session.visits[-1]
         start_ix = self.encodings.poi(first.poi.poi_id)
         end_ix = self.encodings.poi(last.poi.poi_id)

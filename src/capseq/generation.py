@@ -2,14 +2,14 @@
 
 Each candidate rollout samples the next POI from the model's
 multinomial output, feeds it back as the next input, advances the clock
-by the POI's expected stay plus travel time, and recomputes the
-attribute vector. A request's candidates step together as one batch:
-one ``forward_step`` per step for all of them, and one draw per row.
-Every candidate still owns an RNG stream derived from (seed, candidate
-index) and draws from it alone, so each row is the rollout that
-candidate would make on its own, and rollouts stay reproducible.
-Candidates are then ranked by the summed preference score of their
-POIs and the top k are returned.
+by the POI's expected stay plus travel time, and rebuilds the attribute
+context. A request's candidates step together as one batch: per step,
+one ``forward_step``, one gather of attribute rows and one distance read,
+which advances the clock and is the next step's distance from the
+previous stop. Each candidate draws all its uniforms at once from its own
+stream, derived from (seed, candidate index), so each row is the rollout
+that candidate would make alone. The top k by summed preference score of
+their POIs are returned.
 """
 
 from __future__ import annotations
@@ -54,78 +54,79 @@ class GeneratedSequence:
         return len(self.pois)
 
 
-def sample_rows(probs: np.ndarray, rngs) -> np.ndarray:
-    """Draw one index per row of a (B, K) array of categorical weights;
-    row ``b`` draws from ``rngs[b]`` alone and gets the index that the
-    ``choice`` of ``rngs[b]`` would give with ``p=row / row.sum()``."""
+def sample_rows(probs: np.ndarray, uniform) -> np.ndarray:
+    """Draw one index per row of a (B, K) array of categorical weights:
+    row ``b`` gets the index that ``choice`` with ``p=row / row.sum()``
+    gives from a generator whose next double is ``uniform[b]``. Column t of
+    the streams' ``rng.random(n)`` blocks holds the doubles of their t-th draws."""
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    if len(rngs) != len(probs):
-        raise ValueError(f"{len(probs)} rows of probabilities, {len(rngs)} streams")
+    if len(uniform) != len(probs):
+        raise ValueError(f"{len(probs)} rows of probabilities, {len(uniform)} draws")
     totals = probs.sum(axis=1, keepdims=True)
     if not (np.isfinite(totals).all() and (totals > 0).all()):
         raise ValueError("probabilities must be positive and finite")
     if (probs < 0).any():
         raise ValueError("probabilities must be non-negative")
     # Generator.choice's own arithmetic: normalise, cumulate, renormalise,
-    # then count the cdf entries <= one uniform draw (a right-side search)
+    # then count the cdf entries <= the uniform draw (a right-side search)
     cdf = (probs / totals).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    uniform = np.array([rng.random() for rng in rngs])
-    return (cdf <= uniform[:, None]).sum(axis=1)
+    return (cdf <= np.asarray(uniform)[:, None]).sum(axis=1)
 
 
 def sample_next(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw one POI index from a categorical distribution."""
-    return int(sample_rows(np.reshape(probs, (1, -1)), [rng])[0])
+    return int(sample_rows(np.reshape(probs, (1, -1)), [rng.random()])[0])
+
+
+def first_hour(start_hour) -> float:
+    """A sequence's first hour, in [0, HOURS): its start hour modulo ``HOURS``,
+    or 0.0 (the bucket every table read takes) where that rounds to ``HOURS``."""
+    hour = float(start_hour) % HOURS
+    return hour if hour < HOURS else 0.0
 
 
 def next_hour(hour, stay_s, travel_s):
     """The clock's one step: the hour of day after ``stay_s`` and ``travel_s``
-    seconds (floats or arrays). A sequence's hours start at its start hour
-    modulo ``HOURS``, and each later one is this step of the one before."""
+    seconds (floats or arrays). A sequence's hours start at ``first_hour``
+    of its start hour, and each later one is this step of the one before."""
     return (hour + (stay_s + travel_s) / 3600.0) % HOURS
 
 
 def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
     """Roll out one candidate per RNG stream, all of them as one batch."""
-    clock = np.full(len(rngs), float(request.start_hour) % HOURS)
-    seqs = [
-        GeneratedSequence(pois=[request.start_poi], step_probs=[], score=0.0,
-                          hours=[hour])
-        for hour in clock.tolist()
-    ]
-    rows = np.arange(len(seqs))
-    state = net.init_state(len(seqs))
-    feat = (
-        tables.expected_feature(request.user, request.start_poi, int(clock[0]))
-        / tables.feature_scale
-    )
-    feats = np.repeat(feat[None, :], len(seqs), axis=0)
+    steps = request.length - 1
+    draws = np.array([rng.random(steps) for rng in rngs])  # (candidates, steps)
+    n = len(draws)
+    pois = np.full((n, request.length), request.start_poi, dtype=np.int64)
+    hours = np.full((n, request.length), first_hour(request.start_hour))
+    step_probs = np.empty((n, steps))
+    rows = np.arange(n)
+    state = net.init_state(n)
+    feat = tables.expected_feature(request.user, request.start_poi, int(hours[0, 0]))
+    feats = np.repeat(feat[None, :] / tables.feature_scale, n, axis=0)
     stay = tables.stay.mean_stay
-    current = np.full(len(seqs), request.start_poi, dtype=np.int64)
-    prev = [None] * len(seqs)
-    visited = np.zeros((len(seqs), net.n_pois), dtype=bool)
-    visited[:, request.start_poi] = True
-    for _ in range(request.length - 1):
-        attrs = tables.attribute_rows(
-            current, clock.astype(np.int64) % HOURS, prev
-        ) / tables.attribute_scale
-        state, _, probs = net.forward_step(state, current, attrs, feats)
+    dist_prev = np.zeros(n)  # no previous stop before the start
+    for t in range(steps):
+        current, clock = pois[:, t], hours[:, t]
+        attrs = tables.attribute_rows(current, clock.astype(np.int64), dist_prev)
+        state, _, probs = net.forward_step(state, current, attrs / tables.attribute_scale,
+                                           feats)
         p = probs
         if request.no_repeat:
-            p = np.where(visited, 0.0, probs)
+            p = probs.copy()
+            p[rows[:, None], pois[:, : t + 1]] = 0.0  # the POIs visited so far
             spent = p.sum(axis=1) <= 0
             p[spent] = probs[spent]  # everything visited: fall back to repeats
-        nxt = sample_rows(p, rngs)
-        clock = next_hour(clock, stay[current], travel_seconds(tables.distance_km(current, nxt)))
-        for seq, poi, prob, hour in zip(seqs, nxt.tolist(), probs[rows, nxt].tolist(),
-                                        clock.tolist()):
-            seq.pois.append(poi)
-            seq.step_probs.append(prob)
-            seq.hours.append(hour)
-        visited[rows, nxt] = True
-        prev, current = current.tolist(), nxt
-    return seqs
+        nxt = sample_rows(p, draws[:, t])
+        dist_prev = tables.distance_km(current, nxt)
+        pois[:, t + 1] = nxt
+        step_probs[:, t] = probs[rows, nxt]
+        hours[:, t + 1] = next_hour(clock, stay[current], travel_seconds(dist_prev))
+    return [
+        GeneratedSequence(pois=p, step_probs=sp, score=0.0, hours=h)
+        for p, sp, h in zip(pois.tolist(), step_probs.tolist(), hours.tolist())
+    ]
 
 
 def advance_hours(tables: FeatureTables, seqs, start_hour: float) -> list:
@@ -135,7 +136,7 @@ def advance_hours(tables: FeatureTables, seqs, start_hour: float) -> list:
     travel = travel_seconds(tables.distance_km(pois[:, :-1], pois[:, 1:])).tolist()
     out = []
     for stays, walks in zip(tables.stay.mean_stay[pois[:, :-1]].tolist(), travel):
-        hours = [float(start_hour) % HOURS]
+        hours = [first_hour(start_hour)]
         for stay_s, travel_s in zip(stays, walks):
             hours.append(next_hour(hours[-1], stay_s, travel_s))
         out.append(hours)

@@ -140,11 +140,11 @@ def encode_session(session: Session, tables: FeatureTables) -> EncodedSequence:
         raise ValueError("training sessions must have at least two visits")
     visits = session.visits[: MAX_STEPS + 1]
     ixs = [tables.encodings.poi(v.poi.poi_id) for v in visits]
+    dists = tables.step_km(session)  # one haversine per step, for both uses
     attrs = tables.attribute_rows(
-        ixs[:-1], [v.hour for v in visits[:-1]], [None] + ixs[:-2]
-    )
-    attrs /= tables.attribute_scale
-    feat = tables.feature_vector(session) / tables.feature_scale
+        ixs[:-1], [v.hour for v in visits[:-1]], [0.0] + dists[: len(ixs) - 2]
+    ) / tables.attribute_scale
+    feat = tables.feature_vector(session, dists) / tables.feature_scale
     return EncodedSequence(
         inputs=np.asarray(ixs[:-1], dtype=np.int64),
         targets=np.asarray(ixs[1:], dtype=np.int64),

@@ -123,13 +123,21 @@ class ScalarTables:
         return row
 
 
+def first_hour(start_hour) -> float:
+    """The start hour modulo HOURS, with a result that rounds to HOURS
+    (a tiny negative start hour) read as 0.0."""
+    hour = float(start_hour) % HOURS
+    return 0.0 if hour == HOURS else hour
+
+
 def rollout(net, request, ref: ScalarTables, rngs) -> list:
-    """All candidates as one batch, with every table read made per row;
-    the clock is each sequence's list of hours."""
+    """All candidates as one batch, with every table read made per row
+    and one uniform drawn per stream and step; the clock is each
+    sequence's list of hours."""
     tables = ref.tables
     seqs = [
         GeneratedSequence(pois=[request.start_poi], step_probs=[], score=0.0,
-                          hours=[float(request.start_hour) % HOURS])
+                          hours=[first_hour(request.start_hour)])
         for _ in rngs
     ]
     state = net.init_state(len(seqs))
@@ -152,7 +160,7 @@ def rollout(net, request, ref: ScalarTables, rngs) -> list:
             np.put_along_axis(p, np.array([seq.pois for seq in seqs]), 0.0, axis=1)
             spent = p.sum(axis=1) <= 0
             p[spent] = probs[spent]
-        nxt = sample_rows(p, rngs).tolist()
+        nxt = sample_rows(p, [rng.random() for rng in rngs]).tolist()
         for b, (seq, cur, poi) in enumerate(zip(seqs, current, nxt)):
             seq.step_probs.append(float(probs[b, poi]))
             travel = ref.distance_km(cur, poi) / WALK_SPEED_KMH * 3600.0
@@ -162,7 +170,7 @@ def rollout(net, request, ref: ScalarTables, rngs) -> list:
 
 
 def advance_hours(ref: ScalarTables, pois, start_hour: float) -> list:
-    hours = [float(start_hour) % HOURS]
+    hours = [first_hour(start_hour)]
     for a, b in zip(pois, pois[1:]):
         travel = ref.distance_km(a, b) / WALK_SPEED_KMH * 3600.0
         hours.append((hours[-1] + (ref.stay_mean(a) + travel) / 3600.0) % HOURS)

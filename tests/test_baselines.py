@@ -137,6 +137,18 @@ class TestMarkov:
                         for c in range(5)]
                 assert markov_walks(model, user, start, 9, rngs) == want
 
+    def test_length_one_walk_from_an_unseen_start_takes_one_draw(self, synth_small):
+        """A walk from a start its chain has not seen draws its first state
+        from the initials, also when it takes no step."""
+        sessions, graph, enc = synth_small
+        model = markov_fit(sessions[:6], enc)
+        unseen = self.requests(sessions, enc)[2][1]
+        assert unseen not in model.chain_for(None).index
+        rngs = [np.random.default_rng([5, c]) for c in range(3)]
+        assert markov_walks(model, None, unseen, 1, rngs) == [[unseen]] * 3
+        assert [rng.random() for rng in rngs] == [
+            np.random.default_rng([5, c]).random(2)[1] for c in range(3)]
+
     def test_rows_equal_solo_walks(self, synth_small):
         sessions, graph, enc = synth_small
         model = markov_fit(sessions[:6], enc)

@@ -326,7 +326,7 @@ class TestVectors:
             ),
         ]
         tables, encodings = build_tables(sessions)
-        vec = tables.feature_vector(sessions[0])
+        vec = tables.feature_vector(sessions[0], tables.step_km(sessions[0]))
         assert vec.shape == (FEATURE_DIM,)
         assert vec[4] == pytest.approx(1.0, rel=1e-3)  # mean consecutive km
         assert vec[5] == 9.0 and vec[6] == 10.0
@@ -345,7 +345,7 @@ class TestVectors:
             ),
         ]
         tables, _ = build_tables(sessions)
-        vec = tables.feature_vector(sessions[0])
+        vec = tables.feature_vector(sessions[0], tables.step_km(sessions[0]))
         assert vec[0] == vec[1]
         assert vec[2] == vec[3]
         assert vec[4] == 0.0

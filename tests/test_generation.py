@@ -61,7 +61,24 @@ class TestSampleRows:
             oracles = [np.random.default_rng(s) for s in seeds]
             for _ in range(3):
                 w = random_weights(cases, B, K)
-                got = sample_rows(w, rngs)
+                got = sample_rows(w, [rng.random() for rng in rngs])
+                want = [o.choice(K, p=row / row.sum()) for o, row in zip(oracles, w)]
+                assert got.tolist() == want
+
+    def test_block_draws_match_generator_choice(self):
+        """Column t of each stream's one ``rng.random(n)`` block draws what
+        that stream's t-th ``choice`` draws: rollouts and Markov walks
+        draw a stream's uniforms all at once."""
+        cases = np.random.default_rng(2025)
+        for _ in range(200):
+            B, K, n = (int(cases.integers(1, 13)), int(cases.integers(2, 401)),
+                       int(cases.integers(1, 30)))
+            seeds = cases.integers(2**32, size=B).tolist()
+            draws = np.array([np.random.default_rng(s).random(n) for s in seeds])
+            oracles = [np.random.default_rng(s) for s in seeds]
+            for t in range(n):
+                w = random_weights(cases, B, K)
+                got = sample_rows(w, draws[:, t])
                 want = [o.choice(K, p=row / row.sum()) for o, row in zip(oracles, w)]
                 assert got.tolist() == want
 
@@ -73,11 +90,11 @@ class TestSampleRows:
         else:
             w[1, 2] = bad
         with pytest.raises(ValueError):
-            sample_rows(w, [np.random.default_rng(i) for i in range(3)])
+            sample_rows(w, np.full(3, 0.5))
 
-    def test_one_stream_per_row(self):
-        with pytest.raises(ValueError):
-            sample_rows(np.full((2, 3), 1.0), [np.random.default_rng(0)])
+    def test_one_draw_per_row(self):
+        with pytest.raises(ValueError, match="2 rows of probabilities, 1 draws"):
+            sample_rows(np.full((2, 3), 1.0), [0.5])
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,8 @@ from capseq.baselines import (
 from capseq.baselines.apriori import neighbour_lists
 from capseq.data import training_sessions
 from capseq.features import HOURS, FeatureTables
-from capseq.generation import GenRequest, GeneratedSequence, advance_hours, generate
+from capseq.generation import GenRequest, GeneratedSequence, advance_hours, first_hour
+from capseq.generation import generate
 from capseq.generation import score_sequence
 from capseq.geo import haversine_km
 from capseq.models import CapsLstmRecommender, CapsRnnRecommender, PlainRnnRecommender
@@ -131,7 +132,7 @@ class TestArrayReads:
         lambda t, bad: t.preference(0, np.array([0, bad]), 9),
         lambda t, bad: t.consolidated(0, np.array([0, 1]), 9, np.array([bad, 1])),
         lambda t, bad: t.discount(np.array([bad]), 0),
-        lambda t, bad: t.attribute_rows([0, bad], [9, 9], [None, 0]),
+        lambda t, bad: t.attribute_rows([0, bad], [9, 9], [0.0, 1.5]),
     ], ids=["distance-from", "distance-to", "preference", "consolidated",
             "discount", "attribute-rows"])
     @pytest.mark.parametrize("side", ["negative", "past-end"])
@@ -238,10 +239,27 @@ class TestGenerationContract:
     def test_hours_are_advance_hours_of_the_pois(self, fit_kind, cold_tables, kind,
                                                  start_hour):
         """Every recommender reads its hours off the one clock: the hours
-        of each sequence it returns are ``advance_hours`` of its POIs."""
+        of each sequence it returns are ``advance_hours`` of its POIs, each
+        an hour of day in [0, 24)."""
         model = fit_kind(kind)
         for start_poi, user, length in ((5, 2, 6), (0, None, 4), (11, 0, 1)):
             req = GenRequest(user=user, start_poi=start_poi, start_hour=start_hour,
                              length=length, candidates=5, k=3)
             for seq in model.generate(req, seed=3):
                 assert seq.hours == advance_hours(cold_tables, [seq.pois], start_hour)[0]
+                assert all(0.0 <= hour < HOURS for hour in seq.hours)
+
+    @pytest.mark.parametrize("start_hour", START_HOURS)
+    @pytest.mark.parametrize("kind", sorted(RECOMMENDERS))
+    def test_length_one_is_the_start(self, fit_kind, kind, start_hour):
+        """A one-stop request takes no step: every sequence is the start
+        POI at the first hour, with no step probabilities."""
+        model = fit_kind(kind)
+        req = GenRequest(user=0, start_poi=11, start_hour=start_hour, length=1,
+                         candidates=5, k=3)
+        seqs = model.generate(req, seed=3)
+        assert seqs
+        for seq in seqs:
+            assert seq.pois == [11]
+            assert seq.hours == [first_hour(start_hour)]
+            assert seq.step_probs == []
