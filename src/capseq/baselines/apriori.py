@@ -25,7 +25,7 @@ import numpy as np
 from ..generation import GenRequest, GeneratedSequence, first_hour, next_hour
 from ..geo import travel_seconds
 from ..features import HOURS, FeatureTables
-from ..models.base import SequenceRecommender
+from ..models.base import SequenceRecommender, check_non_negative, check_positive
 
 DEFAULT_EPSILON_KM = 2.0
 DEFAULT_BUDGET_HOURS = 8.0
@@ -39,13 +39,6 @@ class _Trip:
     elapsed: float  # travel + stay seconds so far
     travel: float   # travel seconds only (final tie-break)
     score: float
-
-
-def _check_settings(epsilon_km: float, beam_width: int | None) -> None:
-    if not epsilon_km > 0:
-        raise ValueError(f"epsilon_km must be > 0, got {epsilon_km}")
-    if beam_width is not None and beam_width < 1:
-        raise ValueError(f"beam_width must be None or >= 1, got {beam_width}")
 
 
 def neighbour_lists(tables: FeatureTables, epsilon_km: float) -> list:
@@ -145,22 +138,19 @@ def apriori_search(
     ]
 
 
+@dataclass(eq=False, kw_only=True)
 class AprioriRecommender(SequenceRecommender):
-    def __init__(
-        self,
-        epsilon_km: float = DEFAULT_EPSILON_KM,
-        budget_hours: float = DEFAULT_BUDGET_HOURS,
-        beam_width: int | None = DEFAULT_BEAM_WIDTH,
-    ):
-        _check_settings(epsilon_km, beam_width)
-        self.epsilon_km = epsilon_km
-        self.budget_hours = budget_hours
-        self.beam_width = beam_width
+    epsilon_km: float = DEFAULT_EPSILON_KM
+    budget_hours: float = DEFAULT_BUDGET_HOURS
+    beam_width: int | None = DEFAULT_BEAM_WIDTH
 
-    def fit(self, sessions, tables=None):
-        if tables is None:
-            raise ValueError("AprioriRecommender.fit requires feature tables")
-        _check_settings(self.epsilon_km, self.beam_width)
+    def __post_init__(self):
+        check_positive(epsilon_km=self.epsilon_km)
+        check_non_negative(budget_hours=self.budget_hours)
+        if self.beam_width is not None and self.beam_width < 1:
+            raise ValueError(f"beam_width must be None or >= 1, got {self.beam_width}")
+
+    def fit(self, sessions, tables):
         self.tables_ = tables
         self.neighbours_ = neighbour_lists(tables, self.epsilon_km)
         return self

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import warnings
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..generation import GenRequest, GeneratedSequence, advance_hours, top_k
 from ..geo import haversine_km
-from ..models.base import SequenceRecommender
+from ..models.base import SequenceRecommender, check_positive
 
 DEFAULT_REGION_RADIUS_KM = 10.0
 POWER_TOL = 1e-8
@@ -163,15 +164,14 @@ def sequence_score(model: HitsModel, pois) -> float:
     return auth * (sum(hubs) / len(hubs))
 
 
+@dataclass(eq=False, kw_only=True)
 class HitsRecommender(SequenceRecommender):
-    def __init__(self, region_radius_km: float = DEFAULT_REGION_RADIUS_KM):
-        if region_radius_km <= 0:
-            raise ValueError("region_radius_km must be > 0")
-        self.region_radius_km = region_radius_km
+    region_radius_km: float = DEFAULT_REGION_RADIUS_KM
 
-    def fit(self, sessions, tables=None):
-        if tables is None:
-            raise ValueError("HitsRecommender.fit requires feature tables")
+    def __post_init__(self):
+        check_positive(region_radius_km=self.region_radius_km)
+
+    def fit(self, sessions, tables):
         self.tables_ = tables
         self.model_ = hits_fit(
             sessions, tables.encodings, tables.poi_coords, self.region_radius_km

@@ -9,6 +9,7 @@ fall back to a population-level chain pooled over everybody.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,11 +17,11 @@ from ..generation import (
     GenRequest,
     GeneratedSequence,
     advance_hours,
+    rank_sequences,
     sample_rows,
-    score_sequence,
-    top_k,
 )
-from ..models.base import SequenceRecommender
+from ..generation import score_sequence  # unused here: the benchmark tracer patches it
+from ..models.base import SequenceRecommender, check_non_negative
 
 POPULATION = -1  # pooled pseudo-user key
 
@@ -108,15 +109,14 @@ def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
     return walks.tolist()
 
 
+@dataclass(eq=False, kw_only=True)
 class MarkovRecommender(SequenceRecommender):
-    def __init__(self, smoothing: float = 1.0):
-        if smoothing < 0:
-            raise ValueError("smoothing must be >= 0")
-        self.smoothing = smoothing
+    smoothing: float = 1.0
 
-    def fit(self, sessions, tables=None):
-        if tables is None:
-            raise ValueError("MarkovRecommender.fit requires feature tables")
+    def __post_init__(self):
+        check_non_negative(smoothing=self.smoothing)
+
+    def fit(self, sessions, tables):
         self.tables_ = tables
         self.model_ = markov_fit(sessions, tables.encodings, self.smoothing)
         return self
@@ -130,11 +130,8 @@ class MarkovRecommender(SequenceRecommender):
         )
         # every walk has request.length stops: one read for all of them
         hours = advance_hours(tables, walks, request.start_hour)
-        scored = [
-            GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=h)
-            for pois, h in zip(walks, hours)
-        ]
-        scores = score_sequence(scored, request.user, tables)
-        for seq, score in zip(scored, scores):
-            seq.score = score
-        return [scored[i] for i in top_k(scores, request.k)]
+        return rank_sequences(
+            [GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=h)
+             for pois, h in zip(walks, hours)],
+            request, tables,
+        )

@@ -7,10 +7,13 @@ by a fixed factor until a POI is found or every POI is excluded.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..generation import GenRequest, GeneratedSequence, advance_hours, score_sequence
-from ..models.base import SequenceRecommender
+from ..generation import GenRequest, GeneratedSequence, advance_hours, rank_sequences
+from ..generation import score_sequence  # unused here: the benchmark tracer patches it
+from ..models.base import SequenceRecommender, check_positive
 
 DEFAULT_RADIUS_KM = 2.0
 DEFAULT_GROWTH = 1.5
@@ -43,19 +46,19 @@ def popularity_next(
         radius *= growth_factor
 
 
+@dataclass(eq=False, kw_only=True)
 class PopularityRecommender(SequenceRecommender):
     """Deterministic nearest-popular chain from the start POI."""
 
-    def __init__(self, radius_km: float = DEFAULT_RADIUS_KM,
-                 growth_factor: float = DEFAULT_GROWTH):
-        if radius_km <= 0 or growth_factor <= 1.0:
-            raise ValueError("radius_km must be > 0 and growth_factor > 1")
-        self.radius_km = radius_km
-        self.growth_factor = growth_factor
+    radius_km: float = DEFAULT_RADIUS_KM
+    growth_factor: float = DEFAULT_GROWTH
 
-    def fit(self, sessions, tables=None):
-        if tables is None:
-            raise ValueError("PopularityRecommender.fit requires feature tables")
+    def __post_init__(self):
+        check_positive(radius_km=self.radius_km)
+        if not self.growth_factor > 1.0:  # NaN fails too
+            raise ValueError(f"growth_factor must be > 1, got {self.growth_factor}")
+
+    def fit(self, sessions, tables):
         self.tables_ = tables
         counts = np.zeros(tables.encodings.n_pois)
         for session in sessions:
@@ -83,5 +86,4 @@ class PopularityRecommender(SequenceRecommender):
             pois.append(nxt)
         hours = advance_hours(tables, [pois], request.start_hour)[0]
         seq = GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=hours)
-        seq.score = score_sequence([seq], request.user, tables)[0]
-        return [seq]
+        return rank_sequences([seq], request, tables)

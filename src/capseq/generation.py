@@ -172,6 +172,16 @@ def top_k(scores, k: int) -> list:
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
 
 
+def rank_sequences(seqs, request: GenRequest, tables: FeatureTables) -> list:
+    """The top ``request.k`` of ``seqs``, each scored by ``score_sequence``
+    (constraint-discounted for a consolidated request), best first; ties
+    keep the earlier candidate."""
+    scores = score_sequence(seqs, request.user, tables, request.consolidated)
+    for seq, score in zip(seqs, scores):
+        seq.score = score
+    return [seqs[i] for i in top_k(scores, request.k)]
+
+
 def generate(
     net,
     request: GenRequest,
@@ -181,8 +191,4 @@ def generate(
     """Top-k generated sequences, best score first; ties keep the
     earlier candidate."""
     rngs = [np.random.default_rng([seed, cand]) for cand in range(request.candidates)]
-    scored = _rollout(net, request, tables, rngs)
-    scores = score_sequence(scored, request.user, tables, request.consolidated)
-    for seq, score in zip(scored, scores):
-        seq.score = score
-    return [scored[i] for i in top_k(scores, request.k)]
+    return rank_sequences(_rollout(net, request, tables, rngs), request, tables)

@@ -1,4 +1,4 @@
-from .base import BaseEstimator, NotFittedError, SequenceRecommender
+from .base import NotFittedError, SequenceRecommender
 from .lstm import ContextLstm
 from .rnn import ContextRnn
 from .training import (
@@ -25,7 +25,6 @@ from .recommenders import (
 )
 
 __all__ = [
-    "BaseEstimator",
     "Batch",
     "CapsLstmRecommender",
     "CapsRnnRecommender",

@@ -15,8 +15,8 @@ attribute gate and an additive term from the shared feature weights:
 ``W_q`` is one feature weight matrix shared by all four gates (the gate
 equations all carry the same feature term); the forget-gate input
 weight is a separate block. Peepholes (w_c*) are diagonal and read the
-previous memory cell. With ``contextual=False`` and zero peepholes this
-is the textbook LSTM cell.
+previous memory cell. With unit attribute gates, zero features and zero
+peepholes this is the textbook LSTM cell.
 
 Only the cell lives here: the public step, the sequence losses and the
 output-layer backward are those of ``training.RecurrentNet``, shared
@@ -40,12 +40,9 @@ class ContextLstm(RecurrentNet):
         n_pois: int,
         hidden_size: int = 512,
         embedding_size: int = 384,
-        contextual: bool = True,
-        peepholes: bool = True,
         seed: int = 0,
     ):
-        self.peepholes = peepholes  # before the base init: _init_params reads it
-        super().__init__(n_pois, hidden_size, 1, embedding_size, contextual, seed)
+        super().__init__(n_pois, hidden_size, 1, embedding_size, True, seed)
 
     def _init_params(self, rng) -> dict:
         H, E, K = self.hidden_size, self.embedding_size, self.n_pois
@@ -57,15 +54,13 @@ class ContextLstm(RecurrentNet):
             p[f"Wh{g}"] = numerics.xavier_uniform(rng, (H, H))
             p[f"b{g}"] = np.zeros(H)
         p["bf"][:] = 1.0  # open forget gate at init; helps early BPTT flow
-        if self.peepholes:
-            for g in ("i", "f", "o"):
-                # start inert; training grows them if they help
-                p[f"wc{g}"] = np.zeros(H)
-        if self.contextual:
-            p["P"] = numerics.xavier_uniform(rng, (H, ATTRIBUTE_DIM))
-            p["pb"] = np.zeros(H)
-            p["Wq"] = numerics.xavier_uniform(rng, (H, FEATURE_DIM))
-            p["G"] = numerics.xavier_uniform(rng, (K, FEATURE_DIM))
+        for g in ("i", "f", "o"):
+            # start inert; training grows them if they help
+            p[f"wc{g}"] = np.zeros(H)
+        p["P"] = numerics.xavier_uniform(rng, (H, ATTRIBUTE_DIM))
+        p["pb"] = np.zeros(H)
+        p["Wq"] = numerics.xavier_uniform(rng, (H, FEATURE_DIM))
+        p["G"] = numerics.xavier_uniform(rng, (K, FEATURE_DIM))
         p["V"] = numerics.xavier_uniform(rng, (K, H))
         p["c"] = np.zeros(K)
         return p
@@ -80,22 +75,15 @@ class ContextLstm(RecurrentNet):
         p = self.params
         h_prev, c_prev = state
         x = p["emb"][inputs]
-        if self.contextual:
-            gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
-            hg = h_prev * gate_a
-            feat_in = feats @ p["Wq"].T
-        else:
-            gate_a = None
-            hg = h_prev
-            feat_in = None
+        gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
+        hg = h_prev * gate_a
+        feat_in = feats @ p["Wq"].T
 
         def pre(g: str, peep: bool) -> np.ndarray:
             out = x @ p[f"Wx{g}"].T + hg @ p[f"Wh{g}"].T + p[f"b{g}"]
-            if peep and self.peepholes:
+            if peep:
                 out = out + c_prev * p[f"wc{g}"]
-            if self.contextual:
-                out = out + feat_in
-            return out
+            return out + feat_in
 
         i = numerics.sigmoid(pre("i", True))
         f = numerics.sigmoid(pre("f", True))
@@ -104,9 +92,7 @@ class ContextLstm(RecurrentNet):
         o = numerics.sigmoid(pre("o", True))
         tc = np.tanh(c)
         h = o * tc
-        logits = h @ p["V"].T + p["c"]
-        if self.contextual:
-            logits = logits + feats @ p["G"].T
+        logits = h @ p["V"].T + p["c"] + feats @ p["G"].T
         if cache is not None:
             cache.append((x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h))
         return (h, c), logits
@@ -152,21 +138,17 @@ class ContextLstm(RecurrentNet):
                 grads[f"Wx{g}"] += d.T @ x
                 grads[f"Wh{g}"] += d.T @ hg
                 grads[f"b{g}"] += d.sum(axis=0)
-                if self.peepholes and g != "z":
+                if g != "z":
                     grads[f"wc{g}"] += (d * c_prev).sum(axis=0)
                     dc_prev = dc_prev + d * p[f"wc{g}"]
-                if self.contextual:
-                    grads["Wq"] += d.T @ batch.feats
+                grads["Wq"] += d.T @ batch.feats
                 dhg += d @ p[f"Wh{g}"]
                 dx += d @ p[f"Wx{g}"]
-            if self.contextual:
-                dh_next = dhg * gate_a
-                dgate = dhg * h_prev
-                dza = dgate * gate_a * (1.0 - gate_a)
-                grads["P"] += dza.T @ attrs_t
-                grads["pb"] += dza.sum(axis=0)
-            else:
-                dh_next = dhg
+            dh_next = dhg * gate_a
+            dgate = dhg * h_prev
+            dza = dgate * gate_a * (1.0 - gate_a)
+            grads["P"] += dza.T @ attrs_t
+            grads["pb"] += dza.sum(axis=0)
             dc_next = dc_prev
             np.add.at(grads["emb"], batch.inputs[:, t], dx)
         return loss / B, grads

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 from .. import numerics
 from ..data.types import Encodings
@@ -32,15 +34,22 @@ def encodings_hash(encodings: Encodings) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
+@dataclass(eq=False, kw_only=True)
 class _NeuralRecommender(SequenceRecommender):
-    kind: str = ""
+    kind: ClassVar[str] = ""
+    learning_rate: float = 0.002
+    clip_threshold: float = 5.0
+    batch_size: int = 50
+    epochs: int = 100
+    seed: int = 0
+
+    def __post_init__(self):
+        self._sgd_config()  # check the training settings now, not at fit
 
     def _build_net(self, n_pois: int):
         raise NotImplementedError
 
-    def fit(self, sessions, tables: FeatureTables = None):
-        if tables is None:
-            raise ValueError(f"{type(self).__name__}.fit requires feature tables")
+    def fit(self, sessions, tables: FeatureTables):
         sessions = check_sessions(sessions)
         self.tables_ = tables
         self.net_ = self._build_net(tables.encodings.n_pois)
@@ -99,34 +108,20 @@ class _NeuralRecommender(SequenceRecommender):
         return model
 
 
+@dataclass(eq=False, kw_only=True)
 class PlainRnnRecommender(_NeuralRecommender):
     """Plain recurrent sequence model; no context or feature inputs."""
 
     kind = KIND_PLAIN_RNN
-    contextual = False
+    contextual: ClassVar[bool] = False
+    hidden_size: int = 256
+    n_layers: int = 5
+    embedding_size: int = 384
 
-    def __init__(
-        self,
-        hidden_size: int = 256,
-        n_layers: int = 5,
-        embedding_size: int = 384,
-        learning_rate: float = 0.002,
-        clip_threshold: float = 5.0,
-        batch_size: int = 50,
-        epochs: int = 100,
-        seed: int = 0,
-    ):
-        check_positive(hidden_size=hidden_size, n_layers=n_layers,
-                       embedding_size=embedding_size)
-        self.hidden_size = hidden_size
-        self.n_layers = n_layers
-        self.embedding_size = embedding_size
-        self.learning_rate = learning_rate
-        self.clip_threshold = clip_threshold
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.seed = seed
-        self._sgd_config()  # check the training settings now, not at fit
+    def __post_init__(self):
+        check_positive(hidden_size=self.hidden_size, n_layers=self.n_layers,
+                       embedding_size=self.embedding_size)
+        super().__post_init__()
 
     def _build_net(self, n_pois: int):
         return ContextRnn(
@@ -146,38 +141,24 @@ class CapsRnnRecommender(PlainRnnRecommender):
     contextual = True
 
 
+@dataclass(eq=False, kw_only=True)
 class CapsLstmRecommender(_NeuralRecommender):
     """Context-aware LSTM: gate updates see the attribute-gated state
     and the shared feature term."""
 
     kind = KIND_CAPS_LSTM
+    hidden_size: int = 512
+    embedding_size: int = 384
 
-    def __init__(
-        self,
-        hidden_size: int = 512,
-        embedding_size: int = 384,
-        learning_rate: float = 0.002,
-        clip_threshold: float = 5.0,
-        batch_size: int = 50,
-        epochs: int = 100,
-        seed: int = 0,
-    ):
-        check_positive(hidden_size=hidden_size, embedding_size=embedding_size)
-        self.hidden_size = hidden_size
-        self.embedding_size = embedding_size
-        self.learning_rate = learning_rate
-        self.clip_threshold = clip_threshold
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.seed = seed
-        self._sgd_config()  # check the training settings now, not at fit
+    def __post_init__(self):
+        check_positive(hidden_size=self.hidden_size, embedding_size=self.embedding_size)
+        super().__post_init__()
 
     def _build_net(self, n_pois: int):
         return ContextLstm(
             n_pois,
             hidden_size=self.hidden_size,
             embedding_size=self.embedding_size,
-            contextual=True,
             seed=self.seed,
         )
 

@@ -309,6 +309,7 @@ BENCH_MODELS = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_7_relative_ordering():
     """Context-aware models beat the plain model, which beats the
     popularity count, by at least 0.02 pairs-F1 each, under 5-fold cross

@@ -2,12 +2,14 @@
 Apriori vs exhaustive enumeration, HITS vs an independent power
 iteration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from capseq.data.types import Encodings, Poi, Session, SocialGraph, Visit
 from capseq.features import FeatureTables
-from capseq.generation import GenRequest, top_k
+from capseq.generation import GenRequest, score_sequence, top_k
 from capseq.geo import WALK_SPEED_KMH, haversine_km
 from capseq.baselines import (
     AprioriRecommender,
@@ -148,6 +150,23 @@ class TestMarkov:
         assert markov_walks(model, None, unseen, 1, rngs) == [[unseen]] * 3
         assert [rng.random() for rng in rngs] == [
             np.random.default_rng([5, c]).random(2)[1] for c in range(3)]
+
+    def test_consolidated_request_ranks_by_discounted_scores(self, synth_small,
+                                                              synth_tables):
+        """A consolidated request draws the same walks and orders them by
+        their constraint-discounted scores, which reorders them here."""
+        sessions, graph, enc = synth_small
+        model = MarkovRecommender().fit(sessions, synth_tables)
+        user = enc.user(sessions[0].user_id)
+        request = GenRequest(user=user, start_poi=enc.poi(sessions[0].visits[0].poi.poi_id),
+                             start_hour=9.0, length=6, candidates=20, k=20)
+        plain = model.generate(request, seed=3)
+        ranked = model.generate(dataclasses.replace(request, consolidated=True), seed=3)
+        assert sorted(s.pois for s in ranked) == sorted(s.pois for s in plain)
+        discounted = score_sequence(ranked, user, synth_tables, consolidated=True)
+        assert [s.score for s in ranked] == discounted
+        assert discounted == sorted(discounted, reverse=True)
+        assert [s.pois for s in ranked] != [s.pois for s in plain]
 
     def test_rows_equal_solo_walks(self, synth_small):
         sessions, graph, enc = synth_small
@@ -293,14 +312,10 @@ class TestApriori:
                 assert [tuple(s.pois) for s in got] == [e[0] for e in expected[:50]]
                 assert [s.score for s in got] == [e[1] for e in expected[:50]]
 
-    def test_bad_settings_rejected_before_generation(self, synth_small, synth_tables):
-        sessions, _, _ = synth_small
+    def test_bad_settings_rejected_before_generation(self):
         for bad in ({"epsilon_km": 0.0}, {"beam_width": 0}):
             with pytest.raises(ValueError):
                 AprioriRecommender(**bad)
-            model = AprioriRecommender().set_params(**bad)
-            with pytest.raises(ValueError):
-                model.fit(sessions, synth_tables)
 
 
 def independent_power_iteration(M, iterations=100):

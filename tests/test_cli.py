@@ -303,6 +303,21 @@ BAD_INPUTS = {
     "apriori-zero-beam": (
         {"run.cfg": "beam_width = 0\n"},
         ["evaluate", "--models", "apriori", "--config", "{tmp}/run.cfg"], 1),
+    "apriori-nan-budget": (
+        {"run.cfg": "budget_hours = nan\n"},
+        ["evaluate", "--models", "apriori", "--config", "{tmp}/run.cfg"], 1),
+    "apriori-negative-budget": (
+        {"run.cfg": "budget_hours = -1\n"},
+        ["evaluate", "--models", "apriori", "--config", "{tmp}/run.cfg"], 1),
+    "popularity-nan-radius": (
+        {"run.cfg": "radius_km = nan\n"},
+        ["evaluate", "--models", "popularity", "--config", "{tmp}/run.cfg"], 1),
+    "popularity-nan-growth-factor": (
+        {"run.cfg": "growth_factor = nan\n"},
+        ["evaluate", "--models", "popularity", "--config", "{tmp}/run.cfg"], 1),
+    "hits-nan-region-radius": (
+        {"run.cfg": "region_radius_km = nan\n"},
+        ["evaluate", "--models", "hits", "--config", "{tmp}/run.cfg"], 1),
     "corrupt-encodings-json": (
         {"ds/encodings.json": '{"users": ['},
         ["features", "--data-dir", "{tmp}/ds"], 2),
@@ -407,6 +422,8 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
     if "tables.json" in files:
         assert err.startswith(f"data error: {tmp_path / 'tables.json'}: "
                               "not a feature tables file:"), err
+    if "run.cfg" in files and code == 1:
+        assert err.startswith("config error:"), err
 
 
 def _sweep_csv(length: str) -> str:

@@ -154,7 +154,7 @@ class PerfectOracle(SequenceRecommender):
     def __init__(self):
         self.by_user_start_: dict = {}
 
-    def fit(self, sessions, tables=None):
+    def fit(self, sessions, tables):
         self.sessions_ = list(sessions)
         self.tables_ = tables
         return self
@@ -294,7 +294,7 @@ class ScriptedTrips(SequenceRecommender):
     def clone_unfitted(self):
         return self
 
-    def fit(self, sessions, tables=None):
+    def fit(self, sessions, tables):
         return self
 
     def generate(self, request, seed=0):

@@ -1,8 +1,11 @@
 """Estimator plumbing: params round trips, fitted-state checks,
 checkpoint save/load with encoding guards."""
 
+import dataclasses
+
 import pytest
 
+from capseq.cli import RECOMMENDERS
 from capseq.data import Encodings, build_sessions, synth_dataset, training_sessions
 from capseq.features import FeatureTables
 from capseq.generation import GenRequest
@@ -27,16 +30,14 @@ def world():
 
 
 class TestEstimatorApi:
-    def test_get_set_params_round_trip(self):
+    def test_get_params_round_trip(self):
         model = CapsRnnRecommender(hidden_size=10, epochs=2)
         params = model.get_params()
         assert params["hidden_size"] == 10 and params["epochs"] == 2
         clone = model.clone_unfitted()
         assert clone.get_params() == params
-        model.set_params(hidden_size=20)
-        assert model.hidden_size == 20
-        with pytest.raises(ValueError, match="invalid parameter"):
-            model.set_params(not_a_param=1)
+        with pytest.raises(TypeError, match="not_a_param"):
+            CapsRnnRecommender(not_a_param=1)
 
     def test_repr_shows_params(self):
         assert "hidden_size=10" in repr(CapsLstmRecommender(hidden_size=10))
@@ -49,14 +50,40 @@ class TestEstimatorApi:
 
     def test_fit_requires_tables(self, world):
         sessions, tables = world
-        with pytest.raises(ValueError, match="tables"):
+        with pytest.raises(TypeError, match="tables"):
             CapsRnnRecommender(epochs=1).fit(sessions)
-        with pytest.raises(ValueError, match="tables"):
+        with pytest.raises(TypeError, match="tables"):
             PopularityRecommender().fit(sessions)
 
     def test_baseline_params_round_trip(self):
         model = MarkovRecommender(smoothing=0.5)
         assert model.get_params() == {"smoothing": 0.5}
+
+
+# small enough that every neural kind fits in a moment
+TINY_NETS = {"hidden_size": 4, "n_layers": 1, "embedding_size": 3, "epochs": 1}
+
+
+@pytest.mark.parametrize("name", sorted(RECOMMENDERS))
+def test_recommender_contract(name, world):
+    """Every recommender: a clone of a fitted model has its settings and
+    none of its learned state, an unknown setting is a TypeError, and NaN
+    in any float setting is rejected at construction."""
+    sessions, tables = world
+    cls = RECOMMENDERS[name]
+    model = cls(**{k: v for k, v in TINY_NETS.items() if k in cls._param_names()})
+    model.fit(training_sessions(sessions), tables)
+    clone = model.clone_unfitted()
+    assert type(clone) is cls and clone.get_params() == model.get_params()
+    assert [attr for attr in vars(model) if attr.endswith("_")]
+    assert not [attr for attr in vars(clone) if attr.endswith("_")]
+    with pytest.raises(TypeError, match="not_a_setting"):
+        cls(not_a_setting=1)
+    floats = [f.name for f in dataclasses.fields(cls) if isinstance(f.default, float)]
+    assert floats
+    for field in floats:
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: float("nan")})
 
 
 class TestSessionEncoding:
