@@ -1,12 +1,13 @@
-"""HITS baseline: regional hub/authority ranking of observed sub-trips.
+"""HITS baseline (Zheng et al., WWW 2009): regional hub/authority
+ranking of observed sub-trips.
 
-Locations are grouped into regions by greedy leader clustering; within
-each region, power iteration on the user-location visit matrix yields
-user hub scores and location authority scores. Candidate sequences come
-from contiguous sub-sequences observed in the region's sessions; a
-candidate scores the sum of its POIs' authorities times the mean hub
-score of the users who were seen traversing at least one of its
-consecutive POI pairs.
+Locations are grouped into regions by greedy leader clustering. Power
+iteration on each region's block of the (n_users, n_pois) visit-count
+matrix yields user hub scores and location authority scores. Candidates
+are the contiguous sub-sequences of the sessions' per-region runs,
+indexed by (start POI, length); a candidate scores the sum of its POIs'
+authorities times the mean hub score of the users who were seen
+traversing at least one of its consecutive POI pairs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,25 +63,20 @@ def power_iterate(adjacency: np.ndarray, tol: float = POWER_TOL,
         norm = np.linalg.norm(new_hub)
         if norm > 0:
             new_hub /= norm
-        delta = max(
-            float(np.abs(new_auth - auth).max()),
-            float(np.abs(new_hub - hub).max()),
-        )
+        delta = max(np.abs(new_auth - auth).max(), np.abs(new_hub - hub).max())
         hub, auth = new_hub, new_auth
         if delta < tol:
             break
     return hub, auth
 
 
-class HitsModel:
-    def __init__(self, region_of_poi, hub, authority, pair_users, region_windows,
-                 region_ranked):
-        self.region_of_poi = region_of_poi       # poi -> region id
-        self.hub = hub                           # (region, user) -> hub score
-        self.authority = authority               # poi -> authority score
-        self.pair_users = pair_users             # (poi, poi) -> set of users
-        self.region_windows = region_windows     # region -> {length: [windows]}
-        self.region_ranked = region_ranked       # region -> POIs, most authority first
+class HitsModel(NamedTuple):
+    region_of_poi: np.ndarray  # (n_pois,) region id
+    hub: np.ndarray            # (n_regions, n_users) hub score, 0.0 off the region
+    authority: np.ndarray      # (n_pois,) authority score within the POI's region
+    pair_users: dict           # (poi, poi) -> set of users who made that step
+    windows: dict              # (start POI, length) -> observed windows, first seen first
+    region_ranked: list        # per region: its POIs, most authority first
 
 
 def hits_fit(sessions, encodings, coords,
@@ -86,68 +84,36 @@ def hits_fit(sessions, encodings, coords,
     region_of_poi = cluster_regions(coords, radius_km)
     n_regions = int(region_of_poi.max()) + 1 if len(region_of_poi) else 0
 
-    visits: dict[int, dict] = defaultdict(lambda: defaultdict(float))
-    region_users: dict[int, set] = defaultdict(set)
+    visits = np.zeros((encodings.n_users, len(region_of_poi)))
     pair_users: dict[tuple, set] = defaultdict(set)
-    region_seqs: dict[int, list] = defaultdict(list)
+    windows: dict[tuple, dict] = defaultdict(dict)  # dict keys drop repeats in order
     for session in sessions:
         u = encodings.user(session.user_id)
         ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
-        for l in ixs:
-            rid = int(region_of_poi[l])
-            visits[rid][(u, l)] += 1.0
-            region_users[rid].add(u)
+        np.add.at(visits, (u, ixs), 1.0)
         for a, b in zip(ixs, ixs[1:]):
             pair_users[(a, b)].add(u)
-        # split the session into per-region runs for the candidate pool
-        run: list[int] = []
-        run_rid = None
-        for l in ixs:
-            rid = int(region_of_poi[l])
-            if run_rid is None or rid == run_rid:
-                run.append(l)
-                run_rid = rid
-            else:
-                region_seqs[run_rid].append(run)
-                run = [l]
-                run_rid = rid
-        if run:
-            region_seqs[run_rid].append(run)
+        # candidate windows never cross a region border
+        for _, run in groupby(ixs, key=region_of_poi.__getitem__):
+            run = list(run)
+            for ln in range(2, len(run) + 1):
+                for i in range(len(run) - ln + 1):
+                    windows[(run[i], ln)][tuple(run[i : i + ln])] = None
 
-    hub: dict[tuple, float] = {}
+    hub = np.zeros((n_regions, encodings.n_users))
     authority = np.zeros(len(region_of_poi))
-    for rid in range(n_regions):
-        users = sorted(region_users.get(rid, ()))
-        locs = sorted(np.flatnonzero(region_of_poi == rid).tolist())
-        if not users or not visits.get(rid):
-            warnings.warn(f"region {rid} has no visits; skipped", stacklevel=2)
-            continue
-        adjacency = np.zeros((len(users), len(locs)))
-        loc_pos = {l: j for j, l in enumerate(locs)}
-        for (u, l), n in visits[rid].items():
-            adjacency[users.index(u), loc_pos[l]] = n
-        h, a = power_iterate(adjacency)
-        for i, u in enumerate(users):
-            hub[(rid, u)] = float(h[i])
-        for j, l in enumerate(locs):
-            authority[l] = float(a[j])
-
-    region_windows: dict[int, dict] = defaultdict(lambda: defaultdict(list))
-    for rid, seqs in region_seqs.items():
-        for seq in seqs:
-            for ln in range(2, len(seq) + 1):
-                for i in range(len(seq) - ln + 1):
-                    window = tuple(seq[i : i + ln])
-                    bucket = region_windows[rid][ln]
-                    if window not in bucket:
-                        bucket.append(window)
     region_ranked = []
     for rid in range(n_regions):
         locs = np.flatnonzero(region_of_poi == rid)
+        users = np.flatnonzero(visits[:, locs].any(axis=1))
+        if users.size:
+            hub[rid, users], authority[locs] = power_iterate(visits[np.ix_(users, locs)])
+        else:
+            warnings.warn(f"region {rid} has no visits; skipped", stacklevel=2)
         # stable, so equal authorities keep index order
         region_ranked.append(locs[np.argsort(-authority[locs], kind="stable")].tolist())
     return HitsModel(region_of_poi, hub, authority, dict(pair_users),
-                     {r: dict(v) for r, v in region_windows.items()}, region_ranked)
+                     {key: list(seen) for key, seen in windows.items()}, region_ranked)
 
 
 def sequence_score(model: HitsModel, pois) -> float:
@@ -159,8 +125,7 @@ def sequence_score(model: HitsModel, pois) -> float:
         users |= model.pair_users.get((a, b), set())
     if not users:
         return 0.0
-    rid = int(model.region_of_poi[pois[0]])
-    hubs = [model.hub.get((rid, u), 0.0) for u in sorted(users)]
+    hubs = model.hub[model.region_of_poi[pois[0]], sorted(users)].tolist()
     return auth * (sum(hubs) / len(hubs))
 
 
@@ -173,26 +138,20 @@ class HitsRecommender(SequenceRecommender):
 
     def fit(self, sessions, tables):
         self.tables_ = tables
-        self.model_ = hits_fit(
-            sessions, tables.encodings, tables.poi_coords, self.region_radius_km
-        )
+        self.model_ = hits_fit(sessions, tables.encodings, tables.poi_coords,
+                               self.region_radius_km)
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
         self._check_fitted("model_", "tables_")
         model = self.model_
-        rid = int(model.region_of_poi[request.start_poi])
-        windows = model.region_windows.get(rid, {}).get(request.length, [])
-        pool = [w for w in windows if w[0] == request.start_poi]
+        pool = model.windows.get((request.start_poi, request.length))
         if not pool:
             # no observed window of this length starts here: repeat the most
             # authoritative POIs of the region after the start
-            ranked = model.region_ranked[rid]
+            ranked = model.region_ranked[model.region_of_poi[request.start_poi]]
             filler = [l for l in ranked if l != request.start_poi] or [request.start_poi]
-            pois = [request.start_poi] + [
-                int(filler[i % len(filler)]) for i in range(request.length - 1)
-            ]
-            pool = [tuple(pois)]
+            pool = [(request.start_poi, *(filler * request.length)[: request.length - 1])]
         scores = [sequence_score(model, pois) for pois in pool]
         top = top_k(scores, request.k)
         # every window has request.length stops: one read for all of them

@@ -2,14 +2,16 @@
 
 Each user gets an initial-probability vector over the POIs they were
 observed at (counted from session starts) and a Laplace-smoothed
-transition matrix over the same alphabet. Unknown users or start POIs
-fall back to a population-level chain pooled over everybody.
+transition matrix over the same alphabet. Every session also counts
+towards a population-level chain pooled over everybody, which unknown
+users and start POIs fall back to.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +28,18 @@ from ..models.base import SequenceRecommender, check_non_negative
 POPULATION = -1  # pooled pseudo-user key
 
 
-class UserChain:
-    """Alphabet, initial distribution and stochastic transition matrix."""
+class UserChain(NamedTuple):
+    """Alphabet, its POI -> row index, initial distribution and
+    stochastic transition matrix."""
 
-    __slots__ = ("alphabet", "index", "initial", "transition")
-
-    def __init__(self, alphabet, initial, transition):
-        self.alphabet = alphabet
-        self.index = {poi: i for i, poi in enumerate(alphabet)}
-        self.initial = initial
-        self.transition = transition
+    alphabet: list
+    index: dict
+    initial: np.ndarray
+    transition: np.ndarray
 
 
-class MarkovModel:
-    def __init__(self, chains: dict):
-        self.chains = chains
+class MarkovModel(NamedTuple):
+    chains: dict  # user (or POPULATION) -> UserChain
 
     def chain_for(self, user: int | None, start: int | None = None) -> UserChain:
         chain = self.chains.get(user if user is not None else POPULATION)
@@ -60,24 +59,18 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
     for session in sessions:
         u = encodings.user(session.user_id)
         ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
-        starts[u].append(ixs[0])
-        starts[POPULATION].append(ixs[0])
-        for a, b in zip(ixs, ixs[1:]):
-            pairs[u].append((a, b))
-            pairs[POPULATION].append((a, b))
+        for key in (u, POPULATION):
+            starts[key].append(ixs[0])
+            pairs[key].extend(zip(ixs, ixs[1:]))
 
     chains = {}
     for u in starts:
-        alphabet = sorted(
-            {p for p in starts[u]} | {x for pair in pairs[u] for x in pair}
-        )
+        alphabet = sorted(set(starts[u]).union(*pairs[u]))
         n = len(alphabet)
         index = {poi: i for i, poi in enumerate(alphabet)}
         initial = np.full(n, smoothing, dtype=np.float64)
-        for p in starts[u]:
-            initial[index[p]] += 1.0
-        total = initial.sum()
-        initial = initial / total if total > 0 else np.full(n, 1.0 / n)
+        np.add.at(initial, [index[p] for p in starts[u]], 1.0)
+        initial /= initial.sum()  # every chain has a start, so the sum is positive
         transition = np.full((n, n), smoothing, dtype=np.float64)
         for a, b in pairs[u]:
             transition[index[a], index[b]] += 1.0
@@ -87,7 +80,7 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
         transition[zero] = 1.0 / n
         row_sums[zero] = 1.0
         transition /= row_sums
-        chains[u] = UserChain(alphabet, initial, transition)
+        chains[u] = UserChain(alphabet, index, initial, transition)
     return MarkovModel(chains)
 
 

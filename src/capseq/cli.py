@@ -99,6 +99,14 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="root seed (default 7)")
         p.add_argument("--out-dir", default=None, help="output directory")
 
+    def add_model_flags(p):
+        p.add_argument("--hidden-size", type=int, default=None)
+        p.add_argument("--n-layers", type=int, default=None)
+        p.add_argument("--embedding-size", type=int, default=None)
+        p.add_argument("--lr", dest="learning_rate", type=float, default=None)
+        p.add_argument("--epochs", type=int, default=None)
+        p.add_argument("--batch-size", type=int, default=None)
+
     p = sub.add_parser("synth", help="generate a synthetic check-in corpus")
     add_common(p)
     p.add_argument("--users", type=int, default=60)
@@ -125,13 +133,8 @@ def build_parser() -> _Parser:
     p.add_argument("--data-dir", default=None)
     p.add_argument("--tables", help="feature tables JSON (default: build)")
     p.add_argument("--model", choices=sorted(MODEL_KINDS), default=None)
-    p.add_argument("--hidden-size", type=int, default=None)
-    p.add_argument("--n-layers", type=int, default=None)
-    p.add_argument("--embedding-size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
+    add_model_flags(p)
     p.add_argument("--clip", dest="clip_threshold", type=float, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
 
     p = sub.add_parser("generate", help="generate sequences from a checkpoint")
     add_common(p)
@@ -157,12 +160,7 @@ def build_parser() -> _Parser:
                        sorted(MODEL_KINDS) + sorted(BASELINE_FACTORIES)) + " or all")
     p.add_argument("--folds", type=int, default=None)
     p.add_argument("--candidates", type=int, default=None)
-    p.add_argument("--hidden-size", type=int, default=None)
-    p.add_argument("--n-layers", type=int, default=None)
-    p.add_argument("--embedding-size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
+    add_model_flags(p)
     p.add_argument("--sweep-lengths", default="",
                    help="comma list of generation lengths for plot data")
     p.add_argument("--diversity-raw", action="store_true",
@@ -381,6 +379,8 @@ def _select_models(spec: str, cfg: dict) -> dict:
     names = sorted(BASELINE_FACTORIES) + sorted(MODEL_KINDS) if spec == "all" else [
         s.strip() for s in spec.split(",") if s.strip()
     ]
+    if not names:
+        raise UsageError(f"--models {spec!r} names no model")
     models = {}
     for name in names:
         if name not in RECOMMENDERS:
@@ -471,6 +471,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if not args.command:
@@ -480,7 +481,8 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        if args is None:  # the command line itself is malformed
+            parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except configmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

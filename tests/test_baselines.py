@@ -1,8 +1,9 @@
 """Baselines: popularity radius growth, Markov smoothing arithmetic,
 Apriori vs exhaustive enumeration, HITS vs an independent power
-iteration."""
+iteration and a loop transcription of its fit."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -416,3 +417,123 @@ class TestHits:
         assert top_k([score, score], 2) == [0, 1]
         assert top_k([1.0, 3.0, 2.0, 3.0], 3) == [1, 3, 2]
         assert top_k([0.5, 0.5, 0.5], 2) == [0, 1]
+
+
+def two_region_corpus():
+    """Region A holds c, a, b (about 1 km apart), region B holds x, y,
+    111 km north. Encoded c=0, a=1, b=2, x=3, y=4."""
+    p = {pid: Poi(pid, lat, -74.0, "Food") for pid, lat in
+         (("c", 40.0), ("a", 40.01), ("b", 40.02), ("x", 41.0), ("y", 41.01))}
+
+    def trip(user, pids):
+        return Session(user, tuple(Visit(p[pid], 1330905600 + 3600 * h,
+                                         1330905600 + 3600 * h + 600)
+                                   for h, pid in enumerate(pids)))
+
+    return [trip("u0", "cabxy"), trip("u1", "ac"), trip("u1", "abx")]
+
+
+def dict_hits_reference(sessions, enc, region):
+    """Loop transcription of the HITS fit: visit counts in per-region dicts
+    keyed (user, POI), users found by ``list.index``, and per-(region,
+    length) window lists that drop repeats with a ``not in`` test.
+    Returns (hub by (region, user), authority, windows by (start, length))."""
+    visits, buckets = {}, {}
+    for s in sessions:
+        u = enc.user(s.user_id)
+        ixs = [enc.poi(v.poi.poi_id) for v in s.visits]
+        for l in ixs:
+            counts = visits.setdefault(int(region[l]), {})
+            counts[(u, l)] = counts.get((u, l), 0.0) + 1.0
+        runs = [[ixs[0]]]
+        for prev, l in zip(ixs, ixs[1:]):
+            if region[l] == region[prev]:
+                runs[-1].append(l)
+            else:
+                runs.append([l])
+        for run in runs:
+            for ln in range(2, len(run) + 1):
+                for i in range(len(run) - ln + 1):
+                    bucket = buckets.setdefault((int(region[run[0]]), ln), [])
+                    if tuple(run[i : i + ln]) not in bucket:
+                        bucket.append(tuple(run[i : i + ln]))
+    hub, authority = {}, np.zeros(len(region))
+    for rid, counts in visits.items():
+        users = sorted({u for u, _ in counts})
+        locs = np.flatnonzero(region == rid).tolist()
+        adjacency = np.zeros((len(users), len(locs)))
+        for (u, l), n in counts.items():
+            adjacency[users.index(u), locs.index(l)] = n
+        h, a = power_iterate(adjacency)
+        hub.update({(rid, u): h[i] for i, u in enumerate(users)})
+        authority[locs] = a
+    windows = {}
+    for (_, ln), bucket in buckets.items():
+        for window in bucket:
+            windows.setdefault((window[0], ln), []).append(window)
+    return hub, authority, windows
+
+
+def test_hits_fit_equals_the_dict_reference(synth_small):
+    """At 1 km, a half of the corpus leaves a region without visits: its
+    hub row and its authorities stay 0.0, as in the reference."""
+    sessions, _, enc = synth_small
+    empty_regions = 0
+    for part, radius in ((sessions, 10.0), (sessions[::2], 1.0), (sessions[1::2], 1.0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            model = hits_fit(part, enc, enc.poi_coords, radius)
+        empty_regions += len(caught)
+        hub, authority, windows = dict_hits_reference(part, enc, model.region_of_poi)
+        want_hub = np.zeros_like(model.hub)
+        for (rid, u), h in hub.items():
+            want_hub[rid, u] = h
+        assert np.array_equal(model.hub, want_hub)
+        assert np.array_equal(model.authority, authority)
+        assert model.windows == windows
+    assert empty_regions > 0
+
+
+class TestHitsWindows:
+    """The (start POI, length) window index of a fitted HITS model."""
+
+    @pytest.fixture
+    def fitted(self):
+        sessions = two_region_corpus()
+        enc = Encodings.fit(sessions)
+        tables = FeatureTables.build(sessions, SocialGraph(), enc)
+        return HitsRecommender().fit(sessions, tables), enc
+
+    def test_windows_seen_twice_listed_once_in_first_seen_order(self, fitted):
+        rec, enc = fitted
+        a, b, c = enc.poi("a"), enc.poi("b"), enc.poi("c")
+        # a->b is seen in the first and third sessions, a->c in the second;
+        # first-seen order puts (a, b) ahead of the lower-indexed (a, c)
+        assert rec.model_.windows[(a, 2)] == [(a, b), (a, c)]
+        assert rec.model_.windows[(c, 3)] == [(c, a, b)]
+
+    def test_no_window_crosses_a_region_border(self, fitted):
+        rec, enc = fitted
+        region = rec.model_.region_of_poi
+        assert region[enc.poi("a")] != region[enc.poi("x")]
+        for (start, length), windows in rec.model_.windows.items():
+            for window in windows:
+                assert window[0] == start and len(window) == length
+                assert len({region[p] for p in window}) == 1
+        # b->x and b->x->y cross from region A to region B
+        assert (enc.poi("b"), 2) not in rec.model_.windows
+        assert rec.model_.windows[(enc.poi("x"), 2)] == [(enc.poi("x"), enc.poi("y"))]
+
+    def test_unindexed_requests_get_the_authority_filler(self, fitted):
+        rec, enc = fitted
+        model = rec.model_
+        for start, length in ((enc.poi("a"), 1), (enc.poi("b"), 2),
+                              (enc.poi("b"), 4), (enc.poi("a"), 5)):
+            assert (start, length) not in model.windows
+            ranked = model.region_ranked[model.region_of_poi[start]]
+            assert np.all(np.diff(model.authority[ranked]) <= 0)
+            filler = [p for p in ranked if p != start]
+            want = [start] + [filler[i % len(filler)] for i in range(length - 1)]
+            seqs = rec.generate(GenRequest(user=0, start_poi=start, start_hour=9.0,
+                                           length=length, candidates=3, k=3))
+            assert [s.pois for s in seqs] == [want]

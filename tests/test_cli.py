@@ -251,11 +251,24 @@ def _latitude_1000(raw: bytes) -> bytes:
     return json.dumps(pois).encode("utf-8")
 
 
-def _first_session_one_departure_short(raw: bytes) -> bytes:
-    first, rest = raw.split(b"\n", 1)
-    session = json.loads(first)
-    session["departures"].pop()
-    return json.dumps(session).encode("utf-8") + b"\n" + rest
+def _with_first_session(change):
+    """Dataset edit: ``change`` alters the first line of ``sessions.jsonl``,
+    parsed, in place."""
+    def edit(raw: bytes) -> bytes:
+        first, rest = raw.split(b"\n", 1)
+        session = json.loads(first)
+        change(session)
+        return json.dumps(session).encode("utf-8") + b"\n" + rest
+    return edit
+
+
+def _first_session_times(change):
+    """Dataset edit: ``change`` maps every arrival and departure of the
+    first session."""
+    def change_times(session):
+        for key in ("arrivals", "departures"):
+            session[key] = [change(t) for t in session[key]]
+    return _with_first_session(change_times)
 
 
 CHECKINS = ("userid,placeid,datetime,lat,lon,city,category\n"
@@ -344,8 +357,14 @@ BAD_INPUTS = {
     "pois-json-latitude-1000": (
         {"ds/pois.json": _latitude_1000}, ["features", "--data-dir", "{tmp}/ds"], 2),
     "sessions-line-lengths-differ": (
-        {"ds/sessions.jsonl": _first_session_one_departure_short},
+        {"ds/sessions.jsonl": _with_first_session(lambda s: s["departures"].pop())},
         ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-fractional-time": (
+        {"ds/sessions.jsonl": _first_session_times(lambda t: t + 0.5)},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-string-time": (
+        {"ds/sessions.jsonl": _first_session_times(str)},
+        ["evaluate", "--models", "popularity", "--data-dir", "{tmp}/ds"], 2),
     "config-not-utf8": (
         {"run.cfg": "seed = 3 \udcff\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
     "checkins-not-utf8": (
@@ -394,6 +413,7 @@ BAD_INPUTS = {
         {}, ["evaluate", "--models", "popularity", "--sweep-lengths", "3,abc"], 1),
     "evaluate-zero-sweep-length": (
         {}, ["evaluate", "--models", "popularity", "--sweep-lengths", "0"], 1),
+    "evaluate-no-model": ({}, ["evaluate", "--models", ","], 1),
     "evaluate-more-folds-than-sessions": (
         {}, ["evaluate", "--models", "popularity", "--folds", "1000"], 2),
 }
@@ -424,6 +444,8 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
                               "not a feature tables file:"), err
     if "run.cfg" in files and code == 1:
         assert err.startswith("config error:"), err
+    if callable(files.get("ds/sessions.jsonl")):  # an edited session line
+        assert err.startswith(f"data error: {tmp_path / 'ds' / 'sessions.jsonl'}:"), err
 
 
 def _sweep_csv(length: str) -> str:
