@@ -106,9 +106,10 @@ def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
     pois = dict(enumerate(encodings.pois()))
 
     def session(obj) -> Session:
-        bad = [t for t in obj["arrivals"] + obj["departures"] if type(t) is not int]
-        if bad:  # a float, string or bool (an int subclass) time
-            raise ValueError(f"visit time {bad[0]!r} is not a whole number of seconds")
+        values = [obj["user"], *obj["pois"], *obj["arrivals"], *obj["departures"]]
+        bad = [v for v in values if type(v) is not int]
+        if bad:  # a float, string or bool (an int subclass): a lookup takes 1.0 or True as 1
+            raise ValueError(f"user, POI or visit time {bad[0]!r} is not an integer")
         visits = tuple(
             Visit(pois[p], a, d)
             for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"], strict=True)

@@ -7,15 +7,22 @@ same arithmetic: one Python-float evaluation per POI, per step and per
 stop, in the order the formulas define, reading only the statistics
 arrays, the POI coordinates and the visit counts, stay means and
 distance bounds of ``to_dict`` of a built ``FeatureTables``. Every array read must equal it bit for bit.
+
+``apriori_search`` is the earlier Apriori beam search, one ``_Trip`` per
+candidate and one Python sort per level, over ``neighbour_lists`` of
+tuples; the array search must return its trips, hours and scores.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from capseq.features import ATTRIBUTE_DIM, HOURS
-from capseq.generation import GeneratedSequence, sample_rows
-from capseq.geo import WALK_SPEED_KMH, haversine_km
+from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
+from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables
+from capseq.generation import GeneratedSequence, next_hour, sample_rows
+from capseq.geo import WALK_SPEED_KMH, haversine_km, travel_seconds
 
 
 class ScalarTables:
@@ -196,3 +203,109 @@ def generate(net, request, ref: ScalarTables, seed: int = 0) -> list:
         seq.score = score_sequence(seq, request.user, ref, request.consolidated)
     order = sorted(range(len(scored)), key=lambda i: (-scored[i].score, i))
     return [scored[i] for i in order[: request.k]]
+
+
+@dataclass
+class _Trip:
+    pois: tuple
+    hours: tuple
+    elapsed: float  # travel + stay seconds so far
+    travel: float   # travel seconds only (final tie-break)
+    score: float
+
+
+def neighbour_lists(tables: FeatureTables, epsilon_km: float) -> list:
+    """Per POI ``last``, the ascending ``(nxt, km, travel_s, discount)``
+    entries of every other POI within ``epsilon_km`` of it.
+
+    ``discount`` is ``FeatureTables.discount``, the factor
+    ``FeatureTables.consolidated`` applies to the preference score of
+    ``nxt`` when the trip stands at ``last``. Distances and discounts
+    come from the same table reads, in the same direction, as a step of
+    the search would make them, so every float, and with it every
+    threshold test and score tie, is the same as computing them per step.
+    """
+    pois = np.arange(tables.n_pois)
+    km = tables.distance_km(pois[:, None], pois)
+    # row-major, so each POI's entries come out together and ascending
+    last, nxt = np.nonzero(~(km > epsilon_km) & (pois[:, None] != pois))
+    km = km[last, nxt]
+    entries = zip(nxt.tolist(), km.tolist(), travel_seconds(km).tolist(),
+                  tables.discount(nxt, last).tolist())
+    out = [[] for _ in pois]
+    for row, entry in zip(last.tolist(), entries):
+        out[row].append(entry)
+    return [tuple(row) for row in out]
+
+
+def apriori_search(
+    tables: FeatureTables,
+    neighbours: list,
+    user: int | None,
+    start: int,
+    start_hour: float,
+    length: int,
+    budget_hours: float = DEFAULT_BUDGET_HOURS,
+    k: int = 10,
+    beam_width: int | None = DEFAULT_BEAM_WIDTH,
+) -> list:
+    """Top-k trips from ``start`` over precomputed ``neighbour_lists``."""
+    budget = budget_hours * 3600.0
+    every_poi = np.arange(tables.n_pois)
+    stay = tables.stay.mean_stay.tolist()
+    preferences = tables.preference(user, every_poi[:, None], np.arange(HOURS)).tolist()
+
+    def extensions(trip: _Trip) -> list:
+        pois = trip.pois
+        last = pois[-1]
+        hour = trip.hours[-1]
+        out = []
+        for nxt, _, travel, discount in neighbours[last]:
+            if nxt in pois:
+                continue
+            elapsed = trip.elapsed + travel + stay[nxt]
+            if elapsed > budget:
+                continue
+            new_hour = next_hour(hour, stay[last], travel)
+            ps = preferences[nxt][int(new_hour)]
+            out.append(
+                _Trip(
+                    pois=pois + (nxt,),
+                    hours=trip.hours + (new_hour,),
+                    elapsed=elapsed,
+                    travel=trip.travel + travel,
+                    score=trip.score + ps * discount,
+                )
+            )
+        return out
+
+    hour = first_hour(start_hour)
+    seed_trip = _Trip(
+        pois=(start,),
+        hours=(hour,),
+        elapsed=stay[start],
+        travel=0.0,
+        score=tables.preference(user, start, int(hour)),
+    )
+    level = [seed_trip]
+    completed: list[_Trip] = []
+    while level and len(level[0].pois) < length:
+        nxt_level: list[_Trip] = []
+        for trip in level:
+            grown = extensions(trip)
+            if not grown:
+                completed.append(trip)  # dead end, kept as fallback
+            nxt_level.extend(grown)
+        nxt_level.sort(key=lambda t: (-t.score, t.travel, t.pois))
+        if beam_width is not None:
+            nxt_level = nxt_level[:beam_width]
+        level = nxt_level
+    full = level if level else []
+    pool = full or completed or [seed_trip]
+    pool = sorted(pool, key=lambda t: (-t.score, t.travel, t.pois))[:k]
+    return [
+        GeneratedSequence(
+            pois=list(t.pois), step_probs=[], score=t.score, hours=list(t.hours)
+        )
+        for t in pool
+    ]

@@ -1,13 +1,17 @@
 """Baselines: popularity radius growth, Markov smoothing arithmetic,
-Apriori vs exhaustive enumeration, HITS vs an independent power
-iteration and a loop transcription of its fit."""
+Apriori vs exhaustive enumeration and the tuple-walking beam search,
+HITS vs an independent power iteration and a loop transcription of its
+fit."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
 import pytest
 
+import scalar_reference as ref
+from capseq.data import build_sessions, synth_dataset
 from capseq.data.types import Encodings, Poi, Session, SocialGraph, Visit
 from capseq.features import FeatureTables
 from capseq.generation import GenRequest, score_sequence, top_k
@@ -24,7 +28,7 @@ from capseq.baselines import (
     popularity_next,
     power_iterate,
 )
-from capseq.baselines.apriori import DEFAULT_EPSILON_KM, neighbour_lists
+from capseq.baselines.apriori import DEFAULT_EPSILON_KM, apriori_search, neighbour_arrays
 from capseq.baselines.hits import sequence_score
 
 
@@ -288,13 +292,16 @@ class TestApriori:
     def test_neighbour_lists_hold_exactly_the_pois_within_epsilon(self, synth_tables):
         tables = synth_tables
         for epsilon in (0.5, DEFAULT_EPSILON_KM):
-            neighbours = neighbour_lists(tables, epsilon)
-            assert len(neighbours) == tables.n_pois
-            for last, row in enumerate(neighbours):
-                listed = [nxt for nxt, _, _, _ in row]
+            neighbours = neighbour_arrays(tables, epsilon)
+            starts = neighbours.starts.tolist()
+            assert len(starts) == tables.n_pois + 1
+            assert starts[0] == 0 and starts[-1] == len(neighbours.nxt)
+            for last, entries in enumerate(itertools.starmap(slice, zip(starts, starts[1:]))):
+                listed = neighbours.nxt[entries].tolist()
                 assert listed == sorted(listed)
-                for nxt, km, _, _ in row:
-                    assert km == tables.distance_km(last, nxt)
+                for nxt, travel in zip(listed, neighbours.travel_s[entries].tolist()):
+                    km = tables.distance_km(last, nxt)
+                    assert travel == km / WALK_SPEED_KMH * 3600.0
                     assert km <= epsilon
                 for other in set(range(tables.n_pois)) - set(listed) - {last}:
                     assert tables.distance_km(last, other) > epsilon
@@ -317,6 +324,105 @@ class TestApriori:
         for bad in ({"epsilon_km": 0.0}, {"beam_width": 0}):
             with pytest.raises(ValueError):
                 AprioriRecommender(**bad)
+
+
+@pytest.fixture(scope="module")
+def beam_corpora():
+    """Tables of two seeded corpora of the cv-baselines shape (4 users ×
+    120 POIs × 7 days), each with the (user, start POI, start hour) of
+    every fourth session's first visit, and the population (user None)
+    from the first of those."""
+    out = []
+    for seed in (7001, 7002):
+        records, graph = synth_dataset(seed=seed, n_users=4, n_pois=120, days=7)
+        sessions = build_sessions(records)
+        encodings = Encodings.fit(sessions)
+        starts = [(encodings.user(s.user_id), encodings.poi(s.visits[0].poi.poi_id),
+                   s.visits[0].hour + 0.25) for s in sessions[::4]]
+        starts.append((None, *starts[0][1:]))
+        out.append((FeatureTables.build(sessions, graph, encodings), starts))
+    return out
+
+
+# beam width -> request lengths; exhaustive search stays short
+BEAM_LENGTHS = {1: (1, 2, 5, 12), 3: (2, 5, 12), 100: (2, 5, 12), None: (2, 3, 4)}
+
+
+def test_array_search_equals_the_tuple_walk(beam_corpora):
+    """The level-array search returns the POIs, hours and scores of the
+    tuple-walking search, dead-end fallbacks and zero budget included."""
+    fallbacks = singletons = 0
+    for tables, starts in beam_corpora:
+        lists = ref.neighbour_lists(tables, DEFAULT_EPSILON_KM)
+        arrays = neighbour_arrays(tables, DEFAULT_EPSILON_KM)
+        for beam_width, lengths in BEAM_LENGTHS.items():
+            grid = itertools.product(starts, lengths, (1, 10), (8.0, 0.0))
+            for (user, start, hour), length, k, budget in grid:
+                args = (user, start, hour, length, budget, k, beam_width)
+                got = apriori_search(tables, arrays, *args)
+                want = ref.apriori_search(tables, lists, *args)
+                assert [(s.pois, s.hours, s.score) for s in got] == [
+                    (s.pois, s.hours, s.score) for s in want], args
+                fallbacks += budget > 0 and len(got[0]) < length
+                if budget == 0:
+                    assert [s.pois for s in got] == [[start]]
+                    singletons += 1
+    assert fallbacks and singletons
+
+
+def tie_world():
+    """A start POI ``a`` and a visited POI ``v`` 0.5 km north of it, plus
+    five POIs of a category no training session visits, so that every
+    user's preference for them is 0: ``f1`` and ``f2`` share a point
+    1 km south of ``a``, and ``n1``, ``n2`` and ``n3`` one 0.3 km east.
+    Extending ``a`` to any of the five adds 0.0 to its score; the three
+    at the nearer point tie on travel too, and their indices (all above
+    the far two's) decide."""
+    lat, lon = 40.0, -74.0
+    east = lon + 0.3 / (111.19 * np.cos(np.radians(lat)))
+    where = {"a": (lat, lon, "Food"), "v": (lat + 0.5 / 111.19, lon, "Food"),
+             "f1": (lat - 1.0 / 111.19, lon, "Silent"), "f2": (lat - 1.0 / 111.19, lon, "Silent"),
+             "n1": (lat, east, "Silent"), "n2": (lat, east, "Silent"), "n3": (lat, east, "Silent")}
+
+    def visit(poi, day, hour):
+        arrival = 1330905600 + day * 86400 + hour * 3600
+        return Visit(Poi(poi, *where[poi]), arrival, arrival + 1800)
+
+    trained = [Session("u0", (visit("a", day, 9), visit("v", day, 10))) for day in range(3)]
+    silent = Session("u1", tuple(visit(p, 5, h) for h, p in enumerate(("f1", "f2", "n1", "n2", "n3"))))
+    encodings = Encodings.fit(trained + [silent])
+    return encodings, FeatureTables.build(trained, SocialGraph(), encodings)
+
+
+def test_ties_at_the_beam_cut_fall_to_travel_then_pois():
+    encodings, tables = tie_world()
+    a, v, f1, f2, n1, n2, n3 = (encodings.poi(p) for p in ("a", "v", "f1", "f2", "n1", "n2", "n3"))
+    assert f1 < f2 < n1 < n2 < n3
+    assert all(tables.preference(0, p, h) == 0.0 for p in (f1, f2, n1, n2, n3) for h in range(24))
+    assert tables.preference(0, v, 10) > 0.0
+    assert tables.distance_km(a, n1) < tables.distance_km(a, f1) < DEFAULT_EPSILON_KM
+    arrays = neighbour_arrays(tables, DEFAULT_EPSILON_KM)
+    starts = arrays.starts.tolist()
+    # every POI's entries listed backwards: the order must not depend on it
+    backwards = np.concatenate([np.arange(b - 1, a - 1, -1) for a, b in zip(starts, starts[1:])])
+    flipped = arrays._replace(**{f: getattr(arrays, f)[backwards]
+                                 for f in ("nxt", "travel_s", "discount")})
+    lists = ref.neighbour_lists(tables, DEFAULT_EPSILON_KM)
+    want = [[a, v], [a, n1], [a, n2], [a, n3], [a, f1], [a, f2]]
+    for neighbours in (arrays, flipped):
+        for beam_width in range(1, len(want) + 1):
+            got = apriori_search(tables, neighbours, 0, a, 9.0, 2, k=10,
+                                 beam_width=beam_width)
+            assert [s.pois for s in got] == want[:beam_width]
+        # travel 0.0 to a POI at the same point: elapsed is the budget exactly
+        got = apriori_search(tables, neighbours, 0, n1, 9.0, 2, budget_hours=1.0)
+        assert [s.pois for s in got] == [[n1, n2], [n1, n3]]
+        for beam_width, length in itertools.product((1, 2, 3, 4, 5, None), (2, 3, 4)):
+            args = (0, a, 9.0, length, 8.0, 10, beam_width)
+            got = apriori_search(tables, neighbours, *args)
+            want_trips = ref.apriori_search(tables, lists, *args)
+            assert [(s.pois, s.hours, s.score) for s in got] == [
+                (s.pois, s.hours, s.score) for s in want_trips], args
 
 
 def independent_power_iteration(M, iterations=100):

@@ -362,6 +362,18 @@ BAD_INPUTS = {
     "sessions-line-fractional-time": (
         {"ds/sessions.jsonl": _first_session_times(lambda t: t + 0.5)},
         ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-float-poi-index": (
+        {"ds/sessions.jsonl": _with_first_session(lambda s: s["pois"].__setitem__(0, 0.0))},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-bool-poi-index": (
+        {"ds/sessions.jsonl": _with_first_session(lambda s: s["pois"].__setitem__(0, True))},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-float-user-index": (
+        {"ds/sessions.jsonl": _with_first_session(lambda s: s.update(user=float(s["user"])))},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-bool-user-index": (
+        {"ds/sessions.jsonl": _with_first_session(lambda s: s.update(user=s["user"] == 1))},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
     "sessions-line-string-time": (
         {"ds/sessions.jsonl": _first_session_times(str)},
         ["evaluate", "--models", "popularity", "--data-dir", "{tmp}/ds"], 2),

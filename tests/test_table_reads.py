@@ -12,7 +12,7 @@ from capseq.baselines import (
     MarkovRecommender,
     PopularityRecommender,
 )
-from capseq.baselines.apriori import neighbour_lists
+from capseq.baselines.apriori import neighbour_arrays
 from capseq.data import training_sessions
 from capseq.features import HOURS, FeatureTables
 from capseq.generation import GenRequest, GeneratedSequence, advance_hours, first_hour
@@ -122,9 +122,13 @@ class TestArrayReads:
                 for nxt in range(tables.n_pois):
                     km = scalar.distance_km(last, nxt)
                     if nxt != last and not km > epsilon:
-                        row.append((nxt, km, km / 5.0 * 3600.0, scalar.discount(nxt, last)))
-                want.append(tuple(row))
-            assert neighbour_lists(tables, epsilon) == want
+                        row.append((nxt, km / 5.0 * 3600.0, scalar.discount(nxt, last)))
+                want.append(row)
+            got = neighbour_arrays(tables, epsilon)
+            starts = got.starts.tolist()
+            entries = list(zip(got.nxt.tolist(), got.travel_s.tolist(), got.discount.tolist()))
+            assert [entries[a:b] for a, b in zip(starts, starts[1:])] == want
+            assert starts[0] == 0 and starts[-1] == len(entries)
 
     @pytest.mark.parametrize("read", [
         lambda t, bad: t.distance_km(np.array([0, bad]), np.array([1, 2])),
