@@ -38,7 +38,7 @@ from .data import (
     synth_dataset,
     training_sessions,
 )
-from .features import FeatureTables
+from .features import FeatureTables, dataset_sha256, visit_arrays
 from .generation import GenRequest
 from .metrics import (
     cross_validate,
@@ -258,13 +258,26 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _load_tables(args, sessions, encodings, graph) -> FeatureTables:
-    if getattr(args, "tables", None):
-        try:
-            return FeatureTables.load(args.tables)
-        except ValueError as exc:  # bad JSON, text encoding or field value
-            raise DataError(f"{args.tables}: not a feature tables file: {exc}") from exc
-    return FeatureTables.build(sessions, graph, encodings)
+def _dataset_and_tables(args, cfg) -> tuple:
+    """The sessions and encodings of the dataset directory, and its
+    feature tables: the ``--tables`` file, which must have been built from
+    that dataset, else tables built now."""
+    data = _resolve_data_dir(cfg)
+    sessions, encodings, graph = dataio.load_dataset(data)
+    if not args.tables:
+        return sessions, encodings, FeatureTables.build(sessions, graph, encodings)
+    try:
+        tables = FeatureTables.load(args.tables)
+    except ValueError as exc:  # bad JSON, text encoding or field value
+        raise DataError(f"{args.tables}: not a feature tables file: {exc}") from exc
+    visits = visit_arrays(sessions, encodings)
+    if dataset_sha256(encodings, visits) != tables.dataset_sha256:
+        raise DataError(f"{data / dataio.SESSIONS_FILE}: the sessions and encodings of "
+                        f"{data} are not those {args.tables} was built from")
+    if dataset_sha256(tables.encodings, visits) != tables.dataset_sha256:
+        raise DataError(f"{args.tables}: not a feature tables file: its encodings "
+                        "and catalogue are not those it was built from")
+    return sessions, encodings, tables
 
 
 def _default(cfg: dict, key: str, default):
@@ -294,8 +307,7 @@ def cmd_train(args) -> int:
     kind = cfg.get("model") or "caps-lstm"
     if kind not in MODEL_KINDS:
         raise UsageError(f"unknown model kind {kind!r}")
-    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
-    tables = _load_tables(args, sessions, encodings, graph)
+    sessions, encodings, tables = _dataset_and_tables(args, cfg)
     model = _recommender(kind, cfg)
     model.fit(training_sessions(sessions), tables)
     out = _out_dir(cfg)
@@ -315,8 +327,7 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _merged_config(args)
     seed = cfg["seed"]
-    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
-    tables = _load_tables(args, sessions, encodings, graph)
+    sessions, encodings, tables = _dataset_and_tables(args, cfg)
     try:
         model = load_checkpoint(args.checkpoint, tables)
     except (OSError, ValueError, KeyError, TypeError, NumericError) as exc:

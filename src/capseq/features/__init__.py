@@ -5,7 +5,8 @@ from .tables import (
     FeatureTables,
     StayStats,
     compute_stay_stats,
-    temporal_popularity,
+    dataset_sha256,
+    visit_arrays,
 )
 
 __all__ = [
@@ -15,5 +16,6 @@ __all__ = [
     "FeatureTables",
     "StayStats",
     "compute_stay_stats",
-    "temporal_popularity",
+    "dataset_sha256",
+    "visit_arrays",
 ]

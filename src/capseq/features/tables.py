@@ -19,6 +19,7 @@ suite keeps an independent literal transcription to cross-check them.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections import defaultdict
@@ -39,39 +40,32 @@ FEATURE_DIM = 7
 
 @dataclass
 class StayStats:
-    """Mean stay seconds per POI and its 0-1 min-max normalization, one
-    entry per POI; POIs nobody stayed at (``own`` false) hold the global
-    values."""
+    """Mean stay seconds per POI and its 0-1 min-max normalization over
+    the POIs somebody stayed at (``own`` true); the other POIs hold the
+    global mean and its normalization."""
 
     mean_stay: np.ndarray
     normalized: np.ndarray
     own: np.ndarray
     global_mean: float
-    global_norm: float
 
     @classmethod
-    def from_values(cls, n_pois: int, mean_stay: dict, normalized: dict,
-                    global_mean: float, global_norm: float) -> "StayStats":
-        """Stats from per-POI dicts holding the same POIs."""
-        if mean_stay.keys() != normalized.keys():
-            raise ValueError("stay: the mean and norm entries name different POIs")
+    def from_means(cls, n_pois: int, mean_stay: dict, global_mean: float) -> "StayStats":
+        """Stats from the mean stay of each POI that has one."""
         pois = list(mean_stay)
-        means, norms = np.full(n_pois, global_mean), np.full(n_pois, global_norm)
-        means[pois], norms[pois] = list(mean_stay.values()), list(normalized.values())
+        means = np.full(n_pois, global_mean)
+        means[pois] = list(mean_stay.values())
         own = np.zeros(n_pois, dtype=bool)
         own[pois] = True
-        return cls(means, norms, own, global_mean, global_norm)
+        return cls(means, _minmax(means, own), own, global_mean)
 
 
-def _minmax(values: dict) -> tuple[dict, float, float]:
-    if not values:
-        return {}, 0.0, 0.0
-    lo = min(values.values())
-    hi = max(values.values())
-    span = hi - lo
-    if span <= 0.0:
-        return {k: 0.0 for k in values}, lo, hi
-    return {k: (v - lo) / span for k, v in values.items()}, lo, hi
+def _minmax(values: np.ndarray, over: np.ndarray) -> np.ndarray:
+    """``values`` min-max scaled by the bounds of the entries ``over``
+    marks; all 0 where those entries span nothing."""
+    lo = values.min(initial=np.inf, where=over)
+    span = values.max(initial=-np.inf, where=over) - lo
+    return _divide(values - lo, span, span > 0)
 
 
 def compute_stay_stats(sessions: Sequence[Session], encodings: Encodings) -> StayStats:
@@ -89,26 +83,36 @@ def compute_stay_stats(sessions: Sequence[Session], encodings: Encodings) -> Sta
         sums[l] += sum(stays) / len(stays)
         visitors[l] += 1
     mean_stay = {l: s / visitors[l] for l, s in sums.items()}
-    normalized, lo, hi = _minmax(mean_stay)
     global_mean = sum(mean_stay.values()) / len(mean_stay) if mean_stay else 0.0
-    span = hi - lo
-    global_norm = (global_mean - lo) / span if span > 0 else 0.0
-    return StayStats.from_values(
-        encodings.n_pois, mean_stay, normalized, global_mean, global_norm
-    )
+    return StayStats.from_means(encodings.n_pois, mean_stay, global_mean)
 
 
-def temporal_popularity(sessions: Sequence[Session], encodings: Encodings) -> np.ndarray:
-    """(n_pois, 24) check-in counts normalized by the single largest
-    (poi, hour) count; every entry in [0, 1]."""
-    counts = np.zeros((encodings.n_pois, HOURS))
+def visit_arrays(sessions: Sequence[Session], encodings: Encodings) -> tuple:
+    """The encoded user, POI, arrival and departure of every visit, in
+    session order, and the number of visits of each session, as five
+    int64 arrays."""
+    users, pois, arrivals, departures, lengths = [], [], [], [], []
     for session in sessions:
+        u = encodings.user(session.user_id)
+        lengths.append(len(session.visits))
         for visit in session.visits:
-            counts[encodings.poi(visit.poi.poi_id), visit.hour] += 1.0
-    top = counts.max()
-    if top > 0:
-        counts /= top
-    return counts
+            users.append(u)
+            pois.append(encodings.poi(visit.poi.poi_id))
+            arrivals.append(visit.arrival)
+            departures.append(visit.departure)
+    return tuple(np.array(x, dtype=np.int64)
+                 for x in (users, pois, arrivals, departures, lengths))
+
+
+def dataset_sha256(encodings: Encodings, visits: tuple) -> str:
+    """SHA-256 of a dataset: the label maps and catalogue of
+    ``encodings`` and the ``visit_arrays`` of its sessions."""
+    digest = hashlib.sha256(json.dumps(encodings.to_dict(), sort_keys=True).encode("utf-8"))
+    catalogue = (encodings.poi_coords.astype(np.float64), encodings.poi_cat.astype(np.int64))
+    for arr in (*visits, *catalogue):
+        digest.update(np.array(arr.shape, dtype=np.int64).tobytes())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def _float(value):
@@ -227,27 +231,25 @@ def _category_interest(counts, slots, stay_norm, poi_cat, n_cats) -> np.ndarray:
 
 
 def _index(value, high: int, what: str) -> int:
-    """``value`` (an int or its decimal string) as an index below ``high``."""
-    ix = int(value) if isinstance(value, str) else value
-    if type(ix) is not int or not 0 <= ix < high:
+    """``value``, a JSON integer, as an index below ``high``."""
+    if type(value) is not int or not 0 <= value < high:
         raise ValueError(f"{what} {value!r} is not an index below {high}")
-    return ix
+    return value
 
 
 def _number(value, what: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{what}: {value!r} is not a finite number")
-    return x
+    """``value``, a JSON number, as a float; every number a tables file
+    holds is finite and not negative."""
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise ValueError(f"{what}: {value!r} is not a finite number >= 0")
+    return float(value)
 
 
-def _array(value, shape: tuple, what: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"{what}: shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what}: holds a value that is not a finite number")
-    return arr
+def _array(value, n: int, what: str) -> np.ndarray:
+    """``value``, a JSON list of ``n`` numbers, as an array (see ``_number``)."""
+    if type(value) is not list or len(value) != n:
+        raise ValueError(f"{what}: {value!r} is not a list of {n} numbers")
+    return np.array([_number(x, what) for x in value])
 
 
 class FeatureTables:
@@ -265,6 +267,7 @@ class FeatureTables:
         self.n_pois = encodings.n_pois
         self.n_users = encodings.n_users
         self.stay: StayStats | None = None
+        self.dataset_sha256: str | None = None  # see dataset_sha256
         self.popularity: np.ndarray | None = None
         # the catalogue of ``encodings``: every POI's (lat, lon) and category
         self.poi_coords: np.ndarray | None = encodings.poi_coords
@@ -279,6 +282,7 @@ class FeatureTables:
         self._lt_counts: np.ndarray | None = None
         self._lt_share: np.ndarray | None = None
         self._max_lt: list = []  # per row, largest (poi, hour) count
+        self._order: np.ndarray | None = None  # users with visits, first seen first
         self._catacc: np.ndarray | None = None  # (rows, n_cats, 24)
         self._slots: list = []  # see _friend_slots
         self._stats: _Interest | None = None  # full data, pooled row last
@@ -315,51 +319,44 @@ class FeatureTables:
         graph = graph or SocialGraph()
         tables = cls(encodings)
         tables.stay = compute_stay_stats(sessions, encodings)
-        tables.popularity = temporal_popularity(sessions, encodings)
-
-        n_users, n_pois = encodings.n_users, encodings.n_pois
-        users, pois, hours = [], [], []
-        for session in sessions:
-            u = encodings.user(session.user_id)
-            for visit in session.visits:
-                users.append(u)
-                pois.append(encodings.poi(visit.poi.poi_id))
-                hours.append(visit.hour)
         tables._friends = [
             sorted(encodings.user(f) for f in graph.friends(encodings.ix_to_user[u])
                    if f in encodings.user_to_ix)
-            for u in range(n_users)
+            for u in range(encodings.n_users)
         ]
-        users = np.array(users, dtype=np.int64)
-        cells = np.array(pois, dtype=np.int64) * HOURS + np.array(hours, dtype=np.int64)
-        entries = tables._set_counts(
-            np.concatenate([users * n_pois * HOURS + cells, n_users * n_pois * HOURS + cells]),
-            np.ones(2 * len(cells), dtype=np.int64),
-        )
-
-        order = np.array(list(dict.fromkeys(users.tolist())), dtype=np.int64)
-        tables.ast_poi = _ordered_mean(tables._stats.ast, order, n_users)
-        tables._build_astcat_hour(order, entries)
-        tables._build_beta()
         step_km = [tables.step_km(session) for session in sessions]
         tables._build_distance_bounds(sessions, step_km)
         tables._build_session_features(sessions, step_km)
+        visits = visit_arrays(sessions, encodings)
+        tables.dataset_sha256 = dataset_sha256(encodings, visits)
+        users, pois, arrivals = visits[:3]
+        seen, first = np.unique(users, return_index=True)
+        tables._derive(
+            seen[np.argsort(first)],
+            (users * encodings.n_pois + pois) * HOURS + arrivals // 3600 % HOURS,
+            np.ones(len(users), dtype=np.int64),
+        )
         return tables
 
-    def _set_counts(self, keys: np.ndarray, counts: np.ndarray) -> tuple:
-        """Everything read from the visit counts: ``keys`` holds
-        ``(row * n_pois + poi) * 24 + hour`` and ``counts`` its visits
-        (repeats add up). Returns the (row, poi, hour, visits) entries,
-        ascending."""
+    def _derive(self, order: np.ndarray, keys: np.ndarray, counts: np.ndarray) -> None:
+        """Every statistic of the visit counts: ``keys`` holds ``(user *
+        n_pois + poi) * 24 + hour`` and ``counts`` its visits (repeats add
+        up); the pooled row, row ``n_users``, is their sum. ``order`` lists
+        the users with visits, first seen first: the order in which the
+        population means add them up. ``build`` and ``from_dict`` both end
+        here, once the stay statistics and the friend lists are set."""
         rows, n_pois = self.n_users + 1, self.n_pois
-        n_cats = self.encodings.n_categories
-        order = np.argsort(keys, kind="stable")
-        keys, counts = keys[order], counts[order]
+        n_cats, n_cells = self.encodings.n_categories, n_pois * HOURS
+        keys = np.concatenate([keys, self.n_users * n_cells + keys % n_cells])
+        counts = np.concatenate([counts, counts])
+        ix = np.argsort(keys, kind="stable")
+        keys, counts = keys[ix], counts[ix]
         first = np.flatnonzero(np.diff(keys, prepend=-1))
         keys, counts = keys[first], np.add.reduceat(counts, first)
-        row, cell = np.divmod(keys, n_pois * HOURS)
+        row, cell = np.divmod(keys, n_cells)
         poi, hour = np.divmod(cell, HOURS)
-        self._lt_keys = np.append(keys, rows * n_pois * HOURS)
+        self._order = order
+        self._lt_keys = np.append(keys, rows * n_cells)
         self._lt_counts = counts
         visits = np.bincount(
             row * n_pois + poi, weights=counts, minlength=rows * n_pois
@@ -378,7 +375,14 @@ class FeatureTables:
         self._stats = _interest(
             visits, self._slots, self.stay.normalized, self.poi_cat, n_cats
         )
-        return row, poi, hour, counts
+        self.ast_poi = _ordered_mean(self._stats.ast, order, self.n_users)
+        self._build_astcat_hour(order, (row, poi, hour, counts))
+        self._build_beta()
+        pooled = row == self.n_users
+        popularity = np.zeros((n_pois, HOURS))
+        popularity[poi[pooled], hour[pooled]] = counts[pooled]
+        # each (POI, hour) count over the largest, every entry in [0, 1]
+        self.popularity = popularity / popularity.max(initial=1.0)
 
     def _build_astcat_hour(self, order: np.ndarray, entries: tuple) -> None:
         """Population mean of per-user category interest, with every
@@ -419,18 +423,14 @@ class FeatureTables:
         """Observed incoming travel distances per target POI, which
         ``discount`` scales by; ``step_km`` holds each session's
         ``step_km``."""
-        bounds: dict[int, list] = {}
-        gmin, gmax = math.inf, -math.inf
+        bounds: dict[int, tuple] = {}
         for session, dists in zip(sessions, step_km):
             for b, d in zip(session.visits[1:], dists):
                 l = self.encodings.poi(b.poi.poi_id)
-                if l in bounds:
-                    lo, hi = bounds[l]
-                    bounds[l] = [min(lo, d), max(hi, d)]
-                else:
-                    bounds[l] = [d, d]
-                gmin, gmax = min(gmin, d), max(gmax, d)
-        self._set_distance_bounds(bounds, (gmin, gmax) if gmin <= gmax else (0.0, 0.0))
+                lo, hi = bounds.get(l, (d, d))
+                bounds[l] = (min(lo, d), max(hi, d))
+        every = [d for dists in step_km for d in dists]
+        self._set_distance_bounds(bounds, (min(every), max(every)) if every else (0.0, 0.0))
 
     def _set_distance_bounds(self, dist_in: dict, dist_global: tuple) -> None:
         """Bounds from ``dist_in`` (POI -> (lo, hi)) and the global pair."""
@@ -692,41 +692,31 @@ class FeatureTables:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        stats: dict[int, dict] = defaultdict(
-            lambda: {"total": 0, "counts": {}, "counts_lt": {}, "cat_counts": {}}
-        )
-        visited = zip(self._lt_keys[:-1].tolist(), self._lt_counts.tolist())
-        for key, n in visited:
-            row, cell = divmod(key, self.n_pois * HOURS)
-            l, c = str(cell // HOURS), str(self.poi_cat.item(cell // HOURS))
-            st = stats[row]
-            st["total"] += n
-            st["counts"][l] = st["counts"].get(l, 0) + n
-            st["counts_lt"][f"{l}:{cell % HOURS}"] = n
-            st["cat_counts"][c] = st["cat_counts"].get(c, 0) + n
-        users = [u for u in range(self.n_users) if self._max_lt[u]]
-        beta = self._beta.tolist()
-        stay_pois = np.flatnonzero(self.stay.own)
-        own_stay = [str(l) for l in stay_pois.tolist()]
+        """What ``from_dict`` cannot derive: the dataset digest, the
+        encodings and catalogue, the stay means, the friend lists, each
+        user's ``"poi:hour"`` visit counts (a list of ``[user, cells]`` in
+        first-seen order, which sorted keys would lose), the distance
+        bounds and the session features."""
+        n_cells = self.n_pois * HOURS
+        end = self._lt_keys.searchsorted(self.n_users * n_cells)
+        row, cell = np.divmod(self._lt_keys[:end], n_cells)
+        names = [f"{c // HOURS}:{c % HOURS}" for c in cell.tolist()]
+        counts = self._lt_counts[:end].tolist()
+        lo, hi = row.searchsorted(self._order).tolist(), row.searchsorted(self._order, "right")
+        own = np.flatnonzero(self.stay.own)
         bounded = np.flatnonzero(self._dist_own)
         return {
+            "dataset_sha256": self.dataset_sha256,
             "encodings": self.encodings.to_dict(),
-            "stay": {
-                "mean": dict(zip(own_stay, self.stay.mean_stay[stay_pois].tolist())),
-                "norm": dict(zip(own_stay, self.stay.normalized[stay_pois].tolist())),
-                "global_mean": self.stay.global_mean,
-                "global_norm": self.stay.global_norm,
-            },
-            "popularity": self.popularity.tolist(),
             "poi_coords": self.poi_coords.tolist(),
             "poi_cat": self.poi_cat.tolist(),
-            "ast_poi": self.ast_poi.tolist(),
-            "astcat_hour": self.astcat_hour.tolist(),
+            "stay": {
+                "mean": dict(zip(map(str, own.tolist()), self.stay.mean_stay[own].tolist())),
+                "global_mean": self.stay.global_mean,
+            },
             "friends": {str(u): fs for u, fs in enumerate(self._friends)},
-            "users": {str(u): stats[u] for u in users},
-            "pooled": stats[self.n_users],
-            "beta": {f"{u}:{c}": v for u in users for c, v in enumerate(beta[u])},
-            "beta_pooled": {str(c): v for c, v in enumerate(beta[self.n_users])},
+            "users": [[u, dict(zip(names[a:b], counts[a:b]))]
+                      for u, a, b in zip(self._order.tolist(), lo, hi.tolist())],
             "dist_in": dict(zip(map(str, bounded.tolist()), self._dist_in[bounded].tolist())),
             "dist_global": list(self._dist_global),
             "session_features": {
@@ -751,65 +741,53 @@ class FeatureTables:
     def _from_dict(cls, d: dict) -> "FeatureTables":
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+        if type(d["dataset_sha256"]) is not str:
+            raise ValueError(f"dataset_sha256 {d['dataset_sha256']!r} is not a string")
         encodings = Encodings.from_dict(d["encodings"]).with_catalogue(
             d["poi_coords"], d["poi_cat"])
         n_users, n_pois = encodings.n_users, encodings.n_pois
-        n_cats = encodings.n_categories
         tables = cls(encodings)
+        tables.dataset_sha256 = d["dataset_sha256"]
         stay = d["stay"]
-        tables.stay = StayStats.from_values(
+        tables.stay = StayStats.from_means(
             n_pois,
-            {_index(k, n_pois, "stay POI"): _number(v, "stay mean")
+            {_index(int(k), n_pois, "stay POI"): _number(v, "stay mean")
              for k, v in stay["mean"].items()},
-            {_index(k, n_pois, "stay POI"): _number(v, "stay norm")
-             for k, v in stay["norm"].items()},
             _number(stay["global_mean"], "stay global_mean"),
-            _number(stay["global_norm"], "stay global_norm"),
         )
-        tables.popularity = _array(d["popularity"], (n_pois, HOURS), "popularity")
-        tables.ast_poi = _array(d["ast_poi"], (n_pois,), "ast_poi")
-        tables.astcat_hour = _array(d["astcat_hour"], (n_cats, HOURS), "astcat_hour")
         tables._friends = [[] for _ in range(n_users)]
         for u, fs in d["friends"].items():
-            tables._friends[_index(u, n_users, "user")] = [
+            tables._friends[_index(int(u), n_users, "user")] = [
                 _index(f, n_users, "friend") for f in fs
             ]
+        tables._set_distance_bounds(
+            {
+                _index(int(k), n_pois, "dist_in POI"): _array(v, 2, "dist_in").tolist()
+                for k, v in d["dist_in"].items()
+            },
+            tuple(_array(d["dist_global"], 2, "dist_global").tolist()),
+        )
+        tables._session_features = {
+            tuple(int(x) for x in key.split(":")): _array(vec, FEATURE_DIM, "session_features")
+            for key, vec in d["session_features"].items()
+        }
 
-        keys, counts = [], []
-        stats = [(_index(u, n_users, "user"), st) for u, st in d["users"].items()]
-        for row, st in stats + [(n_users, d["pooled"])]:
-            for key, n in st["counts_lt"].items():
+        order, keys, counts = [], [], []
+        for u, cells in d["users"]:
+            u = _index(u, n_users, "user")
+            if u in order:
+                raise ValueError(f"user {u} is listed twice")
+            if not cells:
+                raise ValueError(f"user {u} is listed without visits")
+            order.append(u)
+            for key, n in cells.items():
                 l, t = key.split(":")
-                cell = _index(l, n_pois, "POI") * HOURS + _index(t, HOURS, "hour")
-                keys.append(row * n_pois * HOURS + cell)
+                keys.append((u * n_pois + _index(int(l), n_pois, "POI")) * HOURS
+                            + _index(int(t), HOURS, "hour"))
                 counts.append(_index(n, 1 << 53, "visit count"))
                 if counts[-1] == 0:  # to_dict writes visited cells only
                     raise ValueError(f"visit count of cell {key} is 0")
-        tables._set_counts(
-            np.array(keys, dtype=np.int64), np.array(counts, dtype=np.int64)
-        )
-
-        beta = np.zeros((n_users + 1, n_cats))
-        for key, v in d["beta"].items():
-            u, c = key.split(":")
-            beta[_index(u, n_users, "beta user"), _index(c, n_cats, "category")] = (
-                _number(v, "beta"))
-        for c, v in d["beta_pooled"].items():
-            beta[n_users, _index(c, n_cats, "category")] = _number(v, "beta")
-        tables._beta = beta
-        tables._set_distance_bounds(
-            {
-                _index(k, n_pois, "dist_in POI"): _array(v, (2,), "dist_in").tolist()
-                for k, v in d["dist_in"].items()
-            },
-            tuple(_array(d["dist_global"], (2,), "dist_global").tolist()),
-        )
-        tables._session_features = {
-            tuple(int(x) for x in key.split(":")): _array(
-                vec, (FEATURE_DIM,), "session_features"
-            )
-            for key, vec in d["session_features"].items()
-        }
+        tables._derive(*(np.array(x, dtype=np.int64) for x in (order, keys, counts)))
         return tables
 
     def save(self, path) -> None:

@@ -6,7 +6,9 @@ rollout step or per sequence. This module keeps the earlier form of the
 same arithmetic: one Python-float evaluation per POI, per step and per
 stop, in the order the formulas define, reading only the statistics
 arrays, the POI coordinates and the visit counts, stay means and
-distance bounds of ``to_dict`` of a built ``FeatureTables``. Every array read must equal it bit for bit.
+distance bounds of ``to_dict`` of a built ``FeatureTables``; it sums the
+pooled visit counts and min-max scales the stay means itself. Every array
+read must equal it bit for bit.
 
 ``apriori_search`` is the earlier Apriori beam search, one ``_Trip`` per
 candidate and one Python sort per level, over ``neighbour_lists`` of
@@ -32,14 +34,20 @@ class ScalarTables:
         self.tables = tables
         d = tables.to_dict()
         self.counts_lt = {}
-        rows = [(int(u), st) for u, st in d["users"].items()]
-        for row, st in rows + [(tables.n_users, d["pooled"])]:
-            for key, n in st["counts_lt"].items():
+        pooled = tables.n_users * tables.n_pois * HOURS
+        for u, cells in d["users"]:
+            for key, n in cells.items():
                 poi, hour = key.split(":")
-                self.counts_lt[(row * tables.n_pois + int(poi)) * HOURS + int(hour)] = n
+                cell = int(poi) * HOURS + int(hour)
+                self.counts_lt[u * tables.n_pois * HOURS + cell] = n
+                self.counts_lt[pooled + cell] = self.counts_lt.get(pooled + cell, 0) + n
         self.stay = {int(poi): v for poi, v in d["stay"]["mean"].items()}
-        self.stay_norm = {int(poi): v for poi, v in d["stay"]["norm"].items()}
-        self.global_stay = d["stay"]["global_mean"], d["stay"]["global_norm"]
+        means = list(self.stay.values())
+        lo, hi = min(means, default=0.0), max(means, default=0.0)
+        self.stay_norm = {poi: (v - lo) / (hi - lo) if hi > lo else 0.0
+                          for poi, v in self.stay.items()}
+        global_mean = d["stay"]["global_mean"]
+        self.global_stay = global_mean, (global_mean - lo) / (hi - lo) if hi > lo else 0.0
         self.dist_in = {int(poi): tuple(b) for poi, b in d["dist_in"].items()}
         self.dist_global = tuple(d["dist_global"])
         self.attr_table, self.attr_scale = self._attribute_table()

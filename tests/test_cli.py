@@ -4,6 +4,7 @@ output determinism."""
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from capseq.cli import main
@@ -44,7 +45,8 @@ class TestPipeline:
             "features", "--data-dir", str(data), "--out-dir", str(out),
         ]) == 0
         tables = json.loads((out / "tables.json").read_text())
-        assert "stay" in tables and "popularity" in tables
+        assert "stay" in tables and "users" in tables
+        assert len(tables["dataset_sha256"]) == 64
 
     def test_train_generate_roundtrip(self, pipeline_dirs, tmp_path):
         root, raw, data = pipeline_dirs
@@ -235,8 +237,19 @@ def _nan_coordinate(tables):
 
 
 def _zero_visit_count(tables):
-    counts = tables["pooled"]["counts_lt"]
-    counts[next(iter(counts))] = 0
+    cells = tables["users"][0][1]
+    cells[next(iter(cells))] = 0
+
+
+def _first_half_of_the_lines(raw: bytes) -> bytes:
+    lines = raw.splitlines(keepends=True)
+    return b"".join(lines[: len(lines) // 2])
+
+
+def _users_swapped(tables):
+    users = tables["encodings"]["users"]
+    a, b = list(users)[:2]
+    users[a], users[b] = users[b], users[a]
 
 
 def _without_last_poi(raw: bytes) -> bytes:
@@ -301,6 +314,21 @@ BAD_INPUTS = {
         {"tables.json": _with_tables(_nan_coordinate)}, GENERATE_TABLES, 2),
     "tables-zero-visit-count": (
         {"tables.json": _with_tables(_zero_visit_count)}, GENERATE_TABLES, 2),
+    "tables-user-listed-twice": (
+        {"tables.json": _with_tables(lambda t: t["users"].append(t["users"][0]))},
+        TRAIN_TABLES, 2),
+    "tables-user-without-visits": (
+        {"tables.json": _with_tables(lambda t: t["users"][0].__setitem__(1, {}))},
+        TRAIN_TABLES, 2),
+    "tables-user-past-end": (
+        {"tables.json": _with_tables(
+            lambda t: t["users"][0].__setitem__(0, len(t["encodings"]["users"])))},
+        TRAIN_TABLES, 2),
+    "tables-of-other-encodings": (
+        {"tables.json": _with_tables(_users_swapped)}, TRAIN_TABLES, 2),
+    "tables-of-half-the-sessions": (
+        {"ds/sessions.jsonl": _first_half_of_the_lines},
+        TRAIN_TABLES + ["--data-dir", "{tmp}/ds"], 2),
     "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
     "train-zero-batch-size": (
         {}, ["train", "--model", "plain-rnn", "--batch-size", "0"], 1),
@@ -458,6 +486,87 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
         assert err.startswith("config error:"), err
     if callable(files.get("ds/sessions.jsonl")):  # an edited session line
         assert err.startswith(f"data error: {tmp_path / 'ds' / 'sessions.jsonl'}:"), err
+
+
+# what the mutation test writes in place of a number
+NUMBERS = (float("nan"), float("inf"), float("-inf"), -1, 1e308, 0.0, True)
+RETYPED = {dict: [], list: {}, str: 7, int: "7", float: "7.5", bool: "true"}
+
+
+def _json_values(value, path=()):
+    """(path, value) of every value nested in a parsed JSON document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from _json_values(item, path + (key,))
+
+
+def _edited(raw: bytes, path: tuple, value=None) -> bytes:
+    """``raw`` JSON with the value at ``path`` replaced by ``value``, or
+    its key dropped when ``value`` is None."""
+    doc = json.loads(raw)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).encode("utf-8")
+
+
+def _table_mutations(raw: bytes, seed: int):
+    """Seeded (name, bytes) mutations of a tables file: a truncation, a
+    flipped bit and a non-UTF-8 byte; and per top-level field a dropped
+    key, a retyped value and each of NUMBERS in place of a number, each
+    at a seeded place inside the field."""
+    rng = np.random.default_rng(seed)
+    at = int(rng.integers(len(raw)))
+    yield f"cut at {at}", raw[:at]
+    flipped = bytearray(raw)
+    flipped[at] ^= 1 << int(rng.integers(8))
+    yield f"bit flipped at {at}", bytes(flipped)
+    yield f"0xff at {at}", raw[:at] + b"\xff" + raw[at + 1:]
+    values = list(_json_values(json.loads(raw)))
+    for field in sorted({path[0] for path, _ in values}):
+        inside = [(path, v) for path, v in values if path[0] == field]
+        keys = [path for path, _ in inside if isinstance(path[-1], str)]
+        path = keys[int(rng.integers(len(keys)))]
+        yield f"{path} dropped", _edited(raw, path)
+        path, value = inside[int(rng.integers(len(inside)))]
+        yield f"{path} retyped", _edited(raw, path, RETYPED[type(value)])
+        numbers = [path for path, v in inside if type(v) in (int, float)]
+        if numbers:
+            path = numbers[int(rng.integers(len(numbers)))]
+            for number in NUMBERS:
+                yield f"{path} = {number!r}", _edited(raw, path, number)
+
+
+def test_mutated_tables_exit_0_or_2_with_one_line(bad_input_sources, tmp_path, capsys):
+    """Every seeded mutation of a tables file is either read or refused
+    as a data error, with one line and no traceback, by both commands
+    that take one."""
+    data, ckpt, tables = bad_input_sources
+    path = tmp_path / "tables.json"
+    commands = [
+        ["generate", "--checkpoint", str(ckpt), "--user", "u0000", "--length", "3",
+         "--candidates", "3", "--k", "2"],
+        ["train", "--model", "plain-rnn", "--hidden-size", "4", "--n-layers", "1",
+         "--embedding-size", "3", "--epochs", "1"],
+    ]
+    failed = []
+    for seed in range(3):
+        for name, mutated in _table_mutations(tables.read_bytes(), seed):
+            path.write_bytes(mutated)
+            for argv in commands:
+                code = main(argv + ["--data-dir", str(data), "--tables", str(path),
+                                    "--out-dir", str(tmp_path)])
+                err = capsys.readouterr().err
+                lines = err.strip().splitlines()
+                if code not in (0, 2) or (code == 2) != (len(lines) == 1) or "Traceback" in err:
+                    failed.append((seed, name, argv[0], code, err))
+    assert not failed, failed
 
 
 def _sweep_csv(length: str) -> str:

@@ -13,8 +13,8 @@ from capseq.features import (
     FEATURE_DIM,
     FeatureTables,
     compute_stay_stats,
-    temporal_popularity,
 )
+from capseq.metrics import assign_folds
 
 
 def build_tables(sessions, graph=None):
@@ -76,7 +76,7 @@ class TestTemporalPopularity:
             Session("u0", (make_visit("p", 40.0, -74.0, "Food", 13),)),
             Session("u1", (make_visit("p", 40.0, -74.0, "Food", 13, day=1),)),
         ]
-        pop = temporal_popularity(sessions, Encodings.fit(sessions))
+        pop = FeatureTables.build(sessions).popularity
         assert pop[0, 13] == 1.0
         assert pop[0].sum() == 1.0
 
@@ -97,12 +97,12 @@ class TestTemporalPopularity:
                 ),
             ),
         ]
-        pop = temporal_popularity(sessions, Encodings.fit(sessions))
+        pop = FeatureTables.build(sessions).popularity
         assert pop[0, 9] == pop[0, 15] == 1.0
 
     def test_counts_match_hand_count(self, tiny_world):
         sessions, graph, encodings = tiny_world
-        pop = temporal_popularity(sessions, encodings)
+        pop = FeatureTables.build(sessions, graph, encodings).popularity
         counts = np.zeros_like(pop)
         for s in sessions:
             for v in s.visits:
@@ -439,15 +439,8 @@ class TestSnapshot:
     # every float field of a tables file, as a function that breaks it
     NON_FINITE = {
         "stay-mean": lambda d, x: d["stay"]["mean"].update({"0": x}),
-        "stay-norm": lambda d, x: d["stay"]["norm"].update({"0": x}),
         "stay-global-mean": lambda d, x: d["stay"].update(global_mean=x),
-        "stay-global-norm": lambda d, x: d["stay"].update(global_norm=x),
-        "popularity": lambda d, x: d["popularity"][1].__setitem__(3, x),
         "poi-coords": lambda d, x: d["poi_coords"][2].__setitem__(1, x),
-        "ast-poi": lambda d, x: d["ast_poi"].__setitem__(0, x),
-        "astcat-hour": lambda d, x: d["astcat_hour"][0].__setitem__(5, x),
-        "beta": lambda d, x: d["beta"].update({next(iter(d["beta"])): x}),
-        "beta-pooled": lambda d, x: d["beta_pooled"].update({"0": x}),
         "dist-in": lambda d, x: d["dist_in"][next(iter(d["dist_in"]))].__setitem__(1, x),
         "dist-global": lambda d, x: d["dist_global"].__setitem__(0, x),
         "session-features": lambda d, x: (
@@ -462,11 +455,57 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="not a finite number"):
             FeatureTables.from_dict(d)
 
-    def test_rejects_stay_means_and_norms_of_different_pois(self, synth_tables):
-        d = synth_tables.to_dict()
-        del d["stay"]["norm"][next(iter(d["stay"]["norm"]))]
-        with pytest.raises(ValueError, match="different POIs"):
-            FeatureTables.from_dict(d)
+
+def _state(value, path="tables"):
+    """Every leaf of a ``FeatureTables``' state as (path, comparable
+    bytes): arrays by dtype, shape and bytes, other values by type and
+    ``repr``, which round-trips floats exactly."""
+    if isinstance(value, np.ndarray):
+        yield path, (value.dtype.str, value.shape, value.tobytes())
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _state(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _state(item, f"{path}[{i}]")
+    elif hasattr(value, "__dict__"):
+        for key, item in vars(value).items():
+            yield from _state(item, f"{path}.{key}")
+    else:
+        yield path, (type(value).__name__, repr(value))
+
+
+class TestLoadEqualsBuild:
+    """A loaded table derives every array from the stored visit counts
+    through the same path as ``build``, so it equals the built one bit for
+    bit, whatever the session order."""
+
+    @staticmethod
+    def corpora(synth_small):
+        sessions, graph, encodings = synth_small
+        yield "full", sessions
+        fold_of, _ = assign_folds(sessions, 5, 7)
+        for fold in (0, 3):
+            yield f"fold-{fold}", [s for s, f in zip(sessions, fold_of) if f != fold]
+        rng = np.random.default_rng(5)
+        permuted = [sessions[i] for i in rng.permutation(len(sessions))]
+        first_seen = list(dict.fromkeys(s.user_id for s in permuted))
+        assert first_seen != list(encodings.user_to_ix)
+        yield "permuted", permuted
+
+    def test_every_array_of_a_loaded_table_equals_build(self, synth_small, tmp_path):
+        _, graph, encodings = synth_small
+        for name, sessions in self.corpora(synth_small):
+            built = FeatureTables.build(sessions, graph, encodings)
+            built.save(tmp_path / f"{name}.json")
+            loaded = FeatureTables.load(tmp_path / f"{name}.json")
+            for tables in (built, loaded):
+                tables.attribute_scale  # the lazily built attribute table
+                tables.distance_km([0, 3], [1, 2])  # the lazily filled distance rows
+            want, got = dict(_state(built)), dict(_state(loaded))
+            assert got.keys() == want.keys(), name
+            differ = [path for path in want if got[path] != want[path]]
+            assert not differ, (name, differ)
 
 
 class TestBuild:
