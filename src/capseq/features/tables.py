@@ -784,9 +784,11 @@ class FeatureTables:
                 l, t = key.split(":")
                 keys.append((u * n_pois + _index(int(l), n_pois, "POI")) * HOURS
                             + _index(int(t), HOURS, "hour"))
-                counts.append(_index(n, 1 << 53, "visit count"))
-                if counts[-1] == 0:  # to_dict writes visited cells only
-                    raise ValueError(f"visit count of cell {key} is 0")
+                # to_dict writes visited cells only, each a count below 2**53
+                if type(n) is not int or not 0 < n < 1 << 53:
+                    raise ValueError(
+                        f"visit count of cell {key}: {n!r} is not a whole number >= 1")
+                counts.append(n)
         tables._derive(*(np.array(x, dtype=np.int64) for x in (order, keys, counts)))
         return tables
 

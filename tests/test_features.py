@@ -401,6 +401,20 @@ class TestAttributeFields:
             assert np.array_equal(encoded.attrs, expected)
 
 
+def _stay_mean(d, x):
+    d["stay"]["mean"]["0"] = x
+
+
+def _stay_global_mean(d, x):
+    d["stay"]["global_mean"] = x
+
+
+def _visit_count(d, x):
+    """The first listed user's first visit count set to ``x``."""
+    cells = d["users"][0][1]
+    cells[next(iter(cells))] = x
+
+
 class TestSnapshot:
     def test_round_trip_preserves_lookups(self, request, tmp_path):
         for world in ("tiny_world", "synth_small"):
@@ -436,23 +450,34 @@ class TestSnapshot:
         np.testing.assert_array_equal(loaded.attribute_scale, tables.attribute_scale)
         np.testing.assert_array_equal(loaded.feature_scale, tables.feature_scale)
 
-    # every float field of a tables file, as a function that breaks it
+    # every float array of a loaded table, as a function that puts a number
+    # in the stored field it comes from, and the message that rejects a
+    # non-finite one: the stay norms derive from the stay means, and
+    # ast_poi, astcat_hour, the beta weights and popularity from the visit
+    # counts
     NON_FINITE = {
-        "stay-mean": lambda d, x: d["stay"]["mean"].update({"0": x}),
-        "stay-global-mean": lambda d, x: d["stay"].update(global_mean=x),
-        "poi-coords": lambda d, x: d["poi_coords"][2].__setitem__(1, x),
-        "dist-in": lambda d, x: d["dist_in"][next(iter(d["dist_in"]))].__setitem__(1, x),
-        "dist-global": lambda d, x: d["dist_global"].__setitem__(0, x),
-        "session-features": lambda d, x: (
+        "stay-mean": (_stay_mean, "not a finite number"),
+        "stay-norm": (_stay_mean, "not a finite number"),
+        "stay-global-mean": (_stay_global_mean, "not a finite number"),
+        "stay-global-norm": (_stay_global_mean, "not a finite number"),
+        "poi-coords": (lambda d, x: d["poi_coords"][2].__setitem__(1, x), "not a finite number"),
+        "dist-in": (lambda d, x: d["dist_in"][next(iter(d["dist_in"]))].__setitem__(1, x),
+                    "not a finite number"),
+        "dist-global": (lambda d, x: d["dist_global"].__setitem__(0, x), "not a finite number"),
+        "session-features": (lambda d, x: (
             d["session_features"][next(iter(d["session_features"]))].__setitem__(4, x)),
+            "not a finite number"),
+        **{field: (_visit_count, "not a whole number")
+           for field in ("ast-poi", "astcat-hour", "beta", "beta-pooled", "popularity")},
     }
 
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("field", sorted(NON_FINITE))
     def test_rejects_non_finite_numbers(self, synth_tables, field, value):
         d = synth_tables.to_dict()
-        self.NON_FINITE[field](d, value)
-        with pytest.raises(ValueError, match="not a finite number"):
+        put, message = self.NON_FINITE[field]
+        put(d, value)
+        with pytest.raises(ValueError, match=message):
             FeatureTables.from_dict(d)
 
 
