@@ -104,15 +104,25 @@ def visit_arrays(sessions: Sequence[Session], encodings: Encodings) -> tuple:
                  for x in (users, pois, arrivals, departures, lengths))
 
 
-def dataset_sha256(encodings: Encodings, visits: tuple) -> str:
+def dataset_sha256(encodings: Encodings, visits: tuple, graph: SocialGraph) -> str:
     """SHA-256 of a dataset: the label maps and catalogue of
-    ``encodings`` and the ``visit_arrays`` of its sessions."""
-    digest = hashlib.sha256(json.dumps(encodings.to_dict(), sort_keys=True).encode("utf-8"))
+    ``encodings``, the friendships of ``graph`` and the ``visit_arrays``
+    of its sessions."""
+    labels = json.dumps([encodings.to_dict(), graph.to_dict()], sort_keys=True)
+    digest = hashlib.sha256(labels.encode("utf-8"))
     catalogue = (encodings.poi_coords.astype(np.float64), encodings.poi_cat.astype(np.int64))
     for arr in (*visits, *catalogue):
         digest.update(np.array(arr.shape, dtype=np.int64).tobytes())
         digest.update(arr.tobytes())
     return digest.hexdigest()
+
+
+def _stored_sha256(d: dict) -> str:
+    """SHA-256 of the fields of a ``to_dict`` document that its
+    ``dataset_sha256`` does not cover."""
+    keys = ("stay", "friends", "users", "dist_in", "dist_global", "session_features")
+    text = json.dumps({key: d[key] for key in keys}, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _float(value):
@@ -328,7 +338,7 @@ class FeatureTables:
         tables._build_distance_bounds(sessions, step_km)
         tables._build_session_features(sessions, step_km)
         visits = visit_arrays(sessions, encodings)
-        tables.dataset_sha256 = dataset_sha256(encodings, visits)
+        tables.dataset_sha256 = dataset_sha256(encodings, visits, graph)
         users, pois, arrivals = visits[:3]
         seen, first = np.unique(users, return_index=True)
         tables._derive(
@@ -696,7 +706,8 @@ class FeatureTables:
         encodings and catalogue, the stay means, the friend lists, each
         user's ``"poi:hour"`` visit counts (a list of ``[user, cells]`` in
         first-seen order, which sorted keys would lose), the distance
-        bounds and the session features."""
+        bounds and the session features; and ``stored_sha256``, the
+        digest of the fields the dataset digest does not cover."""
         n_cells = self.n_pois * HOURS
         end = self._lt_keys.searchsorted(self.n_users * n_cells)
         row, cell = np.divmod(self._lt_keys[:end], n_cells)
@@ -705,7 +716,7 @@ class FeatureTables:
         lo, hi = row.searchsorted(self._order).tolist(), row.searchsorted(self._order, "right")
         own = np.flatnonzero(self.stay.own)
         bounded = np.flatnonzero(self._dist_own)
-        return {
+        d = {
             "dataset_sha256": self.dataset_sha256,
             "encodings": self.encodings.to_dict(),
             "poi_coords": self.poi_coords.tolist(),
@@ -724,12 +735,14 @@ class FeatureTables:
                 for key, vec in sorted(self._session_features.items())
             },
         }
+        d["stored_sha256"] = _stored_sha256(d)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureTables":
         """Tables from ``to_dict`` output. Raises ``ValueError`` for
-        anything else: a missing field, a wrong type or shape, or an
-        index out of range."""
+        anything else: a missing field, a wrong type or shape, an index
+        out of range, or stored fields that are not those written."""
         try:
             return cls._from_dict(d)
         except KeyError as exc:
@@ -790,6 +803,8 @@ class FeatureTables:
                         f"visit count of cell {key}: {n!r} is not a whole number >= 1")
                 counts.append(n)
         tables._derive(*(np.array(x, dtype=np.int64) for x in (order, keys, counts)))
+        if d["stored_sha256"] != _stored_sha256(d):
+            raise ValueError("its stored fields are not those it was written with")
         return tables
 
     def save(self, path) -> None:

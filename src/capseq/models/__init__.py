@@ -4,9 +4,7 @@ from .rnn import ContextRnn
 from .training import (
     MAX_STEPS,
     Batch,
-    EncodedSequence,
     TrainingDivergedError,
-    encode_session,
     encode_sessions,
     make_batch,
     mean_nll,
@@ -30,7 +28,6 @@ __all__ = [
     "CapsRnnRecommender",
     "ContextLstm",
     "ContextRnn",
-    "EncodedSequence",
     "KIND_CAPS_LSTM",
     "KIND_CAPS_RNN",
     "KIND_PLAIN_RNN",
@@ -40,7 +37,6 @@ __all__ = [
     "PlainRnnRecommender",
     "SequenceRecommender",
     "TrainingDivergedError",
-    "encode_session",
     "encode_sessions",
     "encodings_hash",
     "load_checkpoint",

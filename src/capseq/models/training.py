@@ -2,8 +2,9 @@
 training loop shared by the recurrent models.
 
 Sessions become (input, target) index pairs under teacher forcing, with
-per-step attribute vectors and one per-sequence feature vector. Batches
-are right-padded with the model's padding token and loss-masked.
+per-step attribute vectors and one per-sequence feature vector. The
+sessions are right-padded once, with the model's padding token, and
+loss-masked; each mini-batch is a gather of their rows.
 """
 
 from __future__ import annotations
@@ -24,14 +25,6 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"loss became non-finite during epoch {epoch}")
         self.epoch = epoch
-
-
-@dataclass
-class EncodedSequence:
-    inputs: np.ndarray   # (T,) int
-    targets: np.ndarray  # (T,) int
-    attrs: np.ndarray    # (T, ATTRIBUTE_DIM)
-    feat: np.ndarray     # (FEATURE_DIM,)
 
 
 @dataclass
@@ -73,23 +66,16 @@ class RecurrentNet:
         self.pad_ix = n_pois
         self.params = self._init_params(np.random.default_rng(seed))
 
-    def forward_step(self, state, inputs, attrs=None, feats=None):
+    def forward_step(self, state, inputs, attrs, feats):
         """One public step; returns (new_state, logits, probabilities)."""
         inputs = np.atleast_1d(np.asarray(inputs, dtype=np.int64))
         if np.any(inputs < 0) or np.any(inputs >= self.n_pois):
             raise IndexError(
                 f"poi index out of range [0, {self.n_pois}): {inputs.tolist()}"
             )
-        attrs, feats = self._default_context(len(inputs), attrs, feats)
-        new_state, logits = self._step(state, inputs, attrs, feats)
+        new_state, logits = self._step(state, inputs, np.atleast_2d(attrs),
+                                       np.atleast_2d(feats))
         return new_state, logits, numerics.softmax(logits, axis=-1)
-
-    def _default_context(self, batch, attrs, feats):
-        if attrs is None:
-            attrs = np.zeros((batch, ATTRIBUTE_DIM))
-        if feats is None:
-            feats = np.zeros((batch, FEATURE_DIM))
-        return np.atleast_2d(attrs), np.atleast_2d(feats)
 
     def _forward_sequence(self, batch, collect_cache: bool):
         """Run the whole padded batch; returns per-step probs and caches."""
@@ -133,86 +119,76 @@ class RecurrentNet:
         return total / len(batch.inputs)
 
 
-def encode_session(session: Session, tables: FeatureTables) -> EncodedSequence:
-    """Teacher-forcing encoding of one session (length >= 2), capped at
-    ``MAX_STEPS`` steps."""
-    if len(session) < 2:
+def encode_sessions(sessions: Sequence[Session], tables: FeatureTables) -> Batch:
+    """Teacher-forcing encoding of sessions of length >= 2, each capped at
+    ``MAX_STEPS`` steps, as one batch right-padded to the longest: padding
+    token ``tables.n_pois``, mask 0 and zero attributes."""
+    if any(len(s) < 2 for s in sessions):
         raise ValueError("training sessions must have at least two visits")
-    visits = session.visits[: MAX_STEPS + 1]
-    ixs = [tables.encodings.poi(v.poi.poi_id) for v in visits]
-    dists = tables.step_km(session)  # one haversine per step, for both uses
-    attrs = tables.attribute_rows(
-        ixs[:-1], [v.hour for v in visits[:-1]], [0.0] + dists[: len(ixs) - 2]
-    ) / tables.attribute_scale
-    feat = tables.feature_vector(session, dists) / tables.feature_scale
-    return EncodedSequence(
-        inputs=np.asarray(ixs[:-1], dtype=np.int64),
-        targets=np.asarray(ixs[1:], dtype=np.int64),
-        attrs=attrs,
-        feat=feat,
-    )
-
-
-def encode_sessions(sessions: Sequence[Session], tables: FeatureTables) -> list:
-    return [encode_session(s, tables) for s in sessions]
-
-
-def make_batch(sequences: Sequence[EncodedSequence], pad_ix: int) -> Batch:
-    B = len(sequences)
-    T = max(len(s.inputs) for s in sequences)
-    a_dim = sequences[0].attrs.shape[1]
-    inputs = np.full((B, T), pad_ix, dtype=np.int64)
+    steps = [min(len(s), MAX_STEPS + 1) - 1 for s in sessions]
+    B, T = len(sessions), max(steps, default=0)
+    inputs = np.full((B, T), tables.n_pois, dtype=np.int64)
     targets = np.zeros((B, T), dtype=np.int64)
     mask = np.zeros((B, T))
-    attrs = np.zeros((B, T, a_dim))
-    feats = np.zeros((B, len(sequences[0].feat)))
-    for b, seq in enumerate(sequences):
-        n = len(seq.inputs)
-        inputs[b, :n] = seq.inputs
-        targets[b, :n] = seq.targets
+    attrs = np.zeros((B, T, ATTRIBUTE_DIM))
+    feats = np.zeros((B, FEATURE_DIM))
+    for b, (session, n) in enumerate(zip(sessions, steps)):
+        visits = session.visits[: n + 1]
+        ixs = [tables.encodings.poi(v.poi.poi_id) for v in visits]
+        dists = tables.step_km(session)  # one haversine per step, for both uses
+        inputs[b, :n] = ixs[:-1]
+        targets[b, :n] = ixs[1:]
         mask[b, :n] = 1.0
-        attrs[b, :n, :] = seq.attrs
-        feats[b] = seq.feat
+        attrs[b, :n] = tables.attribute_rows(
+            ixs[:-1], [v.hour for v in visits[:-1]], [0.0] + dists[: n - 1])
+        feats[b] = tables.feature_vector(session, dists)
+    attrs /= tables.attribute_scale
+    feats /= tables.feature_scale
     return Batch(inputs, targets, mask, attrs, feats)
 
 
-def mean_nll(net, sequences: Sequence[EncodedSequence], batch_size: int = 50) -> float:
+def make_batch(data: Batch, rows: np.ndarray) -> Batch:
+    """Rows ``rows`` of the padded ``data``, cut to the longest of them."""
+    T = int(data.mask[rows].sum(axis=1).max())
+    return Batch(data.inputs[rows, :T], data.targets[rows, :T], data.mask[rows, :T],
+                 data.attrs[rows, :T], data.feats[rows])
+
+
+def _batches(data: Batch, order: np.ndarray, batch_size: int):
+    """``make_batch`` of each consecutive ``batch_size`` rows of ``order``."""
+    for start in range(0, len(order), batch_size):
+        yield make_batch(data, order[start : start + batch_size])
+
+
+def mean_nll(net, data: Batch, batch_size: int = 50) -> float:
     """Dataset mean of per-sequence NLL without updating anything."""
     total = 0.0
-    for start in range(0, len(sequences), batch_size):
-        chunk = sequences[start : start + batch_size]
-        batch = make_batch(chunk, net.pad_ix)
-        total += net.batch_nll(batch) * len(chunk)
-    return total / len(sequences)
+    for batch in _batches(data, np.arange(len(data.inputs)), batch_size):
+        total += net.batch_nll(batch) * len(batch.inputs)
+    return total / len(data.inputs)
 
 
-def train(
-    net,
-    sequences: Sequence[EncodedSequence],
-    config: numerics.SgdConfig | None = None,
-    seed: int = 0,
-) -> list:
-    """Shuffled mini-batch SGD with clipped gradients.
+def train(net, data: Batch, config: numerics.SgdConfig | None = None,
+          seed: int = 0) -> list:
+    """Shuffled mini-batch SGD with clipped gradients over the sessions
+    of ``data``, as ``encode_sessions`` pads them.
 
     Returns the loss curve: entry 0 is the pre-training dataset NLL,
     entry e >= 1 the mean batch loss seen during epoch e.
     """
-    if not sequences:
+    n = len(data.inputs)
+    if not n:
         raise ValueError("training requires at least one encoded session")
     config = config or numerics.SgdConfig()
     rng = np.random.default_rng(seed)
-    curve = [mean_nll(net, sequences, config.batch_size)]
-    n = len(sequences)
+    curve = [mean_nll(net, data, config.batch_size)]
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            chunk = [sequences[i] for i in order[start : start + config.batch_size]]
-            batch = make_batch(chunk, net.pad_ix)
+        for batch in _batches(data, rng.permutation(n), config.batch_size):
             loss, grads = net.loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             numerics.sgd_step(net.params, grads, config)
-            total += loss * len(chunk)
+            total += loss * len(batch.inputs)
         curve.append(total / n)
     return curve

@@ -56,31 +56,19 @@ class SgdConfig:
             raise ValueError("clip_threshold, batch_size and epochs must be > 0")
 
 
-def global_norm(grads: Mapping[str, np.ndarray]) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(g * g))
-    return float(np.sqrt(total))
-
-
-def clip_gradients(grads: Params, threshold: float) -> Params:
-    """Rescale gradients in place so their global L2 norm is at most
-    ``threshold`` (idempotent) and return them."""
-    norm = global_norm(grads)
-    if norm > threshold:
-        scale = threshold / norm
-        for g in grads.values():
-            g *= scale
-    return grads
-
-
 def sgd_step(params: Params, grads: Mapping[str, np.ndarray], config: SgdConfig) -> Params:
-    """Clip, then update ``params`` in place: p <- p - lr * g."""
+    """Rescale ``grads`` in place so their global L2 norm is at most
+    ``config.clip_threshold`` (idempotent), then update ``params`` in
+    place: p <- p - lr * g."""
+    total = 0.0
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter block {name!r}")
-    clip_gradients(dict(grads), config.clip_threshold)
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
     for name, g in grads.items():
+        if norm > config.clip_threshold:
+            g *= config.clip_threshold / norm
         params[name] -= config.learning_rate * g
     return params
 

@@ -13,6 +13,10 @@ read must equal it bit for bit.
 ``apriori_search`` is the earlier Apriori beam search, one ``_Trip`` per
 candidate and one Python sort per level, over ``neighbour_lists`` of
 tuples; the array search must return its trips, hours and scores.
+
+``encode_session`` and ``make_batch`` are the earlier training padder:
+one ``EncodedSequence`` per session, padded again into each mini-batch.
+A gather of ``training.encode_sessions``' rows must equal its batch.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
 from capseq.geo import WALK_SPEED_KMH, haversine_km, travel_seconds
+from capseq.models import MAX_STEPS, Batch
 
 
 class ScalarTables:
@@ -317,3 +322,50 @@ def apriori_search(
         )
         for t in pool
     ]
+
+
+@dataclass
+class EncodedSequence:
+    inputs: np.ndarray   # (T,) int
+    targets: np.ndarray  # (T,) int
+    attrs: np.ndarray    # (T, ATTRIBUTE_DIM)
+    feat: np.ndarray     # (FEATURE_DIM,)
+
+
+def encode_session(session, tables: FeatureTables) -> EncodedSequence:
+    """Teacher-forcing encoding of one session (length >= 2), capped at
+    ``MAX_STEPS`` steps."""
+    if len(session) < 2:
+        raise ValueError("training sessions must have at least two visits")
+    visits = session.visits[: MAX_STEPS + 1]
+    ixs = [tables.encodings.poi(v.poi.poi_id) for v in visits]
+    dists = tables.step_km(session)  # one haversine per step, for both uses
+    attrs = tables.attribute_rows(
+        ixs[:-1], [v.hour for v in visits[:-1]], [0.0] + dists[: len(ixs) - 2]
+    ) / tables.attribute_scale
+    feat = tables.feature_vector(session, dists) / tables.feature_scale
+    return EncodedSequence(
+        inputs=np.asarray(ixs[:-1], dtype=np.int64),
+        targets=np.asarray(ixs[1:], dtype=np.int64),
+        attrs=attrs,
+        feat=feat,
+    )
+
+
+def make_batch(sequences, pad_ix: int) -> Batch:
+    B = len(sequences)
+    T = max(len(s.inputs) for s in sequences)
+    a_dim = sequences[0].attrs.shape[1]
+    inputs = np.full((B, T), pad_ix, dtype=np.int64)
+    targets = np.zeros((B, T), dtype=np.int64)
+    mask = np.zeros((B, T))
+    attrs = np.zeros((B, T, a_dim))
+    feats = np.zeros((B, len(sequences[0].feat)))
+    for b, seq in enumerate(sequences):
+        n = len(seq.inputs)
+        inputs[b, :n] = seq.inputs
+        targets[b, :n] = seq.targets
+        mask[b, :n] = 1.0
+        attrs[b, :n, :] = seq.attrs
+        feats[b] = seq.feat
+    return Batch(inputs, targets, mask, attrs, feats)

@@ -241,6 +241,31 @@ def _zero_visit_count(tables):
     cells[next(iter(cells))] = 0
 
 
+def _stay_mean_tripled(tables):
+    means = tables["stay"]["mean"]
+    first = next(iter(means))
+    means[first] *= 3
+
+
+def _dist_global_doubled(tables):
+    tables["dist_global"] = [2 * bound for bound in tables["dist_global"]]
+
+
+def _session_feature_edited(tables):
+    features = tables["session_features"]
+    features[next(iter(features))][4] += 1.0  # the mean step distance
+
+
+def _cell_dropped(tables):
+    cells = next(cells for _, cells in tables["users"] if len(cells) > 1)
+    del cells[next(iter(cells))]
+
+
+def _friend_list_dropped(tables):
+    friends = tables["friends"]
+    del friends[next(u for u, fs in friends.items() if fs)]
+
+
 def _first_half_of_the_lines(raw: bytes) -> bytes:
     lines = raw.splitlines(keepends=True)
     return b"".join(lines[: len(lines) // 2])
@@ -329,6 +354,18 @@ BAD_INPUTS = {
     "tables-of-half-the-sessions": (
         {"ds/sessions.jsonl": _first_half_of_the_lines},
         TRAIN_TABLES + ["--data-dir", "{tmp}/ds"], 2),
+    "tables-of-an-emptied-graph": (
+        {"ds/graph.json": "{}"}, TRAIN_TABLES + ["--data-dir", "{tmp}/ds"], 2),
+    "tables-stay-mean-edited": (
+        {"tables.json": _with_tables(_stay_mean_tripled)}, TRAIN_TABLES, 2),
+    "tables-distance-bound-edited": (
+        {"tables.json": _with_tables(_dist_global_doubled)}, TRAIN_TABLES, 2),
+    "tables-session-feature-edited": (
+        {"tables.json": _with_tables(_session_feature_edited)}, GENERATE_TABLES, 2),
+    "tables-cell-dropped": (
+        {"tables.json": _with_tables(_cell_dropped)}, TRAIN_TABLES, 2),
+    "tables-friend-list-dropped": (
+        {"tables.json": _with_tables(_friend_list_dropped)}, GENERATE_TABLES, 2),
     "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
     "train-zero-batch-size": (
         {}, ["train", "--model", "plain-rnn", "--batch-size", "0"], 1),

@@ -384,21 +384,21 @@ class TestAttributeFields:
                 assert tables.attribute_vector(l, h, None)[5] == 0.0
 
     def test_encoded_attrs_are_scaled_step_vectors(self, tables, synth_small):
-        from capseq.models import encode_session
+        from capseq.models import encode_sessions
 
         sessions, _, encodings = synth_small
         for session in sessions:
             if len(session) < 2:
                 continue
-            encoded = encode_session(session, tables)
+            encoded = encode_sessions([session], tables)
             ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
             rows = [
                 tables.attribute_vector(ixs[t], session.visits[t].hour,
                                         ixs[t - 1] if t > 0 else None)
-                for t in range(len(encoded.inputs))
+                for t in range(len(encoded.inputs[0]))
             ]
             expected = np.array(rows) / tables.attribute_scale
-            assert np.array_equal(encoded.attrs, expected)
+            assert np.array_equal(encoded.attrs[0], expected)
 
 
 def _stay_mean(d, x):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from capseq import numerics
-from capseq.models import Batch, EncodedSequence, train
+from capseq.models import Batch, train
+from scalar_reference import EncodedSequence, make_batch
 from capseq.models.lstm import ContextLstm
 
 ADIM, FDIM = 30, 7
@@ -81,7 +82,7 @@ class TestLstmStep:
         p["bi"][:] = -50.0  # i = 0 exactly
         c0 = np.array([[0.3, -0.7, 0.2, 0.9]])
         state = (np.zeros((1, H)), c0.copy())
-        state, _, _ = net.forward_step(state, [2])
+        state, _, _ = net.forward_step(state, [2], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
         np.testing.assert_array_equal(state[1], c0)
 
     def test_hand_computed_intermediates(self):
@@ -168,7 +169,7 @@ class TestLstmStep:
     def test_out_of_range_index_rejected(self):
         net = ContextLstm(5, hidden_size=3, embedding_size=2)
         with pytest.raises(IndexError):
-            net.forward_step(net.init_state(1), [7])
+            net.forward_step(net.init_state(1), [7], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
 
 
 class TestLstmBackward:
@@ -210,7 +211,7 @@ class TestLstmTrain:
             )
         ] * 4
         curve = train(
-            net, seqs,
+            net, make_batch(seqs, net.pad_ix),
             numerics.SgdConfig(learning_rate=0.2, epochs=60, batch_size=4),
             seed=3,
         )
@@ -231,6 +232,7 @@ class TestLstmTrain:
         for _ in range(2):
             net = ContextLstm(6, hidden_size=5, embedding_size=4, seed=8)
             curves.append(
-                train(net, seqs, numerics.SgdConfig(learning_rate=0.05, epochs=4), seed=2)
+                train(net, make_batch(seqs, net.pad_ix),
+                      numerics.SgdConfig(learning_rate=0.05, epochs=4), seed=2)
             )
         assert curves[0] == curves[1]

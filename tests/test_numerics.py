@@ -7,8 +7,6 @@ import pytest
 from capseq.numerics import (
     NumericError,
     SgdConfig,
-    clip_gradients,
-    global_norm,
     grad_check,
     load_params,
     save_params,
@@ -93,19 +91,25 @@ class TestSoftmax:
 
 class TestSgd:
     def test_norm_clip_halves_at_double(self):
+        """With a zero learning rate the step only clips: the gradients
+        are rescaled in place to norm 5 and the parameters stay."""
+        params = {"w": np.array([1.0, -2.0])}
         grads = {"w": np.array([6.0, 8.0])}  # norm 10
-        clip_gradients(grads, 5.0)
+        sgd_step(params, grads, SgdConfig(learning_rate=0.0))
         np.testing.assert_allclose(grads["w"], [3.0, 4.0])
-        assert global_norm(grads) == pytest.approx(5.0)
+        assert np.linalg.norm(grads["w"]) == pytest.approx(5.0)
+        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_clip_idempotent(self):
         rng = np.random.default_rng(6)
+        config = SgdConfig(learning_rate=0.0)
         for _ in range(50):
             grads = {"a": rng.normal(size=7), "b": rng.normal(size=(3, 2))}
+            params = {k: np.zeros_like(v) for k, v in grads.items()}
             once = {k: v.copy() for k, v in grads.items()}
-            clip_gradients(once, 5.0)
+            sgd_step(params, once, config)
             twice = {k: v.copy() for k, v in once.items()}
-            clip_gradients(twice, 5.0)
+            sgd_step(params, twice, config)
             for k in grads:
                 np.testing.assert_array_equal(once[k], twice[k])
 

@@ -3,18 +3,24 @@ checkpoint save/load with encoding guards."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+import scalar_reference as ref
 from capseq.cli import RECOMMENDERS
 from capseq.data import Encodings, build_sessions, synth_dataset, training_sessions
 from capseq.features import FeatureTables
 from capseq.generation import GenRequest
 from capseq.models import (
+    MAX_STEPS,
+    Batch,
     CapsLstmRecommender,
     CapsRnnRecommender,
     PlainRnnRecommender,
     NotFittedError,
+    encode_sessions,
     load_checkpoint,
+    make_batch,
 )
 from capseq.baselines import MarkovRecommender, PopularityRecommender
 from capseq.numerics import NumericError
@@ -86,10 +92,30 @@ def test_recommender_contract(name, world):
             cls(**{field: float("nan")})
 
 
+def _long_session(sessions):
+    """A session of MAX_STEPS + 5 visits to the POIs of ``sessions``, ten
+    minutes apart."""
+    from capseq.data.types import Session, Visit
+
+    pois = [v.poi for s in sessions for v in s.visits][: MAX_STEPS + 5]
+    base = 1330905600
+    return Session(sessions[0].user_id, tuple(
+        Visit(poi, base + i * 600, base + i * 600 + 300) for i, poi in enumerate(pois)))
+
+
+def _row_sets(n):
+    """Row sets of the oracle test, by name, over ``n`` sessions."""
+    order = np.random.default_rng(4).permutation(n)
+    return {
+        "all-in-order": [np.arange(n)],
+        "permuted-threes": [order[i : i + 3] for i in range(0, n, 3)],
+        "one-row": [np.array([i]) for i in range(n)],
+    }
+
+
 class TestSessionEncoding:
     def test_long_sessions_capped_at_max_steps(self, world):
         from capseq.data.types import Poi, Session, Visit
-        from capseq.models import MAX_STEPS, encode_session
 
         sessions, tables = world
         poi_ids = list(tables.encodings.poi_to_ix)
@@ -100,13 +126,12 @@ class TestSessionEncoding:
             for i in range(30)
         )
         long_session = Session("u0000", visits)
-        encoded = encode_session(long_session, tables)
-        assert len(encoded.inputs) == MAX_STEPS
-        assert encoded.attrs.shape[0] == MAX_STEPS
+        encoded = encode_sessions([long_session], tables)
+        assert len(encoded.inputs[0]) == MAX_STEPS
+        assert encoded.attrs[0].shape[0] == MAX_STEPS
 
     def test_rejects_singletons(self, world):
         from capseq.data.types import Poi, Session, Visit
-        from capseq.models import encode_session
 
         sessions, tables = world
         poi_id = next(iter(tables.encodings.poi_to_ix))
@@ -115,7 +140,29 @@ class TestSessionEncoding:
             (Visit(Poi(poi_id, 40.0, -74.0, "Home/Work:Home"), 1, 601),),
         )
         with pytest.raises(ValueError):
-            encode_session(single, tables)
+            encode_sessions([single], tables)
+
+    @pytest.mark.parametrize("case", ["all-in-order", "permuted-threes", "one-row",
+                                      "long-among-short"])
+    def test_gathered_rows_equal_the_reference_batches(self, synth_small, synth_tables,
+                                                       case):
+        """A gather of the sessions padded once equals, bit for bit and
+        dtype for dtype, the batch padded from one encoded session each."""
+        sessions = training_sessions(synth_small[0])
+        if case == "long-among-short":
+            sessions = sessions[:3] + [_long_session(sessions)] + sessions[3:5]
+            row_sets = [np.arange(6), np.array([3]), np.array([4, 3, 0])]
+        else:
+            row_sets = _row_sets(len(sessions))[case]
+        data = encode_sessions(sessions, synth_tables)
+        encoded = [ref.encode_session(s, synth_tables) for s in sessions]
+        for rows in row_sets:
+            got = make_batch(data, rows)
+            want = ref.make_batch([encoded[i] for i in rows], synth_tables.n_pois)
+            for field in dataclasses.fields(Batch):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (field.name, rows)
+                assert a.tobytes() == b.tobytes(), (field.name, rows)
 
 
 class TestCheckpoints:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from capseq import numerics
-from capseq.models import Batch, make_batch, train, EncodedSequence
+from capseq.models import Batch, train
+from scalar_reference import EncodedSequence, make_batch
 from capseq.models.lstm import ContextLstm
 from capseq.models.rnn import ContextRnn
 
@@ -60,9 +61,9 @@ class TestForwardStep:
     def test_out_of_range_index_rejected(self):
         net = ContextRnn(5, hidden_size=3, n_layers=1, embedding_size=2)
         with pytest.raises(IndexError):
-            net.forward_step(net.init_state(1), [5])
+            net.forward_step(net.init_state(1), [5], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
         with pytest.raises(IndexError):
-            net.forward_step(net.init_state(1), [-1])
+            net.forward_step(net.init_state(1), [-1], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
 
     def test_hand_computed_single_step(self):
         """K=4, hidden=3, one layer; logits checked against explicit
@@ -276,7 +277,8 @@ class TestTrain:
         rng = np.random.default_rng(5)
         net = ContextRnn(8, hidden_size=4, n_layers=1, embedding_size=3, seed=1)
         seqs = self.make_sequences(rng)
-        curve = train(net, seqs, numerics.SgdConfig(learning_rate=0.0, epochs=5), seed=3)
+        curve = train(net, make_batch(seqs, net.pad_ix),
+                      numerics.SgdConfig(learning_rate=0.0, epochs=5), seed=3)
         assert all(v == pytest.approx(curve[0], rel=1e-12) for v in curve)
 
     def test_same_seed_identical_curves(self):
@@ -286,7 +288,8 @@ class TestTrain:
         for _ in range(2):
             net = ContextRnn(8, hidden_size=4, n_layers=1, embedding_size=3, seed=1)
             curves.append(
-                train(net, seqs, numerics.SgdConfig(learning_rate=0.05, epochs=5), seed=3)
+                train(net, make_batch(seqs, net.pad_ix),
+                      numerics.SgdConfig(learning_rate=0.05, epochs=5), seed=3)
             )
         assert curves[0] == curves[1]
 
@@ -303,7 +306,8 @@ class TestTrain:
             )
         ] * 4
         curve = train(
-            net, seqs, numerics.SgdConfig(learning_rate=0.1, epochs=50, batch_size=4),
+            net, make_batch(seqs, net.pad_ix),
+            numerics.SgdConfig(learning_rate=0.1, epochs=50, batch_size=4),
             seed=3,
         )
         assert curve[-1] < 0.2 * curve[0]
