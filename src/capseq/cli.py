@@ -272,8 +272,8 @@ def _dataset_and_tables(args, cfg) -> tuple:
         raise DataError(f"{args.tables}: not a feature tables file: {exc}") from exc
     visits = visit_arrays(sessions, encodings)
     if dataset_sha256(encodings, visits, graph) != tables.dataset_sha256:
-        raise DataError(f"{data / dataio.SESSIONS_FILE}: the sessions, encodings and "
-                        f"friendships of {data} are not those {args.tables} was built from")
+        raise DataError(f"{data}: its sessions, encodings and friendships are not "
+                        f"those {args.tables} was built from")
     if dataset_sha256(tables.encodings, visits, graph) != tables.dataset_sha256:
         raise DataError(f"{args.tables}: not a feature tables file: its encodings "
                         "and catalogue are not those it was built from")

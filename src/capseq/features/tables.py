@@ -7,14 +7,16 @@ the sequence models.
 
 All POIs, users and categories are handled as dense encoded integers;
 ``FeatureTables.build`` does the encoding. Every interest statistic comes
-from dense (rows, n_pois) visit-count arrays: ``_interest`` turns one
-such matrix into category shares, categorical and socially blended
-interest, once for the full data (the pooled population as an extra
-row) and once per hour of day. Every float sum adds its terms one at a
-time in a fixed order (users in first-appearance order, friends
-ascending, a category's POIs ascending), so the tables equal a literal
-evaluation of the defining formulas in that order bit for bit; the test
-suite keeps an independent literal transcription to cross-check them.
+from one pass over the visited (row, POI) cells of the full data (the
+pooled population as an extra row) and of each hour of day, sorted by
+(block, row, POI): ``_block_interest`` turns their visit counts into
+category shares, categorical and socially blended interest, and spreads
+only the full data's interest over every POI. Every float sum adds its
+terms one at a time in a fixed order (users in first-appearance order,
+friends ascending, a category's POIs ascending), so the tables equal a
+literal evaluation of the defining formulas in that order bit for bit;
+the test suite keeps an independent literal transcription, and the
+earlier dense pass per hour, to cross-check them.
 """
 
 from __future__ import annotations
@@ -154,15 +156,6 @@ def _scaled(d, lo, hi) -> np.ndarray:
     return np.where(wide, inside, d > lo)  # distances are finite, never NaN
 
 
-def _cat_sums(values: np.ndarray, poi_cat: np.ndarray, n_cats: int) -> np.ndarray:
-    """(rows, n_cats) sums of a (rows, n_pois) array over each category's
-    POIs, added one at a time in ascending POI order."""
-    rows = values.shape[0]
-    bins = (np.arange(rows)[:, None] * n_cats + poi_cat).ravel()
-    sums = np.bincount(bins, weights=values.ravel(), minlength=rows * n_cats)
-    return sums.reshape(rows, n_cats)
-
-
 def _ordered_mean(values: np.ndarray, order: np.ndarray, n_users: int) -> np.ndarray:
     """Column sums of the rows ``order`` names, added one row at a time in
     that order, over ``n_users``."""
@@ -193,51 +186,59 @@ class _Interest(NamedTuple):
     gamma: np.ndarray  # (rows, n_cats) the same, per category
 
 
-def _interest(counts, slots, stay_norm, poi_cat, n_cats) -> _Interest:
-    """Aggregate-stay interest of every row of a (rows, n_pois) visit-count
-    matrix; ``slots`` (see ``_friend_slots``) names each row's friends."""
-    total = counts.sum(axis=1)[:, None]
-    visited = counts > 0
-    alpha = _divide(_cat_sums(counts, poi_cat, n_cats), total, total > 0)
-    own = _divide(stay_norm, _divide(counts, total, visited), visited)
-    distinct = _cat_sums(visited, poi_cat, n_cats)
-    g = _divide(1.0, distinct, distinct > 0)
-    social = g * _cat_sums(own, poi_cat, n_cats)
-    # in place, to keep few (rows, n_pois) temporaries alive; products and
-    # sums commute exactly, so this is (1 - alpha) * own + alpha * social
-    a = alpha[:, poi_cat]
-    ac = a * social[:, poi_cat]
-    own *= 1.0 - a
-    ac += own
-    del a, own
+def _block_interest(keys, counts, rows, slots, stay_norm, poi_cat, n_cats) -> tuple:
+    """Aggregate-stay interest of the visited cells: ascending ``keys``
+    ``(block * rows + row) * n_pois + poi`` with ``counts`` visits, where
+    block 24 is the full data and blocks 0-23 the hours of day. Returns
+    the full data's ``_Interest``, only its ``ac`` and ``ast`` dense, and
+    the (rows, 24 * n_cats) hourly interest in whole categories: ``ac``
+    summed over a category's visited POIs, socially blended with the
+    friends' sums. ``slots`` (see ``_friend_slots``) names each row's
+    friends; a friend shares a cell it visited in the same block."""
+    blocks, n_pois = HOURS + 1, len(poi_cat)
+    block_row, poi = np.divmod(keys, n_pois)
+    block, row = np.divmod(block_row, rows)
+    # keys ascend, so each (block, row, category) adds its POIs in order
+    bins = block_row * n_cats + poi_cat[poi]
 
-    n_friends = np.zeros((len(counts), 1), dtype=np.int64)
-    friend_seen = np.zeros_like(visited)
-    ast = np.zeros(counts.shape)
+    def sums(weights=None, by=bins, n=n_cats):  # (blocks, rows, n); 1 per cell by default
+        return np.bincount(by, weights, blocks * rows * n).reshape(blocks, rows, n)
+
+    total = sums(counts, block_row, 1)
+    alpha = _divide(sums(counts), total, total > 0)
+    own = stay_norm[poi] / (counts / total.ravel()[block_row])
+    distinct = sums()
+    g = _divide(1.0, distinct, distinct > 0)
+    social = g * sums(own)
+    a = alpha.ravel()[bins]
+    ac = a * social.ravel()[bins] + own * (1.0 - a)
+
+    full = block == HOURS
+    dense_ac = (alpha[HOURS] * social[HOURS])[:, poi_cat]  # the unvisited POIs' own term is 0
+    dense_ac[row[full], poi[full]] = ac[full]
+    own_cat = sums(ac)[:HOURS]
+    n_friends = np.zeros((rows, 1), dtype=np.int64)
+    friend_seen = np.zeros(len(keys), dtype=bool)
+    social_cat, ast = np.zeros(own_cat.shape), np.zeros(dense_ac.shape)
+    ends = np.append(keys, -1)
     for who, k in slots:
         n_friends[who] += 1
-        friend_seen[who] |= visited[k]
-        ast[who] += ac[k]
-    shared = np.where(visited & friend_seen, counts, 0)
-    psi = _divide(shared.sum(axis=1)[:, None], total, total > 0)
-    gamma = _divide(_cat_sums(shared, poi_cat, n_cats), total, total > 0)
+        friend = np.full(rows, -1)
+        friend[who] = k
+        friend_keys = keys + (friend[row] - row) * n_pois
+        friend_seen |= (friend[row] >= 0) & (ends[keys.searchsorted(friend_keys)] == friend_keys)
+        social_cat[:, who] += own_cat[:, k]
+        ast[who] += dense_ac[k]
+    shared = np.where(friend_seen, counts, 0)
+    psi = _divide(sums(shared, block_row, 1), total, total > 0)
+    gamma = _divide(sums(shared), total, total > 0)
+    by_cat = (1.0 - gamma[:HOURS]) * own_cat + gamma[:HOURS] * social_cat
     # (1 - psi) * ac + psi * friend_sum / n_friends; psi is 0 without friends
-    ast *= psi
+    ast *= psi[HOURS]
     np.divide(ast, n_friends, out=ast, where=n_friends > 0)
-    ast += (1.0 - psi) * ac
-    return _Interest(alpha, g, ac, ast, psi, gamma)
-
-
-def _category_interest(counts, slots, stay_norm, poi_cat, n_cats) -> np.ndarray:
-    """(rows, n_cats) per-user interest in whole categories: the user's
-    categorical interest summed over the category's visited POIs,
-    socially blended with the same sums of the user's friends."""
-    it = _interest(counts, slots, stay_norm, poi_cat, n_cats)
-    own = _cat_sums(np.where(counts > 0, it.ac, 0.0), poi_cat, n_cats)
-    social = np.zeros(own.shape)
-    for who, k in slots:
-        social[who] += own[k]
-    return (1.0 - it.gamma) * own + it.gamma * social
+    ast += (1.0 - psi[HOURS]) * dense_ac
+    alpha, g, psi, gamma = (x[HOURS].copy() for x in (alpha, g, psi, gamma))  # frees the hours
+    return _Interest(alpha, g, dense_ac, ast, psi, gamma), by_cat.swapaxes(0, 1).reshape(rows, -1)
 
 
 def _index(value, high: int, what: str) -> int:
@@ -294,7 +295,6 @@ class FeatureTables:
         self._max_lt: list = []  # per row, largest (poi, hour) count
         self._order: np.ndarray | None = None  # users with visits, first seen first
         self._catacc: np.ndarray | None = None  # (rows, n_cats, 24)
-        self._slots: list = []  # see _friend_slots
         self._stats: _Interest | None = None  # full data, pooled row last
         self._beta: np.ndarray | None = None  # (n_users + 1, n_cats)
         # (n_pois, 2) observed incoming-distance bounds per POI, the global
@@ -368,9 +368,10 @@ class FeatureTables:
         self._order = order
         self._lt_keys = np.append(keys, rows * n_cells)
         self._lt_counts = counts
-        visits = np.bincount(
-            row * n_pois + poi, weights=counts, minlength=rows * n_pois
-        ).astype(np.int64).reshape(rows, n_pois)
+        # the full data's cells: each (row, POI) and its visits
+        cells = keys // HOURS
+        first = np.flatnonzero(np.diff(cells, prepend=-1))
+        visits = np.add.reduceat(counts, first)
         max_lt = np.zeros(rows, dtype=np.int64)
         np.maximum.at(max_lt, row, counts)
         self._max_lt = max_lt.tolist()
@@ -378,42 +379,26 @@ class FeatureTables:
         # keys ascend, so each (row, category, hour) adds its POIs in order
         self._catacc = np.bincount(
             (row * n_cats + self.poi_cat[poi]) * HOURS + hour,
-            weights=counts / visits[row, poi],
+            weights=counts / np.repeat(visits, np.diff(first, append=len(cells))),
             minlength=rows * n_cats * HOURS,
         ).reshape(rows, n_cats, HOURS)
-        self._slots = _friend_slots(self._friends)
-        self._stats = _interest(
-            visits, self._slots, self.stay.normalized, self.poi_cat, n_cats
+        user = row < self.n_users
+        hourly = (hour[user] * rows + row[user]) * n_pois + poi[user]
+        ix = np.argsort(hourly)
+        self._stats, by_cat = _block_interest(
+            np.concatenate([hourly[ix], HOURS * rows * n_pois + cells[first]]),
+            np.concatenate([counts[user][ix], visits]), rows,
+            _friend_slots(self._friends), self.stay.normalized, self.poi_cat, n_cats,
         )
         self.ast_poi = _ordered_mean(self._stats.ast, order, self.n_users)
-        self._build_astcat_hour(order, (row, poi, hour, counts))
+        by_hour = _ordered_mean(by_cat, order, self.n_users).reshape(HOURS, n_cats)
+        self.astcat_hour = by_hour.T.copy()
         self._build_beta()
         pooled = row == self.n_users
         popularity = np.zeros((n_pois, HOURS))
         popularity[poi[pooled], hour[pooled]] = counts[pooled]
         # each (POI, hour) count over the largest, every entry in [0, 1]
         self.popularity = popularity / popularity.max(initial=1.0)
-
-    def _build_astcat_hour(self, order: np.ndarray, entries: tuple) -> None:
-        """Population mean of per-user category interest, with every
-        statistic restricted to one hour's check-ins (stay norms stay
-        global)."""
-        n_users, n_cats = self.n_users, self.encodings.n_categories
-        row, poi, hour, counts = entries
-        users = row < n_users
-        astcat_hour = np.zeros((n_cats, HOURS))
-        for h in range(HOURS):
-            at = users & (hour == h)
-            # only the POIs visited at this hour, ascending: every sum
-            # skips the others' zero terms and keeps its order
-            cols = np.flatnonzero(np.bincount(poi[at], minlength=self.n_pois))
-            sliced = np.zeros((n_users, len(cols)), dtype=np.int64)
-            sliced[row[at], np.searchsorted(cols, poi[at])] = counts[at]
-            per_user = _category_interest(
-                sliced, self._slots, self.stay.normalized[cols], self.poi_cat[cols], n_cats
-            )
-            astcat_hour[:, h] = _ordered_mean(per_user, order, n_users)
-        self.astcat_hour = astcat_hour
 
     def _build_beta(self) -> None:
         """Category weight per user via tf-idf over check-in 'documents',
@@ -552,8 +537,12 @@ class FeatureTables:
         """Temporal preference score; ``u=None`` (or a user without any
         history) uses the population-generalized score."""
         pois = self._pois(poi_ix)
-        row = u if self._is_user(u) and self._max_lt[u] else self.n_users
-        return _float(self._preference(row, pois, _hours(hour)))
+        return _float(self._preference(self.stats_row(u), pois, _hours(hour)))
+
+    def stats_row(self, u: int | None) -> int:
+        """The statistics row ``preference`` reads for ``u``: its own, or
+        the pooled row ``n_users`` for ``None`` or a user without history."""
+        return u if self._is_user(u) and self._max_lt[u] else self.n_users
 
     def _preference(self, row: int, pois, hours) -> np.ndarray:
         """Preference of stats row ``row`` for POIs at hours (0-23):

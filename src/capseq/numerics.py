@@ -58,8 +58,8 @@ class SgdConfig:
 
 def sgd_step(params: Params, grads: Mapping[str, np.ndarray], config: SgdConfig) -> Params:
     """Rescale ``grads`` in place so their global L2 norm is at most
-    ``config.clip_threshold`` (idempotent), then update ``params`` in
-    place: p <- p - lr * g."""
+    ``config.clip_threshold`` (idempotent up to rounding), then update
+    ``params`` in place: p <- p - lr * g."""
     total = 0.0
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):

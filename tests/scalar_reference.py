@@ -17,6 +17,11 @@ tuples; the array search must return its trips, hours and scores.
 ``encode_session`` and ``make_batch`` are the earlier training padder:
 one ``EncodedSequence`` per session, padded again into each mini-batch.
 A gather of ``training.encode_sessions``' rows must equal its batch.
+
+``interest_stats`` is the earlier dense interest computation: one pass
+over a (rows, n_pois) visit-count matrix for the full data, and one
+more per hour of day over the POIs visited at that hour. The one-pass
+block statistics of ``FeatureTables`` must equal it bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 
 from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables
+from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
 from capseq.geo import WALK_SPEED_KMH, haversine_km, travel_seconds
 from capseq.models import MAX_STEPS, Batch
@@ -369,3 +375,104 @@ def make_batch(sequences, pad_ix: int) -> Batch:
         attrs[b, :n, :] = seq.attrs
         feats[b] = seq.feat
     return Batch(inputs, targets, mask, attrs, feats)
+
+
+def _cat_sums(values: np.ndarray, poi_cat: np.ndarray, n_cats: int) -> np.ndarray:
+    """(rows, n_cats) sums of a (rows, n_pois) array over each category's
+    POIs, added one at a time in ascending POI order."""
+    rows = values.shape[0]
+    bins = (np.arange(rows)[:, None] * n_cats + poi_cat).ravel()
+    sums = np.bincount(bins, weights=values.ravel(), minlength=rows * n_cats)
+    return sums.reshape(rows, n_cats)
+
+
+def _interest(counts, slots, stay_norm, poi_cat, n_cats) -> _Interest:
+    """Aggregate-stay interest of every row of a (rows, n_pois) visit-count
+    matrix; ``slots`` (see ``_friend_slots``) names each row's friends."""
+    total = counts.sum(axis=1)[:, None]
+    visited = counts > 0
+    alpha = _divide(_cat_sums(counts, poi_cat, n_cats), total, total > 0)
+    own = _divide(stay_norm, _divide(counts, total, visited), visited)
+    distinct = _cat_sums(visited, poi_cat, n_cats)
+    g = _divide(1.0, distinct, distinct > 0)
+    social = g * _cat_sums(own, poi_cat, n_cats)
+    # in place, to keep few (rows, n_pois) temporaries alive; products and
+    # sums commute exactly, so this is (1 - alpha) * own + alpha * social
+    a = alpha[:, poi_cat]
+    ac = a * social[:, poi_cat]
+    own *= 1.0 - a
+    ac += own
+    del a, own
+
+    n_friends = np.zeros((len(counts), 1), dtype=np.int64)
+    friend_seen = np.zeros_like(visited)
+    ast = np.zeros(counts.shape)
+    for who, k in slots:
+        n_friends[who] += 1
+        friend_seen[who] |= visited[k]
+        ast[who] += ac[k]
+    shared = np.where(visited & friend_seen, counts, 0)
+    psi = _divide(shared.sum(axis=1)[:, None], total, total > 0)
+    gamma = _divide(_cat_sums(shared, poi_cat, n_cats), total, total > 0)
+    # (1 - psi) * ac + psi * friend_sum / n_friends; psi is 0 without friends
+    ast *= psi
+    np.divide(ast, n_friends, out=ast, where=n_friends > 0)
+    ast += (1.0 - psi) * ac
+    return _Interest(alpha, g, ac, ast, psi, gamma)
+
+
+def _category_interest(counts, slots, stay_norm, poi_cat, n_cats) -> np.ndarray:
+    """(rows, n_cats) per-user interest in whole categories: the user's
+    categorical interest summed over the category's visited POIs,
+    socially blended with the same sums of the user's friends."""
+    it = _interest(counts, slots, stay_norm, poi_cat, n_cats)
+    own = _cat_sums(np.where(counts > 0, it.ac, 0.0), poi_cat, n_cats)
+    social = np.zeros(own.shape)
+    for who, k in slots:
+        social[who] += own[k]
+    return (1.0 - it.gamma) * own + it.gamma * social
+
+
+def _astcat_hour(tables, slots, order: np.ndarray, entries: tuple) -> np.ndarray:
+    """Population mean of per-user category interest, with every
+    statistic restricted to one hour's check-ins (stay norms stay
+    global)."""
+    n_users, n_cats = tables.n_users, tables.encodings.n_categories
+    row, poi, hour, counts = entries
+    users = row < n_users
+    astcat_hour = np.zeros((n_cats, HOURS))
+    for h in range(HOURS):
+        at = users & (hour == h)
+        # only the POIs visited at this hour, ascending: every sum
+        # skips the others' zero terms and keeps its order
+        cols = np.flatnonzero(np.bincount(poi[at], minlength=tables.n_pois))
+        sliced = np.zeros((n_users, len(cols)), dtype=np.int64)
+        sliced[row[at], np.searchsorted(cols, poi[at])] = counts[at]
+        per_user = _category_interest(
+            sliced, slots, tables.stay.normalized[cols], tables.poi_cat[cols], n_cats
+        )
+        astcat_hour[:, h] = _ordered_mean(per_user, order, n_users)
+    return astcat_hour
+
+
+def interest_stats(tables: FeatureTables) -> tuple:
+    """The full data's ``_Interest``, pooled row last, and ``astcat_hour``
+    of ``tables``, from the visit counts and friend lists of its
+    ``to_dict``."""
+    d = tables.to_dict()
+    n_users, n_pois = tables.n_users, tables.n_pois
+    counts = np.zeros((n_users + 1, n_pois), dtype=np.int64)
+    order, rows, pois, hours, visits = [], [], [], [], []
+    for u, cells in d["users"]:
+        order.append(u)
+        for key, n in cells.items():
+            poi, hour = map(int, key.split(":"))
+            counts[u, poi] += n
+            counts[n_users, poi] += n
+            for column, value in zip((rows, pois, hours, visits), (u, poi, hour, n)):
+                column.append(value)
+    slots = _friend_slots([d["friends"][str(u)] for u in range(n_users)])
+    stats = _interest(counts, slots, tables.stay.normalized, tables.poi_cat,
+                      tables.encodings.n_categories)
+    entries = tuple(np.array(x, dtype=np.int64) for x in (rows, pois, hours, visits))
+    return stats, _astcat_hour(tables, slots, np.array(order, dtype=np.int64), entries)

@@ -521,7 +521,9 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
                               "not a feature tables file:"), err
     if "run.cfg" in files and code == 1:
         assert err.startswith("config error:"), err
-    if callable(files.get("ds/sessions.jsonl")):  # an edited session line
+    if case == "tables-of-half-the-sessions":  # a dataset the tables were not built from
+        assert err.startswith(f"data error: {tmp_path / 'ds'}: "), err
+    elif callable(files.get("ds/sessions.jsonl")):  # an edited session line
         assert err.startswith(f"data error: {tmp_path / 'ds' / 'sessions.jsonl'}:"), err
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import naive_reference as naive
+import scalar_reference as ref
 from conftest import make_visit
 from capseq.data.types import DataError, Encodings, Poi, Session, SocialGraph, Visit
 from capseq.features import (
@@ -531,6 +532,54 @@ class TestLoadEqualsBuild:
             assert got.keys() == want.keys(), name
             differ = [path for path in want if got[path] != want[path]]
             assert not differ, (name, differ)
+
+
+def _friends_at_other_hours():
+    """A chain of three friends who visit the same POIs of two categories,
+    each at hours of day the others never use."""
+    pois = [(f"p{i}", 40.0 + 0.01 * i, -74.0, ("Food", "Bar")[i % 2]) for i in range(5)]
+
+    def visit(i, hour, day):
+        l = (i + 2 * day) % 5
+        return make_visit(*pois[l], hour, stay_minutes=10 + 10 * l, day=day)
+
+    sessions = [
+        Session(user, tuple(visit(i, hour + i, day) for i in range(3)))
+        for user, hour in (("u0", 8), ("u1", 12), ("u2", 18)) for day in range(3)
+    ]
+    return sessions, SocialGraph([("u0", "u1"), ("u1", "u2")])
+
+
+class TestOnePassInterest:
+    """The one pass over the visited cells gives every full-data statistic
+    and ``astcat_hour`` bit for bit as the dense passes of
+    ``scalar_reference.interest_stats``, one for the full data and one per
+    hour of day."""
+
+    @staticmethod
+    def corpora(synth_small):
+        sessions, graph, encodings = synth_small
+        for name, subset in TestLoadEqualsBuild.corpora(synth_small):
+            yield name, subset, graph, encodings
+        yield "empty-graph", sessions, SocialGraph(), encodings
+        sessions, graph = _friends_at_other_hours()
+        yield "friends-at-other-hours", sessions, graph, Encodings.fit(sessions)
+
+    def test_stats_and_astcat_hour_equal_the_dense_passes(self, synth_small):
+        for name, sessions, graph, encodings in self.corpora(synth_small):
+            tables = FeatureTables.build(sessions, graph, encodings)
+            stats, astcat_hour = ref.interest_stats(tables)
+            want = {**stats._asdict(), "astcat_hour": astcat_hour}
+            got = {**tables._stats._asdict(), "astcat_hour": tables.astcat_hour}
+            differ = [key for key in want if dict(_state(got[key])) != dict(_state(want[key]))]
+            assert not differ, (name, differ)
+
+    def test_friends_at_other_hours_share_no_hourly_cell(self):
+        sessions, graph = _friends_at_other_hours()
+        tables, _ = build_tables(sessions, graph)
+        assert tables._stats.psi[:3].min() > 0  # they share POIs over the full data
+        hours = [8, 9, 10, 12, 13, 14, 18, 19, 20]
+        assert np.flatnonzero(tables.astcat_hour.any(axis=0)).tolist() == hours
 
 
 class TestBuild:

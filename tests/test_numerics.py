@@ -89,6 +89,10 @@ class TestSoftmax:
         assert p[0] == pytest.approx(1.0)
 
 
+def global_norm(grads) -> float:
+    return float(np.sqrt(sum(np.sum(g * g) for g in grads.values())))
+
+
 class TestSgd:
     def test_norm_clip_halves_at_double(self):
         """With a zero learning rate the step only clips: the gradients
@@ -101,17 +105,22 @@ class TestSgd:
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_clip_idempotent(self):
+        """Every draw's global norm is past the threshold of 5: the first
+        step clips it to 5, give or take an ulp, and the second changes
+        no entry by more than two ulps."""
         rng = np.random.default_rng(6)
         config = SgdConfig(learning_rate=0.0)
         for _ in range(50):
-            grads = {"a": rng.normal(size=7), "b": rng.normal(size=(3, 2))}
+            grads = {"a": rng.normal(scale=10.0, size=7), "b": rng.normal(scale=10.0, size=(3, 2))}
+            assert global_norm(grads) > config.clip_threshold
             params = {k: np.zeros_like(v) for k, v in grads.items()}
             once = {k: v.copy() for k, v in grads.items()}
             sgd_step(params, once, config)
+            assert global_norm(once) == pytest.approx(config.clip_threshold, rel=1e-12, abs=0)
             twice = {k: v.copy() for k, v in once.items()}
             sgd_step(params, twice, config)
             for k in grads:
-                np.testing.assert_array_equal(once[k], twice[k])
+                np.testing.assert_allclose(twice[k], once[k], rtol=2 * np.finfo(float).eps, atol=0)
 
     def test_zero_grads_leave_params(self):
         params = {"w": np.array([1.0, -2.0])}
