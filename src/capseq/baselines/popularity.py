@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..data.types import visit_arrays
 from ..generation import GenRequest, GeneratedSequence, advance_hours, rank_sequences
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
 from ..models.base import SequenceRecommender, check_positive
@@ -60,11 +61,8 @@ class PopularityRecommender(SequenceRecommender):
 
     def fit(self, sessions, tables):
         self.tables_ = tables
-        counts = np.zeros(tables.encodings.n_pois)
-        for session in sessions:
-            for visit in session.visits:
-                counts[tables.encodings.poi(visit.poi.poi_id)] += 1.0
-        self.counts_ = counts
+        pois = visit_arrays(sessions, tables.encodings)[1]
+        self.counts_ = np.bincount(pois, minlength=tables.encodings.n_pois).astype(float)
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):

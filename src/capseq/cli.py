@@ -37,8 +37,9 @@ from .data import (
     parse_friendships,
     synth_dataset,
     training_sessions,
+    visit_arrays,
 )
-from .features import FeatureTables, dataset_sha256, visit_arrays
+from .features import FeatureTables, dataset_sha256
 from .generation import GenRequest
 from .metrics import (
     cross_validate,
@@ -337,15 +338,11 @@ def cmd_generate(args) -> int:
     if args.start_poi:
         start_ix = encodings.poi(args.start_poi)
     else:
-        counts: dict[int, int] = {}
-        for s in sessions:
-            if s.user_id == args.user:
-                for v in s.visits:
-                    ix = encodings.poi(v.poi.poi_id)
-                    counts[ix] = counts.get(ix, 0) + 1
-        if not counts:
+        users, pois = visit_arrays(sessions, encodings)[:2]
+        visited = pois[users == user_ix]
+        if not len(visited):
             raise DataError(f"user {args.user!r} has no observed check-ins")
-        start_ix = max(sorted(counts), key=lambda ix: counts[ix])
+        start_ix = int(np.bincount(visited).argmax())  # the first of the most visited
 
     candidates = _default(cfg, "candidates", 10)
     request = _construct("generate", GenRequest, dict(

@@ -6,6 +6,7 @@ from .types import (
     Session,
     SocialGraph,
     Visit,
+    visit_arrays,
 )
 from .parse import ParseResult, parse_checkins, parse_friendships
 from .sessions import (
@@ -42,4 +43,5 @@ __all__ = [
     "sessionize",
     "synth_dataset",
     "training_sessions",
+    "visit_arrays",
 ]

@@ -20,7 +20,9 @@ import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .types import CheckinRecord, DataError, Encodings, Session, SocialGraph, Visit
+import numpy as np
+
+from .types import CheckinRecord, DataError, Encodings, Session, SocialGraph, Visit, visit_arrays
 
 SESSIONS_FILE = "sessions.jsonl"
 ENCODINGS_FILE = "encodings.json"
@@ -41,24 +43,15 @@ def save_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = []
-    for session in sessions:
-        pois, arrivals, departures = [], [], []
-        for visit in session.visits:
-            pois.append(encodings.poi(visit.poi.poi_id))
-            arrivals.append(visit.arrival)
-            departures.append(visit.departure)
-        lines.append(
-            json.dumps(
-                {
-                    "user": encodings.user(session.user_id),
-                    "pois": pois,
-                    "arrivals": arrivals,
-                    "departures": departures,
-                },
-                sort_keys=True,
-            )
-        )
+    users, pois, arrivals, departures, lengths = visit_arrays(sessions, encodings)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    pois, arrivals, departures = pois.tolist(), arrivals.tolist(), departures.tolist()
+    lines = [
+        json.dumps({"user": u, "pois": pois[a:b], "arrivals": arrivals[a:b],
+                    "departures": departures[a:b]}, sort_keys=True)
+        for u, a, b in zip(users[starts].tolist(), starts.tolist(), ends.tolist())
+    ]
     (out / SESSIONS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _dump_json(encodings.to_dict(), out / ENCODINGS_FILE)
     table = {str(l): {"id": p.poi_id, "lat": p.lat, "lon": p.lon, "category": p.category}

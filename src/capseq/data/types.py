@@ -211,6 +211,23 @@ class Encodings:
         )
 
 
+def visit_arrays(sessions: Iterable[Session], encodings: Encodings) -> tuple:
+    """The encoded user, POI, arrival and departure of every visit, in
+    session order, and the number of visits of each session, as five
+    int64 arrays: the one pass that encodes sessions."""
+    users, pois, arrivals, departures, lengths = [], [], [], [], []
+    for session in sessions:
+        u = encodings.user(session.user_id)
+        lengths.append(len(session.visits))
+        for visit in session.visits:
+            users.append(u)
+            pois.append(encodings.poi(visit.poi.poi_id))
+            arrivals.append(visit.arrival)
+            departures.append(visit.departure)
+    return tuple(np.array(x, dtype=np.int64)
+                 for x in (users, pois, arrivals, departures, lengths))
+
+
 class SocialGraph:
     """Undirected friendship graph; edges are symmetric, no self-loops."""
 

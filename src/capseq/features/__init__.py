@@ -4,9 +4,7 @@ from .tables import (
     HOURS,
     FeatureTables,
     StayStats,
-    compute_stay_stats,
     dataset_sha256,
-    visit_arrays,
 )
 
 __all__ = [
@@ -15,7 +13,5 @@ __all__ = [
     "HOURS",
     "FeatureTables",
     "StayStats",
-    "compute_stay_stats",
     "dataset_sha256",
-    "visit_arrays",
 ]

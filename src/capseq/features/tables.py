@@ -5,18 +5,22 @@ The pipeline: per-POI stay time -> per-user aggregate stay interest
 per-step attribute vectors and per-sequence feature vectors consumed by
 the sequence models.
 
-All POIs, users and categories are handled as dense encoded integers;
-``FeatureTables.build`` does the encoding. Every interest statistic comes
-from one pass over the visited (row, POI) cells of the full data (the
-pooled population as an extra row) and of each hour of day, sorted by
-(block, row, POI): ``_block_interest`` turns their visit counts into
-category shares, categorical and socially blended interest, and spreads
-only the full data's interest over every POI. Every float sum adds its
-terms one at a time in a fixed order (users in first-appearance order,
-friends ascending, a category's POIs ascending), so the tables equal a
-literal evaluation of the defining formulas in that order bit for bit;
-the test suite keeps an independent literal transcription, and the
-earlier dense pass per hour, to cross-check them.
+All POIs, users and categories are handled as dense encoded integers.
+``FeatureTables.build`` encodes each visit once, with ``visit_arrays``, and
+takes everything from those arrays: the stay means, one scalar distance
+per step for the distance bounds and the session features
+(``session_steps``, which the training encoding shares) and the visit
+counts. Every interest statistic comes from one pass over the visited
+(row, POI) cells of the full data (the pooled population as an extra row)
+and of each hour of day, sorted by (block, row, POI): ``_block_interest``
+turns their visit counts into category shares, categorical and socially
+blended interest, and spreads only the full data's interest over every
+POI. Every float sum adds its terms one at a time in a fixed order (users
+in first-appearance order, friends ascending, a category's POIs
+ascending), so the tables equal a literal evaluation of the defining
+formulas in that order bit for bit; the test suite keeps an independent
+literal transcription, the earlier dense pass per hour and the earlier
+per-visit loops to cross-check them.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -32,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..geo import haversine_km
-from ..data.types import DataError, Encodings, Session, SocialGraph
+from ..data.types import DataError, Encodings, Session, SocialGraph, visit_arrays
 
 HOURS = 24
 # attribute vector: 6 scalars + 24 hourly popularity entries
@@ -70,40 +73,24 @@ def _minmax(values: np.ndarray, over: np.ndarray) -> np.ndarray:
     return _divide(values - lo, span, span > 0)
 
 
-def compute_stay_stats(sessions: Sequence[Session], encodings: Encodings) -> StayStats:
-    """Per-POI stay time: each visitor's mean stay first, then averaged
-    over the POI's visitors; min-max normalized across POIs. POIs with
-    no visits fall back to the global mean."""
-    per_user_poi: dict[tuple[int, int], list] = defaultdict(list)
-    for session in sessions:
-        u = encodings.user(session.user_id)
-        for visit in session.visits:
-            per_user_poi[(u, encodings.poi(visit.poi.poi_id))].append(visit.stay)
-    sums: dict[int, float] = defaultdict(float)
-    visitors: dict[int, int] = defaultdict(int)
-    for (u, l), stays in per_user_poi.items():
-        sums[l] += sum(stays) / len(stays)
-        visitors[l] += 1
-    mean_stay = {l: s / visitors[l] for l, s in sums.items()}
-    global_mean = sum(mean_stay.values()) / len(mean_stay) if mean_stay else 0.0
-    return StayStats.from_means(encodings.n_pois, mean_stay, global_mean)
-
-
-def visit_arrays(sessions: Sequence[Session], encodings: Encodings) -> tuple:
-    """The encoded user, POI, arrival and departure of every visit, in
-    session order, and the number of visits of each session, as five
-    int64 arrays."""
-    users, pois, arrivals, departures, lengths = [], [], [], [], []
-    for session in sessions:
-        u = encodings.user(session.user_id)
-        lengths.append(len(session.visits))
-        for visit in session.visits:
-            users.append(u)
-            pois.append(encodings.poi(visit.poi.poi_id))
-            arrivals.append(visit.arrival)
-            departures.append(visit.departure)
-    return tuple(np.array(x, dtype=np.int64)
-                 for x in (users, pois, arrivals, departures, lengths))
+def _stay_stats(users, pois, stays, n_pois: int) -> StayStats:
+    """Per-POI stay time of visits of ``users`` to ``pois`` lasting
+    ``stays`` seconds: each visitor's mean stay first, then averaged over
+    the POI's visitors, added in the order the (user, POI) pairs are first
+    seen; min-max normalized across POIs. POIs with no visits fall back to
+    the global mean, the mean of the others in the order of their first
+    visits."""
+    pair = users * n_pois + pois
+    pairs, first = np.unique(pair, return_index=True)
+    at = pairs.searchsorted(pair)
+    order = np.argsort(first)
+    pair_mean = (np.bincount(at, stays) / np.bincount(at))[order]  # stay sums are exact
+    poi = pairs[order] % n_pois
+    sums = np.bincount(poi, pair_mean, n_pois)
+    visited = pois[np.sort(np.unique(pois, return_index=True)[1])]
+    mean_stay = (sums[visited] / np.bincount(poi, minlength=n_pois)[visited]).tolist()
+    global_mean = sum(mean_stay) / len(mean_stay) if mean_stay else 0.0
+    return StayStats.from_means(n_pois, dict(zip(visited.tolist(), mean_stay)), global_mean)
 
 
 def dataset_sha256(encodings: Encodings, visits: tuple, graph: SocialGraph) -> str:
@@ -166,6 +153,20 @@ def _ordered_mean(values: np.ndarray, order: np.ndarray, n_users: int) -> np.nda
     return np.bincount(bins, weights=values[order].ravel(), minlength=cols) / n_users
 
 
+def _group_means(keys: list, values: np.ndarray) -> dict:
+    """The mean of the rows of ``values`` that share a key, under that key:
+    the tuple of the entries of ``keys``, int arrays of one non-negative
+    entry per row. Each sum adds its rows in order, as ``np.mean`` does."""
+    code = np.ravel_multi_index(keys, [int(k.max(initial=0)) + 1 for k in keys])
+    groups, first = np.unique(code, return_index=True)
+    at = groups.searchsorted(code)
+    width = values.shape[1]
+    sums = np.bincount((at[:, None] * width + np.arange(width)).ravel(), values.ravel(),
+                       len(groups) * width).reshape(-1, width)
+    means = sums / np.bincount(at)[:, None]
+    return dict(zip(zip(*(k[first].tolist() for k in keys)), means))
+
+
 def _friend_slots(friends: list) -> list:
     """Slot j pairs every user with more than j friends (as row arrays)
     with that user's j-th friend; adding slot by slot sums each user's
@@ -204,19 +205,26 @@ def _block_interest(keys, counts, rows, slots, stay_norm, poi_cat, n_cats) -> tu
     def sums(weights=None, by=bins, n=n_cats):  # (blocks, rows, n); 1 per cell by default
         return np.bincount(by, weights, blocks * rows * n).reshape(blocks, rows, n)
 
+    # each (blocks, rows, n) array is dropped or cut to block 24 after its last reader
     total = sums(counts, block_row, 1)
     alpha = _divide(sums(counts), total, total > 0)
     own = stay_norm[poi] / (counts / total.ravel()[block_row])
     distinct = sums()
     g = _divide(1.0, distinct, distinct > 0)
+    del distinct
     social = g * sums(own)
+    g = g[HOURS].copy()
     a = alpha.ravel()[bins]
     ac = a * social.ravel()[bins] + own * (1.0 - a)
+    del a, own
 
     full = block == HOURS
-    dense_ac = (alpha[HOURS] * social[HOURS])[:, poi_cat]  # the unvisited POIs' own term is 0
+    alpha = alpha[HOURS].copy()
+    dense_ac = (alpha * social[HOURS])[:, poi_cat]  # the unvisited POIs' own term is 0
+    del social
     dense_ac[row[full], poi[full]] = ac[full]
     own_cat = sums(ac)[:HOURS]
+    del ac
     n_friends = np.zeros((rows, 1), dtype=np.int64)
     friend_seen = np.zeros(len(keys), dtype=bool)
     social_cat, ast = np.zeros(own_cat.shape), np.zeros(dense_ac.shape)
@@ -232,12 +240,16 @@ def _block_interest(keys, counts, rows, slots, stay_norm, poi_cat, n_cats) -> tu
     shared = np.where(friend_seen, counts, 0)
     psi = _divide(sums(shared, block_row, 1), total, total > 0)
     gamma = _divide(sums(shared), total, total > 0)
-    by_cat = (1.0 - gamma[:HOURS]) * own_cat + gamma[:HOURS] * social_cat
+    by_cat = (1.0 - gamma[:HOURS]) * own_cat
+    del own_cat
+    by_cat += np.multiply(social_cat, gamma[:HOURS], out=social_cat)  # + gamma * social_cat
+    del social_cat
+    gamma = gamma[HOURS].copy()
     # (1 - psi) * ac + psi * friend_sum / n_friends; psi is 0 without friends
     ast *= psi[HOURS]
     np.divide(ast, n_friends, out=ast, where=n_friends > 0)
     ast += (1.0 - psi[HOURS]) * dense_ac
-    alpha, g, psi, gamma = (x[HOURS].copy() for x in (alpha, g, psi, gamma))  # frees the hours
+    psi = psi[HOURS].copy()
     return _Interest(alpha, g, dense_ac, ast, psi, gamma), by_cat.swapaxes(0, 1).reshape(rows, -1)
 
 
@@ -328,21 +340,22 @@ class FeatureTables:
             raise DataError("the encodings carry no POI catalogue to build tables on")
         graph = graph or SocialGraph()
         tables = cls(encodings)
-        tables.stay = compute_stay_stats(sessions, encodings)
+        visits = visit_arrays(sessions, encodings)
+        tables.dataset_sha256 = dataset_sha256(encodings, visits, graph)
+        users, pois, arrivals, departures, lengths = visits
+        tables.stay = _stay_stats(users, pois, departures - arrivals, encodings.n_pois)
         tables._friends = [
             sorted(encodings.user(f) for f in graph.friends(encodings.ix_to_user[u])
                    if f in encodings.user_to_ix)
             for u in range(encodings.n_users)
         ]
-        step_km = [tables.step_km(session) for session in sessions]
-        tables._build_distance_bounds(sessions, step_km)
-        tables._build_session_features(sessions, step_km)
-        visits = visit_arrays(sessions, encodings)
-        tables.dataset_sha256 = dataset_sha256(encodings, visits, graph)
-        users, pois, arrivals = visits[:3]
-        seen, first = np.unique(users, return_index=True)
+        dist_prev, feats = tables.session_steps(visits)
+        first = np.cumsum(lengths) - lengths
+        tables._build_distance_bounds(np.delete(pois, first), np.delete(dist_prev, first))
+        tables._build_session_features(users[first], pois[first], arrivals[first], feats)
+        seen, first_seen = np.unique(users, return_index=True)
         tables._derive(
-            seen[np.argsort(first)],
+            seen[np.argsort(first_seen)],
             (users * encodings.n_pois + pois) * HOURS + arrivals // 3600 % HOURS,
             np.ones(len(users), dtype=np.int64),
         )
@@ -414,18 +427,17 @@ class FeatureTables:
         span = raw.max(axis=1, initial=-np.inf)[:, None] - lo
         self._beta = _divide(raw - lo, span, span > 0)
 
-    def _build_distance_bounds(self, sessions, step_km) -> None:
+    def _build_distance_bounds(self, to, km) -> None:
         """Observed incoming travel distances per target POI, which
-        ``discount`` scales by; ``step_km`` holds each session's
-        ``step_km``."""
-        bounds: dict[int, tuple] = {}
-        for session, dists in zip(sessions, step_km):
-            for b, d in zip(session.visits[1:], dists):
-                l = self.encodings.poi(b.poi.poi_id)
-                lo, hi = bounds.get(l, (d, d))
-                bounds[l] = (min(lo, d), max(hi, d))
-        every = [d for dists in step_km for d in dists]
-        self._set_distance_bounds(bounds, (min(every), max(every)) if every else (0.0, 0.0))
+        ``discount`` scales by: step i went ``km[i]`` km into POI ``to[i]``."""
+        lo, hi = np.full(self.n_pois, np.inf), np.full(self.n_pois, -np.inf)
+        np.minimum.at(lo, to, km)
+        np.maximum.at(hi, to, km)
+        own = np.unique(to)
+        self._set_distance_bounds(
+            dict(zip(own.tolist(), zip(lo[own].tolist(), hi[own].tolist()))),
+            (float(km.min()), float(km.max())) if len(km) else (0.0, 0.0),
+        )
 
     def _set_distance_bounds(self, dist_in: dict, dist_global: tuple) -> None:
         """Bounds from ``dist_in`` (POI -> (lo, hi)) and the global pair."""
@@ -439,23 +451,17 @@ class FeatureTables:
 
     HOUR_BUCKET = 6  # sessions bucketed by start-hour quadrant
 
-    def _build_session_features(self, sessions, step_km) -> None:
-        """Historical mean of whole-sequence features keyed by (user,
-        start POI, start-hour bucket), with coarser fallbacks. Used to
-        estimate the feature vector at generation time, when the end of
-        the sequence is not known yet."""
-        acc: dict[tuple, list] = defaultdict(list)
-        for session, dists in zip(sessions, step_km):
-            vec = self.feature_vector(session, dists)
-            u = self.encodings.user(session.user_id)
-            start = self.encodings.poi(session.visits[0].poi.poi_id)
-            bucket = session.visits[0].hour // self.HOUR_BUCKET
-            acc[(u, start, bucket)].append(vec)
-            acc[(u, bucket)].append(vec)
-            acc[(u,)].append(vec)
-        self._session_features = {
-            key: np.mean(vecs, axis=0) for key, vecs in acc.items()
-        }
+    def _build_session_features(self, users, starts, arrivals, feats) -> None:
+        """Historical mean of the whole-sequence features ``feats`` (a row
+        per session) keyed by (user, start POI, start-hour bucket), with
+        coarser fallbacks; ``users``, ``starts`` and ``arrivals`` hold each
+        session's user, first POI and first arrival. Used to estimate the
+        feature vector at generation time, when the end of the sequence is
+        not known yet."""
+        bucket = arrivals // 3600 % HOURS // self.HOUR_BUCKET
+        self._session_features = {}
+        for keys in ([users, starts, bucket], [users, bucket], [users]):
+            self._session_features.update(_group_means(keys, feats))
 
     def expected_feature(self, u: int | None, start_ix: int, hour: int) -> np.ndarray:
         """Best historical estimate of the sequence features for a
@@ -520,19 +526,6 @@ class FeatureTables:
         """Great-circle km from POI ``a_ix`` to POI ``b_ix``."""
         return _float(self._distances(self._pois(a_ix), self._pois(b_ix)))
 
-    def beta(self, u: int | None, cat: int) -> float:
-        if u is None:
-            return self._beta.item(self.n_users, cat)
-        return self._beta.item(u, cat) if self._is_user(u) else 0.0
-
-    def ast(self, u: int, poi_ix: int) -> float:
-        self._check_poi(poi_ix)
-        return self._stats.ast.item(u, poi_ix) if self._is_user(u) else 0.0
-
-    def ast_cat_user(self, u: int, poi_ix: int) -> float:
-        self._check_poi(poi_ix)
-        return self._stats.ac.item(u, poi_ix) if self._is_user(u) else 0.0
-
     def preference(self, u: int | None, poi_ix, hour):
         """Temporal preference score; ``u=None`` (or a user without any
         history) uses the population-generalized score."""
@@ -596,42 +589,43 @@ class FeatureTables:
         return self.attribute_rows([poi_ix], [int(hour) % HOURS], [dist])[0]
 
     def attribute_rows(self, pois, hours, dist_prev) -> np.ndarray:
-        """Attribute vectors of many steps as one (n, ATTRIBUTE_DIM)
-        array: row i is the static (POI, hour) row of ``pois[i]`` at hour
-        of day ``hours[i]`` (0-23), with ``dist_prev[i]`` km from the
-        previous stop (0 for none) as its only per-step field."""
+        """Attribute vectors of many steps as one (*pois.shape,
+        ATTRIBUTE_DIM) array: row i is the static (POI, hour) row of
+        ``pois[i]`` at hour of day ``hours[i]`` (0-23), with
+        ``dist_prev[i]`` km from the previous stop (0 for none) as its only
+        per-step field."""
         pois = self._pois(pois)
         if self._attr_table is None:
             self._build_attribute_table()
         rows = self._attr_table[pois, hours]
-        rows[:, 5] = dist_prev
+        rows[..., 5] = dist_prev
         return rows
 
-    def step_km(self, session: Session) -> list:
-        """Distance in km between each pair of consecutive visits."""
-        pois = [self.encodings.poi(visit.poi.poi_id) for visit in session.visits]
-        ends = self.poi_coords[pois].tolist()
-        return [haversine_km(*a, *b) for a, b in zip(ends, ends[1:])]
-
-    def feature_vector(self, session: Session, dists: list) -> np.ndarray:
-        """Whole-sequence features: start/end category and place codes,
-        mean consecutive distance (of ``dists``, its ``step_km``),
-        start/end hours."""
-        first, last = session.visits[0], session.visits[-1]
-        start_ix = self.encodings.poi(first.poi.poi_id)
-        end_ix = self.encodings.poi(last.poi.poi_id)
-        mean_dist = sum(dists) / len(dists) if dists else 0.0
-        return np.array(
-            [
-                float(self.poi_cat[start_ix]),
-                float(self.poi_cat[end_ix]),
-                float(start_ix),
-                float(end_ix),
-                mean_dist,
-                float(first.hour),
-                float(last.hour),
-            ]
-        )
+    def session_steps(self, visits: tuple) -> tuple:
+        """The step distances and whole-sequence features of the sessions
+        of ``visit_arrays`` ``visits``: the km to each visit from the one
+        before it in its session (0.0 for a session's first), one scalar
+        ``haversine_km`` per step, and one (sessions, FEATURE_DIM) array of
+        start/end category and place codes, the mean step km (in session
+        order) and start/end hours."""
+        _, pois, arrivals, _, lengths = visits
+        ends = np.cumsum(lengths)
+        first, last = ends - lengths, ends - 1
+        step = np.ones(len(pois), dtype=bool)
+        step[first] = False
+        coords, ix = self.poi_coords.tolist(), pois.tolist()
+        km = [haversine_km(*coords[ix[i - 1]], *coords[ix[i]])
+              for i in np.flatnonzero(step).tolist()]
+        n_steps = lengths - 1  # Python's sum, as the reference loop (compensated from 3.12)
+        mean_km = [sum(km[i - n:i]) / n if n else 0.0
+                   for i, n in zip(np.cumsum(n_steps).tolist(), n_steps.tolist())]
+        dist_prev = np.zeros(len(pois))
+        dist_prev[step] = km
+        hours = arrivals // 3600 % HOURS
+        start, end = pois[first], pois[last]
+        feats = np.column_stack([self.poi_cat[start], self.poi_cat[end], start, end,
+                                 np.array(mean_km, dtype=float), hours[first], hours[last]])
+        return dist_prev, feats
 
     def feature_vector_for_start(self, start_ix: int, hour: int) -> np.ndarray:
         """Generation-time stand-in: the end of the sequence is unknown,

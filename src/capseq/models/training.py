@@ -2,9 +2,10 @@
 training loop shared by the recurrent models.
 
 Sessions become (input, target) index pairs under teacher forcing, with
-per-step attribute vectors and one per-sequence feature vector. The
-sessions are right-padded once, with the model's padding token, and
-loss-masked; each mini-batch is a gather of their rows.
+per-step attribute vectors and one per-sequence feature vector, all read
+from one ``visit_arrays`` pass. The sessions are right-padded once, with
+the model's padding token, and loss-masked; each mini-batch is a gather
+of their rows.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .. import numerics
-from ..data.types import Session
-from ..features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
+from ..data.types import Session, visit_arrays
+from ..features import ATTRIBUTE_DIM, HOURS, FeatureTables
 
 MAX_STEPS = 25  # cap on teacher-forcing steps per session
 
@@ -122,29 +123,22 @@ class RecurrentNet:
 def encode_sessions(sessions: Sequence[Session], tables: FeatureTables) -> Batch:
     """Teacher-forcing encoding of sessions of length >= 2, each capped at
     ``MAX_STEPS`` steps, as one batch right-padded to the longest: padding
-    token ``tables.n_pois``, mask 0 and zero attributes."""
-    if any(len(s) < 2 for s in sessions):
+    token ``tables.n_pois``, mask 0 and zero attributes. The whole-sequence
+    features are those of the whole session."""
+    visits = visit_arrays(sessions, tables.encodings)
+    _, pois, arrivals, _, lengths = visits
+    if (lengths < 2).any():
         raise ValueError("training sessions must have at least two visits")
-    steps = [min(len(s), MAX_STEPS + 1) - 1 for s in sessions]
-    B, T = len(sessions), max(steps, default=0)
-    inputs = np.full((B, T), tables.n_pois, dtype=np.int64)
-    targets = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T))
-    attrs = np.zeros((B, T, ATTRIBUTE_DIM))
-    feats = np.zeros((B, FEATURE_DIM))
-    for b, (session, n) in enumerate(zip(sessions, steps)):
-        visits = session.visits[: n + 1]
-        ixs = [tables.encodings.poi(v.poi.poi_id) for v in visits]
-        dists = tables.step_km(session)  # one haversine per step, for both uses
-        inputs[b, :n] = ixs[:-1]
-        targets[b, :n] = ixs[1:]
-        mask[b, :n] = 1.0
-        attrs[b, :n] = tables.attribute_rows(
-            ixs[:-1], [v.hour for v in visits[:-1]], [0.0] + dists[: n - 1])
-        feats[b] = tables.feature_vector(session, dists)
+    dist_prev, feats = tables.session_steps(visits)
+    steps = np.minimum(lengths, MAX_STEPS + 1) - 1
+    real = np.arange(steps.max(initial=0)) < steps[:, None]  # (B, T)
+    # step t of row b reads visit ``at`` and predicts the next; padding reads visit 0
+    at = np.where(real, (np.cumsum(lengths) - lengths)[:, None] + np.arange(real.shape[1]), 0)
+    attrs = tables.attribute_rows(pois[at], arrivals[at] // 3600 % HOURS, dist_prev[at])
+    attrs[~real] = 0.0
     attrs /= tables.attribute_scale
-    feats /= tables.feature_scale
-    return Batch(inputs, targets, mask, attrs, feats)
+    return Batch(np.where(real, pois[at], tables.n_pois), np.where(real, pois[at + 1], 0),
+                 real.astype(float), attrs, feats / tables.feature_scale)
 
 
 def make_batch(data: Batch, rows: np.ndarray) -> Batch:

@@ -18,6 +18,12 @@ tuples; the array search must return its trips, hours and scores.
 one ``EncodedSequence`` per session, padded again into each mini-batch.
 A gather of ``training.encode_sessions``' rows must equal its batch.
 
+``session_tables`` is the earlier per-visit table build: the stay
+statistics, step distances, distance bounds and session features of
+``FeatureTables.build``, one ``Session`` at a time, which its array
+statistics must equal bit for bit; ``encode_session`` reads its
+``step_km`` and ``feature_vector``.
+
 ``interest_stats`` is the earlier dense interest computation: one pass
 over a (rows, n_pois) visit-count matrix for the full data, and one
 more per hour of day over the POIs visited at that hour. The one-pass
@@ -26,12 +32,13 @@ block statistics of ``FeatureTables`` must equal it bit for bit.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
-from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables
+from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
 from capseq.geo import WALK_SPEED_KMH, haversine_km, travel_seconds
@@ -330,6 +337,97 @@ def apriori_search(
     ]
 
 
+def compute_stay_stats(sessions, encodings) -> StayStats:
+    """Per-POI stay time: each visitor's mean stay first, then averaged
+    over the POI's visitors; min-max normalized across POIs. POIs with
+    no visits fall back to the global mean."""
+    per_user_poi: dict[tuple[int, int], list] = defaultdict(list)
+    for session in sessions:
+        u = encodings.user(session.user_id)
+        for visit in session.visits:
+            per_user_poi[(u, encodings.poi(visit.poi.poi_id))].append(visit.stay)
+    sums: dict[int, float] = defaultdict(float)
+    visitors: dict[int, int] = defaultdict(int)
+    for (u, l), stays in per_user_poi.items():
+        sums[l] += sum(stays) / len(stays)
+        visitors[l] += 1
+    mean_stay = {l: s / visitors[l] for l, s in sums.items()}
+    global_mean = sum(mean_stay.values()) / len(mean_stay) if mean_stay else 0.0
+    return StayStats.from_means(encodings.n_pois, mean_stay, global_mean)
+
+
+def step_km(tables, session) -> list:
+    """Distance in km between each pair of consecutive visits."""
+    pois = [tables.encodings.poi(visit.poi.poi_id) for visit in session.visits]
+    ends = tables.poi_coords[pois].tolist()
+    return [haversine_km(*a, *b) for a, b in zip(ends, ends[1:])]
+
+
+def feature_vector(tables, session, dists: list) -> np.ndarray:
+    """Whole-sequence features: start/end category and place codes,
+    mean consecutive distance (of ``dists``, its ``step_km``),
+    start/end hours."""
+    first, last = session.visits[0], session.visits[-1]
+    start_ix = tables.encodings.poi(first.poi.poi_id)
+    end_ix = tables.encodings.poi(last.poi.poi_id)
+    mean_dist = sum(dists) / len(dists) if dists else 0.0
+    return np.array(
+        [
+            float(tables.poi_cat[start_ix]),
+            float(tables.poi_cat[end_ix]),
+            float(start_ix),
+            float(end_ix),
+            mean_dist,
+            float(first.hour),
+            float(last.hour),
+        ]
+    )
+
+
+def build_distance_bounds(tables, sessions, step_km) -> None:
+    """Observed incoming travel distances per target POI, which
+    ``discount`` scales by; ``step_km`` holds each session's
+    ``step_km``."""
+    bounds: dict[int, tuple] = {}
+    for session, dists in zip(sessions, step_km):
+        for b, d in zip(session.visits[1:], dists):
+            l = tables.encodings.poi(b.poi.poi_id)
+            lo, hi = bounds.get(l, (d, d))
+            bounds[l] = (min(lo, d), max(hi, d))
+    every = [d for dists in step_km for d in dists]
+    tables._set_distance_bounds(bounds, (min(every), max(every)) if every else (0.0, 0.0))
+
+
+def build_session_features(tables, sessions, step_km) -> None:
+    """Historical mean of whole-sequence features keyed by (user,
+    start POI, start-hour bucket), with coarser fallbacks. Used to
+    estimate the feature vector at generation time, when the end of
+    the sequence is not known yet."""
+    acc: dict[tuple, list] = defaultdict(list)
+    for session, dists in zip(sessions, step_km):
+        vec = feature_vector(tables, session, dists)
+        u = tables.encodings.user(session.user_id)
+        start = tables.encodings.poi(session.visits[0].poi.poi_id)
+        bucket = session.visits[0].hour // tables.HOUR_BUCKET
+        acc[(u, start, bucket)].append(vec)
+        acc[(u, bucket)].append(vec)
+        acc[(u,)].append(vec)
+    tables._session_features = {
+        key: np.mean(vecs, axis=0) for key, vecs in acc.items()
+    }
+
+
+def session_tables(sessions, encodings) -> FeatureTables:
+    """Tables holding what the per-visit build set from ``sessions``: the
+    stay statistics, the distance bounds and the session features."""
+    tables = FeatureTables(encodings)
+    tables.stay = compute_stay_stats(sessions, encodings)
+    dists = [step_km(tables, session) for session in sessions]
+    build_distance_bounds(tables, sessions, dists)
+    build_session_features(tables, sessions, dists)
+    return tables
+
+
 @dataclass
 class EncodedSequence:
     inputs: np.ndarray   # (T,) int
@@ -345,11 +443,11 @@ def encode_session(session, tables: FeatureTables) -> EncodedSequence:
         raise ValueError("training sessions must have at least two visits")
     visits = session.visits[: MAX_STEPS + 1]
     ixs = [tables.encodings.poi(v.poi.poi_id) for v in visits]
-    dists = tables.step_km(session)  # one haversine per step, for both uses
+    dists = step_km(tables, session)  # one haversine per step, for both uses
     attrs = tables.attribute_rows(
         ixs[:-1], [v.hour for v in visits[:-1]], [0.0] + dists[: len(ixs) - 2]
     ) / tables.attribute_scale
-    feat = tables.feature_vector(session, dists) / tables.feature_scale
+    feat = feature_vector(tables, session, dists) / tables.feature_scale
     return EncodedSequence(
         inputs=np.asarray(ixs[:-1], dtype=np.int64),
         targets=np.asarray(ixs[1:], dtype=np.int64),

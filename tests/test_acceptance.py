@@ -214,10 +214,10 @@ def test_criterion_5_feature_formula_equivalence(tiny_world):
         tables = FeatureTables.build(sessions, graph, encodings)
         for user_id, u in encodings.user_to_ix.items():
             for poi_id, l in encodings.poi_to_ix.items():
-                assert tables.ast_cat_user(u, l) == pytest.approx(
+                assert tables._stats.ac[u, l] == pytest.approx(
                     naive.ast_cat(sessions, user_id, poi_id), rel=1e-12, abs=1e-15
                 )
-                assert tables.ast(u, l) == pytest.approx(
+                assert tables._stats.ast[u, l] == pytest.approx(
                     naive.ast(sessions, graph, user_id, poi_id), rel=1e-12, abs=1e-15
                 )
                 for hour in (9, 13, 18):
@@ -248,7 +248,7 @@ def test_criterion_5_feature_formula_equivalence(tiny_world):
                 base = with_friends.consolidated(u, l, hour, cur)
                 assert base <= ps + 1e-15
                 # no friendship edges: social blend equals the categorical one
-                assert no_friends.ast(u, l) == no_friends.ast_cat_user(u, l)
+                assert no_friends._stats.ast[u, l] == no_friends._stats.ac[u, l]
                 checked += 1
 
 

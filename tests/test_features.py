@@ -8,13 +8,9 @@ import pytest
 import naive_reference as naive
 import scalar_reference as ref
 from conftest import make_visit
-from capseq.data.types import DataError, Encodings, Poi, Session, SocialGraph, Visit
-from capseq.features import (
-    ATTRIBUTE_DIM,
-    FEATURE_DIM,
-    FeatureTables,
-    compute_stay_stats,
-)
+from capseq.data.types import DataError, Encodings, Poi, Session, SocialGraph, Visit, visit_arrays
+from capseq.data import build_sessions, synth_dataset
+from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 from capseq.metrics import assign_folds
 
 
@@ -36,14 +32,14 @@ class TestStayStats:
                 ),
             ),
         ]
-        stats = compute_stay_stats(sessions, Encodings.fit(sessions))
+        stats = FeatureTables.build(sessions).stay
         assert stats.mean_stay[0] == pytest.approx(20 * 60)
 
     def test_single_poi_normalizes_to_zero(self):
         sessions = [
             Session("u0", (make_visit("p", 40.0, -74.0, "Food", 9, 10),)),
         ]
-        stats = compute_stay_stats(sessions, Encodings.fit(sessions))
+        stats = FeatureTables.build(sessions).stay
         assert stats.normalized[0] == 0.0
 
     def test_equal_stays_normalize_identically(self):
@@ -56,12 +52,12 @@ class TestStayStats:
                 ),
             ),
         ]
-        stats = compute_stay_stats(sessions, Encodings.fit(sessions))
+        stats = FeatureTables.build(sessions).stay
         assert stats.normalized[0] == stats.normalized[1] == 0.0
 
     def test_matches_naive_on_fixture(self, tiny_world):
         sessions, graph, encodings = tiny_world
-        stats = compute_stay_stats(sessions, encodings)
+        stats = FeatureTables.build(sessions, graph, encodings).stay
         for poi_id, ix in encodings.poi_to_ix.items():
             assert stats.mean_stay[ix] == pytest.approx(
                 naive.stay_time(sessions, poi_id), rel=1e-12
@@ -121,7 +117,7 @@ class TestDualImplementation:
         for user_id, u in encodings.user_to_ix.items():
             for poi_id, l in encodings.poi_to_ix.items():
                 expected = naive.ast_cat(sessions, user_id, poi_id)
-                assert tables.ast_cat_user(u, l) == pytest.approx(
+                assert tables._stats.ac[u, l] == pytest.approx(
                     expected, rel=1e-12, abs=1e-15
                 ), (user_id, poi_id)
 
@@ -131,7 +127,7 @@ class TestDualImplementation:
         for user_id, u in encodings.user_to_ix.items():
             for poi_id, l in encodings.poi_to_ix.items():
                 expected = naive.ast(sessions, graph, user_id, poi_id)
-                assert tables.ast(u, l) == pytest.approx(
+                assert tables._stats.ast[u, l] == pytest.approx(
                     expected, rel=1e-12, abs=1e-15
                 ), (user_id, poi_id)
 
@@ -185,7 +181,7 @@ class TestDualImplementation:
         tables = FeatureTables.build(capped, graph, encodings)
         for user_id, u in encodings.user_to_ix.items():
             for poi_id, l in encodings.poi_to_ix.items():
-                assert tables.ast(u, l) == pytest.approx(
+                assert tables._stats.ast[u, l] == pytest.approx(
                     naive.ast(capped, graph, user_id, poi_id), rel=1e-12, abs=1e-15
                 )
                 assert tables.preference(u, l, 9) == pytest.approx(
@@ -234,7 +230,7 @@ class TestInvariants:
                 for c in range(encodings.n_categories):
                     assert 0.0 <= stats.alpha[u, c] <= 1.0
                     assert 0.0 <= stats.gamma[u, c] <= 1.0
-                    assert 0.0 <= tables.beta(u, c) <= 1.0
+                    assert 0.0 <= tables._beta[u, c] <= 1.0
 
     def test_consolidated_monotone_in_constraints(self):
         """Increasing any constraint never increases the final score."""
@@ -256,7 +252,7 @@ class TestInvariants:
             tables, encodings = build_tables(sessions, SocialGraph())
             for u in range(encodings.n_users):
                 for l in range(encodings.n_pois):
-                    assert tables.ast(u, l) == tables.ast_cat_user(u, l)
+                    assert tables._stats.ast[u, l] == tables._stats.ac[u, l]
 
     def test_distinct_categories_reduce_to_own_term(self):
         """With every location its own category, the categorical sum
@@ -270,7 +266,7 @@ class TestInvariants:
         tables, encodings = build_tables(sessions)
         for l in range(3):
             f_term = tables.stay.normalized[l] / (1 / 3)  # one of three visits
-            assert tables.ast_cat_user(0, l) == pytest.approx(f_term)
+            assert tables._stats.ac[0, l] == pytest.approx(f_term)
 
     def test_user_encoding_order_does_not_matter(self, tiny_world):
         """Tables follow the user indices, not the order in which the
@@ -327,7 +323,7 @@ class TestVectors:
             ),
         ]
         tables, encodings = build_tables(sessions)
-        vec = tables.feature_vector(sessions[0], tables.step_km(sessions[0]))
+        vec = tables.session_steps(visit_arrays(sessions[:1], encodings))[1][0]
         assert vec.shape == (FEATURE_DIM,)
         assert vec[4] == pytest.approx(1.0, rel=1e-3)  # mean consecutive km
         assert vec[5] == 9.0 and vec[6] == 10.0
@@ -345,8 +341,8 @@ class TestVectors:
                 ),
             ),
         ]
-        tables, _ = build_tables(sessions)
-        vec = tables.feature_vector(sessions[0], tables.step_km(sessions[0]))
+        tables, encodings = build_tables(sessions)
+        vec = tables.session_steps(visit_arrays(sessions[:1], encodings))[1][0]
         assert vec[0] == vec[1]
         assert vec[2] == vec[3]
         assert vec[4] == 0.0
@@ -436,7 +432,7 @@ class TestSnapshot:
         for u in users:
             for l in range(encodings.n_pois):
                 if u is not None:
-                    assert loaded.ast(u, l) == tables.ast(u, l)
+                    assert loaded._stats.ast[u, l] == tables._stats.ast[u, l]
                 for h in range(24):
                     assert loaded.preference(u, l, h) == tables.preference(u, l, h)
                     if u is not None and not 0 <= u < encodings.n_users:
@@ -512,7 +508,7 @@ class TestLoadEqualsBuild:
         yield "full", sessions
         fold_of, _ = assign_folds(sessions, 5, 7)
         for fold in (0, 3):
-            yield f"fold-{fold}", [s for s, f in zip(sessions, fold_of) if f != fold]
+            yield f"fold-{fold}", [s for i, s in enumerate(sessions) if fold_of[i] != fold]
         rng = np.random.default_rng(5)
         permuted = [sessions[i] for i in rng.permutation(len(sessions))]
         first_seen = list(dict.fromkeys(s.user_id for s in permuted))
@@ -582,6 +578,96 @@ class TestOnePassInterest:
         assert np.flatnonzero(tables.astcat_hour.any(axis=0)).tolist() == hours
 
 
+def _short_and_long_sessions():
+    """Sessions of 1, 2, 9, 12, 26 and 30 stops at eight POIs of three
+    categories, the long ones coming back to POIs, with stays of 5 to 26
+    minutes."""
+    pois = [(f"p{i}", 40.0 + 0.013 * i, -74.0 + 0.007 * (i % 3), ("Food", "Bar", "Park")[i % 3])
+            for i in range(8)]
+
+    def session(user, n, step, day):
+        return Session(user, tuple(
+            make_visit(*pois[(step * i + day) % 8], 0.5 * i + day % 5,
+                       stay_minutes=5 + 7 * ((i + day) % 4), day=day)
+            for i in range(n)))
+
+    shapes = [("u0", 1, 1), ("u1", 30, 3), ("u0", 9, 5), ("u2", 12, 1), ("u1", 1, 2),
+              ("u2", 2, 7), ("u0", 26, 3)]
+    sessions = [session(*shape, day) for day, shape in enumerate(shapes)]
+    return sessions, SocialGraph([("u0", "u1")])
+
+
+def _encoded_state(tables):
+    """What ``build`` takes from the encoded visits: the stay statistics,
+    the distance bounds and the session features, as ``_state`` pairs."""
+    fields = ("stay", "_dist_in", "_dist_own", "_dist_global", "_session_features")
+    return {name: dict(_state(getattr(tables, name))) for name in fields}
+
+
+class TestOneEncodingPass:
+    """``build`` and ``encode_sessions`` encode each visit once, with
+    ``visit_arrays``, and take everything else from its arrays, bit for bit
+    as the per-visit loops of ``scalar_reference.session_tables`` and
+    ``scalar_reference.encode_session``."""
+
+    @staticmethod
+    def corpora(synth_small):
+        _, graph, encodings = synth_small
+        for name, sessions in TestLoadEqualsBuild.corpora(synth_small):
+            yield name, sessions, graph, encodings
+        sessions, graph = _short_and_long_sessions()
+        yield "short-and-long", sessions, graph, Encodings.fit(sessions)
+        # enough shared POIs that the order of adding visitors' stays shows
+        records, graph = synth_dataset(seed=3, n_users=8, n_pois=30, days=10)
+        sessions = build_sessions(records)
+        permuted = [sessions[i] for i in np.random.default_rng(5).permutation(len(sessions))]
+        yield "permuted-8-users", permuted, graph, Encodings.fit(sessions)
+
+    def test_each_visit_is_encoded_once(self, synth_small, monkeypatch):
+        from capseq.data import training_sessions
+        from capseq.models import encode_sessions
+
+        sessions, graph, encodings = synth_small
+        calls = []
+        poi = Encodings.poi
+
+        def counted(self, poi_id):
+            calls.append(poi_id)
+            return poi(self, poi_id)
+
+        monkeypatch.setattr(Encodings, "poi", counted)
+        tables = FeatureTables.build(sessions, graph, encodings)
+        assert calls == [v.poi.poi_id for s in sessions for v in s.visits]
+        calls.clear()
+        train = training_sessions(sessions)
+        encode_sessions(train, tables)
+        assert calls == [v.poi.poi_id for s in train for v in s.visits]
+
+    def test_corpora_cover_the_orders_and_lengths(self, synth_small):
+        from capseq.models import MAX_STEPS
+
+        for name, sessions, _, encodings in self.corpora(synth_small):
+            seen = dict.fromkeys(encodings.poi(v.poi.poi_id) for s in sessions for v in s.visits)
+            if name.startswith("fold"):  # first seen is not index order
+                assert list(seen) != sorted(seen), name
+        lengths = {len(s) for s in _short_and_long_sessions()[0]}
+        assert 1 in lengths and 8 < min(lengths - {1, 2}) and MAX_STEPS + 1 < max(lengths)
+
+    def test_build_and_encoding_equal_the_per_visit_loops(self, synth_small):
+        from capseq.data import training_sessions
+        from capseq.models import encode_sessions
+
+        for name, sessions, graph, encodings in self.corpora(synth_small):
+            tables = FeatureTables.build(sessions, graph, encodings)
+            want = _encoded_state(ref.session_tables(sessions, encodings))
+            got = _encoded_state(tables)
+            assert [key for key in want if got[key] != want[key]] == [], name
+            train = training_sessions(sessions)
+            expected = ref.make_batch([ref.encode_session(s, tables) for s in train],
+                                      tables.n_pois)
+            assert dict(_state(encode_sessions(train, tables))) == dict(_state(expected)), name
+
+
 class TestBuild:
     def test_rejects_a_corpus_without_pois(self):
         with pytest.raises(ValueError, match="no POIs"):
@@ -604,6 +690,20 @@ class TestBuild:
         sessions, graph, encodings = tiny_world
         with pytest.raises(DataError, match="catalogue"):
             FeatureTables.build(sessions, graph, Encodings.from_dict(encodings.to_dict()))
+
+    def test_builds_on_no_sessions_and_encodes_none(self, tiny_world):
+        """A training split can be empty: its tables hold the global
+        fallbacks only, and its encoding is an empty batch."""
+        from capseq.models import encode_sessions
+
+        _, graph, encodings = tiny_world
+        tables = FeatureTables.build([], graph, encodings)
+        assert (tables.stay.global_mean, tables._dist_global) == (0.0, (0.0, 0.0))
+        assert not tables.stay.own.any() and not tables._session_features
+        assert not tables.astcat_hour.any() and not tables._stats.ast.any()
+        batch = encode_sessions([], tables)
+        assert (batch.inputs.shape, batch.attrs.shape, batch.feats.shape) == (
+            (0, 0), (0, 0, ATTRIBUTE_DIM), (0, FEATURE_DIM))
 
     def test_computes_each_step_distance_once(self, synth_small, monkeypatch):
         """One scalar haversine call per consecutive visit pair, session
