@@ -20,9 +20,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..data.types import visit_arrays
 from ..generation import GenRequest, GeneratedSequence, advance_hours, top_k
 from ..geo import haversine_km
 from ..models.base import SequenceRecommender, check_positive
+from ..numerics import sequential_sum
 
 DEFAULT_REGION_RADIUS_KM = 10.0
 POWER_TOL = 1e-8
@@ -81,16 +83,21 @@ class HitsModel(NamedTuple):
 
 def hits_fit(sessions, encodings, coords,
              radius_km: float = DEFAULT_REGION_RADIUS_KM) -> HitsModel:
+    """Regions of ``coords``, then visit counts, hubs, authorities, traversed
+    pairs and windows from one ``visit_arrays`` pass of ``sessions``."""
     region_of_poi = cluster_regions(coords, radius_km)
     n_regions = int(region_of_poi.max()) + 1 if len(region_of_poi) else 0
 
+    users, pois, _, _, lengths = visit_arrays(sessions, encodings)
     visits = np.zeros((encodings.n_users, len(region_of_poi)))
+    np.add.at(visits, (users, pois), 1.0)
+    ends = np.cumsum(lengths)
+    firsts = ends - lengths
+    pois = pois.tolist()
     pair_users: dict[tuple, set] = defaultdict(set)
     windows: dict[tuple, dict] = defaultdict(dict)  # dict keys drop repeats in order
-    for session in sessions:
-        u = encodings.user(session.user_id)
-        ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
-        np.add.at(visits, (u, ixs), 1.0)
+    for u, first, end in zip(users[firsts].tolist(), firsts.tolist(), ends.tolist()):
+        ixs = pois[first:end]
         for a, b in zip(ixs, ixs[1:]):
             pair_users[(a, b)].add(u)
         # candidate windows never cross a region border
@@ -119,14 +126,14 @@ def hits_fit(sessions, encodings, coords,
 def sequence_score(model: HitsModel, pois) -> float:
     """Authority mass of the POIs times the mean hub score of users who
     traversed any consecutive pair of the sequence."""
-    auth = float(sum(model.authority[p] for p in pois))
+    auth = sequential_sum(model.authority[list(pois)].tolist())
     users: set = set()
     for a, b in zip(pois, pois[1:]):
         users |= model.pair_users.get((a, b), set())
     if not users:
         return 0.0
     hubs = model.hub[model.region_of_poi[pois[0]], sorted(users)].tolist()
-    return auth * (sum(hubs) / len(hubs))
+    return auth * (sequential_sum(hubs) / len(hubs))
 
 
 @dataclass(eq=False, kw_only=True)

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..data.types import visit_arrays
 from ..generation import (
     GenRequest,
     GeneratedSequence,
@@ -49,16 +50,20 @@ class MarkovModel(NamedTuple):
 
 
 def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
-    """Count session starts and transitions, then Laplace-smooth.
+    """Count session starts and transitions over one ``visit_arrays``
+    pass of ``sessions``, then Laplace-smooth.
 
     ``smoothing=0`` disables smoothing (rows renormalize over observed
     counts only; useful for deterministic test chains).
     """
+    users, pois, _, _, lengths = visit_arrays(sessions, encodings)
+    ends = np.cumsum(lengths)
+    firsts = ends - lengths
+    pois = pois.tolist()
     starts: dict[int, list] = defaultdict(list)
     pairs: dict[int, list] = defaultdict(list)
-    for session in sessions:
-        u = encodings.user(session.user_id)
-        ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
+    for u, first, end in zip(users[firsts].tolist(), firsts.tolist(), ends.tolist()):
+        ixs = pois[first:end]
         for key in (u, POPULATION):
             starts[key].append(ixs[0])
             pairs[key].extend(zip(ixs, ixs[1:]))

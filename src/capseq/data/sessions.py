@@ -36,7 +36,6 @@ class TravelTimeModel:
             raise ValueError(f"unknown travel time mode {mode!r}")
         self.mode = mode
         self.log_mu: float | None = None
-        self.log_sigma: float | None = None
 
     def fit(self, records: Sequence[CheckinRecord]) -> "TravelTimeModel":
         """Fit the lognormal mode on consecutive same-user check-in gaps."""
@@ -53,7 +52,6 @@ class TravelTimeModel:
                     samples.append(math.log(gap / dist))
         if samples:
             self.log_mu = statistics.fmean(samples)
-            self.log_sigma = statistics.pstdev(samples) if len(samples) > 1 else 0.0
         return self
 
     def seconds(self, a: Poi, b: Poi) -> float:

@@ -35,6 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ..geo import haversine_km
+from ..numerics import sequential_sum
 from ..data.types import DataError, Encodings, Session, SocialGraph, visit_arrays
 
 HOURS = 24
@@ -89,7 +90,7 @@ def _stay_stats(users, pois, stays, n_pois: int) -> StayStats:
     sums = np.bincount(poi, pair_mean, n_pois)
     visited = pois[np.sort(np.unique(pois, return_index=True)[1])]
     mean_stay = (sums[visited] / np.bincount(poi, minlength=n_pois)[visited]).tolist()
-    global_mean = sum(mean_stay) / len(mean_stay) if mean_stay else 0.0
+    global_mean = sequential_sum(mean_stay) / len(mean_stay) if mean_stay else 0.0
     return StayStats.from_means(n_pois, dict(zip(visited.tolist(), mean_stay)), global_mean)
 
 
@@ -616,8 +617,8 @@ class FeatureTables:
         coords, ix = self.poi_coords.tolist(), pois.tolist()
         km = [haversine_km(*coords[ix[i - 1]], *coords[ix[i]])
               for i in np.flatnonzero(step).tolist()]
-        n_steps = lengths - 1  # Python's sum, as the reference loop (compensated from 3.12)
-        mean_km = [sum(km[i - n:i]) / n if n else 0.0
+        n_steps = lengths - 1
+        mean_km = [sequential_sum(km[i - n:i]) / n if n else 0.0
                    for i, n in zip(np.cumsum(n_steps).tolist(), n_steps.tolist())]
         dist_prev = np.zeros(len(pois))
         dist_prev[step] = km

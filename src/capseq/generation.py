@@ -21,6 +21,7 @@ import numpy as np
 
 from .features import FeatureTables, HOURS
 from .geo import travel_seconds
+from .numerics import sequential_sum
 
 
 @dataclass
@@ -157,13 +158,7 @@ def score_sequence(seqs, user: int | None, tables: FeatureTables,
         later[[0] + ends[:-1]] = False
         scores[later] *= tables.discount(pois[later], pois[np.flatnonzero(later) - 1])
     scores = scores.tolist()
-    totals = []
-    for start, end in zip([0] + ends, ends):
-        total = 0.0
-        for score in scores[start:end]:  # left to right; np.sum adds pairwise
-            total += score
-        totals.append(total)
-    return totals
+    return [sequential_sum(scores[start:end]) for start, end in zip([0] + ends, ends)]
 
 
 def top_k(scores, k: int) -> list:

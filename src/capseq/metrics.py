@@ -17,10 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .data.types import DataError, Encodings, Session, SocialGraph
+from .data.types import DataError, Encodings, Session, SocialGraph, visit_arrays
 from .features import FeatureTables
 from .generation import GenRequest
 from .geo import haversine_km
+from .numerics import sequential_sum
 
 
 def ordered_pairs(seq: Sequence) -> set:
@@ -79,7 +80,7 @@ def displacement(actual_coords, predicted_coords) -> tuple:
         haversine_km(a[0], a[1], p[0], p[1])
         for a, p in zip(actual_coords, predicted_coords)
     ]
-    total = sum(dists)
+    total = sequential_sum(dists)
     return total, (total / n if n else 0.0)
 
 
@@ -165,9 +166,10 @@ def assign_folds(
     return fold_of, evaluated
 
 
-def _evaluate(model, i, session, length, encodings, seed, candidates):
-    """Generate ``length`` stops from held-out session ``i``'s first POI
-    and hour, and score them against the session: the METRICS values.
+def _evaluate(model, i, user, actual, hour, length, encodings, seed, candidates):
+    """Generate ``length`` stops for encoded ``user`` from held-out session
+    ``i``'s first POI and arrival ``hour``, and score them against
+    ``actual``, the session's encoded POIs: the METRICS values.
 
     A trip shorter than the session is scored as it stands: pairs-F1
     precision over its own pairs, recall over the session's, and
@@ -175,11 +177,10 @@ def _evaluate(model, i, session, length, encodings, seed, candidates):
     the catalogue's, whatever the training split saw.
     """
     coords, cats_of = encodings.poi_coords, encodings.poi_cat
-    actual = [encodings.poi(v.poi.poi_id) for v in session.visits]
     request = GenRequest(
-        user=encodings.user(session.user_id),
+        user=user,
         start_poi=actual[0],
-        start_hour=session.visits[0].hour,
+        start_hour=hour,
         length=length,
         candidates=candidates,
         k=1,
@@ -212,6 +213,11 @@ def cross_validate(
     if max(Counter(s.user_id for s in sessions).values(), default=0) < folds:
         raise DataError(f"no user has at least {folds} sessions to evaluate")
     fold_of, _ = assign_folds(sessions, folds, seed)
+    users, pois, arrivals, _, lengths = visit_arrays(sessions, encodings)
+    firsts = (np.cumsum(lengths) - lengths).tolist()
+    users, pois, hours = users.tolist(), pois.tolist(), (arrivals // 3600 % 24).tolist()
+    # each session's encoded user, POIs and first arrival hour
+    encoded = [(users[a], pois[a:a + n], hours[a]) for a, n in zip(firsts, lengths.tolist())]
 
     result = EvalResult()
     per_model_fold_rows: dict[str, list] = {name: [] for name in models}
@@ -220,7 +226,7 @@ def cross_validate(
     for fold in range(folds):
         train = [s for i, s in enumerate(sessions) if fold_of[i] != fold]
         held = [
-            (i, s)
+            (i, *encoded[i])
             for i, s in enumerate(sessions)
             if fold_of[i] == fold and len(s) >= 2
         ]
@@ -229,7 +235,8 @@ def cross_validate(
             started = time.perf_counter()
             model = prototype.clone_unfitted().fit(train, tables)
             context = (encodings, seed, candidates)
-            rows = [_evaluate(model, i, s, len(s), *context) for i, s in held]
+            rows = [_evaluate(model, i, u, actual, hour, len(actual), *context)
+                    for i, u, actual, hour in held]
             elapsed = time.perf_counter() - started
             means = np.asarray(rows).mean(axis=0) if rows else np.zeros(len(METRICS))
             report = EvalReport(
@@ -243,7 +250,8 @@ def cross_validate(
             per_model_fold_rows[name].append(report)
 
             for length in sweep_lengths:
-                swept = [_evaluate(model, i, s, length, *context) for i, s in held]
+                swept = [_evaluate(model, i, u, actual, hour, length, *context)
+                         for i, u, actual, hour in held]
                 sweep_acc.setdefault((name, length), []).extend(
                     (row[_DIVERSITY], row[_DISPLACEMENT_MEAN]) for row in swept
                 )

@@ -2,9 +2,10 @@
 
 Everything is 64-bit; the gradient checker needs the precision and the
 corpus sizes here never justify float32. Gradients are hand-derived per
-model, so this module only supplies the sigmoid, the softmax, SGD with
-global-norm clipping, seeded init, a finite-difference checker, and a
-flat binary snapshot format for parameter dictionaries.
+model, so this module only supplies the sigmoid, the softmax, a
+left-to-right sum, SGD with global-norm clipping, seeded init, a
+finite-difference checker, and a flat binary snapshot format for
+parameter dictionaries.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=axis, keepdims=True)
+
+
+def sequential_sum(values) -> float:
+    """``values`` added one at a time, left to right, from 0.0: the same
+    bits on every Python version (the builtin ``sum`` over floats
+    compensates from 3.12 on) and every NumPy (``np.sum`` adds pairwise)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass

@@ -28,6 +28,14 @@ statistics must equal bit for bit; ``encode_session`` reads its
 over a (rows, n_pois) visit-count matrix for the full data, and one
 more per hour of day over the POIs visited at that hour. The one-pass
 block statistics of ``FeatureTables`` must equal it bit for bit.
+
+``markov_fit`` is the earlier Markov fit, which encodes each ``Session``
+itself and counts its starts and transitions; every chain of the fit
+over ``visit_arrays`` must equal its chains bit for bit.
+
+Every sum of Python floats here adds left to right from 0.0, with
+``left_to_right``, so the oracle's bits do not depend on the Python
+version.
 """
 
 from __future__ import annotations
@@ -38,11 +46,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
+from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
 from capseq.geo import WALK_SPEED_KMH, haversine_km, travel_seconds
 from capseq.models import MAX_STEPS, Batch
+
+
+def left_to_right(values) -> float:
+    """``values`` added one at a time from 0.0; the builtin ``sum`` over
+    floats compensates from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class ScalarTables:
@@ -121,10 +139,7 @@ class ScalarTables:
     def discount(self, poi: int, current: int) -> float:
         values = [self.distance_constraint(poi, current),
                   self.travel_time_constraint(poi, current)]
-        total = 0
-        for value in values:  # builtin sum() compensates from Python 3.12 on
-            total += value
-        return 1.0 - total / len(values)
+        return 1.0 - left_to_right(values) / len(values)
 
     def consolidated(self, u, poi: int, hour, current=None) -> float:
         ps = self.preference(u, poi, hour)
@@ -352,7 +367,7 @@ def compute_stay_stats(sessions, encodings) -> StayStats:
         sums[l] += sum(stays) / len(stays)
         visitors[l] += 1
     mean_stay = {l: s / visitors[l] for l, s in sums.items()}
-    global_mean = sum(mean_stay.values()) / len(mean_stay) if mean_stay else 0.0
+    global_mean = left_to_right(mean_stay.values()) / len(mean_stay) if mean_stay else 0.0
     return StayStats.from_means(encodings.n_pois, mean_stay, global_mean)
 
 
@@ -370,7 +385,7 @@ def feature_vector(tables, session, dists: list) -> np.ndarray:
     first, last = session.visits[0], session.visits[-1]
     start_ix = tables.encodings.poi(first.poi.poi_id)
     end_ix = tables.encodings.poi(last.poi.poi_id)
-    mean_dist = sum(dists) / len(dists) if dists else 0.0
+    mean_dist = left_to_right(dists) / len(dists) if dists else 0.0
     return np.array(
         [
             float(tables.poi_cat[start_ix]),
@@ -574,3 +589,34 @@ def interest_stats(tables: FeatureTables) -> tuple:
                       tables.encodings.n_categories)
     entries = tuple(np.array(x, dtype=np.int64) for x in (rows, pois, hours, visits))
     return stats, _astcat_hour(tables, slots, np.array(order, dtype=np.int64), entries)
+
+
+def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
+    """Count session starts and transitions, then Laplace-smooth."""
+    starts: dict[int, list] = defaultdict(list)
+    pairs: dict[int, list] = defaultdict(list)
+    for session in sessions:
+        u = encodings.user(session.user_id)
+        ixs = [encodings.poi(v.poi.poi_id) for v in session.visits]
+        for key in (u, POPULATION):
+            starts[key].append(ixs[0])
+            pairs[key].extend(zip(ixs, ixs[1:]))
+
+    chains = {}
+    for u in starts:
+        alphabet = sorted(set(starts[u]).union(*pairs[u]))
+        n = len(alphabet)
+        index = {poi: i for i, poi in enumerate(alphabet)}
+        initial = np.full(n, smoothing, dtype=np.float64)
+        np.add.at(initial, [index[p] for p in starts[u]], 1.0)
+        initial /= initial.sum()
+        transition = np.full((n, n), smoothing, dtype=np.float64)
+        for a, b in pairs[u]:
+            transition[index[a], index[b]] += 1.0
+        row_sums = transition.sum(axis=1, keepdims=True)
+        zero = row_sums[:, 0] == 0
+        transition[zero] = 1.0 / n
+        row_sums[zero] = 1.0
+        transition /= row_sums
+        chains[u] = UserChain(alphabet, index, initial, transition)
+    return MarkovModel(chains)

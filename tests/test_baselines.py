@@ -1,7 +1,7 @@
-"""Baselines: popularity radius growth, Markov smoothing arithmetic,
-Apriori vs exhaustive enumeration and the tuple-walking beam search,
-HITS vs an independent power iteration and a loop transcription of its
-fit."""
+"""Baselines: popularity radius growth, Markov smoothing arithmetic and
+the per-session counting loop, Apriori vs exhaustive enumeration and the
+tuple-walking beam search, HITS vs an independent power iteration and a
+loop transcription of its fit."""
 
 import dataclasses
 import itertools
@@ -183,6 +183,24 @@ class TestMarkov:
             solos = [markov_walks(model, user, start, 12, [np.random.default_rng([4, c])])[0]
                      for c in range(6)]
             assert rows == solos
+
+
+@pytest.mark.parametrize("smoothing", [1.0, 0.5, 1e-3, 0.0])
+def test_markov_fit_equals_the_session_loop(synth_small, smoothing):
+    """Every chain of the fit over ``visit_arrays`` equals the one the
+    per-session loop counts: alphabet, index, and the dtype, shape and
+    bytes of the initial and transition arrays, also on a part of the
+    corpus and in another session order."""
+    sessions, _, enc = synth_small
+    permuted = [sessions[i] for i in np.random.default_rng(11).permutation(len(sessions))]
+    for part in (sessions, sessions[:6], permuted):
+        got, want = markov_fit(part, enc, smoothing), ref.markov_fit(part, enc, smoothing)
+        assert list(got.chains) == list(want.chains)
+        for key, chain in want.chains.items():
+            mine = got.chains[key]
+            assert mine.alphabet == chain.alphabet and mine.index == chain.index
+            for a, b in ((mine.initial, chain.initial), (mine.transition, chain.transition)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
 
 
 def small_world(n_pois=5, spacing_km=1.0):
@@ -569,11 +587,14 @@ def dict_hits_reference(sessions, enc, region):
     """Loop transcription of the HITS fit: visit counts in per-region dicts
     keyed (user, POI), users found by ``list.index``, and per-(region,
     length) window lists that drop repeats with a ``not in`` test.
-    Returns (hub by (region, user), authority, windows by (start, length))."""
-    visits, buckets = {}, {}
+    Returns (hub by (region, user), authority, windows by (start, length),
+    the users of each traversed pair, each region's POIs by authority)."""
+    visits, buckets, pair_users = {}, {}, {}
     for s in sessions:
         u = enc.user(s.user_id)
         ixs = [enc.poi(v.poi.poi_id) for v in s.visits]
+        for pair in zip(ixs, ixs[1:]):
+            pair_users.setdefault(pair, set()).add(u)
         for l in ixs:
             counts = visits.setdefault(int(region[l]), {})
             counts[(u, l)] = counts.get((u, l), 0.0) + 1.0
@@ -603,7 +624,9 @@ def dict_hits_reference(sessions, enc, region):
     for (_, ln), bucket in buckets.items():
         for window in bucket:
             windows.setdefault((window[0], ln), []).append(window)
-    return hub, authority, windows
+    ranked = [sorted(np.flatnonzero(region == rid).tolist(), key=lambda l: -authority[l])
+              for rid in range(int(region.max()) + 1)]
+    return hub, authority, windows, pair_users, ranked
 
 
 def test_hits_fit_equals_the_dict_reference(synth_small):
@@ -616,13 +639,16 @@ def test_hits_fit_equals_the_dict_reference(synth_small):
             warnings.simplefilter("always", UserWarning)
             model = hits_fit(part, enc, enc.poi_coords, radius)
         empty_regions += len(caught)
-        hub, authority, windows = dict_hits_reference(part, enc, model.region_of_poi)
+        hub, authority, windows, pair_users, ranked = dict_hits_reference(
+            part, enc, model.region_of_poi)
         want_hub = np.zeros_like(model.hub)
         for (rid, u), h in hub.items():
             want_hub[rid, u] = h
         assert np.array_equal(model.hub, want_hub)
         assert np.array_equal(model.authority, authority)
         assert model.windows == windows
+        assert model.pair_users == pair_users
+        assert model.region_ranked == ranked
     assert empty_regions > 0
 
 

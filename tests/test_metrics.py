@@ -6,7 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from capseq.baselines import HitsRecommender
+from capseq.baselines import (
+    AprioriRecommender,
+    HitsRecommender,
+    MarkovRecommender,
+    PopularityRecommender,
+)
 from capseq.data import Encodings, SocialGraph, build_sessions, synth_dataset
 from capseq.generation import GeneratedSequence
 from capseq.geo import haversine_km
@@ -277,6 +282,35 @@ class TestCrossValidate:
         )
         assert result.aggregate("hits").sessions > 0
 
+    def test_each_session_is_encoded_once_per_fit_and_once_for_evaluation(
+            self, monkeypatch):
+        """Per fold, the table build and the popularity, Markov and HITS
+        fits encode each training visit once (Apriori encodes none), and
+        evaluation encodes each visit once per ``cross_validate``, with or
+        without a length sweep: 4 * 880 + 220 calls for 220 visits."""
+        records, graph = synth_dataset(seed=7, n_users=4, n_pois=120, days=7)
+        sessions = build_sessions(records)
+        encodings = Encodings.fit(sessions)
+        assert sum(map(len, sessions)) == 220
+        models = {name: cls() for name, cls in (
+            ("popularity", PopularityRecommender), ("markov", MarkovRecommender),
+            ("hits", HitsRecommender), ("apriori", AprioriRecommender))}
+        calls = []
+        poi = Encodings.poi
+
+        def counted(self, poi_id):
+            calls.append(poi_id)
+            return poi(self, poi_id)
+
+        monkeypatch.setattr(Encodings, "poi", counted)
+        counts = []
+        for sweep in ((), (3, 6)):
+            calls.clear()
+            cross_validate(sessions, graph, encodings, models, folds=5, seed=7,
+                           sweep_lengths=sweep)
+            counts.append(len(calls))
+        assert counts == [3740, 3740]
+
 
 class ScriptedTrips(SequenceRecommender):
     """Answers a request with ``trip(pois, length)`` of the session that
@@ -303,6 +337,47 @@ class ScriptedTrips(SequenceRecommender):
                          request.length)
         return [GeneratedSequence(pois=pois, step_probs=[], score=1.0,
                                   hours=[float(request.start_hour)] * len(pois))]
+
+
+class RecordedRequests(SequenceRecommender):
+    """Answers each request with its start POI repeated, and keeps every
+    (request, seed) it was asked."""
+
+    def __init__(self):
+        self.asked = []
+
+    def clone_unfitted(self):
+        return self
+
+    def fit(self, sessions, tables):
+        return self
+
+    def generate(self, request, seed=0):
+        self.asked.append((request, seed))
+        return [GeneratedSequence(pois=[request.start_poi] * request.length, step_probs=[],
+                                  score=0.0, hours=[float(request.start_hour)] * request.length)]
+
+
+def test_requests_start_where_each_held_out_session_starts(synth_small):
+    """Per fold, one request per held-out session of two or more visits,
+    in corpus order: its user, first POI, first arrival hour and length,
+    then the same at each sweep length, seeded per session."""
+    sessions, graph, encodings = synth_small
+    model = RecordedRequests()
+    cross_validate(sessions, graph, encodings, {"recorded": model}, folds=3, seed=5,
+                   sweep_lengths=(4, 2))
+    fold_of, _ = assign_folds(sessions, 3, 5)
+    want = []
+    for fold in range(3):
+        held = [(i, s) for i, s in enumerate(sessions) if fold_of[i] == fold and len(s) >= 2]
+        for length in (None, 4, 2):
+            want += [(encodings.user(s.user_id), encodings.poi(s.visits[0].poi.poi_id),
+                      s.visits[0].hour, length or len(s), 10, 1, 5 * 100003 + i)
+                     for i, s in held]
+    got = [(r.user, r.start_poi, r.start_hour, r.length, r.candidates, r.k, seed)
+           for r, seed in model.asked]
+    assert got == want
+    assert len({hour for _, _, hour, *_ in want}) > 3
 
 
 def held_out(sessions, folds, seed):

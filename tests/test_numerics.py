@@ -1,15 +1,23 @@
-"""Dense kernel: sigmoid, softmax, SGD with clipping, the
-finite-difference checker, and parameter snapshots."""
+"""Dense kernel: sigmoid, softmax, the left-to-right sum and its sites,
+SGD with clipping, the finite-difference checker, and parameter
+snapshots."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from capseq import metrics
+from capseq.baselines.hits import HitsModel, sequence_score
+from capseq.features import FeatureTables, tables as tables_module
+from capseq.generation import GeneratedSequence, score_sequence
 from capseq.numerics import (
     NumericError,
     SgdConfig,
     grad_check,
     load_params,
     save_params,
+    sequential_sum,
     sgd_step,
     sigmoid,
     softmax,
@@ -24,6 +32,72 @@ class TestElementwiseOps:
         assert np.all(np.isfinite(s))
         assert s[0] == 0.0 and s[-1] == 1.0
         assert s[2] == 0.5
+
+
+def neumaier_sum(values) -> float:
+    """Compensated (Neumaier) sum, the order of the builtin ``sum`` over
+    floats from Python 3.12 on."""
+    total = carry = 0.0
+    for value in values:
+        t = total + value
+        carry += (total - t) + value if abs(total) >= abs(value) else (value - t) + total
+        total = t
+    return total + carry
+
+
+TENTHS = [0.1] * 10
+
+
+class TestSequentialSum:
+    """Each float sum of the pipeline adds ten 0.1s left to right, which
+    gives 0.9999999999999999 where a compensated sum gives 1.0."""
+
+    SUM = 0.9999999999999999
+
+    def test_ten_tenths_separate_the_two_orders(self):
+        assert sequential_sum(TENTHS) == self.SUM
+        assert neumaier_sum(TENTHS) == 1.0
+        assert sequential_sum([]) == 0.0
+        # so does every site's result below
+        assert self.SUM / 10 != 1.0 / 10
+        assert self.SUM * (self.SUM / 10) != 1.0 * (1.0 / 10)
+
+    def test_stay_global_mean(self):
+        """Ten POIs with a mean stay of 0.1 s each (1 s over 10 visits)."""
+        pois = np.repeat(np.arange(10), 10)
+        stays = np.tile([1] + [0] * 9, 10)
+        stats = tables_module._stay_stats(np.zeros(100, dtype=np.int64), pois, stays, 11)
+        assert stats.mean_stay[:10].tolist() == TENTHS
+        assert stats.global_mean == stats.mean_stay[10] == self.SUM / 10
+
+    def test_mean_step_km(self, synth_small, monkeypatch):
+        sessions, graph, encodings = synth_small
+        tables = FeatureTables.build(sessions, graph, encodings)
+        monkeypatch.setattr(tables_module, "haversine_km", lambda *coords: 0.1)
+        one = np.zeros(1, dtype=np.int64)
+        visits = (one.repeat(11), np.arange(11), np.arange(11) * 60, np.arange(11) * 60,
+                  one + 11)
+        dist_prev, feats = tables.session_steps(visits)
+        assert dist_prev.tolist() == [0.0] + TENTHS
+        assert feats[0, 4] == self.SUM / 10
+
+    def test_displacement(self, monkeypatch):
+        monkeypatch.setattr(metrics, "haversine_km", lambda *coords: 0.1)
+        stops = [(40.0, -74.0)] * 10
+        assert metrics.displacement(stops, stops) == (self.SUM, self.SUM / 10)
+
+    def test_hits_sequence_score(self):
+        """Ten POIs of authority 0.1 each, their first pair traversed by
+        ten users of hub 0.1 each."""
+        model = HitsModel(np.zeros(10, dtype=np.int64), np.full((1, 10), 0.1),
+                          np.full(10, 0.1), {(0, 1): set(range(10))}, {}, [])
+        assert sequence_score(model, list(range(10))) == self.SUM * (self.SUM / 10)
+
+    def test_generated_sequence_score(self):
+        tables = SimpleNamespace(preference=lambda user, pois, hours: np.full(len(pois), 0.1))
+        seqs = [GeneratedSequence(pois=list(range(n)), step_probs=[], score=0.0,
+                                  hours=[9] * n) for n in (10, 1, 10)]
+        assert score_sequence(seqs, 0, tables) == [self.SUM, 0.1, self.SUM]
 
 
 def masked_sigmoid(x):
