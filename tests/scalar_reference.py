@@ -33,6 +33,13 @@ block statistics of ``FeatureTables`` must equal it bit for bit.
 itself and counts its starts and transitions; every chain of the fit
 over ``visit_arrays`` must equal its chains bit for bit.
 
+``great_circle_km`` is the earlier one-step haversine formula, which
+converts and takes the cosine of both ends on every call, and
+``derive_visits`` the earlier visit derivation: one ``Poi`` and one
+such distance per check-in. ``capseq.geo`` and the package's
+``derive_visits`` must equal them bit for bit, in both travel-time
+modes.
+
 Every sum of Python floats here adds left to right from 0.0, with
 ``left_to_right``, so the oracle's bits do not depend on the Python
 version.
@@ -40,6 +47,8 @@ version.
 
 from __future__ import annotations
 
+import math
+import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -47,10 +56,11 @@ import numpy as np
 
 from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
 from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
+from capseq.data.types import Poi, Visit
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
-from capseq.geo import WALK_SPEED_KMH, haversine_km, travel_seconds
+from capseq.geo import EARTH_RADIUS_KM, WALK_SPEED_KMH, haversine_km, travel_seconds
 from capseq.models import MAX_STEPS, Batch
 
 
@@ -620,3 +630,36 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
         transition /= row_sums
         chains[u] = UserChain(alphabet, index, initial, transition)
     return MarkovModel(chains)
+
+
+def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Distance in km between two (lat, lon) points in decimal degrees."""
+    lat1, lon1, lat2, lon2 = map(math.radians, (lat1, lon1, lat2, lon2))
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    a = (math.sin(dlat / 2.0) ** 2
+         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2)
+    return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(a))
+
+
+def derive_visits(records, travel_time) -> list:
+    """One user's timestamp-sorted check-ins as visits: the departure is
+    the next arrival less the travel time, clamped to the arrival; the last
+    visit stays the median stay (30 minutes without one)."""
+    pois = [Poi(r.poi_id, r.lat, r.lon, r.category) for r in records]
+    visits = []
+    for i in range(len(records) - 1):
+        a, b = pois[i], pois[i + 1]
+        dist = great_circle_km(a.lat, a.lon, b.lat, b.lon)
+        if travel_time.mode == "deterministic" or travel_time.log_mu is None:
+            tt = travel_seconds(dist)
+        else:
+            tt = dist * math.exp(travel_time.log_mu)
+        departure = records[i + 1].timestamp - int(round(tt))
+        departure = max(departure, records[i].timestamp)
+        visits.append(Visit(pois[i], records[i].timestamp, departure))
+    stays = [v.stay for v in visits]
+    median_stay = int(statistics.median(stays)) if stays else 30 * 60
+    last = records[-1]
+    visits.append(Visit(pois[-1], last.timestamp, last.timestamp + median_stay))
+    return visits

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from capseq.data import (
     CheckinRecord,
     DataError,
@@ -24,6 +26,7 @@ from capseq.data import (
 )
 from capseq.data import io as dataio
 from capseq.data.types import Poi, Session, Visit
+from capseq.geo import haversine_km
 
 HEADER = "userid,placeid,datetime,lat,lon,city,category\n"
 
@@ -148,6 +151,99 @@ class TestParse:
         assert result.dropped == 3
 
 
+class TestParseRules:
+    """Which cell of a row each field reads, and which rows drop."""
+
+    def parse(self, tmp_path, text, fmt="weeplaces"):
+        path = tmp_path / "c.csv"
+        path.write_text(text, encoding="utf-8")
+        result = parse_checkins(path, fmt)
+        return [(r.user_id, r.poi_id, r.timestamp, r.lat, r.lon, r.category, r.city)
+                for r in result.records], result.dropped
+
+    def test_duplicate_header_names_read_the_last_cell_the_row_has(self, tmp_path):
+        text = ("userid,placeid,datetime,lat,lon,city,category,lat\n"
+                "u1,p1,100,10.0,20.0,c,Food,30.0\n"  # full: the second lat
+                "u2,p2,200,11.0,21.0,c,Food\n"  # short: only the first lat
+                "u3,p3,300,12.0,22.0,c,Food,x\n")  # the second lat is garbage
+        assert self.parse(tmp_path, text) == ([
+            ("u1", "p1", 100, 30.0, 20.0, "Food", "c"),
+            ("u2", "p2", 200, 11.0, 21.0, "Food", "c")], 1)
+
+    def test_header_names_are_stripped_and_lowercased(self, tmp_path):
+        text = (" UserID ,PlaceID,DateTime,LAT, lon ,City,Category\n"
+                "u1,p1,100,10.0,20.0,c,Food\n")
+        assert self.parse(tmp_path, text) == ([("u1", "p1", 100, 10.0, 20.0, "Food", "c")], 0)
+
+    def test_empty_header_cells_are_skipped(self, tmp_path):
+        text = ("userid,,placeid,datetime, ,lat,lon,category\n"
+                "u1,junk,p1,100,more junk,10.0,20.0,Food\n"
+                "u2,,p2,200,,11.0,21.0,Food\n")
+        assert self.parse(tmp_path, text) == ([
+            ("u1", "p1", 100, 10.0, 20.0, "Food", None),
+            ("u2", "p2", 200, 11.0, 21.0, "Food", None)], 0)
+
+    def test_short_rows(self, tmp_path):
+        """A row without a mandatory field drops; one without only the
+        city keeps it as ``None``, like an empty city; extra cells are
+        ignored."""
+        text = ("userid,placeid,datetime,lat,lon,category,city\n"
+                "u1,p1,100,10.0,20.0,Food,c\n"
+                "u2,p2,200,11.0,21.0,Food\n"
+                "u3,p3,300,12.0,22.0,Food,\n"
+                "u4,p4,400,13.0,23.0\n"
+                "u5,p5,500\n"
+                "u6\n"
+                "u7,p7,700,17.0,27.0,Food,c,extra,cells\n"
+                "u8,p8,800,18.0,28.0,Food,c\n")
+        assert self.parse(tmp_path, text) == ([
+            ("u1", "p1", 100, 10.0, 20.0, "Food", "c"),
+            ("u2", "p2", 200, 11.0, 21.0, "Food", None),
+            ("u3", "p3", 300, 12.0, 22.0, "Food", None),
+            ("u7", "p7", 700, 17.0, 27.0, "Food", "c"),
+            ("u8", "p8", 800, 18.0, 28.0, "Food", "c")], 3)
+
+    def test_cells_are_stripped(self, tmp_path):
+        text = HEADER + " u1 ,\tp1\t, 100 , 10.5 ,\u00a020.5\u2003, nyc ,\u3000Food:Bar \n"
+        assert self.parse(tmp_path, text) == ([("u1", "p1", 100, 10.5, 20.5, "Food:Bar", "nyc")], 0)
+
+    def test_cells_of_whitespace_only_drop_or_give_no_city(self, tmp_path):
+        rows = [" ,p1,100,10.0,20.0,c,Food\n", "u2, ,200,10.0,20.0,c,Food\n",
+                "u3,p3, ,10.0,20.0,c,Food\n", "u4,p4,400, ,20.0,c,Food\n",
+                "u5,p5,500,10.0,20.0,c, \n"]
+        good = ["u6,p6,600,10.0,20.0, ,Food\n"] * 6
+        assert self.parse(tmp_path, HEADER + "".join(rows + good)) == (
+            [("u6", "p6", 600, 10.0, 20.0, "Food", None)] * 6, 5)
+
+    def test_gowalla_prefers_earlier_candidates(self, tmp_path):
+        text = ("spot_categories,longitude,lon,lng,latitude,lat,checkin_time,datetime,"
+                "spotid,placeid,user,userid\n"
+                "Bar,1.0,2.0,3.0,4.0,5.0,600,700,s,p,u,uid\n")
+        assert self.parse(tmp_path, text, "gowalla") == (
+            [("uid", "p", 700, 5.0, 3.0, "Bar", None)], 0)
+
+    def test_gowalla_falls_back_to_later_candidates(self, tmp_path):
+        text = "user,spotid,checkin_time,latitude,longitude,spot_categories,city\nu,s,600,4.0,1.0,Bar,x\n"
+        assert self.parse(tmp_path, text, "gowalla") == ([("u", "s", 600, 4.0, 1.0, "Bar", "x")], 0)
+
+    def test_order_is_user_then_time_and_stable(self, tmp_path):
+        rows = ["b,p1,300,1.0,1.0,,F\n", "a,p2,200,1.0,1.0,,F\n", "b,p3,100,1.0,1.0,,F\n",
+                "a,p4,200,1.0,1.0,,G\n", "a,p5,100,1.0,1.0,,F\n"]
+        got, _ = self.parse(tmp_path, HEADER + "".join(rows))
+        assert [(r[0], r[1]) for r in got] == [
+            ("a", "p5"), ("a", "p2"), ("a", "p4"), ("b", "p3"), ("b", "p1")]
+
+
+class TestGreatCircle:
+    def test_haversine_km_equals_the_one_step_formula(self):
+        rng = np.random.default_rng(17)
+        lat = rng.uniform(-90.0, 90.0, (10_000, 2)).tolist()
+        lon = rng.uniform(-180.0, 180.0, (10_000, 2)).tolist()
+        for (lat1, lat2), (lon1, lon2) in zip(lat, lon):
+            assert (haversine_km(lat1, lon1, lat2, lon2)
+                    == ref.great_circle_km(lat1, lon1, lat2, lon2))
+
+
 def rec(user, poi, ts, lat=40.0, lon=-74.0, cat="Food"):
     return CheckinRecord(user, poi, ts, lat, lon, cat)
 
@@ -189,6 +285,34 @@ class TestDeriveVisits:
         import statistics
 
         assert visits[-1].stay == int(statistics.median(stays))
+
+    # (lat, lon) of consecutive stops: both poles, the antimeridian from
+    # both sides, a repeated point, and a signed zero
+    EDGES = [(90.0, 0.0), (90.0, 135.0), (-90.0, -45.0), (0.0, 180.0), (0.0, -180.0),
+             (45.0, 179.999), (45.0, -179.999), (45.0, -179.999), (-0.0, 0.0),
+             (0.0, -0.0), (89.9999, 10.0), (-89.9999, -170.0), (12.5, 33.25)]
+
+    @pytest.mark.parametrize("mode", ["deterministic", "lognormal"])
+    def test_equals_the_per_checkin_derivation(self, mode):
+        records, _ = synth_dataset(seed=4, n_users=5, n_pois=30, days=4)
+        travel = TravelTimeModel(mode).fit(records)  # read only in lognormal mode
+        assert travel.log_mu is not None
+        for user in sorted({r.user_id for r in records}):
+            mine = sorted((r for r in records if r.user_id == user), key=lambda r: r.timestamp)
+            assert derive_visits(mine, travel) == ref.derive_visits(mine, travel)
+
+    @pytest.mark.parametrize("mode", ["deterministic", "lognormal"])
+    def test_edge_coordinates_equal_the_per_checkin_derivation(self, mode):
+        travel = TravelTimeModel(mode)
+        travel.log_mu = math.log(900.0) if mode == "lognormal" else None
+        # gaps of about 2,800 h: the walk of half the globe clamps, most steps do not
+        records = [rec("u", f"p{i % 4}", 10**7 * (i + 1) + 7 * i * i, lat, lon)
+                   for i, (lat, lon) in enumerate(self.EDGES)]
+        want = ref.derive_visits(records, travel)
+        assert derive_visits(records, travel) == want
+        assert 0 < sum(v.stay == 0 for v in want) < len(want) // 2
+        for one in records:
+            assert derive_visits([one], travel) == ref.derive_visits([one], travel)
 
     def test_rejects_unsorted_and_mixed_users(self):
         with pytest.raises(ValueError):
