@@ -29,6 +29,8 @@ ENCODINGS_FILE = "encodings.json"
 POIS_FILE = "pois.json"
 GRAPH_FILE = "graph.json"
 
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
 
 def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
@@ -47,9 +49,10 @@ def save_dataset(
     ends = np.cumsum(lengths)
     starts = ends - lengths
     pois, arrivals, departures = pois.tolist(), arrivals.tolist(), departures.tolist()
+    encode = json.JSONEncoder(sort_keys=True).encode
     lines = [
-        json.dumps({"user": u, "pois": pois[a:b], "arrivals": arrivals[a:b],
-                    "departures": departures[a:b]}, sort_keys=True)
+        encode({"user": u, "pois": pois[a:b], "arrivals": arrivals[a:b],
+                "departures": departures[a:b]})
         for u, a, b in zip(users[starts].tolist(), starts.tolist(), ends.tolist())
     ]
     (out / SESSIONS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -107,7 +110,14 @@ def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
             Visit(pois[p], a, d)
             for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"], strict=True)
         )
-        return Session(encodings.ix_to_user[obj["user"]], visits)
+        session = Session(encodings.ix_to_user[obj["user"]], visits)
+        # arrivals increase and no departure precedes its arrival, so these
+        # are the least and greatest times; arrays hold them as int64
+        low, high = visits[0].arrival, max(obj["departures"])
+        if low < INT64_MIN or high > INT64_MAX:
+            raise ValueError(f"visit time {low if low < INT64_MIN else high} "
+                             "is not a 64-bit integer")
+        return session
 
     sessions = []
     sessions_path = data / SESSIONS_FILE

@@ -13,8 +13,10 @@ broken input file.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 
 from .types import CheckinRecord, DataError
 
@@ -41,6 +43,19 @@ FORMATS = {
 }
 
 
+# the fields of a check-in in the order CheckinRecord takes them
+FIELDS = ("user", "poi", "time", "lat", "lon", "category", "city")
+
+# The ISO-8601 times every supported Python reads alike (``fromisoformat``
+# takes more forms from 3.11 on): YYYY-MM-DD, then either Z or one
+# separator character and HH[:MM[:SS[.fff[fff]]]], then optionally Z or
+# an offset +HH:MM[:SS[.ffffff]].
+ISO_TIME = re.compile(
+    r"\d{4}-\d\d-\d\d"
+    r"(Z|.\d\d(:\d\d(:\d\d(\.\d{3}(\d{3})?)?)?)?(Z|[+-]\d\d:\d\d(:\d\d(\.\d{6})?)?)?)?",
+    re.ASCII | re.DOTALL)
+
+
 @dataclass
 class ParseResult:
     records: list  # check-in records, or friendship edges
@@ -48,9 +63,10 @@ class ParseResult:
 
 
 def _rows(path, what: str):
-    """The rows of a UTF-8 CSV file; ``DataError`` if it cannot be read or split."""
+    """The rows of a UTF-8 CSV file, with or without a byte-order mark;
+    ``DataError`` if it cannot be read or split."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             yield from csv.reader(fh)
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
@@ -64,7 +80,8 @@ def _parse_timestamp(raw: str) -> int:
     raw = raw.strip()
     if raw.isdigit():
         return int(raw)
-    # ISO-8601, with or without trailing Z
+    if not ISO_TIME.fullmatch(raw):
+        raise ValueError(f"not a time in the ISO-8601 grammar: {raw!r}")
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
     dt = datetime.fromisoformat(raw)
@@ -95,24 +112,26 @@ def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
                 f"(expected one of {candidates})"
             )
         mapping[field] = found
+    # by_length[n]: the cell of each field in a row of n cells, the last of
+    # its column's name there, else -1: the "" appended to every row, which
+    # drops the row for a mandatory field and gives no city
+    last, by_length = {}, [(-1,) * len(FIELDS)]
+    for n, name in enumerate(names):
+        last[name] = n
+        by_length.append(tuple(last.get(mapping[field], -1) for field in FIELDS))
+    width = len(names)
     for values in rows:
         if not values:
             continue  # blank line
         total += 1
-        # a short row lacks its last fields, and drops if one is mandatory
-        row = {k: v.strip() for k, v in zip(names, values) if k}
+        user, poi, time, lat, lon, category, city = by_length[min(len(values), width)]
+        values.append("")
         try:
-            city = row.get(mapping["city"]) if mapping["city"] else None
             record = CheckinRecord(
-                user_id=row[mapping["user"]],
-                poi_id=row[mapping["poi"]],
-                timestamp=_parse_timestamp(row[mapping["time"]]),
-                lat=float(row[mapping["lat"]]),
-                lon=float(row[mapping["lon"]]),
-                category=row[mapping["category"]],
-                city=city or None,
-            )
-        except (KeyError, ValueError, DataError):
+                values[user].strip(), values[poi].strip(), _parse_timestamp(values[time]),
+                float(values[lat].strip()), float(values[lon].strip()), values[category].strip(),
+                values[city].strip() or None)
+        except ValueError:  # DataError included
             dropped += 1
             continue
         records.append(record)
@@ -122,7 +141,7 @@ def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
             f"{path}: {dropped} of {total} rows dropped; "
             "input does not look like a valid check-in log"
         )
-    records.sort(key=lambda r: (r.user_id, r.timestamp))
+    records.sort(key=attrgetter("user_id", "timestamp"))
     return ParseResult(records=records, dropped=dropped)
 
 

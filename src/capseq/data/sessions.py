@@ -12,14 +12,17 @@ from __future__ import annotations
 import math
 import statistics
 from collections import defaultdict
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from ..geo import haversine_km, travel_seconds
+from ..geo import arc_km, haversine_km, place, travel_seconds
 from .types import CheckinRecord, Poi, Session, Visit
 
 SESSION_WINDOW_SECONDS = 8 * 3600
 FALLBACK_STAY_SECONDS = 30 * 60
 DEFAULT_MIN_CHECKINS = 25
+
+_by_time = attrgetter("timestamp")
 
 
 class TravelTimeModel:
@@ -44,7 +47,7 @@ class TravelTimeModel:
         for r in records:
             by_user[r.user_id].append(r)
         for user_records in by_user.values():
-            user_records.sort(key=lambda r: r.timestamp)
+            user_records.sort(key=_by_time)
             for a, b in zip(user_records, user_records[1:]):
                 dist = haversine_km(a.lat, a.lon, b.lat, b.lon)
                 gap = b.timestamp - a.timestamp
@@ -54,11 +57,11 @@ class TravelTimeModel:
             self.log_mu = statistics.fmean(samples)
         return self
 
-    def seconds(self, a: Poi, b: Poi) -> float:
-        dist = haversine_km(a.lat, a.lon, b.lat, b.lon)
+    def seconds(self, km: float) -> float:
+        """Travel time over a great-circle distance of ``km``."""
         if self.mode == "deterministic" or self.log_mu is None:
-            return travel_seconds(dist)
-        return dist * math.exp(self.log_mu)
+            return travel_seconds(km)
+        return km * math.exp(self.log_mu)
 
 
 def derive_visits(
@@ -68,24 +71,29 @@ def derive_visits(
     """Turn one user's timestamp-sorted check-ins into visits with stays."""
     if not records:
         return []
-    if any(b.timestamp < a.timestamp for a, b in zip(records, records[1:])):
+    times = [r.timestamp for r in records]
+    if any(b < a for a, b in zip(times, times[1:])):
         raise ValueError("records must be sorted by timestamp")
     if len({r.user_id for r in records}) > 1:
         raise ValueError("derive_visits expects records of a single user")
     travel_time = travel_time or TravelTimeModel()
 
-    pois = [Poi(r.poi_id, r.lat, r.lon, r.category) for r in records]
+    places: dict[tuple, tuple] = {}  # the Poi and the converted point of each place
+    stops = []
+    for r in records:
+        key = (r.poi_id, r.lat, r.lon, r.category)
+        if key not in places:
+            places[key] = Poi(*key), place(r.lat, r.lon)
+        stops.append(places[key])
+    pois, points = zip(*stops)
     visits = []
-    for i in range(len(records) - 1):
-        tt = travel_time.seconds(pois[i], pois[i + 1])
-        departure = records[i + 1].timestamp - int(round(tt))
-        departure = max(departure, records[i].timestamp)
-        visits.append(Visit(pois[i], records[i].timestamp, departure))
+    for poi, here, there, arrival, next_arrival in zip(pois, points, points[1:], times, times[1:]):
+        departure = next_arrival - int(round(travel_time.seconds(arc_km(here, there))))
+        visits.append(Visit(poi, arrival, max(departure, arrival)))
 
     stays = [v.stay for v in visits]
     median_stay = int(statistics.median(stays)) if stays else FALLBACK_STAY_SECONDS
-    last = records[-1]
-    visits.append(Visit(pois[-1], last.timestamp, last.timestamp + median_stay))
+    visits.append(Visit(pois[-1], times[-1], times[-1] + median_stay))
     return visits
 
 
@@ -134,7 +142,7 @@ def build_sessions(
         by_user[r.user_id].append(r)
     sessions: list[Session] = []
     for user_id in sorted(by_user):
-        user_records = sorted(by_user[user_id], key=lambda r: r.timestamp)
+        user_records = sorted(by_user[user_id], key=_by_time)
         # duplicate timestamps cannot form strictly increasing arrivals
         deduped = []
         for r in user_records:

@@ -12,12 +12,16 @@ class DataError(ValueError):
     """Raised when input data violates a structural requirement."""
 
 
+# 9999-12-31T23:59:59Z, the last second an ISO-8601 check-in time can name
+MAX_TIMESTAMP = 253402300799
+
+
 @dataclass(frozen=True)
 class CheckinRecord:
     """A single timestamped, geolocated, categorized check-in.
 
     ``category`` is hierarchical, ':'-separated (e.g. "Food:Coffee Shop").
-    ``timestamp`` is UTC seconds since the epoch.
+    ``timestamp`` is UTC seconds since the epoch, at most ``MAX_TIMESTAMP``.
     """
 
     user_id: str
@@ -31,8 +35,8 @@ class CheckinRecord:
     def __post_init__(self):
         if not self.user_id or not self.poi_id or not self.category:
             raise DataError("user_id, poi_id and category must be non-empty")
-        if self.timestamp <= 0:
-            raise DataError(f"timestamp must be positive, got {self.timestamp}")
+        if not 0 < self.timestamp <= MAX_TIMESTAMP:
+            raise DataError(f"timestamp must be in 1..{MAX_TIMESTAMP}, got {self.timestamp}")
         if not -90.0 <= self.lat <= 90.0:
             raise DataError(f"latitude out of range: {self.lat}")
         if not -180.0 <= self.lon <= 180.0:
@@ -216,12 +220,15 @@ def visit_arrays(sessions: Iterable[Session], encodings: Encodings) -> tuple:
     session order, and the number of visits of each session, as five
     int64 arrays: the one pass that encodes sessions."""
     users, pois, arrivals, departures, lengths = [], [], [], [], []
+    poi_ix = encodings.poi_to_ix
     for session in sessions:
         u = encodings.user(session.user_id)
         lengths.append(len(session.visits))
         for visit in session.visits:
+            poi_id = visit.poi.poi_id
             users.append(u)
-            pois.append(encodings.poi(visit.poi.poi_id))
+            # an unknown id raises the closed-world KeyError of Encodings.poi
+            pois.append(poi_ix[poi_id] if poi_id in poi_ix else encodings.poi(poi_id))
             arrivals.append(visit.arrival)
             departures.append(visit.departure)
     return tuple(np.array(x, dtype=np.int64)

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..geo import haversine_km
+from ..geo import arc_km, haversine_km, place
 from ..numerics import sequential_sum
 from ..data.types import DataError, Encodings, Session, SocialGraph, visit_arrays
 
@@ -500,8 +500,8 @@ class FeatureTables:
     def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Great-circle km from POIs ``a`` to POIs ``b`` (checked index
         arrays), read from the row of each source. A source's row is
-        filled with the scalar ``haversine_km`` to every POI when the
-        source is first read, so memory grows with the sources read."""
+        filled with the scalar ``arc_km`` to every POI when the source is
+        first read, so memory grows with the sources read."""
         if self._dist_slot is None:
             self._dist_slot = np.full(self.n_pois, -1, dtype=np.int64)
             self._dist_rows = np.empty((0, self.n_pois))
@@ -515,10 +515,10 @@ class FeatureTables:
                 rows = np.empty((size, self.n_pois))
                 rows[:used] = self._dist_rows[:used]
                 self._dist_rows = rows
-            coords = self.poi_coords.tolist()
+            places = [place(lat, lon) for lat, lon in self.poi_coords.tolist()]
             for i, source in enumerate(sources, used):
-                lat, lon = coords[source]
-                self._dist_rows[i] = [haversine_km(lat, lon, *to) for to in coords]
+                here = places[source]
+                self._dist_rows[i] = [arc_km(here, to) for to in places]
                 self._dist_slot[source] = i
             slot = self._dist_slot[a]
         return self._dist_rows[slot, b]
@@ -606,7 +606,7 @@ class FeatureTables:
         """The step distances and whole-sequence features of the sessions
         of ``visit_arrays`` ``visits``: the km to each visit from the one
         before it in its session (0.0 for a session's first), one scalar
-        ``haversine_km`` per step, and one (sessions, FEATURE_DIM) array of
+        ``arc_km`` per step, and one (sessions, FEATURE_DIM) array of
         start/end category and place codes, the mean step km (in session
         order) and start/end hours."""
         _, pois, arrivals, _, lengths = visits
@@ -614,9 +614,9 @@ class FeatureTables:
         first, last = ends - lengths, ends - 1
         step = np.ones(len(pois), dtype=bool)
         step[first] = False
-        coords, ix = self.poi_coords.tolist(), pois.tolist()
-        km = [haversine_km(*coords[ix[i - 1]], *coords[ix[i]])
-              for i in np.flatnonzero(step).tolist()]
+        places = [place(lat, lon) for lat, lon in self.poi_coords.tolist()]
+        ix = pois.tolist()
+        km = [arc_km(places[ix[i - 1]], places[ix[i]]) for i in np.flatnonzero(step).tolist()]
         n_steps = lengths - 1
         mean_km = [sequential_sum(km[i - n:i]) / n if n else 0.0
                    for i, n in zip(np.cumsum(n_steps).tolist(), n_steps.tolist())]

@@ -1,6 +1,9 @@
 """Great-circle distance and walking-time helpers shared across the package.
 
-All distances are kilometres on a spherical earth (R = 6371 km).
+All distances are kilometres on a spherical earth (R = 6371 km). A
+distance is taken in two steps: ``place`` converts a point once, and
+``arc_km`` measures between two converted points, so code that measures
+many steps converts each place once.
 """
 
 from math import asin, cos, radians, sin, sqrt
@@ -16,11 +19,20 @@ def travel_seconds(km):
     return km / WALK_SPEED_KMH * 3600.0
 
 
+def place(lat: float, lon: float) -> tuple:
+    """(φ, λ, cos φ) of a point in decimal degrees: what ``arc_km`` reads."""
+    phi = radians(lat)
+    return phi, radians(lon), cos(phi)
+
+
+def arc_km(a: tuple, b: tuple) -> float:
+    """Haversine distance in km between two ``place`` tuples."""
+    phi1, lam1, cos1 = a
+    phi2, lam2, cos2 = b
+    h = sin((phi2 - phi1) / 2.0) ** 2 + cos1 * cos2 * sin((lam2 - lam1) / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * asin(sqrt(h))
+
+
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Distance in km between two (lat, lon) points in decimal degrees."""
-    lat1, lon1, lat2, lon2 = map(radians, (lat1, lon1, lat2, lon2))
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    a = sin(dlat / 2.0) ** 2 + cos(lat1) * cos(lat2) * sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * asin(sqrt(a))
-
+    return arc_km(place(lat1, lon1), place(lat2, lon2))

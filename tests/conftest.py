@@ -18,6 +18,25 @@ def km_north(lat, km):
 
 
 @pytest.fixture
+def poi_lookups(monkeypatch):
+    """``count(encodings)``: the list, from then on, of the POI ids read
+    from the POI index of ``encodings``, in order. ``visit_arrays`` reads
+    the index directly and ``Encodings.poi`` through it, so the list holds
+    one id per encoded visit."""
+    def count(encodings) -> list:
+        calls = []
+
+        class Counted(dict):
+            def __getitem__(self, poi_id):
+                calls.append(poi_id)
+                return super().__getitem__(poi_id)
+
+        monkeypatch.setattr(encodings, "poi_to_ix", Counted(encodings.poi_to_ix))
+        return calls
+    return count
+
+
+@pytest.fixture
 def tiny_world():
     """Three users on a short line of POIs, one friendship edge.
 

@@ -442,6 +442,12 @@ BAD_INPUTS = {
     "sessions-line-string-time": (
         {"ds/sessions.jsonl": _first_session_times(str)},
         ["evaluate", "--models", "popularity", "--data-dir", "{tmp}/ds"], 2),
+    "sessions-line-time-past-int64": (
+        {"ds/sessions.jsonl": _first_session_times(lambda t: t + 2**63)},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "checkins-time-past-year-9999": (
+        {"c.csv": CHECKINS.replace("1330905600", "99999999999999999999")},
+        ["ingest", "--checkins", "{tmp}/c.csv", "--min-checkins", "0"], 2),
     "config-not-utf8": (
         {"run.cfg": "seed = 3 \udcff\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
     "checkins-not-utf8": (

@@ -23,10 +23,11 @@ from capseq.data import (
     sessionize,
     synth_dataset,
     training_sessions,
+    visit_arrays,
 )
 from capseq.data import io as dataio
-from capseq.data.types import Poi, Session, Visit
-from capseq.geo import haversine_km
+from capseq.data.types import MAX_TIMESTAMP, Poi, Session, Visit
+from capseq.geo import arc_km, haversine_km, place
 
 HEADER = "userid,placeid,datetime,lat,lon,city,category\n"
 
@@ -204,7 +205,8 @@ class TestParseRules:
             ("u8", "p8", 800, 18.0, 28.0, "Food", "c")], 3)
 
     def test_cells_are_stripped(self, tmp_path):
-        text = HEADER + " u1 ,\tp1\t, 100 , 10.5 ,\u00a020.5\u2003, nyc ,\u3000Food:Bar \n"
+        # float() alone would not strip the separators U+001C..U+001F
+        text = HEADER + " u1 ,\tp1\t, 100 ,\x1c10.5\x1f,\u00a020.5\u2003, nyc ,\u3000Food:Bar \n"
         assert self.parse(tmp_path, text) == ([("u1", "p1", 100, 10.5, 20.5, "Food:Bar", "nyc")], 0)
 
     def test_cells_of_whitespace_only_drop_or_give_no_city(self, tmp_path):
@@ -234,14 +236,89 @@ class TestParseRules:
             ("a", "p5"), ("a", "p2"), ("a", "p4"), ("b", "p3"), ("b", "p1")]
 
 
+class TestTimes:
+    # a datetime cell -> its epoch second, or None where the row drops; one
+    # grammar on every Python, though fromisoformat takes more from 3.11 on
+    CELLS = {
+        "1272704400": 1272704400,
+        " 1272704400 ": 1272704400,
+        "0": None,
+        "253402300799": 253402300799,  # 9999-12-31T23:59:59Z
+        "253402300800": None,
+        "99999999999999999999": None,
+        "2010-05-01T09:00:00Z": 1272704400,
+        "2010-05-01 09:00:00": 1272704400,
+        "2010-05-01T09:00:00": 1272704400,
+        "2010-05-01T09:00:00+02:00": 1272697200,
+        "2010-05-01T09:00:00.123Z": 1272704400,
+        "2010-05-01T09:00:00.999999-00:30": 1272706200,
+        "2010-05-01T09:00:00+05:30:15": 1272684585,
+        "2010-05-01T09:00Z": 1272704400,
+        "2010-05-01T09": 1272704400,
+        "2010-05-01": 1272672000,
+        "2010-05-01Z": 1272672000,
+        "9999-12-31T23:59:59Z": 253402300799,
+        "9999-12-31T23:59:59-01:00": None,  # an hour past the last second
+        "1970-01-01T00:00:00Z": None,  # not a positive time
+        "2010-05-01T09:00:00.5Z": None,  # read from 3.11 on only
+        "20100501T090000Z": None,
+        "2010-05-01T09:00:00,123Z": None,
+        "2010-W17-6T09:00:00Z": None,
+        "2010-121": None,
+        "2010-05-01T09:00:00+0200": None,
+        "2010-05-01T09.123": None,
+        "2010-05-01T24:00:00": None,
+        "2010-02-30T09:00:00": None,
+        "\u0662\u0660\u0661\u0660-05-01": None,  # digits, but not ASCII ones
+        "not-a-date": None,
+        "": None,
+    }
+
+    def test_each_cell_gives_its_time_or_drops(self, tmp_path):
+        path = tmp_path / "c.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(HEADER.strip().split(","))
+            for i, cell in enumerate(self.CELLS):
+                writer.writerow([f"u{i}", "p", cell, 40.0, -74.0, "", "Food"])
+            for i in range(len(self.CELLS)):  # keeps the drops under half
+                writer.writerow(["pad", "p", 1272704400 + i, 40.0, -74.0, "", "Food"])
+        result = parse_checkins(path)
+        got = {r.user_id: r.timestamp for r in result.records}
+        assert {cell: got.get(f"u{i}") for i, cell in enumerate(self.CELLS)} == self.CELLS
+        assert result.dropped == sum(t is None for t in self.CELLS.values())
+
+    def test_record_times_run_from_1_to_the_end_of_year_9999(self):
+        for ts in (1, MAX_TIMESTAMP):
+            assert rec("u", "p", ts).timestamp == ts
+        for ts in (0, -1, MAX_TIMESTAMP + 1, 2**63):
+            with pytest.raises(DataError, match="timestamp"):
+                rec("u", "p", ts)
+
+
+class TestByteOrderMark:
+    def test_checkins_and_friendships_read_alike_with_and_without(self, tmp_path):
+        checkins = HEADER + "u1,p1,1272704400,40.0,-74.0,nyc,Food\n"
+        friends = "userid1,userid2\nu1,u2\n"
+        for name, text in (("plain", ""), ("bom", "\ufeff")):
+            (tmp_path / f"{name}.csv").write_text(text + checkins, encoding="utf-8")
+            (tmp_path / f"{name}-f.csv").write_text(text + friends, encoding="utf-8")
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_checkins(tmp_path / "bom.csv") == parse_checkins(tmp_path / "plain.csv")
+        assert parse_checkins(tmp_path / "plain.csv").records[0].user_id == "u1"
+        assert (parse_friendships(tmp_path / "bom-f.csv").records
+                == parse_friendships(tmp_path / "plain-f.csv").records == [("u1", "u2")])
+
+
 class TestGreatCircle:
-    def test_haversine_km_equals_the_one_step_formula(self):
+    def test_haversine_km_and_the_per_place_form_equal_the_one_step_formula(self):
         rng = np.random.default_rng(17)
         lat = rng.uniform(-90.0, 90.0, (10_000, 2)).tolist()
         lon = rng.uniform(-180.0, 180.0, (10_000, 2)).tolist()
         for (lat1, lat2), (lon1, lon2) in zip(lat, lon):
-            assert (haversine_km(lat1, lon1, lat2, lon2)
-                    == ref.great_circle_km(lat1, lon1, lat2, lon2))
+            want = ref.great_circle_km(lat1, lon1, lat2, lon2)
+            assert haversine_km(lat1, lon1, lat2, lon2) == want
+            assert arc_km(place(lat1, lon1), place(lat2, lon2)) == want
 
 
 def rec(user, poi, ts, lat=40.0, lon=-74.0, cat="Food"):
@@ -442,9 +519,14 @@ class TestEncodings:
             encodings.with_catalogue(coords, cats)
 
     def test_closed_world(self, tiny_world):
-        _, _, encodings = tiny_world
+        sessions, _, encodings = tiny_world
         with pytest.raises(KeyError):
             encodings.poi("nope")
+        stranger = Session("u0", (Visit(Poi("nope", 40.0, -74.0, "Food"), 1, 2),))
+        for unknown in ([stranger], sessions[:2] + [stranger]):
+            with pytest.raises(KeyError) as raised:
+                visit_arrays(unknown, encodings)
+            assert raised.value.args == ("unknown POI id 'nope': encodings are closed-world",)
 
 
 class TestSynth:
@@ -514,17 +596,15 @@ class TestPipelineDeterminism:
 
 class TestTravelTimeModel:
     def test_deterministic_default_is_walking_speed(self):
-        a = Poi("a", 40.0, -74.0, "Food")
-        b = Poi("b", 40.0 + 1.0 / 111.19, -74.0, "Food")
+        km = haversine_km(40.0, -74.0, 40.0 + 1.0 / 111.19, -74.0)
         tt = TravelTimeModel()
-        assert tt.seconds(a, b) == pytest.approx(720, abs=2)  # 1 km at 5 km/h
+        assert tt.seconds(km) == pytest.approx(720, abs=2)  # 1 km at 5 km/h
 
     def test_lognormal_mode_fits_and_predicts(self):
         records, _ = synth_dataset(seed=2, n_users=3, n_pois=20, days=3)
         model = TravelTimeModel("lognormal").fit(records)
         assert model.log_mu is not None
-        a = Poi("a", 40.0, -74.0, "Food")
-        b = Poi("b", 40.0 + 2.0 / 111.19, -74.0, "Food")
-        one_km = Poi("c", 40.0 + 1.0 / 111.19, -74.0, "Food")
+        two_km = haversine_km(40.0, -74.0, 40.0 + 2.0 / 111.19, -74.0)
+        one_km = haversine_km(40.0, -74.0, 40.0 + 1.0 / 111.19, -74.0)
         # farther target -> at least as much predicted travel time
-        assert model.seconds(a, b) >= model.seconds(a, one_km)
+        assert model.seconds(two_km) >= model.seconds(one_km)

@@ -623,19 +623,12 @@ class TestOneEncodingPass:
         permuted = [sessions[i] for i in np.random.default_rng(5).permutation(len(sessions))]
         yield "permuted-8-users", permuted, graph, Encodings.fit(sessions)
 
-    def test_each_visit_is_encoded_once(self, synth_small, monkeypatch):
+    def test_each_visit_is_encoded_once(self, synth_small, poi_lookups):
         from capseq.data import training_sessions
         from capseq.models import encode_sessions
 
         sessions, graph, encodings = synth_small
-        calls = []
-        poi = Encodings.poi
-
-        def counted(self, poi_id):
-            calls.append(poi_id)
-            return poi(self, poi_id)
-
-        monkeypatch.setattr(Encodings, "poi", counted)
+        calls = poi_lookups(encodings)
         tables = FeatureTables.build(sessions, graph, encodings)
         assert calls == [v.poi.poi_id for s in sessions for v in s.visits]
         calls.clear()
@@ -706,21 +699,22 @@ class TestBuild:
             (0, 0), (0, 0, ATTRIBUTE_DIM), (0, FEATURE_DIM))
 
     def test_computes_each_step_distance_once(self, synth_small, monkeypatch):
-        """One scalar haversine call per consecutive visit pair, session
+        """One scalar great-circle call per consecutive visit pair, session
         by session, serves the distance bounds and the session features."""
         import capseq.features.tables as tables_module
+        from capseq.geo import place
 
         sessions, graph, encodings = synth_small
         calls = []
-        haversine = tables_module.haversine_km
+        arc_km = tables_module.arc_km
 
         def counted(*args):
             calls.append(args)
-            return haversine(*args)
+            return arc_km(*args)
 
-        monkeypatch.setattr(tables_module, "haversine_km", counted)
+        monkeypatch.setattr(tables_module, "arc_km", counted)
         FeatureTables.build(sessions, graph, encodings)
         assert calls == [
-            (a.poi.lat, a.poi.lon, b.poi.lat, b.poi.lon)
+            (place(a.poi.lat, a.poi.lon), place(b.poi.lat, b.poi.lon))
             for s in sessions for a, b in zip(s.visits, s.visits[1:])
         ]

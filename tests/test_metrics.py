@@ -283,7 +283,7 @@ class TestCrossValidate:
         assert result.aggregate("hits").sessions > 0
 
     def test_each_session_is_encoded_once_per_fit_and_once_for_evaluation(
-            self, monkeypatch):
+            self, poi_lookups):
         """Per fold, the table build and the popularity, Markov and HITS
         fits encode each training visit once (Apriori encodes none), and
         evaluation encodes each visit once per ``cross_validate``, with or
@@ -295,14 +295,7 @@ class TestCrossValidate:
         models = {name: cls() for name, cls in (
             ("popularity", PopularityRecommender), ("markov", MarkovRecommender),
             ("hits", HitsRecommender), ("apriori", AprioriRecommender))}
-        calls = []
-        poi = Encodings.poi
-
-        def counted(self, poi_id):
-            calls.append(poi_id)
-            return poi(self, poi_id)
-
-        monkeypatch.setattr(Encodings, "poi", counted)
+        calls = poi_lookups(encodings)
         counts = []
         for sweep in ((), (3, 6)):
             calls.clear()

@@ -73,7 +73,7 @@ class TestSequentialSum:
     def test_mean_step_km(self, synth_small, monkeypatch):
         sessions, graph, encodings = synth_small
         tables = FeatureTables.build(sessions, graph, encodings)
-        monkeypatch.setattr(tables_module, "haversine_km", lambda *coords: 0.1)
+        monkeypatch.setattr(tables_module, "arc_km", lambda *places: 0.1)
         one = np.zeros(1, dtype=np.int64)
         visits = (one.repeat(11), np.arange(11), np.arange(11) * 60, np.arange(11) * 60,
                   one + 11)
