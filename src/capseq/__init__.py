@@ -22,7 +22,7 @@ from .data import (
     training_sessions,
 )
 from .features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
-from .generation import GenRequest, GeneratedSequence, generate, sample_next
+from .generation import GenRequest, GeneratedSequence, generate
 from .metrics import (
     EvalReport,
     cross_validate,
@@ -77,7 +77,6 @@ __all__ = [
     "pairs_f1",
     "parse_checkins",
     "parse_friendships",
-    "sample_next",
     "synth_dataset",
     "training_sessions",
 ]

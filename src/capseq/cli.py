@@ -39,7 +39,7 @@ from .data import (
     training_sessions,
     visit_arrays,
 )
-from .features import FeatureTables, dataset_sha256
+from .features import FeatureTables
 from .generation import GenRequest
 from .metrics import (
     cross_validate,
@@ -125,14 +125,13 @@ def build_parser() -> _Parser:
     p.add_argument("--travel-time", choices=["deterministic", "lognormal"],
                    default="deterministic")
 
-    p = sub.add_parser("features", help="build feature tables from a dataset")
+    p = sub.add_parser("features", help="export a dataset's feature tables as JSON")
     add_common(p)
     p.add_argument("--data-dir", default=None, help="ingested dataset directory")
 
     p = sub.add_parser("train", help="train a sequence model")
     add_common(p)
     p.add_argument("--data-dir", default=None)
-    p.add_argument("--tables", help="feature tables JSON (default: build)")
     p.add_argument("--model", choices=sorted(MODEL_KINDS), default=None)
     add_model_flags(p)
     p.add_argument("--clip", dest="clip_threshold", type=float, default=None)
@@ -141,7 +140,6 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--data-dir", default=None)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tables", help="feature tables JSON (default: build)")
     p.add_argument("--user", required=True, help="user id (raw)")
     p.add_argument("--start-poi", help="start POI id (default: user's most visited)")
     p.add_argument("--start-hour", type=float, default=9.0)
@@ -249,36 +247,20 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+def _dataset_and_tables(cfg) -> tuple:
+    """The sessions and encodings of the dataset directory, and the
+    feature tables built from them."""
+    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
+    return sessions, encodings, FeatureTables.build(sessions, graph, encodings)
+
+
 def cmd_features(args) -> int:
     cfg = _merged_config(args)
-    sessions, encodings, graph = dataio.load_dataset(_resolve_data_dir(cfg))
-    tables = FeatureTables.build(sessions, graph, encodings)
+    _, encodings, tables = _dataset_and_tables(cfg)
     out = _out_dir(cfg)
     tables.save(out / "tables.json")
     print(f"features: tables for {encodings.n_pois} POIs -> {out / 'tables.json'}")
     return EXIT_OK
-
-
-def _dataset_and_tables(args, cfg) -> tuple:
-    """The sessions and encodings of the dataset directory, and its
-    feature tables: the ``--tables`` file, which must have been built from
-    that dataset, else tables built now."""
-    data = _resolve_data_dir(cfg)
-    sessions, encodings, graph = dataio.load_dataset(data)
-    if not args.tables:
-        return sessions, encodings, FeatureTables.build(sessions, graph, encodings)
-    try:
-        tables = FeatureTables.load(args.tables)
-    except ValueError as exc:  # bad JSON, text encoding or field value
-        raise DataError(f"{args.tables}: not a feature tables file: {exc}") from exc
-    visits = visit_arrays(sessions, encodings)
-    if dataset_sha256(encodings, visits, graph) != tables.dataset_sha256:
-        raise DataError(f"{data}: its sessions, encodings and friendships are not "
-                        f"those {args.tables} was built from")
-    if dataset_sha256(tables.encodings, visits, graph) != tables.dataset_sha256:
-        raise DataError(f"{args.tables}: not a feature tables file: its encodings "
-                        "and catalogue are not those it was built from")
-    return sessions, encodings, tables
 
 
 def _default(cfg: dict, key: str, default):
@@ -308,7 +290,7 @@ def cmd_train(args) -> int:
     kind = cfg.get("model") or "caps-lstm"
     if kind not in MODEL_KINDS:
         raise UsageError(f"unknown model kind {kind!r}")
-    sessions, encodings, tables = _dataset_and_tables(args, cfg)
+    sessions, encodings, tables = _dataset_and_tables(cfg)
     model = _recommender(kind, cfg)
     model.fit(training_sessions(sessions), tables)
     out = _out_dir(cfg)
@@ -328,7 +310,7 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     cfg = _merged_config(args)
     seed = cfg["seed"]
-    sessions, encodings, tables = _dataset_and_tables(args, cfg)
+    sessions, encodings, tables = _dataset_and_tables(cfg)
     try:
         model = load_checkpoint(args.checkpoint, tables)
     except (OSError, ValueError, KeyError, TypeError, NumericError) as exc:
@@ -479,7 +461,6 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = None
     try:
         args = parser.parse_args(argv)
         if not args.command:
@@ -489,8 +470,6 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        if args is None:  # the command line itself is malformed
-            parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except configmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

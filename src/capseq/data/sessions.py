@@ -15,7 +15,7 @@ from collections import defaultdict
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from ..geo import arc_km, haversine_km, place, travel_seconds
+from ..geo import arc_km, place, travel_seconds
 from .types import CheckinRecord, Poi, Session, Visit
 
 SESSION_WINDOW_SECONDS = 8 * 3600
@@ -43,17 +43,16 @@ class TravelTimeModel:
     def fit(self, records: Sequence[CheckinRecord]) -> "TravelTimeModel":
         """Fit the lognormal mode on consecutive same-user check-in gaps."""
         samples = []
-        by_user: dict[str, list[CheckinRecord]] = defaultdict(list)
-        for r in records:
-            by_user[r.user_id].append(r)
-        for user_records in by_user.values():
-            user_records.sort(key=_by_time)
-            for a, b in zip(user_records, user_records[1:]):
-                dist = haversine_km(a.lat, a.lon, b.lat, b.lon)
+        a = here = None
+        for b in sorted(records, key=attrgetter("user_id", "timestamp")):
+            there = place(b.lat, b.lon)
+            if a is not None and a.user_id == b.user_id:
+                dist = arc_km(here, there)
                 gap = b.timestamp - a.timestamp
                 if dist > 0.05 and gap > 0:
                     samples.append(math.log(gap / dist))
-        if samples:
+            a, here = b, there
+        if samples:  # fmean sums with fsum, so the order of the samples cannot show
             self.log_mu = statistics.fmean(samples)
         return self
 

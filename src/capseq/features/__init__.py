@@ -4,7 +4,6 @@ from .tables import (
     HOURS,
     FeatureTables,
     StayStats,
-    dataset_sha256,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "HOURS",
     "FeatureTables",
     "StayStats",
-    "dataset_sha256",
 ]

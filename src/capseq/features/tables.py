@@ -94,22 +94,9 @@ def _stay_stats(users, pois, stays, n_pois: int) -> StayStats:
     return StayStats.from_means(n_pois, dict(zip(visited.tolist(), mean_stay)), global_mean)
 
 
-def dataset_sha256(encodings: Encodings, visits: tuple, graph: SocialGraph) -> str:
-    """SHA-256 of a dataset: the label maps and catalogue of
-    ``encodings``, the friendships of ``graph`` and the ``visit_arrays``
-    of its sessions."""
-    labels = json.dumps([encodings.to_dict(), graph.to_dict()], sort_keys=True)
-    digest = hashlib.sha256(labels.encode("utf-8"))
-    catalogue = (encodings.poi_coords.astype(np.float64), encodings.poi_cat.astype(np.int64))
-    for arr in (*visits, *catalogue):
-        digest.update(np.array(arr.shape, dtype=np.int64).tobytes())
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
-
-
 def _stored_sha256(d: dict) -> str:
-    """SHA-256 of the fields of a ``to_dict`` document that its
-    ``dataset_sha256`` does not cover."""
+    """SHA-256 of the fields of a ``to_dict`` document that are not its
+    encodings and catalogue."""
     keys = ("stay", "friends", "users", "dist_in", "dist_global", "session_features")
     text = json.dumps({key: d[key] for key in keys}, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -291,7 +278,6 @@ class FeatureTables:
         self.n_pois = encodings.n_pois
         self.n_users = encodings.n_users
         self.stay: StayStats | None = None
-        self.dataset_sha256: str | None = None  # see dataset_sha256
         self.popularity: np.ndarray | None = None
         # the catalogue of ``encodings``: every POI's (lat, lon) and category
         self.poi_coords: np.ndarray | None = encodings.poi_coords
@@ -342,7 +328,6 @@ class FeatureTables:
         graph = graph or SocialGraph()
         tables = cls(encodings)
         visits = visit_arrays(sessions, encodings)
-        tables.dataset_sha256 = dataset_sha256(encodings, visits, graph)
         users, pois, arrivals, departures, lengths = visits
         tables.stay = _stay_stats(users, pois, departures - arrivals, encodings.n_pois)
         tables._friends = [
@@ -686,12 +671,12 @@ class FeatureTables:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """What ``from_dict`` cannot derive: the dataset digest, the
-        encodings and catalogue, the stay means, the friend lists, each
-        user's ``"poi:hour"`` visit counts (a list of ``[user, cells]`` in
-        first-seen order, which sorted keys would lose), the distance
-        bounds and the session features; and ``stored_sha256``, the
-        digest of the fields the dataset digest does not cover."""
+        """What ``from_dict`` cannot derive: the encodings and catalogue,
+        the stay means, the friend lists, each user's ``"poi:hour"`` visit
+        counts (a list of ``[user, cells]`` in first-seen order, which
+        sorted keys would lose), the distance bounds and the session
+        features; and ``stored_sha256``, the digest of every field but the
+        encodings and catalogue."""
         n_cells = self.n_pois * HOURS
         end = self._lt_keys.searchsorted(self.n_users * n_cells)
         row, cell = np.divmod(self._lt_keys[:end], n_cells)
@@ -701,7 +686,6 @@ class FeatureTables:
         own = np.flatnonzero(self.stay.own)
         bounded = np.flatnonzero(self._dist_own)
         d = {
-            "dataset_sha256": self.dataset_sha256,
             "encodings": self.encodings.to_dict(),
             "poi_coords": self.poi_coords.tolist(),
             "poi_cat": self.poi_cat.tolist(),
@@ -738,13 +722,10 @@ class FeatureTables:
     def _from_dict(cls, d: dict) -> "FeatureTables":
         if not isinstance(d, dict):
             raise ValueError(f"expected a JSON object, got {type(d).__name__}")
-        if type(d["dataset_sha256"]) is not str:
-            raise ValueError(f"dataset_sha256 {d['dataset_sha256']!r} is not a string")
         encodings = Encodings.from_dict(d["encodings"]).with_catalogue(
             d["poi_coords"], d["poi_cat"])
         n_users, n_pois = encodings.n_users, encodings.n_pois
         tables = cls(encodings)
-        tables.dataset_sha256 = d["dataset_sha256"]
         stay = d["stay"]
         tables.stay = StayStats.from_means(
             n_pois,

@@ -1,18 +1,17 @@
 """Minimal dense numeric kernel for the sequence models.
 
-Everything is 64-bit; the gradient checker needs the precision and the
-corpus sizes here never justify float32. Gradients are hand-derived per
-model, so this module only supplies the sigmoid, the softmax, a
-left-to-right sum, SGD with global-norm clipping, seeded init, a
-finite-difference checker, and a flat binary snapshot format for
-parameter dictionaries.
+Everything is 64-bit; the gradient checks of the test suite need the
+precision and the corpus sizes here never justify float32. Gradients are
+hand-derived per model, so this module only supplies the sigmoid, the
+softmax, a left-to-right sum, SGD with global-norm clipping, seeded init
+and a flat binary snapshot format for parameter dictionaries.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -92,47 +91,6 @@ def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
         fan_out, fan_in = shape[-2], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def grad_check(
-    loss_fn: Callable[[], float],
-    params: Params,
-    grads: Mapping[str, np.ndarray],
-    eps: float = 1e-5,
-    samples_per_block: int = 8,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between ``grads`` and central differences.
-
-    ``loss_fn`` must read the (perturbed in place) ``params``; each block
-    is probed at ``samples_per_block`` coordinates (all of them when the
-    block is small). Error per coordinate is |a - n| / max(|a|, |n|, 1e-8).
-    """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError("eps must lie in [1e-7, 1e-3]")
-    rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    for name, g in grads.items():
-        p = params[name]
-        n_coords = p.size
-        if n_coords <= samples_per_block:
-            coords = np.arange(n_coords)
-        else:
-            coords = rng.choice(n_coords, size=samples_per_block, replace=False)
-        flat = p.reshape(-1)
-        gflat = np.asarray(g).reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            f_plus = loss_fn()
-            flat[c] = orig - eps
-            f_minus = loss_fn()
-            flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            analytic = gflat[c]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
 
 
 # --- flat binary parameter snapshots ---------------------------------------

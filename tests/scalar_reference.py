@@ -38,7 +38,10 @@ converts and takes the cosine of both ends on every call, and
 ``derive_visits`` the earlier visit derivation: one ``Poi`` and one
 such distance per check-in. ``capseq.geo`` and the package's
 ``derive_visits`` must equal them bit for bit, in both travel-time
-modes.
+modes. ``travel_log_mu`` is the earlier lognormal travel-time fit: the
+check-ins grouped by user, each user's sorted by time, and one such
+distance per consecutive pair; ``TravelTimeModel.fit`` must give its
+``log_mu`` bit for bit.
 
 Every sum of Python floats here adds left to right from 0.0, with
 ``left_to_right``, so the oracle's bits do not depend on the Python
@@ -663,3 +666,21 @@ def derive_visits(records, travel_time) -> list:
     last = records[-1]
     visits.append(Visit(pois[-1], last.timestamp, last.timestamp + median_stay))
     return visits
+
+
+def travel_log_mu(records) -> float | None:
+    """``log_mu`` of a lognormal ``TravelTimeModel`` fitted on ``records``:
+    the mean ln(seconds per km) of consecutive same-user check-ins more
+    than 50 m and 0 s apart."""
+    samples = []
+    by_user = defaultdict(list)
+    for r in records:
+        by_user[r.user_id].append(r)
+    for user_records in by_user.values():
+        user_records.sort(key=lambda r: r.timestamp)
+        for a, b in zip(user_records, user_records[1:]):
+            dist = great_circle_km(a.lat, a.lon, b.lat, b.lon)
+            gap = b.timestamp - a.timestamp
+            if dist > 0.05 and gap > 0:
+                samples.append(math.log(gap / dist))
+    return statistics.fmean(samples) if samples else None

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import naive_reference as naive
+from finite_diff import grad_check
 from test_baselines import (
     apriori_trips,
     brute_force_trips,
@@ -21,7 +22,6 @@ from test_baselines import (
 from test_features import random_world
 from test_metrics import brute_force_pairs_f1
 
-from capseq import numerics
 from capseq.baselines import (
     MarkovRecommender,
     PopularityRecommender,
@@ -79,7 +79,7 @@ def test_criterion_1_gradient_correctness():
                              contextual=True, seed=T)
             batch = toy_batch(rng, K=6, T=T)
             _, grads = rnn.loss_and_grads(batch)
-            err = numerics.grad_check(
+            err = grad_check(
                 lambda: rnn.loss_and_grads(batch)[0], rnn.params, grads,
                 eps=1e-5, samples_per_block=4, rng=np.random.default_rng(T),
             )
@@ -88,7 +88,7 @@ def test_criterion_1_gradient_correctness():
             lstm = ContextLstm(6, hidden_size=5, embedding_size=4, seed=T)
             batch = toy_batch(rng, K=6, T=T)
             _, grads = lstm.loss_and_grads(batch)
-            err = numerics.grad_check(
+            err = grad_check(
                 lambda: lstm.loss_and_grads(batch)[0], lstm.params, grads,
                 eps=1e-5, samples_per_block=4, rng=np.random.default_rng(T),
             )

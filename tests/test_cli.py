@@ -4,7 +4,6 @@ output determinism."""
 import json
 import shutil
 
-import numpy as np
 import pytest
 
 from capseq.cli import main
@@ -46,17 +45,14 @@ class TestPipeline:
         ]) == 0
         tables = json.loads((out / "tables.json").read_text())
         assert "stay" in tables and "users" in tables
-        assert len(tables["dataset_sha256"]) == 64
+        assert len(tables["stored_sha256"]) == 64
+        assert "dataset_sha256" not in tables
 
     def test_train_generate_roundtrip(self, pipeline_dirs, tmp_path):
         root, raw, data = pipeline_dirs
         out = tmp_path / "run"
         assert main([
-            "features", "--data-dir", str(data), "--out-dir", str(out),
-        ]) == 0
-        assert main([
             "train", "--data-dir", str(data), "--model", "caps-rnn",
-            "--tables", str(out / "tables.json"),
             "--hidden-size", "12", "--n-layers", "1", "--embedding-size", "8",
             "--epochs", "3", "--lr", "0.05", "--seed", "3",
             "--out-dir", str(out),
@@ -195,17 +191,15 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def bad_input_sources(pipeline_dirs):
-    """The pipeline dataset, its feature tables and a small trained
-    plain-rnn checkpoint."""
+    """The pipeline dataset and a small trained plain-rnn checkpoint."""
     root, raw, data = pipeline_dirs
     out = root / "ckpt"
-    assert main(["features", "--data-dir", str(data), "--out-dir", str(out)]) == 0
     assert main([
         "train", "--data-dir", str(data), "--model", "plain-rnn",
         "--hidden-size", "4", "--n-layers", "1", "--embedding-size", "3",
         "--epochs", "1", "--out-dir", str(out),
     ]) == 0
-    return data, out / "plain-rnn.ckpt", out / "tables.json"
+    return data, out / "plain-rnn.ckpt"
 
 
 def _with_sidecar(**changes):
@@ -213,68 +207,6 @@ def _with_sidecar(**changes):
     def edit(raw: bytes) -> bytes:
         return json.dumps({**json.loads(raw), **changes}).encode("utf-8")
     return edit
-
-
-def _with_tables(change):
-    """Feature tables edit: ``change`` alters the parsed JSON in place."""
-    def edit(raw: bytes) -> bytes:
-        tables = json.loads(raw)
-        change(tables)
-        return json.dumps(tables).encode("utf-8")
-    return edit
-
-
-def _category_past_end(tables):
-    tables["poi_cat"][0] = len(tables["encodings"]["categories"])
-
-
-def _infinite_stay_means(tables):
-    tables["stay"]["mean"] = dict.fromkeys(tables["stay"]["mean"], float("inf"))
-
-
-def _nan_coordinate(tables):
-    tables["poi_coords"][0][0] = float("nan")
-
-
-def _zero_visit_count(tables):
-    cells = tables["users"][0][1]
-    cells[next(iter(cells))] = 0
-
-
-def _stay_mean_tripled(tables):
-    means = tables["stay"]["mean"]
-    first = next(iter(means))
-    means[first] *= 3
-
-
-def _dist_global_doubled(tables):
-    tables["dist_global"] = [2 * bound for bound in tables["dist_global"]]
-
-
-def _session_feature_edited(tables):
-    features = tables["session_features"]
-    features[next(iter(features))][4] += 1.0  # the mean step distance
-
-
-def _cell_dropped(tables):
-    cells = next(cells for _, cells in tables["users"] if len(cells) > 1)
-    del cells[next(iter(cells))]
-
-
-def _friend_list_dropped(tables):
-    friends = tables["friends"]
-    del friends[next(u for u, fs in friends.items() if fs)]
-
-
-def _first_half_of_the_lines(raw: bytes) -> bytes:
-    lines = raw.splitlines(keepends=True)
-    return b"".join(lines[: len(lines) // 2])
-
-
-def _users_swapped(tables):
-    users = tables["encodings"]["users"]
-    a, b = list(users)[:2]
-    users[a], users[b] = users[b], users[a]
 
 
 def _without_last_poi(raw: bytes) -> bytes:
@@ -313,59 +245,17 @@ CHECKINS = ("userid,placeid,datetime,lat,lon,city,category\n"
             "u1,p1,1330905600,40.0,-74.0,,Food\n")
 LONG_FIELD = "x" * 200_000  # over csv.field_size_limit(), 131,072 by default
 GENERATE = ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "u0000"]
-GENERATE_TABLES = GENERATE + ["--tables", "{tmp}/tables.json"]
-TRAIN_TABLES = ["train", "--model", "plain-rnn", "--tables", "{tmp}/tables.json"]
 
 # case -> (files to write, subcommand and its arguments, expected exit code).
-# The test first copies the pipeline dataset to {tmp}/ds, its feature
-# tables to {tmp}/tables.json and the trained checkpoint to {tmp}/m.ckpt; a
-# file given as text replaces its copy, one given as a function of its
-# copy's bytes edits it. The test adds --out-dir, and --data-dir with the
+# The test first copies the pipeline dataset to {tmp}/ds and the trained
+# checkpoint to {tmp}/m.ckpt; a file given as text replaces its copy, one
+# given as a function of its copy's bytes edits it. The test adds --out-dir, and --data-dir with the
 # pipeline dataset unless the arguments name one or run ingest, which
 # takes none.
 BAD_INPUTS = {
-    "corrupt-tables-json": (
-        {"tables.json": '{"encodings": {"poi_to_ix'}, TRAIN_TABLES, 2),
-    "binary-tables": ({"tables.json": "\udcff\udcfe"}, TRAIN_TABLES, 2),
-    "tables-json-a-list": ({"tables.json": "[]"}, TRAIN_TABLES, 2),
-    "tables-category-past-end": (
-        {"tables.json": _with_tables(_category_past_end)}, TRAIN_TABLES, 2),
-    "tables-without-encodings": (
-        {"tables.json": _with_tables(lambda tables: tables.pop("encodings"))},
-        TRAIN_TABLES, 2),
-    "tables-infinite-stay-means": (
-        {"tables.json": _with_tables(_infinite_stay_means)}, GENERATE_TABLES, 2),
-    "tables-nan-coordinate": (
-        {"tables.json": _with_tables(_nan_coordinate)}, GENERATE_TABLES, 2),
-    "tables-zero-visit-count": (
-        {"tables.json": _with_tables(_zero_visit_count)}, GENERATE_TABLES, 2),
-    "tables-user-listed-twice": (
-        {"tables.json": _with_tables(lambda t: t["users"].append(t["users"][0]))},
-        TRAIN_TABLES, 2),
-    "tables-user-without-visits": (
-        {"tables.json": _with_tables(lambda t: t["users"][0].__setitem__(1, {}))},
-        TRAIN_TABLES, 2),
-    "tables-user-past-end": (
-        {"tables.json": _with_tables(
-            lambda t: t["users"][0].__setitem__(0, len(t["encodings"]["users"])))},
-        TRAIN_TABLES, 2),
-    "tables-of-other-encodings": (
-        {"tables.json": _with_tables(_users_swapped)}, TRAIN_TABLES, 2),
-    "tables-of-half-the-sessions": (
-        {"ds/sessions.jsonl": _first_half_of_the_lines},
-        TRAIN_TABLES + ["--data-dir", "{tmp}/ds"], 2),
-    "tables-of-an-emptied-graph": (
-        {"ds/graph.json": "{}"}, TRAIN_TABLES + ["--data-dir", "{tmp}/ds"], 2),
-    "tables-stay-mean-edited": (
-        {"tables.json": _with_tables(_stay_mean_tripled)}, TRAIN_TABLES, 2),
-    "tables-distance-bound-edited": (
-        {"tables.json": _with_tables(_dist_global_doubled)}, TRAIN_TABLES, 2),
-    "tables-session-feature-edited": (
-        {"tables.json": _with_tables(_session_feature_edited)}, GENERATE_TABLES, 2),
-    "tables-cell-dropped": (
-        {"tables.json": _with_tables(_cell_dropped)}, TRAIN_TABLES, 2),
-    "tables-friend-list-dropped": (
-        {"tables.json": _with_tables(_friend_list_dropped)}, GENERATE_TABLES, 2),
+    # train and generate build their tables; neither reads a tables file
+    "train-tables-option": ({}, ["train", "--model", "plain-rnn", "--tables", "x"], 1),
+    "generate-tables-option": ({}, GENERATE + ["--tables", "x"], 1),
     "zero-epochs": ({}, ["train", "--model", "plain-rnn", "--epochs", "0"], 1),
     "train-zero-batch-size": (
         {}, ["train", "--model", "plain-rnn", "--batch-size", "0"], 1),
@@ -505,9 +395,8 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys):
     files, argv, code = BAD_INPUTS[case]
-    data, ckpt, tables = bad_input_sources
+    data, ckpt = bad_input_sources
     shutil.copytree(data, tmp_path / "ds")
-    shutil.copy(tables, tmp_path / "tables.json")
     for src in (ckpt, ckpt.with_suffix(".ckpt.json")):
         shutil.copy(src, tmp_path / src.name.replace("plain-rnn", "m"))
     for name, content in files.items():
@@ -522,96 +411,12 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
     assert main(argv[:1] + ["--out-dir", str(tmp_path)] + argv[1:]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
-    if "tables.json" in files:
-        assert err.startswith(f"data error: {tmp_path / 'tables.json'}: "
-                              "not a feature tables file:"), err
     if "run.cfg" in files and code == 1:
         assert err.startswith("config error:"), err
-    if case == "tables-of-half-the-sessions":  # a dataset the tables were not built from
-        assert err.startswith(f"data error: {tmp_path / 'ds'}: "), err
-    elif callable(files.get("ds/sessions.jsonl")):  # an edited session line
+    if "--tables" in argv:
+        assert err.startswith("usage error: unrecognized arguments: --tables"), err
+    if callable(files.get("ds/sessions.jsonl")):  # an edited session line
         assert err.startswith(f"data error: {tmp_path / 'ds' / 'sessions.jsonl'}:"), err
-
-
-# what the mutation test writes in place of a number
-NUMBERS = (float("nan"), float("inf"), float("-inf"), -1, 1e308, 0.0, True)
-RETYPED = {dict: [], list: {}, str: 7, int: "7", float: "7.5", bool: "true"}
-
-
-def _json_values(value, path=()):
-    """(path, value) of every value nested in a parsed JSON document."""
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, item in items:
-        yield path + (key,), item
-        yield from _json_values(item, path + (key,))
-
-
-def _edited(raw: bytes, path: tuple, value=None) -> bytes:
-    """``raw`` JSON with the value at ``path`` replaced by ``value``, or
-    its key dropped when ``value`` is None."""
-    doc = json.loads(raw)
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is None:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return json.dumps(doc).encode("utf-8")
-
-
-def _table_mutations(raw: bytes, seed: int):
-    """Seeded (name, bytes) mutations of a tables file: a truncation, a
-    flipped bit and a non-UTF-8 byte; and per top-level field a dropped
-    key, a retyped value and each of NUMBERS in place of a number, each
-    at a seeded place inside the field."""
-    rng = np.random.default_rng(seed)
-    at = int(rng.integers(len(raw)))
-    yield f"cut at {at}", raw[:at]
-    flipped = bytearray(raw)
-    flipped[at] ^= 1 << int(rng.integers(8))
-    yield f"bit flipped at {at}", bytes(flipped)
-    yield f"0xff at {at}", raw[:at] + b"\xff" + raw[at + 1:]
-    values = list(_json_values(json.loads(raw)))
-    for field in sorted({path[0] for path, _ in values}):
-        inside = [(path, v) for path, v in values if path[0] == field]
-        keys = [path for path, _ in inside if isinstance(path[-1], str)]
-        path = keys[int(rng.integers(len(keys)))]
-        yield f"{path} dropped", _edited(raw, path)
-        path, value = inside[int(rng.integers(len(inside)))]
-        yield f"{path} retyped", _edited(raw, path, RETYPED[type(value)])
-        numbers = [path for path, v in inside if type(v) in (int, float)]
-        if numbers:
-            path = numbers[int(rng.integers(len(numbers)))]
-            for number in NUMBERS:
-                yield f"{path} = {number!r}", _edited(raw, path, number)
-
-
-def test_mutated_tables_exit_0_or_2_with_one_line(bad_input_sources, tmp_path, capsys):
-    """Every seeded mutation of a tables file is either read or refused
-    as a data error, with one line and no traceback, by both commands
-    that take one."""
-    data, ckpt, tables = bad_input_sources
-    path = tmp_path / "tables.json"
-    commands = [
-        ["generate", "--checkpoint", str(ckpt), "--user", "u0000", "--length", "3",
-         "--candidates", "3", "--k", "2"],
-        ["train", "--model", "plain-rnn", "--hidden-size", "4", "--n-layers", "1",
-         "--embedding-size", "3", "--epochs", "1"],
-    ]
-    failed = []
-    for seed in range(3):
-        for name, mutated in _table_mutations(tables.read_bytes(), seed):
-            path.write_bytes(mutated)
-            for argv in commands:
-                code = main(argv + ["--data-dir", str(data), "--tables", str(path),
-                                    "--out-dir", str(tmp_path)])
-                err = capsys.readouterr().err
-                lines = err.strip().splitlines()
-                if code not in (0, 2) or (code == 2) != (len(lines) == 1) or "Traceback" in err:
-                    failed.append((seed, name, argv[0], code, err))
-    assert not failed, failed
 
 
 def _sweep_csv(length: str) -> str:
@@ -667,7 +472,7 @@ def test_generate_start_hour_takes_any_float(bad_input_sources, tmp_path, capsys
     """A value float() reads reaches the command even when argparse would
     take it for an option: -1e9 runs like -5, -inf is rejected as
     non-finite."""
-    data, ckpt, _ = bad_input_sources
+    data, ckpt = bad_input_sources
     argv = ["generate", "--data-dir", str(data), "--checkpoint", str(ckpt),
             "--user", "u0000", "--length", "3", "--candidates", "2", "--k", "1",
             "--out-dir", str(tmp_path), "--start-hour"]

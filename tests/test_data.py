@@ -1,6 +1,7 @@
 """Parsing, visit derivation, sessionization, filtering, synthesis."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -608,3 +609,39 @@ class TestTravelTimeModel:
         one_km = haversine_km(40.0, -74.0, 40.0 + 1.0 / 111.19, -74.0)
         # farther target -> at least as much predicted travel time
         assert model.seconds(two_km) >= model.seconds(one_km)
+
+    @staticmethod
+    def with_repeated_times(records):
+        """``records`` with a check-in at the next record's place added at
+        the time of every third one, so a user holds equal timestamps at
+        different places."""
+        out = []
+        for i, r in enumerate(records):
+            out.append(r)
+            if i % 3 == 0:
+                there = records[(i + 1) % len(records)]
+                out.append(CheckinRecord(r.user_id, there.poi_id, r.timestamp,
+                                         there.lat, there.lon, there.category))
+        return out
+
+    def test_fit_equals_the_per_user_loop(self):
+        """One sort of every check-in by (user, time) gives the per-user
+        loop's ``log_mu`` bit for bit, in any record order: the sort is
+        stable, so equal timestamps keep the order of the records."""
+        records, _ = synth_dataset(seed=7, n_users=120, n_pois=400, days=30)
+        rng = np.random.default_rng(3)
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        repeated = self.with_repeated_times(shuffled)
+        # each user's check-ins after the previous user's: a pair across
+        # two users would pass every test but the one of the user
+        rank = {u: i for i, u in enumerate(sorted({r.user_id for r in records}))}
+        in_turn = [dataclasses.replace(r, timestamp=r.timestamp + rank[r.user_id] * 10**7)
+                   for r in records]
+        corpora = {"ingest-size": records, "shuffled": shuffled, "repeated-times": repeated,
+                   "repeated-times-reversed": repeated[::-1], "users-in-turn": in_turn}
+        for name, corpus in corpora.items():
+            want = ref.travel_log_mu(corpus)
+            assert want is not None, name
+            assert TravelTimeModel("lognormal").fit(corpus).log_mu == want, name
+        # the order of equal timestamps reaches log_mu, so the last two differ
+        assert ref.travel_log_mu(repeated) != ref.travel_log_mu(repeated[::-1])

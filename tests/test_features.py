@@ -2,6 +2,8 @@
 equivalence against the literal transcription, and structural
 invariants."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -528,6 +530,162 @@ class TestLoadEqualsBuild:
             assert got.keys() == want.keys(), name
             differ = [path for path in want if got[path] != want[path]]
             assert not differ, (name, differ)
+
+
+def _category_past_end(tables):
+    tables["poi_cat"][0] = len(tables["encodings"]["categories"])
+
+
+def _infinite_stay_means(tables):
+    tables["stay"]["mean"] = dict.fromkeys(tables["stay"]["mean"], float("inf"))
+
+
+def _nan_coordinate(tables):
+    tables["poi_coords"][0][0] = float("nan")
+
+
+def _zero_visit_count(tables):
+    cells = tables["users"][0][1]
+    cells[next(iter(cells))] = 0
+
+
+def _stay_mean_tripled(tables):
+    means = tables["stay"]["mean"]
+    first = next(iter(means))
+    means[first] *= 3
+
+
+def _dist_global_doubled(tables):
+    tables["dist_global"] = [2 * bound for bound in tables["dist_global"]]
+
+
+def _session_feature_edited(tables):
+    features = tables["session_features"]
+    features[next(iter(features))][4] += 1.0  # the mean step distance
+
+
+def _cell_dropped(tables):
+    cells = next(cells for _, cells in tables["users"] if len(cells) > 1)
+    del cells[next(iter(cells))]
+
+
+def _friend_list_dropped(tables):
+    friends = tables["friends"]
+    del friends[next(u for u, fs in friends.items() if fs)]
+
+
+# case -> what replaces a saved tables file: text, or a function that
+# edits its parsed JSON in place
+BAD_FILES = {
+    "corrupt-tables-json": '{"encodings": {"poi_to_ix',
+    "binary-tables": "\udcff\udcfe",
+    "tables-json-a-list": "[]",
+    "tables-category-past-end": _category_past_end,
+    "tables-without-encodings": lambda tables: tables.pop("encodings"),
+    "tables-infinite-stay-means": _infinite_stay_means,
+    "tables-nan-coordinate": _nan_coordinate,
+    "tables-zero-visit-count": _zero_visit_count,
+    "tables-user-listed-twice": lambda t: t["users"].append(t["users"][0]),
+    "tables-user-without-visits": lambda t: t["users"][0].__setitem__(1, {}),
+    "tables-user-past-end": (
+        lambda t: t["users"][0].__setitem__(0, len(t["encodings"]["users"]))),
+    "tables-stay-mean-edited": _stay_mean_tripled,
+    "tables-distance-bound-edited": _dist_global_doubled,
+    "tables-session-feature-edited": _session_feature_edited,
+    "tables-cell-dropped": _cell_dropped,
+    "tables-friend-list-dropped": _friend_list_dropped,
+}
+
+
+# what the mutation test writes in place of a number
+NUMBERS = (float("nan"), float("inf"), float("-inf"), -1, 1e308, 0.0, True)
+RETYPED = {dict: [], list: {}, str: 7, int: "7", float: "7.5", bool: "true"}
+
+
+def _json_values(value, path=()):
+    """(path, value) of every value nested in a parsed JSON document."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,), item
+        yield from _json_values(item, path + (key,))
+
+
+def _edited(raw: bytes, path: tuple, value=None) -> bytes:
+    """``raw`` JSON with the value at ``path`` replaced by ``value``, or
+    its key dropped when ``value`` is None."""
+    doc = json.loads(raw)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc).encode("utf-8")
+
+
+def _table_mutations(raw: bytes, seed: int):
+    """Seeded (name, bytes) mutations of a tables file: a truncation, a
+    flipped bit and a non-UTF-8 byte; and per top-level field a dropped
+    key, a retyped value and each of NUMBERS in place of a number, each
+    at a seeded place inside the field."""
+    rng = np.random.default_rng(seed)
+    at = int(rng.integers(len(raw)))
+    yield f"cut at {at}", raw[:at]
+    flipped = bytearray(raw)
+    flipped[at] ^= 1 << int(rng.integers(8))
+    yield f"bit flipped at {at}", bytes(flipped)
+    yield f"0xff at {at}", raw[:at] + b"\xff" + raw[at + 1:]
+    values = list(_json_values(json.loads(raw)))
+    for field in sorted({path[0] for path, _ in values}):
+        inside = [(path, v) for path, v in values if path[0] == field]
+        keys = [path for path, _ in inside if isinstance(path[-1], str)]
+        path = keys[int(rng.integers(len(keys)))]
+        yield f"{path} dropped", _edited(raw, path)
+        path, value = inside[int(rng.integers(len(inside)))]
+        yield f"{path} retyped", _edited(raw, path, RETYPED[type(value)])
+        numbers = [path for path, v in inside if type(v) in (int, float)]
+        if numbers:
+            path = numbers[int(rng.integers(len(numbers)))]
+            for number in NUMBERS:
+                yield f"{path} = {number!r}", _edited(raw, path, number)
+
+
+class TestLoad:
+    """``FeatureTables.load`` reads back what ``save`` wrote and refuses
+    anything else with a ``ValueError``."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_FILES))
+    def test_refuses_a_bad_file(self, case, synth_tables, tmp_path):
+        path = tmp_path / "tables.json"
+        content = BAD_FILES[case]
+        if callable(content):
+            synth_tables.save(path)
+            tables = json.loads(path.read_text(encoding="utf-8"))
+            content(tables)
+            content = json.dumps(tables)
+        path.write_text(content, encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(ValueError):
+            FeatureTables.load(path)
+
+    def test_mutated_tables_load_or_raise_value_error(self, synth_tables, tmp_path):
+        """Every seeded mutation of a tables file either loads or is
+        refused with a ``ValueError``, and raises nothing else."""
+        path = tmp_path / "tables.json"
+        synth_tables.save(path)
+        raw = path.read_bytes()
+        failed = []
+        for seed in range(3):
+            for name, mutated in _table_mutations(raw, seed):
+                path.write_bytes(mutated)
+                try:
+                    FeatureTables.load(path)
+                except ValueError:
+                    pass
+                except Exception as exc:  # anything else is a defect of the reader
+                    failed.append((seed, name, repr(exc)))
+        assert not failed, failed
 
 
 def _friends_at_other_hours():

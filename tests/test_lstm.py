@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from capseq import numerics
+from finite_diff import grad_check
 from capseq.models import Batch, train
 from scalar_reference import EncodedSequence, make_batch
 from capseq.models.lstm import ContextLstm
@@ -179,7 +180,7 @@ class TestLstmBackward:
         net = ContextLstm(6, hidden_size=5, embedding_size=4, seed=4)
         batch = toy_batch(rng, K=6, T=T, B=2)
         _, grads = net.loss_and_grads(batch)
-        err = numerics.grad_check(
+        err = grad_check(
             lambda: net.loss_and_grads(batch)[0],
             net.params,
             grads,

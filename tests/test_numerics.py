@@ -11,10 +11,10 @@ from capseq import metrics
 from capseq.baselines.hits import HitsModel, sequence_score
 from capseq.features import FeatureTables, tables as tables_module
 from capseq.generation import GeneratedSequence, score_sequence
+from finite_diff import grad_check
 from capseq.numerics import (
     NumericError,
     SgdConfig,
-    grad_check,
     load_params,
     save_params,
     sequential_sum,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capseq import numerics
+from finite_diff import grad_check
 from capseq.models import Batch, train
 from scalar_reference import EncodedSequence, make_batch
 from capseq.models.lstm import ContextLstm
@@ -219,7 +220,7 @@ class TestBackward:
                          contextual=True, seed=2)
         batch = toy_batch(rng, K=6, T=T, B=2)
         _, grads = net.loss_and_grads(batch)
-        err = numerics.grad_check(
+        err = grad_check(
             lambda: net.loss_and_grads(batch)[0],
             net.params,
             grads,
