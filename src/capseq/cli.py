@@ -292,7 +292,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"unknown model kind {kind!r}")
     sessions, encodings, tables = _dataset_and_tables(cfg)
     model = _recommender(kind, cfg)
-    model.fit(training_sessions(sessions), tables)
+    model.fit(sessions, tables)
     out = _out_dir(cfg)
     ckpt = out / f"{kind}.ckpt"
     model.save(ckpt)

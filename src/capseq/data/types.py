@@ -118,14 +118,18 @@ class Encodings:
         self.ix_to_poi = {v: k for k, v in self.poi_to_ix.items()}
         self.ix_to_cat = {v: k for k, v in self.cat_to_ix.items()}
         self.ix_to_user = {v: k for k, v in self.user_to_ix.items()}
-        if len(self.ix_to_poi) != len(self.poi_to_ix):
-            raise DataError("poi encoding is not bijective")
-        if len(self.ix_to_cat) != len(self.cat_to_ix):
-            raise DataError("category encoding is not bijective")
-        if len(self.ix_to_user) != len(self.user_to_ix):
-            raise DataError("user encoding is not bijective")
+        for what, to_ix, ix_to in (("poi", self.poi_to_ix, self.ix_to_poi),
+                                   ("category", self.cat_to_ix, self.ix_to_cat),
+                                   ("user", self.user_to_ix, self.ix_to_user)):
+            # n labels onto the indices 0..n-1, each once; an index written
+            # as a bool or a float (True, 1.0) is refused, though it hashes as 1
+            n = len(to_ix)
+            if len(ix_to) != n or any(type(ix) is not int or not 0 <= ix < n for ix in ix_to):
+                raise DataError(f"{what} encoding: the indices are not the integers 0..{n - 1}")
         self.poi_coords = self.poi_cat = None
         if poi_coords is not None:
+            if any(isinstance(c, (bool, np.bool_)) for c in poi_cat):  # asarray reads True as 1
+                raise DataError("poi_cat: holds a value that is not an index")
             coords, cats = np.array(poi_coords, dtype=float), np.asarray(poi_cat)
             n, n_cats = self.n_pois, self.n_categories
             if coords.shape != (n, 2) or cats.shape != (n,):
@@ -249,10 +253,6 @@ class SocialGraph:
 
     def friends(self, user_id: str) -> frozenset:
         return self._adj.get(user_id, frozenset())
-
-    @property
-    def users(self) -> frozenset:
-        return frozenset(self._adj)
 
     def n_edges(self) -> int:
         return sum(len(v) for v in self._adj.values()) // 2

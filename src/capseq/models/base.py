@@ -14,7 +14,7 @@ import dataclasses
 from typing import Iterable
 
 from ..data.sessions import training_sessions
-from ..data.types import Session
+from ..data.types import DataError, Session
 
 
 class NotFittedError(RuntimeError):
@@ -51,16 +51,17 @@ class SequenceRecommender:
 
 
 def check_sessions(sessions: Iterable[Session]) -> list:
-    """Validate a session collection; returns its training sessions."""
+    """Validate a session collection; returns its training sessions.
+    No session, or none of length >= 2, is a ``DataError``."""
     sessions = list(sessions)
     if not sessions:
-        raise ValueError("at least one session is required")
+        raise DataError("at least one session is required")
     for s in sessions:
         if not isinstance(s, Session):
             raise TypeError(f"expected Session, got {type(s).__name__}")
     usable = training_sessions(sessions)
     if not usable:
-        raise ValueError("no session has length >= 2")
+        raise DataError("no session has length >= 2")
     return usable
 
 

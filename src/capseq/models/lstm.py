@@ -18,9 +18,8 @@ weight is a separate block. Peepholes (w_c*) are diagonal and read the
 previous memory cell. With unit attribute gates, zero features and zero
 peepholes this is the textbook LSTM cell.
 
-Only the cell lives here: the public step, the sequence losses and the
-output-layer backward are those of ``training.RecurrentNet``, shared
-with ``ContextRnn``.
+Only the cell lives here, its step and that step's backward; the rest
+is ``training.RecurrentNet``'s, shared with ``ContextRnn``.
 """
 
 from __future__ import annotations
@@ -97,58 +96,46 @@ class ContextLstm(RecurrentNet):
             cache.append((x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h))
         return (h, c), logits
 
-    # an entry in this class's own __dict__: the benchmark tracer wraps it per class
+    # entries in this class's own __dict__: the benchmark tracer wraps them per class
     forward_step = RecurrentNet.forward_step
+    loss_and_grads = RecurrentNet.loss_and_grads
 
     # -- backward ----------------------------------------------------------
 
-    def loss_and_grads(self, batch):
+    def _step_backward(self, cache, dh, carry, batch, t, grads):
         p = self.params
-        B, T = batch.inputs.shape
-        steps = self._forward_sequence(batch, collect_cache=True)
+        x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h = cache[0]
+        dh_next, dc_next = carry
+        dh = dh + dh_next
 
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-        dh_next = np.zeros((B, self.hidden_size))
-        dc_next = np.zeros((B, self.hidden_size))
-        loss = 0.0
-        for t in range(T - 1, -1, -1):
-            probs, cache = steps[t]
-            x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h = cache[0]
-            loss += self._step_nll(probs, batch, t)
-            dh = self._output_backward(probs, batch, t, h, grads) + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        di = dc * z
+        dz = dc * i
+        df = dc * c_prev
+        dc_prev = dc * f
 
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            di = dc * z
-            dz = dc * i
-            df = dc * c_prev
-            dc_prev = dc * f
-
-            dpre = {
-                "i": di * i * (1.0 - i),
-                "f": df * f * (1.0 - f),
-                "z": dz * (1.0 - z * z),
-                "o": do * o * (1.0 - o),
-            }
-            dhg = np.zeros_like(h_prev)
-            dx = np.zeros_like(x)
-            attrs_t = batch.attrs[:, t, :]
-            for g in GATES:
-                d = dpre[g]
-                grads[f"Wx{g}"] += d.T @ x
-                grads[f"Wh{g}"] += d.T @ hg
-                grads[f"b{g}"] += d.sum(axis=0)
-                if g != "z":
-                    grads[f"wc{g}"] += (d * c_prev).sum(axis=0)
-                    dc_prev = dc_prev + d * p[f"wc{g}"]
-                grads["Wq"] += d.T @ batch.feats
-                dhg += d @ p[f"Wh{g}"]
-                dx += d @ p[f"Wx{g}"]
-            dh_next = dhg * gate_a
-            dgate = dhg * h_prev
-            dza = dgate * gate_a * (1.0 - gate_a)
-            grads["P"] += dza.T @ attrs_t
-            grads["pb"] += dza.sum(axis=0)
-            dc_next = dc_prev
-            np.add.at(grads["emb"], batch.inputs[:, t], dx)
-        return loss / B, grads
+        dpre = {
+            "i": di * i * (1.0 - i),
+            "f": df * f * (1.0 - f),
+            "z": dz * (1.0 - z * z),
+            "o": do * o * (1.0 - o),
+        }
+        dhg = np.zeros_like(h_prev)
+        dx = np.zeros_like(x)
+        for g in GATES:
+            d = dpre[g]
+            grads[f"Wx{g}"] += d.T @ x
+            grads[f"Wh{g}"] += d.T @ hg
+            grads[f"b{g}"] += d.sum(axis=0)
+            if g != "z":
+                grads[f"wc{g}"] += (d * c_prev).sum(axis=0)
+                dc_prev = dc_prev + d * p[f"wc{g}"]
+            grads["Wq"] += d.T @ batch.feats
+            dhg += d @ p[f"Wh{g}"]
+            dx += d @ p[f"Wx{g}"]
+        dgate = dhg * h_prev
+        dza = dgate * gate_a * (1.0 - gate_a)
+        grads["P"] += dza.T @ batch.attrs[:, t, :]
+        grads["pb"] += dza.sum(axis=0)
+        return (dhg * gate_a, dc_prev), dx

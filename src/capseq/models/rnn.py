@@ -16,9 +16,8 @@ truncation is applied within the capped session length.
 
 Shapes: batch-major. ``state`` is a list of (B, H) arrays per layer;
 inputs are (B,) int indices; attribute/feature inputs are (B, A) and
-(B, F). Only the cell lives here: the constructor, the public step, the
-sequence losses and the output-layer backward are those of
-``training.RecurrentNet``, shared with ``ContextLstm``.
+(B, F). Only the cell lives here, its step and that step's backward;
+the rest is ``training.RecurrentNet``'s, shared with ``ContextLstm``.
 """
 
 from __future__ import annotations
@@ -82,46 +81,32 @@ class ContextRnn(RecurrentNet):
             logits = logits + feats @ p["G"].T
         return new_state, logits
 
-    # an entry in this class's own __dict__: the benchmark tracer wraps it per class
+    # entries in this class's own __dict__: the benchmark tracer wraps them per class
     forward_step = RecurrentNet.forward_step
+    loss_and_grads = RecurrentNet.loss_and_grads
 
     # -- backward ----------------------------------------------------------
 
-    def loss_and_grads(self, batch):
+    def _step_backward(self, cache, dh, carry, batch, t, grads):
         p = self.params
-        B, T = batch.inputs.shape
-        steps = self._forward_sequence(batch, collect_cache=True)
-
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
-        carry = [np.zeros((B, self.hidden_size)) for _ in range(self.n_layers)]
-        loss = 0.0
-        for t in range(T - 1, -1, -1):
-            probs, cache = steps[t]
-            loss += self._step_nll(probs, batch, t)
-            dh = self._output_backward(probs, batch, t, cache[-1][4], grads)
-
-            attrs_t = batch.attrs[:, t, :]
-            for layer in range(self.n_layers - 1, -1, -1):
-                layer_in, h_prev, gate, rec, h = cache[layer]
-                dh_total = dh + carry[layer]
-                dpre = dh_total * (1.0 - h * h)
-                grads[f"U{layer}"] += dpre.T @ layer_in
-                grads[f"W{layer}"] += dpre.T @ rec
-                grads[f"b{layer}"] += dpre.sum(axis=0)
-                if self.contextual:
-                    grads[f"F{layer}"] += dpre.T @ batch.feats
-                drec = dpre @ p[f"W{layer}"]
-                if self.contextual:
-                    carry[layer] = drec * gate
-                    dgate = drec * h_prev
-                    dz = dgate * gate * (1.0 - gate)
-                    grads[f"P{layer}"] += dz.T @ attrs_t
-                    grads[f"pb{layer}"] += dz.sum(axis=0)
-                else:
-                    carry[layer] = drec
-                dx = dpre @ p[f"U{layer}"]
-                if layer > 0:
-                    dh = dx
-                else:
-                    np.add.at(grads["emb"], batch.inputs[:, t], dx)
-        return loss / B, grads
+        attrs_t = batch.attrs[:, t, :]
+        for layer in range(self.n_layers - 1, -1, -1):
+            layer_in, h_prev, gate, rec, h = cache[layer]
+            dh_total = dh + carry[layer]
+            dpre = dh_total * (1.0 - h * h)
+            grads[f"U{layer}"] += dpre.T @ layer_in
+            grads[f"W{layer}"] += dpre.T @ rec
+            grads[f"b{layer}"] += dpre.sum(axis=0)
+            if self.contextual:
+                grads[f"F{layer}"] += dpre.T @ batch.feats
+            drec = dpre @ p[f"W{layer}"]
+            if self.contextual:
+                carry[layer] = drec * gate
+                dgate = drec * h_prev
+                dz = dgate * gate * (1.0 - gate)
+                grads[f"P{layer}"] += dz.T @ attrs_t
+                grads[f"pb{layer}"] += dz.sum(axis=0)
+            else:
+                carry[layer] = drec
+            dh = dpre @ p[f"U{layer}"]
+        return carry, dh

@@ -38,14 +38,18 @@ class Batch:
 
 
 class RecurrentNet:
-    """Scaffold shared by ``ContextRnn`` and ``ContextLstm``.
+    """Scaffold shared by ``ContextRnn`` and ``ContextLstm``: the public
+    step, the sequence losses, the output layer's backward and the loop of
+    backpropagation through time.
 
-    Subclasses supply ``_init_params(rng)``, ``init_state(batch_size)``,
+    Each cell supplies ``_init_params(rng)``, ``init_state(batch_size)``,
     ``_step(state, inputs, attrs, feats, cache)`` returning
-    ``(new_state, logits)``, and ``loss_and_grads(batch)``, whose cell
-    backward starts from ``_output_backward``. The constructor defaults
-    are the multi-layer RNN's. Index ``n_pois`` is the padding token
-    (extra embedding row, never a valid output class).
+    ``(new_state, logits)``, whose cache ends with the top hidden state,
+    and ``_step_backward(cache, dh, carry, batch, t, grads) -> (carry,
+    dx)``: from the top state's loss gradient and the state gradient of
+    step ``t + 1`` it adds step ``t``'s cell grads and returns the state
+    and input-embedding gradients of step ``t``. Index ``n_pois`` is the
+    padding token (extra embedding row, never a valid output class).
     """
 
     def __init__(
@@ -97,18 +101,30 @@ class RecurrentNet:
         picked = probs[np.arange(len(probs)), batch.targets[:, t]]
         return float(np.sum(-np.log(np.maximum(picked, 1e-300)) * batch.mask[:, t]))
 
-    def _output_backward(self, probs, batch, t, top_h, grads):
-        """Add step ``t``'s output-layer grads (V, c, G) to ``grads``;
-        returns the loss gradient w.r.t. the top hidden state."""
-        B = len(probs)
-        dlogits = probs.copy()
-        dlogits[np.arange(B), batch.targets[:, t]] -= 1.0
-        dlogits *= (batch.mask[:, t] / B)[:, None]
-        grads["V"] += dlogits.T @ top_h
-        grads["c"] += dlogits.sum(axis=0)
-        if self.contextual:
-            grads["G"] += dlogits.T @ batch.feats
-        return dlogits @ self.params["V"]
+    def loss_and_grads(self, batch):
+        """Mean per-sequence NLL of ``batch`` and its gradient w.r.t. every
+        parameter block, by full backpropagation through time."""
+        p = self.params
+        B, T = batch.inputs.shape
+        steps = self._forward_sequence(batch, collect_cache=True)
+
+        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+        carry = self.init_state(B)
+        loss = 0.0
+        rows = np.arange(B)
+        for t in range(T - 1, -1, -1):
+            probs, cache = steps[t]
+            loss += self._step_nll(probs, batch, t)
+            dlogits = probs.copy()
+            dlogits[rows, batch.targets[:, t]] -= 1.0
+            dlogits *= (batch.mask[:, t] / B)[:, None]
+            grads["V"] += dlogits.T @ cache[-1][-1]
+            grads["c"] += dlogits.sum(axis=0)
+            if self.contextual:
+                grads["G"] += dlogits.T @ batch.feats
+            carry, dx = self._step_backward(cache, dlogits @ p["V"], carry, batch, t, grads)
+            np.add.at(grads["emb"], batch.inputs[:, t], dx)
+        return loss / B, grads
 
     def batch_nll(self, batch) -> float:
         """Mean (over sequences) of the per-sequence summed negative

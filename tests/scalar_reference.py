@@ -43,6 +43,12 @@ check-ins grouped by user, each user's sorted by time, and one such
 distance per consecutive pair; ``TravelTimeModel.fit`` must give its
 ``log_mu`` bit for bit.
 
+``rnn_loss_and_grads`` and ``lstm_loss_and_grads`` are the earlier
+per-cell backpropagation through time, each loop over the steps written
+out around its own cell with the output-layer backward inline; the one
+loop of ``RecurrentNet.loss_and_grads`` must give their loss and every
+gradient block bit for bit.
+
 Every sum of Python floats here adds left to right from 0.0, with
 ``left_to_right``, so the oracle's bits do not depend on the Python
 version.
@@ -65,6 +71,7 @@ from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_m
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
 from capseq.geo import EARTH_RADIUS_KM, WALK_SPEED_KMH, haversine_km, travel_seconds
 from capseq.models import MAX_STEPS, Batch
+from capseq.models.lstm import GATES
 
 
 def left_to_right(values) -> float:
@@ -684,3 +691,111 @@ def travel_log_mu(records) -> float | None:
             if dist > 0.05 and gap > 0:
                 samples.append(math.log(gap / dist))
     return statistics.fmean(samples) if samples else None
+
+
+def _output_backward(net, probs, batch, t, top_h, grads):
+    """Add step ``t``'s output-layer grads (V, c, G) to ``grads``;
+    returns the loss gradient w.r.t. the top hidden state."""
+    B = len(probs)
+    dlogits = probs.copy()
+    dlogits[np.arange(B), batch.targets[:, t]] -= 1.0
+    dlogits *= (batch.mask[:, t] / B)[:, None]
+    grads["V"] += dlogits.T @ top_h
+    grads["c"] += dlogits.sum(axis=0)
+    if net.contextual:
+        grads["G"] += dlogits.T @ batch.feats
+    return dlogits @ net.params["V"]
+
+
+def rnn_loss_and_grads(net, batch):
+    """``ContextRnn.loss_and_grads``: mean NLL and gradients by BPTT."""
+    p = net.params
+    B, T = batch.inputs.shape
+    steps = net._forward_sequence(batch, collect_cache=True)
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    carry = [np.zeros((B, net.hidden_size)) for _ in range(net.n_layers)]
+    loss = 0.0
+    for t in range(T - 1, -1, -1):
+        probs, cache = steps[t]
+        loss += net._step_nll(probs, batch, t)
+        dh = _output_backward(net, probs, batch, t, cache[-1][4], grads)
+
+        attrs_t = batch.attrs[:, t, :]
+        for layer in range(net.n_layers - 1, -1, -1):
+            layer_in, h_prev, gate, rec, h = cache[layer]
+            dh_total = dh + carry[layer]
+            dpre = dh_total * (1.0 - h * h)
+            grads[f"U{layer}"] += dpre.T @ layer_in
+            grads[f"W{layer}"] += dpre.T @ rec
+            grads[f"b{layer}"] += dpre.sum(axis=0)
+            if net.contextual:
+                grads[f"F{layer}"] += dpre.T @ batch.feats
+            drec = dpre @ p[f"W{layer}"]
+            if net.contextual:
+                carry[layer] = drec * gate
+                dgate = drec * h_prev
+                dz = dgate * gate * (1.0 - gate)
+                grads[f"P{layer}"] += dz.T @ attrs_t
+                grads[f"pb{layer}"] += dz.sum(axis=0)
+            else:
+                carry[layer] = drec
+            dx = dpre @ p[f"U{layer}"]
+            if layer > 0:
+                dh = dx
+            else:
+                np.add.at(grads["emb"], batch.inputs[:, t], dx)
+    return loss / B, grads
+
+
+def lstm_loss_and_grads(net, batch):
+    """``ContextLstm.loss_and_grads``: mean NLL and gradients by BPTT."""
+    p = net.params
+    B, T = batch.inputs.shape
+    steps = net._forward_sequence(batch, collect_cache=True)
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    dh_next = np.zeros((B, net.hidden_size))
+    dc_next = np.zeros((B, net.hidden_size))
+    loss = 0.0
+    for t in range(T - 1, -1, -1):
+        probs, cache = steps[t]
+        x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h = cache[0]
+        loss += net._step_nll(probs, batch, t)
+        dh = _output_backward(net, probs, batch, t, h, grads) + dh_next
+
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        di = dc * z
+        dz = dc * i
+        df = dc * c_prev
+        dc_prev = dc * f
+
+        dpre = {
+            "i": di * i * (1.0 - i),
+            "f": df * f * (1.0 - f),
+            "z": dz * (1.0 - z * z),
+            "o": do * o * (1.0 - o),
+        }
+        dhg = np.zeros_like(h_prev)
+        dx = np.zeros_like(x)
+        attrs_t = batch.attrs[:, t, :]
+        for g in GATES:
+            d = dpre[g]
+            grads[f"Wx{g}"] += d.T @ x
+            grads[f"Wh{g}"] += d.T @ hg
+            grads[f"b{g}"] += d.sum(axis=0)
+            if g != "z":
+                grads[f"wc{g}"] += (d * c_prev).sum(axis=0)
+                dc_prev = dc_prev + d * p[f"wc{g}"]
+            grads["Wq"] += d.T @ batch.feats
+            dhg += d @ p[f"Wh{g}"]
+            dx += d @ p[f"Wx{g}"]
+        dh_next = dhg * gate_a
+        dgate = dhg * h_prev
+        dza = dgate * gate_a * (1.0 - gate_a)
+        grads["P"] += dza.T @ attrs_t
+        grads["pb"] += dza.sum(axis=0)
+        dc_next = dc_prev
+        np.add.at(grads["emb"], batch.inputs[:, t], dx)
+    return loss / B, grads

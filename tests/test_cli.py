@@ -241,6 +241,24 @@ def _first_session_times(change):
     return _with_first_session(change_times)
 
 
+def _encoding_index(kind: str, change):
+    """Dataset edit: ``change`` maps the index 1 of the ``kind`` map of
+    ``encodings.json``."""
+    def edit(raw: bytes) -> bytes:
+        encodings = json.loads(raw)
+        labels = encodings[kind]
+        label = next(label for label, ix in labels.items() if ix == 1)
+        labels[label] = change(1)
+        return json.dumps(encodings).encode("utf-8")
+    return edit
+
+
+# five sessions of user 0, each of one visit: nothing to train on
+SINGLE_VISIT_SESSIONS = "".join(
+    json.dumps({"user": 0, "pois": [day % 3], "arrivals": [1330905600 + 86400 * day],
+                "departures": [1330905600 + 86400 * day + 600]}) + "\n"
+    for day in range(5))
+
 CHECKINS = ("userid,placeid,datetime,lat,lon,city,category\n"
             "u1,p1,1330905600,40.0,-74.0,,Food\n")
 LONG_FIELD = "x" * 200_000  # over csv.field_size_limit(), 131,072 by default
@@ -355,6 +373,21 @@ BAD_INPUTS = {
     "ingest-negative-min-checkins": (
         {"c.csv": CHECKINS},
         ["ingest", "--checkins", "{tmp}/c.csv", "--min-checkins", "-5"], 1),
+    "encodings-user-index-past-end": (
+        {"ds/encodings.json": _encoding_index("users", lambda ix: ix + 100)},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "encodings-float-poi-index": (
+        {"ds/encodings.json": _encoding_index("pois", float)},
+        ["train", "--model", "plain-rnn", "--data-dir", "{tmp}/ds"], 2),
+    "encodings-bool-category-index": (
+        {"ds/encodings.json": _encoding_index("categories", lambda ix: True)},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "train-no-session-of-two-visits": (
+        {"ds/sessions.jsonl": SINGLE_VISIT_SESSIONS},
+        ["train", "--model", "caps-rnn", "--data-dir", "{tmp}/ds"], 2),
+    "evaluate-no-session-of-two-visits": (
+        {"ds/sessions.jsonl": SINGLE_VISIT_SESSIONS},
+        ["evaluate", "--models", "caps-rnn,markov", "--data-dir", "{tmp}/ds"], 2),
     "dataset-without-pois": (
         {"ds/encodings.json": '{"pois": {}, "categories": {}, "users": {}}',
          "ds/sessions.jsonl": ""},
@@ -415,8 +448,9 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
         assert err.startswith("config error:"), err
     if "--tables" in argv:
         assert err.startswith("usage error: unrecognized arguments: --tables"), err
-    if callable(files.get("ds/sessions.jsonl")):  # an edited session line
-        assert err.startswith(f"data error: {tmp_path / 'ds' / 'sessions.jsonl'}:"), err
+    for name, content in files.items():
+        if name.startswith("ds/") and callable(content):  # an edit of a dataset file
+            assert err.startswith(f"data error: {tmp_path / name}:"), err
 
 
 def _sweep_csv(length: str) -> str:

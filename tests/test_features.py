@@ -581,6 +581,7 @@ BAD_FILES = {
     "binary-tables": "\udcff\udcfe",
     "tables-json-a-list": "[]",
     "tables-category-past-end": _category_past_end,
+    "tables-bool-category": lambda t: t["poi_cat"].__setitem__(0, True),
     "tables-without-encodings": lambda tables: tables.pop("encodings"),
     "tables-infinite-stay-means": _infinite_stay_means,
     "tables-nan-coordinate": _nan_coordinate,
@@ -666,6 +667,22 @@ class TestLoad:
             content(tables)
             content = json.dumps(tables)
         path.write_text(content, encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(ValueError):
+            FeatureTables.load(path)
+
+    @pytest.mark.parametrize("number", NUMBERS, ids=repr)
+    @pytest.mark.parametrize("kind", ["pois", "categories", "users"])
+    def test_refuses_an_index_that_is_not_one(self, kind, number, synth_tables, tmp_path):
+        """An encoded index written as NaN, ±inf, -1, 1e308, 0.0 or true
+        is refused. 0.0 and true replace the index they equal, 0 and 1, so
+        the label map stays one-to-one."""
+        path = tmp_path / "tables.json"
+        synth_tables.save(path)
+        tables = json.loads(path.read_text(encoding="utf-8"))
+        labels = tables["encodings"][kind]
+        at = number if number in (0, 1) else 0
+        labels[next(label for label, ix in labels.items() if ix == at)] = number
+        path.write_text(json.dumps(tables), encoding="utf-8")
         with pytest.raises(ValueError):
             FeatureTables.load(path)
 

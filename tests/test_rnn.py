@@ -8,7 +8,8 @@ import pytest
 from capseq import numerics
 from finite_diff import grad_check
 from capseq.models import Batch, train
-from scalar_reference import EncodedSequence, make_batch
+from scalar_reference import (EncodedSequence, lstm_loss_and_grads, make_batch,
+                              rnn_loss_and_grads)
 from capseq.models.lstm import ContextLstm
 from capseq.models.rnn import ContextRnn
 
@@ -23,6 +24,18 @@ SHARED_NETS = {
 }
 over_shared_nets = pytest.mark.parametrize(
     "make_net", list(SHARED_NETS.values()), ids=list(SHARED_NETS))
+
+# the recurrent models over 6 POIs, each with its per-cell BPTT oracle
+ORACLE_NETS = {
+    "plain-rnn": (lambda: ContextRnn(6, hidden_size=5, n_layers=2, embedding_size=4,
+                                     contextual=False, seed=3), rnn_loss_and_grads),
+    "caps-rnn-1-layer": (lambda: ContextRnn(6, hidden_size=5, n_layers=1,
+                                            embedding_size=4, seed=4), rnn_loss_and_grads),
+    "caps-rnn-3-layers": (lambda: ContextRnn(6, hidden_size=5, n_layers=3,
+                                             embedding_size=4, seed=5), rnn_loss_and_grads),
+    "caps-lstm": (lambda: ContextLstm(6, hidden_size=5, embedding_size=4, seed=6),
+                  lstm_loss_and_grads),
+}
 
 
 def sequence_nll(net, inputs, targets, attrs, feat) -> float:
@@ -257,6 +270,33 @@ class TestBackward:
         assert loss1 == pytest.approx(loss2, rel=1e-12)
         for name in grads1:
             np.testing.assert_allclose(grads1[name], grads2[name], rtol=1e-9, atol=1e-12)
+
+
+class TestScaffoldBackward:
+    """The one BPTT loop of ``RecurrentNet.loss_and_grads`` gives the loss
+    and every gradient block of the per-cell loops it replaced, bit for
+    bit, on padded batches with masked steps and on a batch of one."""
+
+    @pytest.mark.parametrize("lengths", [(4, 1, 6, 2, 3), (3, 3, 3), (5,)],
+                             ids=["padded", "unpadded", "batch-of-one"])
+    @pytest.mark.parametrize("name", list(ORACLE_NETS))
+    def test_equals_per_cell_bptt(self, name, lengths):
+        make_net, oracle = ORACLE_NETS[name]
+        net = make_net()
+        rng = np.random.default_rng(len(lengths))
+        for block in net.params.values():  # peepholes and biases start at 0 or 1
+            block += 0.3 * rng.normal(size=block.shape)
+        batch = make_batch([
+            EncodedSequence(rng.integers(0, 6, size=T), rng.integers(0, 6, size=T),
+                            rng.normal(size=(T, ADIM)), rng.normal(size=FDIM))
+            for T in lengths
+        ], net.pad_ix)
+        loss, grads = net.loss_and_grads(batch)
+        want_loss, want = oracle(net, batch)
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        differ = [block for block in want if grads[block].tobytes() != want[block].tobytes()]
+        assert not differ, differ
 
 
 class TestTrain:
