@@ -137,8 +137,7 @@ def apriori_search(tables: FeatureTables, neighbours: Neighbours, preferences: n
         pois, hours, travel, score = map(np.concatenate, zip(*dead))
     top = _ranked(pois, travel, score)[:k]
     return [
-        GeneratedSequence(pois=p[p >= 0].tolist(), step_probs=[], score=s,
-                          hours=h[p >= 0].tolist())
+        GeneratedSequence(pois=p[p >= 0].tolist(), score=s, hours=h[p >= 0].tolist())
         for p, h, s in zip(pois[top], hours[top], score[top].tolist())
     ]
 

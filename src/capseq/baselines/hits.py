@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..data.types import visit_arrays
-from ..generation import GenRequest, GeneratedSequence, advance_hours, top_k
+from ..generation import GenRequest, ranked
 from ..geo import haversine_km
 from ..models.base import SequenceRecommender, check_positive
 from ..numerics import sequential_sum
@@ -156,14 +156,8 @@ class HitsRecommender(SequenceRecommender):
         if not pool:
             # no observed window of this length starts here: repeat the most
             # authoritative POIs of the region after the start
-            ranked = model.region_ranked[model.region_of_poi[request.start_poi]]
-            filler = [l for l in ranked if l != request.start_poi] or [request.start_poi]
+            region = model.region_ranked[model.region_of_poi[request.start_poi]]
+            filler = [l for l in region if l != request.start_poi] or [request.start_poi]
             pool = [(request.start_poi, *(filler * request.length)[: request.length - 1])]
         scores = [sequence_score(model, pois) for pois in pool]
-        top = top_k(scores, request.k)
-        # every window has request.length stops: one read for all of them
-        hours = advance_hours(self.tables_, [pool[i] for i in top], request.start_hour)
-        return [
-            GeneratedSequence(pois=list(pool[i]), step_probs=[], score=scores[i], hours=h)
-            for i, h in zip(top, hours)
-        ]
+        return ranked(request, self.tables_, pool, scores=scores)

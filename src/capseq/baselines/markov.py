@@ -16,13 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..data.types import visit_arrays
-from ..generation import (
-    GenRequest,
-    GeneratedSequence,
-    advance_hours,
-    rank_sequences,
-    sample_rows,
-)
+from ..generation import GenRequest, ranked, sample_rows
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
 from ..models.base import SequenceRecommender, check_non_negative
 
@@ -90,9 +84,10 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
 
 
 def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
-                 rngs) -> list:
+                 rngs) -> np.ndarray:
     """One POI walk per RNG stream from ``start`` on the user's chain, all
-    of them stepping as one batch; row ``b`` draws all its uniforms from ``rngs[b]``."""
+    of them stepping as one batch, as a (streams, length) array; row ``b``
+    draws all its uniforms from ``rngs[b]``."""
     chain = model.chain_for(user, start)
     unseen = start not in chain.index  # unseen even in the population chain
     draws = np.array([rng.random(length - 1 + unseen) for rng in rngs])
@@ -104,7 +99,7 @@ def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
     for t in range(length - 1):
         current = sample_rows(chain.transition[current], draws[:, unseen + t])
         walks[:, t + 1] = alphabet[current]
-    return walks.tolist()
+    return walks
 
 
 @dataclass(eq=False, kw_only=True)
@@ -121,15 +116,8 @@ class MarkovRecommender(SequenceRecommender):
 
     def generate(self, request: GenRequest, seed: int = 0):
         self._check_fitted("model_", "tables_")
-        tables = self.tables_
         walks = markov_walks(
             self.model_, request.user, request.start_poi, request.length,
             [np.random.default_rng([seed, cand]) for cand in range(request.candidates)],
         )
-        # every walk has request.length stops: one read for all of them
-        hours = advance_hours(tables, walks, request.start_hour)
-        return rank_sequences(
-            [GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=h)
-             for pois, h in zip(walks, hours)],
-            request, tables,
-        )
+        return ranked(request, self.tables_, walks)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.types import visit_arrays
-from ..generation import GenRequest, GeneratedSequence, advance_hours, rank_sequences
+from ..generation import GenRequest, ranked
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
 from ..models.base import SequenceRecommender, check_positive
 
@@ -82,6 +82,4 @@ class PopularityRecommender(SequenceRecommender):
             exclusions.add(nxt)
             current = nxt
             pois.append(nxt)
-        hours = advance_hours(tables, [pois], request.start_hour)[0]
-        seq = GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=hours)
-        return rank_sequences([seq], request, tables)
+        return ranked(request, tables, [pois])

@@ -31,6 +31,7 @@ from .data import (
     ParseResult,
     SocialGraph,
     TravelTimeModel,
+    UnknownIdError,
     build_sessions,
     io as dataio,
     parse_checkins,
@@ -426,23 +427,27 @@ def cmd_report(args) -> int:
         result = read_report_csv(Path(args.eval_csv).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or a cell that is not a number
         raise DataError(f"{args.eval_csv}: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"{args.eval_csv}: missing column {exc}") from exc
     out = _out_dir(cfg)
     tables_text = text_tables(result)
     (out / "report.txt").write_text(tables_text, encoding="utf-8")
     print(tables_text)
 
     if args.sweep_csv:
+        plots: dict[str, list] = {}
         try:
             rows = csv_rows(Path(args.sweep_csv).read_text(encoding="utf-8"))
             rows.sort(key=lambda r: int(r["length"]))
+            for row in rows:
+                plots.setdefault(row["model"], ["length,diversity,displacement_mean_km"]).append(
+                    f"{row['length']},{row['diversity']},{row['displacement_mean_km']}")
         except ValueError as exc:  # not UTF-8, or a length that is not an integer
             raise DataError(f"{args.sweep_csv}: {exc}") from exc
-        for model in sorted({row["model"] for row in rows}):
+        except KeyError as exc:
+            raise DataError(f"{args.sweep_csv}: missing column {exc}") from exc
+        for model, lines in sorted(plots.items()):
             path = out / f"sweep_{model}.csv"
-            lines = ["length,diversity,displacement_mean_km"] + [
-                f"{row['length']},{row['diversity']},{row['displacement_mean_km']}"
-                for row in rows if row["model"] == model
-            ]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"report: plot data -> {path}")
     return EXIT_OK
@@ -474,7 +479,7 @@ def main(argv=None) -> int:
     except configmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, KeyError) as exc:
+    except (DataError, FileNotFoundError, UnknownIdError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, NumericError, FloatingPointError) as exc:

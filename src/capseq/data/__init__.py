@@ -5,6 +5,7 @@ from .types import (
     Poi,
     Session,
     SocialGraph,
+    UnknownIdError,
     Visit,
     visit_arrays,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "Session",
     "SocialGraph",
     "TravelTimeModel",
+    "UnknownIdError",
     "Visit",
     "DEFAULT_MIN_CHECKINS",
     "SESSION_WINDOW_SECONDS",

@@ -12,6 +12,11 @@ class DataError(ValueError):
     """Raised when input data violates a structural requirement."""
 
 
+class UnknownIdError(KeyError):
+    """Raised for a POI, category or user id, or a POI index, that the
+    encodings do not hold: they are closed-world."""
+
+
 # 9999-12-31T23:59:59Z, the last second an ISO-8601 check-in time can name
 MAX_TIMESTAMP = 253402300799
 
@@ -130,6 +135,10 @@ class Encodings:
         if poi_coords is not None:
             if any(isinstance(c, (bool, np.bool_)) for c in poi_cat):  # asarray reads True as 1
                 raise DataError("poi_cat: holds a value that is not an index")
+            # a float array reads true as 1.0 and "40.7" as 40.7
+            if any(isinstance(c, bool) or not isinstance(c, (int, float, np.number))
+                   for c in np.asarray(poi_coords, dtype=object).ravel().tolist()):
+                raise DataError("poi_coords: holds a value that is not a number")
             coords, cats = np.array(poi_coords, dtype=float), np.asarray(poi_cat)
             n, n_cats = self.n_pois, self.n_categories
             if coords.shape != (n, 2) or cats.shape != (n,):
@@ -184,19 +193,19 @@ class Encodings:
         try:
             return self.poi_to_ix[poi_id]
         except KeyError:
-            raise KeyError(f"unknown POI id {poi_id!r}: encodings are closed-world")
+            raise UnknownIdError(f"unknown POI id {poi_id!r}: encodings are closed-world")
 
     def category(self, cat: str) -> int:
         try:
             return self.cat_to_ix[cat]
         except KeyError:
-            raise KeyError(f"unknown category {cat!r}: encodings are closed-world")
+            raise UnknownIdError(f"unknown category {cat!r}: encodings are closed-world")
 
     def user(self, user_id: str) -> int:
         try:
             return self.user_to_ix[user_id]
         except KeyError:
-            raise KeyError(f"unknown user id {user_id!r}: encodings are closed-world")
+            raise UnknownIdError(f"unknown user id {user_id!r}: encodings are closed-world")
 
     def to_dict(self) -> dict:
         return {
@@ -231,7 +240,7 @@ def visit_arrays(sessions: Iterable[Session], encodings: Encodings) -> tuple:
         for visit in session.visits:
             poi_id = visit.poi.poi_id
             users.append(u)
-            # an unknown id raises the closed-world KeyError of Encodings.poi
+            # an unknown id raises the closed-world UnknownIdError of Encodings.poi
             pois.append(poi_ix[poi_id] if poi_id in poi_ix else encodings.poi(poi_id))
             arrivals.append(visit.arrival)
             departures.append(visit.departure)

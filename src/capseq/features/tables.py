@@ -36,7 +36,8 @@ import numpy as np
 
 from ..geo import arc_km, haversine_km, place
 from ..numerics import sequential_sum
-from ..data.types import DataError, Encodings, Session, SocialGraph, visit_arrays
+from ..data.types import (
+    DataError, Encodings, Session, SocialGraph, UnknownIdError, visit_arrays)
 
 HOURS = 24
 # attribute vector: 6 scalars + 24 hourly popularity entries
@@ -451,27 +452,27 @@ class FeatureTables:
 
     def expected_feature(self, u: int | None, start_ix: int, hour: int) -> np.ndarray:
         """Best historical estimate of the sequence features for a
-        rollout from (user, start POI, hour)."""
+        rollout from (user, start POI, hour); with no history, the end of
+        the sequence is unknown, so the end fields anchor to the start."""
         self._check_poi(start_ix)
-        bucket = (int(hour) % HOURS) // self.HOUR_BUCKET
+        cat, h = float(self.poi_cat[start_ix]), float(int(hour) % HOURS)
+        bucket = int(h) // self.HOUR_BUCKET
         for key in ((u, start_ix, bucket), (u, bucket), (u,)):
             vec = self._session_features.get(key)
             if vec is not None:
                 out = vec.copy()
-                out[0] = float(self.poi_cat[start_ix])
-                out[2] = float(start_ix)
-                out[5] = float(int(hour) % HOURS)
+                out[[0, 2, 5]] = cat, float(start_ix), h
                 return out
-        return self.feature_vector_for_start(start_ix, hour)
+        return np.array([cat, cat, float(start_ix), float(start_ix), 0.0, h, h])
 
     # -- lookups ---------------------------------------------------------
 
     def _check_poi(self, poi_ix: int) -> None:
         if not 0 <= poi_ix < self.n_pois:
-            raise KeyError(f"unknown poi index {poi_ix}: encodings are closed-world")
+            raise UnknownIdError(f"unknown poi index {poi_ix}: encodings are closed-world")
 
     def _pois(self, poi_ix) -> np.ndarray:
-        """A POI index or index array as an int64 array; ``KeyError``
+        """A POI index or index array as an int64 array; ``UnknownIdError``
         names the first index out of range."""
         pois = np.asarray(poi_ix, dtype=np.int64)
         unsigned = pois.view(np.uint64)  # negatives wrap past the last POI
@@ -612,14 +613,6 @@ class FeatureTables:
         feats = np.column_stack([self.poi_cat[start], self.poi_cat[end], start, end,
                                  np.array(mean_km, dtype=float), hours[first], hours[last]])
         return dist_prev, feats
-
-    def feature_vector_for_start(self, start_ix: int, hour: int) -> np.ndarray:
-        """Generation-time stand-in: the end of the sequence is unknown,
-        so end fields anchor to the start."""
-        self._check_poi(start_ix)
-        cat = float(self.poi_cat[start_ix])
-        h = float(int(hour) % HOURS)
-        return np.array([cat, cat, float(start_ix), float(start_ix), 0.0, h, h])
 
     # -- model input scaling ------------------------------------------------
     #

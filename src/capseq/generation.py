@@ -8,8 +8,11 @@ one ``forward_step``, one gather of attribute rows and one distance read,
 which advances the clock and is the next step's distance from the
 previous stop. Each candidate draws all its uniforms at once from its own
 stream, derived from (seed, candidate index), so each row is the rollout
-that candidate would make alone. The top k by summed preference score of
-their POIs are returned.
+that candidate would make alone.
+
+Every fixed-length recommender, these rollouts and the popularity,
+Markov and HITS baselines, hands its (candidates, length) POI array to
+``ranked``: the top k rows by summed preference score, best first.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ class GenRequest:
 @dataclass
 class GeneratedSequence:
     pois: list
-    step_probs: list
-    score: float
+    step_probs: list = field(default_factory=list)  # nothing fills it; perfbench/tests pass it
+    score: float = 0.0
     hours: list = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -94,15 +97,14 @@ def next_hour(hour, stay_s, travel_s):
     return (hour + (stay_s + travel_s) / 3600.0) % HOURS
 
 
-def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
-    """Roll out one candidate per RNG stream, all of them as one batch."""
+def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> tuple:
+    """Roll out one candidate per RNG stream, all of them as one batch:
+    the (candidates, length) arrays of their POIs and hours."""
     steps = request.length - 1
     draws = np.array([rng.random(steps) for rng in rngs])  # (candidates, steps)
     n = len(draws)
     pois = np.full((n, request.length), request.start_poi, dtype=np.int64)
     hours = np.full((n, request.length), first_hour(request.start_hour))
-    step_probs = np.empty((n, steps))
-    rows = np.arange(n)
     state = net.init_state(n)
     feat = tables.expected_feature(request.user, request.start_poi, int(hours[0, 0]))
     feats = np.repeat(feat[None, :] / tables.feature_scale, n, axis=0)
@@ -116,24 +118,20 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> list:
         p = probs
         if request.no_repeat:
             p = probs.copy()
-            p[rows[:, None], pois[:, : t + 1]] = 0.0  # the POIs visited so far
+            np.put_along_axis(p, pois[:, : t + 1], 0.0, axis=1)  # the POIs visited so far
             spent = p.sum(axis=1) <= 0
             p[spent] = probs[spent]  # everything visited: fall back to repeats
         nxt = sample_rows(p, draws[:, t])
         dist_prev = tables.distance_km(current, nxt)
         pois[:, t + 1] = nxt
-        step_probs[:, t] = probs[rows, nxt]
         hours[:, t + 1] = next_hour(clock, stay[current], travel_seconds(dist_prev))
-    return [
-        GeneratedSequence(pois=p, step_probs=sp, score=0.0, hours=h)
-        for p, sp, h in zip(pois.tolist(), step_probs.tolist(), hours.tolist())
-    ]
+    return pois, hours
 
 
-def advance_hours(tables: FeatureTables, seqs, start_hour: float) -> list:
-    """Hour of day at each POI of each of the equally long sequences
-    ``seqs``, one list per sequence, from one read of the tables."""
-    pois = np.asarray(seqs, dtype=np.int64)
+def advance_hours(tables: FeatureTables, pois, start_hour: float) -> np.ndarray:
+    """Hour of day at each stop of each row of the (n, length) POI array
+    ``pois``, as an (n, length) array, from one read of the tables."""
+    pois = np.asarray(pois, dtype=np.int64)
     travel = travel_seconds(tables.distance_km(pois[:, :-1], pois[:, 1:])).tolist()
     out = []
     for stays, walks in zip(tables.stay.mean_stay[pois[:, :-1]].tolist(), travel):
@@ -141,24 +139,20 @@ def advance_hours(tables: FeatureTables, seqs, start_hour: float) -> list:
         for stay_s, travel_s in zip(stays, walks):
             hours.append(next_hour(hours[-1], stay_s, travel_s))
         out.append(hours)
-    return out
+    return np.array(out)
 
 
-def score_sequence(seqs, user: int | None, tables: FeatureTables,
+def score_sequence(pois, hours, user: int | None, tables: FeatureTables,
                    consolidated: bool = False) -> list:
-    """Per sequence of ``seqs``, the sum of its POIs' preference scores at
-    the hour each is reached, from one read of the tables; optionally the
-    constraint-discounted variant."""
-    pois = np.array([poi for s in seqs for poi in s.pois], dtype=np.int64)
-    hours = np.array([hour for s in seqs for hour in s.hours], dtype=np.int64)
+    """Per row of the (n, length) arrays ``pois`` and ``hours``, the sum of
+    its POIs' preference scores at the hour each is reached, from one read
+    of the tables; for ``consolidated``, every stop but the first is
+    discounted against the one before it."""
+    pois = np.asarray(pois, dtype=np.int64)
     scores = tables.preference(user, pois, hours)
-    ends = np.cumsum([len(s.pois) for s in seqs]).tolist()
-    if consolidated:  # every stop but a sequence's first, against the one before
-        later = np.ones(len(pois), dtype=bool)
-        later[[0] + ends[:-1]] = False
-        scores[later] *= tables.discount(pois[later], pois[np.flatnonzero(later) - 1])
-    scores = scores.tolist()
-    return [sequential_sum(scores[start:end]) for start, end in zip([0] + ends, ends)]
+    if consolidated:
+        scores[:, 1:] *= tables.discount(pois[:, 1:], pois[:, :-1])
+    return [sequential_sum(row) for row in scores.tolist()]
 
 
 def top_k(scores, k: int) -> list:
@@ -167,23 +161,28 @@ def top_k(scores, k: int) -> list:
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
 
 
-def rank_sequences(seqs, request: GenRequest, tables: FeatureTables) -> list:
-    """The top ``request.k`` of ``seqs``, each scored by ``score_sequence``
-    (constraint-discounted for a consolidated request), best first; ties
-    keep the earlier candidate."""
-    scores = score_sequence(seqs, request.user, tables, request.consolidated)
-    for seq, score in zip(seqs, scores):
-        seq.score = score
-    return [seqs[i] for i in top_k(scores, request.k)]
+def ranked(request: GenRequest, tables: FeatureTables, pois, hours=None,
+           scores=None) -> list:
+    """The top ``request.k`` rows of the (candidates, length) POI array
+    ``pois`` as sequences, best first; a tie keeps the earlier row.
+    ``hours`` default to ``advance_hours`` of the rows and ``scores`` to
+    ``score_sequence``, discounted for a consolidated request; given
+    scores, only the top rows are clocked."""
+    pois = np.asarray(pois, dtype=np.int64)
+    if scores is None:
+        if hours is None:
+            hours = advance_hours(tables, pois, request.start_hour)
+        scores = score_sequence(pois, hours, request.user, tables, request.consolidated)
+    top = top_k(scores, request.k)
+    pois = pois[top]
+    hours = advance_hours(tables, pois, request.start_hour) if hours is None else hours[top]
+    return [GeneratedSequence(pois=p, score=scores[i], hours=h)
+            for i, p, h in zip(top, pois.tolist(), hours.tolist())]
 
 
-def generate(
-    net,
-    request: GenRequest,
-    tables: FeatureTables,
-    seed: int = 0,
-) -> list:
+def generate(net, request: GenRequest, tables: FeatureTables, seed: int = 0) -> list:
     """Top-k generated sequences, best score first; ties keep the
     earlier candidate."""
     rngs = [np.random.default_rng([seed, cand]) for cand in range(request.candidates)]
-    return rank_sequences(_rollout(net, request, tables, rngs), request, tables)
+    pois, hours = _rollout(net, request, tables, rngs)
+    return ranked(request, tables, pois, hours=hours)

@@ -203,11 +203,8 @@ def rollout(net, request, ref: ScalarTables, rngs) -> list:
     and one uniform drawn per stream and step; the clock is each
     sequence's list of hours."""
     tables = ref.tables
-    seqs = [
-        GeneratedSequence(pois=[request.start_poi], step_probs=[], score=0.0,
-                          hours=[first_hour(request.start_hour)])
-        for _ in rngs
-    ]
+    seqs = [GeneratedSequence(pois=[request.start_poi], hours=[first_hour(request.start_hour)])
+            for _ in rngs]
     state = net.init_state(len(seqs))
     feat = (
         tables.expected_feature(request.user, request.start_poi, int(seqs[0].hours[0]))
@@ -229,8 +226,7 @@ def rollout(net, request, ref: ScalarTables, rngs) -> list:
             spent = p.sum(axis=1) <= 0
             p[spent] = probs[spent]
         nxt = sample_rows(p, [rng.random() for rng in rngs]).tolist()
-        for b, (seq, cur, poi) in enumerate(zip(seqs, current, nxt)):
-            seq.step_probs.append(float(probs[b, poi]))
+        for seq, cur, poi in zip(seqs, current, nxt):
             travel = ref.distance_km(cur, poi) / WALK_SPEED_KMH * 3600.0
             seq.hours.append((seq.hours[-1] + (ref.stay_mean(cur) + travel) / 3600.0) % HOURS)
             seq.pois.append(poi)
@@ -365,9 +361,7 @@ def apriori_search(
     pool = full or completed or [seed_trip]
     pool = sorted(pool, key=lambda t: (-t.score, t.travel, t.pois))[:k]
     return [
-        GeneratedSequence(
-            pois=list(t.pois), step_probs=[], score=t.score, hours=list(t.hours)
-        )
+        GeneratedSequence(pois=list(t.pois), score=t.score, hours=list(t.hours))
         for t in pool
     ]
 

@@ -103,14 +103,14 @@ class TestMarkov:
         model = markov_fit(sessions, enc, smoothing=0.0)
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         walks = markov_walks(model, enc.user("u0"), enc.poi("a"), 2, rngs)
-        assert walks == [[enc.poi("a"), enc.poi("b")]] * 2
+        assert walks.tolist() == [[enc.poi("a"), enc.poi("b")]] * 2
 
     def test_unknown_user_uses_population_chain(self):
         sessions = toy_sessions_for_markov()
         enc = Encodings.fit(sessions)
         model = markov_fit(sessions, enc, smoothing=0.0)
         walks = markov_walks(model, 999, enc.poi("a"), 2, [np.random.default_rng(0)])
-        assert walks == [[enc.poi("a"), enc.poi("b")]]
+        assert walks.tolist() == [[enc.poi("a"), enc.poi("b")]]
 
     @staticmethod
     def requests(sessions, enc):
@@ -143,7 +143,7 @@ class TestMarkov:
                 rngs = [np.random.default_rng([seed, c]) for c in range(5)]
                 want = [choice_walk(user, start, 9, np.random.default_rng([seed, c]))
                         for c in range(5)]
-                assert markov_walks(model, user, start, 9, rngs) == want
+                assert markov_walks(model, user, start, 9, rngs).tolist() == want
 
     def test_length_one_walk_from_an_unseen_start_takes_one_draw(self, synth_small):
         """A walk from a start its chain has not seen draws its first state
@@ -153,7 +153,7 @@ class TestMarkov:
         unseen = self.requests(sessions, enc)[2][1]
         assert unseen not in model.chain_for(None).index
         rngs = [np.random.default_rng([5, c]) for c in range(3)]
-        assert markov_walks(model, None, unseen, 1, rngs) == [[unseen]] * 3
+        assert markov_walks(model, None, unseen, 1, rngs).tolist() == [[unseen]] * 3
         assert [rng.random() for rng in rngs] == [
             np.random.default_rng([5, c]).random(2)[1] for c in range(3)]
 
@@ -169,7 +169,8 @@ class TestMarkov:
         plain = model.generate(request, seed=3)
         ranked = model.generate(dataclasses.replace(request, consolidated=True), seed=3)
         assert sorted(s.pois for s in ranked) == sorted(s.pois for s in plain)
-        discounted = score_sequence(ranked, user, synth_tables, consolidated=True)
+        discounted = score_sequence([s.pois for s in ranked], [s.hours for s in ranked],
+                                    user, synth_tables, consolidated=True)
         assert [s.score for s in ranked] == discounted
         assert discounted == sorted(discounted, reverse=True)
         assert [s.pois for s in ranked] != [s.pois for s in plain]
@@ -182,7 +183,7 @@ class TestMarkov:
                                 [np.random.default_rng([4, c]) for c in range(6)])
             solos = [markov_walks(model, user, start, 12, [np.random.default_rng([4, c])])[0]
                      for c in range(6)]
-            assert rows == solos
+            assert rows.tolist() == [solo.tolist() for solo in solos]
 
 
 @pytest.mark.parametrize("smoothing", [1.0, 0.5, 1e-3, 0.0])

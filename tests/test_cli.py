@@ -8,6 +8,7 @@ import pytest
 
 from capseq.cli import main
 from capseq.config import ConfigError, parse_config_file
+from capseq.features import FeatureTables
 from capseq.metrics import REPORT_COLUMNS
 
 
@@ -215,10 +216,13 @@ def _without_last_poi(raw: bytes) -> bytes:
     return json.dumps(pois).encode("utf-8")
 
 
-def _latitude_1000(raw: bytes) -> bytes:
-    pois = json.loads(raw)
-    pois["0"]["lat"] = 1000.0
-    return json.dumps(pois).encode("utf-8")
+def _first_poi(**changes):
+    """``pois.json`` edit: set the given fields of POI 0."""
+    def edit(raw: bytes) -> bytes:
+        pois = json.loads(raw)
+        pois["0"].update(changes)
+        return json.dumps(pois).encode("utf-8")
+    return edit
 
 
 def _with_first_session(change):
@@ -328,7 +332,13 @@ BAD_INPUTS = {
     "pois-json-missing-a-poi": (
         {"ds/pois.json": _without_last_poi}, ["features", "--data-dir", "{tmp}/ds"], 2),
     "pois-json-latitude-1000": (
-        {"ds/pois.json": _latitude_1000}, ["features", "--data-dir", "{tmp}/ds"], 2),
+        {"ds/pois.json": _first_poi(lat=1000.0)}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    # a float array reads "40.7" as 40.7 and true as 1.0
+    "pois-json-string-latitude": (
+        {"ds/pois.json": _first_poi(lat="40.7")}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "pois-json-bool-longitude": (
+        {"ds/pois.json": _first_poi(lon=True)},
+        ["train", "--model", "plain-rnn", "--data-dir", "{tmp}/ds"], 2),
     "sessions-line-lengths-differ": (
         {"ds/sessions.jsonl": _with_first_session(lambda s: s["departures"].pop())},
         ["features", "--data-dir", "{tmp}/ds"], 2),
@@ -400,6 +410,9 @@ BAD_INPUTS = {
         {"m.ckpt.json": _with_sidecar(encodings_sha256="0" * 64)}, GENERATE, 2),
     "checkpoint-missing-blocks": (
         {"m.ckpt.json": _with_sidecar(kind="caps-rnn")}, GENERATE, 2),
+    "generate-unknown-user": (
+        {}, ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "nobody"], 2),
+    "generate-unknown-start-poi": ({}, GENERATE + ["--start-poi", "nowhere"], 2),
     "generate-zero-length": ({}, GENERATE + ["--length", "0"], 1),
     "generate-zero-candidates": ({}, GENERATE + ["--candidates", "0"], 1),
     "generate-zero-k": ({}, GENERATE + ["--k", "0"], 1),
@@ -458,9 +471,12 @@ def _sweep_csv(length: str) -> str:
             f"popularity,{length},0.5,1.0\n")
 
 
-# case -> sweep.csv text; None breaks a cell of eval_report.csv instead
+# case -> sweep.csv text; a function of the good eval_report.csv text
+# edits that file instead
 REPORT_BAD_INPUTS = {
-    "eval-cell-not-a-number": None,
+    "eval-cell-not-a-number": lambda good: good.replace(",0.5,", ",abc,", 1),
+    "eval-without-sessions-column": lambda good: good.replace(",sessions", "").replace(
+        ",3\n", "\n"),
     "sweep-length-not-a-number": _sweep_csv("x"),
     "sweep-not-utf8": _sweep_csv("2\udcff"),
     "sweep-without-length-column": (
@@ -473,22 +489,31 @@ def test_report_non_numeric_cell_is_data_error(tmp_path, capsys):
     ``report`` takes no --data-dir, so these are not BAD_INPUTS rows."""
     row = ["popularity", "0", "0.5"] + ["0.5"] * (len(REPORT_COLUMNS) - 4) + ["3"]
     good = "\n".join(["# seed=7", ",".join(REPORT_COLUMNS), ",".join(row)]) + "\n"
-    for case, sweep in REPORT_BAD_INPUTS.items():
+    for case, content in REPORT_BAD_INPUTS.items():
         path = tmp_path / f"{case}.csv"
         argv = ["report", "--eval-csv", str(path), "--out-dir", str(tmp_path)]
-        if sweep is None:
-            path.write_text(good.replace(",0.5,", ",abc,", 1), encoding="utf-8")
+        if callable(content):
+            path.write_text(content(good), encoding="utf-8")
         else:
             path.write_text(good, encoding="utf-8")
             path = tmp_path / f"{case}-sweep.csv"
-            path.write_text(sweep, encoding="utf-8", errors="surrogateescape")
+            path.write_text(content, encoding="utf-8", errors="surrogateescape")
             argv += ["--sweep-csv", str(path)]
         assert main(argv) == 2, case
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, (case, err)
-        assert err.startswith("data error: "), (case, err)
-        if case != "sweep-without-length-column":  # a KeyError names the column
-            assert err.startswith(f"data error: {path}: "), (case, err)
+        assert err.startswith(f"data error: {path}: "), (case, err)
+
+
+def test_stray_key_error_is_a_traceback(pipeline_dirs, tmp_path, monkeypatch):
+    """Only an unknown id is a data error: a ``KeyError`` that a defect
+    raises inside a command leaves ``main`` with its traceback, not exit 2."""
+    def defect(*args, **kwargs):
+        raise KeyError("stray")
+
+    monkeypatch.setattr(FeatureTables, "build", defect)
+    with pytest.raises(KeyError, match="stray"):
+        main(["features", "--data-dir", str(pipeline_dirs[2]), "--out-dir", str(tmp_path)])
 
 
 def test_ingest_reports_dropped_friendship_rows(pipeline_dirs, tmp_path, capsys):

@@ -172,7 +172,6 @@ class TestGenerate:
                          candidates=2, k=1)
         seqs = generate(net, req, tables, seed=1)
         assert seqs[0].pois == [2, 7, 7, 7]
-        assert seqs[0].step_probs == [1.0, 1.0, 1.0]
 
     def test_no_repeat_filters_sampled_pois(self, synth_tables_module):
         sessions, tables = synth_tables_module
@@ -193,12 +192,9 @@ class TestGenerate:
 
     def test_consolidated_scoring_discounts(self, synth_tables_module):
         sessions, tables = synth_tables_module
-        from capseq.generation import GeneratedSequence
-
-        seq = GeneratedSequence(pois=[0, 1, 2], step_probs=[], score=0.0,
-                                hours=[9.0, 10.0, 11.0])
-        [plain] = score_sequence([seq], 0, tables, consolidated=False)
-        [discounted] = score_sequence([seq], 0, tables, consolidated=True)
+        pois, hours = [[0, 1, 2]], [[9.0, 10.0, 11.0]]
+        [plain] = score_sequence(pois, hours, 0, tables, consolidated=False)
+        [discounted] = score_sequence(pois, hours, 0, tables, consolidated=True)
         assert discounted <= plain + 1e-12
 
 
@@ -226,18 +222,15 @@ class TestBatchedCandidates:
                          candidates=6, k=4, no_repeat=mode == "no_repeat",
                          consolidated=mode == "consolidated")
         seed = 17
-        batch = _rollout(net, req, tables,
-                         [np.random.default_rng([seed, c]) for c in range(6)])
-        solos = [_rollout(net, req, tables, [np.random.default_rng([seed, c])])[0]
+        pois, hours = _rollout(net, req, tables,
+                               [np.random.default_rng([seed, c]) for c in range(6)])
+        solos = [_rollout(net, req, tables, [np.random.default_rng([seed, c])])
                  for c in range(6)]
-        for row, solo in zip(batch, solos):
-            assert row.pois == solo.pois
-            assert row.hours == solo.hours
-            np.testing.assert_allclose(row.step_probs, solo.step_probs,
-                                       rtol=1e-12, atol=0)
-        for solo in solos:
-            [solo.score] = score_sequence([solo], req.user, tables, req.consolidated)
-        ranked = sorted(range(6), key=lambda i: (-solos[i].score, i))[: req.k]
+        assert pois.tolist() == [p[0].tolist() for p, _ in solos]
+        assert hours.tolist() == [h[0].tolist() for _, h in solos]
+        scores = [score_sequence(p, h, req.user, tables, req.consolidated)[0]
+                  for p, h in solos]
+        ranked = sorted(range(6), key=lambda i: (-scores[i], i))[: req.k]
         got = generate(net, req, tables, seed=seed)
-        assert [s.pois for s in got] == [solos[i].pois for i in ranked]
-        assert [s.score for s in got] == [solos[i].score for i in ranked]
+        assert [s.pois for s in got] == [solos[i][0][0].tolist() for i in ranked]
+        assert [s.score for s in got] == [scores[i] for i in ranked]

@@ -10,7 +10,7 @@ import pytest
 from capseq import metrics
 from capseq.baselines.hits import HitsModel, sequence_score
 from capseq.features import FeatureTables, tables as tables_module
-from capseq.generation import GeneratedSequence, score_sequence
+from capseq.generation import score_sequence
 from finite_diff import grad_check
 from capseq.numerics import (
     NumericError,
@@ -94,10 +94,10 @@ class TestSequentialSum:
         assert sequence_score(model, list(range(10))) == self.SUM * (self.SUM / 10)
 
     def test_generated_sequence_score(self):
-        tables = SimpleNamespace(preference=lambda user, pois, hours: np.full(len(pois), 0.1))
-        seqs = [GeneratedSequence(pois=list(range(n)), step_probs=[], score=0.0,
-                                  hours=[9] * n) for n in (10, 1, 10)]
-        assert score_sequence(seqs, 0, tables) == [self.SUM, 0.1, self.SUM]
+        tables = SimpleNamespace(preference=lambda user, pois, hours: np.full(pois.shape, 0.1))
+        pois = np.arange(30).reshape(3, 10)
+        assert score_sequence(pois, np.full(pois.shape, 9), 0, tables) == [self.SUM] * 3
+        assert score_sequence([[4]], [[9]], 0, tables) == [0.1]
 
 
 def masked_sigmoid(x):

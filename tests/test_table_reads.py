@@ -2,6 +2,8 @@
 matrix, preference and discount reads over index arrays, and the
 rollouts, clocks and scores generation builds on them, bit for bit."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from capseq.baselines import (
 from capseq.baselines.apriori import neighbour_arrays
 from capseq.data import training_sessions
 from capseq.features import HOURS, FeatureTables
+from capseq.baselines.hits import sequence_score
 from capseq.generation import GenRequest, GeneratedSequence, advance_hours, first_hour
-from capseq.generation import generate
-from capseq.generation import score_sequence
+from capseq.generation import generate, score_sequence, top_k
 from capseq.geo import haversine_km
 from capseq.models import CapsLstmRecommender, CapsRnnRecommender, PlainRnnRecommender
 from capseq.models.training import encode_sessions
@@ -146,45 +148,50 @@ class TestArrayReads:
             read(cold_tables, bad)
 
 
-def random_sequences(tables, count=40, seed=5):
-    rng = np.random.default_rng(seed)
-    for i in range(count):
-        pois = rng.integers(tables.n_pois, size=1 + i % 30).tolist()
-        yield pois, START_HOURS[i % len(START_HOURS)]
+def sequence_rows(tables, length, seed=5, count=4):
+    """A (count, length) array of random POIs."""
+    return np.random.default_rng([seed, length]).integers(tables.n_pois, size=(count, length))
+
+
+def scalar_scores(scalar, pois, hours, user, consolidated):
+    return [ref.score_sequence(GeneratedSequence(pois=p, hours=h), user, scalar, consolidated)
+            for p, h in zip(pois, hours)]
 
 
 class TestSequenceReads:
     def test_advance_hours_and_scores_equal_scalar_loops(self, any_tables):
+        """The clock and the scores of an (n, length) POI array, one read
+        each, equal the scalar loops row by row, for every user and both
+        scorings."""
         tables = any_tables
         scalar = ref.ScalarTables(tables)
-        for pois, start in random_sequences(tables):
-            [hours] = advance_hours(tables, [pois], start)
-            assert hours == ref.advance_hours(scalar, pois, start)
-            seq = GeneratedSequence(pois=pois, step_probs=[], score=0.0, hours=hours)
+        for length, start in itertools.product((1, 2, 5, 30), START_HOURS):
+            pois = sequence_rows(tables, length)
+            hours = advance_hours(tables, pois, start)
+            assert hours.shape == pois.shape
+            want = [ref.advance_hours(scalar, row, start) for row in pois.tolist()]
+            assert hours.tolist() == want
             for u in users_of(tables):
                 for consolidated in (False, True):
-                    assert score_sequence([seq], u, tables, consolidated) == [
-                        ref.score_sequence(seq, u, scalar, consolidated)]
-
+                    assert score_sequence(pois, hours, u, tables, consolidated) == (
+                        scalar_scores(scalar, pois.tolist(), want, u, consolidated))
 
     def test_many_sequences_in_one_read_equal_one_at_a_time(self, any_tables):
-        """Hours of equally long sequences in one read, and scores of
-        sequences of any length (one stop too) in one read."""
+        """Rows read together get the hours and scores each gets alone."""
         tables = any_tables
-        scalar = ref.ScalarTables(tables)
-        rng = np.random.default_rng(11)
-        for length in (1, 2, 5):
+        for length in (1, 2, 5, 30):
+            pois = sequence_rows(tables, length, seed=11)
             for start in START_HOURS:
-                walks = rng.integers(tables.n_pois, size=(4, length)).tolist()
-                assert advance_hours(tables, walks, start) == [
-                    ref.advance_hours(scalar, pois, start) for pois in walks]
-        seqs = [GeneratedSequence(pois=pois, step_probs=[], score=0.0,
-                                  hours=ref.advance_hours(scalar, pois, start))
-                for pois, start in random_sequences(tables, count=12, seed=9)]
-        for u in users_of(tables):
-            for consolidated in (False, True):
-                assert score_sequence(seqs, u, tables, consolidated) == [
-                    ref.score_sequence(seq, u, scalar, consolidated) for seq in seqs]
+                hours = advance_hours(tables, pois, start)
+                assert hours.tolist() == [
+                    advance_hours(tables, pois[i : i + 1], start)[0].tolist()
+                    for i in range(len(pois))]
+                for u in users_of(tables):
+                    for consolidated in (False, True):
+                        assert score_sequence(pois, hours, u, tables, consolidated) == [
+                            score_sequence(pois[i : i + 1], hours[i : i + 1], u, tables,
+                                           consolidated)[0]
+                            for i in range(len(pois))]
 
 
 RECOMMENDERS = {"caps-rnn": CapsRnnRecommender, "caps-lstm": CapsLstmRecommender,
@@ -233,7 +240,6 @@ class TestRollouts:
         want = ref.generate(fitted, req, ref.ScalarTables(tables), seed=17)
         assert [s.pois for s in got] == [s.pois for s in want]
         assert [s.hours for s in got] == [s.hours for s in want]
-        assert [s.step_probs for s in got] == [s.step_probs for s in want]
         assert [s.score for s in got] == [s.score for s in want]
 
 
@@ -250,14 +256,15 @@ class TestGenerationContract:
             req = GenRequest(user=user, start_poi=start_poi, start_hour=start_hour,
                              length=length, candidates=5, k=3)
             for seq in model.generate(req, seed=3):
-                assert seq.hours == advance_hours(cold_tables, [seq.pois], start_hour)[0]
+                assert seq.hours == advance_hours(cold_tables, [seq.pois],
+                                                  start_hour)[0].tolist()
                 assert all(0.0 <= hour < HOURS for hour in seq.hours)
 
     @pytest.mark.parametrize("start_hour", START_HOURS)
     @pytest.mark.parametrize("kind", sorted(RECOMMENDERS))
     def test_length_one_is_the_start(self, fit_kind, kind, start_hour):
         """A one-stop request takes no step: every sequence is the start
-        POI at the first hour, with no step probabilities."""
+        POI at the first hour."""
         model = fit_kind(kind)
         req = GenRequest(user=0, start_poi=11, start_hour=start_hour, length=1,
                          candidates=5, k=3)
@@ -266,4 +273,46 @@ class TestGenerationContract:
         for seq in seqs:
             assert seq.pois == [11]
             assert seq.hours == [first_hour(start_hour)]
-            assert seq.step_probs == []
+
+
+class TestRanked:
+    """Every fixed-length recommender returns through ``generation.ranked``:
+    its hours and scores are the scalar oracle's."""
+
+    @pytest.mark.parametrize("consolidated", [False, True])
+    @pytest.mark.parametrize("kind", NEURAL + ("popularity", "markov"))
+    def test_hours_and_scores_equal_the_scalar_oracle(self, fit_kind, cold_tables, kind,
+                                                      consolidated):
+        model = fit_kind(kind)
+        scalar = ref.ScalarTables(cold_tables)
+        for start_poi, user, length, start_hour in ((5, 2, 9, 21.5), (0, None, 4, -0.5),
+                                                    (11, 3, 1, 30.2), (7, 0, 30, -1e-20)):
+            req = GenRequest(user=user, start_poi=start_poi, start_hour=start_hour,
+                             length=length, candidates=6, k=4, consolidated=consolidated)
+            seqs = model.generate(req, seed=5)
+            assert seqs
+            for seq in seqs:
+                assert len(seq.pois) == length and seq.pois[0] == start_poi
+                assert seq.hours == ref.advance_hours(scalar, seq.pois, start_hour)
+                assert seq.score == ref.score_sequence(seq, user, scalar, consolidated)
+
+    def test_hits_clocks_its_top_rows_as_it_would_every_row(self, fit_kind, cold_tables):
+        """HITS passes its own scores, so ``ranked`` clocks only the top
+        rows: the same hours as clocking every pool row and then taking
+        the top."""
+        model = fit_kind("hits")
+        scalar = ref.ScalarTables(cold_tables)
+        pools = sorted(model.model_.windows.items(), key=lambda item: -len(item[1]))
+        (start_poi, length), pool = pools[0]
+        assert len(pool) >= 3
+        scores = [sequence_score(model.model_, pois) for pois in pool]
+        for start_hour in START_HOURS:
+            clocked = advance_hours(cold_tables, pool, start_hour)
+            req = GenRequest(user=0, start_poi=start_poi, start_hour=start_hour,
+                             length=length, candidates=len(pool), k=len(pool) - 1)
+            top = top_k(scores, req.k)
+            got = model.generate(req)
+            assert [s.pois for s in got] == [list(pool[i]) for i in top]
+            assert [s.score for s in got] == [scores[i] for i in top]
+            assert [s.hours for s in got] == clocked[top].tolist() == [
+                ref.advance_hours(scalar, list(pool[i]), start_hour) for i in top]
