@@ -42,7 +42,6 @@ from .baselines import (
     MarkovRecommender,
     PopularityRecommender,
 )
-from .numerics import SgdConfig
 
 __version__ = "0.1.0"
 
@@ -64,7 +63,6 @@ __all__ = [
     "Poi",
     "PopularityRecommender",
     "Session",
-    "SgdConfig",
     "SocialGraph",
     "TravelTimeModel",
     "Visit",

@@ -10,7 +10,6 @@ users and start POIs fall back to.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from ..data.types import visit_arrays
 from ..generation import GenRequest, ranked, sample_rows
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
-from ..models.base import SequenceRecommender, check_non_negative
+from ..models.base import SequenceRecommender
 
 POPULATION = -1  # pooled pseudo-user key
 
@@ -43,13 +42,9 @@ class MarkovModel(NamedTuple):
         return chain
 
 
-def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
+def markov_fit(sessions, encodings) -> MarkovModel:
     """Count session starts and transitions over one ``visit_arrays``
-    pass of ``sessions``, then Laplace-smooth.
-
-    ``smoothing=0`` disables smoothing (rows renormalize over observed
-    counts only; useful for deterministic test chains).
-    """
+    pass of ``sessions``, then Laplace-smooth: every count starts at 1."""
     users, pois, _, _, lengths = visit_arrays(sessions, encodings)
     ends = np.cumsum(lengths)
     firsts = ends - lengths
@@ -67,18 +62,13 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
         alphabet = sorted(set(starts[u]).union(*pairs[u]))
         n = len(alphabet)
         index = {poi: i for i, poi in enumerate(alphabet)}
-        initial = np.full(n, smoothing, dtype=np.float64)
+        initial = np.ones(n)
         np.add.at(initial, [index[p] for p in starts[u]], 1.0)
         initial /= initial.sum()  # every chain has a start, so the sum is positive
-        transition = np.full((n, n), smoothing, dtype=np.float64)
+        transition = np.ones((n, n))
         for a, b in pairs[u]:
             transition[index[a], index[b]] += 1.0
-        row_sums = transition.sum(axis=1, keepdims=True)
-        # zero rows (possible only with smoothing off) become uniform
-        zero = row_sums[:, 0] == 0
-        transition[zero] = 1.0 / n
-        row_sums[zero] = 1.0
-        transition /= row_sums
+        transition /= transition.sum(axis=1, keepdims=True)
         chains[u] = UserChain(alphabet, index, initial, transition)
     return MarkovModel(chains)
 
@@ -102,16 +92,12 @@ def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
     return walks
 
 
-@dataclass(eq=False, kw_only=True)
 class MarkovRecommender(SequenceRecommender):
-    smoothing: float = 1.0
-
-    def __post_init__(self):
-        check_non_negative(smoothing=self.smoothing)
+    """The first-order chains of ``markov_fit``; it has no settings."""
 
     def fit(self, sessions, tables):
         self.tables_ = tables
-        self.model_ = markov_fit(sessions, tables.encodings, self.smoothing)
+        self.model_ = markov_fit(sessions, tables.encodings)
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):

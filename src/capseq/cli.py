@@ -10,6 +10,7 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -72,6 +73,15 @@ BASELINE_FACTORIES = {
     "hits": HitsRecommender,
 }
 RECOMMENDERS = {**BASELINE_FACTORIES, **MODEL_KINDS}
+
+# the config keys: the settings of a run, then every recommender's fields
+RUN_KEYS = {"model": str, "seed": int, "min_checkins": int, "folds": int, "candidates": int,
+            "k": int, "length": int, "data_dir": str, "out_dir": str}
+CONFIG_KEYS = {
+    **RUN_KEYS,
+    **{field.name: type(field.default)
+       for cls in RECOMMENDERS.values() for field in dataclasses.fields(cls)},
+}
 
 
 class UsageError(Exception):
@@ -186,21 +196,22 @@ def _resolve_data_dir(cfg: dict) -> Path:
 
 def _out_dir(cfg) -> Path:
     out = Path(cfg.get("out_dir") or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out-dir {out}: {exc.strerror}") from exc
     return out
 
 
 def _merged_config(args) -> dict:
     file_values = {}
     if getattr(args, "config", None):
-        file_values = configmod.parse_config_file(args.config)
-    flag_values = {
-        key: getattr(args, key)
-        for key in configmod.CONFIG_KEYS
-        if hasattr(args, key)
-    }
+        file_values = configmod.parse_config_file(args.config, CONFIG_KEYS)
+    flag_values = {key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)}
     merged = configmod.merge_config(file_values, flag_values)
     merged.setdefault("seed", 7)
+    if merged["seed"] < 0:
+        raise configmod.ConfigError(f"seed must be >= 0, got {merged['seed']}")
     return merged
 
 
@@ -327,16 +338,13 @@ def cmd_generate(args) -> int:
             raise DataError(f"user {args.user!r} has no observed check-ins")
         start_ix = int(np.bincount(visited).argmax())  # the first of the most visited
 
-    candidates = _default(cfg, "candidates", 10)
     request = _construct("generate", GenRequest, dict(
         user=user_ix,
         start_poi=start_ix,
         start_hour=args.start_hour,
-        length=_default(cfg, "length", 25),
-        candidates=candidates,
-        k=_default(cfg, "k", min(10, candidates)),
         no_repeat=args.no_repeat,
         consolidated=args.consolidated,
+        **{key: cfg[key] for key in ("length", "candidates", "k") if cfg.get(key) is not None},
     ))
     sequences = model.generate(request, seed=seed)
     out = _out_dir(cfg)
@@ -425,6 +433,8 @@ def cmd_report(args) -> int:
     cfg = _merged_config(args)
     try:
         result = read_report_csv(Path(args.eval_csv).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"{args.eval_csv}: cannot read: {exc.strerror}") from exc
     except ValueError as exc:  # not UTF-8, or a cell that is not a number
         raise DataError(f"{args.eval_csv}: {exc}") from exc
     except KeyError as exc:
@@ -442,6 +452,8 @@ def cmd_report(args) -> int:
             for row in rows:
                 plots.setdefault(row["model"], ["length,diversity,displacement_mean_km"]).append(
                     f"{row['length']},{row['diversity']},{row['displacement_mean_km']}")
+        except OSError as exc:
+            raise DataError(f"{args.sweep_csv}: cannot read: {exc.strerror}") from exc
         except ValueError as exc:  # not UTF-8, or a length that is not an integer
             raise DataError(f"{args.sweep_csv}: {exc}") from exc
         except KeyError as exc:
@@ -479,7 +491,7 @@ def main(argv=None) -> int:
     except configmod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, UnknownIdError) as exc:
+    except (DataError, UnknownIdError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (TrainingDivergedError, NumericError, FloatingPointError) as exc:

@@ -1,47 +1,25 @@
 """Run configuration: line-oriented ``key = value`` files merged under
-explicit command-line flags (flags win). Unknown keys are rejected
-before any work starts.
+explicit command-line flags (flags win). Keys outside the caller's
+schema are rejected before any work starts.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-CONFIG_KEYS = {
-    "model": str,
-    "hidden_size": int,
-    "n_layers": int,
-    "embedding_size": int,
-    "learning_rate": float,
-    "clip_threshold": float,
-    "batch_size": int,
-    "epochs": int,
-    "seed": int,
-    "min_checkins": int,
-    "folds": int,
-    "candidates": int,
-    "k": int,
-    "length": int,
-    "radius_km": float,
-    "growth_factor": float,
-    "epsilon_km": float,
-    "budget_hours": float,
-    "beam_width": int,
-    "region_radius_km": float,
-    "data_dir": str,
-    "out_dir": str,
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def parse_config_file(path) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+def parse_config_file(path, keys: dict) -> dict:
+    """Parse ``key = value`` lines, each value by the type ``keys`` gives
+    its key; '#' starts a comment."""
     out: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -51,10 +29,10 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = CONFIG_KEYS[key](value)
+            out[key] = keys[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out

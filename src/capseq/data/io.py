@@ -64,13 +64,24 @@ def save_dataset(
         _dump_json(graph.to_dict(), out / GRAPH_FILE)
 
 
+def _open(path):
+    """``path`` opened for binary reading; ``DataError`` if it cannot be."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
 def _read_json(where, raw: bytes | None = None, build=None):
     """Parse ``raw`` (default: the bytes of the file ``where``) as JSON and
-    turn it into objects with ``build``; bad JSON, or a value ``build``
-    cannot take (wrong shape, bad field), raises ``DataError`` naming
-    ``where``."""
+    turn it into objects with ``build``; an unreadable file, bad JSON, or a
+    value ``build`` cannot take (wrong shape, bad field), raises
+    ``DataError`` naming ``where``."""
+    if raw is None:
+        with _open(where) as fh:
+            raw = fh.read()
     try:
-        obj = json.loads(Path(where).read_bytes() if raw is None else raw)
+        obj = json.loads(raw)
     except ValueError as exc:  # bad JSON or text encoding
         raise DataError(f"{where}: not valid UTF-8 JSON: {exc}") from exc
     if build is None:
@@ -121,7 +132,7 @@ def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
 
     sessions = []
     sessions_path = data / SESSIONS_FILE
-    with open(sessions_path, "rb") as fh:
+    with _open(sessions_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 sessions.append(_read_json(f"{sessions_path}:{lineno}", line, session))

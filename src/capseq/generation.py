@@ -34,11 +34,13 @@ class GenRequest:
     start_hour: float
     length: int = 25
     candidates: int = 10
-    k: int = 10
+    k: int | None = None      # None -> min(10, candidates)
     no_repeat: bool = False
     consolidated: bool = False  # rank with constraint-discounted scores
 
     def __post_init__(self):
+        if self.k is None:
+            self.k = min(10, self.candidates)
         if not math.isfinite(self.start_hour):
             raise ValueError(f"start_hour must be finite, got {self.start_hour}")
         if self.length < 1:

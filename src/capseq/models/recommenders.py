@@ -19,7 +19,7 @@ from .. import numerics
 from ..data.types import Encodings
 from ..features import FeatureTables
 from ..generation import GenRequest, generate
-from .base import SequenceRecommender, check_positive, check_sessions
+from .base import SequenceRecommender, check_non_negative, check_positive, check_sessions
 from .lstm import ContextLstm
 from .rnn import ContextRnn
 from .training import encode_sessions, train
@@ -44,7 +44,9 @@ class _NeuralRecommender(SequenceRecommender):
     seed: int = 0
 
     def __post_init__(self):
-        self._sgd_config()  # check the training settings now, not at fit
+        check_positive(clip_threshold=self.clip_threshold, batch_size=self.batch_size,
+                       epochs=self.epochs)
+        check_non_negative(learning_rate=self.learning_rate, seed=self.seed)
 
     def _build_net(self, n_pois: int):
         raise NotImplementedError
@@ -54,17 +56,12 @@ class _NeuralRecommender(SequenceRecommender):
         self.tables_ = tables
         self.net_ = self._build_net(tables.encodings.n_pois)
         encoded = encode_sessions(sessions, tables)
-        self.loss_curve_ = train(self.net_, encoded, self._sgd_config(), seed=self.seed)
-        return self
-
-    def _sgd_config(self) -> numerics.SgdConfig:
-        """The training settings; raises ``ValueError`` for a bad one."""
-        return numerics.SgdConfig(
-            learning_rate=self.learning_rate,
-            clip_threshold=self.clip_threshold,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
+        self.loss_curve_ = train(
+            self.net_, encoded, learning_rate=self.learning_rate,
+            clip_threshold=self.clip_threshold, batch_size=self.batch_size,
+            epochs=self.epochs, seed=self.seed,
         )
+        return self
 
     def generate(self, request: GenRequest, seed: int = 0):
         self._check_fitted("net_", "tables_")

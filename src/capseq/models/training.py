@@ -170,7 +170,7 @@ def _batches(data: Batch, order: np.ndarray, batch_size: int):
         yield make_batch(data, order[start : start + batch_size])
 
 
-def mean_nll(net, data: Batch, batch_size: int = 50) -> float:
+def mean_nll(net, data: Batch, batch_size: int) -> float:
     """Dataset mean of per-sequence NLL without updating anything."""
     total = 0.0
     for batch in _batches(data, np.arange(len(data.inputs)), batch_size):
@@ -178,10 +178,11 @@ def mean_nll(net, data: Batch, batch_size: int = 50) -> float:
     return total / len(data.inputs)
 
 
-def train(net, data: Batch, config: numerics.SgdConfig | None = None,
-          seed: int = 0) -> list:
-    """Shuffled mini-batch SGD with clipped gradients over the sessions
-    of ``data``, as ``encode_sessions`` pads them.
+def train(net, data: Batch, *, learning_rate: float, clip_threshold: float,
+          batch_size: int, epochs: int, seed: int) -> list:
+    """Shuffled mini-batch SGD with gradients clipped to global norm
+    ``clip_threshold`` over the sessions of ``data``, as
+    ``encode_sessions`` pads them.
 
     Returns the loss curve: entry 0 is the pre-training dataset NLL,
     entry e >= 1 the mean batch loss seen during epoch e.
@@ -189,16 +190,15 @@ def train(net, data: Batch, config: numerics.SgdConfig | None = None,
     n = len(data.inputs)
     if not n:
         raise ValueError("training requires at least one encoded session")
-    config = config or numerics.SgdConfig()
     rng = np.random.default_rng(seed)
-    curve = [mean_nll(net, data, config.batch_size)]
-    for epoch in range(1, config.epochs + 1):
+    curve = [mean_nll(net, data, batch_size)]
+    for epoch in range(1, epochs + 1):
         total = 0.0
-        for batch in _batches(data, rng.permutation(n), config.batch_size):
+        for batch in _batches(data, rng.permutation(n), batch_size):
             loss, grads = net.loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            numerics.sgd_step(net.params, grads, config)
+            numerics.sgd_step(net.params, grads, learning_rate, clip_threshold)
             total += loss * len(batch.inputs)
         curve.append(total / n)
     return curve

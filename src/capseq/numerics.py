@@ -10,7 +10,6 @@ and a flat binary snapshot format for parameter dictionaries.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -50,26 +49,11 @@ def sequential_sum(values) -> float:
     return total
 
 
-@dataclass
-class SgdConfig:
-    """Mini-batch SGD settings; defaults follow the reference training setup."""
-
-    learning_rate: float = 0.002
-    clip_threshold: float = 5.0
-    batch_size: int = 50
-    epochs: int = 100
-
-    def __post_init__(self):
-        if not self.learning_rate >= 0:  # NaN fails too
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if not (self.clip_threshold > 0 and self.batch_size > 0 and self.epochs > 0):
-            raise ValueError("clip_threshold, batch_size and epochs must be > 0")
-
-
-def sgd_step(params: Params, grads: Mapping[str, np.ndarray], config: SgdConfig) -> Params:
+def sgd_step(params: Params, grads: Mapping[str, np.ndarray], learning_rate: float,
+             clip_threshold: float) -> Params:
     """Rescale ``grads`` in place so their global L2 norm is at most
-    ``config.clip_threshold`` (idempotent up to rounding), then update
-    ``params`` in place: p <- p - lr * g."""
+    ``clip_threshold`` (idempotent up to rounding), then update ``params``
+    in place: p <- p - learning_rate * g."""
     total = 0.0
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -77,9 +61,9 @@ def sgd_step(params: Params, grads: Mapping[str, np.ndarray], config: SgdConfig)
         total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     for name, g in grads.items():
-        if norm > config.clip_threshold:
-            g *= config.clip_threshold / norm
-        params[name] -= config.learning_rate * g
+        if norm > clip_threshold:
+            g *= clip_threshold / norm
+        params[name] -= learning_rate * g
     return params
 
 

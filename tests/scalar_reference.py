@@ -605,7 +605,7 @@ def interest_stats(tables: FeatureTables) -> tuple:
     return stats, _astcat_hour(tables, slots, np.array(order, dtype=np.int64), entries)
 
 
-def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
+def markov_fit(sessions, encodings) -> MarkovModel:
     """Count session starts and transitions, then Laplace-smooth."""
     starts: dict[int, list] = defaultdict(list)
     pairs: dict[int, list] = defaultdict(list)
@@ -621,17 +621,13 @@ def markov_fit(sessions, encodings, smoothing: float = 1.0) -> MarkovModel:
         alphabet = sorted(set(starts[u]).union(*pairs[u]))
         n = len(alphabet)
         index = {poi: i for i, poi in enumerate(alphabet)}
-        initial = np.full(n, smoothing, dtype=np.float64)
+        initial = np.full(n, 1.0, dtype=np.float64)
         np.add.at(initial, [index[p] for p in starts[u]], 1.0)
         initial /= initial.sum()
-        transition = np.full((n, n), smoothing, dtype=np.float64)
+        transition = np.full((n, n), 1.0, dtype=np.float64)
         for a, b in pairs[u]:
             transition[index[a], index[b]] += 1.0
-        row_sums = transition.sum(axis=1, keepdims=True)
-        zero = row_sums[:, 0] == 0
-        transition[zero] = 1.0 / n
-        row_sums[zero] = 1.0
-        transition /= row_sums
+        transition /= transition.sum(axis=1, keepdims=True)
         chains[u] = UserChain(alphabet, index, initial, transition)
     return MarkovModel(chains)
 

@@ -31,6 +31,7 @@ from capseq.baselines import (
 from capseq.baselines.apriori import (
     DEFAULT_EPSILON_KM, apriori_search, neighbour_arrays, preference_table)
 from capseq.baselines.hits import sequence_score
+from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
 
 
 def line_coords(n, spacing_km=1.0, lat0=40.0, lon=-74.0):
@@ -77,11 +78,21 @@ def toy_sessions_for_markov():
     return [Session("u0", (v("a", 9), v("b", 10)))]
 
 
+def deterministic_chain(successor: dict) -> UserChain:
+    """A chain over the POIs of ``successor`` that starts at the least of
+    them and steps from each POI to its successor with probability 1."""
+    alphabet = sorted(successor)
+    index = {poi: i for i, poi in enumerate(alphabet)}
+    transition = np.zeros((len(alphabet), len(alphabet)))
+    transition[[index[a] for a in successor], [index[b] for b in successor.values()]] = 1.0
+    return UserChain(alphabet, index, np.eye(len(alphabet))[0], transition)
+
+
 class TestMarkov:
     def test_laplace_arithmetic(self):
         sessions = toy_sessions_for_markov()
         enc = Encodings.fit(sessions)
-        model = markov_fit(sessions, enc, smoothing=1.0)
+        model = markov_fit(sessions, enc)
         chain = model.chain_for(enc.user("u0"))
         a, b = enc.poi("a"), enc.poi("b")
         # single a->b transition, alphabet {a, b}: P(b|a) = (1+1)/(1+2)
@@ -98,19 +109,18 @@ class TestMarkov:
             assert chain.initial.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_chain_reproduces_path(self):
-        sessions = toy_sessions_for_markov()
-        enc = Encodings.fit(sessions)
-        model = markov_fit(sessions, enc, smoothing=0.0)
+        model = MarkovModel({0: deterministic_chain({3: 5, 5: 4, 4: 3}),
+                             POPULATION: deterministic_chain({3: 3, 4: 4, 5: 5})})
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
-        walks = markov_walks(model, enc.user("u0"), enc.poi("a"), 2, rngs)
-        assert walks.tolist() == [[enc.poi("a"), enc.poi("b")]] * 2
+        walks = markov_walks(model, 0, 3, 5, rngs)
+        assert walks.tolist() == [[3, 5, 4, 3, 5]] * 2
 
     def test_unknown_user_uses_population_chain(self):
-        sessions = toy_sessions_for_markov()
-        enc = Encodings.fit(sessions)
-        model = markov_fit(sessions, enc, smoothing=0.0)
-        walks = markov_walks(model, 999, enc.poi("a"), 2, [np.random.default_rng(0)])
-        assert walks.tolist() == [[enc.poi("a"), enc.poi("b")]]
+        model = MarkovModel({0: deterministic_chain({3: 3, 5: 5}),
+                             POPULATION: deterministic_chain({3: 5, 5: 3})})
+        walks = markov_walks(model, 999, 3, 3, [np.random.default_rng(0)])
+        assert walks.tolist() == [[3, 5, 3]]
+        assert markov_walks(model, 0, 3, 3, [np.random.default_rng(0)]).tolist() == [[3, 3, 3]]
 
     @staticmethod
     def requests(sessions, enc):
@@ -121,12 +131,11 @@ class TestMarkov:
                 (None, enc.poi(sessions[1].visits[0].poi.poi_id)), (999, unseen),
                 (enc.user(sessions[0].user_id), unseen)]
 
-    @pytest.mark.parametrize("smoothing", [1.0, 0.5, 0.0])
-    def test_walks_equal_choice_reference(self, synth_small, smoothing):
+    def test_walks_equal_choice_reference(self, synth_small):
         """Each walk is the one ``rng.choice`` draws step by step from the
         same stream, on chains fitted to part of the corpus."""
         sessions, graph, enc = synth_small
-        model = markov_fit(sessions[:6], enc, smoothing)
+        model = markov_fit(sessions[:6], enc)
 
         def choice_walk(user, start, length, rng):
             chain = model.chain_for(user, start)
@@ -186,8 +195,7 @@ class TestMarkov:
             assert rows.tolist() == [solo.tolist() for solo in solos]
 
 
-@pytest.mark.parametrize("smoothing", [1.0, 0.5, 1e-3, 0.0])
-def test_markov_fit_equals_the_session_loop(synth_small, smoothing):
+def test_markov_fit_equals_the_session_loop(synth_small):
     """Every chain of the fit over ``visit_arrays`` equals the one the
     per-session loop counts: alphabet, index, and the dtype, shape and
     bytes of the initial and transition arrays, also on a part of the
@@ -195,7 +203,7 @@ def test_markov_fit_equals_the_session_loop(synth_small, smoothing):
     sessions, _, enc = synth_small
     permuted = [sessions[i] for i in np.random.default_rng(11).permutation(len(sessions))]
     for part in (sessions, sessions[:6], permuted):
-        got, want = markov_fit(part, enc, smoothing), ref.markov_fit(part, enc, smoothing)
+        got, want = markov_fit(part, enc), ref.markov_fit(part, enc)
         assert list(got.chains) == list(want.chains)
         for key, chain in want.chains.items():
             mine = got.chains[key]

@@ -1,12 +1,14 @@
 """End-to-end CLI: subcommand pipeline, exit codes, config handling,
 output determinism."""
 
+import dataclasses
 import json
 import shutil
 
 import pytest
 
-from capseq.cli import main
+from capseq.cli import (
+    CONFIG_KEYS, RECOMMENDERS, RUN_KEYS, _merged_config, _recommender, build_parser, main)
 from capseq.config import ConfigError, parse_config_file
 from capseq.features import FeatureTables
 from capseq.metrics import REPORT_COLUMNS
@@ -368,6 +370,15 @@ BAD_INPUTS = {
         ["ingest", "--checkins", "{tmp}/c.csv", "--min-checkins", "0"], 2),
     "config-not-utf8": (
         {"run.cfg": "seed = 3 \udcff\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
+    "config-missing": ({}, ["features", "--config", "{tmp}/missing.cfg"], 1),
+    "config-a-directory": ({}, ["features", "--config", "{tmp}/ds"], 1),
+    "data-dir-a-file": ({}, ["features", "--data-dir", "{tmp}/m.ckpt"], 2),
+    "features-out-dir-a-file": ({}, ["features", "--out-dir", "{tmp}/m.ckpt"], 1),
+    "evaluate-out-dir-a-file": (
+        {}, ["evaluate", "--models", "popularity", "--out-dir", "{tmp}/m.ckpt"], 1),
+    "train-negative-seed": ({}, ["train", "--model", "plain-rnn", "--seed", "-1"], 1),
+    "generate-negative-seed": ({}, GENERATE + ["--seed", "-1"], 1),
+    "evaluate-negative-seed": ({}, ["evaluate", "--models", "popularity", "--seed", "-1"], 1),
     "checkins-not-utf8": (
         {"c.csv": CHECKINS.replace("Food", "F\udcffood")},
         ["ingest", "--checkins", "{tmp}/c.csv"], 2),
@@ -457,8 +468,10 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
     assert main(argv[:1] + ["--out-dir", str(tmp_path)] + argv[1:]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
-    if "run.cfg" in files and code == 1:
+    if ("--config" in argv or "--seed" in argv) and code == 1:
         assert err.startswith("config error:"), err
+    if "--out-dir" in argv:
+        assert err.startswith("usage error: --out-dir"), err
     if "--tables" in argv:
         assert err.startswith("usage error: unrecognized arguments: --tables"), err
     for name, content in files.items():
@@ -472,7 +485,7 @@ def _sweep_csv(length: str) -> str:
 
 
 # case -> sweep.csv text; a function of the good eval_report.csv text
-# edits that file instead
+# edits that file instead, and None makes its path a directory
 REPORT_BAD_INPUTS = {
     "eval-cell-not-a-number": lambda good: good.replace(",0.5,", ",abc,", 1),
     "eval-without-sessions-column": lambda good: good.replace(",sessions", "").replace(
@@ -481,6 +494,7 @@ REPORT_BAD_INPUTS = {
     "sweep-not-utf8": _sweep_csv("2\udcff"),
     "sweep-without-length-column": (
         "model,diversity,displacement_mean_km\npopularity,0.5,1.0\n"),
+    "eval-csv-a-directory": None,
 }
 
 
@@ -492,7 +506,9 @@ def test_report_non_numeric_cell_is_data_error(tmp_path, capsys):
     for case, content in REPORT_BAD_INPUTS.items():
         path = tmp_path / f"{case}.csv"
         argv = ["report", "--eval-csv", str(path), "--out-dir", str(tmp_path)]
-        if callable(content):
+        if content is None:
+            path.mkdir()
+        elif callable(content):
             path.write_text(content(good), encoding="utf-8")
         else:
             path.write_text(good, encoding="utf-8")
@@ -555,15 +571,31 @@ class TestConfigFile:
     def test_parse_and_merge(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("epochs = 4\nseed = 11  # comment\n", encoding="utf-8")
-        values = parse_config_file(cfg)
+        values = parse_config_file(cfg, CONFIG_KEYS)
         assert values == {"epochs": 4, "seed": 11}
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense = 1\n", encoding="utf-8")
         with pytest.raises(ConfigError):
-            parse_config_file(cfg)
+            parse_config_file(cfg, CONFIG_KEYS)
         assert main(["synth", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 1
+
+    def test_keys_are_the_run_keys_and_every_recommender_setting(self, tmp_path):
+        """The config keys are the run keys plus every recommender field,
+        typed by its default, and each setting written in a ``--config``
+        file reaches that recommender's ``get_params()``."""
+        fields = [f for cls in RECOMMENDERS.values() for f in dataclasses.fields(cls)]
+        assert CONFIG_KEYS == {**RUN_KEYS, **{f.name: type(f.default) for f in fields}}
+        assert all(RUN_KEYS.get(f.name, type(f.default)) is type(f.default) for f in fields)
+        for name, cls in RECOMMENDERS.items():
+            values = {f.name: f.default + (1 if isinstance(f.default, int) else 0.5)
+                      for f in dataclasses.fields(cls)}
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()),
+                           encoding="utf-8")
+            args = build_parser().parse_args(["evaluate", "--config", str(cfg)])
+            assert _recommender(name, _merged_config(args)).get_params() == values, name
 
     def test_flags_override_file(self, pipeline_dirs, tmp_path):
         root, raw, data = pipeline_dirs

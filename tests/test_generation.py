@@ -190,6 +190,16 @@ class TestGenerate:
             with pytest.raises(ValueError, match="finite"):
                 GenRequest(user=0, start_poi=0, start_hour=hour)
 
+    def test_unset_k_is_at_most_ten_and_the_candidates(self):
+        """``generate --candidates 5`` and the library agree: an unset k
+        is min(10, candidates), and a set one is kept."""
+        def k(**kwargs):
+            return GenRequest(user=0, start_poi=0, start_hour=9.0, **kwargs).k
+        assert (k(candidates=5), k(candidates=10), k(candidates=20), k()) == (5, 10, 10, 10)
+        assert k(candidates=5, k=2) == 2
+        with pytest.raises(ValueError, match="candidates >= k >= 1"):
+            GenRequest(user=0, start_poi=0, start_hour=9.0, candidates=0)
+
     def test_consolidated_scoring_discounts(self, synth_tables_module):
         sessions, tables = synth_tables_module
         pois, hours = [[0, 1, 2]], [[9.0, 10.0, 11.0]]

@@ -213,7 +213,7 @@ class TestLstmTrain:
         ] * 4
         curve = train(
             net, make_batch(seqs, net.pad_ix),
-            numerics.SgdConfig(learning_rate=0.2, epochs=60, batch_size=4),
+            learning_rate=0.2, clip_threshold=5.0, batch_size=4, epochs=60,
             seed=3,
         )
         assert curve[-1] < 0.1 * curve[0]
@@ -234,6 +234,6 @@ class TestLstmTrain:
             net = ContextLstm(6, hidden_size=5, embedding_size=4, seed=8)
             curves.append(
                 train(net, make_batch(seqs, net.pad_ix),
-                      numerics.SgdConfig(learning_rate=0.05, epochs=4), seed=2)
+                      learning_rate=0.05, clip_threshold=5.0, batch_size=50, epochs=4, seed=2)
             )
         assert curves[0] == curves[1]

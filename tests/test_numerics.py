@@ -14,7 +14,6 @@ from capseq.generation import score_sequence
 from finite_diff import grad_check
 from capseq.numerics import (
     NumericError,
-    SgdConfig,
     load_params,
     save_params,
     sequential_sum,
@@ -173,7 +172,7 @@ class TestSgd:
         are rescaled in place to norm 5 and the parameters stay."""
         params = {"w": np.array([1.0, -2.0])}
         grads = {"w": np.array([6.0, 8.0])}  # norm 10
-        sgd_step(params, grads, SgdConfig(learning_rate=0.0))
+        sgd_step(params, grads, 0.0, 5.0)
         np.testing.assert_allclose(grads["w"], [3.0, 4.0])
         assert np.linalg.norm(grads["w"]) == pytest.approx(5.0)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
@@ -183,43 +182,34 @@ class TestSgd:
         step clips it to 5, give or take an ulp, and the second changes
         no entry by more than two ulps."""
         rng = np.random.default_rng(6)
-        config = SgdConfig(learning_rate=0.0)
+        clip = 5.0
         for _ in range(50):
             grads = {"a": rng.normal(scale=10.0, size=7), "b": rng.normal(scale=10.0, size=(3, 2))}
-            assert global_norm(grads) > config.clip_threshold
+            assert global_norm(grads) > clip
             params = {k: np.zeros_like(v) for k, v in grads.items()}
             once = {k: v.copy() for k, v in grads.items()}
-            sgd_step(params, once, config)
-            assert global_norm(once) == pytest.approx(config.clip_threshold, rel=1e-12, abs=0)
+            sgd_step(params, once, 0.0, clip)
+            assert global_norm(once) == pytest.approx(clip, rel=1e-12, abs=0)
             twice = {k: v.copy() for k, v in once.items()}
-            sgd_step(params, twice, config)
+            sgd_step(params, twice, 0.0, clip)
             for k in grads:
                 np.testing.assert_allclose(twice[k], once[k], rtol=2 * np.finfo(float).eps, atol=0)
 
     def test_zero_grads_leave_params(self):
         params = {"w": np.array([1.0, -2.0])}
-        sgd_step(params, {"w": np.zeros(2)}, SgdConfig())
+        sgd_step(params, {"w": np.zeros(2)}, 0.002, 5.0)
         np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
     def test_scalar_update_arithmetic(self):
         params = {"w": np.array([1.0])}
-        sgd_step(params, {"w": np.array([0.5])}, SgdConfig(learning_rate=0.002))
+        sgd_step(params, {"w": np.array([0.5])}, 0.002, 5.0)
         assert params["w"][0] == pytest.approx(0.999)
 
     def test_nan_grads_name_the_block(self):
         params = {"good": np.zeros(2), "bad": np.zeros(2)}
         grads = {"good": np.zeros(2), "bad": np.array([np.nan, 0.0])}
         with pytest.raises(NumericError, match="bad"):
-            sgd_step(params, grads, SgdConfig())
-
-    def test_config_defaults_and_validation(self):
-        cfg = SgdConfig()
-        assert cfg.learning_rate == 0.002
-        assert cfg.clip_threshold == 5.0
-        assert cfg.batch_size == 50
-        assert cfg.epochs == 100
-        with pytest.raises(ValueError):
-            SgdConfig(batch_size=0)
+            sgd_step(params, grads, 0.002, 5.0)
 
 
 class TestGradCheck:

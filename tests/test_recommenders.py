@@ -13,6 +13,7 @@ from capseq.features import FeatureTables
 from capseq.generation import GenRequest
 from capseq.models import (
     MAX_STEPS,
+    MODEL_KINDS,
     Batch,
     CapsLstmRecommender,
     CapsRnnRecommender,
@@ -62,8 +63,22 @@ class TestEstimatorApi:
             PopularityRecommender().fit(sessions)
 
     def test_baseline_params_round_trip(self):
-        model = MarkovRecommender(smoothing=0.5)
-        assert model.get_params() == {"smoothing": 0.5}
+        model = PopularityRecommender(radius_km=0.5)
+        assert model.get_params() == {"radius_km": 0.5, "growth_factor": 1.5}
+        assert MarkovRecommender().get_params() == {}
+
+    def test_training_settings_defaults_and_validation(self):
+        """Every neural kind trains by SGD with the reference settings and
+        rejects a bad one at construction, naming it."""
+        for cls in MODEL_KINDS.values():
+            params = cls().get_params()
+            assert (params["learning_rate"], params["clip_threshold"], params["batch_size"],
+                    params["epochs"], params["seed"]) == (0.002, 5.0, 50, 100, 0)
+            for name, value in (("learning_rate", -1.0), ("learning_rate", float("nan")),
+                                ("clip_threshold", 0.0), ("batch_size", 0), ("epochs", 0),
+                                ("seed", -1)):
+                with pytest.raises(ValueError, match=name):
+                    cls(**{name: value})
 
 
 # small enough that every neural kind fits in a moment
@@ -86,7 +101,7 @@ def test_recommender_contract(name, world):
     with pytest.raises(TypeError, match="not_a_setting"):
         cls(not_a_setting=1)
     floats = [f.name for f in dataclasses.fields(cls) if isinstance(f.default, float)]
-    assert floats
+    assert floats or not cls._param_names()  # Markov has no settings
     for field in floats:
         with pytest.raises(ValueError, match=field):
             cls(**{field: float("nan")})

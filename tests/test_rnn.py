@@ -319,7 +319,7 @@ class TestTrain:
         net = ContextRnn(8, hidden_size=4, n_layers=1, embedding_size=3, seed=1)
         seqs = self.make_sequences(rng)
         curve = train(net, make_batch(seqs, net.pad_ix),
-                      numerics.SgdConfig(learning_rate=0.0, epochs=5), seed=3)
+                      learning_rate=0.0, clip_threshold=5.0, batch_size=50, epochs=5, seed=3)
         assert all(v == pytest.approx(curve[0], rel=1e-12) for v in curve)
 
     def test_same_seed_identical_curves(self):
@@ -330,7 +330,7 @@ class TestTrain:
             net = ContextRnn(8, hidden_size=4, n_layers=1, embedding_size=3, seed=1)
             curves.append(
                 train(net, make_batch(seqs, net.pad_ix),
-                      numerics.SgdConfig(learning_rate=0.05, epochs=5), seed=3)
+                      learning_rate=0.05, clip_threshold=5.0, batch_size=50, epochs=5, seed=3)
             )
         assert curves[0] == curves[1]
 
@@ -348,7 +348,7 @@ class TestTrain:
         ] * 4
         curve = train(
             net, make_batch(seqs, net.pad_ix),
-            numerics.SgdConfig(learning_rate=0.1, epochs=50, batch_size=4),
+            learning_rate=0.1, clip_threshold=5.0, batch_size=4, epochs=50,
             seed=3,
         )
         assert curve[-1] < 0.2 * curve[0]
