@@ -195,6 +195,9 @@ def _resolve_data_dir(cfg: dict) -> Path:
 
 
 def _out_dir(cfg) -> Path:
+    """The output directory, made if missing. ``train``, ``generate`` and
+    ``evaluate`` make it before their work, so a bad path fails at once; a
+    later failure leaves it behind, empty."""
     out = Path(cfg.get("out_dir") or ".")
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -299,13 +302,13 @@ def _recommender(name: str, cfg: dict):
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
+    out = _out_dir(cfg)
     kind = cfg.get("model") or "caps-lstm"
     if kind not in MODEL_KINDS:
         raise UsageError(f"unknown model kind {kind!r}")
     sessions, encodings, tables = _dataset_and_tables(cfg)
     model = _recommender(kind, cfg)
     model.fit(sessions, tables)
-    out = _out_dir(cfg)
     ckpt = out / f"{kind}.ckpt"
     model.save(ckpt)
     curve_path = out / f"{kind}-loss.csv"
@@ -321,6 +324,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _merged_config(args)
+    out = _out_dir(cfg)
     seed = cfg["seed"]
     sessions, encodings, tables = _dataset_and_tables(cfg)
     try:
@@ -347,7 +351,6 @@ def cmd_generate(args) -> int:
         **{key: cfg[key] for key in ("length", "candidates", "k") if cfg.get(key) is not None},
     ))
     sequences = model.generate(request, seed=seed)
-    out = _out_dir(cfg)
     path = out / "sequences.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"header": True, "seed": seed, "model": model.kind}) + "\n")
@@ -390,6 +393,7 @@ def _select_models(spec: str, cfg: dict) -> dict:
 
 def cmd_evaluate(args) -> int:
     cfg = _merged_config(args)
+    out = _out_dir(cfg)
     seed = cfg["seed"]
     folds = _default(cfg, "folds", 5)
     candidates = _default(cfg, "candidates", 10)
@@ -416,7 +420,6 @@ def cmd_evaluate(args) -> int:
         candidates=candidates,
         sweep_lengths=sweep_lengths,
     )
-    out = _out_dir(cfg)
     (out / "eval_report.csv").write_text(
         report_csv(result, seed, include_raw=args.diversity_raw), encoding="utf-8"
     )

@@ -6,9 +6,10 @@ by the POI's expected stay plus travel time, and rebuilds the attribute
 context. A request's candidates step together as one batch: per step,
 one ``forward_step``, one gather of attribute rows and one distance read,
 which advances the clock and is the next step's distance from the
-previous stop. Each candidate draws all its uniforms at once from its own
-stream, derived from (seed, candidate index), so each row is the rollout
-that candidate would make alone.
+previous stop. The products of the request's whole-sequence features
+are computed once, before the first step. Each candidate draws all its
+uniforms at once from its own stream, derived from (seed, candidate
+index), so each row is the rollout that candidate would make alone.
 
 Every fixed-length recommender, these rollouts and the popularity,
 Markov and HITS baselines, hands its (candidates, length) POI array to
@@ -69,9 +70,9 @@ def sample_rows(probs: np.ndarray, uniform) -> np.ndarray:
     if len(uniform) != len(probs):
         raise ValueError(f"{len(probs)} rows of probabilities, {len(uniform)} draws")
     totals = probs.sum(axis=1, keepdims=True)
-    if not (np.isfinite(totals).all() and (totals > 0).all()):
+    if not ((totals > 0) & (totals < np.inf)).all():  # a NaN total fails both
         raise ValueError("probabilities must be positive and finite")
-    if (probs < 0).any():
+    if probs.min(initial=0.0) < 0:
         raise ValueError("probabilities must be non-negative")
     # Generator.choice's own arithmetic: normalise, cumulate, renormalise,
     # then count the cdf entries <= the uniform draw (a right-side search)
@@ -110,13 +111,14 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> tuple:
     state = net.init_state(n)
     feat = tables.expected_feature(request.user, request.start_poi, int(hours[0, 0]))
     feats = np.repeat(feat[None, :] / tables.feature_scale, n, axis=0)
+    terms = net.sequence_terms(feats)  # shared by every step of the request
     stay = tables.stay.mean_stay
     dist_prev = np.zeros(n)  # no previous stop before the start
     for t in range(steps):
         current, clock = pois[:, t], hours[:, t]
         attrs = tables.attribute_rows(current, clock.astype(np.int64), dist_prev)
-        state, _, probs = net.forward_step(state, current, attrs / tables.attribute_scale,
-                                           feats)
+        attrs /= tables.attribute_scale
+        state, _, probs = net.forward_step(state, current, attrs, feats, terms=terms)
         p = probs
         if request.no_repeat:
             p = probs.copy()

@@ -70,28 +70,37 @@ class ContextLstm(RecurrentNet):
 
     # -- forward ---------------------------------------------------------
 
-    def _step(self, state, inputs, attrs, feats, cache=None):
+    def sequence_terms(self, feats):
+        """``(W_q f, G f)`` of the (B, F) features."""
+        p = self.params
+        return feats @ p["Wq"].T, feats @ p["G"].T
+
+    def _step(self, state, inputs, attrs, terms, cache=None):
         p = self.params
         h_prev, c_prev = state
+        feat_in, feat_out = terms
         x = p["emb"][inputs]
         gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
         hg = h_prev * gate_a
-        feat_in = feats @ p["Wq"].T
 
-        def pre(g: str, peep: bool) -> np.ndarray:
-            out = x @ p[f"Wx{g}"].T + hg @ p[f"Wh{g}"].T + p[f"b{g}"]
-            if peep:
-                out = out + c_prev * p[f"wc{g}"]
-            return out + feat_in
+        def pre(g: str, out: np.ndarray | None = None) -> np.ndarray:
+            out = np.add(x @ p[f"Wx{g}"].T, hg @ p[f"Wh{g}"].T, out=out)
+            out += p[f"b{g}"]
+            if g != "z":
+                out += c_prev * p[f"wc{g}"]
+            out += feat_in
+            return out
 
-        i = numerics.sigmoid(pre("i", True))
-        f = numerics.sigmoid(pre("f", True))
-        z = np.tanh(pre("z", False))
+        # i, f and o each summed into their slice of one buffer, then one sigmoid
+        ifo = np.empty((3,) + h_prev.shape)
+        for g, out in zip("ifo", ifo):
+            pre(g, out)
+        i, f, o = numerics.sigmoid(ifo, out=ifo)
+        z = np.tanh(pre("z"))
         c = f * c_prev + i * z
-        o = numerics.sigmoid(pre("o", True))
         tc = np.tanh(c)
         h = o * tc
-        logits = h @ p["V"].T + p["c"] + feats @ p["G"].T
+        logits = h @ p["V"].T + p["c"] + feat_out
         if cache is not None:
             cache.append((x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h))
         return (h, c), logits

@@ -55,7 +55,16 @@ class ContextRnn(RecurrentNet):
 
     # -- forward ---------------------------------------------------------
 
-    def _step(self, state, inputs, attrs, feats, cache=None):
+    def sequence_terms(self, feats):
+        """``(F_l f for each layer, G f)`` of the (B, F) features, or
+        ``None`` for the plain variant."""
+        if not self.contextual:
+            return None
+        p = self.params
+        return ([feats @ p[f"F{layer}"].T for layer in range(self.n_layers)],
+                feats @ p["G"].T)
+
+    def _step(self, state, inputs, attrs, terms, cache=None):
         p = self.params
         x = p["emb"][inputs]
         new_state = []
@@ -70,15 +79,15 @@ class ContextRnn(RecurrentNet):
                 rec = h_prev
             pre = layer_in @ p[f"U{layer}"].T + rec @ p[f"W{layer}"].T + p[f"b{layer}"]
             if self.contextual:
-                pre = pre + feats @ p[f"F{layer}"].T
-            h = np.tanh(pre)
+                pre += terms[0][layer]
+            h = np.tanh(pre, out=pre)
             if cache is not None:
                 cache.append((layer_in, h_prev, gate, rec, h))
             new_state.append(h)
             layer_in = h
         logits = layer_in @ p["V"].T + p["c"]
         if self.contextual:
-            logits = logits + feats @ p["G"].T
+            logits += terms[1]
         return new_state, logits
 
     # entries in this class's own __dict__: the benchmark tracer wraps them per class

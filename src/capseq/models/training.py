@@ -43,7 +43,9 @@ class RecurrentNet:
     backpropagation through time.
 
     Each cell supplies ``_init_params(rng)``, ``init_state(batch_size)``,
-    ``_step(state, inputs, attrs, feats, cache)`` returning
+    ``sequence_terms(feats)``, the products of the (B, FEATURE_DIM)
+    whole-sequence features that every step of those sequences shares,
+    ``_step(state, inputs, attrs, terms, cache)`` returning
     ``(new_state, logits)``, whose cache ends with the top hidden state,
     and ``_step_backward(cache, dh, carry, batch, t, grads) -> (carry,
     dx)``: from the top state's loss gradient and the state gradient of
@@ -71,26 +73,30 @@ class RecurrentNet:
         self.pad_ix = n_pois
         self.params = self._init_params(np.random.default_rng(seed))
 
-    def forward_step(self, state, inputs, attrs, feats):
-        """One public step; returns (new_state, logits, probabilities)."""
+    def forward_step(self, state, inputs, attrs, feats, terms=None):
+        """One public step; returns (new_state, logits, probabilities).
+        ``terms`` is ``sequence_terms(feats)``, computed here if not given:
+        a rollout computes it once for all its steps."""
         inputs = np.atleast_1d(np.asarray(inputs, dtype=np.int64))
-        if np.any(inputs < 0) or np.any(inputs >= self.n_pois):
+        if inputs.view(np.uint64).max(initial=0) >= self.n_pois:  # negatives wrap past it
             raise IndexError(
                 f"poi index out of range [0, {self.n_pois}): {inputs.tolist()}"
             )
-        new_state, logits = self._step(state, inputs, np.atleast_2d(attrs),
-                                       np.atleast_2d(feats))
+        if terms is None:
+            terms = self.sequence_terms(np.atleast_2d(feats))
+        new_state, logits = self._step(state, inputs, np.atleast_2d(attrs), terms)
         return new_state, logits, numerics.softmax(logits, axis=-1)
 
     def _forward_sequence(self, batch, collect_cache: bool):
         """Run the whole padded batch; returns per-step probs and caches."""
         B, T = batch.inputs.shape
         state = self.init_state(B)
+        terms = self.sequence_terms(batch.feats)
         steps = []
         for t in range(T):
             cache: list | None = [] if collect_cache else None
             state, logits = self._step(
-                state, batch.inputs[:, t], batch.attrs[:, t, :], batch.feats, cache
+                state, batch.inputs[:, t], batch.attrs[:, t, :], terms, cache
             )
             steps.append((numerics.softmax(logits, axis=-1), cache))
         return steps

@@ -22,21 +22,29 @@ class NumericError(RuntimeError):
     malformed parameter snapshot."""
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without branches: 1/(1+exp(-x)) for x >= 0 and
     exp(x)/(1+exp(x)) below, the same floating-point operations as a
     masked two-branch form. ``exp`` only ever sees -|x|, so it cannot
-    overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    overflow. The numerator is 1 or exp(-|x|) as ``np.fmax`` picks it:
+    exp(-|x|) <= 1, and a NaN of x stays NaN through the denominator.
+    ``out`` may be ``x`` itself."""
+    positive = x >= 0
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.fmax(e, positive)
+    e += 1.0
+    return np.divide(numerator, e, out=e)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax; entries > 0 and each slice sums to 1."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+    ex = logits - logits.max(axis=axis, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=axis, keepdims=True)
+    return ex
 
 
 def sequential_sum(values) -> float:

@@ -376,6 +376,9 @@ BAD_INPUTS = {
     "features-out-dir-a-file": ({}, ["features", "--out-dir", "{tmp}/m.ckpt"], 1),
     "evaluate-out-dir-a-file": (
         {}, ["evaluate", "--models", "popularity", "--out-dir", "{tmp}/m.ckpt"], 1),
+    "train-out-dir-a-file": (
+        {}, ["train", "--model", "plain-rnn", "--out-dir", "{tmp}/m.ckpt"], 1),
+    "generate-out-dir-a-file": ({}, GENERATE + ["--out-dir", "{tmp}/m.ckpt"], 1),
     "train-negative-seed": ({}, ["train", "--model", "plain-rnn", "--seed", "-1"], 1),
     "generate-negative-seed": ({}, GENERATE + ["--seed", "-1"], 1),
     "evaluate-negative-seed": ({}, ["evaluate", "--models", "popularity", "--seed", "-1"], 1),
@@ -519,6 +522,21 @@ def test_report_non_numeric_cell_is_data_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1, (case, err)
         assert err.startswith(f"data error: {path}: "), (case, err)
+
+
+def test_bad_out_dir_fails_before_training(bad_input_sources, tmp_path, monkeypatch,
+                                          capsys):
+    """``train`` makes its --out-dir before it fits, so a path that names a
+    file costs no training run."""
+    from capseq.models.recommenders import _NeuralRecommender
+
+    fits = []
+    monkeypatch.setattr(_NeuralRecommender, "fit", lambda *args: fits.append(args))
+    data, ckpt = bad_input_sources
+    assert main(["train", "--data-dir", str(data), "--model", "caps-lstm",
+                 "--out-dir", str(ckpt)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --out-dir")
+    assert not fits
 
 
 def test_stray_key_error_is_a_traceback(pipeline_dirs, tmp_path, monkeypatch):

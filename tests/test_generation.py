@@ -13,6 +13,7 @@ from capseq.generation import (
     score_sequence,
 )
 from capseq.models import CapsLstmRecommender, CapsRnnRecommender
+from capseq.models.lstm import ContextLstm
 from capseq.models.rnn import ContextRnn
 
 
@@ -82,14 +83,18 @@ class TestSampleRows:
                 want = [o.choice(K, p=row / row.sum()) for o, row in zip(oracles, w)]
                 assert got.tolist() == want
 
-    @pytest.mark.parametrize("bad", [np.nan, 0.0, -0.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, pytest.param([np.inf, -np.inf],
+                                                             id="inf-pair"), 0.0, -0.5])
     def test_rejects_bad_row(self, bad):
         w = np.full((3, 5), 0.2)
-        if bad == 0.0:
+        if np.ndim(bad):
+            w[1, : len(bad)] = bad
+        elif bad == 0.0:
             w[1] = 0.0
         else:
             w[1, 2] = bad
-        with pytest.raises(ValueError):
+        # the infinite pair sums to NaN, which the total check must refuse
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             sample_rows(w, np.full(3, 0.5))
 
     def test_one_draw_per_row(self):
@@ -206,6 +211,40 @@ class TestGenerate:
         [plain] = score_sequence(pois, hours, 0, tables, consolidated=False)
         [discounted] = score_sequence(pois, hours, 0, tables, consolidated=True)
         assert discounted <= plain + 1e-12
+
+
+ROLLOUT_NETS = {
+    "plain-rnn": lambda K: ContextRnn(K, hidden_size=6, n_layers=2, embedding_size=4,
+                                      contextual=False, seed=1),
+    "caps-rnn": lambda K: ContextRnn(K, hidden_size=6, n_layers=2, embedding_size=4,
+                                     seed=1),
+    "caps-lstm": lambda K: ContextLstm(K, hidden_size=6, embedding_size=4, seed=1),
+}
+
+
+@pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
+def test_rollout_steps_share_one_terms_object(kind, synth_tables_module, monkeypatch):
+    """A request makes one ``forward_step`` per generated stop, and every
+    one of them gets the same ``sequence_terms``, computed once: the
+    features' products are not recomputed per step, and no step goes
+    around ``forward_step``."""
+    _, tables = synth_tables_module
+    net = ROLLOUT_NETS[kind](tables.n_pois)
+    step, seen = net.forward_step, []
+
+    def spy(state, inputs, attrs, feats, terms=None):
+        seen.append(terms)
+        return step(state, inputs, attrs, feats, terms=terms)
+
+    monkeypatch.setattr(net, "forward_step", spy)
+    for length in (1, 2, 9):
+        seen.clear()
+        generate(net, GenRequest(user=1, start_poi=3, start_hour=10.0, length=length,
+                                 candidates=4, k=2), tables, seed=3)
+        assert len(seen) == length - 1
+        assert all(terms is seen[0] for terms in seen)
+        if seen:
+            assert (seen[0] is None) == (kind == "plain-rnn")
 
 
 class TestBatchedCandidates:

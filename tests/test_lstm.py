@@ -157,7 +157,7 @@ class TestLstmStep:
                 state,
                 rng.integers(0, 7, size=B),
                 rng.normal(size=(B, ADIM)),
-                rng.normal(size=(B, FDIM)),
+                net.sequence_terms(rng.normal(size=(B, FDIM))),
                 cache,
             )
             _, _, _, _, _, i, f, z, c, o, _, _ = cache[0]

@@ -131,7 +131,24 @@ def test_sigmoid_bit_equal_to_masked_form(shape):
     assert np.array_equal(got, expected, equal_nan=True)
 
 
+def test_sigmoid_in_place_gives_the_same_bits():
+    """``sigmoid(x, out=x)`` overwrites ``x`` with ``sigmoid(x)``, NaN and
+    the extremes included: the sign is read before ``x`` is overwritten."""
+    x = np.random.default_rng(5).normal(scale=20.0, size=(3, 4, len(SPECIAL_VALUES)))
+    x[1, 2] = SPECIAL_VALUES
+    expected = sigmoid(x)
+    got = sigmoid(x, out=x)
+    assert got is x
+    assert np.array_equal(x, expected, equal_nan=True)
+
+
 class TestSoftmax:
+    def test_leaves_its_input_alone(self):
+        logits = np.random.default_rng(8).normal(size=(4, 9))
+        kept = logits.copy()
+        softmax(logits)
+        assert np.array_equal(logits, kept)
+
     def test_uniform_logits(self):
         p = softmax(np.zeros(7))
         np.testing.assert_allclose(p, 1.0 / 7, atol=1e-15)

@@ -135,6 +135,26 @@ class TestForwardStep:
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("B", [1, 10])
+@pytest.mark.parametrize("name", list(ORACLE_NETS))
+def test_given_sequence_terms_change_no_bit(name, B):
+    """A rollout hands ``forward_step`` the ``sequence_terms`` of its
+    features once for all its steps: 25 steps with them give the bits of
+    25 steps that compute them anew."""
+    rng = np.random.default_rng(B)
+    net = ORACLE_NETS[name][0]()
+    f = rng.normal(size=(B, FDIM))
+    terms = net.sequence_terms(f)
+    given, fresh = net.init_state(B), net.init_state(B)
+    for _ in range(25):
+        ix = rng.integers(0, 6, size=B)
+        A = rng.normal(size=(B, ADIM))
+        given, *out_given = net.forward_step(given, ix, A, f, terms=terms)
+        fresh, *out_fresh = net.forward_step(fresh, ix, A, f)
+        for a, b in zip(list(given) + out_given, list(fresh) + out_fresh):
+            assert np.array_equal(a, b)
+
+
 class TestDegeneration:
     def test_neutralized_context_equals_plain_rnn(self):
         """Unit gates and zero feature paths must reproduce the plain
