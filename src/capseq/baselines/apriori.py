@@ -13,8 +13,8 @@ The part of the search that does not depend on the request is done
 once per fit: ``neighbour_arrays`` gives every POI its POIs within the
 threshold, with the walking time and the constraint discount of the
 step, as one CSR index from one read of the tables' pairwise distance
-matrix; so is each statistics row's preference for every (POI, hour),
-on the first request that reads the row. Each level of the search is
+matrix. Scores read the tables' ``preference_table`` of the user, which
+the tables fill once per statistics row. Each level of the search is
 one set of array operations over the level's trips: gather every
 trip's neighbours, mask the visited and the over-budget ones, step the
 clock, add the scores and rank the survivors with one ``np.lexsort``.
@@ -29,7 +29,7 @@ import numpy as np
 
 from ..generation import GenRequest, GeneratedSequence, first_hour, next_hour
 from ..geo import travel_seconds
-from ..features import HOURS, FeatureTables
+from ..features import FeatureTables
 from ..models.base import SequenceRecommender, check_non_negative, check_positive
 
 DEFAULT_EPSILON_KM = 2.0
@@ -71,17 +71,12 @@ def _ranked(pois: np.ndarray, travel: np.ndarray, score: np.ndarray) -> np.ndarr
     return np.lexsort((*pois.T[::-1], travel, -score))
 
 
-def preference_table(tables: FeatureTables, user: int | None) -> np.ndarray:
-    """(n_pois, 24) preference of ``user`` for every POI at every hour."""
-    return tables.preference(user, np.arange(tables.n_pois)[:, None], np.arange(HOURS))
-
-
-def apriori_search(tables: FeatureTables, neighbours: Neighbours, preferences: np.ndarray,
-                   user: int | None, start: int, start_hour: float, length: int,
+def apriori_search(tables: FeatureTables, neighbours: Neighbours, user: int | None,
+                   start: int, start_hour: float, length: int,
                    budget_hours: float = DEFAULT_BUDGET_HOURS, k: int = 10,
                    beam_width: int | None = DEFAULT_BEAM_WIDTH) -> list:
     """Top-k trips from ``start`` over precomputed ``neighbour_arrays``,
-    scored by ``preferences``, the ``preference_table`` of ``user``.
+    scored by the tables' ``preference_table`` of ``user``.
 
     A level is (trips, ``length``) arrays of POIs (-1 past the level) and
     hours, and per-trip arrays of elapsed travel + stay seconds, travel
@@ -95,6 +90,7 @@ def apriori_search(tables: FeatureTables, neighbours: Neighbours, preferences: n
     elapsed = stay[[start]]
     travel = np.zeros(1)
     score = np.array([tables.preference(user, start, int(hour))])  # checks ``start``
+    preferences = tables.preference_table(user)
     dead = []
     for step in range(1, length):
         last = pois[:, step - 1]
@@ -157,15 +153,10 @@ class AprioriRecommender(SequenceRecommender):
     def fit(self, sessions, tables):
         self.tables_ = tables
         self.neighbours_ = neighbour_arrays(tables, self.epsilon_km)
-        self.preferences_ = {}  # statistics row -> its preference_table
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
         self._check_fitted("tables_", "neighbours_")
-        row = self.tables_.stats_row(request.user)
-        if row not in self.preferences_:
-            self.preferences_[row] = preference_table(self.tables_, request.user)
-        return apriori_search(self.tables_, self.neighbours_, self.preferences_[row],
-                              request.user, request.start_poi, request.start_hour,
-                              request.length, budget_hours=self.budget_hours,
+        return apriori_search(self.tables_, self.neighbours_, request.user, request.start_poi,
+                              request.start_hour, request.length, budget_hours=self.budget_hours,
                               k=request.k, beam_width=self.beam_width)

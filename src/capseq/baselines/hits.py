@@ -50,13 +50,12 @@ def cluster_regions(coords: np.ndarray, radius_km: float = DEFAULT_REGION_RADIUS
     return region
 
 
-def power_iterate(adjacency: np.ndarray, tol: float = POWER_TOL,
-                  max_iter: int = POWER_MAX_ITER):
-    """HITS power iteration; returns (hub, authority), L2-normalized."""
+def power_iterate(adjacency: np.ndarray):
+    """HITS power iteration to ``POWER_TOL``; returns (hub, authority), L2-normalized."""
     n_users, n_locs = adjacency.shape
     hub = np.ones(n_users) / np.sqrt(n_users)
     auth = np.ones(n_locs) / np.sqrt(n_locs)
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         new_auth = adjacency.T @ hub
         norm = np.linalg.norm(new_auth)
         if norm > 0:
@@ -67,7 +66,7 @@ def power_iterate(adjacency: np.ndarray, tol: float = POWER_TOL,
             new_hub /= norm
         delta = max(np.abs(new_auth - auth).max(), np.abs(new_hub - hub).max())
         hub, auth = new_hub, new_auth
-        if delta < tol:
+        if delta < POWER_TOL:
             break
     return hub, auth
 

@@ -2,7 +2,8 @@
 
 From the current location, pick the most popular POI inside the radius
 that is not already in the list; when nothing qualifies the radius grows
-by a fixed factor until a POI is found or every POI is excluded.
+by a fixed factor until a POI is found or every POI is excluded. A full
+list excludes only the current POI, and a lone POI repeats.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class PopularityRecommender(SequenceRecommender):
         current = request.start_poi
         every_poi = np.arange(tables.n_pois)
         for _ in range(request.length - 1):
-            if len(exclusions) == tables.n_pois:
-                exclusions = {current}  # pool exhausted: revisit rather than truncate
+            if len(exclusions) == tables.n_pois:  # pool exhausted: revisit, not truncate
+                exclusions = {current} if tables.n_pois > 1 else set()
             nxt = popularity_next(
                 self.counts_, tables.distance_km(current, every_poi), exclusions,
                 self.radius_km, self.growth_factor,

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..geo import arc_km, haversine_km, place
+from ..geo import arc_km, place
 from ..numerics import sequential_sum
 from ..data.types import (
     DataError, Encodings, Session, SocialGraph, UnknownIdError, visit_arrays)
@@ -281,8 +281,8 @@ class FeatureTables:
         self.stay: StayStats | None = None
         self.popularity: np.ndarray | None = None
         # the catalogue of ``encodings``: every POI's (lat, lon) and category
-        self.poi_coords: np.ndarray | None = encodings.poi_coords
-        self.poi_cat: np.ndarray | None = encodings.poi_cat
+        self.poi_coords: np.ndarray = encodings.poi_coords
+        self.poi_cat: np.ndarray = encodings.poi_cat
         self.ast_poi: np.ndarray | None = None
         self.astcat_hour: np.ndarray | None = None  # (n_categories, 24)
         self._friends: list = []  # per user, ascending
@@ -302,11 +302,14 @@ class FeatureTables:
         self._dist_in: np.ndarray | None = None
         self._dist_own: np.ndarray | None = None
         self._dist_global = (0.0, 0.0)
+        # the catalogue's POIs as ``geo.place`` points
+        self._places = [place(lat, lon) for lat, lon in self.poi_coords.tolist()]
         # km from each source POI read so far to every POI: source l's
         # row is _dist_rows[_dist_slot[l]], and _dist_slot[l] is -1 until
         # l is first read
         self._dist_slot: np.ndarray | None = None
         self._dist_rows: np.ndarray | None = None
+        self._pref_tables: dict[int, np.ndarray] = {}  # stats row -> preference_table
         self._attr_table: np.ndarray | None = None  # (n_pois, 24, ATTRIBUTE_DIM)
         self._attr_scale: np.ndarray | None = None
         self._feat_scale: np.ndarray | None = None
@@ -480,9 +483,6 @@ class FeatureTables:
             self._check_poi(int(pois[unsigned >= self.n_pois][0]))
         return pois
 
-    def _is_user(self, u) -> bool:
-        return u is not None and 0 <= u < self.n_users
-
     def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Great-circle km from POIs ``a`` to POIs ``b`` (checked index
         arrays), read from the row of each source. A source's row is
@@ -501,10 +501,9 @@ class FeatureTables:
                 rows = np.empty((size, self.n_pois))
                 rows[:used] = self._dist_rows[:used]
                 self._dist_rows = rows
-            places = [place(lat, lon) for lat, lon in self.poi_coords.tolist()]
             for i, source in enumerate(sources, used):
-                here = places[source]
-                self._dist_rows[i] = [arc_km(here, to) for to in places]
+                here = self._places[source]
+                self._dist_rows[i] = [arc_km(here, to) for to in self._places]
                 self._dist_slot[source] = i
             slot = self._dist_slot[a]
         return self._dist_rows[slot, b]
@@ -522,7 +521,19 @@ class FeatureTables:
     def stats_row(self, u: int | None) -> int:
         """The statistics row ``preference`` reads for ``u``: its own, or
         the pooled row ``n_users`` for ``None`` or a user without history."""
-        return u if self._is_user(u) and self._max_lt[u] else self.n_users
+        return u if u is not None and 0 <= u < self.n_users and self._max_lt[u] else self.n_users
+
+    def preference_table(self, u: int | None) -> np.ndarray:
+        """The read-only (n_pois, 24) preference of ``stats_row(u)`` for
+        every POI at every hour, for the readers of whole rows: computed on
+        the row's first read and kept; users without history share the
+        pooled row's table."""
+        row = self.stats_row(u)
+        if row not in self._pref_tables:
+            table = self._preference(row, np.arange(self.n_pois)[:, None], np.arange(HOURS))
+            table.flags.writeable = False
+            self._pref_tables[row] = table
+        return self._pref_tables[row]
 
     def _preference(self, row: int, pois, hours) -> np.ndarray:
         """Preference of stats row ``row`` for POIs at hours (0-23):
@@ -571,8 +582,8 @@ class FeatureTables:
         24-hour popularity profile of the POI."""
         dist = 0.0
         if prev_poi_ix is not None:  # scalar, so that it fills no distance rows
-            cur, prev = self.poi_coords[self._pois([poi_ix, prev_poi_ix])].tolist()
-            dist = haversine_km(*prev, *cur)
+            cur, prev = self._pois([poi_ix, prev_poi_ix]).tolist()
+            dist = arc_km(self._places[prev], self._places[cur])
         return self.attribute_rows([poi_ix], [int(hour) % HOURS], [dist])[0]
 
     def attribute_rows(self, pois, hours, dist_prev) -> np.ndarray:
@@ -600,8 +611,7 @@ class FeatureTables:
         first, last = ends - lengths, ends - 1
         step = np.ones(len(pois), dtype=bool)
         step[first] = False
-        places = [place(lat, lon) for lat, lon in self.poi_coords.tolist()]
-        ix = pois.tolist()
+        places, ix = self._places, pois.tolist()
         km = [arc_km(places[ix[i - 1]], places[ix[i]]) for i in np.flatnonzero(step).tolist()]
         n_steps = lengths - 1
         mean_km = [sequential_sum(km[i - n:i]) / n if n else 0.0
@@ -631,9 +641,7 @@ class FeatureTables:
         """The static fields of every (POI, hour) attribute vector, with
         ``dist_prev`` left at 0, and the per-field input scales."""
         table = np.zeros((self.n_pois, HOURS, ATTRIBUTE_DIM))
-        ps = self._preference(
-            self.n_users, np.arange(self.n_pois)[:, None], np.arange(HOURS)
-        )
+        ps = self.preference_table(None)
         table[:, :, 0] = self.stay.normalized[:, None]
         table[:, :, 1] = self.ast_poi[:, None]
         table[:, :, 2] = self.astcat_hour[self.poi_cat]

@@ -54,7 +54,12 @@ def diversity(categories: Sequence) -> float:
     n = len(categories)
     if n < 2:
         raise ValueError("diversity needs at least two items")
-    return diversity_raw(categories) / (n * (n - 1) / 2.0)
+    return _pair_share(diversity_raw(categories), n)
+
+
+def _pair_share(count: int, n: int) -> float:
+    """``count`` as a share of the unordered pairs of ``n`` items."""
+    return count / (n * (n - 1) / 2.0)
 
 
 def diversity_raw(categories: Sequence) -> int:
@@ -188,10 +193,11 @@ def _evaluate(model, i, user, actual, hour, length, encodings, seed, candidates)
     predicted = model.generate(request, seed=seed * 100003 + i)[0].pois
     p, r, f1 = pairs_f1(actual, predicted)
     cats = [int(cats_of[ix]) for ix in predicted]
-    div = diversity(cats) if len(cats) >= 2 else 0.0
+    raw = diversity_raw(cats)
+    div = _pair_share(raw, len(cats)) if len(cats) >= 2 else 0.0
     n = min(len(actual), len(predicted))
     d_sum, d_mean = displacement(coords[actual[:n]], coords[predicted[:n]])
-    return p, r, f1, div, d_sum, d_mean, float(diversity_raw(cats))
+    return p, r, f1, div, d_sum, d_mean, float(raw)
 
 
 def cross_validate(

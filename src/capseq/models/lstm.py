@@ -34,13 +34,7 @@ GATES = ("i", "f", "z", "o")
 
 
 class ContextLstm(RecurrentNet):
-    def __init__(
-        self,
-        n_pois: int,
-        hidden_size: int = 512,
-        embedding_size: int = 384,
-        seed: int = 0,
-    ):
+    def __init__(self, n_pois: int, hidden_size: int, embedding_size: int, seed: int = 0):
         super().__init__(n_pois, hidden_size, 1, embedding_size, True, seed)
 
     def _init_params(self, rng) -> dict:

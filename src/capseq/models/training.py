@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import numerics
-from ..data.types import Session, visit_arrays
+from ..data.types import DataError, Session, visit_arrays
 from ..features import ATTRIBUTE_DIM, HOURS, FeatureTables
 
 MAX_STEPS = 25  # cap on teacher-forcing steps per session
@@ -57,14 +57,14 @@ class RecurrentNet:
     def __init__(
         self,
         n_pois: int,
-        hidden_size: int = 256,
-        n_layers: int = 5,
-        embedding_size: int = 384,
+        hidden_size: int,
+        n_layers: int,
+        embedding_size: int,
         contextual: bool = True,
         seed: int = 0,
     ):
         if n_pois < 2:
-            raise ValueError("need at least two POIs to model sequences")
+            raise DataError("need at least two POIs to model sequences")
         self.n_pois = n_pois
         self.hidden_size = hidden_size
         self.n_layers = n_layers
@@ -85,7 +85,7 @@ class RecurrentNet:
         if terms is None:
             terms = self.sequence_terms(np.atleast_2d(feats))
         new_state, logits = self._step(state, inputs, np.atleast_2d(attrs), terms)
-        return new_state, logits, numerics.softmax(logits, axis=-1)
+        return new_state, logits, numerics.softmax(logits)
 
     def _forward_sequence(self, batch, collect_cache: bool):
         """Run the whole padded batch; returns per-step probs and caches."""
@@ -98,7 +98,7 @@ class RecurrentNet:
             state, logits = self._step(
                 state, batch.inputs[:, t], batch.attrs[:, t, :], terms, cache
             )
-            steps.append((numerics.softmax(logits, axis=-1), cache))
+            steps.append((numerics.softmax(logits), cache))
         return steps
 
     @staticmethod

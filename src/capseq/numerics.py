@@ -38,12 +38,12 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(numerator, e, out=e)
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable softmax; entries > 0 and each slice sums to 1."""
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis; entries > 0 and each row sums to 1."""
     logits = np.asarray(logits, dtype=np.float64)
-    ex = logits - logits.max(axis=axis, keepdims=True)
+    ex = logits - logits.max(axis=-1, keepdims=True)
     np.exp(ex, out=ex)
-    ex /= ex.sum(axis=axis, keepdims=True)
+    ex /= ex.sum(axis=-1, keepdims=True)
     return ex
 
 

@@ -28,8 +28,7 @@ from capseq.baselines import (
     popularity_next,
     power_iterate,
 )
-from capseq.baselines.apriori import (
-    DEFAULT_EPSILON_KM, apriori_search, neighbour_arrays, preference_table)
+from capseq.baselines.apriori import DEFAULT_EPSILON_KM, apriori_search, neighbour_arrays
 from capseq.baselines.hits import sequence_score
 from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
 
@@ -387,7 +386,7 @@ def test_array_search_equals_the_tuple_walk(beam_corpora):
             grid = itertools.product(starts, lengths, (1, 10), (8.0, 0.0))
             for (user, start, hour), length, k, budget in grid:
                 args = (user, start, hour, length, budget, k, beam_width)
-                got = apriori_search(tables, arrays, preference_table(tables, user), *args)
+                got = apriori_search(tables, arrays, *args)
                 want = ref.apriori_search(tables, lists, *args)
                 assert [(s.pois, s.hours, s.score) for s in got] == [
                     (s.pois, s.hours, s.score) for s in want], args
@@ -396,30 +395,6 @@ def test_array_search_equals_the_tuple_walk(beam_corpora):
                     assert [s.pois for s in got] == [[start]]
                     singletons += 1
     assert fallbacks and singletons
-
-
-def test_apriori_reads_each_rows_preferences_once_per_fit(beam_corpora, monkeypatch):
-    """A fitted Apriori reads a statistics row's preference table on the
-    first request that needs it and keeps it until the next fit; its
-    trips are those of a search given a fresh table."""
-    import capseq.baselines.apriori as apriori
-
-    reads = []
-    monkeypatch.setattr(apriori, "preference_table",
-                        lambda tables, user: reads.append(user) or preference_table(tables, user))
-    tables, starts = beam_corpora[0]
-    model = AprioriRecommender().fit([], tables)
-    rows = {tables.stats_row(user) for user, _, _ in starts}
-    assert tables.n_users in rows and len(rows) > 2
-    for _ in range(2):
-        for user, start, hour in starts:
-            got = model.generate(GenRequest(user=user, start_poi=start, start_hour=hour, length=4))
-            want = apriori_search(tables, model.neighbours_, preference_table(tables, user),
-                                  user, start, hour, 4)
-            assert [(s.pois, s.hours, s.score) for s in got] == [
-                (s.pois, s.hours, s.score) for s in want]
-    assert len(reads) == len(model.preferences_) == len(rows)
-    assert model.fit([], tables).preferences_ == {}
 
 
 def tie_world():
@@ -460,19 +435,17 @@ def test_ties_at_the_beam_cut_fall_to_travel_then_pois():
     flipped = arrays._replace(**{f: getattr(arrays, f)[backwards]
                                  for f in ("nxt", "travel_s", "discount")})
     lists = ref.neighbour_lists(tables, DEFAULT_EPSILON_KM)
-    preferences = preference_table(tables, 0)
     want = [[a, v], [a, n1], [a, n2], [a, n3], [a, f1], [a, f2]]
     for neighbours in (arrays, flipped):
         for beam_width in range(1, len(want) + 1):
-            got = apriori_search(tables, neighbours, preferences, 0, a, 9.0, 2, k=10,
-                                 beam_width=beam_width)
+            got = apriori_search(tables, neighbours, 0, a, 9.0, 2, k=10, beam_width=beam_width)
             assert [s.pois for s in got] == want[:beam_width]
         # travel 0.0 to a POI at the same point: elapsed is the budget exactly
-        got = apriori_search(tables, neighbours, preferences, 0, n1, 9.0, 2, budget_hours=1.0)
+        got = apriori_search(tables, neighbours, 0, n1, 9.0, 2, budget_hours=1.0)
         assert [s.pois for s in got] == [[n1, n2], [n1, n3]]
         for beam_width, length in itertools.product((1, 2, 3, 4, 5, None), (2, 3, 4)):
             args = (0, a, 9.0, length, 8.0, 10, beam_width)
-            got = apriori_search(tables, neighbours, preferences, *args)
+            got = apriori_search(tables, neighbours, *args)
             want_trips = ref.apriori_search(tables, lists, *args)
             assert [(s.pois, s.hours, s.score) for s in got] == [
                 (s.pois, s.hours, s.score) for s in want_trips], args

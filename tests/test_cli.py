@@ -9,9 +9,13 @@ import pytest
 
 from capseq.cli import (
     CONFIG_KEYS, RECOMMENDERS, RUN_KEYS, _merged_config, _recommender, build_parser, main)
+from capseq.baselines import PopularityRecommender
 from capseq.config import ConfigError, parse_config_file
+from capseq.data.io import load_dataset
 from capseq.features import FeatureTables
+from capseq.generation import GenRequest
 from capseq.metrics import REPORT_COLUMNS
+from capseq.models import MODEL_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -583,6 +587,39 @@ def test_synth_rejects_zero_size_with_one_line(flag, tmp_path, capsys):
     assert main(["synth", flag, "0", "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def one_poi_data(tmp_path_factory):
+    """A dataset whose catalogue holds a single POI."""
+    root = tmp_path_factory.mktemp("one-poi")
+    assert main(["synth", "--seed", "3", "--users", "2", "--pois", "1", "--days", "3",
+                 "--out-dir", str(root / "raw")]) == 0
+    assert main(["ingest", "--checkins", str(root / "raw" / "checkins.csv"),
+                 "--min-checkins", "0", "--out-dir", str(root / "data")]) == 0
+    return root / "data"
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_train_on_one_poi_is_a_data_error(kind, one_poi_data, tmp_path, capsys):
+    assert main(["train", "--data-dir", str(one_poi_data), "--model", kind,
+                 "--hidden-size", "4", "--n-layers", "1", "--embedding-size", "3",
+                 "--epochs", "1", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: need at least two POIs to model sequences\n"
+
+
+def test_popularity_on_one_poi_repeats_the_start(one_poi_data, tmp_path):
+    """Like Markov, HITS and Apriori, popularity returns a trip where
+    every POI but the current one is used up, even with no other POI."""
+    assert main(["evaluate", "--data-dir", str(one_poi_data), "--models", "popularity",
+                 "--folds", "2", "--out-dir", str(tmp_path)]) == 0
+    assert "popularity,mean" in (tmp_path / "eval_report.csv").read_text()
+    sessions, encodings, graph = load_dataset(one_poi_data)
+    tables = FeatureTables.build(sessions, graph, encodings)
+    model = PopularityRecommender().fit(sessions, tables)
+    trip = model.generate(GenRequest(user=0, start_poi=0, start_hour=9.0, length=3, k=1))
+    assert [s.pois for s in trip] == [[0, 0, 0]]
 
 
 class TestConfigFile:

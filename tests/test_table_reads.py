@@ -78,6 +78,34 @@ class TestArrayReads:
         assert filled == [3, 4, 5]
         assert len(tables._dist_rows) < tables.n_pois
 
+    def test_preference_tables_are_computed_once_per_row(self, synth_small, monkeypatch):
+        """Each statistics row's table is computed on its first whole-row
+        read, once per tables object; users without history share the
+        pooled row's table, which no reader can write to. Scalar and
+        array reads evaluate their own cells and keep no table, so memory
+        grows only with the rows that whole-row readers ask for."""
+        sessions, graph, encodings = synth_small
+        kept = [s for s in sessions if s.user_id != encodings.ix_to_user[3]]
+        calls = []
+        compute = FeatureTables._preference
+        monkeypatch.setattr(FeatureTables, "_preference", lambda self, row, pois, hours: (
+            calls.append((row, np.shape(pois))) or compute(self, row, pois, hours)))
+        for _ in range(2):
+            tables = FeatureTables.build(kept, graph, encodings)
+            for u in users_of(tables):
+                tables.preference(u, [0, 1], 9)
+                tables.consolidated(u, np.arange(3), 9, 1)
+            assert tables._pref_tables == {}
+            for u in users_of(tables) * 2:
+                tables.preference_table(u)
+            tables.attribute_rows([0], [9], [0.0])
+        pooled, whole = tables.n_users, (tables.n_pois, 1)
+        assert [c for c in calls if c[1] == whole] == [(pooled, whole), (0, whole), (2, whole)] * 2
+        assert all(tables.preference_table(u) is tables.preference_table(None)
+                   for u in (-1, pooled, 3))
+        with pytest.raises(ValueError):
+            tables.preference_table(0)[0, 0] = 1.0
+
     def test_preference_arrays_equal_scalar_reads(self, any_tables):
         tables = any_tables
         scalar = ref.ScalarTables(tables)
