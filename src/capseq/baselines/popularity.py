@@ -30,22 +30,16 @@ def popularity_next(
 ) -> int:
     """Most-visited POI not excluded within the (expanding) radius, with
     ``dists`` the km from the current POI to each POI; ties go to the lower index."""
-    n = len(counts)
-    excluded = np.zeros(n, dtype=bool)
+    excluded = np.zeros(len(counts), dtype=bool)
     for e in exclusions:
         excluded[e] = True
     if excluded.all():
         raise LookupError("every POI is excluded; nothing to recommend")
-    max_dist = float(dists[~excluded].max())
-    radius = radius_km
-    while True:
-        eligible = (~excluded) & (dists <= radius)
-        if eligible.any():
-            masked = np.where(eligible, counts, -1.0)
-            return int(np.argmax(masked))
-        if radius >= max_dist:
-            raise LookupError("no eligible POI found at any radius")
+    # the radius grows until it holds the nearest POI not excluded
+    nearest, radius = dists[~excluded].min(), radius_km
+    while radius < nearest:
         radius *= growth_factor
+    return int(np.argmax(np.where(~excluded & (dists <= radius), counts, -1.0)))
 
 
 @dataclass(eq=False, kw_only=True)

@@ -207,11 +207,13 @@ def _out_dir(cfg) -> Path:
 
 
 def _merged_config(args) -> dict:
-    file_values = {}
+    """The ``--config`` file's values, with every flag that is set laid over them."""
+    merged = {}
     if getattr(args, "config", None):
-        file_values = configmod.parse_config_file(args.config, CONFIG_KEYS)
-    flag_values = {key: getattr(args, key) for key in CONFIG_KEYS if hasattr(args, key)}
-    merged = configmod.merge_config(file_values, flag_values)
+        merged = configmod.parse_config_file(args.config, CONFIG_KEYS)
+    for key in CONFIG_KEYS:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
     merged.setdefault("seed", 7)
     if merged["seed"] < 0:
         raise configmod.ConfigError(f"seed must be >= 0, got {merged['seed']}")
@@ -432,36 +434,38 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _read_csv(path, parse):
+    """``parse`` of the text of the CSV file at ``path``; a file that cannot
+    be read, or that ``parse`` refuses, is a ``DataError`` naming it."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or a cell that is not a number
+        raise DataError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"{path}: missing column {exc}") from exc
+
+
+def _sweep_plots(text: str) -> dict:
+    """Per model, the plot data lines of a ``sweep_csv`` text, by length."""
+    plots: dict[str, list] = {}
+    for row in sorted(csv_rows(text), key=lambda r: int(r["length"])):
+        plots.setdefault(row["model"], ["length,diversity,displacement_mean_km"]).append(
+            f"{row['length']},{row['diversity']},{row['displacement_mean_km']}")
+    return plots
+
+
 def cmd_report(args) -> int:
     cfg = _merged_config(args)
-    try:
-        result = read_report_csv(Path(args.eval_csv).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"{args.eval_csv}: cannot read: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8, or a cell that is not a number
-        raise DataError(f"{args.eval_csv}: {exc}") from exc
-    except KeyError as exc:
-        raise DataError(f"{args.eval_csv}: missing column {exc}") from exc
+    result = _read_csv(args.eval_csv, read_report_csv)
     out = _out_dir(cfg)
     tables_text = text_tables(result)
     (out / "report.txt").write_text(tables_text, encoding="utf-8")
     print(tables_text)
 
     if args.sweep_csv:
-        plots: dict[str, list] = {}
-        try:
-            rows = csv_rows(Path(args.sweep_csv).read_text(encoding="utf-8"))
-            rows.sort(key=lambda r: int(r["length"]))
-            for row in rows:
-                plots.setdefault(row["model"], ["length,diversity,displacement_mean_km"]).append(
-                    f"{row['length']},{row['diversity']},{row['displacement_mean_km']}")
-        except OSError as exc:
-            raise DataError(f"{args.sweep_csv}: cannot read: {exc.strerror}") from exc
-        except ValueError as exc:  # not UTF-8, or a length that is not an integer
-            raise DataError(f"{args.sweep_csv}: {exc}") from exc
-        except KeyError as exc:
-            raise DataError(f"{args.sweep_csv}: missing column {exc}") from exc
-        for model, lines in sorted(plots.items()):
+        for model, lines in sorted(_read_csv(args.sweep_csv, _sweep_plots).items()):
             path = out / f"sweep_{model}.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"report: plot data -> {path}")

@@ -1,5 +1,5 @@
-"""Run configuration: line-oriented ``key = value`` files merged under
-explicit command-line flags (flags win). Keys outside the caller's
+"""Run configuration: line-oriented ``key = value`` files, which the
+command line's explicit flags override. Keys outside the caller's
 schema are rejected before any work starts.
 """
 
@@ -37,11 +37,3 @@ def parse_config_file(path, keys: dict) -> dict:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
-
-def merge_config(file_values: dict, flag_values: dict) -> dict:
-    """Flags (non-None) override file values."""
-    merged = dict(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import defaultdict
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Sequence
 
@@ -21,8 +22,6 @@ from .types import CheckinRecord, Poi, Session, Visit
 SESSION_WINDOW_SECONDS = 8 * 3600
 FALLBACK_STAY_SECONDS = 30 * 60
 DEFAULT_MIN_CHECKINS = 25
-
-_by_time = attrgetter("timestamp")
 
 
 class TravelTimeModel:
@@ -133,15 +132,13 @@ def build_sessions(
 ) -> list[Session]:
     """records -> visits -> sessions for every user, optionally filtered.
 
-    Users are processed in sorted order so the output ordering is a pure
-    function of the input bytes.
+    Users are processed in sorted order, and each user's records by time
+    with ties in input order, so the output ordering is a pure function of
+    the input bytes.
     """
-    by_user: dict[str, list[CheckinRecord]] = defaultdict(list)
-    for r in records:
-        by_user[r.user_id].append(r)
+    records = sorted(records, key=attrgetter("user_id", "timestamp"))
     sessions: list[Session] = []
-    for user_id in sorted(by_user):
-        user_records = sorted(by_user[user_id], key=_by_time)
+    for user_id, user_records in groupby(records, key=attrgetter("user_id")):
         # duplicate timestamps cannot form strictly increasing arrivals
         deduped = []
         for r in user_records:

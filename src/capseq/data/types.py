@@ -105,6 +105,13 @@ class Session:
         return len(self.visits)
 
 
+def _lookup(to_ix: dict, label, what: str) -> int:
+    try:
+        return to_ix[label]
+    except KeyError:
+        raise UnknownIdError(f"unknown {what} {label!r}: encodings are closed-world")
+
+
 class Encodings:
     """Bijective label encodings for POIs, categories and users, and the
     POI catalogue: ``poi_coords`` (n_pois, 2) lat, lon and ``poi_cat``
@@ -190,22 +197,13 @@ class Encodings:
         return len(self.user_to_ix)
 
     def poi(self, poi_id: str) -> int:
-        try:
-            return self.poi_to_ix[poi_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown POI id {poi_id!r}: encodings are closed-world")
+        return _lookup(self.poi_to_ix, poi_id, "POI id")
 
     def category(self, cat: str) -> int:
-        try:
-            return self.cat_to_ix[cat]
-        except KeyError:
-            raise UnknownIdError(f"unknown category {cat!r}: encodings are closed-world")
+        return _lookup(self.cat_to_ix, cat, "category")
 
     def user(self, user_id: str) -> int:
-        try:
-            return self.user_to_ix[user_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown user id {user_id!r}: encodings are closed-world")
+        return _lookup(self.user_to_ix, user_id, "user id")
 
     def to_dict(self) -> dict:
         return {
@@ -217,15 +215,6 @@ class Encodings:
     @classmethod
     def from_dict(cls, d: Mapping) -> "Encodings":
         return cls(d["pois"], d["categories"], d["users"])
-
-    def __eq__(self, other) -> bool:
-        """Equal label maps; the catalogue is not compared."""
-        return (
-            isinstance(other, Encodings)
-            and self.poi_to_ix == other.poi_to_ix
-            and self.cat_to_ix == other.cat_to_ix
-            and self.user_to_ix == other.user_to_ix
-        )
 
 
 def visit_arrays(sessions: Iterable[Session], encodings: Encodings) -> tuple:

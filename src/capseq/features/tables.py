@@ -285,6 +285,7 @@ class FeatureTables:
         self.poi_cat: np.ndarray = encodings.poi_cat
         self.ast_poi: np.ndarray | None = None
         self.astcat_hour: np.ndarray | None = None  # (n_categories, 24)
+        self.feature_scale: np.ndarray | None = None  # session feature input scales
         self._friends: list = []  # per user, ascending
         # ascending (row * n_pois + poi) * 24 + hour keys of the visited
         # cells, then one key past every cell; the visits of each cell,
@@ -312,7 +313,6 @@ class FeatureTables:
         self._pref_tables: dict[int, np.ndarray] = {}  # stats row -> preference_table
         self._attr_table: np.ndarray | None = None  # (n_pois, 24, ATTRIBUTE_DIM)
         self._attr_scale: np.ndarray | None = None
-        self._feat_scale: np.ndarray | None = None
         self._session_features: dict[tuple, np.ndarray] = {}
 
     # -- construction --------------------------------------------------
@@ -357,7 +357,8 @@ class FeatureTables:
         up); the pooled row, row ``n_users``, is their sum. ``order`` lists
         the users with visits, first seen first: the order in which the
         population means add them up. ``build`` and ``from_dict`` both end
-        here, once the stay statistics and the friend lists are set."""
+        here, once the stay statistics, the friend lists and the distance
+        bounds are set."""
         rows, n_pois = self.n_users + 1, self.n_pois
         n_cats, n_cells = self.encodings.n_categories, n_pois * HOURS
         keys = np.concatenate([keys, self.n_users * n_cells + keys % n_cells])
@@ -402,6 +403,11 @@ class FeatureTables:
         popularity[poi[pooled], hour[pooled]] = counts[pooled]
         # each (POI, hour) count over the largest, every entry in [0, 1]
         self.popularity = popularity / popularity.max(initial=1.0)
+        cat_scale, poi_scale = max(1.0, n_cats - 1.0), max(1.0, n_pois - 1.0)
+        self.feature_scale = np.array(
+            [cat_scale, cat_scale, poi_scale, poi_scale, max(1.0, self._dist_global[1]),
+             float(HOURS - 1), float(HOURS - 1)]
+        )
 
     def _build_beta(self) -> None:
         """Category weight per user via tf-idf over check-in 'documents',
@@ -656,18 +662,6 @@ class FeatureTables:
         scale[5] = max(1.0, self._dist_global[1])
         self._attr_table = table
         self._attr_scale = scale
-
-    @property
-    def feature_scale(self) -> np.ndarray:
-        if self._feat_scale is None:
-            cat_scale = max(1.0, self.encodings.n_categories - 1.0)
-            poi_scale = max(1.0, self.n_pois - 1.0)
-            dist_scale = max(1.0, self._dist_global[1])
-            self._feat_scale = np.array(
-                [cat_scale, cat_scale, poi_scale, poi_scale, dist_scale,
-                 float(HOURS - 1), float(HOURS - 1)]
-            )
-        return self._feat_scale
 
     # -- serialization -----------------------------------------------------
 

@@ -57,9 +57,6 @@ class GeneratedSequence:
     score: float = 0.0
     hours: list = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.pois)
-
 
 def sample_rows(probs: np.ndarray, uniform) -> np.ndarray:
     """Draw one index per row of a (B, K) array of categorical weights:

@@ -226,7 +226,6 @@ def cross_validate(
     encoded = [(users[a], pois[a:a + n], hours[a]) for a, n in zip(firsts, lengths.tolist())]
 
     result = EvalResult()
-    per_model_fold_rows: dict[str, list] = {name: [] for name in models}
     sweep_acc: dict[tuple, list] = {}
 
     for fold in range(folds):
@@ -253,7 +252,6 @@ def cross_validate(
                 **{m: float(v) for m, v in zip(METRICS, means)},
             )
             result.reports.append(report)
-            per_model_fold_rows[name].append(report)
 
             for length in sweep_lengths:
                 swept = [_evaluate(model, i, u, actual, hour, length, *context)
@@ -262,7 +260,8 @@ def cross_validate(
                     (row[_DIVERSITY], row[_DISPLACEMENT_MEAN]) for row in swept
                 )
 
-    for name, fold_rows in per_model_fold_rows.items():
+    for name in models:
+        fold_rows = [r for r in result.reports if r.model == name]
         result.reports.append(
             EvalReport(
                 model=name,

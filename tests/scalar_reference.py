@@ -14,6 +14,11 @@ read must equal it bit for bit.
 candidate and one Python sort per level, over ``neighbour_lists`` of
 tuples; the array search must return its trips, hours and scores.
 
+``popularity_next`` is the earlier popularity radius search, which
+tests every radius of the growth sequence for an eligible POI and stops
+with a ``LookupError`` once the radius holds every POI not excluded; the
+package's search must make its picks.
+
 ``encode_session`` and ``make_batch`` are the earlier training padder:
 one ``EncodedSequence`` per session, padded again into each mini-batch.
 A gather of ``training.encode_sessions``' rows must equal its batch.
@@ -364,6 +369,25 @@ def apriori_search(
         GeneratedSequence(pois=list(t.pois), score=t.score, hours=list(t.hours))
         for t in pool
     ]
+
+
+def popularity_next(counts, dists, exclusions, radius_km, growth_factor) -> int:
+    n = len(counts)
+    excluded = np.zeros(n, dtype=bool)
+    for e in exclusions:
+        excluded[e] = True
+    if excluded.all():
+        raise LookupError("every POI is excluded; nothing to recommend")
+    max_dist = float(dists[~excluded].max())
+    radius = radius_km
+    while True:
+        eligible = (~excluded) & (dists <= radius)
+        if eligible.any():
+            masked = np.where(eligible, counts, -1.0)
+            return int(np.argmax(masked))
+        if radius >= max_dist:
+            raise LookupError("no eligible POI found at any radius")
+        radius *= growth_factor
 
 
 def compute_stay_stats(sessions, encodings) -> StayStats:

@@ -64,6 +64,36 @@ class TestPopularityNext:
         with pytest.raises(LookupError):
             popularity_next(np.ones(2), km_from(coords, 0), exclusions={0, 1})
 
+    def test_picks_equal_the_radius_loop(self):
+        """The search picks what ``scalar_reference.popularity_next``, which
+        tests each radius of the growth sequence in turn, picks, on random
+        cases with tied counts, zero distances, several growth steps and a
+        single POI left open; with every POI excluded both raise."""
+        rng = np.random.default_rng(29)
+        seen = dict.fromkeys(("tie", "zero km", "grown twice", "one open", "none open"), 0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            counts = rng.integers(0, 3, n).astype(float)
+            dists = rng.exponential(rng.choice([1.0, 30.0]), n)
+            dists[rng.random(n) < 0.25] = 0.0
+            exclusions = set(rng.choice(n, int(rng.integers(0, n + 1)), replace=False).tolist())
+            radius, growth = rng.uniform(0.1, 3.0), rng.uniform(1.1, 3.0)
+            args = (counts, dists, exclusions, radius, growth)
+            if len(exclusions) == n:
+                for search in (popularity_next, ref.popularity_next):
+                    with pytest.raises(LookupError):
+                        search(*args)
+                seen["none open"] += 1
+                continue
+            want = ref.popularity_next(*args)
+            assert popularity_next(*args) == want, args
+            open_ = np.isin(np.arange(n), list(exclusions), invert=True)
+            seen["tie"] += np.count_nonzero(open_ & (counts == counts[want])) > 1
+            seen["zero km"] += dists[want] == 0.0
+            seen["grown twice"] += dists[want] > radius * growth
+            seen["one open"] += n - len(exclusions) == 1
+        assert all(seen.values()), seen
+
 
 def toy_sessions_for_markov():
     p = {
@@ -390,7 +420,7 @@ def test_array_search_equals_the_tuple_walk(beam_corpora):
                 want = ref.apriori_search(tables, lists, *args)
                 assert [(s.pois, s.hours, s.score) for s in got] == [
                     (s.pois, s.hours, s.score) for s in want], args
-                fallbacks += budget > 0 and len(got[0]) < length
+                fallbacks += budget > 0 and len(got[0].pois) < length
                 if budget == 0:
                     assert [s.pois for s in got] == [[start]]
                     singletons += 1

@@ -492,7 +492,8 @@ def _sweep_csv(length: str) -> str:
 
 
 # case -> sweep.csv text; a function of the good eval_report.csv text
-# edits that file instead, and None makes its path a directory
+# edits that file instead, and None makes the path a directory: the eval
+# CSV's for an "eval-" case, the sweep CSV's for a "sweep-" case
 REPORT_BAD_INPUTS = {
     "eval-cell-not-a-number": lambda good: good.replace(",0.5,", ",abc,", 1),
     "eval-without-sessions-column": lambda good: good.replace(",sessions", "").replace(
@@ -501,7 +502,10 @@ REPORT_BAD_INPUTS = {
     "sweep-not-utf8": _sweep_csv("2\udcff"),
     "sweep-without-length-column": (
         "model,diversity,displacement_mean_km\npopularity,0.5,1.0\n"),
+    "sweep-without-diversity-column": (
+        "model,length,displacement_mean_km\npopularity,3,1.0\n"),
     "eval-csv-a-directory": None,
+    "sweep-csv-a-directory": None,
 }
 
 
@@ -513,14 +517,17 @@ def test_report_non_numeric_cell_is_data_error(tmp_path, capsys):
     for case, content in REPORT_BAD_INPUTS.items():
         path = tmp_path / f"{case}.csv"
         argv = ["report", "--eval-csv", str(path), "--out-dir", str(tmp_path)]
-        if content is None:
+        if content is None and case.startswith("eval-"):
             path.mkdir()
         elif callable(content):
             path.write_text(content(good), encoding="utf-8")
         else:
             path.write_text(good, encoding="utf-8")
             path = tmp_path / f"{case}-sweep.csv"
-            path.write_text(content, encoding="utf-8", errors="surrogateescape")
+            if content is None:
+                path.mkdir()
+            else:
+                path.write_text(content, encoding="utf-8", errors="surrogateescape")
             argv += ["--sweep-csv", str(path)]
         assert main(argv) == 2, case
         err = capsys.readouterr().err

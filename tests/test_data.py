@@ -481,7 +481,7 @@ class TestEncodings:
         restored = Encodings.from_dict(
             json.loads(json.dumps(encodings.to_dict()))
         )
-        assert restored == encodings
+        assert restored.to_dict() == encodings.to_dict()
 
     def test_fit_catalogues_every_poi_at_its_first_visit(self, tiny_world):
         sessions, _, encodings = tiny_world
@@ -585,7 +585,7 @@ class TestPipelineDeterminism:
         out = tmp_path / "ds"
         dataio.save_dataset(out, sessions, encodings, graph)
         loaded_sessions, loaded_enc, loaded_graph = dataio.load_dataset(out)
-        assert loaded_enc == encodings
+        assert loaded_enc.to_dict() == encodings.to_dict()
         assert loaded_graph.to_dict() == graph.to_dict()
         assert len(loaded_sessions) == len(sessions)
         for a, b in zip(loaded_sessions, sessions):
