@@ -30,26 +30,36 @@ from .. import numerics
 from ..features import ATTRIBUTE_DIM, FEATURE_DIM
 from .training import RecurrentNet
 
-GATES = ("i", "f", "z", "o")
+GATES = ("i", "f", "z", "o")  # the order the initial weights are drawn in
+ROWS = ("i", "f", "o", "z")   # the row order of the gate stacks: the sigmoid gates first
 
 
 class ContextLstm(RecurrentNet):
+    """The gate blocks of ``params`` (``Wx*``, ``Wh*``, ``b*``, ``wc*``) are
+    views of one stack per family in ``stacks``, rows in ``ROWS`` order:
+    ``Wx`` (4, H, E), ``Wh`` (4, H, H), ``b`` (4, H) and ``wc`` (3, H).
+    Write a block in place (``params[name][...] = value``); rebinding it
+    leaves the stack, which ``_step`` reads, as it was."""
+
     def __init__(self, n_pois: int, hidden_size: int, embedding_size: int, seed: int = 0):
         super().__init__(n_pois, hidden_size, 1, embedding_size, True, seed)
 
     def _init_params(self, rng) -> dict:
         H, E, K = self.hidden_size, self.embedding_size, self.n_pois
+        s = self.stacks = {"Wx": np.empty((4, H, E)), "Wh": np.empty((4, H, H)),
+                           "b": np.zeros((4, H)), "wc": np.zeros((3, H))}
         p: dict[str, np.ndarray] = {}
         p["emb"] = numerics.xavier_uniform(rng, (K + 1, E))
         p["emb"][K] = 0.0
         for g in GATES:
-            p[f"Wx{g}"] = numerics.xavier_uniform(rng, (H, E))
-            p[f"Wh{g}"] = numerics.xavier_uniform(rng, (H, H))
-            p[f"b{g}"] = np.zeros(H)
+            row = ROWS.index(g)
+            s["Wx"][row] = numerics.xavier_uniform(rng, (H, E))
+            s["Wh"][row] = numerics.xavier_uniform(rng, (H, H))
+            p[f"Wx{g}"], p[f"Wh{g}"], p[f"b{g}"] = s["Wx"][row], s["Wh"][row], s["b"][row]
         p["bf"][:] = 1.0  # open forget gate at init; helps early BPTT flow
-        for g in ("i", "f", "o"):
+        for g, wc in zip("ifo", s["wc"]):
             # start inert; training grows them if they help
-            p[f"wc{g}"] = np.zeros(H)
+            p[f"wc{g}"] = wc
         p["P"] = numerics.xavier_uniform(rng, (H, ATTRIBUTE_DIM))
         p["pb"] = np.zeros(H)
         p["Wq"] = numerics.xavier_uniform(rng, (H, FEATURE_DIM))
@@ -70,27 +80,21 @@ class ContextLstm(RecurrentNet):
         return feats @ p["Wq"].T, feats @ p["G"].T
 
     def _step(self, state, inputs, attrs, terms, cache=None):
-        p = self.params
+        p, s = self.params, self.stacks
         h_prev, c_prev = state
         feat_in, feat_out = terms
         x = p["emb"][inputs]
         gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
         hg = h_prev * gate_a
-
-        def pre(g: str, out: np.ndarray | None = None) -> np.ndarray:
-            out = np.add(x @ p[f"Wx{g}"].T, hg @ p[f"Wh{g}"].T, out=out)
-            out += p[f"b{g}"]
-            if g != "z":
-                out += c_prev * p[f"wc{g}"]
-            out += feat_in
-            return out
-
-        # i, f and o each summed into their slice of one buffer, then one sigmoid
-        ifo = np.empty((3,) + h_prev.shape)
-        for g, out in zip("ifo", ifo):
-            pre(g, out)
-        i, f, o = numerics.sigmoid(ifo, out=ifo)
-        z = np.tanh(pre("z"))
+        # (4, B, H) preactivations, rows in ROWS order. matmul hands BLAS each
+        # gate's slice as ``x @ Wx_g.T`` would, so every float is the per-gate one.
+        pre = np.matmul(x, s["Wx"].transpose(0, 2, 1))
+        pre += np.matmul(hg, s["Wh"].transpose(0, 2, 1))
+        pre += s["b"][:, None]
+        pre[:3] += c_prev * s["wc"][:, None]
+        pre += feat_in
+        i, f, o = numerics.sigmoid(pre[:3], out=pre[:3])
+        z = np.tanh(pre[3], out=pre[3])
         c = f * c_prev + i * z
         tc = np.tanh(c)
         h = o * tc

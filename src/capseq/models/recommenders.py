@@ -100,7 +100,8 @@ class _NeuralRecommender(SequenceRecommender):
                     f"shape mismatch for {name!r}: "
                     f"{model.net_.params[name].shape} vs {arr.shape}"
                 )
-            model.net_.params[name] = arr
+            # in place: a caps-lstm net's gate blocks are views of its stacks
+            model.net_.params[name][...] = arr
         model.loss_curve_ = []
         return model
 

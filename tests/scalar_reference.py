@@ -54,6 +54,11 @@ out around its own cell with the output-layer backward inline; the one
 loop of ``RecurrentNet.loss_and_grads`` must give their loss and every
 gradient block bit for bit.
 
+``lstm_step`` is the earlier ``ContextLstm._step``, which reads each
+gate's own weight blocks and makes two products per gate; the step over
+the stacked gate blocks must give its logits, state and every cache
+entry bit for bit.
+
 Every sum of Python floats here adds left to right from 0.0, with
 ``left_to_right``, so the oracle's bits do not depend on the Python
 version.
@@ -68,6 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from capseq import numerics
 from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
 from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
 from capseq.data.types import Poi, Visit
@@ -813,3 +819,34 @@ def lstm_loss_and_grads(net, batch):
         dc_next = dc_prev
         np.add.at(grads["emb"], batch.inputs[:, t], dx)
     return loss / B, grads
+
+
+def lstm_step(net, state, inputs, attrs, terms, cache=None):
+    """``ContextLstm._step``, one gate at a time."""
+    p = net.params
+    h_prev, c_prev = state
+    feat_in, feat_out = terms
+    x = p["emb"][inputs]
+    gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
+    hg = h_prev * gate_a
+
+    def pre(g: str, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.add(x @ p[f"Wx{g}"].T, hg @ p[f"Wh{g}"].T, out=out)
+        out += p[f"b{g}"]
+        if g != "z":
+            out += c_prev * p[f"wc{g}"]
+        out += feat_in
+        return out
+
+    ifo = np.empty((3,) + h_prev.shape)
+    for g, out in zip("ifo", ifo):
+        pre(g, out)
+    i, f, o = numerics.sigmoid(ifo, out=ifo)
+    z = np.tanh(pre("z"))
+    c = f * c_prev + i * z
+    tc = np.tanh(c)
+    h = o * tc
+    logits = h @ p["V"].T + p["c"] + feat_out
+    if cache is not None:
+        cache.append((x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h))
+    return (h, c), logits

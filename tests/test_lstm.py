@@ -7,8 +7,8 @@ import pytest
 from capseq import numerics
 from finite_diff import grad_check
 from capseq.models import Batch, train
-from scalar_reference import EncodedSequence, make_batch
-from capseq.models.lstm import ContextLstm
+from scalar_reference import EncodedSequence, lstm_step, make_batch
+from capseq.models.lstm import ROWS, ContextLstm
 
 ADIM, FDIM = 30, 7
 
@@ -32,6 +32,18 @@ def neutralize(net: ContextLstm) -> None:
         net.params[f"wc{g}"][:] = 0.0
 
 
+def assert_gate_blocks_are_stack_rows(net: ContextLstm) -> None:
+    """Each gate block is its row of the family's stack: same memory,
+    same shape, so an in-place write reaches the step."""
+    for family, gates in (("Wx", ROWS), ("Wh", ROWS), ("b", ROWS), ("wc", "ifo")):
+        stack = net.stacks[family]
+        for row, g in enumerate(gates):
+            block = net.params[f"{family}{g}"]
+            assert block.base is stack, f"{family}{g}"
+            assert block.ctypes.data == stack[row].ctypes.data, f"{family}{g}"
+            assert block.shape == stack[row].shape, f"{family}{g}"
+
+
 def textbook_lstm_step(p, x, h_prev, c_prev):
     """Standard LSTM cell written out independently (no peepholes, no
     context). Uses the same sigmoid primitive as the model so the
@@ -50,25 +62,64 @@ def textbook_lstm_step(p, x, h_prev, c_prev):
 class TestLstmStep:
     def test_degenerates_to_textbook_lstm(self):
         """Unit attribute gates, zero features, zero peepholes: 1000
-        random steps must match the standard cell float for float."""
-        rng = np.random.default_rng(13)
+        random steps must match the standard cell float for float, at
+        batch 1 (BLAS gemv) and at a rollout's batch of 10 (gemm)."""
         K, H, E = 8, 5, 4
-        net = ContextLstm(K, hidden_size=H, embedding_size=E, seed=2)
-        neutralize(net)
-        p = net.params
-        state = net.init_state(1)
-        h_ref = np.zeros((1, H))
-        c_ref = np.zeros((1, H))
-        for _ in range(1000):
-            ix = rng.integers(0, K, size=1)
-            A = rng.normal(size=(1, ADIM))
-            f = rng.normal(size=(1, FDIM))
-            state, logits, _ = net.forward_step(state, ix, A, f)
-            x = p["emb"][ix]
-            h_ref, c_ref, logits_ref = textbook_lstm_step(p, x, h_ref, c_ref)
-            assert np.array_equal(logits, logits_ref)
-            assert np.array_equal(state[0], h_ref)
-            assert np.array_equal(state[1], c_ref)
+        for B in (1, 10):
+            rng = np.random.default_rng(13)
+            net = ContextLstm(K, hidden_size=H, embedding_size=E, seed=2)
+            neutralize(net)
+            p = net.params
+            state = net.init_state(B)
+            h_ref = np.zeros((B, H))
+            c_ref = np.zeros((B, H))
+            for _ in range(1000):
+                ix = rng.integers(0, K, size=B)
+                A = rng.normal(size=(B, ADIM))
+                f = rng.normal(size=(B, FDIM))
+                state, logits, _ = net.forward_step(state, ix, A, f)
+                x = p["emb"][ix]
+                h_ref, c_ref, logits_ref = textbook_lstm_step(p, x, h_ref, c_ref)
+                assert np.array_equal(logits, logits_ref), B
+                assert np.array_equal(state[0], h_ref), B
+                assert np.array_equal(state[1], c_ref), B
+
+    @pytest.mark.parametrize("H, E", [(5, 4), (64, 32), (512, 384)])
+    @pytest.mark.parametrize("B", [1, 3, 10, 50])
+    def test_stacked_step_equals_per_gate_step(self, B, H, E):
+        """The step over the gate stacks gives the per-gate step's
+        logits, state and every cache entry bit for bit, with nonzero
+        biases, peepholes and features."""
+        rng = np.random.default_rng(B * 1000 + H)
+        K = 20
+        net = ContextLstm(K, hidden_size=H, embedding_size=E, seed=3)
+        for name, block in net.params.items():
+            block[...] = rng.normal(scale=0.5, size=block.shape)
+        state = ref_state = (rng.normal(size=(B, H)), rng.normal(size=(B, H)))
+        for _ in range(4):
+            ix = rng.integers(0, K, size=B)
+            A = rng.normal(size=(B, ADIM))
+            terms = net.sequence_terms(rng.normal(size=(B, FDIM)))
+            cache, ref_cache = [], []
+            state, logits = net._step(state, ix, A, terms, cache)
+            ref_state, ref_logits = lstm_step(net, ref_state, ix, A, terms, ref_cache)
+            assert np.array_equal(logits, ref_logits)
+            assert np.array_equal(state[0], ref_state[0])
+            assert np.array_equal(state[1], ref_state[1])
+            assert len(cache[0]) == len(ref_cache[0])
+            for got, want in zip(cache[0], ref_cache[0]):
+                assert np.array_equal(got, want)
+
+    def test_gate_blocks_stay_stack_rows(self):
+        """After init and after an SGD step, every gate block is a view
+        of its stack, so training updates what the step reads."""
+        rng = np.random.default_rng(8)
+        net = ContextLstm(6, hidden_size=5, embedding_size=4, seed=4)
+        assert_gate_blocks_are_stack_rows(net)
+        assert net.stacks["b"][ROWS.index("f")].tolist() == [1.0] * 5
+        _, grads = net.loss_and_grads(toy_batch(rng, K=6, T=3, B=2))
+        numerics.sgd_step(net.params, grads, 0.1, 5.0)
+        assert_gate_blocks_are_stack_rows(net)
 
     def test_forced_gates_preserve_memory(self):
         """Forget gate 1 and input gate 0 keep the cell unchanged."""

@@ -9,7 +9,7 @@ import pytest
 import scalar_reference as ref
 from capseq.cli import RECOMMENDERS
 from capseq.data import Encodings, build_sessions, synth_dataset, training_sessions
-from capseq.features import FeatureTables
+from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 from capseq.generation import GenRequest
 from capseq.models import (
     MAX_STEPS,
@@ -25,6 +25,7 @@ from capseq.models import (
 )
 from capseq.baselines import MarkovRecommender, PopularityRecommender
 from capseq.numerics import NumericError
+from test_lstm import assert_gate_blocks_are_stack_rows
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,21 @@ class TestCheckpoints:
         assert [s.pois for s in a] == [s.pois for s in b]
         assert [s.score for s in a] == [s.score for s in b]
         assert [s.hours for s in a] == [s.hours for s in b]
+        # the restored net steps bit for bit as the trained one
+        rng = np.random.default_rng(2)
+        B = 3
+        state, restored = model.net_.init_state(B), loaded.net_.init_state(B)
+        for _ in range(4):
+            ix = rng.integers(0, tables.n_pois, size=B)
+            attrs = rng.normal(size=(B, ATTRIBUTE_DIM))
+            feats = rng.normal(size=(B, FEATURE_DIM))
+            state, logits, _ = model.net_.forward_step(state, ix, attrs, feats)
+            restored, restored_logits, _ = loaded.net_.forward_step(restored, ix, attrs, feats)
+            assert logits.tobytes() == restored_logits.tobytes()
+            assert [a.tobytes() for a in state] == [b.tobytes() for b in restored]
+        if cls is CapsLstmRecommender:
+            assert_gate_blocks_are_stack_rows(model.net_)  # after training's SGD steps
+            assert_gate_blocks_are_stack_rows(loaded.net_)
 
     def test_sidecar_kind_tag(self, world, tmp_path):
         import json
