@@ -38,7 +38,6 @@ from .data import (
     parse_checkins,
     parse_friendships,
     synth_dataset,
-    training_sessions,
     visit_arrays,
 )
 from .features import FeatureTables
@@ -256,7 +255,7 @@ def cmd_ingest(args) -> int:
     encodings = Encodings.fit(sessions)
     out = _out_dir(cfg)
     dataio.save_dataset(out, sessions, encodings, graph)
-    n_train = len(training_sessions(sessions))
+    n_train = int((visit_arrays(sessions, encodings)[4] >= 2).sum())
     print(
         f"ingest: {len(sessions)} sessions ({n_train} trainable), "
         f"{encodings.n_users} users, {encodings.n_pois} POIs -> {out}"

@@ -1,9 +1,11 @@
 from .types import (
     CheckinRecord,
+    Checkins,
     DataError,
     Encodings,
     Poi,
     Session,
+    SessionTable,
     SocialGraph,
     UnknownIdError,
     Visit,
@@ -15,9 +17,6 @@ from .sessions import (
     SESSION_WINDOW_SECONDS,
     TravelTimeModel,
     build_sessions,
-    derive_visits,
-    filter_users,
-    sessionize,
     training_sessions,
 )
 from .synth import synth_dataset
@@ -25,11 +24,13 @@ from . import io
 
 __all__ = [
     "CheckinRecord",
+    "Checkins",
     "DataError",
     "Encodings",
     "ParseResult",
     "Poi",
     "Session",
+    "SessionTable",
     "SocialGraph",
     "TravelTimeModel",
     "UnknownIdError",
@@ -37,12 +38,9 @@ __all__ = [
     "DEFAULT_MIN_CHECKINS",
     "SESSION_WINDOW_SECONDS",
     "build_sessions",
-    "derive_visits",
-    "filter_users",
     "io",
     "parse_checkins",
     "parse_friendships",
-    "sessionize",
     "synth_dataset",
     "training_sessions",
     "visit_arrays",

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .types import CheckinRecord, DataError, Encodings, Session, SocialGraph, Visit, visit_arrays
+from .types import (
+    CheckinRecord, DataError, Encodings, Session, SessionTable, SocialGraph, visit_arrays)
 
 SESSIONS_FILE = "sessions.jsonl"
 ENCODINGS_FILE = "encodings.json"
@@ -103,39 +105,65 @@ def _with_pois(encodings: Encodings, table: dict) -> Encodings:
                                     [encodings.category(r["category"]) for r in rows])
 
 
-def load_dataset(data_dir) -> tuple[list[Session], Encodings, SocialGraph]:
+def _session_fields(obj) -> tuple:
+    """The user, POIs, arrivals and departures of one ``sessions.jsonl``
+    object: 64-bit integers, and three lists of one length, not 0."""
+    fields = obj["user"], obj["pois"], obj["arrivals"], obj["departures"]
+    values = [fields[0], *fields[1], *fields[2], *fields[3]]
+    bad = [v for v in values if type(v) is not int]
+    if bad:  # a float, string or bool (an int subclass): a lookup takes 1.0 or True as 1
+        raise ValueError(f"user, POI or visit time {bad[0]!r} is not an integer")
+    if not INT64_MIN <= min(values) <= max(values) <= INT64_MAX:
+        raise ValueError("a user, POI or visit time is not a 64-bit integer")
+    if not len(fields[1]) == len(fields[2]) == len(fields[3]) > 0:
+        raise ValueError("pois, arrivals and departures are not lists of one length > 0")
+    return fields
+
+
+def load_dataset(data_dir) -> tuple[SessionTable, Encodings, SocialGraph]:
     """Read a dataset directory; a file that is not valid JSON, or whose
     JSON has the wrong shape, raises ``DataError`` naming it (and the
-    line, for ``sessions.jsonl``)."""
+    first bad line, for ``sessions.jsonl``). The sessions are read into
+    one ``SessionTable`` under the loaded encodings, whose visits are at
+    their POIs' catalogue places."""
     data = Path(data_dir)
     encodings = _read_json(data / ENCODINGS_FILE, build=Encodings.from_dict)
     encodings = _read_json(data / POIS_FILE, build=lambda table: _with_pois(encodings, table))
-    pois = dict(enumerate(encodings.pois()))
 
-    def session(obj) -> Session:
-        values = [obj["user"], *obj["pois"], *obj["arrivals"], *obj["departures"]]
-        bad = [v for v in values if type(v) is not int]
-        if bad:  # a float, string or bool (an int subclass): a lookup takes 1.0 or True as 1
-            raise ValueError(f"user, POI or visit time {bad[0]!r} is not an integer")
-        visits = tuple(
-            Visit(pois[p], a, d)
-            for p, a, d in zip(obj["pois"], obj["arrivals"], obj["departures"], strict=True)
-        )
-        session = Session(encodings.ix_to_user[obj["user"]], visits)
-        # arrivals increase and no departure precedes its arrival, so these
-        # are the least and greatest times; arrays hold them as int64
-        low, high = visits[0].arrival, max(obj["departures"])
-        if low < INT64_MIN or high > INT64_MAX:
-            raise ValueError(f"visit time {low if low < INT64_MIN else high} "
-                             "is not a 64-bit integer")
-        return session
-
-    sessions = []
     sessions_path = data / SESSIONS_FILE
+    lines, users, lengths, pois, arrivals, departures = [], [], [], [], [], []
+    error = None
     with _open(sessions_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                sessions.append(_read_json(f"{sessions_path}:{lineno}", line, session))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    user, p, a, d = _read_json(f"{sessions_path}:{lineno}", line, _session_fields)
+                    lines.append(lineno)
+                    users.append(user)
+                    lengths.append(len(p))
+                    pois += p
+                    arrivals += a
+                    departures += d
+        except DataError as exc:  # raised below unless an earlier line is bad too
+            error = exc
+    users, lengths, pois, arrivals, departures = (np.array(x, dtype=np.int64) for x in (
+        users, lengths, pois, arrivals, departures))
+    at = np.repeat(np.arange(len(lines)), lengths)  # each visit's session
+    rising = np.ones(len(at), dtype=bool)
+    rising[1:] = (arrivals[1:] > arrivals[:-1]) | (at[1:] != at[:-1])
+    faults = [(np.flatnonzero((users < 0) | (users >= encodings.n_users)),
+               "a user index that is not encoded"),
+              (at[(pois < 0) | (pois >= encodings.n_pois)], "a POI index that is not encoded"),
+              (at[~rising], "arrivals that do not strictly increase"),
+              (at[departures < arrivals], "a departure before its arrival")]
+    found = [(bad[0], what) for bad, what in faults if len(bad)]
+    if found:  # the first bad line, and its first fault
+        i, what = min(found, key=itemgetter(0))
+        raise DataError(f"{sessions_path}:{lines[i]}: invalid content: a session with {what}")
+    if error is not None:
+        raise error
+    sessions = SessionTable((users[at], pois, arrivals, departures, lengths), encodings,
+                            encodings.pois(), pois)
     graph_path = data / GRAPH_FILE
     graph = (
         _read_json(graph_path, build=SocialGraph.from_dict)

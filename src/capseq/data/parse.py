@@ -16,9 +16,8 @@ import csv
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from operator import attrgetter
 
-from .types import CheckinRecord, DataError
+from .types import Checkins, DataError, check_checkin
 
 # canonical field -> acceptable source column names, in priority order
 FORMATS = {
@@ -58,7 +57,7 @@ ISO_TIME = re.compile(
 
 @dataclass
 class ParseResult:
-    records: list  # check-in records, or friendship edges
+    records: Checkins | list  # check-ins, or friendship edges
     dropped: int  # malformed rows skipped
 
 
@@ -77,8 +76,9 @@ def _rows(path, what: str):
 
 
 def _parse_timestamp(raw: str) -> int:
+    """Epoch seconds as ASCII digits, or an ISO-8601 time in ``ISO_TIME``."""
     raw = raw.strip()
-    if raw.isdigit():
+    if raw.isascii() and raw.isdigit():
         return int(raw)
     if not ISO_TIME.fullmatch(raw):
         raise ValueError(f"not a time in the ISO-8601 grammar: {raw!r}")
@@ -91,11 +91,12 @@ def _parse_timestamp(raw: str) -> int:
 
 
 def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
-    """Parse a check-in CSV into records sorted by (user, timestamp)."""
+    """Parse a check-in CSV into ``Checkins`` columns sorted by (user,
+    timestamp); a row that ``CheckinRecord`` would refuse is dropped."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(FORMATS)}")
     columns = FORMATS[fmt]
-    records = []
+    records = []  # one tuple of CheckinRecord fields per valid row
     dropped = 0
     total = 0
     rows = _rows(path, "check-in")
@@ -127,10 +128,11 @@ def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
         user, poi, time, lat, lon, category, city = by_length[min(len(values), width)]
         values.append("")
         try:
-            record = CheckinRecord(
+            record = (
                 values[user].strip(), values[poi].strip(), _parse_timestamp(values[time]),
                 float(values[lat].strip()), float(values[lon].strip()), values[category].strip(),
                 values[city].strip() or None)
+            check_checkin(*record)
         except ValueError:  # DataError included
             dropped += 1
             continue
@@ -141,8 +143,7 @@ def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
             f"{path}: {dropped} of {total} rows dropped; "
             "input does not look like a valid check-in log"
         )
-    records.sort(key=attrgetter("user_id", "timestamp"))
-    return ParseResult(records=records, dropped=dropped)
+    return ParseResult(records=Checkins.from_rows(records), dropped=dropped)
 
 
 def parse_friendships(path) -> ParseResult:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import defaultdict
-from itertools import groupby
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from ..geo import arc_km, place, travel_seconds
-from .types import CheckinRecord, Poi, Session, Visit
+from .types import CheckinRecord, Checkins, Encodings, Poi, Session, SessionTable
 
 SESSION_WINDOW_SECONDS = 8 * 3600
 FALLBACK_STAY_SECONDS = 30 * 60
@@ -39,117 +38,94 @@ class TravelTimeModel:
         self.mode = mode
         self.log_mu: float | None = None
 
-    def fit(self, records: Sequence[CheckinRecord]) -> "TravelTimeModel":
+    def fit(self, records: Iterable[CheckinRecord]) -> "TravelTimeModel":
         """Fit the lognormal mode on consecutive same-user check-in gaps."""
+        log = Checkins.of(records)
+        points = [place(lat, lon) for lat, lon in zip(log.lats, log.lons)]
         samples = []
-        a = here = None
-        for b in sorted(records, key=attrgetter("user_id", "timestamp")):
-            there = place(b.lat, b.lon)
-            if a is not None and a.user_id == b.user_id:
-                dist = arc_km(here, there)
-                gap = b.timestamp - a.timestamp
-                if dist > 0.05 and gap > 0:
+        for i in range(1, len(log)):
+            gap = log.times[i] - log.times[i - 1]
+            if gap > 0 and log.users[i] == log.users[i - 1]:
+                dist = arc_km(points[i - 1], points[i])
+                if dist > 0.05:
                     samples.append(math.log(gap / dist))
-            a, here = b, there
         if samples:  # fmean sums with fsum, so the order of the samples cannot show
             self.log_mu = statistics.fmean(samples)
         return self
 
-    def seconds(self, km: float) -> float:
-        """Travel time over a great-circle distance of ``km``."""
+    def seconds(self, km):
+        """Travel time over a great-circle distance of ``km`` (a float or an
+        array)."""
         if self.mode == "deterministic" or self.log_mu is None:
             return travel_seconds(km)
         return km * math.exp(self.log_mu)
 
 
-def derive_visits(
-    records: Sequence[CheckinRecord],
-    travel_time: TravelTimeModel | None = None,
-) -> list[Visit]:
-    """Turn one user's timestamp-sorted check-ins into visits with stays."""
-    if not records:
-        return []
-    times = [r.timestamp for r in records]
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise ValueError("records must be sorted by timestamp")
-    if len({r.user_id for r in records}) > 1:
-        raise ValueError("derive_visits expects records of a single user")
-    travel_time = travel_time or TravelTimeModel()
-
-    places: dict[tuple, tuple] = {}  # the Poi and the converted point of each place
-    stops = []
-    for r in records:
-        key = (r.poi_id, r.lat, r.lon, r.category)
-        if key not in places:
-            places[key] = Poi(*key), place(r.lat, r.lon)
-        stops.append(places[key])
-    pois, points = zip(*stops)
-    visits = []
-    for poi, here, there, arrival, next_arrival in zip(pois, points, points[1:], times, times[1:]):
-        departure = next_arrival - int(round(travel_time.seconds(arc_km(here, there))))
-        visits.append(Visit(poi, arrival, max(departure, arrival)))
-
-    stays = [v.stay for v in visits]
-    median_stay = int(statistics.median(stays)) if stays else FALLBACK_STAY_SECONDS
-    visits.append(Visit(pois[-1], times[-1], times[-1] + median_stay))
-    return visits
-
-
-def sessionize(visits: Sequence[Visit], user_id: str) -> list[Session]:
-    """Greedy split: a new session starts when the next arrival falls
-    outside ``SESSION_WINDOW_SECONDS`` of the current session's start."""
-    sessions = []
-    current: list[Visit] = []
-    start = None
-    for visit in visits:
-        if start is None or visit.arrival > start + SESSION_WINDOW_SECONDS:
-            if current:
-                sessions.append(Session(user_id, tuple(current)))
-            current = [visit]
-            start = visit.arrival
-        else:
-            current.append(visit)
-    if current:
-        sessions.append(Session(user_id, tuple(current)))
-    return sessions
-
-
-def filter_users(sessions: Iterable[Session], min_checkins: int = DEFAULT_MIN_CHECKINS) -> list[Session]:
-    """Drop every session of users with fewer than ``min_checkins`` visits."""
-    if min_checkins < 0:
-        raise ValueError("min_checkins must be >= 0")
-    sessions = list(sessions)
-    counts: dict[str, int] = defaultdict(int)
-    for s in sessions:
-        counts[s.user_id] += len(s)
-    return [s for s in sessions if counts[s.user_id] >= min_checkins]
-
-
 def build_sessions(
-    records: Sequence[CheckinRecord],
+    records: Iterable[CheckinRecord],
     travel_time: TravelTimeModel | None = None,
     min_checkins: int = 0,
-) -> list[Session]:
-    """records -> visits -> sessions for every user, optionally filtered.
+) -> SessionTable:
+    """records -> visits -> sessions for every user, optionally filtered,
+    as one ``SessionTable`` under the first-seen encodings of its sessions.
 
     Users are processed in sorted order, and each user's records by time
     with ties in input order, so the output ordering is a pure function of
-    the input bytes.
+    the input bytes. A check-in at a user's previous time is dropped, as
+    it cannot form strictly increasing arrivals; so are all the visits of
+    a user with fewer than ``min_checkins`` of them. Each session starts at
+    the first arrival outside ``SESSION_WINDOW_SECONDS`` of the previous
+    session's start.
     """
-    records = sorted(records, key=attrgetter("user_id", "timestamp"))
-    sessions: list[Session] = []
-    for user_id, user_records in groupby(records, key=attrgetter("user_id")):
-        # duplicate timestamps cannot form strictly increasing arrivals
-        deduped = []
-        for r in user_records:
-            if deduped and r.timestamp <= deduped[-1].timestamp:
-                continue
-            deduped.append(r)
-        visits = derive_visits(deduped, travel_time)
-        sessions.extend(sessionize(visits, user_id))
-    if min_checkins:
-        sessions = filter_users(sessions, min_checkins)
-    return sessions
+    if min_checkins < 0:
+        raise ValueError("min_checkins must be >= 0")
+    log = Checkins.of(records)
+    travel_time = travel_time or TravelTimeModel()
+    times = np.array(log.times, dtype=np.int64)
+    new_user = np.ones(len(times), dtype=bool)
+    new_user[1:] = [a != b for a, b in zip(log.users, log.users[1:])]
+    user = np.cumsum(new_user) - 1
+    keep = new_user | (np.diff(times, prepend=0) != 0)
+    keep &= np.bincount(user, weights=keep)[user] >= min_checkins
+    rows = np.flatnonzero(keep)
+
+    # one Poi and one converted point per distinct place, in first-visit order
+    index: dict[tuple, int] = {}
+    keys = zip(log.pois, log.lats, log.lons, log.categories)
+    place_ix = np.array([index.setdefault(key, len(index)) for key, kept in zip(keys, keep.tolist())
+                         if kept], dtype=np.int64)
+    places = [Poi(*key) for key in index]
+    points = [place(poi.lat, poi.lon) for poi in places]
+
+    arrivals, user = times[rows], user[rows]
+    new_user = np.diff(user, prepend=-1) != 0
+    first = np.flatnonzero(new_user)  # each user's first visit
+    ends = np.append(first, len(rows))[1:]
+    moved = np.flatnonzero(user[1:] == user[:-1])  # visits the same user's next one follows
+    km = [arc_km(points[a], points[b]) for a, b in zip(place_ix[moved].tolist(),
+                                                        place_ix[moved + 1].tolist())]
+    departures = arrivals.copy()
+    departures[moved] = np.maximum(
+        arrivals[moved + 1] - np.rint(travel_time.seconds(np.array(km))).astype(np.int64),
+        arrivals[moved])
+    # a user's last visit stays the median of the user's other stays
+    stays = (departures - arrivals).tolist()
+    departures[ends - 1] += np.array(
+        [int(statistics.median(stays[a:b - 1])) if b - a > 1 else FALLBACK_STAY_SECONDS
+         for a, b in zip(first.tolist(), ends.tolist())], dtype=np.int64)
+
+    starts, start = [], 0
+    for i, (arrival, new) in enumerate(zip(arrivals.tolist(), new_user.tolist())):
+        if new or arrival > start + SESSION_WINDOW_SECONDS:
+            starts.append(i)
+            start = arrival
+    lengths = np.diff(np.array(starts + [len(rows)], dtype=np.int64))
+
+    encodings, place_poi = Encodings.of_places([log.users[i] for i in rows[first].tolist()],
+                                               places)
+    pois = np.array(place_poi, dtype=np.int64)[place_ix]
+    users = np.repeat(np.arange(len(first)), ends - first)
+    return SessionTable((users, pois, arrivals, departures, lengths), encodings, places, place_ix)
 
 
 def training_sessions(sessions: Iterable[Session]) -> list[Session]:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,14 +41,71 @@ class CheckinRecord:
     city: str | None = None
 
     def __post_init__(self):
-        if not self.user_id or not self.poi_id or not self.category:
-            raise DataError("user_id, poi_id and category must be non-empty")
-        if not 0 < self.timestamp <= MAX_TIMESTAMP:
-            raise DataError(f"timestamp must be in 1..{MAX_TIMESTAMP}, got {self.timestamp}")
-        if not -90.0 <= self.lat <= 90.0:
-            raise DataError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise DataError(f"longitude out of range: {self.lon}")
+        check_checkin(self.user_id, self.poi_id, self.timestamp, self.lat, self.lon,
+                      self.category)
+
+
+def check_checkin(user_id, poi_id, timestamp, lat, lon, category, city=None) -> None:
+    """``DataError`` unless the fields, in ``CheckinRecord`` order, make a
+    valid check-in."""
+    if not user_id or not poi_id or not category:
+        raise DataError("user_id, poi_id and category must be non-empty")
+    if not 0 < timestamp <= MAX_TIMESTAMP:
+        raise DataError(f"timestamp must be in 1..{MAX_TIMESTAMP}, got {timestamp}")
+    if not -90.0 <= lat <= 90.0:
+        raise DataError(f"latitude out of range: {lat}")
+    if not -180.0 <= lon <= 180.0:
+        raise DataError(f"longitude out of range: {lon}")
+
+
+CHECKIN_FIELDS = ("user_id", "poi_id", "timestamp", "lat", "lon", "category", "city")
+
+
+class _Objects(Sequence):
+    """A read-only sequence of the objects that ``_objects`` makes once, on
+    the first element access."""
+
+    def __getitem__(self, i):
+        return self._objects[i]
+
+    def __iter__(self):
+        return iter(self._objects)
+
+
+@dataclass(frozen=True)
+class Checkins(_Objects):
+    """Check-ins as columns, in ``CheckinRecord`` field order, sorted by
+    user id and then time with ties in input order; its objects are
+    ``CheckinRecord``s."""
+
+    users: list
+    pois: list
+    times: list
+    lats: list
+    lons: list
+    categories: list
+    cities: list
+
+    @classmethod
+    def of(cls, records: Iterable[CheckinRecord]) -> "Checkins":
+        """The check-ins ``records``, in any order, as sorted columns."""
+        if isinstance(records, cls):
+            return records
+        return cls.from_rows(map(attrgetter(*CHECKIN_FIELDS), records))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> "Checkins":
+        """Sorted columns of valid check-ins given as field tuples."""
+        rows = sorted(rows, key=itemgetter(0, 2))
+        return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in CHECKIN_FIELDS))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    @cached_property
+    def _objects(self) -> list:
+        return [CheckinRecord(*row) for row in zip(self.users, self.pois, self.times, self.lats,
+                                                   self.lons, self.categories, self.cities)]
 
 
 @dataclass(frozen=True)
@@ -165,19 +225,31 @@ class Encodings:
 
     @classmethod
     def fit(cls, sessions: Iterable[Session]) -> "Encodings":
-        """Encodings of every POI, category and user in ``sessions``; a
-        POI's catalogue entry is its first visit's."""
-        pois, cats, users, coords, poi_cat = {}, {}, {}, [], []
-        for session in sessions:
-            users.setdefault(session.user_id, len(users))
-            for visit in session.visits:
-                poi = visit.poi
-                cats.setdefault(poi.category, len(cats))
-                if poi.poi_id not in pois:
-                    pois[poi.poi_id] = len(pois)
-                    coords.append((poi.lat, poi.lon))
-                    poi_cat.append(cats[poi.category])
-        return cls(pois, cats, users, np.reshape(coords, (-1, 2)), poi_cat)
+        """Encodings of every POI, category and user in ``sessions``, first
+        seen first; a POI's catalogue entry is its first visit's. A
+        ``SessionTable``'s encodings are its own."""
+        if isinstance(sessions, SessionTable):
+            return sessions.encodings
+        sessions = list(sessions)
+        places = dict.fromkeys(visit.poi for session in sessions for visit in session.visits)
+        return cls.of_places(dict.fromkeys(s.user_id for s in sessions), places)[0]
+
+    @classmethod
+    def of_places(cls, users: Iterable[str], places: Iterable[Poi]) -> tuple:
+        """The encodings of the user ids ``users``, in order, and of the
+        POIs and categories of ``places``, the distinct ``Poi``s of some
+        visits in first-visit order; and each place's POI index."""
+        pois, cats, coords, poi_cat, place_poi = {}, {}, [], [], []
+        for poi in places:
+            cats.setdefault(poi.category, len(cats))
+            if poi.poi_id not in pois:
+                pois[poi.poi_id] = len(pois)
+                coords.append((poi.lat, poi.lon))
+                poi_cat.append(cats[poi.category])
+            place_poi.append(pois[poi.poi_id])
+        encodings = cls(pois, cats, {u: i for i, u in enumerate(users)},
+                        np.reshape(coords, (-1, 2)), poi_cat)
+        return encodings, place_poi
 
     def pois(self) -> list:
         """The catalogue as one ``Poi`` per encoded index."""
@@ -217,10 +289,38 @@ class Encodings:
         return cls(d["pois"], d["categories"], d["users"])
 
 
+class SessionTable(_Objects):
+    """Sessions as columns: the five int64 arrays of ``visit_arrays`` under
+    their ``encodings``, and each visit's place, an index into ``places``
+    (``Poi``s); its objects are ``Session``s."""
+
+    def __init__(self, columns: tuple, encodings: Encodings, places: list, place_ix):
+        for column in (*columns, place_ix):
+            column.flags.writeable = False
+        self.columns, self.encodings = tuple(columns), encodings
+        self.places, self.place_ix = places, place_ix
+
+    def __len__(self) -> int:
+        return len(self.columns[4])
+
+    @cached_property
+    def _objects(self) -> list:
+        users, _, arrivals, departures, lengths = self.columns
+        visits = [Visit(self.places[k], a, d) for k, a, d in zip(
+            self.place_ix.tolist(), arrivals.tolist(), departures.tolist())]
+        ends = np.cumsum(lengths)
+        names = self.encodings.ix_to_user
+        return [Session(names[u], tuple(visits[b - n:b]))
+                for u, n, b in zip(users[ends - lengths].tolist(), lengths.tolist(), ends.tolist())]
+
+
 def visit_arrays(sessions: Iterable[Session], encodings: Encodings) -> tuple:
     """The encoded user, POI, arrival and departure of every visit, in
     session order, and the number of visits of each session, as five
-    int64 arrays: the one pass that encodes sessions."""
+    int64 arrays: the one pass that encodes sessions. A ``SessionTable``
+    under its own ``encodings`` returns its columns."""
+    if isinstance(sessions, SessionTable) and encodings is sessions.encodings:
+        return sessions.columns
     users, pois, arrivals, departures, lengths = [], [], [], [], []
     poi_ix = encodings.poi_to_ix
     for session in sessions:

@@ -41,12 +41,20 @@ over ``visit_arrays`` must equal its chains bit for bit.
 ``great_circle_km`` is the earlier one-step haversine formula, which
 converts and takes the cosine of both ends on every call, and
 ``derive_visits`` the earlier visit derivation: one ``Poi`` and one
-such distance per check-in. ``capseq.geo`` and the package's
-``derive_visits`` must equal them bit for bit, in both travel-time
-modes. ``travel_log_mu`` is the earlier lognormal travel-time fit: the
+such distance per check-in. ``capseq.geo`` must equal the formula bit
+for bit. ``travel_log_mu`` is the earlier lognormal travel-time fit: the
 check-ins grouped by user, each user's sorted by time, and one such
 distance per consecutive pair; ``TravelTimeModel.fit`` must give its
 ``log_mu`` bit for bit.
+
+``parse_checkins``, ``build_sessions`` (with ``sessionize`` and
+``filter_users``), ``fit_encodings`` and ``load_sessions`` are the
+earlier object-per-row data layer: one ``CheckinRecord`` per CSV row, one
+``Visit`` per visit (``derive_visits``) and one ``Session`` per session,
+each with its own checks, and one encoding pass over every visit. The
+columnar parse, session build and dataset load must give the same
+records, sessions (per-visit ``Poi``s included), encodings, catalogue
+and first bad line.
 
 ``rnn_loss_and_grads`` and ``lstm_loss_and_grads`` are the earlier
 per-cell backpropagation through time, each loop over the steps written
@@ -70,13 +78,18 @@ import math
 import statistics
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
 from capseq import numerics
 from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
 from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
-from capseq.data.types import Poi, Visit
+from capseq.data import TravelTimeModel
+from capseq.data.io import INT64_MAX, INT64_MIN, _read_json
+from capseq.data.parse import FORMATS, _parse_timestamp, _rows
+from capseq.data.types import CheckinRecord, Poi, Session, Visit
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
@@ -693,6 +706,113 @@ def derive_visits(records, travel_time) -> list:
     last = records[-1]
     visits.append(Visit(pois[-1], last.timestamp, last.timestamp + median_stay))
     return visits
+
+
+def parse_checkins(path, fmt: str = "weeplaces") -> tuple:
+    """(records, dropped) of a check-in CSV: each row's cells read through a
+    dict of the header names (so the last cell of a repeated name that the
+    row reaches), one ``CheckinRecord`` per row, a row it refuses dropped,
+    and one sort by (user, time)."""
+    rows = _rows(path, "check-in")
+    names = [name.strip().lower() for name in next(rows)]
+    column = {field: next((c for c in candidates if c in names), None)
+              for field, candidates in FORMATS[fmt].items()}
+    records, dropped = [], 0
+    for values in rows:
+        if not values:
+            continue
+        cells = dict(zip(names, values))
+        cell = {field: cells.get(name, "") for field, name in column.items()}
+        try:
+            records.append(CheckinRecord(
+                cell["user"].strip(), cell["poi"].strip(), _parse_timestamp(cell["time"]),
+                float(cell["lat"].strip()), float(cell["lon"].strip()),
+                cell["category"].strip(), cell["city"].strip() or None))
+        except ValueError:
+            dropped += 1
+    records.sort(key=attrgetter("user_id", "timestamp"))
+    return records, dropped
+
+
+def sessionize(visits, user_id: str) -> list:
+    """Greedy split: a new session starts when the next arrival falls
+    outside 8 hours of the current session's start."""
+    sessions, current, start = [], [], None
+    for visit in visits:
+        if start is None or visit.arrival > start + 8 * 3600:
+            if current:
+                sessions.append(Session(user_id, tuple(current)))
+            current, start = [visit], visit.arrival
+        else:
+            current.append(visit)
+    if current:
+        sessions.append(Session(user_id, tuple(current)))
+    return sessions
+
+
+def filter_users(sessions, min_checkins: int) -> list:
+    """Every session of the users with at least ``min_checkins`` visits."""
+    counts: dict[str, int] = defaultdict(int)
+    for s in sessions:
+        counts[s.user_id] += len(s)
+    return [s for s in sessions if counts[s.user_id] >= min_checkins]
+
+
+def build_sessions(records, travel_time=None, min_checkins: int = 0) -> list:
+    """The sessions of ``records``: users in sorted order, each user's
+    records by time with ties in input order, a record at the previous
+    kept time dropped, then ``derive_visits``, ``sessionize`` and
+    ``filter_users``."""
+    travel_time = travel_time or TravelTimeModel()
+    sessions = []
+    records = sorted(records, key=attrgetter("user_id", "timestamp"))
+    for user_id, user_records in groupby(records, key=attrgetter("user_id")):
+        deduped = []
+        for r in user_records:
+            if not deduped or r.timestamp > deduped[-1].timestamp:
+                deduped.append(r)
+        sessions.extend(sessionize(derive_visits(deduped, travel_time), user_id))
+    return filter_users(sessions, min_checkins) if min_checkins else sessions
+
+
+def fit_encodings(sessions) -> tuple:
+    """(users, categories, POIs, coordinates, POI categories) of one pass
+    over every visit: each label first seen first, and a POI catalogued
+    at its first visit's place."""
+    pois, cats, users, coords, poi_cat = {}, {}, {}, [], []
+    for session in sessions:
+        users.setdefault(session.user_id, len(users))
+        for visit in session.visits:
+            poi = visit.poi
+            cats.setdefault(poi.category, len(cats))
+            if poi.poi_id not in pois:
+                pois[poi.poi_id] = len(pois)
+                coords.append((poi.lat, poi.lon))
+                poi_cat.append(cats[poi.category])
+    return users, cats, pois, coords, poi_cat
+
+
+def load_sessions(path, encodings) -> list:
+    """The sessions of a ``sessions.jsonl`` file under ``encodings``, one
+    line at a time: each visit at its POI's catalogue place; the first bad
+    line raises ``DataError`` naming it."""
+    pois = dict(enumerate(encodings.pois()))
+
+    def session(obj) -> Session:
+        values = [obj["user"], *obj["pois"], *obj["arrivals"], *obj["departures"]]
+        bad = [v for v in values if type(v) is not int]
+        if bad:
+            raise ValueError(f"{bad[0]!r} is not an integer")
+        visits = tuple(Visit(pois[p], a, d) for p, a, d in zip(
+            obj["pois"], obj["arrivals"], obj["departures"], strict=True))
+        out = Session(encodings.ix_to_user[obj["user"]], visits)
+        if visits[0].arrival < INT64_MIN or max(obj["departures"]) > INT64_MAX:
+            raise ValueError("a visit time is not a 64-bit integer")
+        return out
+
+    with open(path, "rb") as fh:
+        return [_read_json(f"{path}:{lineno}", line, session)
+                for lineno, line in enumerate(fh, start=1) if line.strip()]
 
 
 def travel_log_mu(records) -> float | None:

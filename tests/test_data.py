@@ -1,10 +1,13 @@
-"""Parsing, visit derivation, sessionization, filtering, synthesis."""
+"""Parsing, visit derivation, sessionization, filtering, synthesis, and
+the columnar data layer against the earlier per-row loops."""
 
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,14 +17,12 @@ from capseq.data import (
     CheckinRecord,
     DataError,
     Encodings,
+    SessionTable,
     SocialGraph,
     TravelTimeModel,
     build_sessions,
-    derive_visits,
-    filter_users,
     parse_checkins,
     parse_friendships,
-    sessionize,
     synth_dataset,
     training_sessions,
     visit_arrays,
@@ -271,6 +272,8 @@ class TestTimes:
         "2010-05-01T24:00:00": None,
         "2010-02-30T09:00:00": None,
         "\u0662\u0660\u0661\u0660-05-01": None,  # digits, but not ASCII ones
+        "\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19\uff10": None,  # fullwidth
+        "\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669\u0660": None,  # Arabic-Indic
         "not-a-date": None,
         "": None,
     }
@@ -324,6 +327,11 @@ class TestGreatCircle:
 
 def rec(user, poi, ts, lat=40.0, lon=-74.0, cat="Food"):
     return CheckinRecord(user, poi, ts, lat, lon, cat)
+
+
+def derive_visits(records, travel_time=None) -> list:
+    """The visits of one user's check-ins, as ``build_sessions`` derives them."""
+    return [v for s in build_sessions(records, travel_time) for v in s.visits]
 
 
 class TestDeriveVisits:
@@ -392,83 +400,219 @@ class TestDeriveVisits:
         for one in records:
             assert derive_visits([one], travel) == ref.derive_visits([one], travel)
 
-    def test_rejects_unsorted_and_mixed_users(self):
-        with pytest.raises(ValueError):
-            derive_visits([rec("u", "a", 100), rec("u", "b", 50)])
-        with pytest.raises(ValueError):
-            derive_visits([rec("u", "a", 100), rec("w", "b", 200)])
+    def test_sorts_unsorted_and_mixed_users(self):
+        records = [rec("w", "c", 150), rec("u", "a", 100), rec("w", "d", 120),
+                   rec("u", "b", 50)]
+        assert list(build_sessions(records)) == list(build_sessions(
+            sorted(records, key=lambda r: (r.user_id, r.timestamp))))
+        assert [s.user_id for s in build_sessions(records)] == ["u", "w"]
 
 
 class TestSessionize:
-    def visits_at_hours(self, hours):
-        return [
-            Visit(Poi("p", 40.0, -74.0, "Food"), h * 3600, h * 3600 + 600)
-            for h in hours
-        ]
+    def sessions_at_hours(self, hours, user="u"):
+        return build_sessions([rec(user, "p", int(h * 3600)) for h in hours])
 
     def test_greedy_eight_hour_split(self):
-        sessions = sessionize(self.visits_at_hours([9, 10, 12, 18]), "u")
+        sessions = self.sessions_at_hours([9, 10, 12, 18])
         assert [[v.arrival // 3600 for v in s.visits] for s in sessions] == [
             [9, 10, 12],
             [18],
         ]
 
     def test_empty_input(self):
-        assert sessionize([], "u") == []
+        sessions = build_sessions([])
+        assert len(sessions) == 0 and list(sessions) == []
+        assert sessions.encodings.n_users == sessions.encodings.n_pois == 0
 
     def test_single_window(self):
-        sessions = sessionize(self.visits_at_hours([9, 9.25, 9.5]), "u")
+        sessions = self.sessions_at_hours([9, 9.25, 9.5])
         assert len(sessions) == 1
 
     def test_partition_property_random(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
-            arrivals = np.cumsum(rng.integers(300, 6 * 3600, size=30))
-            visits = [
-                Visit(Poi("p", 40.0, -74.0, "Food"), int(a), int(a) + 60)
-                for a in arrivals
-            ]
-            sessions = sessionize(visits, "u")
-            flattened = [v for s in sessions for v in s.visits]
-            assert flattened == visits
+            arrivals = np.cumsum(rng.integers(300, 6 * 3600, size=30)).tolist()
+            records = [rec("u", f"p{a % 3}", a) for a in arrivals]
+            sessions = build_sessions(records)
+            assert list(sessions) == ref.build_sessions(records)
+            assert [v.arrival for s in sessions for v in s.visits] == arrivals
             for s in sessions:
                 assert s.visits[-1].arrival - s.visits[0].arrival <= 8 * 3600
 
     def test_singleton_flagged(self):
-        sessions = sessionize(self.visits_at_hours([9, 20]), "u")
+        sessions = self.sessions_at_hours([9, 20])
         assert all(len(s.visits) == 1 for s in sessions)
         assert training_sessions(sessions) == []
 
 
 class TestFilterUsers:
     def make(self, user, n):
-        visits = tuple(
-            Visit(Poi("p", 40.0, -74.0, "Food"), i * 3600 + 1, i * 3600 + 61)
-            for i in range(n)
-        )
-        return sessionize(list(visits), user)
+        return [rec(user, "p", i * 3600 + 1) for i in range(n)]
 
     def test_user_below_threshold_removed(self):
-        sessions = self.make("u24", 24) + self.make("u25", 25)
-        kept = filter_users(sessions, 25)
+        records = self.make("u24", 24) + self.make("u25", 25)
+        kept = build_sessions(records, min_checkins=25)
         assert {s.user_id for s in kept} == {"u25"}
+        assert list(kept.encodings.user_to_ix) == ["u25"]
 
     def test_zero_threshold_is_identity(self):
-        sessions = self.make("a", 3) + self.make("b", 1)
-        assert filter_users(sessions, 0) == sessions
+        records = self.make("a", 3) + self.make("b", 1)
+        assert list(build_sessions(records, min_checkins=0)) == list(build_sessions(records))
+        with pytest.raises(ValueError, match="min_checkins"):
+            build_sessions(records, min_checkins=-1)
 
     def test_population_counts_via_independent_pass(self):
         rng = np.random.default_rng(9)
-        sessions = []
+        records = []
         expected_kept = set()
         for i in range(100):
             n = int(rng.integers(1, 50))
             user = f"u{i:03d}"
-            sessions.extend(self.make(user, n))
+            records.extend(self.make(user, n))
             if n >= 25:
                 expected_kept.add(user)
-        kept = filter_users(sessions, 25)
+        kept = build_sessions(records, min_checkins=25)
         assert {s.user_id for s in kept} == expected_kept
+
+
+GOWALLA_HEADER = ["user", "spotid", "checkin_time", "latitude", "lng", "city", "spot_categories"]
+
+
+def messy_log(path, seed: int, fmt: str, bom: bool) -> None:
+    """A seeded check-in CSV at ``path``: a synthetic log, shuffled, in
+    which some check-ins place their POI elsewhere or under another
+    category, some repeat the user's previous time at another POI, three
+    users have under 6 check-ins, and some rows are short or malformed."""
+    records, _ = synth_dataset(seed=seed, n_users=6, n_pois=30, days=4)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for r in records:
+        draw = rng.random()
+        lat = r.lat + 1e-4 if draw < 0.05 else r.lat
+        cat = "Other:Thing" if 0.05 <= draw < 0.1 else r.category
+        rows.append([r.user_id, r.poi_id, r.timestamp, repr(lat), repr(r.lon), r.city, cat])
+        if draw > 0.93:
+            rows.append([r.user_id, f"p{int(rng.integers(30)):04d}", r.timestamp,
+                         repr(r.lat), repr(r.lon), "", r.category])
+    for u in range(3):
+        rows += [[f"few{u}", f"p{int(rng.integers(30)):04d}", 1330905600 + 5000 * i,
+                  "40.7", "-74.0", "", "Food"] for i in range(int(rng.integers(1, 6)))]
+    rows += [["u0000", "p0001", "1330905600"], ["u0001", "p0001", "soon", "40", "-74", "", "F"],
+             ["u0001", "", "1330905600", "40.7", "-74.0", "", "Food"],
+             ["u0002", "p0001", "1330905700", "95.0", "-74.0", "", "Food"], ["u0003"]]
+    header = HEADER.strip().split(",") if fmt == "weeplaces" else GOWALLA_HEADER
+    with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows[i] for i in rng.permutation(len(rows)))
+
+
+class TestColumnarOracles:
+    """The columnar parse, session build, encodings and dataset load equal
+    the earlier per-row loops of ``scalar_reference`` on seeded logs."""
+
+    LOGS = [(1, "weeplaces", False), (2, "gowalla", False), (3, "weeplaces", True),
+            (4, "gowalla", True)]
+
+    @pytest.mark.parametrize("seed, fmt, bom", LOGS)
+    def test_parse_equals_the_per_row_loop(self, tmp_path, seed, fmt, bom):
+        path = tmp_path / "c.csv"
+        messy_log(path, seed, fmt, bom)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf") == bom
+        result = parse_checkins(path, fmt)
+        records, dropped = ref.parse_checkins(path, fmt)
+        assert list(result.records) == records
+        assert result.dropped == dropped == 5
+
+    @pytest.mark.parametrize("seed, fmt, bom", LOGS)
+    def test_sessions_and_encodings_equal_the_per_user_loops(self, tmp_path, seed, fmt, bom):
+        path = tmp_path / "c.csv"
+        messy_log(path, seed, fmt, bom)
+        parsed = parse_checkins(path, fmt).records
+        records = list(parsed)
+        shuffled = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
+        for mode in ("deterministic", "lognormal"):
+            travel = TravelTimeModel(mode).fit(parsed)
+            assert travel.log_mu == ref.travel_log_mu(records) is not None
+            for min_checkins, given in itertools.product((0, 6, 25), (parsed, shuffled)):
+                want = ref.build_sessions(list(given), travel, min_checkins)
+                users, cats, pois, coords, poi_cat = ref.fit_encodings(want)
+                table = build_sessions(given, travel, min_checkins)
+                assert isinstance(table, SessionTable)
+                assert list(table) == want
+                assert Encodings.fit(table) is table.encodings
+                for enc in (Encodings.fit(want), table.encodings):
+                    assert (enc.user_to_ix, enc.cat_to_ix, enc.poi_to_ix) == (users, cats, pois)
+                    assert enc.poi_coords.tobytes() == np.reshape(coords, (-1, 2)).tobytes()
+                    assert enc.poi_cat.tolist() == poi_cat
+                for got, loop in zip(visit_arrays(table, enc), visit_arrays(want, enc)):
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(got, loop)
+        # the log holds what the loops must agree on
+        assert len({r.user_id for r in records}) - len(build_sessions(parsed, min_checkins=6)
+                                                       .encodings.user_to_ix) == 3
+        assert len({(r.poi_id, r.lat, r.lon, r.category) for r in records}) > len(
+            {r.poi_id for r in records})
+        assert len({(r.user_id, r.timestamp) for r in records}) < len(records)
+
+    @pytest.mark.parametrize("seed, fmt, bom", LOGS)
+    def test_load_equals_the_per_line_loop(self, tmp_path, seed, fmt, bom):
+        messy_log(tmp_path / "c.csv", seed, fmt, bom)
+        table = build_sessions(parse_checkins(tmp_path / "c.csv", fmt).records)
+        dataio.save_dataset(tmp_path / "ds", table, table.encodings)
+        loaded, encodings, _ = dataio.load_dataset(tmp_path / "ds")
+        assert list(loaded) == ref.load_sessions(tmp_path / "ds" / "sessions.jsonl", encodings)
+        for got, saved in zip(visit_arrays(loaded, encodings), table.columns):
+            np.testing.assert_array_equal(got, saved)
+
+    # a change that makes a sessions.jsonl line bad, given the session and the encodings
+    BAD_LINES = {
+        "poi-past-end": lambda s, enc: s["pois"].__setitem__(0, enc.n_pois),
+        "negative-poi": lambda s, enc: s["pois"].__setitem__(-1, -1),
+        "user-past-end": lambda s, enc: s.update(user=enc.n_users),
+        "negative-user": lambda s, enc: s.update(user=-1),
+        "repeated-arrival": lambda s, enc: s["arrivals"].__setitem__(1, s["arrivals"][0]),
+        "departure-first": lambda s, enc: s["departures"].__setitem__(0, s["arrivals"][0] - 1),
+        "no-visit": lambda s, enc: s.update(pois=[], arrivals=[], departures=[]),
+        "lengths-differ": lambda s, enc: s["pois"].append(0),
+        "float-time": lambda s, enc: s["arrivals"].__setitem__(0, s["arrivals"][0] + 0.5),
+        "bool-poi": lambda s, enc: s["pois"].__setitem__(0, True),
+        "string-user": lambda s, enc: s.update(user=str(s["user"])),
+        "time-past-int64": lambda s, enc: s["departures"].__setitem__(-1, 2**63),
+        "missing-key": lambda s, enc: s.pop("departures"),
+        "a-list": None,
+        "not-json": None,
+    }
+
+    def test_load_names_the_first_bad_line(self, tmp_path):
+        records, _ = synth_dataset(seed=2, n_users=3, n_pois=20, days=3)
+        table = build_sessions(records)
+        dataio.save_dataset(tmp_path / "good", table, table.encodings)
+        path = tmp_path / "good" / "sessions.jsonl"
+        good = path.read_bytes().split(b"\n")
+        at = [i for i, line in enumerate(good) if line and len(json.loads(line)["pois"]) > 1][2:4]
+        encodings = table.encodings
+
+        def bad(line: bytes, kind: str) -> bytes:
+            change = self.BAD_LINES[kind]
+            if change is None:
+                return b"[1]" if kind == "a-list" else line[:20]
+            session = json.loads(line)
+            change(session, encodings)
+            return json.dumps(session).encode()
+
+        for first in self.BAD_LINES:
+            for second in self.BAD_LINES:
+                lines = list(good)
+                lines[at[0]], lines[at[1]] = bad(lines[at[0]], first), bad(lines[at[1]], second)
+                (tmp_path / "good" / "sessions.jsonl").write_bytes(b"\n".join(lines))
+                where = f"{path}:{at[0] + 1}: "
+                with pytest.raises(DataError) as raised:
+                    dataio.load_dataset(tmp_path / "good")
+                assert str(raised.value).startswith(where), (first, second, raised.value)
+                assert "\n" not in str(raised.value)
+                with pytest.raises(DataError, match="^" + re.escape(where)):
+                    ref.load_sessions(path, encodings)
 
 
 class TestEncodings:

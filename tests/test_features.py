@@ -802,8 +802,14 @@ class TestOneEncodingPass:
         from capseq.data import training_sessions
         from capseq.models import encode_sessions
 
-        sessions, graph, encodings = synth_small
+        table, graph, encodings = synth_small
+        sessions = list(table)
         calls = poi_lookups(encodings)
+        # a table under its own encodings hands over its columns
+        assert FeatureTables.build(table, graph, encodings).to_dict() == (
+            FeatureTables.build(sessions, graph, encodings).to_dict())
+        assert calls == [v.poi.poi_id for s in sessions for v in s.visits]
+        calls.clear()
         tables = FeatureTables.build(sessions, graph, encodings)
         assert calls == [v.poi.poi_id for s in sessions for v in s.visits]
         calls.clear()
