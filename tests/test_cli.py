@@ -4,6 +4,7 @@ output determinism."""
 import dataclasses
 import json
 import shutil
+import struct
 
 import pytest
 
@@ -16,6 +17,7 @@ from capseq.features import FeatureTables
 from capseq.generation import GenRequest
 from capseq.metrics import REPORT_COLUMNS
 from capseq.models import MODEL_KINDS
+from capseq.numerics import SNAPSHOT_MAGIC
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +216,30 @@ def _with_sidecar(**changes):
     def edit(raw: bytes) -> bytes:
         return json.dumps({**json.loads(raw), **changes}).encode("utf-8")
     return edit
+
+
+def _snapshot_version(version: int):
+    """Checkpoint snapshot edit: write ``version`` as its format version."""
+    def edit(raw: bytes) -> bytes:
+        at = len(SNAPSHOT_MAGIC)
+        return raw[:at] + struct.pack("<H", version) + raw[at + 2:]
+    return edit
+
+
+def _swap_2d_dims(raw: bytes) -> bytes:
+    """Checkpoint snapshot edit: swap the two dims of the first 2-D block
+    whose dims differ, in its header; the size, so the data, stays."""
+    at = len(SNAPSHOT_MAGIC)
+    _, count = struct.unpack_from("<HI", raw, at)
+    at += 6
+    for _ in range(count):
+        at += 2 + struct.unpack_from("<H", raw, at)[0]  # the name
+        ndim = raw[at]
+        dims = struct.unpack_from(f"<{ndim}I", raw, at + 1)
+        if ndim == 2 and dims[0] != dims[1]:
+            return raw[:at + 1] + struct.pack("<2I", *dims[::-1]) + raw[at + 9:]
+        at += 1 + 4 * ndim
+    raise AssertionError("the snapshot holds no 2-D block of two different dims")
 
 
 def _without_last_poi(raw: bytes) -> bytes:
@@ -428,6 +454,14 @@ BAD_INPUTS = {
         {"m.ckpt.json": _with_sidecar(encodings_sha256="0" * 64)}, GENERATE, 2),
     "checkpoint-missing-blocks": (
         {"m.ckpt.json": _with_sidecar(kind="caps-rnn")}, GENERATE, 2),
+    "checkpoint-unknown-kind": (
+        {"m.ckpt.json": _with_sidecar(kind="transformer")}, GENERATE, 2),
+    "checkpoint-snapshot-version-2": ({"m.ckpt": _snapshot_version(2)}, GENERATE, 2),
+    "checkpoint-block-dims-swapped": ({"m.ckpt": _swap_2d_dims}, GENERATE, 2),
+    "config-line-without-equals": (
+        {"run.cfg": "seed 3\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
+    "config-bad-value": (
+        {"run.cfg": "seed = three\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
     "generate-unknown-user": (
         {}, ["generate", "--checkpoint", "{tmp}/m.ckpt", "--user", "nobody"], 2),
     "generate-unknown-start-poi": ({}, GENERATE + ["--start-poi", "nowhere"], 2),
@@ -456,6 +490,17 @@ BAD_INPUTS = {
 }
 
 
+# case -> what its one line must say, where another raise would give the
+# same exit code
+BAD_INPUT_MESSAGES = {
+    "checkpoint-unknown-kind": "unknown model kind 'transformer'",
+    "checkpoint-snapshot-version-2": "unsupported snapshot version 2",
+    "checkpoint-block-dims-swapped": "shape mismatch for",
+    "config-line-without-equals": "expected 'key = value', got 'seed 3'",
+    "config-bad-value": "bad value for seed",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys):
     files, argv, code = BAD_INPUTS[case]
@@ -481,6 +526,7 @@ def test_bad_input_exits_with_one_line(case, bad_input_sources, tmp_path, capsys
         assert err.startswith("usage error: --out-dir"), err
     if "--tables" in argv:
         assert err.startswith("usage error: unrecognized arguments: --tables"), err
+    assert BAD_INPUT_MESSAGES.get(case, "") in err, err
     for name, content in files.items():
         if name.startswith("ds/") and callable(content):  # an edit of a dataset file
             assert err.startswith(f"data error: {tmp_path / name}:"), err

@@ -12,9 +12,17 @@ import capseq
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "capseq"}
 
 # NumPy 2 only: absent from 1.24 (``np.bool`` was removed in 1.24 and
-# came back in 2.0)
-NUMPY2_FUNCTIONS = {"concat", "permute_dims", "matrix_transpose", "vecdot", "unstack", "bool"}
+# came back in 2.0). From 2.0 on: the ``unique_*`` functions and the
+# ``np.strings`` namespace; from 2.1 on: ``np.astype`` and
+# ``np.cumulative_sum``.
+NUMPY2_FUNCTIONS = {"concat", "permute_dims", "matrix_transpose", "vecdot", "unstack", "bool",
+                    "unique_values", "unique_counts", "unique_inverse", "unique_all",
+                    "strings", "astype", "cumulative_sum"}
 NUMPY2_ATTRIBUTES = {"mT"}
+# keyword arguments of NumPy 2 only, by the method or function that takes
+# them: ``stable=`` of ``sort`` and ``argsort`` from 2.0 on, ``sorted=`` of
+# ``np.unique`` from 2.3 on
+NUMPY2_KEYWORDS = {"sort": "stable", "argsort": "stable", "unique": "sorted"}
 
 
 def package_sources() -> list:
@@ -36,11 +44,16 @@ def imported_roots(source: str) -> set:
 
 
 def numpy2_names(source: str) -> set:
-    """Each NumPy-2-only name ``source`` uses: ``.mT`` on anything, and a
+    """Each NumPy-2-only name ``source`` uses: ``.mT`` on anything, a
     function read as ``np.<name>`` or ``numpy.<name>`` or imported from
-    ``numpy``."""
+    ``numpy``, and a keyword of ``NUMPY2_KEYWORDS`` passed to a call of
+    its method or function (``.sort(stable=...)``, ``np.unique(sorted=...)``)."""
     found = set()
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            keyword = NUMPY2_KEYWORDS.get(node.func.attr)
+            if keyword in {k.arg for k in node.keywords}:
+                found.add(f".{node.func.attr}({keyword}=)")
         if isinstance(node, ast.Attribute):
             if node.attr in NUMPY2_ATTRIBUTES:
                 found.add(f".{node.attr}")
@@ -68,6 +81,20 @@ def test_numpy2_names_reads_every_form():
     assert numpy2_names(source) == {".mT", "np.concat", "np.permute_dims",
                                     "np.matrix_transpose", "np.bool", "np.vecdot",
                                     "np.unstack"}
+
+
+def test_numpy2_names_reads_the_unique_and_cumulative_functions_and_keywords():
+    source = ("import numpy as np\nfrom numpy import unique_counts, strings\n"
+              "a = np.unique_values(x) + np.unique_inverse(x) + np.unique_all(x)\n"
+              "b = np.strings.upper(s)\nc = np.astype(a, float) + np.cumulative_sum(a)\n"
+              "d = np.sort(a, stable=True)\ne = a.argsort(kind='stable', stable=False)\n"
+              "f = np.unique(a, sorted=False)\ng = x.sort(stable=True)\n"
+              "h = np.unique(a, return_index=True) + a.astype(float) + np.cumsum(a)\n"
+              "i = sorted(a, key=len) + np.argsort(a, kind='stable')\nlist_of.sort(key=abs)\n")
+    assert numpy2_names(source) == {"np.unique_values", "np.unique_counts",
+                                    "np.unique_inverse", "np.unique_all", "np.strings",
+                                    "np.astype", "np.cumulative_sum", ".sort(stable=)",
+                                    ".argsort(stable=)", ".unique(sorted=)"}
 
 
 def test_package_imports_only_stdlib_numpy_and_itself():
