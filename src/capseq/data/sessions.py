@@ -101,7 +101,7 @@ def build_sessions(
     new_user = np.diff(user, prepend=-1) != 0
     first = np.flatnonzero(new_user)  # each user's first visit
     ends = np.append(first, len(rows))[1:]
-    moved = np.flatnonzero(user[1:] == user[:-1])  # visits the same user's next one follows
+    moved = np.flatnonzero(user[1:] == user[:-1])  # visits followed by one of their user
     km = [arc_km(points[a], points[b]) for a, b in zip(place_ix[moved].tolist(),
                                                         place_ix[moved + 1].tolist())]
     departures = arrivals.copy()

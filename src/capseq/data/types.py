@@ -230,15 +230,17 @@ class Encodings:
         ``SessionTable``'s encodings are its own."""
         if isinstance(sessions, SessionTable):
             return sessions.encodings
-        sessions = list(sessions)
-        places = dict.fromkeys(visit.poi for session in sessions for visit in session.visits)
-        return cls.of_places(dict.fromkeys(s.user_id for s in sessions), places)[0]
+        sessions, places = list(sessions), {}
+        for visit in (v for session in sessions for v in session.visits):
+            places.setdefault((visit.poi.poi_id, visit.poi.category), visit.poi)
+        return cls.of_places(dict.fromkeys(s.user_id for s in sessions), places.values())[0]
 
     @classmethod
     def of_places(cls, users: Iterable[str], places: Iterable[Poi]) -> tuple:
         """The encodings of the user ids ``users``, in order, and of the
-        POIs and categories of ``places``, the distinct ``Poi``s of some
-        visits in first-visit order; and each place's POI index."""
+        POIs and categories of ``places``: ``Poi``s of some visits in
+        first-visit order, at least the first of each (POI, category); and
+        each place's POI index."""
         pois, cats, coords, poi_cat, place_poi = {}, {}, [], [], []
         for poi in places:
             cats.setdefault(poi.category, len(cats))
