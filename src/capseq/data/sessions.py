@@ -97,11 +97,11 @@ def build_sessions(
     places = [Poi(*key) for key in index]
     points = [place(poi.lat, poi.lon) for poi in places]
 
-    arrivals, user = times[rows], user[rows]
-    new_user = np.diff(user, prepend=-1) != 0
+    # a user's first check-in is kept, unless all the user's are dropped
+    arrivals, new_user = times[rows], new_user[rows]
     first = np.flatnonzero(new_user)  # each user's first visit
     ends = np.append(first, len(rows))[1:]
-    moved = np.flatnonzero(user[1:] == user[:-1])  # visits followed by one of their user
+    moved = np.flatnonzero(~new_user[1:])  # visits followed by one of their user
     km = [arc_km(points[a], points[b]) for a, b in zip(place_ix[moved].tolist(),
                                                         place_ix[moved + 1].tolist())]
     departures = arrivals.copy()

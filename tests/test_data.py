@@ -419,6 +419,10 @@ class TestSessionize:
             [18],
         ]
 
+    def test_an_arrival_exactly_eight_hours_on_stays_in_the_session(self):
+        sessions = self.sessions_at_hours([9, 17, 17.25])
+        assert [[v.arrival / 3600 for v in s.visits] for s in sessions] == [[9, 17], [17.25]]
+
     def test_empty_input(self):
         sessions = build_sessions([])
         assert len(sessions) == 0 and list(sessions) == []
