@@ -19,7 +19,6 @@ from .data import (
     parse_checkins,
     parse_friendships,
     synth_dataset,
-    training_sessions,
 )
 from .features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 from .generation import GenRequest, GeneratedSequence, generate
@@ -76,5 +75,4 @@ __all__ = [
     "parse_checkins",
     "parse_friendships",
     "synth_dataset",
-    "training_sessions",
 ]

@@ -28,7 +28,6 @@ from .baselines import (
 from .data import (
     DEFAULT_MIN_CHECKINS,
     DataError,
-    Encodings,
     ParseResult,
     SocialGraph,
     TravelTimeModel,
@@ -38,7 +37,6 @@ from .data import (
     parse_checkins,
     parse_friendships,
     synth_dataset,
-    visit_arrays,
 )
 from .features import FeatureTables
 from .generation import GenRequest
@@ -252,13 +250,12 @@ def cmd_ingest(args) -> int:
     sessions = build_sessions(parsed.records, travel, min_checkins=min_checkins)
     if not sessions:
         raise DataError("no sessions remain after filtering")
-    encodings = Encodings.fit(sessions)
     out = _out_dir(cfg)
-    dataio.save_dataset(out, sessions, encodings, graph)
-    n_train = int((visit_arrays(sessions, encodings)[4] >= 2).sum())
+    dataio.save_dataset(out, sessions, sessions.encodings, graph)
+    n_train = int((sessions.columns[4] >= 2).sum())
     print(
         f"ingest: {len(sessions)} sessions ({n_train} trainable), "
-        f"{encodings.n_users} users, {encodings.n_pois} POIs -> {out}"
+        f"{sessions.encodings.n_users} users, {sessions.encodings.n_pois} POIs -> {out}"
     )
     return EXIT_OK
 
@@ -337,7 +334,7 @@ def cmd_generate(args) -> int:
     if args.start_poi:
         start_ix = encodings.poi(args.start_poi)
     else:
-        users, pois = visit_arrays(sessions, encodings)[:2]
+        users, pois = sessions.columns[:2]
         visited = pois[users == user_ix]
         if not len(visited):
             raise DataError(f"user {args.user!r} has no observed check-ins")

@@ -17,7 +17,6 @@ from .sessions import (
     SESSION_WINDOW_SECONDS,
     TravelTimeModel,
     build_sessions,
-    training_sessions,
 )
 from .synth import synth_dataset
 from . import io
@@ -42,6 +41,5 @@ __all__ = [
     "parse_checkins",
     "parse_friendships",
     "synth_dataset",
-    "training_sessions",
     "visit_arrays",
 ]

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from ..geo import arc_km, place, travel_seconds
-from .types import CheckinRecord, Checkins, Encodings, Poi, Session, SessionTable
+from .types import CheckinRecord, Checkins, Encodings, Poi, SessionTable
 
 SESSION_WINDOW_SECONDS = 8 * 3600
 FALLBACK_STAY_SECONDS = 30 * 60
@@ -41,14 +41,16 @@ class TravelTimeModel:
     def fit(self, records: Iterable[CheckinRecord]) -> "TravelTimeModel":
         """Fit the lognormal mode on consecutive same-user check-in gaps."""
         log = Checkins.of(records)
-        points = [place(lat, lon) for lat, lon in zip(log.lats, log.lons)]
-        samples = []
-        for i in range(1, len(log)):
-            gap = log.times[i] - log.times[i - 1]
-            if gap > 0 and log.users[i] == log.users[i - 1]:
-                dist = arc_km(points[i - 1], points[i])
-                if dist > 0.05:
-                    samples.append(math.log(gap / dist))
+        ix: dict[tuple, int] = {}  # one converted point per distinct (lat, lon)
+        at = np.fromiter((ix.setdefault(p, len(ix)) for p in zip(log.lats, log.lons)), np.int64)
+        points, n = [place(lat, lon) for lat, lon in ix], len(ix)
+        gaps = np.diff(np.array(log.times, dtype=np.int64))
+        same_user = np.array([a == b for a, b in zip(log.users, log.users[1:])], dtype=bool)
+        pairs = np.flatnonzero((gaps > 0) & same_user)
+        # one scalar arc_km per distinct step between two places
+        steps, step = np.unique(at[pairs] * n + at[pairs + 1], return_inverse=True)
+        km = np.array([arc_km(points[s // n], points[s % n]) for s in steps.tolist()])[step]
+        samples = [math.log(g / d) for g, d in zip(gaps[pairs].tolist(), km.tolist()) if d > 0.05]
         if samples:  # fmean sums with fsum, so the order of the samples cannot show
             self.log_mu = statistics.fmean(samples)
         return self
@@ -126,8 +128,3 @@ def build_sessions(
     pois = np.array(place_poi, dtype=np.int64)[place_ix]
     users = np.repeat(np.arange(len(first)), ends - first)
     return SessionTable((users, pois, arrivals, departures, lengths), encodings, places, place_ix)
-
-
-def training_sessions(sessions: Iterable[Session]) -> list[Session]:
-    """Sessions usable as model training units (length >= 2)."""
-    return [s for s in sessions if len(s) >= 2]

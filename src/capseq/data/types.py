@@ -302,6 +302,25 @@ class SessionTable(_Objects):
         self.columns, self.encodings = tuple(columns), encodings
         self.places, self.place_ix = places, place_ix
 
+    @classmethod
+    def of(cls, sessions: Iterable[Session], encodings: Encodings) -> "SessionTable":
+        """A table under ``encodings`` as it is; other ``Session``s encoded
+        once by ``visit_arrays``, each visit at its own ``Poi``."""
+        if isinstance(sessions, cls) and sessions.encodings is encodings:
+            return sessions
+        sessions = list(sessions)
+        for s in sessions:
+            if not isinstance(s, Session):
+                raise TypeError(f"expected Session, got {type(s).__name__}")
+        places = [v.poi for s in sessions for v in s.visits]
+        return cls(visit_arrays(sessions, encodings), encodings, places, np.arange(len(places)))
+
+    def select(self, keep) -> "SessionTable":
+        """The sessions where the boolean mask ``keep`` is true, in order."""
+        visits = np.repeat(keep, self.columns[4])
+        return SessionTable((*(c[visits] for c in self.columns[:4]), self.columns[4][keep]),
+                            self.encodings, self.places, self.place_ix[visits])
+
     def __len__(self) -> int:
         return len(self.columns[4])
 

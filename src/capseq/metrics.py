@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data.types import DataError, Encodings, Session, SocialGraph, visit_arrays
+from .data.types import DataError, Encodings, Session, SessionTable, SocialGraph
 from .features import FeatureTables
 from .generation import GenRequest
 from .geo import haversine_km
@@ -138,36 +137,31 @@ class EvalResult:
         raise KeyError(model)
 
 
-def assign_folds(
-    sessions: Sequence[Session], folds: int, seed: int
-) -> tuple[dict, list]:
-    """Per-user shuffled round-robin fold assignment.
+def assign_folds(sessions: SessionTable, folds: int, seed: int) -> tuple[np.ndarray, list]:
+    """Per-user shuffled round-robin fold assignment, users by sorted id.
 
-    Returns (session index -> fold, evaluated user ids). Users with
+    Returns (the fold of each session, evaluated user ids). Users with
     fewer than ``folds`` sessions are excluded from evaluation (their
-    sessions always train) with a warning.
+    sessions always train, fold -1) with a warning.
     """
     rng = np.random.default_rng(seed)
-    by_user: dict[str, list] = {}
-    for i, s in enumerate(sessions):
-        by_user.setdefault(s.user_id, []).append(i)
-    fold_of: dict[int, int] = {}
+    users, lengths = sessions.columns[0], sessions.columns[4]
+    owner = users[np.cumsum(lengths) - lengths]  # each session's user
+    order = np.argsort(owner, kind="stable")
+    seen, at = np.unique(owner[order], return_index=True)
+    names = sessions.encodings.ix_to_user
+    fold_of = np.full(len(owner), -1, dtype=np.int64)
     evaluated = []
-    for user in sorted(by_user):
-        indices = by_user[user]
+    for user, indices in sorted(zip([names[u] for u in seen.tolist()], np.split(order, at[1:]))):
         if len(indices) < folds:
             warnings.warn(
                 f"user {user!r} has {len(indices)} sessions < {folds} folds; "
                 "excluded from evaluation",
                 stacklevel=2,
             )
-            for i in indices:
-                fold_of[i] = -1
             continue
         evaluated.append(user)
-        order = rng.permutation(len(indices))
-        for pos, j in enumerate(order):
-            fold_of[indices[j]] = pos % folds
+        fold_of[indices[rng.permutation(len(indices))]] = np.arange(len(indices)) % folds
     return fold_of, evaluated
 
 
@@ -215,26 +209,24 @@ def cross_validate(
     held-out session's first POI and hour."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
-    sessions = list(sessions)
-    if max(Counter(s.user_id for s in sessions).values(), default=0) < folds:
+    table = SessionTable.of(sessions, encodings)
+    users, pois, arrivals, _, lengths = table.columns
+    firsts = np.cumsum(lengths) - lengths
+    if np.bincount(users[firsts]).max(initial=0) < folds:
         raise DataError(f"no user has at least {folds} sessions to evaluate")
-    fold_of, _ = assign_folds(sessions, folds, seed)
-    users, pois, arrivals, _, lengths = visit_arrays(sessions, encodings)
-    firsts = (np.cumsum(lengths) - lengths).tolist()
+    fold_of, _ = assign_folds(table, folds, seed)
     users, pois, hours = users.tolist(), pois.tolist(), (arrivals // 3600 % 24).tolist()
     # each session's encoded user, POIs and first arrival hour
-    encoded = [(users[a], pois[a:a + n], hours[a]) for a, n in zip(firsts, lengths.tolist())]
+    encoded = [(users[a], pois[a:a + n], hours[a])
+               for a, n in zip(firsts.tolist(), lengths.tolist())]
 
     result = EvalResult()
     sweep_acc: dict[tuple, list] = {}
 
     for fold in range(folds):
-        train = [s for i, s in enumerate(sessions) if fold_of[i] != fold]
-        held = [
-            (i, *encoded[i])
-            for i, s in enumerate(sessions)
-            if fold_of[i] == fold and len(s) >= 2
-        ]
+        train = table.select(fold_of != fold)
+        held = [(i, *encoded[i])
+                for i in np.flatnonzero((fold_of == fold) & (lengths >= 2)).tolist()]
         tables = FeatureTables.build(train, graph, encodings)
         for name, prototype in models.items():
             started = time.perf_counter()

@@ -13,8 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable
 
-from ..data.sessions import training_sessions
-from ..data.types import DataError, Session
+from ..data.types import DataError, Encodings, Session, SessionTable
 
 
 class NotFittedError(RuntimeError):
@@ -50,17 +49,12 @@ class SequenceRecommender:
         raise NotImplementedError
 
 
-def check_sessions(sessions: Iterable[Session]) -> list:
-    """Validate a session collection; returns its training sessions.
-    No session, or none of length >= 2, is a ``DataError``."""
-    sessions = list(sessions)
-    if not sessions:
-        raise DataError("at least one session is required")
-    for s in sessions:
-        if not isinstance(s, Session):
-            raise TypeError(f"expected Session, got {type(s).__name__}")
-    usable = training_sessions(sessions)
-    if not usable:
+def check_sessions(sessions: Iterable[Session], encodings: Encodings) -> SessionTable:
+    """The training sessions (length >= 2) of ``sessions`` as a table under
+    ``encodings``; a ``DataError`` if there is none."""
+    table = SessionTable.of(sessions, encodings)
+    usable = table.select(table.columns[4] >= 2)
+    if not len(usable):
         raise DataError("no session has length >= 2")
     return usable
 

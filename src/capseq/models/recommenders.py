@@ -47,12 +47,14 @@ class _NeuralRecommender(SequenceRecommender):
         check_positive(clip_threshold=self.clip_threshold, batch_size=self.batch_size,
                        epochs=self.epochs)
         check_non_negative(learning_rate=self.learning_rate, seed=self.seed)
+        if self.learning_rate == float("inf"):  # the one value >= 0 that is not finite
+            raise ValueError("learning_rate must be finite, got inf")
 
     def _build_net(self, n_pois: int):
         raise NotImplementedError
 
     def fit(self, sessions, tables: FeatureTables):
-        sessions = check_sessions(sessions)
+        sessions = check_sessions(sessions, tables.encodings)
         self.tables_ = tables
         self.net_ = self._build_net(tables.encodings.n_pois)
         encoded = encode_sessions(sessions, tables)

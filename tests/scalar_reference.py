@@ -62,6 +62,12 @@ out around its own cell with the output-layer backward inline; the one
 loop of ``RecurrentNet.loss_and_grads`` must give their loss and every
 gradient block bit for bit.
 
+``assign_folds`` is the earlier fold assignment over ``Session`` objects:
+the session indices grouped per user id in a dict, users in sorted id
+order, one permutation draw per evaluated user, a fold per index. The
+array assignment over a table's users column must give the same folds,
+evaluated users and warnings.
+
 ``lstm_step`` is the earlier ``ContextLstm._step``, which reads each
 gate's own weight blocks and makes two products per gate; the step over
 the stacked gate blocks must give its logits, state and every cache
@@ -76,6 +82,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby
@@ -831,6 +838,27 @@ def travel_log_mu(records) -> float | None:
             if dist > 0.05 and gap > 0:
                 samples.append(math.log(gap / dist))
     return statistics.fmean(samples) if samples else None
+
+
+def assign_folds(sessions, folds: int, seed: int) -> tuple:
+    """(session index -> fold, evaluated user ids), -1 for the sessions
+    of users with fewer than ``folds`` of them, who are warned about."""
+    rng = np.random.default_rng(seed)
+    by_user: dict = {}
+    for i, s in enumerate(sessions):
+        by_user.setdefault(s.user_id, []).append(i)
+    fold_of, evaluated = {}, []
+    for user in sorted(by_user):
+        indices = by_user[user]
+        if len(indices) < folds:
+            warnings.warn(f"user {user!r} has {len(indices)} sessions < {folds} folds; "
+                          "excluded from evaluation")
+            fold_of.update(dict.fromkeys(indices, -1))
+            continue
+        evaluated.append(user)
+        for pos, j in enumerate(rng.permutation(len(indices))):
+            fold_of[indices[j]] = pos % folds
+    return fold_of, evaluated
 
 
 def _output_backward(net, probs, batch, t, top_h, grads):

@@ -34,7 +34,6 @@ from capseq.data import (
     SocialGraph,
     build_sessions,
     synth_dataset,
-    training_sessions,
 )
 from capseq.features import FeatureTables
 from capseq.geo import WALK_SPEED_KMH
@@ -146,8 +145,9 @@ def overfit_fixture():
     five synthetic users (seed 7)."""
     records, graph = synth_dataset(seed=7, n_users=5, n_pois=40, days=2)
     by_user: dict = {}
-    for s in training_sessions(build_sessions(records)):
-        by_user.setdefault(s.user_id, []).append(s)
+    for s in build_sessions(records):
+        if len(s) >= 2:
+            by_user.setdefault(s.user_id, []).append(s)
     sessions = [by_user[u][0] for u in sorted(by_user)][:5]
     assert len(sessions) == 5
     encodings = Encodings.fit(sessions)

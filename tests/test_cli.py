@@ -315,6 +315,7 @@ BAD_INPUTS = {
         {}, ["train", "--model", "plain-rnn", "--batch-size", "0"], 1),
     "train-negative-lr": ({}, ["train", "--model", "plain-rnn", "--lr", "-1"], 1),
     "train-nan-lr": ({}, ["train", "--model", "plain-rnn", "--lr", "nan"], 1),
+    "train-inf-lr": ({}, ["train", "--model", "plain-rnn", "--lr", "inf"], 1),
     "train-zero-clip": ({}, ["train", "--model", "plain-rnn", "--clip", "0"], 1),
     "evaluate-zero-clip-in-config": (
         {"run.cfg": "clip_threshold = 0\n"},
@@ -498,6 +499,7 @@ BAD_INPUT_MESSAGES = {
     "checkpoint-block-dims-swapped": "shape mismatch for",
     "config-line-without-equals": "expected 'key = value', got 'seed 3'",
     "config-bad-value": "bad value for seed",
+    "train-inf-lr": "learning_rate must be finite, got inf",
 }
 
 

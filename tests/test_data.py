@@ -24,7 +24,6 @@ from capseq.data import (
     parse_checkins,
     parse_friendships,
     synth_dataset,
-    training_sessions,
     visit_arrays,
 )
 from capseq.data import io as dataio
@@ -446,7 +445,7 @@ class TestSessionize:
     def test_singleton_flagged(self):
         sessions = self.sessions_at_hours([9, 20])
         assert all(len(s.visits) == 1 for s in sessions)
-        assert training_sessions(sessions) == []
+        assert [s for s in sessions if len(s) >= 2] == []
 
 
 class TestFilterUsers:
@@ -568,6 +567,25 @@ class TestColumnarOracles:
         assert list(loaded) == ref.load_sessions(tmp_path / "ds" / "sessions.jsonl", encodings)
         for got, saved in zip(visit_arrays(loaded, encodings), table.columns):
             np.testing.assert_array_equal(got, saved)
+
+    def test_a_row_selection_equals_filtering_the_sessions(self, tmp_path):
+        messy_log(tmp_path / "c.csv", *self.LOGS[0])
+        table = build_sessions(parse_checkins(tmp_path / "c.csv", self.LOGS[0][1]).records)
+        dataio.save_dataset(tmp_path / "ds", table, table.encodings)
+        loaded = dataio.load_dataset(tmp_path / "ds")[0]
+        listed = SessionTable.of(list(table), table.encodings)
+        assert SessionTable.of(table, table.encodings) is table
+        for got, want in zip(listed.columns, table.columns):
+            np.testing.assert_array_equal(got, want)
+        n = len(table)
+        for keep in (np.random.default_rng(3).random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool)):
+            for source in (table, loaded, listed):
+                want = [s for s, kept in zip(source, keep) if kept]
+                chosen = source.select(keep)
+                assert list(chosen) == want and chosen.encodings is source.encodings
+                for got, loop in zip(chosen.columns, visit_arrays(want, source.encodings)):
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(got, loop)
 
     # a change that makes a sessions.jsonl line bad, given the session and the encodings
     BAD_LINES = {

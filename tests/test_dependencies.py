@@ -5,6 +5,7 @@ no name that only NumPy 2 has."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import capseq
@@ -112,3 +113,67 @@ def test_package_uses_no_numpy2_only_name():
     found = {name: sorted(names) for name, source in package_sources()
              if (names := numpy2_names(source))}
     assert not found, found
+
+
+def _names(node) -> Counter:
+    """How often each name is read or written under ``node``: a variable,
+    or an attribute after its dot."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every ``def`` and ``class`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + child.name, child
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def uncalled_definitions(sources) -> list:
+    """``module:qualified.name`` of each ``def`` and ``class`` of the
+    (module, source) pairs ``sources`` whose name appears nowhere in them
+    outside its own body. Dunder methods, which Python calls, are skipped;
+    the names of an import or of ``__all__`` do not count."""
+    trees = [(module, ast.parse(source)) for module, source in sources]
+    used = sum((_names(tree) for _, tree in trees), Counter())
+    return [f"{module}:{qualname}" for module, tree in trees
+            for qualname, node in _definitions(tree)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and used[node.name] == _names(node)[node.name]]
+
+
+# defined for a caller outside src/capseq: one reason each
+NO_PACKAGE_CALLER = {
+    "cli.py:_Parser.error": "argparse calls it on a usage error",
+    "cli.py:_Parser._parse_optional": "argparse calls it for each argument it reads",
+    "metrics.py:EvalResult.aggregate": "public API: criterion 7 and perfbench read a "
+                                       "model's mean row with it",
+    "features/tables.py:FeatureTables.attribute_vector": "perfbench counts its calls",
+    "features/tables.py:FeatureTables.load": "perfbench times it",
+    "generation.py:sample_next": "perfbench times it",
+}
+
+
+def test_uncalled_definitions_reads_every_form():
+    caller = "from .b import used\n__all__ = ['exported']\nused(1)\nx = Kept()\nx.method()\n"
+    callee = ("def used(n):\n    return used(n - 1) if n else 0\n"
+              "def exported():\n    pass\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "class Kept:\n    def __init__(self):\n        pass\n"
+              "    def method(self):\n        def inner():\n            pass\n"
+              "        return self.helper()\n"
+              "    def helper(self):\n        pass\n"
+              "    def orphan(self):\n        pass\n")
+    assert uncalled_definitions([("a.py", caller), ("b.py", callee)]) == [
+        "b.py:exported", "b.py:recursive", "b.py:Kept.method.inner", "b.py:Kept.orphan"]
+
+
+def test_every_definition_has_a_package_caller():
+    found = uncalled_definitions(package_sources())
+    assert not set(found) - set(NO_PACKAGE_CALLER), sorted(set(found) - set(NO_PACKAGE_CALLER))
+    defined = {f"{module}:{qualname}" for module, source in package_sources()
+               for qualname, _ in _definitions(ast.parse(source))}
+    assert set(NO_PACKAGE_CALLER) <= defined, sorted(set(NO_PACKAGE_CALLER) - defined)

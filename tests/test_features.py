@@ -799,7 +799,6 @@ class TestOneEncodingPass:
         yield "permuted-8-users", permuted, graph, Encodings.fit(sessions)
 
     def test_each_visit_is_encoded_once(self, synth_small, poi_lookups):
-        from capseq.data import training_sessions
         from capseq.models import encode_sessions
 
         table, graph, encodings = synth_small
@@ -813,7 +812,7 @@ class TestOneEncodingPass:
         tables = FeatureTables.build(sessions, graph, encodings)
         assert calls == [v.poi.poi_id for s in sessions for v in s.visits]
         calls.clear()
-        train = training_sessions(sessions)
+        train = [s for s in sessions if len(s) >= 2]
         encode_sessions(train, tables)
         assert calls == [v.poi.poi_id for s in train for v in s.visits]
 
@@ -828,7 +827,6 @@ class TestOneEncodingPass:
         assert 1 in lengths and 8 < min(lengths - {1, 2}) and MAX_STEPS + 1 < max(lengths)
 
     def test_build_and_encoding_equal_the_per_visit_loops(self, synth_small):
-        from capseq.data import training_sessions
         from capseq.models import encode_sessions
 
         for name, sessions, graph, encodings in self.corpora(synth_small):
@@ -836,7 +834,7 @@ class TestOneEncodingPass:
             want = _encoded_state(ref.session_tables(sessions, encodings))
             got = _encoded_state(tables)
             assert [key for key in want if got[key] != want[key]] == [], name
-            train = training_sessions(sessions)
+            train = [s for s in sessions if len(s) >= 2]
             expected = ref.make_batch([ref.encode_session(s, tables) for s in train],
                                       tables.n_pois)
             assert dict(_state(encode_sessions(train, tables))) == dict(_state(expected)), name

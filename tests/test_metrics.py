@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+import scalar_reference as ref
+
 from capseq.baselines import (
     AprioriRecommender,
     HitsRecommender,
     MarkovRecommender,
     PopularityRecommender,
 )
-from capseq.data import Encodings, SocialGraph, build_sessions, synth_dataset
+from capseq.data import Encodings, SessionTable, SocialGraph, build_sessions, synth_dataset
 from capseq.generation import GeneratedSequence
 from capseq.geo import haversine_km
 from capseq.metrics import (
@@ -26,8 +28,10 @@ from capseq.metrics import (
     pairs_f1,
     read_report_csv,
     report_csv,
+    sweep_csv,
     text_tables,
 )
+from capseq.models import CapsRnnRecommender
 from capseq.models.base import SequenceRecommender
 
 
@@ -187,7 +191,7 @@ class TestFoldAssignment:
         sessions, _, _ = synth_small
         a1, users1 = assign_folds(sessions, 5, seed=3)
         a2, users2 = assign_folds(sessions, 5, seed=3)
-        assert a1 == a2 and users1 == users2
+        assert np.array_equal(a1, a2) and users1 == users2
 
     def test_excludes_sparse_users(self):
         records, graph = synth_dataset(seed=4, n_users=3, n_pois=20, days=2)
@@ -195,7 +199,31 @@ class TestFoldAssignment:
         with pytest.warns(UserWarning, match="excluded"):
             fold_of, users = assign_folds(sessions, folds=50, seed=0)
         assert users == []
-        assert all(f == -1 for f in fold_of.values())
+        assert (fold_of == -1).all()
+
+    @pytest.mark.parametrize("folds, seed", [(2, 0), (3, 5), (5, 7), (9, 1)])
+    def test_equals_the_per_user_loop(self, folds, seed):
+        """Users of unsorted ids and of too few sessions, whose warnings
+        come in the same order."""
+        records, _ = synth_dataset(seed=seed, n_users=7, n_pois=30, days=6)
+        by_user: dict = {}
+        for s in build_sessions(records):
+            by_user.setdefault(s.user_id, []).append(s)
+        # the k-th user keeps 2 + 2k of their sessions
+        sessions = [s for k, user in enumerate(by_user.values()) for s in user[:2 + 2 * k]]
+        shuffled = [sessions[i] for i in np.random.default_rng(seed).permutation(len(sessions))]
+        table = SessionTable.of(shuffled, Encodings.fit(shuffled))
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            fold_of, users = assign_folds(table, folds, seed)
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            ref_fold_of, ref_users = ref.assign_folds(shuffled, folds, seed)
+        assert fold_of.dtype == np.int64 and users == ref_users
+        assert fold_of.tolist() == [ref_fold_of[i] for i in range(len(shuffled))]
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
+        if folds > 2:
+            assert got and users
 
     def test_every_evaluated_session_gets_a_fold(self, synth_small):
         sessions, _, _ = synth_small
@@ -284,10 +312,10 @@ class TestCrossValidate:
 
     def test_each_session_is_encoded_once_per_fit_and_once_for_evaluation(
             self, poi_lookups):
-        """Per fold, the table build and the popularity, Markov and HITS
-        fits encode each training visit once (Apriori encodes none), and
-        evaluation encodes each visit once per ``cross_validate``, with or
-        without a length sweep: 4 * 880 + 220 calls for 220 visits."""
+        """A table's folds are row selections of its columns, so with or
+        without a length sweep no table build, fit or evaluation encodes a
+        visit; the same sessions as a list are encoded once per
+        ``cross_validate``: 220 calls for 220 visits."""
         records, graph = synth_dataset(seed=7, n_users=4, n_pois=120, days=7)
         sessions = build_sessions(records)
         encodings = Encodings.fit(sessions)
@@ -296,13 +324,31 @@ class TestCrossValidate:
             ("popularity", PopularityRecommender), ("markov", MarkovRecommender),
             ("hits", HitsRecommender), ("apriori", AprioriRecommender))}
         calls = poi_lookups(encodings)
-        counts = []
-        for sweep in ((), (3, 6)):
-            calls.clear()
-            cross_validate(sessions, graph, encodings, models, folds=5, seed=7,
-                           sweep_lengths=sweep)
-            counts.append(len(calls))
-        assert counts == [3740, 3740]
+        for corpus, encoded in ((sessions, 0), (list(sessions), 220)):
+            counts = []
+            for sweep in ((), (3, 6)):
+                calls.clear()
+                cross_validate(corpus, graph, encodings, models, folds=5, seed=7,
+                               sweep_lengths=sweep)
+                counts.append(len(calls))
+            assert counts == [encoded, encoded]
+
+
+def test_a_table_and_its_sessions_as_a_list_report_the_same_bytes():
+    """Folds of a table are row selections of its columns; a list of the
+    same sessions is encoded once into such a table."""
+    records, graph = synth_dataset(seed=7, n_users=4, n_pois=120, days=7)
+    table = build_sessions(records)
+    models = {"popularity": PopularityRecommender(), "markov": MarkovRecommender(),
+              "hits": HitsRecommender(), "apriori": AprioriRecommender(),
+              "caps-rnn": CapsRnnRecommender(hidden_size=4, n_layers=1, embedding_size=3,
+                                             epochs=2, learning_rate=0.05)}
+    outputs = []
+    for sessions in (table, list(table)):
+        result = cross_validate(sessions, graph, table.encodings, models, folds=3, seed=7,
+                                sweep_lengths=(3, 5))
+        outputs.append((report_csv(result, seed=7, include_raw=True), sweep_csv(result, seed=7)))
+    assert outputs[0] == outputs[1]
 
 
 class ScriptedTrips(SequenceRecommender):
@@ -374,7 +420,7 @@ def test_requests_start_where_each_held_out_session_starts(synth_small):
 
 
 def held_out(sessions, folds, seed):
-    fold_of, _ = assign_folds(sessions, folds, seed)
+    fold_of, _ = assign_folds(SessionTable.of(sessions, Encodings.fit(sessions)), folds, seed)
     return [[s for i, s in enumerate(sessions) if fold_of[i] == fold]
             for fold in range(folds)]
 

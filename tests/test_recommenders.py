@@ -8,7 +8,7 @@ import pytest
 
 import scalar_reference as ref
 from capseq.cli import RECOMMENDERS
-from capseq.data import Encodings, build_sessions, synth_dataset, training_sessions
+from capseq.data import Encodings, build_sessions, synth_dataset
 from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 from capseq.generation import GenRequest
 from capseq.models import (
@@ -63,6 +63,12 @@ class TestEstimatorApi:
         with pytest.raises(TypeError, match="tables"):
             PopularityRecommender().fit(sessions)
 
+    def test_fit_names_an_element_that_is_not_a_session(self, world):
+        _, tables = world
+        with pytest.raises(TypeError, match="expected Session, got object"):
+            PlainRnnRecommender(hidden_size=4, n_layers=1, embedding_size=3,
+                                epochs=1).fit([object()], tables)
+
     def test_baseline_params_round_trip(self):
         model = PopularityRecommender(radius_km=0.5)
         assert model.get_params() == {"radius_km": 0.5, "growth_factor": 1.5}
@@ -76,7 +82,7 @@ class TestEstimatorApi:
             assert (params["learning_rate"], params["clip_threshold"], params["batch_size"],
                     params["epochs"], params["seed"]) == (0.002, 5.0, 50, 100, 0)
             for name, value in (("learning_rate", -1.0), ("learning_rate", float("nan")),
-                                ("clip_threshold", 0.0), ("batch_size", 0), ("epochs", 0),
+                                ("learning_rate", float("inf")), ("clip_threshold", 0.0), ("batch_size", 0), ("epochs", 0),
                                 ("seed", -1)):
                 with pytest.raises(ValueError, match=name):
                     cls(**{name: value})
@@ -94,7 +100,7 @@ def test_recommender_contract(name, world):
     sessions, tables = world
     cls = RECOMMENDERS[name]
     model = cls(**{k: v for k, v in TINY_NETS.items() if k in cls._param_names()})
-    model.fit(training_sessions(sessions), tables)
+    model.fit([s for s in sessions if len(s) >= 2], tables)
     clone = model.clone_unfitted()
     assert type(clone) is cls and clone.get_params() == model.get_params()
     assert [attr for attr in vars(model) if attr.endswith("_")]
@@ -164,7 +170,7 @@ class TestSessionEncoding:
                                                        case):
         """A gather of the sessions padded once equals, bit for bit and
         dtype for dtype, the batch padded from one encoded session each."""
-        sessions = training_sessions(synth_small[0])
+        sessions = [s for s in synth_small[0] if len(s) >= 2]
         if case == "long-among-short":
             sessions = sessions[:3] + [_long_session(sessions)] + sessions[3:5]
             row_sets = [np.arange(6), np.array([3]), np.array([4, 3, 0])]
@@ -191,7 +197,7 @@ class TestCheckpoints:
         if cls is not CapsLstmRecommender:
             kw.setdefault("n_layers", 1)
         model = cls(**kw)
-        return model.fit(training_sessions(sessions), tables), tables
+        return model.fit([s for s in sessions if len(s) >= 2], tables), tables
 
     @pytest.mark.parametrize("cls", [PlainRnnRecommender, CapsRnnRecommender,
                                      CapsLstmRecommender])

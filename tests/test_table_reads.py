@@ -15,7 +15,6 @@ from capseq.baselines import (
     PopularityRecommender,
 )
 from capseq.baselines.apriori import neighbour_arrays
-from capseq.data import training_sessions
 from capseq.features import HOURS, FeatureTables
 from capseq.baselines.hits import sequence_score
 from capseq.generation import GenRequest, GeneratedSequence, advance_hours, first_hour
@@ -66,7 +65,7 @@ class TestArrayReads:
         sources read, not with n_pois squared."""
         sessions, graph, encodings = synth_small
         tables = FeatureTables.build(sessions, graph, encodings)
-        encode_sessions(training_sessions(sessions), tables)
+        encode_sessions([s for s in sessions if len(s) >= 2], tables)
         assert tables._dist_rows is None
         coords = tables.poi_coords
         for a, b in ((np.array([3, 3, 5]), np.array([1, 2, 3])), (4, 3), (3, 0)):
@@ -233,7 +232,7 @@ NEURAL = ("caps-rnn", "caps-lstm", "plain-rnn")
 def fit_kind(cold_tables, synth_small):
     """Fits each recommender kind once, on the sessions of the cold tables."""
     sessions, _, encodings = synth_small
-    kept = training_sessions([s for s in sessions if s.user_id != encodings.ix_to_user[3]])
+    kept = [s for s in sessions if s.user_id != encodings.ix_to_user[3] and len(s) >= 2]
     models = {}
 
     def fit(kind):
