@@ -11,6 +11,16 @@ An ingested dataset directory contains:
 
 Everything is written with sorted keys and no timestamps so identical
 inputs produce identical bytes.
+
+``load_dataset`` reads ``sessions.jsonl`` one byte line at a time. A
+line that is one UTF-8 JSON object from its first byte, of three lists
+of one length, is scanned with ``JSONDecoder.raw_decode`` and its values
+gathered into columns, whose integer type and 64-bit range are checked
+once for the whole file. Any other line goes through the per-line reader
+(``_read_json`` with ``_session_fields``), and the gathered values of the
+first line the column checks flag go through ``_session_fields`` again,
+so that function words every per-line error, and the first bad line is
+the one named.
 """
 
 from __future__ import annotations
@@ -86,8 +96,12 @@ def _read_json(where, raw: bytes | None = None, build=None):
         obj = json.loads(raw)
     except ValueError as exc:  # bad JSON or text encoding
         raise DataError(f"{where}: not valid UTF-8 JSON: {exc}") from exc
-    if build is None:
-        return obj
+    return obj if build is None else _build(where, obj, build)
+
+
+def _build(where, obj, build):
+    """``build(obj)``; a value it cannot take raises ``DataError`` naming
+    ``where``."""
     try:
         return build(obj)
     except (TypeError, AttributeError, KeyError, IndexError, ValueError) as exc:
@@ -120,6 +134,36 @@ def _session_fields(obj) -> tuple:
     return fields
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _scan_session(line: bytes) -> tuple | None:
+    """The user, POIs, arrivals and departures of a ``sessions.jsonl`` line
+    that is a UTF-8 JSON object from its first byte, with only JSON
+    whitespace after it, whose POIs, arrivals and departures are lists of
+    one length, not 0; ``None`` for any other line. ``json.loads`` reads
+    such a line as the same object. The values are not checked."""
+    try:
+        text = line.decode()
+        obj, end = _raw_decode(text)
+        fields = obj["user"], obj["pois"], obj["arrivals"], obj["departures"]
+    except (ValueError, RecursionError, TypeError, KeyError):
+        return None
+    _, pois, arrivals, departures = fields
+    if (type(pois) is type(arrivals) is type(departures) is list
+            and len(pois) == len(arrivals) == len(departures) > 0
+            and not text[end:].strip(" \t\r\n")):
+        return fields
+    return None
+
+
+def _all_int64(columns) -> bool:
+    """Whether non-empty lists hold only ints (no bools), all 64-bit."""
+    return (all(set(map(type, column)) <= {int} for column in columns)
+            and INT64_MIN <= min(map(min, columns))
+            and max(map(max, columns)) <= INT64_MAX)
+
+
 def load_dataset(data_dir) -> tuple[SessionTable, Encodings, SocialGraph]:
     """Read a dataset directory; a file that is not valid JSON, or whose
     JSON has the wrong shape, raises ``DataError`` naming it (and the
@@ -134,18 +178,42 @@ def load_dataset(data_dir) -> tuple[SessionTable, Encodings, SocialGraph]:
     lines, users, lengths, pois, arrivals, departures = [], [], [], [], [], []
     error = None
     with _open(sessions_path) as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    user, p, a, d = _read_json(f"{sessions_path}:{lineno}", line, _session_fields)
-                    lines.append(lineno)
-                    users.append(user)
-                    lengths.append(len(p))
-                    pois += p
-                    arrivals += a
-                    departures += d
-        except DataError as exc:  # raised below unless an earlier line is bad too
-            error = exc
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            fields = _scan_session(line)
+            if fields is None:  # the per-line reader takes, or words, what the scan cannot
+                try:
+                    fields = _read_json(f"{sessions_path}:{lineno}", line, _session_fields)
+                except (DataError, RecursionError) as exc:
+                    error = exc  # raised below unless an earlier line is bad too
+                    break
+            user, p, a, d = fields
+            lines.append(lineno)
+            users.append(user)
+            lengths.append(len(p))
+            pois += p
+            arrivals += a
+            departures += d
+    if users and not _all_int64((users, pois, arrivals, departures)):
+        # the first line with a value that is not a 64-bit integer: its
+        # fault is worded as the per-line reader words it, and it and the
+        # lines after it are dropped
+        start = 0
+        for i, (user, n) in enumerate(zip(users, lengths)):
+            end = start + n
+            try:
+                _build(f"{sessions_path}:{lines[i]}", {
+                    "user": user, "pois": pois[start:end], "arrivals": arrivals[start:end],
+                    "departures": departures[start:end]}, _session_fields)
+            except DataError as exc:
+                error = exc
+                del lines[i:], users[i:], lengths[i:], pois[start:], arrivals[start:], \
+                    departures[start:]
+                break
+            start = end
+    if isinstance(error, RecursionError):  # deep JSON: the per-line reader raises
+        raise error  # it before any content check
     users, lengths, pois, arrivals, departures = (np.array(x, dtype=np.int64) for x in (
         users, lengths, pois, arrivals, departures))
     at = np.repeat(np.arange(len(lines)), lengths)  # each visit's session

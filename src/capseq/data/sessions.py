@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..geo import arc_km, place, travel_seconds
+from ..geo import arcs_km, place, travel_seconds
 from .types import CheckinRecord, Checkins, Encodings, Poi, SessionTable
 
 SESSION_WINDOW_SECONDS = 8 * 3600
@@ -43,13 +43,11 @@ class TravelTimeModel:
         log = Checkins.of(records)
         ix: dict[tuple, int] = {}  # one converted point per distinct (lat, lon)
         at = np.fromiter((ix.setdefault(p, len(ix)) for p in zip(log.lats, log.lons)), np.int64)
-        points, n = [place(lat, lon) for lat, lon in ix], len(ix)
+        points = [place(lat, lon) for lat, lon in ix]
         gaps = np.diff(np.array(log.times, dtype=np.int64))
         same_user = np.array([a == b for a, b in zip(log.users, log.users[1:])], dtype=bool)
         pairs = np.flatnonzero((gaps > 0) & same_user)
-        # one scalar arc_km per distinct step between two places
-        steps, step = np.unique(at[pairs] * n + at[pairs + 1], return_inverse=True)
-        km = np.array([arc_km(points[s // n], points[s % n]) for s in steps.tolist()])[step]
+        km = arcs_km(points, at[pairs], at[pairs + 1])
         samples = [math.log(g / d) for g, d in zip(gaps[pairs].tolist(), km.tolist()) if d > 0.05]
         if samples:  # fmean sums with fsum, so the order of the samples cannot show
             self.log_mu = statistics.fmean(samples)
@@ -77,7 +75,8 @@ def build_sessions(
     it cannot form strictly increasing arrivals; so are all the visits of
     a user with fewer than ``min_checkins`` of them. Each session starts at
     the first arrival outside ``SESSION_WINDOW_SECONDS`` of the previous
-    session's start.
+    session's start. The step distances take one ``arc_km`` per distinct
+    place pair (``geo.arcs_km``).
     """
     if min_checkins < 0:
         raise ValueError("min_checkins must be >= 0")
@@ -104,11 +103,10 @@ def build_sessions(
     first = np.flatnonzero(new_user)  # each user's first visit
     ends = np.append(first, len(rows))[1:]
     moved = np.flatnonzero(~new_user[1:])  # visits followed by one of their user
-    km = [arc_km(points[a], points[b]) for a, b in zip(place_ix[moved].tolist(),
-                                                        place_ix[moved + 1].tolist())]
+    km = arcs_km(points, place_ix[moved], place_ix[moved + 1])
     departures = arrivals.copy()
     departures[moved] = np.maximum(
-        arrivals[moved + 1] - np.rint(travel_time.seconds(np.array(km))).astype(np.int64),
+        arrivals[moved + 1] - np.rint(travel_time.seconds(km)).astype(np.int64),
         arrivals[moved])
     # a user's last visit stays the median of the user's other stays
     stays = (departures - arrivals).tolist()

@@ -7,15 +7,15 @@ the sequence models.
 
 All POIs, users and categories are handled as dense encoded integers.
 ``FeatureTables.build`` encodes each visit once, with ``visit_arrays``, and
-takes everything from those arrays: the stay means, one scalar distance
-per step for the distance bounds and the session features
-(``session_steps``, which the training encoding shares) and the visit
-counts. Every interest statistic comes from one pass over the visited
-(row, POI) cells of the full data (the pooled population as an extra row)
-and of each hour of day, sorted by (block, row, POI): ``_block_interest``
-turns their visit counts into category shares, categorical and socially
-blended interest, and spreads only the full data's interest over every
-POI. Every float sum adds its terms one at a time in a fixed order (users
+takes everything from those arrays: the stay means, the step distances
+(one scalar ``arc_km`` per distinct place pair) for the distance bounds
+and the session features (``session_steps``, which the training encoding
+shares) and the visit counts. Every interest statistic comes from one
+pass over the visited (row, POI) cells of the full data (the pooled
+population as an extra row) and of each hour of day, sorted by (block,
+row, POI): ``_block_interest`` turns their visit counts into category
+shares, categorical and socially blended interest, and spreads only the
+full data's interest over every POI. Every float sum adds its terms one at a time in a fixed order (users
 in first-appearance order, friends ascending, a category's POIs
 ascending), so the tables equal a literal evaluation of the defining
 formulas in that order bit for bit; the test suite keeps an independent
@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..geo import arc_km, place
+from ..geo import arc_km, arcs_km, place
 from ..numerics import sequential_sum
 from ..data.types import (
     DataError, Encodings, Session, SocialGraph, UnknownIdError, visit_arrays)
@@ -609,16 +609,16 @@ class FeatureTables:
         """The step distances and whole-sequence features of the sessions
         of ``visit_arrays`` ``visits``: the km to each visit from the one
         before it in its session (0.0 for a session's first), one scalar
-        ``arc_km`` per step, and one (sessions, FEATURE_DIM) array of
-        start/end category and place codes, the mean step km (in session
-        order) and start/end hours."""
+        ``arc_km`` per distinct place pair, and one (sessions, FEATURE_DIM)
+        array of start/end category and place codes, the mean step km (in
+        session order) and start/end hours."""
         _, pois, arrivals, _, lengths = visits
         ends = np.cumsum(lengths)
         first, last = ends - lengths, ends - 1
         step = np.ones(len(pois), dtype=bool)
         step[first] = False
-        places, ix = self._places, pois.tolist()
-        km = [arc_km(places[ix[i - 1]], places[ix[i]]) for i in np.flatnonzero(step).tolist()]
+        at = np.flatnonzero(step)
+        km = arcs_km(self._places, pois[at - 1], pois[at]).tolist()
         n_steps = lengths - 1
         mean_km = [sequential_sum(km[i - n:i]) / n if n else 0.0
                    for i, n in zip(np.cumsum(n_steps).tolist(), n_steps.tolist())]

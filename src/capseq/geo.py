@@ -3,10 +3,14 @@
 All distances are kilometres on a spherical earth (R = 6371 km). A
 distance is taken in two steps: ``place`` converts a point once, and
 ``arc_km`` measures between two converted points, so code that measures
-many steps converts each place once.
+many steps converts each place once. ``arcs_km`` measures many steps
+between indexed places with one ``arc_km`` per distinct place pair, so
+every step holds the scalar formula's bits.
 """
 
 from math import asin, cos, radians, sin, sqrt
+
+import numpy as np
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -36,3 +40,15 @@ def arc_km(a: tuple, b: tuple) -> float:
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Distance in km between two (lat, lon) points in decimal degrees."""
     return arc_km(place(lat1, lon1), place(lat2, lon2))
+
+
+def arcs_km(points, a, b) -> np.ndarray:
+    """km from ``points[a[i]]`` to ``points[b[i]]`` for index arrays ``a``
+    and ``b`` of one length: one ``arc_km`` per distinct (a, b) pair,
+    gathered back to every step."""
+    n = len(points)
+    pairs, at = np.unique(np.asarray(a, dtype=np.int64) * n + np.asarray(b, dtype=np.int64),
+                          return_inverse=True)
+    src, dst = np.divmod(pairs, n)
+    km = [arc_km(points[i], points[j]) for i, j in zip(src.tolist(), dst.tolist())]
+    return np.array(km, dtype=float)[at]

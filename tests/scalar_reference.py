@@ -47,6 +47,12 @@ check-ins grouped by user, each user's sorted by time, and one such
 distance per consecutive pair; ``TravelTimeModel.fit`` must give its
 ``log_mu`` bit for bit.
 
+``load_session_table`` is the earlier ``sessions.jsonl`` reader of
+``load_dataset``: ``_read_json`` with ``_session_fields`` on every line,
+up to the first it raises for, then the content checks over the lines
+before that one. The columnar scan must give its table, or raise its
+error with the same message.
+
 ``parse_checkins``, ``build_sessions`` (with ``sessionize`` and
 ``filter_users``), ``fit_encodings`` and ``load_sessions`` are the
 earlier object-per-row data layer: one ``CheckinRecord`` per CSV row, one
@@ -94,9 +100,9 @@ from capseq import numerics
 from capseq.baselines.apriori import DEFAULT_BEAM_WIDTH, DEFAULT_BUDGET_HOURS
 from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
 from capseq.data import TravelTimeModel
-from capseq.data.io import INT64_MAX, INT64_MIN, _read_json
+from capseq.data.io import INT64_MAX, INT64_MIN, _read_json, _session_fields
 from capseq.data.parse import FORMATS, _parse_timestamp, _rows
-from capseq.data.types import CheckinRecord, Poi, Session, Visit
+from capseq.data.types import CheckinRecord, DataError, Poi, Session, SessionTable, Visit
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
@@ -820,6 +826,45 @@ def load_sessions(path, encodings) -> list:
     with open(path, "rb") as fh:
         return [_read_json(f"{path}:{lineno}", line, session)
                 for lineno, line in enumerate(fh, start=1) if line.strip()]
+
+
+def load_session_table(path, encodings) -> SessionTable:
+    """The sessions of a ``sessions.jsonl`` file under ``encodings``, read
+    one line at a time; the first bad line raises ``DataError`` naming
+    it."""
+    lines, users, lengths, pois, arrivals, departures = [], [], [], [], [], []
+    error = None
+    with open(path, "rb") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    user, p, a, d = _read_json(f"{path}:{lineno}", line, _session_fields)
+                    lines.append(lineno)
+                    users.append(user)
+                    lengths.append(len(p))
+                    pois += p
+                    arrivals += a
+                    departures += d
+        except DataError as exc:
+            error = exc
+    users, lengths, pois, arrivals, departures = (np.array(x, dtype=np.int64) for x in (
+        users, lengths, pois, arrivals, departures))
+    at = np.repeat(np.arange(len(lines)), lengths)
+    rising = np.ones(len(at), dtype=bool)
+    rising[1:] = (arrivals[1:] > arrivals[:-1]) | (at[1:] != at[:-1])
+    faults = [(np.flatnonzero((users < 0) | (users >= encodings.n_users)),
+               "a user index that is not encoded"),
+              (at[(pois < 0) | (pois >= encodings.n_pois)], "a POI index that is not encoded"),
+              (at[~rising], "arrivals that do not strictly increase"),
+              (at[departures < arrivals], "a departure before its arrival")]
+    found = [(bad[0], what) for bad, what in faults if len(bad)]
+    if found:
+        i, what = min(found, key=lambda f: f[0])
+        raise DataError(f"{path}:{lines[i]}: invalid content: a session with {what}")
+    if error is not None:
+        raise error
+    return SessionTable((users[at], pois, arrivals, departures, lengths), encodings,
+                        encodings.pois(), pois)
 
 
 def travel_log_mu(records) -> float | None:

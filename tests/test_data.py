@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from capseq.data import (
 )
 from capseq.data import io as dataio
 from capseq.data.types import MAX_TIMESTAMP, Poi, Session, Visit
-from capseq.geo import arc_km, haversine_km, place
+from capseq.features import FeatureTables
+from capseq.geo import arc_km, arcs_km, haversine_km, place
 
 HEADER = "userid,placeid,datetime,lat,lon,city,category\n"
 
@@ -322,6 +325,59 @@ class TestGreatCircle:
             want = ref.great_circle_km(lat1, lon1, lat2, lon2)
             assert haversine_km(lat1, lon1, lat2, lon2) == want
             assert arc_km(place(lat1, lon1), place(lat2, lon2)) == want
+
+    def test_arcs_km_equals_the_per_step_loop(self):
+        rng = np.random.default_rng(5)
+        points = [place(lat, lon) for lat, lon in rng.uniform(-80.0, 80.0, (30, 2)).tolist()]
+        a, b = rng.integers(0, 30, (2, 2_000))  # each pair about twice
+        for pts, x, y in ((points, a, b), (points, a, a), (points, a[:0], b[:0]), ([], [], []),
+                          (points[:1], a * 0, b * 0)):
+            got = arcs_km(pts, x, y)
+            want = [arc_km(pts[i], pts[j]) for i, j in zip(np.asarray(x).tolist(),
+                                                           np.asarray(y).tolist())]
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+    def test_one_arc_km_per_distinct_place_pair(self, monkeypatch):
+        """Sessionizing, the step distances of the tables and the lognormal
+        travel-time fit each measure every distinct pair of places once."""
+        records, graph = synth_dataset(seed=7, n_users=6, n_pois=40, days=5)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return arc_km(a, b)
+
+        for name, module in list(sys.modules.items()):  # every module that calls it
+            if name.split(".")[0] == "capseq" and getattr(module, "arc_km", None) is arc_km:
+                monkeypatch.setattr(module, "arc_km", counted)
+
+        def measured(steps, point) -> Counter:
+            """The two points of each distinct step."""
+            return Counter((point(a), point(b)) for a, b in set(steps))
+
+        table = build_sessions(records)
+        visits = [(s.user_id, v.poi) for s in table for v in s.visits]
+        moves = [(a, b) for (u, a), (w, b) in zip(visits, visits[1:]) if u == w]
+        assert Counter(calls) == measured(moves, lambda poi: place(poi.lat, poi.lon))
+        assert len(calls) < len(moves)
+
+        calls.clear()
+        encodings = table.encodings
+        coords = encodings.poi_coords.tolist()
+        steps = [(encodings.poi(a.poi.poi_id), encodings.poi(b.poi.poi_id))
+                 for s in table for a, b in zip(s.visits, s.visits[1:])]
+        FeatureTables.build(table, graph, encodings)
+        assert Counter(calls) == measured(steps, lambda l: place(*coords[l]))
+        assert len(calls) < len(steps)
+
+        calls.clear()
+        log = sorted(records, key=lambda r: (r.user_id, r.timestamp))
+        gaps = [((a.lat, a.lon), (b.lat, b.lon)) for a, b in zip(log, log[1:])
+                if a.user_id == b.user_id and b.timestamp > a.timestamp]
+        TravelTimeModel("lognormal").fit(records)
+        assert Counter(calls) == measured(gaps, lambda p: place(*p))
+        assert len(calls) < len(gaps)
 
 
 def rec(user, poi, ts, lat=40.0, lon=-74.0, cat="Food"):
@@ -635,6 +691,110 @@ class TestColumnarOracles:
                 assert "\n" not in str(raised.value)
                 with pytest.raises(DataError, match="^" + re.escape(where)):
                     ref.load_sessions(path, encodings)
+
+    BOM, DEEP = b"\xef\xbb\xbf", b"[" * 100_000  # DEEP: json.loads raises RecursionError
+
+    # a change to the byte lines (the last one empty) of a good sessions.jsonl
+    # that the columnar scan hands to the per-line reader, or that it must
+    # read as that reader does
+    HAND_OVER = {
+        "bom-on-line-1": lambda ls: ls.__setitem__(0, TestColumnarOracles.BOM + ls[0]),
+        "bom-on-a-later-line": lambda ls: ls.__setitem__(3, TestColumnarOracles.BOM + ls[3]),
+        "leading-spaces": lambda ls: ls.__setitem__(2, b"  " + ls[2]),
+        "leading-tab": lambda ls: ls.__setitem__(2, b"\t" + ls[2]),
+        "crlf-endings": lambda ls: ls.__setitem__(slice(0, -1), [l + b"\r" for l in ls[:-1]]),
+        "trailing-vertical-tab": lambda ls: ls.__setitem__(2, ls[2] + b"\x0b"),
+        "trailing-form-feed": lambda ls: ls.__setitem__(2, ls[2] + b"\x0c"),
+        "trailing-space-and-tab": lambda ls: ls.__setitem__(2, ls[2] + b" \t "),
+        "whitespace-only-line": lambda ls: ls.insert(2, b" \t\x0b\x0c\r"),
+        "nul-first-byte": lambda ls: ls.__setitem__(2, b"\x00" + ls[2]),
+        "nul-second-byte": lambda ls: ls.__setitem__(2, ls[2][:1] + b"\x00" + ls[2][1:]),
+        "utf-16-le-last-line": lambda ls: ls.__setitem__(
+            slice(-2, None), [ls[-2].decode().encode("utf-16-le")]),
+        "lone-surrogate-in-an-extra-key": lambda ls: ls.__setitem__(
+            2, ls[2][:-1] + b', "note": "\\ud800"}'),
+        "duplicate-keys": lambda ls: ls.__setitem__(
+            2, b'{"user": 1000000000, "pois": 1, ' + ls[2][1:]),
+        "duplicate-key-bad-last": lambda ls: ls.__setitem__(2, ls[2][:-1] + b', "user": -1}'),
+        "extra-keys": lambda ls: ls.__setitem__(2, ls[2][:-1] + b', "x": [1.5, "y"], "z": {}}'),
+        "a-bom-line-with-a-float": lambda ls: ls.__setitem__(
+            2, TestColumnarOracles.BOM + ls[2].replace(b"]", b".5]", 1)),
+        "deep-nesting": lambda ls: ls.__setitem__(2, TestColumnarOracles.DEEP),
+        "a-float-before-deep-nesting": lambda ls: ls.__setitem__(
+            slice(2, 5), [ls[2].replace(b"]", b".5]", 1), ls[3], TestColumnarOracles.DEEP]),
+        "deep-nesting-before-a-float": lambda ls: ls.__setitem__(
+            slice(2, 5), [TestColumnarOracles.DEEP, ls[3], ls[4].replace(b"]", b".5]", 1)]),
+        "an-unencoded-user-before-deep-nesting": lambda ls: ls.__setitem__(
+            slice(2, 5), [ls[2][:-1] + b', "user": -1}', ls[3], TestColumnarOracles.DEEP]),
+    }
+
+    @staticmethod
+    def outcome(load) -> tuple:
+        """The sessions and columns ``load()`` returns, or the type and
+        message of the error it raises."""
+        try:
+            table = load()
+        except (DataError, RecursionError) as exc:
+            return type(exc), str(exc)
+        return list(table), [column.tolist() for column in table.columns]
+
+    @pytest.mark.parametrize("case", sorted(HAND_OVER))
+    def test_load_equals_the_per_line_reader_on_hand_over_lines(self, tmp_path, case):
+        records, _ = synth_dataset(seed=2, n_users=3, n_pois=20, days=3)
+        table = build_sessions(records)
+        dataio.save_dataset(tmp_path, table, table.encodings)
+        path = tmp_path / "sessions.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        self.HAND_OVER[case](lines)
+        path.write_bytes(b"\n".join(lines))
+        got = self.outcome(lambda: dataio.load_dataset(tmp_path)[0])
+        assert got == self.outcome(lambda: ref.load_session_table(path, table.encodings))
+        if got[0] is DataError:
+            assert "\n" not in got[1]
+        loads = ("bom-on-line-1", "bom-on-a-later-line", "leading-spaces", "leading-tab",
+                 "crlf-endings", "trailing-space-and-tab", "whitespace-only-line",
+                 "utf-16-le-last-line", "lone-surrogate-in-an-extra-key", "duplicate-keys",
+                 "extra-keys")
+        recurses = ("deep-nesting", "deep-nesting-before-a-float",
+                    "an-unencoded-user-before-deep-nesting")
+        want = list if case in loads else RecursionError if case in recurses else DataError
+        assert (list if isinstance(got[0], list) else got[0]) is want
+
+    def test_load_words_each_pair_of_bad_lines_as_the_per_line_reader(self, tmp_path):
+        """Of two bad lines, the first is named with its first fault, in the
+        per-line reader's words, whichever check finds each."""
+        records, _ = synth_dataset(seed=2, n_users=3, n_pois=20, days=3)
+        table = build_sessions(records)
+        dataio.save_dataset(tmp_path, table, table.encodings)
+        path = tmp_path / "sessions.jsonl"
+        good = path.read_bytes().split(b"\n")
+        at = [i for i, line in enumerate(good) if line and len(json.loads(line)["pois"]) > 1][2:4]
+
+        def bad(line: bytes, kind: str) -> bytes:
+            change = self.BAD_LINES[kind]
+            if change is None:
+                return b"[1]" if kind == "a-list" else line[:20]
+            session = json.loads(line)
+            change(session, table.encodings)
+            return json.dumps(session).encode()
+
+        for first, second in itertools.product(self.BAD_LINES, repeat=2):
+            lines = list(good)
+            lines[at[0]], lines[at[1]] = bad(lines[at[0]], first), bad(lines[at[1]], second)
+            path.write_bytes(b"\n".join(lines))
+            got = self.outcome(lambda: dataio.load_dataset(tmp_path)[0])
+            assert got[0] is DataError
+            assert got == self.outcome(lambda: ref.load_session_table(path, table.encodings))
+
+    def test_a_good_file_makes_no_per_line_json_loads(self, tmp_path, monkeypatch):
+        records, graph = synth_dataset(seed=2, n_users=3, n_pois=20, days=3)
+        table = build_sessions(records)
+        dataio.save_dataset(tmp_path, table, table.encodings, graph)
+        loads, calls = json.loads, []
+        monkeypatch.setattr(json, "loads", lambda raw, **kw: calls.append(raw) or loads(raw, **kw))
+        loaded = dataio.load_dataset(tmp_path)[0]
+        assert len(loaded) > 3 and list(loaded) == list(table)
+        assert len(calls) == 3  # encodings.json, pois.json and graph.json
 
 
 class TestEncodings:

@@ -876,24 +876,3 @@ class TestBuild:
         batch = encode_sessions([], tables)
         assert (batch.inputs.shape, batch.attrs.shape, batch.feats.shape) == (
             (0, 0), (0, 0, ATTRIBUTE_DIM), (0, FEATURE_DIM))
-
-    def test_computes_each_step_distance_once(self, synth_small, monkeypatch):
-        """One scalar great-circle call per consecutive visit pair, session
-        by session, serves the distance bounds and the session features."""
-        import capseq.features.tables as tables_module
-        from capseq.geo import place
-
-        sessions, graph, encodings = synth_small
-        calls = []
-        arc_km = tables_module.arc_km
-
-        def counted(*args):
-            calls.append(args)
-            return arc_km(*args)
-
-        monkeypatch.setattr(tables_module, "arc_km", counted)
-        FeatureTables.build(sessions, graph, encodings)
-        assert calls == [
-            (place(a.poi.lat, a.poi.lon), place(b.poi.lat, b.poi.lon))
-            for s in sessions for a, b in zip(s.visits, s.visits[1:])
-        ]

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from capseq import metrics
+from capseq import geo, metrics
 from capseq.baselines.hits import HitsModel, sequence_score
 from capseq.features import FeatureTables, tables as tables_module
 from capseq.generation import score_sequence
@@ -72,7 +72,7 @@ class TestSequentialSum:
     def test_mean_step_km(self, synth_small, monkeypatch):
         sessions, graph, encodings = synth_small
         tables = FeatureTables.build(sessions, graph, encodings)
-        monkeypatch.setattr(tables_module, "arc_km", lambda *places: 0.1)
+        monkeypatch.setattr(geo, "arc_km", lambda *places: 0.1)
         one = np.zeros(1, dtype=np.int64)
         visits = (one.repeat(11), np.arange(11), np.arange(11) * 60, np.arange(11) * 60,
                   one + 11)
