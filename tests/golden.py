@@ -1,5 +1,5 @@
-"""Golden output digests: the SHA-256 of every file a fixed in-process
-CLI pipeline writes, committed in ``tests/golden/``.
+"""Golden output digests: the SHA-256 of the files two fixed in-process
+CLI pipelines write, committed in ``tests/golden/``.
 
 Criterion 8 runs one tree twice, so it cannot see a change that moves
 bytes on both runs; this fixture holds the bytes of an earlier commit.
@@ -17,6 +17,13 @@ column names read with ``--format gowalla``). ``EXTRA_ROWS`` add to the
 synthetic log a user below the default ``--min-checkins``, a repeated
 timestamp, a POI whose coordinates and category vary between check-ins,
 and a malformed row.
+
+The generate pipeline: ``synth`` of another small corpus, ``ingest
+--min-checkins 0`` and ``features``, then ``train`` of each neural kind
+at H16/E8 for 5 epochs and two ``generate`` runs of each checkpoint,
+plain and ``--no-repeat --consolidated``, for two users; the fixture holds the digest of
+each ``sequences.jsonl``. Checkpoints and loss CSVs are not hashed: their
+last bits follow the CPU's SIMD and BLAS kernels.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import sys
 from pathlib import Path
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "ingest.json"
+GENERATE_FIXTURE = FIXTURE.parent / "generate.json"
 INGEST_FILES = ("sessions.jsonl", "encodings.json", "pois.json", "graph.json", "tables.json")
 SYNTH = ["--seed", "5", "--users", "10", "--pois", "60", "--days", "3"]
 EXTRA_ROWS = (
@@ -46,6 +54,12 @@ INGEST_VARIANTS = {
     "min-checkins-0": ("checkins.csv", ["--min-checkins", "0"]),
     "gowalla": ("gowalla.csv", ["--format", "gowalla"]),
 }
+GENERATE_SYNTH = ["--seed", "21", "--users", "8", "--pois", "40", "--days", "6"]
+GENERATE_KINDS = ("plain-rnn", "caps-rnn", "caps-lstm")
+TRAIN_ARGS = ["--hidden-size", "16", "--embedding-size", "8", "--epochs", "5"]
+# generate mode -> extra generate arguments
+GENERATE_MODES = {"plain": [], "no-repeat-consolidated": ["--no-repeat", "--consolidated"]}
+GENERATE_USERS = ("u0001", "u0006")
 
 
 def _run(argv: list) -> None:
@@ -77,6 +91,37 @@ def ingest_digests(workdir) -> dict:
     return digests
 
 
+def generate_digests(workdir) -> dict:
+    """"<kind>/<mode>/<user>" -> SHA-256 of its ``sequences.jsonl``, from a fresh
+    run in ``workdir``."""
+    root = Path(workdir)
+    raw, data = root / "raw", root / "data"
+    _run(["synth", *GENERATE_SYNTH, "--out-dir", str(raw)])
+    _run(["ingest", "--checkins", str(raw / "checkins.csv"),
+          "--friends", str(raw / "friendships.csv"), "--min-checkins", "0",
+          "--out-dir", str(data)])
+    _run(["features", "--data-dir", str(data), "--out-dir", str(data)])
+    digests = {}
+    for kind in GENERATE_KINDS:
+        _run(["train", "--data-dir", str(data), "--model", kind, *TRAIN_ARGS,
+              "--out-dir", str(root / "models")])
+        for mode, extra in GENERATE_MODES.items():
+            for user in GENERATE_USERS:
+                out = root / kind / mode / user
+                _run(["generate", "--data-dir", str(data),
+                      "--checkpoint", str(root / "models" / f"{kind}.ckpt"),
+                      "--user", user, *extra, "--out-dir", str(out)])
+                digests[f"{kind}/{mode}/{user}"] = hashlib.sha256(
+                    (out / "sequences.jsonl").read_bytes()).hexdigest()
+    return digests
+
+
+def _write(path: Path, digests: dict) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"golden: wrote {path}")
+
+
 def main(argv) -> int:
     import tempfile
 
@@ -84,10 +129,8 @@ def main(argv) -> int:
         print("usage: python tests/golden.py --update", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        digests = ingest_digests(tmp)
-    FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"golden: wrote {FIXTURE}")
+        _write(FIXTURE, ingest_digests(Path(tmp) / "ingest"))
+        _write(GENERATE_FIXTURE, generate_digests(Path(tmp) / "generate"))
     return 0
 
 
