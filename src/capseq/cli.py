@@ -327,7 +327,7 @@ def cmd_generate(args) -> int:
     sessions, encodings, tables = _dataset_and_tables(cfg)
     try:
         model = load_checkpoint(args.checkpoint, tables)
-    except (OSError, ValueError, KeyError, TypeError, NumericError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, NumericError) as exc:
         raise DataError(f"{args.checkpoint}: cannot load checkpoint: {exc}") from exc
 
     user_ix = encodings.user(args.user)

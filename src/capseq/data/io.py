@@ -86,9 +86,9 @@ def _open(path):
 
 def _read_json(where, raw: bytes | None = None, build=None):
     """Parse ``raw`` (default: the bytes of the file ``where``) as JSON and
-    turn it into objects with ``build``; an unreadable file, bad JSON, or a
-    value ``build`` cannot take (wrong shape, bad field), raises
-    ``DataError`` naming ``where``."""
+    turn it into objects with ``build``; an unreadable file, bad JSON, JSON
+    nested past the recursion limit, or a value ``build`` cannot take (wrong
+    shape, bad field), raises ``DataError`` naming ``where``."""
     if raw is None:
         with _open(where) as fh:
             raw = fh.read()
@@ -96,6 +96,8 @@ def _read_json(where, raw: bytes | None = None, build=None):
         obj = json.loads(raw)
     except ValueError as exc:  # bad JSON or text encoding
         raise DataError(f"{where}: not valid UTF-8 JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"{where}: JSON nested too deeply: {exc}") from exc
     return obj if build is None else _build(where, obj, build)
 
 
@@ -185,7 +187,7 @@ def load_dataset(data_dir) -> tuple[SessionTable, Encodings, SocialGraph]:
             if fields is None:  # the per-line reader takes, or words, what the scan cannot
                 try:
                     fields = _read_json(f"{sessions_path}:{lineno}", line, _session_fields)
-                except (DataError, RecursionError) as exc:
+                except DataError as exc:
                     error = exc  # raised below unless an earlier line is bad too
                     break
             user, p, a, d = fields
@@ -212,8 +214,6 @@ def load_dataset(data_dir) -> tuple[SessionTable, Encodings, SocialGraph]:
                     departures[start:]
                 break
             start = end
-    if isinstance(error, RecursionError):  # deep JSON: the per-line reader raises
-        raise error  # it before any content check
     users, lengths, pois, arrivals, departures = (np.array(x, dtype=np.int64) for x in (
         users, lengths, pois, arrivals, departures))
     at = np.repeat(np.arange(len(lines)), lengths)  # each visit's session

@@ -353,6 +353,15 @@ BAD_INPUTS = {
     "corrupt-sessions-line": (
         {"ds/sessions.jsonl": lambda raw: raw + b'{"user": 0, "pois": [\n'},
         ["features", "--data-dir", "{tmp}/ds"], 2),
+    # JSON nested past the recursion limit is bad data like any other
+    "deep-encodings-json": (
+        {"ds/encodings.json": "[" * 100_000}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "deep-graph-json": (
+        {"ds/graph.json": "[" * 100_000}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "deep-sessions-line": (
+        {"ds/sessions.jsonl": lambda raw: raw + b"[" * 100_000 + b"\n"},
+        ["features", "--data-dir", "{tmp}/ds"], 2),
+    "deep-checkpoint-sidecar": ({"m.ckpt.json": "[" * 100_000}, GENERATE, 2),
     "encodings-json-a-list": (
         {"ds/encodings.json": "[]"}, ["features", "--data-dir", "{tmp}/ds"], 2),
     "pois-json-a-list": (
@@ -500,6 +509,10 @@ BAD_INPUT_MESSAGES = {
     "config-line-without-equals": "expected 'key = value', got 'seed 3'",
     "config-bad-value": "bad value for seed",
     "train-inf-lr": "learning_rate must be finite, got inf",
+    "deep-encodings-json": "encodings.json: JSON nested too deeply",
+    "deep-graph-json": "graph.json: JSON nested too deeply",
+    "deep-sessions-line": "JSON nested too deeply",
+    "deep-checkpoint-sidecar": "cannot load checkpoint: maximum recursion depth exceeded",
 }
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from capseq import numerics
 from finite_diff import grad_check
-from capseq.models import Batch, train
+from capseq.models import Batch, TrainingDivergedError, train
 from scalar_reference import (EncodedSequence, lstm_loss_and_grads, make_batch,
                               rnn_loss_and_grads)
 from capseq.models.lstm import ContextLstm
@@ -353,6 +353,18 @@ class TestTrain:
                       learning_rate=0.05, clip_threshold=5.0, batch_size=50, epochs=5, seed=3)
             )
         assert curves[0] == curves[1]
+
+    @over_shared_nets
+    def test_huge_learning_rate_raises_diverged(self, make_net):
+        """A caller that ignores floating-point errors still learns that the
+        loss went non-finite: 1e308-sized steps leave the weights near the
+        float64 limit, and the next epoch's forward pass overflows."""
+        net = make_net(1)
+        seqs = self.make_sequences(np.random.default_rng(5), K=6)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as raised:
+            train(net, make_batch(seqs, net.pad_ix), learning_rate=1e308,
+                  clip_threshold=5.0, batch_size=50, epochs=2, seed=3)
+        assert raised.value.epoch == 2
 
     def test_loss_decreases_when_learnable(self):
         rng = np.random.default_rng(5)
