@@ -7,7 +7,9 @@ context. A request's candidates step together as one batch: per step,
 one ``forward_step``, one gather of attribute rows and one distance read,
 which advances the clock and is the next step's distance from the
 previous stop. The products of the request's whole-sequence features
-are computed once, before the first step. Each candidate draws all its
+are computed once, before the first step, and each step gathers its
+inputs' input-layer terms from the net's ``input_table``, built once per
+fitted net. Each candidate draws all its
 uniforms at once from its own stream, derived from (seed, candidate
 index), so each row is the rollout that candidate would make alone.
 
@@ -109,13 +111,15 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> tuple:
     feat = tables.expected_feature(request.user, request.start_poi, int(hours[0, 0]))
     feats = np.repeat(feat[None, :] / tables.feature_scale, n, axis=0)
     terms = net.sequence_terms(feats)  # shared by every step of the request
+    table = net.input_table()  # shared by every request to the net
     stay = tables.stay.mean_stay
     dist_prev = np.zeros(n)  # no previous stop before the start
     for t in range(steps):
         current, clock = pois[:, t], hours[:, t]
         attrs = tables.attribute_rows(current, clock.astype(np.int64), dist_prev)
         attrs /= tables.attribute_scale
-        state, _, probs = net.forward_step(state, current, attrs, feats, terms=terms)
+        state, _, probs = net.forward_step(state, current, attrs, feats, terms=terms,
+                                           table=table)
         p = probs
         if request.no_repeat:
             p = probs.copy()

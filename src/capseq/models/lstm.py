@@ -79,16 +79,25 @@ class ContextLstm(RecurrentNet):
         p = self.params
         return feats @ p["Wq"].T, feats @ p["G"].T
 
-    def _step(self, state, inputs, attrs, terms, cache=None):
+    def _input_product(self):
+        """The embeddings times each gate's input weights: a (4, K+1, H)
+        block, rows in ``ROWS`` order."""
+        return np.matmul(self.params["emb"], self.stacks["Wx"].transpose(0, 2, 1))
+
+    def _step(self, state, inputs, attrs, terms, cache=None, table=None):
         p, s = self.params, self.stacks
         h_prev, c_prev = state
         feat_in, feat_out = terms
-        x = p["emb"][inputs]
         gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
         hg = h_prev * gate_a
         # (4, B, H) preactivations, rows in ROWS order. matmul hands BLAS each
         # gate's slice as ``x @ Wx_g.T`` would, so every float is the per-gate one.
-        pre = np.matmul(x, s["Wx"].transpose(0, 2, 1))
+        # ``take`` copies the table's rows into one contiguous block.
+        if table is None:
+            x = p["emb"][inputs]
+            pre = np.matmul(x, s["Wx"].transpose(0, 2, 1))
+        else:
+            x, pre = None, np.take(table, inputs, axis=1)
         pre += np.matmul(hg, s["Wh"].transpose(0, 2, 1))
         pre += s["b"][:, None]
         pre[:3] += c_prev * s["wc"][:, None]

@@ -64,11 +64,14 @@ class ContextRnn(RecurrentNet):
         return ([feats @ p[f"F{layer}"].T for layer in range(self.n_layers)],
                 feats @ p["G"].T)
 
-    def _step(self, state, inputs, attrs, terms, cache=None):
+    def _input_product(self):
+        """``emb @ U0.T``: layer 0's input term of every embedding row, (K+1, H)."""
+        return self.params["emb"] @ self.params["U0"].T
+
+    def _step(self, state, inputs, attrs, terms, cache=None, table=None):
         p = self.params
-        x = p["emb"][inputs]
+        layer_in = p["emb"][inputs] if table is None else None
         new_state = []
-        layer_in = x
         for layer in range(self.n_layers):
             h_prev = state[layer]
             if self.contextual:
@@ -77,7 +80,11 @@ class ContextRnn(RecurrentNet):
             else:
                 gate = None
                 rec = h_prev
-            pre = layer_in @ p[f"U{layer}"].T + rec @ p[f"W{layer}"].T + p[f"b{layer}"]
+            if layer == 0 and table is not None:
+                into = table[inputs]
+            else:
+                into = layer_in @ p[f"U{layer}"].T
+            pre = into + rec @ p[f"W{layer}"].T + p[f"b{layer}"]
             if self.contextual:
                 pre += terms[0][layer]
             h = np.tanh(pre, out=pre)

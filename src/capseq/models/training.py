@@ -45,8 +45,11 @@ class RecurrentNet:
     Each cell supplies ``_init_params(rng)``, ``init_state(batch_size)``,
     ``sequence_terms(feats)``, the products of the (B, FEATURE_DIM)
     whole-sequence features that every step of those sequences shares,
-    ``_step(state, inputs, attrs, terms, cache)`` returning
-    ``(new_state, logits)``, whose cache ends with the top hidden state,
+    ``_input_product()``, the input layer's term of every embedding row
+    (see ``input_table``), ``_step(state, inputs, attrs, terms, cache,
+    table)`` returning ``(new_state, logits)``, whose cache ends with the
+    top hidden state, which gathers the input term from ``table`` when
+    given and multiplies the embeddings otherwise,
     and ``_step_backward(cache, dh, carry, batch, t, grads) -> (carry,
     dx)``: from the top state's loss gradient and the state gradient of
     step ``t + 1`` it adds step ``t``'s cell grads and returns the state
@@ -72,11 +75,25 @@ class RecurrentNet:
         self.contextual = contextual
         self.pad_ix = n_pois
         self.params = self._init_params(np.random.default_rng(seed))
+        self._input_table = None
 
-    def forward_step(self, state, inputs, attrs, feats, terms=None):
+    def input_table(self):
+        """The input layer's term of every POI and the padding token, as
+        ``_step`` would compute it for an input: built on first use with one
+        product of fixed shape, so its bits do not depend on the request
+        that asked for it, and kept until ``train`` drops it. A rollout
+        gathers its steps' input terms from it; they may differ from the
+        per-step product's in the last bits."""
+        if self._input_table is None:
+            self._input_table = self._input_product()
+        return self._input_table
+
+    def forward_step(self, state, inputs, attrs, feats, terms=None, table=None):
         """One public step; returns (new_state, logits, probabilities).
         ``terms`` is ``sequence_terms(feats)``, computed here if not given:
-        a rollout computes it once for all its steps."""
+        a rollout computes it once for all its steps. ``table`` is
+        ``input_table()``, from which a rollout gathers the input terms;
+        without it the step multiplies the embeddings by the input weights."""
         inputs = np.atleast_1d(np.asarray(inputs, dtype=np.int64))
         if inputs.view(np.uint64).max(initial=0) >= self.n_pois:  # negatives wrap past it
             raise IndexError(
@@ -84,7 +101,7 @@ class RecurrentNet:
             )
         if terms is None:
             terms = self.sequence_terms(np.atleast_2d(feats))
-        new_state, logits = self._step(state, inputs, np.atleast_2d(attrs), terms)
+        new_state, logits = self._step(state, inputs, np.atleast_2d(attrs), terms, table=table)
         return new_state, logits, numerics.softmax(logits)
 
     def _forward_sequence(self, batch, collect_cache: bool):
@@ -196,6 +213,7 @@ def train(net, data: Batch, *, learning_rate: float, clip_threshold: float,
     n = len(data.inputs)
     if not n:
         raise ValueError("training requires at least one encoded session")
+    net._input_table = None  # the updates below change the weights it was built from
     rng = np.random.default_rng(seed)
     curve = [mean_nll(net, data, batch_size)]
     for epoch in range(1, epochs + 1):

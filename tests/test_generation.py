@@ -11,7 +11,8 @@ from capseq.generation import (
     sample_rows,
     score_sequence,
 )
-from capseq.models import CapsLstmRecommender, CapsRnnRecommender
+from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM
+from capseq.models import CapsLstmRecommender, CapsRnnRecommender, encode_sessions, train
 from capseq.models.lstm import ContextLstm
 from capseq.models.rnn import ContextRnn
 
@@ -213,27 +214,27 @@ class TestGenerate:
 
 
 ROLLOUT_NETS = {
-    "plain-rnn": lambda K: ContextRnn(K, hidden_size=6, n_layers=2, embedding_size=4,
-                                      contextual=False, seed=1),
-    "caps-rnn": lambda K: ContextRnn(K, hidden_size=6, n_layers=2, embedding_size=4,
-                                     seed=1),
-    "caps-lstm": lambda K: ContextLstm(K, hidden_size=6, embedding_size=4, seed=1),
+    "plain-rnn": lambda K, H=6, E=4: ContextRnn(K, hidden_size=H, n_layers=2,
+                                                embedding_size=E, contextual=False, seed=1),
+    "caps-rnn": lambda K, H=6, E=4: ContextRnn(K, hidden_size=H, n_layers=2,
+                                               embedding_size=E, seed=1),
+    "caps-lstm": lambda K, H=6, E=4: ContextLstm(K, hidden_size=H, embedding_size=E, seed=1),
 }
 
 
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
 def test_rollout_steps_share_one_terms_object(kind, synth_tables_module, monkeypatch):
     """A request makes one ``forward_step`` per generated stop, and every
-    one of them gets the same ``sequence_terms``, computed once: the
-    features' products are not recomputed per step, and no step goes
-    around ``forward_step``."""
+    one of them gets the same ``sequence_terms``, computed once, and the
+    net's input table: the features' products are not recomputed per step,
+    and no step goes around ``forward_step``."""
     _, tables = synth_tables_module
     net = ROLLOUT_NETS[kind](tables.n_pois)
     step, seen = net.forward_step, []
 
-    def spy(state, inputs, attrs, feats, terms=None):
-        seen.append(terms)
-        return step(state, inputs, attrs, feats, terms=terms)
+    def spy(state, inputs, attrs, feats, terms=None, table=None):
+        seen.append((terms, table))
+        return step(state, inputs, attrs, feats, terms=terms, table=table)
 
     monkeypatch.setattr(net, "forward_step", spy)
     for length in (1, 2, 9):
@@ -241,9 +242,73 @@ def test_rollout_steps_share_one_terms_object(kind, synth_tables_module, monkeyp
         generate(net, GenRequest(user=1, start_poi=3, start_hour=10.0, length=length,
                                  candidates=4, k=2), tables, seed=3)
         assert len(seen) == length - 1
-        assert all(terms is seen[0] for terms in seen)
+        assert all(terms is seen[0][0] for terms, _ in seen)
+        assert all(table is net.input_table() for _, table in seen)
         if seen:
-            assert (seen[0] is None) == (kind == "plain-rnn")
+            assert (seen[0][0] is None) == (kind == "plain-rnn")
+
+
+# A gathered input term differs from the per-step product only in the rounding
+# of its E-term sum, at most about E * 2.2e-16 (8.5e-14 at E = 384) of the
+# summed magnitudes; tanh and sigmoid do not amplify it. Measured: 1.4e-15.
+TABLE_STEP_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
+@pytest.mark.parametrize("H, E", [(6, 4), (64, 32), (512, 384)])
+def test_table_step_is_the_direct_step(kind, H, E):
+    """Steps that gather their input terms from ``input_table`` give the
+    states and logits of steps that multiply the embeddings, to within
+    ``TABLE_STEP_RTOL`` of the largest value, at batch sizes 1, 3 and 10."""
+    K, rng = 200, np.random.default_rng(H)
+    net = ROLLOUT_NETS[kind](K, H, E)
+    for B in (1, 3, 10):
+        feats = rng.normal(size=(B, FEATURE_DIM))
+        terms = net.sequence_terms(feats)
+        direct = gathered = net.init_state(B)
+        for _ in range(6):
+            ix, attrs = rng.integers(0, K, size=B), rng.normal(size=(B, ATTRIBUTE_DIM))
+            direct, want, _ = net.forward_step(direct, ix, attrs, feats, terms=terms)
+            gathered, got, _ = net.forward_step(gathered, ix, attrs, feats, terms=terms,
+                                                table=net.input_table())
+            for a, b in [(got, want), *zip(gathered, direct)]:
+                np.testing.assert_allclose(a, b, rtol=0,
+                                           atol=TABLE_STEP_RTOL * np.abs(b).max())
+
+
+@pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
+def test_requests_to_one_net_build_the_input_table_once(kind, synth_tables_module,
+                                                        monkeypatch):
+    _, tables = synth_tables_module
+    net = ROLLOUT_NETS[kind](tables.n_pois)
+    product, built = type(net)._input_product, []
+    monkeypatch.setattr(type(net), "_input_product",
+                        lambda self: built.append(self) or product(self))
+    for seed, no_repeat in enumerate([False, True] * 3):
+        generate(net, GenRequest(user=seed % 3, start_poi=seed, start_hour=9.0 + seed,
+                                 length=6, candidates=3, k=2, no_repeat=no_repeat),
+                 tables, seed=seed)
+    assert built == [net]
+
+
+@pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
+def test_net_retrained_after_a_rollout_rolls_out_on_its_new_weights(kind,
+                                                                    synth_tables_module):
+    """``train`` drops the input table that a rollout built, so the next
+    rollout is the one a fresh net with the new weights makes."""
+    sessions, tables = synth_tables_module
+    net = ROLLOUT_NETS[kind](tables.n_pois)
+    req = GenRequest(user=1, start_poi=3, start_hour=10.0, length=12, candidates=6, k=6)
+    before = [s.pois for s in generate(net, req, tables, seed=3)]
+    train(net, encode_sessions([s for s in sessions if len(s) >= 2], tables),
+          learning_rate=1.0, clip_threshold=5.0, batch_size=20, epochs=5, seed=1)
+    fresh = ROLLOUT_NETS[kind](tables.n_pois)
+    for name, arr in net.params.items():
+        fresh.params[name][...] = arr  # in place: caps-lstm blocks are views of stacks
+    after = [s.pois for s in generate(net, req, tables, seed=3)]
+    assert after == [s.pois for s in generate(fresh, req, tables, seed=3)]
+    assert after != before
+    np.testing.assert_array_equal(net.input_table(), fresh.input_table())
 
 
 class TestBatchedCandidates:
