@@ -81,9 +81,10 @@ class RecurrentNet:
         """The input layer's term of every POI and the padding token, as
         ``_step`` would compute it for an input: built on first use with one
         product of fixed shape, so its bits do not depend on the request
-        that asked for it, and kept until ``train`` drops it. A rollout
-        gathers its steps' input terms from it; they may differ from the
-        per-step product's in the last bits."""
+        that asked for it, and kept until ``train`` drops it (a weight
+        written in place after a rollout is not seen). A rollout gathers
+        its steps' input terms from it; they may differ from the per-step
+        product's in the last bits."""
         if self._input_table is None:
             self._input_table = self._input_product()
         return self._input_table

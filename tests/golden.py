@@ -20,10 +20,10 @@ and a malformed row.
 
 The generate pipeline: ``synth`` of another small corpus, ``ingest
 --min-checkins 0`` and ``features``, then ``train`` of each neural kind
-at H16/E8 for 5 epochs and two ``generate`` runs of each checkpoint,
-plain and ``--no-repeat --consolidated``, for two users; the fixture holds the digest of
-each ``sequences.jsonl``. Checkpoints and loss CSVs are not hashed: their
-last bits follow the CPU's SIMD and BLAS kernels.
+at H16/E8 for 5 epochs and ``generate`` from each checkpoint, plain and
+``--no-repeat --consolidated``, for two users; the fixture holds the
+digest of each ``sequences.jsonl``. Checkpoints and loss CSVs are not
+hashed: their last bits follow the CPU's SIMD and BLAS kernels.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def ingest_digests(workdir) -> dict:
 
 
 def generate_digests(workdir) -> dict:
-    """"<kind>/<mode>/<user>" -> SHA-256 of its ``sequences.jsonl``, from a fresh
-    run in ``workdir``."""
+    """"<kind>/<mode>/<user>" -> SHA-256 of its ``sequences.jsonl``, from
+    a fresh run in ``workdir``."""
     root = Path(workdir)
     raw, data = root / "raw", root / "data"
     _run(["synth", *GENERATE_SYNTH, "--out-dir", str(raw)])

@@ -279,6 +279,8 @@ def test_table_step_is_the_direct_step(kind, H, E):
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
 def test_requests_to_one_net_build_the_input_table_once(kind, synth_tables_module,
                                                         monkeypatch):
+    """Plain and no-repeat requests of other users, start POIs and hours
+    share one table per net."""
     _, tables = synth_tables_module
     net = ROLLOUT_NETS[kind](tables.n_pois)
     product, built = type(net)._input_product, []
