@@ -7,11 +7,13 @@ context. A request's candidates step together as one batch: per step,
 one ``forward_step``, one gather of attribute rows and one distance read,
 which advances the clock and is the next step's distance from the
 previous stop. The products of the request's whole-sequence features
-are computed once, before the first step, and each step gathers its
-inputs' input-layer terms from the net's ``input_table``, built once per
-fitted net. Each candidate draws all its
-uniforms at once from its own stream, derived from (seed, candidate
-index), so each row is the rollout that candidate would make alone.
+are computed once, before the first step. A request that steps at least
+as many rows (candidates x (length - 1)) as the net's ``input_table`` has
+(n_pois + 1) gathers each step's input-layer terms from that table, built
+once per net; a smaller one multiplies them per step. Each candidate
+draws all its uniforms at once from its own stream, derived from (seed,
+candidate index), so each row is the rollout that candidate would make
+alone.
 
 Every fixed-length recommender, these rollouts and the popularity,
 Markov and HITS baselines, hands its (candidates, length) POI array to
@@ -111,7 +113,10 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> tuple:
     feat = tables.expected_feature(request.user, request.start_poi, int(hours[0, 0]))
     feats = np.repeat(feat[None, :] / tables.feature_scale, n, axis=0)
     terms = net.sequence_terms(feats)  # shared by every step of the request
-    table = net.input_table()  # shared by every request to the net
+    # The table's one product costs about what this request saves only if it
+    # steps at least the table's rows; the choice reads the request alone, so
+    # a request's bits do not depend on the requests before it.
+    table = net.input_table() if n * steps > net.n_pois else None
     stay = tables.stay.mean_stay
     dist_prev = np.zeros(n)  # no previous stop before the start
     for t in range(steps):

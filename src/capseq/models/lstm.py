@@ -90,13 +90,14 @@ class ContextLstm(RecurrentNet):
         feat_in, feat_out = terms
         gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
         hg = h_prev * gate_a
-        # (4, B, H) preactivations, rows in ROWS order. matmul hands BLAS each
-        # gate's slice as ``x @ Wx_g.T`` would, so every float is the per-gate one.
-        # ``take`` copies the table's rows into one contiguous block.
+        # (4, B, H) preactivations, rows in ROWS order.
         if table is None:
+            # matmul hands BLAS each gate's slice as ``x @ Wx_g.T`` would, so
+            # every float is the per-gate one.
             x = p["emb"][inputs]
             pre = np.matmul(x, s["Wx"].transpose(0, 2, 1))
         else:
+            # ``take`` copies the table's rows into one contiguous block.
             x, pre = None, np.take(table, inputs, axis=1)
         pre += np.matmul(hg, s["Wh"].transpose(0, 2, 1))
         pre += s["b"][:, None]

@@ -90,20 +90,7 @@ class _NeuralRecommender(SequenceRecommender):
         model = cls(**sidecar["params"])
         model.tables_ = tables
         model.net_ = model._build_net(sidecar["n_pois"])
-        if set(weights) != set(model.net_.params):
-            raise numerics.NumericError(
-                f"parameter blocks do not match a {cls.kind} net: missing "
-                f"{sorted(set(model.net_.params) - set(weights))}, unexpected "
-                f"{sorted(set(weights) - set(model.net_.params))}"
-            )
-        for name, arr in weights.items():
-            if model.net_.params[name].shape != arr.shape:
-                raise numerics.NumericError(
-                    f"shape mismatch for {name!r}: "
-                    f"{model.net_.params[name].shape} vs {arr.shape}"
-                )
-            # in place: a caps-lstm net's gate blocks are views of its stacks
-            model.net_.params[name][...] = arr
+        model.net_.load_weights(weights)
         model.loss_curve_ = []
         return model
 

@@ -55,6 +55,10 @@ class RecurrentNet:
     step ``t + 1`` it adds step ``t``'s cell grads and returns the state
     and input-embedding gradients of step ``t``. Index ``n_pois`` is the
     padding token (extra embedding row, never a valid output class).
+
+    ``load_weights`` and ``sgd_step`` are the two writers of ``params``:
+    each drops the input table built from the old weights. A block written
+    in place by any other means after a rollout is not seen by the table.
     """
 
     def __init__(
@@ -81,13 +85,37 @@ class RecurrentNet:
         """The input layer's term of every POI and the padding token, as
         ``_step`` would compute it for an input: built on first use with one
         product of fixed shape, so its bits do not depend on the request
-        that asked for it, and kept until ``train`` drops it (a weight
-        written in place after a rollout is not seen). A rollout gathers
-        its steps' input terms from it; they may differ from the per-step
-        product's in the last bits."""
+        that asked for it, and kept until ``load_weights`` or ``sgd_step``
+        writes the weights. A rollout gathers its steps' input terms from
+        it; they may differ from the per-step product's in the last bits."""
         if self._input_table is None:
             self._input_table = self._input_product()
         return self._input_table
+
+    def load_weights(self, weights) -> None:
+        """Write each block of the name -> array mapping ``weights`` into
+        ``params`` in place (a caps-lstm net's gate blocks are views of its
+        stacks). The names and shapes must be the net's; a mismatch raises
+        ``NumericError`` before anything is written."""
+        if set(weights) != set(self.params):
+            raise numerics.NumericError(
+                "parameter blocks do not match the net's: missing "
+                f"{sorted(set(self.params) - set(weights))}, unexpected "
+                f"{sorted(set(weights) - set(self.params))}"
+            )
+        for name, arr in weights.items():
+            if self.params[name].shape != arr.shape:
+                raise numerics.NumericError(
+                    f"shape mismatch for {name!r}: {self.params[name].shape} vs {arr.shape}"
+                )
+        self._input_table = None
+        for name, arr in weights.items():
+            self.params[name][...] = arr
+
+    def sgd_step(self, grads, learning_rate: float, clip_threshold: float) -> None:
+        """``numerics.sgd_step`` of ``params``, in place."""
+        self._input_table = None
+        numerics.sgd_step(self.params, grads, learning_rate, clip_threshold)
 
     def forward_step(self, state, inputs, attrs, feats, terms=None, table=None):
         """One public step; returns (new_state, logits, probabilities).
@@ -214,7 +242,6 @@ def train(net, data: Batch, *, learning_rate: float, clip_threshold: float,
     n = len(data.inputs)
     if not n:
         raise ValueError("training requires at least one encoded session")
-    net._input_table = None  # the updates below change the weights it was built from
     rng = np.random.default_rng(seed)
     curve = [mean_nll(net, data, batch_size)]
     for epoch in range(1, epochs + 1):
@@ -223,7 +250,7 @@ def train(net, data: Batch, *, learning_rate: float, clip_threshold: float,
             loss, grads = net.loss_and_grads(batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
-            numerics.sgd_step(net.params, grads, learning_rate, clip_threshold)
+            net.sgd_step(grads, learning_rate, clip_threshold)
             total += loss * len(batch.inputs)
         curve.append(total / n)
     return curve

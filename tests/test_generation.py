@@ -225,9 +225,11 @@ ROLLOUT_NETS = {
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
 def test_rollout_steps_share_one_terms_object(kind, synth_tables_module, monkeypatch):
     """A request makes one ``forward_step`` per generated stop, and every
-    one of them gets the same ``sequence_terms``, computed once, and the
-    net's input table: the features' products are not recomputed per step,
-    and no step goes around ``forward_step``."""
+    one of them gets the same ``sequence_terms``, computed once, and, if the
+    request steps more rows than the net has POIs, the net's input table:
+    the features' products are not recomputed per step, and no step goes
+    around ``forward_step``. A smaller request steps without the table,
+    also once a wider one has built it."""
     _, tables = synth_tables_module
     net = ROLLOUT_NETS[kind](tables.n_pois)
     step, seen = net.forward_step, []
@@ -237,13 +239,15 @@ def test_rollout_steps_share_one_terms_object(kind, synth_tables_module, monkeyp
         return step(state, inputs, attrs, feats, terms=terms, table=table)
 
     monkeypatch.setattr(net, "forward_step", spy)
-    for length in (1, 2, 9):
+    wide = net.n_pois // 4 + 2  # 4 * (wide - 1) > n_pois rows
+    for length in (1, 2, wide, 9):
         seen.clear()
         generate(net, GenRequest(user=1, start_poi=3, start_hour=10.0, length=length,
                                  candidates=4, k=2), tables, seed=3)
         assert len(seen) == length - 1
         assert all(terms is seen[0][0] for terms, _ in seen)
-        assert all(table is net.input_table() for _, table in seen)
+        want = net.input_table() if 4 * (length - 1) > net.n_pois else None
+        assert all(table is want for _, table in seen)
         if seen:
             assert (seen[0][0] is None) == (kind == "plain-rnn")
 
@@ -279,16 +283,26 @@ def test_table_step_is_the_direct_step(kind, H, E):
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
 def test_requests_to_one_net_build_the_input_table_once(kind, synth_tables_module,
                                                         monkeypatch):
-    """Plain and no-repeat requests of other users, start POIs and hours
-    share one table per net."""
+    """A request that steps as many rows (candidates x (length - 1)) as the
+    net has POIs builds no table; the first that steps one more builds it,
+    and plain and no-repeat requests of other users, start POIs and hours
+    share it."""
     _, tables = synth_tables_module
     net = ROLLOUT_NETS[kind](tables.n_pois)
     product, built = type(net)._input_product, []
     monkeypatch.setattr(type(net), "_input_product",
                         lambda self: built.append(self) or product(self))
+    K = net.n_pois
+    generate(net, GenRequest(user=0, start_poi=1, start_hour=8.0, length=K + 1,
+                             candidates=1), tables, seed=0)
+    assert built == []
+    generate(net, GenRequest(user=0, start_poi=1, start_hour=8.0, length=K + 2,
+                             candidates=1), tables, seed=0)
+    assert built == [net]
     for seed, no_repeat in enumerate([False, True] * 3):
         generate(net, GenRequest(user=seed % 3, start_poi=seed, start_hour=9.0 + seed,
-                                 length=6, candidates=3, k=2, no_repeat=no_repeat),
+                                 length=K // 3 + 2, candidates=3, k=2,
+                                 no_repeat=no_repeat),
                  tables, seed=seed)
     assert built == [net]
 
@@ -301,12 +315,31 @@ def test_net_retrained_after_a_rollout_rolls_out_on_its_new_weights(kind,
     sessions, tables = synth_tables_module
     net = ROLLOUT_NETS[kind](tables.n_pois)
     req = GenRequest(user=1, start_poi=3, start_hour=10.0, length=12, candidates=6, k=6)
+    assert req.candidates * (req.length - 1) > net.n_pois  # the rollouts use the table
     before = [s.pois for s in generate(net, req, tables, seed=3)]
     train(net, encode_sessions([s for s in sessions if len(s) >= 2], tables),
           learning_rate=1.0, clip_threshold=5.0, batch_size=20, epochs=5, seed=1)
     fresh = ROLLOUT_NETS[kind](tables.n_pois)
-    for name, arr in net.params.items():
-        fresh.params[name][...] = arr  # in place: caps-lstm blocks are views of stacks
+    fresh.load_weights(net.params)
+    after = [s.pois for s in generate(net, req, tables, seed=3)]
+    assert after == [s.pois for s in generate(fresh, req, tables, seed=3)]
+    assert after != before
+    np.testing.assert_array_equal(net.input_table(), fresh.input_table())
+
+
+@pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
+def test_weights_loaded_after_a_rollout_are_rolled_out(kind, synth_tables_module):
+    """``load_weights`` drops the input table that a rollout built: a net
+    that rolled out and then took another net's weights rolls out as that
+    net does."""
+    _, tables = synth_tables_module
+    net, fresh = ROLLOUT_NETS[kind](tables.n_pois), ROLLOUT_NETS[kind](tables.n_pois)
+    rng = np.random.default_rng(5)
+    weights = {name: rng.normal(size=arr.shape) for name, arr in net.params.items()}
+    req = GenRequest(user=1, start_poi=3, start_hour=10.0, length=12, candidates=6, k=6)
+    before = [s.pois for s in generate(net, req, tables, seed=3)]
+    net.load_weights(weights)
+    fresh.load_weights(weights)
     after = [s.pois for s in generate(net, req, tables, seed=3)]
     assert after == [s.pois for s in generate(fresh, req, tables, seed=3)]
     assert after != before
