@@ -21,9 +21,16 @@ and a malformed row.
 The generate pipeline: ``synth`` of another small corpus, ``ingest
 --min-checkins 0`` and ``features``, then ``train`` of each neural kind
 at H16/E8 for 5 epochs and ``generate`` from each checkpoint, plain and
-``--no-repeat --consolidated``, for two users; the fixture holds the
-digest of each ``sequences.jsonl``. Checkpoints and loss CSVs are not
-hashed: their last bits follow the CPU's SIMD and BLAS kernels.
+``--no-repeat --consolidated``, for two users, then ``evaluate --models
+all`` over 2 folds with a length sweep and raw diversity at the same
+model settings, and ``report`` of its CSVs; the fixture holds the digest
+of each ``sequences.jsonl`` and of every ``evaluate`` and ``report``
+output but ``timings.csv``, whose seconds differ from run to run.
+Checkpoints and loss CSVs are not hashed: their last bits follow the
+CPU's SIMD and BLAS kernels.
+
+``--update`` prints each fixture entry whose digest it changed (or that
+it added or dropped), or "no digest changed".
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ TRAIN_ARGS = ["--hidden-size", "16", "--embedding-size", "8", "--epochs", "5"]
 # generate mode -> extra generate arguments
 GENERATE_MODES = {"plain": [], "no-repeat-consolidated": ["--no-repeat", "--consolidated"]}
 GENERATE_USERS = ("u0001", "u0006")
+EVALUATE_ARGS = ["--models", "all", "--folds", "2", "--sweep-lengths", "3,5", "--diversity-raw"]
 
 
 def _run(argv: list) -> None:
@@ -69,6 +77,10 @@ def _run(argv: list) -> None:
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"capseq {' '.join(argv)} exited {code}")
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def ingest_digests(workdir) -> dict:
@@ -86,14 +98,14 @@ def ingest_digests(workdir) -> dict:
         _run(["ingest", "--checkins", str(raw / checkins),
               "--friends", str(raw / "friendships.csv"), *extra, "--out-dir", str(out)])
         _run(["features", "--data-dir", str(out), "--out-dir", str(out)])
-        digests[name] = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
-                         for f in INGEST_FILES}
+        digests[name] = {f: _sha256(out / f) for f in INGEST_FILES}
     return digests
 
 
 def generate_digests(workdir) -> dict:
-    """"<kind>/<mode>/<user>" -> SHA-256 of its ``sequences.jsonl``, from
-    a fresh run in ``workdir``."""
+    """"<kind>/<mode>/<user>" -> SHA-256 of its ``sequences.jsonl``, and
+    "evaluate/<file>" and "report/<file>" -> SHA-256 of each output of
+    those commands but ``timings.csv``, from a fresh run in ``workdir``."""
     root = Path(workdir)
     raw, data = root / "raw", root / "data"
     _run(["synth", *GENERATE_SYNTH, "--out-dir", str(raw)])
@@ -111,15 +123,40 @@ def generate_digests(workdir) -> dict:
                 _run(["generate", "--data-dir", str(data),
                       "--checkpoint", str(root / "models" / f"{kind}.ckpt"),
                       "--user", user, *extra, "--out-dir", str(out)])
-                digests[f"{kind}/{mode}/{user}"] = hashlib.sha256(
-                    (out / "sequences.jsonl").read_bytes()).hexdigest()
+                digests[f"{kind}/{mode}/{user}"] = _sha256(out / "sequences.jsonl")
+    evaluated, reported = root / "evaluate", root / "report"
+    _run(["evaluate", "--data-dir", str(data), *EVALUATE_ARGS, *TRAIN_ARGS,
+          "--out-dir", str(evaluated)])
+    _run(["report", "--eval-csv", str(evaluated / "eval_report.csv"),
+          "--sweep-csv", str(evaluated / "sweep.csv"), "--out-dir", str(reported)])
+    for out in (evaluated, reported):
+        for path in sorted(out.iterdir()):
+            if path.name != "timings.csv":  # wall-clock seconds
+                digests[f"{out.name}/{path.name}"] = _sha256(path)
     return digests
 
 
-def _write(path: Path, digests: dict) -> None:
+def _entries(digests: dict, prefix: str = "") -> dict:
+    """A fixture flattened to "<key>/<key>..." -> digest."""
+    flat = {}
+    for key, value in digests.items():
+        if isinstance(value, dict):
+            flat.update(_entries(value, f"{prefix}{key}/"))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _write(path: Path, digests: dict) -> list:
+    """Write ``digests`` to the fixture ``path``; the names of the entries
+    whose digest this changed, added or dropped, as "<file>: <entry>"."""
+    old = _entries(json.loads(path.read_text(encoding="utf-8"))) if path.exists() else {}
+    new = _entries(digests)
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"golden: wrote {path}")
+    return [f"{path.name}: {key}" for key in sorted(old.keys() | new.keys())
+            if old.get(key) != new.get(key)]
 
 
 def main(argv) -> int:
@@ -129,8 +166,12 @@ def main(argv) -> int:
         print("usage: python tests/golden.py --update", file=sys.stderr)
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        _write(FIXTURE, ingest_digests(Path(tmp) / "ingest"))
-        _write(GENERATE_FIXTURE, generate_digests(Path(tmp) / "generate"))
+        changed = _write(FIXTURE, ingest_digests(Path(tmp) / "ingest"))
+        changed += _write(GENERATE_FIXTURE, generate_digests(Path(tmp) / "generate"))
+    for entry in changed:
+        print(f"golden: digest changed: {entry}")
+    if not changed:
+        print("golden: no digest changed")
     return 0
 
 
