@@ -12,6 +12,7 @@ traversing at least one of its consecutive POI pairs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
@@ -51,17 +52,19 @@ def cluster_regions(coords: np.ndarray, radius_km: float = DEFAULT_REGION_RADIUS
 
 
 def power_iterate(adjacency: np.ndarray):
-    """HITS power iteration to ``POWER_TOL``; returns (hub, authority), L2-normalized."""
+    """HITS power iteration to ``POWER_TOL``; returns (hub, authority),
+    L2-normalized. A norm is ``sqrt(v.dot(v))``, ``np.linalg.norm``'s own
+    formula for a 1-D float vector, without its dispatch."""
     n_users, n_locs = adjacency.shape
     hub = np.ones(n_users) / np.sqrt(n_users)
     auth = np.ones(n_locs) / np.sqrt(n_locs)
     for _ in range(POWER_MAX_ITER):
         new_auth = adjacency.T @ hub
-        norm = np.linalg.norm(new_auth)
+        norm = math.sqrt(new_auth.dot(new_auth))
         if norm > 0:
             new_auth /= norm
         new_hub = adjacency @ new_auth
-        norm = np.linalg.norm(new_hub)
+        norm = math.sqrt(new_hub.dot(new_hub))
         if norm > 0:
             new_hub /= norm
         delta = max(np.abs(new_auth - auth).max(), np.abs(new_hub - hub).max())

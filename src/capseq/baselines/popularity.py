@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.types import visit_arrays
-from ..generation import GenRequest, ranked
+from ..generation import GenRequest, first_hour, next_hour, ranked
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
+from ..geo import travel_seconds
 from ..models.base import SequenceRecommender, check_positive
 
 DEFAULT_RADIUS_KM = 2.0
@@ -64,17 +65,21 @@ class PopularityRecommender(SequenceRecommender):
         self._check_fitted("counts_", "tables_")
         tables = self.tables_
         pois = [request.start_poi]
+        hours = [first_hour(request.start_hour)]
         exclusions = {request.start_poi}
         current = request.start_poi
         every_poi = np.arange(tables.n_pois)
+        stay = tables.stay.mean_stay
         for _ in range(request.length - 1):
             if len(exclusions) == tables.n_pois:  # pool exhausted: revisit, not truncate
                 exclusions = {current} if tables.n_pois > 1 else set()
-            nxt = popularity_next(
-                self.counts_, tables.distance_km(current, every_poi), exclusions,
-                self.radius_km, self.growth_factor,
-            )
+            dists = tables.distance_km(current, every_poi)
+            nxt = popularity_next(self.counts_, dists, exclusions,
+                                  self.radius_km, self.growth_factor)
+            # the clock of advance_hours, from the row this step already read
+            hours.append(next_hour(hours[-1], float(stay[current]),
+                                   travel_seconds(float(dists[nxt]))))
             exclusions.add(nxt)
             current = nxt
             pois.append(nxt)
-        return ranked(request, tables, [pois])
+        return ranked(request, tables, [pois], hours=np.array([hours]))

@@ -10,7 +10,10 @@ An ingested dataset directory contains:
 * ``graph.json`` — adjacency lists of the friendship graph (optional)
 
 Everything is written with sorted keys and no timestamps so identical
-inputs produce identical bytes.
+inputs produce identical bytes. Each ``sessions.jsonl`` line is one
+f-string over the text of three int-list slices, keys in sorted order: a
+Python list of ints prints as its JSON text, so the line is
+``json.dumps(obj, sort_keys=True)`` of its session object.
 
 ``load_dataset`` reads ``sessions.jsonl`` one byte line at a time. A
 line that is one UTF-8 JSON object from its first byte, of three lists
@@ -61,10 +64,10 @@ def save_dataset(
     ends = np.cumsum(lengths)
     starts = ends - lengths
     pois, arrivals, departures = pois.tolist(), arrivals.tolist(), departures.tolist()
-    encode = json.JSONEncoder(sort_keys=True).encode
+    # a list of ints prints as its JSON text; the keys are in sorted order
     lines = [
-        encode({"user": u, "pois": pois[a:b], "arrivals": arrivals[a:b],
-                "departures": departures[a:b]})
+        f'{{"arrivals": {arrivals[a:b]}, "departures": {departures[a:b]}, '
+        f'"pois": {pois[a:b]}, "user": {u}}}'
         for u, a, b in zip(users[starts].tolist(), starts.tolist(), ends.tolist())
     ]
     (out / SESSIONS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_right
 from typing import Iterable
 
 import numpy as np
@@ -114,11 +115,13 @@ def build_sessions(
         [int(statistics.median(stays[a:b - 1])) if b - a > 1 else FALLBACK_STAY_SECONDS
          for a, b in zip(first.tolist(), ends.tolist())], dtype=np.int64)
 
-    starts, start = [], 0
-    for i, (arrival, new) in enumerate(zip(arrivals.tolist(), new_user.tolist())):
-        if new or arrival > start + SESSION_WINDOW_SECONDS:
+    # a user's arrivals increase, so the next session starts at the first
+    # arrival past the window of this one's start: one bisect per session
+    starts, times = [], arrivals.tolist()
+    for i, end in zip(first.tolist(), ends.tolist()):
+        while i < end:
             starts.append(i)
-            start = arrival
+            i = bisect_right(times, times[i] + SESSION_WINDOW_SECONDS, i + 1, end)
     lengths = np.diff(np.array(starts + [len(rows)], dtype=np.int64))
 
     encodings, place_poi = Encodings.of_places([log.users[i] for i in rows[first].tolist()],

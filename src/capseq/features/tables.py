@@ -95,12 +95,28 @@ def _stay_stats(users, pois, stays, n_pois: int) -> StayStats:
     return StayStats.from_means(n_pois, dict(zip(visited.tolist(), mean_stay)), global_mean)
 
 
-def _stored_sha256(d: dict) -> str:
-    """SHA-256 of the fields of a ``to_dict`` document that are not its
-    encodings and catalogue."""
-    keys = ("stay", "friends", "users", "dist_in", "dist_global", "session_features")
-    text = json.dumps({key: d[key] for key in keys}, sort_keys=True)
+# the fields of a ``to_dict`` document that are not its encodings and catalogue
+_STORED_FIELDS = ("stay", "friends", "users", "dist_in", "dist_global", "session_features")
+
+
+def _object_text(texts: dict) -> str:
+    """``json.dumps(d, sort_keys=True)`` of an object ``d`` whose values
+    have the texts ``texts`` (each ``json.dumps(value, sort_keys=True)``),
+    so that a value encoded once serves two documents."""
+    return "{" + ", ".join(f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)) + "}"
+
+
+def _stored_sha256(texts: dict) -> str:
+    """SHA-256 of the stored fields of a ``to_dict`` document, from their
+    texts ``texts``."""
+    text = _object_text({key: texts[key] for key in _STORED_FIELDS})
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _texts(d: dict, keys=_STORED_FIELDS) -> dict:
+    """The ``json.dumps(..., sort_keys=True)`` text of each field ``keys``
+    names in ``d``, by default its stored fields."""
+    return {key: json.dumps(d[key], sort_keys=True) for key in keys}
 
 
 def _float(value):
@@ -618,16 +634,25 @@ class FeatureTables:
         step = np.ones(len(pois), dtype=bool)
         step[first] = False
         at = np.flatnonzero(step)
-        km = arcs_km(self._places, pois[at - 1], pois[at]).tolist()
+        km = arcs_km(self._places, pois[at - 1], pois[at])
         n_steps = lengths - 1
-        mean_km = [sequential_sum(km[i - n:i]) / n if n else 0.0
-                   for i, n in zip(np.cumsum(n_steps).tolist(), n_steps.tolist())]
+        # step j of every session that has one is added at once, j = 0, 1,
+        # ..., so each session's sum adds its steps left to right from 0.0,
+        # as sequential_sum does; order lists the sessions by falling step
+        # count, so the n with more than j steps lead it
+        first_step = np.cumsum(n_steps) - n_steps
+        order = np.argsort(-n_steps, kind="stable")
+        total = np.zeros(len(lengths))
+        for j, n in enumerate((len(lengths) - np.cumsum(np.bincount(n_steps)))[:-1].tolist()):
+            rows = order[:n]  # the n sessions with more than j steps
+            total[rows] += km[first_step[rows] + j]
+        mean_km = _divide(total, n_steps, n_steps > 0)
         dist_prev = np.zeros(len(pois))
         dist_prev[step] = km
         hours = arrivals // 3600 % HOURS
         start, end = pois[first], pois[last]
         feats = np.column_stack([self.poi_cat[start], self.poi_cat[end], start, end,
-                                 np.array(mean_km, dtype=float), hours[first], hours[last]])
+                                 mean_km, hours[first], hours[last]])
         return dist_prev, feats
 
     # -- model input scaling ------------------------------------------------
@@ -672,6 +697,12 @@ class FeatureTables:
         sorted keys would lose), the distance bounds and the session
         features; and ``stored_sha256``, the digest of every field but the
         encodings and catalogue."""
+        d = self._document()
+        d["stored_sha256"] = _stored_sha256(_texts(d))
+        return d
+
+    def _document(self) -> dict:
+        """``to_dict`` without ``stored_sha256``."""
         n_cells = self.n_pois * HOURS
         end = self._lt_keys.searchsorted(self.n_users * n_cells)
         row, cell = np.divmod(self._lt_keys[:end], n_cells)
@@ -680,7 +711,7 @@ class FeatureTables:
         lo, hi = row.searchsorted(self._order).tolist(), row.searchsorted(self._order, "right")
         own = np.flatnonzero(self.stay.own)
         bounded = np.flatnonzero(self._dist_own)
-        d = {
+        return {
             "encodings": self.encodings.to_dict(),
             "poi_coords": self.poi_coords.tolist(),
             "poi_cat": self.poi_cat.tolist(),
@@ -698,8 +729,6 @@ class FeatureTables:
                 for key, vec in sorted(self._session_features.items())
             },
         }
-        d["stored_sha256"] = _stored_sha256(d)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureTables":
@@ -763,14 +792,17 @@ class FeatureTables:
                         f"visit count of cell {key}: {n!r} is not a whole number >= 1")
                 counts.append(n)
         tables._derive(*(np.array(x, dtype=np.int64) for x in (order, keys, counts)))
-        if d["stored_sha256"] != _stored_sha256(d):
+        if d["stored_sha256"] != _stored_sha256(_texts(d)):
             raise ValueError("its stored fields are not those it was written with")
         return tables
 
     def save(self, path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8"
-        )
+        """Write ``to_dict`` as JSON with sorted keys, each field encoded
+        once for both the digest and the file."""
+        d = self._document()
+        texts = _texts(d, d)
+        texts["stored_sha256"] = json.dumps(_stored_sha256(texts))
+        Path(path).write_text(_object_text(texts), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "FeatureTables":

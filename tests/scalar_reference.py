@@ -79,6 +79,13 @@ gate's own weight blocks and makes two products per gate; the step over
 the stacked gate blocks must give its logits, state and every cache
 entry bit for bit.
 
+``session_lines`` is the earlier ``sessions.jsonl`` writer of
+``save_dataset``, one ``JSONEncoder.encode`` call with sorted keys per
+session, and ``stored_sha256`` the earlier digest of a ``to_dict``
+document, one ``json.dumps`` of its stored fields together. The lines
+``save_dataset`` writes, and the text and digest of ``FeatureTables.save``,
+must equal theirs byte for byte.
+
 Every sum of Python floats here adds left to right from 0.0, with
 ``left_to_right``, so the oracle's bits do not depend on the Python
 version.
@@ -86,6 +93,8 @@ version.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import statistics
 import warnings
@@ -1043,3 +1052,22 @@ def lstm_step(net, state, inputs, attrs, terms, cache=None):
     if cache is not None:
         cache.append((x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h))
     return (h, c), logits
+
+
+def session_lines(sessions, encodings) -> list:
+    """One ``sessions.jsonl`` line per ``Session``: its encoded user, POIs,
+    arrivals and departures through one encoder call with sorted keys."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    return [encode({"user": encodings.user(s.user_id),
+                    "pois": [encodings.poi(v.poi.poi_id) for v in s.visits],
+                    "arrivals": [v.arrival for v in s.visits],
+                    "departures": [v.departure for v in s.visits]})
+            for s in sessions]
+
+
+def stored_sha256(d: dict) -> str:
+    """SHA-256 of the fields of a ``to_dict`` document that are not its
+    encodings and catalogue, dumped together with sorted keys."""
+    keys = ("stay", "friends", "users", "dist_in", "dist_global", "session_features")
+    text = json.dumps({key: d[key] for key in keys}, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -5,6 +5,7 @@ loop transcription of its fit."""
 
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -115,6 +116,28 @@ def deterministic_chain(successor: dict) -> UserChain:
     transition = np.zeros((len(alphabet), len(alphabet)))
     transition[[index[a] for a in successor], [index[b] for b in successor.values()]] = 1.0
     return UserChain(alphabet, index, np.eye(len(alphabet))[0], transition)
+
+
+class TestPopularityClock:
+    @pytest.mark.parametrize("start_hour", [9.0, 23.9999, -1e-20, 30.2])
+    def test_hours_equal_advance_hours_of_the_trip(self, synth_small, synth_tables,
+                                                   start_hour, monkeypatch):
+        """``generate`` clocks its trip from the distance rows it reads, so
+        a request makes no ``advance_hours`` read, and its hours are those
+        of ``advance_hours`` bit for bit."""
+        from capseq import generation
+
+        sessions, _, encodings = synth_small
+        model = PopularityRecommender().fit(sessions, synth_tables)
+        advance_hours = generation.advance_hours
+        monkeypatch.setattr(generation, "advance_hours", None)  # a read would fail
+        for start in range(0, encodings.n_pois, 7):
+            for length in (1, 2, 5, encodings.n_pois + 3):  # the last one revisits
+                request = GenRequest(user=0, start_poi=start, start_hour=start_hour,
+                                     length=length, candidates=1)
+                (seq,) = model.generate(request)
+                want = advance_hours(synth_tables, [seq.pois], start_hour)[0].tolist()
+                assert seq.hours == want
 
 
 class TestMarkov:
@@ -511,6 +534,16 @@ class TestHits:
         h_ref, a_ref = independent_power_iteration(M)
         np.testing.assert_allclose(h, h_ref, atol=1e-8)
         np.testing.assert_allclose(a, a_ref, atol=1e-8)
+
+    def test_norm_is_numpys_formula_bit_for_bit(self):
+        """``power_iterate`` takes a vector's norm as ``sqrt(v.dot(v))``,
+        which is what ``np.linalg.norm`` computes for a 1-D float vector."""
+        rng = np.random.default_rng(11)
+        for i in range(2000):
+            v = rng.random(1 + i % 300) * 10.0 ** rng.integers(-150, 150)
+            if i % 3 == 0:
+                v = np.round(v * 7)  # whole visit counts, as the adjacency holds
+            assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
 
     def test_single_location_region_authority_one(self):
         M = np.array([[2.0], [5.0]])

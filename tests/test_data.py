@@ -795,6 +795,42 @@ class TestColumnarOracles:
         assert len(calls) == 3  # encodings.json, pois.json and graph.json
 
 
+class TestSessionLines:
+    """``save_dataset`` writes each ``sessions.jsonl`` line from one
+    template over the text of int lists; the earlier per-line encoder call
+    of ``scalar_reference`` is its oracle."""
+
+    @staticmethod
+    def check(tmp_path, sessions, encodings):
+        dataio.save_dataset(tmp_path, sessions, encodings)
+        text = (tmp_path / "sessions.jsonl").read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        lines = text[:-1].split("\n")
+        assert lines == ref.session_lines(sessions, encodings)
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True)
+
+    def test_extreme_times_one_visit_sessions_and_user_0(self, tmp_path):
+        a, b = Poi("a", 40.0, -74.0, "Food"), Poi("b", 40.01, -74.0, "Bar")
+        lo, hi = dataio.INT64_MIN, dataio.INT64_MAX
+        sessions = [
+            Session("u0", (Visit(a, lo, lo),)),
+            Session("u0", (Visit(a, -1, 0), Visit(b, 0, 5), Visit(a, 6, 6))),
+            Session("u1", (Visit(b, 7, 9),)),
+            Session("u1", (Visit(a, hi - 1, hi - 1), Visit(b, hi, hi))),
+        ]
+        encodings = Encodings.fit(sessions)
+        assert encodings.user("u0") == 0
+        self.check(tmp_path, sessions, encodings)
+
+    @pytest.mark.parametrize("seed, fmt, bom", TestColumnarOracles.LOGS)
+    def test_built_corpora(self, tmp_path, seed, fmt, bom):
+        messy_log(tmp_path / "c.csv", seed, fmt, bom)
+        table = build_sessions(parse_checkins(tmp_path / "c.csv", fmt).records)
+        assert max(map(len, table)) > 1
+        self.check(tmp_path / "ds", table, table.encodings)
+
+
 class TestEncodings:
     def test_round_trip(self, tiny_world):
         sessions, _, encodings = tiny_world

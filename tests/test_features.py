@@ -480,6 +480,32 @@ class TestSnapshot:
             FeatureTables.from_dict(d)
 
 
+class TestSaveText:
+    """``save`` encodes each field once for both the digest and the file;
+    the earlier one ``json.dumps`` of the document, and of its stored
+    fields for the digest, are its oracles in ``scalar_reference``."""
+
+    @staticmethod
+    def bare(tables) -> FeatureTables:
+        """``tables`` without friends and without session features."""
+        d = tables.to_dict()
+        d["friends"], d["session_features"] = {}, {}
+        d["stored_sha256"] = ref.stored_sha256(d)
+        return FeatureTables.from_dict(d)
+
+    @pytest.mark.parametrize("case", ["synth", "bare"])
+    def test_file_and_digest_equal_one_dump_of_the_document(self, synth_tables, tmp_path,
+                                                            case):
+        tables = synth_tables if case == "synth" else self.bare(synth_tables)
+        d = tables.to_dict()
+        if case == "bare":
+            assert not any(d["friends"].values()) and d["session_features"] == {}
+        assert d["stored_sha256"] == ref.stored_sha256(d)
+        tables.save(tmp_path / "tables.json")
+        assert (tmp_path / "tables.json").read_text(encoding="utf-8") == json.dumps(
+            d, sort_keys=True)
+
+
 def _state(value, path="tables"):
     """Every leaf of a ``FeatureTables``' state as (path, comparable
     bytes): arrays by dtype, shape and bytes, other values by type and

@@ -80,6 +80,22 @@ class TestSequentialSum:
         assert dist_prev.tolist() == [0.0] + TENTHS
         assert feats[0, 4] == self.SUM / 10
 
+    def test_mean_step_km_of_many_sessions(self, synth_tables, monkeypatch):
+        """Each session's mean step km, summed by step index over the
+        sessions, is its own steps added left to right from 0.0."""
+        rng = np.random.default_rng(4)
+        lengths = rng.integers(1, 12, size=200)
+        lengths[[0, 57]] = 1, 40
+        n = int(lengths.sum())
+        km = rng.random(n - len(lengths)) * 10.0 ** rng.integers(-3, 3, n - len(lengths))
+        monkeypatch.setattr(tables_module, "arcs_km", lambda points, a, b: km)
+        zeros = np.zeros(n, dtype=np.int64)
+        _, feats = synth_tables.session_steps((zeros, zeros, zeros, zeros, lengths))
+        ends = np.cumsum(lengths - 1).tolist()
+        want = [sequential_sum(km[end - k:end].tolist()) / k if k else 0.0
+                for end, k in zip(ends, (lengths - 1).tolist())]
+        assert feats[:, 4].tolist() == want
+
     def test_displacement(self, monkeypatch):
         monkeypatch.setattr(metrics, "haversine_km", lambda *coords: 0.1)
         stops = [(40.0, -74.0)] * 10
