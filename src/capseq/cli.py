@@ -45,6 +45,7 @@ from .metrics import (
     csv_rows,
     read_report_csv,
     report_csv,
+    seeded_csv,
     sweep_csv,
     text_tables,
     timings_csv,
@@ -302,17 +303,15 @@ def cmd_train(args) -> int:
     cfg = _merged_config(args)
     out = _out_dir(cfg)
     kind = cfg.get("model") or "caps-lstm"
-    if kind not in MODEL_KINDS:
-        raise UsageError(f"unknown model kind {kind!r}")
+    if kind not in MODEL_KINDS:  # argparse checks --model; this checks the config key
+        raise configmod.ConfigError(f"unknown model kind {kind!r}")
     sessions, encodings, tables = _dataset_and_tables(cfg)
     model = _recommender(kind, cfg)
     model.fit(sessions, tables)
     ckpt = out / f"{kind}.ckpt"
     model.save(ckpt)
-    curve_path = out / f"{kind}-loss.csv"
-    lines = [f"# seed={cfg['seed']}", "epoch,mean_nll"]
-    lines += [f"{i},{v!r}" for i, v in enumerate(model.loss_curve_)]
-    curve_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out / f"{kind}-loss.csv").write_text(seeded_csv(cfg["seed"], "epoch,mean_nll", (
+        f"{i},{v!r}" for i, v in enumerate(model.loss_curve_))), encoding="utf-8")
     print(
         f"train: {kind} nll {model.loss_curve_[0]:.4f} -> {model.loss_curve_[-1]:.4f} "
         f"over {len(model.loss_curve_) - 1} epochs; checkpoint {ckpt}"

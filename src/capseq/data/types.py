@@ -61,22 +61,10 @@ def check_checkin(user_id, poi_id, timestamp, lat, lon, category, city=None) -> 
 CHECKIN_FIELDS = ("user_id", "poi_id", "timestamp", "lat", "lon", "category", "city")
 
 
-class _Objects(Sequence):
-    """A read-only sequence of the objects that ``_objects`` makes once, on
-    the first element access."""
-
-    def __getitem__(self, i):
-        return self._objects[i]
-
-    def __iter__(self):
-        return iter(self._objects)
-
-
 @dataclass(frozen=True)
-class Checkins(_Objects):
+class Checkins:
     """Check-ins as columns, in ``CheckinRecord`` field order, sorted by
-    user id and then time with ties in input order; its objects are
-    ``CheckinRecord``s."""
+    user id and then time with ties in input order."""
 
     users: list
     pois: list
@@ -98,14 +86,6 @@ class Checkins(_Objects):
         """Sorted columns of valid check-ins given as field tuples."""
         rows = sorted(rows, key=itemgetter(0, 2))
         return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in CHECKIN_FIELDS))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    @cached_property
-    def _objects(self) -> list:
-        return [CheckinRecord(*row) for row in zip(self.users, self.pois, self.times, self.lats,
-                                                   self.lons, self.categories, self.cities)]
 
 
 @dataclass(frozen=True)
@@ -291,10 +271,11 @@ class Encodings:
         return cls(d["pois"], d["categories"], d["users"])
 
 
-class SessionTable(_Objects):
+class SessionTable(Sequence):
     """Sessions as columns: the five int64 arrays of ``visit_arrays`` under
     their ``encodings``, and each visit's place, an index into ``places``
-    (``Poi``s); its objects are ``Session``s."""
+    (``Poi``s); a read-only sequence of ``Session``s, made once, on the
+    first element access."""
 
     def __init__(self, columns: tuple, encodings: Encodings, places: list, place_ix):
         for column in (*columns, place_ix):
@@ -323,6 +304,12 @@ class SessionTable(_Objects):
 
     def __len__(self) -> int:
         return len(self.columns[4])
+
+    def __getitem__(self, i):
+        return self._objects[i]
+
+    def __iter__(self):
+        return iter(self._objects)
 
     @cached_property
     def _objects(self) -> list:

@@ -95,7 +95,7 @@ def _stay_stats(users, pois, stays, n_pois: int) -> StayStats:
     return StayStats.from_means(n_pois, dict(zip(visited.tolist(), mean_stay)), global_mean)
 
 
-# the fields of a ``to_dict`` document that are not its encodings and catalogue
+# the fields of a tables document (``save``) that are not its encodings and catalogue
 _STORED_FIELDS = ("stay", "friends", "users", "dist_in", "dist_global", "session_features")
 
 
@@ -107,7 +107,7 @@ def _object_text(texts: dict) -> str:
 
 
 def _stored_sha256(texts: dict) -> str:
-    """SHA-256 of the stored fields of a ``to_dict`` document, from their
+    """SHA-256 of the stored fields of a tables document, from their
     texts ``texts``."""
     text = _object_text({key: texts[key] for key in _STORED_FIELDS})
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -690,19 +690,13 @@ class FeatureTables:
 
     # -- serialization -----------------------------------------------------
 
-    def to_dict(self) -> dict:
+    def _document(self) -> dict:
         """What ``from_dict`` cannot derive: the encodings and catalogue,
         the stay means, the friend lists, each user's ``"poi:hour"`` visit
         counts (a list of ``[user, cells]`` in first-seen order, which
         sorted keys would lose), the distance bounds and the session
-        features; and ``stored_sha256``, the digest of every field but the
-        encodings and catalogue."""
-        d = self._document()
-        d["stored_sha256"] = _stored_sha256(_texts(d))
-        return d
-
-    def _document(self) -> dict:
-        """``to_dict`` without ``stored_sha256``."""
+        features. ``save`` adds ``stored_sha256``, the digest of every
+        field but the encodings and catalogue."""
         n_cells = self.n_pois * HOURS
         end = self._lt_keys.searchsorted(self.n_users * n_cells)
         row, cell = np.divmod(self._lt_keys[:end], n_cells)
@@ -732,7 +726,7 @@ class FeatureTables:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureTables":
-        """Tables from ``to_dict`` output. Raises ``ValueError`` for
+        """Tables from the document ``save`` writes. Raises ``ValueError`` for
         anything else: a missing field, a wrong type or shape, an index
         out of range, or stored fields that are not those written."""
         try:
@@ -786,7 +780,7 @@ class FeatureTables:
                 l, t = key.split(":")
                 keys.append((u * n_pois + _index(int(l), n_pois, "POI")) * HOURS
                             + _index(int(t), HOURS, "hour"))
-                # to_dict writes visited cells only, each a count below 2**53
+                # save writes visited cells only, each a count below 2**53
                 if type(n) is not int or not 0 < n < 1 << 53:
                     raise ValueError(
                         f"visit count of cell {key}: {n!r} is not a whole number >= 1")
@@ -797,8 +791,8 @@ class FeatureTables:
         return tables
 
     def save(self, path) -> None:
-        """Write ``to_dict`` as JSON with sorted keys, each field encoded
-        once for both the digest and the file."""
+        """Write the tables document as JSON with sorted keys, each field
+        encoded once for both the digest and the file."""
         d = self._document()
         texts = _texts(d, d)
         texts["stored_sha256"] = json.dumps(_stored_sha256(texts))

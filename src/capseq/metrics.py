@@ -284,11 +284,17 @@ def cross_validate(
 REPORT_COLUMNS = ["model", "fold", *METRICS[:-1], "sessions"]
 
 
+def seeded_csv(seed: int, header: str, lines) -> str:
+    """The text of a CSV file written here: a ``# seed=`` line, the header
+    line, then ``lines``, the data lines."""
+    return "\n".join([f"# seed={seed}", header, *lines]) + "\n"
+
+
 def report_csv(result: EvalResult, seed: int, include_raw: bool = False) -> str:
     """Deterministic CSV of the metric rows (timings go elsewhere so the
     bytes are reproducible across runs)."""
     columns = REPORT_COLUMNS + (["diversity_raw"] if include_raw else [])
-    lines = [f"# seed={seed}", ",".join(columns)]
+    lines = []
     for r in result.reports:
         row = [r.model, r.fold]
         row += [f"{getattr(r, m):.6f}" for m in METRICS[:-1]]
@@ -296,7 +302,7 @@ def report_csv(result: EvalResult, seed: int, include_raw: bool = False) -> str:
         if include_raw:
             row.append(f"{r.diversity_raw:.6f}")
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return seeded_csv(seed, ",".join(columns), lines)
 
 
 def csv_rows(text: str) -> list:
@@ -331,19 +337,14 @@ def read_report_csv(text: str) -> EvalResult:
 
 
 def timings_csv(result: EvalResult, seed: int) -> str:
-    lines = [f"# seed={seed}", "model,fold,seconds"]
-    for r in result.reports:
-        lines.append(f"{r.model},{r.fold},{r.seconds:.3f}")
-    return "\n".join(lines) + "\n"
+    return seeded_csv(seed, "model,fold,seconds",
+                      (f"{r.model},{r.fold},{r.seconds:.3f}" for r in result.reports))
 
 
 def sweep_csv(result: EvalResult, seed: int) -> str:
-    lines = [f"# seed={seed}", "model,length,diversity,displacement_mean_km"]
-    for p in result.sweep:
-        lines.append(
-            f"{p.model},{p.length},{p.diversity:.6f},{p.displacement_mean_km:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    return seeded_csv(seed, "model,length,diversity,displacement_mean_km", (
+        f"{p.model},{p.length},{p.diversity:.6f},{p.displacement_mean_km:.6f}"
+        for p in result.sweep))
 
 
 def text_tables(result: EvalResult) -> str:

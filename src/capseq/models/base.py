@@ -42,12 +42,6 @@ class SequenceRecommender:
                     f"{type(self).__name__} must be fitted before this call"
                 )
 
-    def fit(self, sessions, tables):
-        raise NotImplementedError
-
-    def generate(self, request, seed: int = 0):
-        raise NotImplementedError
-
 
 def check_sessions(sessions: Iterable[Session], encodings: Encodings) -> SessionTable:
     """The training sessions (length >= 2) of ``sessions`` as a table under

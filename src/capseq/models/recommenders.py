@@ -50,9 +50,6 @@ class _NeuralRecommender(SequenceRecommender):
         if self.learning_rate == float("inf"):  # the one value >= 0 that is not finite
             raise ValueError("learning_rate must be finite, got inf")
 
-    def _build_net(self, n_pois: int):
-        raise NotImplementedError
-
     def fit(self, sessions, tables: FeatureTables):
         sessions = check_sessions(sessions, tables.encodings)
         self.tables_ = tables
@@ -78,7 +75,6 @@ class _NeuralRecommender(SequenceRecommender):
         sidecar = {
             "kind": self.kind,
             "params": self.get_params(),
-            "n_pois": self.net_.n_pois,
             "encodings_sha256": encodings_hash(self.tables_.encodings),
         }
         path.with_suffix(path.suffix + ".json").write_text(
@@ -89,7 +85,7 @@ class _NeuralRecommender(SequenceRecommender):
     def _restore(cls, sidecar: dict, weights, tables: FeatureTables):
         model = cls(**sidecar["params"])
         model.tables_ = tables
-        model.net_ = model._build_net(sidecar["n_pois"])
+        model.net_ = model._build_net(tables.n_pois)
         model.net_.load_weights(weights)
         model.loss_curve_ = []
         return model
@@ -158,8 +154,9 @@ MODEL_KINDS = {
 
 
 def load_checkpoint(path, tables: FeatureTables):
-    """Restore a trained model from snapshot + sidecar; refuses a
-    checkpoint whose encodings differ from the supplied tables."""
+    """Restore a trained model from snapshot + sidecar, its net built for
+    the POIs of ``tables``; refuses a checkpoint whose encodings differ
+    from theirs, or whose snapshot does not fit the net."""
     path = Path(path)
     sidecar = json.loads(
         path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8")

@@ -77,10 +77,7 @@ def sgd_step(params: Params, grads: Mapping[str, np.ndarray], learning_rate: flo
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Glorot uniform init; fan counts from the trailing two dims."""
-    if len(shape) == 1:
-        fan_in = fan_out = shape[0]
-    else:
-        fan_out, fan_in = shape[-2], shape[-1]
+    fan_out, fan_in = shape[-2], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 

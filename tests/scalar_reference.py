@@ -6,9 +6,9 @@ rollout step or per sequence. This module keeps the earlier form of the
 same arithmetic: one Python-float evaluation per POI, per step and per
 stop, in the order the formulas define, reading only the statistics
 arrays, the POI coordinates and the visit counts, stay means and
-distance bounds of ``to_dict`` of a built ``FeatureTables``; it sums the
-pooled visit counts and min-max scales the stay means itself. Every array
-read must equal it bit for bit.
+distance bounds of the document a built ``FeatureTables`` saves; it
+sums the pooled visit counts and min-max scales the stay means itself.
+Every array read must equal it bit for bit.
 
 ``apriori_search`` is the earlier Apriori beam search, one ``_Trip`` per
 candidate and one Python sort per level, over ``neighbour_lists`` of
@@ -81,7 +81,7 @@ entry bit for bit.
 
 ``session_lines`` is the earlier ``sessions.jsonl`` writer of
 ``save_dataset``, one ``JSONEncoder.encode`` call with sorted keys per
-session, and ``stored_sha256`` the earlier digest of a ``to_dict``
+session, and ``stored_sha256`` the earlier digest of a tables
 document, one ``json.dumps`` of its stored fields together. The lines
 ``save_dataset`` writes, and the text and digest of ``FeatureTables.save``,
 must equal theirs byte for byte.
@@ -97,11 +97,13 @@ import hashlib
 import json
 import math
 import statistics
+import tempfile
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -120,6 +122,20 @@ from capseq.models import MAX_STEPS, Batch
 from capseq.models.lstm import GATES
 
 
+def checkin_records(checkins) -> list:
+    """The ``CheckinRecord`` of each row of ``Checkins`` columns, in order."""
+    columns = (getattr(checkins, field.name) for field in fields(checkins))
+    return [CheckinRecord(*row) for row in zip(*columns)]
+
+
+def saved_document(tables: FeatureTables) -> dict:
+    """The JSON document ``tables.save`` writes, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tables.json"
+        tables.save(path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
 def left_to_right(values) -> float:
     """``values`` added one at a time from 0.0; the builtin ``sum`` over
     floats compensates from Python 3.12 on."""
@@ -134,7 +150,7 @@ class ScalarTables:
 
     def __init__(self, tables):
         self.tables = tables
-        d = tables.to_dict()
+        d = saved_document(tables)
         self.counts_lt = {}
         pooled = tables.n_users * tables.n_pois * HOURS
         for u, cells in d["users"]:
@@ -649,9 +665,9 @@ def _astcat_hour(tables, slots, order: np.ndarray, entries: tuple) -> np.ndarray
 
 def interest_stats(tables: FeatureTables) -> tuple:
     """The full data's ``_Interest``, pooled row last, and ``astcat_hour``
-    of ``tables``, from the visit counts and friend lists of its
-    ``to_dict``."""
-    d = tables.to_dict()
+    of ``tables``, from the visit counts and friend lists of its saved
+    document."""
+    d = saved_document(tables)
     n_users, n_pois = tables.n_users, tables.n_pois
     counts = np.zeros((n_users + 1, n_pois), dtype=np.int64)
     order, rows, pois, hours, visits = [], [], [], [], []
@@ -1066,7 +1082,7 @@ def session_lines(sessions, encodings) -> list:
 
 
 def stored_sha256(d: dict) -> str:
-    """SHA-256 of the fields of a ``to_dict`` document that are not its
+    """SHA-256 of the fields of a tables document that are not its
     encodings and catalogue, dumped together with sorted keys."""
     keys = ("stay", "friends", "users", "dist_in", "dist_global", "session_features")
     text = json.dumps({key: d[key] for key in keys}, sort_keys=True)

@@ -5,6 +5,8 @@ import dataclasses
 import json
 import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +18,8 @@ from capseq.data.io import load_dataset
 from capseq.features import FeatureTables
 from capseq.generation import GenRequest
 from capseq.metrics import REPORT_COLUMNS
-from capseq.models import MODEL_KINDS
-from capseq.numerics import SNAPSHOT_MAGIC
+from capseq.models import MODEL_KINDS, PlainRnnRecommender
+from capseq.numerics import SNAPSHOT_MAGIC, save_params
 
 
 @pytest.fixture(scope="module")
@@ -240,6 +242,17 @@ def _swap_2d_dims(raw: bytes) -> bytes:
             return raw[:at + 1] + struct.pack("<2I", *dims[::-1]) + raw[at + 9:]
         at += 1 + 4 * ndim
     raise AssertionError("the snapshot holds no 2-D block of two different dims")
+
+
+def _snapshot_of_pois(n_pois: int):
+    """Checkpoint snapshot edit: the snapshot of an untrained net of the
+    ``bad_input_sources`` checkpoint's settings, built for ``n_pois`` POIs."""
+    def edit(raw: bytes) -> bytes:
+        net = PlainRnnRecommender(hidden_size=4, n_layers=1, embedding_size=3)._build_net(n_pois)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_params(Path(tmp) / "s.ckpt", net.params)
+            return (Path(tmp) / "s.ckpt").read_bytes()
+    return edit
 
 
 def _without_last_poi(raw: bytes) -> bytes:
@@ -468,6 +481,23 @@ BAD_INPUTS = {
         {"m.ckpt.json": _with_sidecar(kind="transformer")}, GENERATE, 2),
     "checkpoint-snapshot-version-2": ({"m.ckpt": _snapshot_version(2)}, GENERATE, 2),
     "checkpoint-block-dims-swapped": ({"m.ckpt": _swap_2d_dims}, GENERATE, 2),
+    # a snapshot and an older sidecar that agree on 2 POIs, for a dataset of more
+    "checkpoint-of-two-pois": (
+        {"m.ckpt": _snapshot_of_pois(2), "m.ckpt.json": _with_sidecar(n_pois=2)}, GENERATE, 2),
+    "checkins-empty-file": ({"c.csv": ""}, ["ingest", "--checkins", "{tmp}/c.csv"], 2),
+    "checkins-header-without-time-column": (
+        {"c.csv": CHECKINS.replace("datetime,", "").replace("1330905600,", "")},
+        ["ingest", "--checkins", "{tmp}/c.csv"], 2),
+    "ingest-min-checkins-leaves-no-session": (
+        {"c.csv": CHECKINS}, ["ingest", "--checkins", "{tmp}/c.csv", "--min-checkins", "2"], 2),
+    "evaluate-unknown-model": ({}, ["evaluate", "--models", "nosuch"], 1),
+    # u0000, user 0, is encoded, but only user 1 has sessions
+    "generate-user-without-sessions": (
+        {"ds/sessions.jsonl": SINGLE_VISIT_SESSIONS.replace('"user": 0', '"user": 1')},
+        GENERATE + ["--data-dir", "{tmp}/ds"], 2),
+    # argparse's choices check --model, so only a config file reaches this rule
+    "train-unknown-model-in-config": (
+        {"run.cfg": "model = nosuch\n"}, ["train", "--config", "{tmp}/run.cfg"], 1),
     "config-line-without-equals": (
         {"run.cfg": "seed 3\n"}, ["features", "--config", "{tmp}/run.cfg"], 1),
     "config-bad-value": (
@@ -506,6 +536,13 @@ BAD_INPUT_MESSAGES = {
     "checkpoint-unknown-kind": "unknown model kind 'transformer'",
     "checkpoint-snapshot-version-2": "unsupported snapshot version 2",
     "checkpoint-block-dims-swapped": "shape mismatch for",
+    "checkpoint-of-two-pois": "shape mismatch for",
+    "checkins-empty-file": "empty file, header row required",
+    "checkins-header-without-time-column": "missing required column for 'time'",
+    "ingest-min-checkins-leaves-no-session": "no sessions remain after filtering",
+    "evaluate-unknown-model": "unknown model 'nosuch'",
+    "generate-user-without-sessions": "user 'u0000' has no observed check-ins",
+    "train-unknown-model-in-config": "unknown model kind 'nosuch'",
     "config-line-without-equals": "expected 'key = value', got 'seed 3'",
     "config-bad-value": "bad value for seed",
     "train-inf-lr": "learning_rate must be finite, got inf",
@@ -693,7 +730,8 @@ def test_popularity_on_one_poi_repeats_the_start(one_poi_data, tmp_path):
 class TestConfigFile:
     def test_parse_and_merge(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs = 4\nseed = 11  # comment\n", encoding="utf-8")
+        cfg.write_text("# a comment line\n\nepochs = 4\n  \t\nseed = 11  # comment\n",
+                       encoding="utf-8")
         values = parse_config_file(cfg, CONFIG_KEYS)
         assert values == {"epochs": 4, "seed": 11}
 

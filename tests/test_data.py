@@ -45,9 +45,9 @@ class TestParse:
         path = tmp_path / "c.csv"
         write_csv(path, ["u1,p1,2010-05-01T09:00:00Z,40.0,-74.0,nyc,Food:Coffee Shop\n"])
         result = parse_checkins(path)
-        assert len(result.records) == 1
+        assert len(result.records.times) == 1
         assert result.dropped == 0
-        rec = result.records[0]
+        rec = ref.checkin_records(result.records)[0]
         assert rec.timestamp == 1272704400
         assert rec.category == "Food:Coffee Shop"
         assert rec.city == "nyc"
@@ -62,7 +62,7 @@ class TestParse:
             ],
         )
         result = parse_checkins(path)
-        assert len(result.records) == 1
+        assert len(result.records.times) == 1
         assert result.dropped == 1
 
     def test_malformed_rows_counted_by_independent_scan(self, tmp_path):
@@ -82,7 +82,7 @@ class TestParse:
             1 for i, line in enumerate(rows) if "not-a-date" not in line
         )
         result = parse_checkins(path)
-        assert len(result.records) == good == 990
+        assert len(result.records.times) == good == 990
         assert result.dropped == 10
 
     def test_sorted_by_user_then_time(self, tmp_path):
@@ -96,7 +96,7 @@ class TestParse:
             ],
         )
         result = parse_checkins(path)
-        keys = [(r.user_id, r.timestamp) for r in result.records]
+        keys = list(zip(result.records.users, result.records.times))
         assert keys == sorted(keys)
 
     def test_unreadable_file_fatal(self, tmp_path):
@@ -124,6 +124,26 @@ class TestParse:
         result = parse_checkins(path)
         assert result.dropped == 1
 
+    def test_out_of_range_longitude_dropped_and_counted(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_csv(path, ["u1,p1,1272704400,40.0,-185.0,,Food\n",
+                         "u1,p2,1272704400,40.0,-74.0,,Food\n"])
+        result = parse_checkins(path)
+        assert (result.records.pois, result.dropped) == (["p2"], 1)
+        with pytest.raises(DataError, match="longitude out of range"):
+            rec("u1", "p1", 1272704400, 40.0, 180.5)
+
+    def test_blank_lines_are_skipped_not_counted(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_csv(path, ["\n", "u1,p1,1272704400,40.0,-74.0,,Food\n", "\n"])
+        result = parse_checkins(path)
+        assert (result.records.users, result.dropped) == (["u1"], 0)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        write_csv(tmp_path / "c.csv", [])
+        with pytest.raises(ValueError, match="unknown format 'foursquare'"):
+            parse_checkins(tmp_path / "c.csv", fmt="foursquare")
+
     def test_gowalla_columns_map_to_canonical(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text(
@@ -132,7 +152,7 @@ class TestParse:
             encoding="utf-8",
         )
         result = parse_checkins(path, fmt="gowalla")
-        rec = result.records[0]
+        rec = ref.checkin_records(result.records)[0]
         assert rec.poi_id == "s9"
         assert rec.category == "Coffee Shop"
         assert rec.city is None
@@ -164,7 +184,7 @@ class TestParseRules:
         path.write_text(text, encoding="utf-8")
         result = parse_checkins(path, fmt)
         return [(r.user_id, r.poi_id, r.timestamp, r.lat, r.lon, r.category, r.city)
-                for r in result.records], result.dropped
+                for r in ref.checkin_records(result.records)], result.dropped
 
     def test_duplicate_header_names_read_the_last_cell_the_row_has(self, tmp_path):
         text = ("userid,placeid,datetime,lat,lon,city,category,lat\n"
@@ -290,7 +310,7 @@ class TestTimes:
             for i in range(len(self.CELLS)):  # keeps the drops under half
                 writer.writerow(["pad", "p", 1272704400 + i, 40.0, -74.0, "", "Food"])
         result = parse_checkins(path)
-        got = {r.user_id: r.timestamp for r in result.records}
+        got = dict(zip(result.records.users, result.records.times))
         assert {cell: got.get(f"u{i}") for i, cell in enumerate(self.CELLS)} == self.CELLS
         assert result.dropped == sum(t is None for t in self.CELLS.values())
 
@@ -311,7 +331,7 @@ class TestByteOrderMark:
             (tmp_path / f"{name}-f.csv").write_text(text + friends, encoding="utf-8")
         assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
         assert parse_checkins(tmp_path / "bom.csv") == parse_checkins(tmp_path / "plain.csv")
-        assert parse_checkins(tmp_path / "plain.csv").records[0].user_id == "u1"
+        assert parse_checkins(tmp_path / "plain.csv").records.users == ["u1"]
         assert (parse_friendships(tmp_path / "bom-f.csv").records
                 == parse_friendships(tmp_path / "plain-f.csv").records == [("u1", "u2")])
 
@@ -580,7 +600,7 @@ class TestColumnarOracles:
         assert path.read_bytes().startswith(b"\xef\xbb\xbf") == bom
         result = parse_checkins(path, fmt)
         records, dropped = ref.parse_checkins(path, fmt)
-        assert list(result.records) == records
+        assert ref.checkin_records(result.records) == records
         assert result.dropped == dropped == 5
 
     @pytest.mark.parametrize("seed, fmt, bom", LOGS)
@@ -588,13 +608,14 @@ class TestColumnarOracles:
         path = tmp_path / "c.csv"
         messy_log(path, seed, fmt, bom)
         parsed = parse_checkins(path, fmt).records
-        records = list(parsed)
+        records = ref.checkin_records(parsed)
         shuffled = [records[i] for i in np.random.default_rng(seed).permutation(len(records))]
         for mode in ("deterministic", "lognormal"):
             travel = TravelTimeModel(mode).fit(parsed)
             assert travel.log_mu == ref.travel_log_mu(records) is not None
-            for min_checkins, given in itertools.product((0, 6, 25), (parsed, shuffled)):
-                want = ref.build_sessions(list(given), travel, min_checkins)
+            for min_checkins, (given, rows) in itertools.product(
+                    (0, 6, 25), ((parsed, records), (shuffled, shuffled))):
+                want = ref.build_sessions(rows, travel, min_checkins)
                 users, cats, pois, coords, poi_cat = ref.fit_encodings(want)
                 table = build_sessions(given, travel, min_checkins)
                 assert isinstance(table, SessionTable)
@@ -956,6 +977,10 @@ class TestPipelineDeterminism:
 
 
 class TestTravelTimeModel:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown travel time mode 'teleport'"):
+            TravelTimeModel("teleport")
+
     def test_deterministic_default_is_walking_speed(self):
         km = haversine_km(40.0, -74.0, 40.0 + 1.0 / 111.19, -74.0)
         tt = TravelTimeModel()

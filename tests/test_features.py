@@ -279,8 +279,8 @@ class TestInvariants:
             dict(reversed(list(encodings.user_to_ix.items()))),
             encodings.poi_coords, encodings.poi_cat,
         )
-        a = FeatureTables.build(sessions, graph, encodings).to_dict()
-        b = FeatureTables.build(sessions, graph, shuffled).to_dict()
+        a = ref.saved_document(FeatureTables.build(sessions, graph, encodings))
+        b = ref.saved_document(FeatureTables.build(sessions, graph, shuffled))
         assert a.pop("encodings") == encodings.to_dict()
         b.pop("encodings")
         assert a == b
@@ -470,10 +470,16 @@ class TestSnapshot:
            for field in ("ast-poi", "astcat-hour", "beta", "beta-pooled", "popularity")},
     }
 
+    def test_names_a_field_of_the_wrong_type(self, synth_tables):
+        d = ref.saved_document(synth_tables)
+        d["stay"] = []
+        with pytest.raises(ValueError, match="field of the wrong type"):
+            FeatureTables.from_dict(d)
+
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("field", sorted(NON_FINITE))
     def test_rejects_non_finite_numbers(self, synth_tables, field, value):
-        d = synth_tables.to_dict()
+        d = ref.saved_document(synth_tables)
         put, message = self.NON_FINITE[field]
         put(d, value)
         with pytest.raises(ValueError, match=message):
@@ -488,7 +494,7 @@ class TestSaveText:
     @staticmethod
     def bare(tables) -> FeatureTables:
         """``tables`` without friends and without session features."""
-        d = tables.to_dict()
+        d = ref.saved_document(tables)
         d["friends"], d["session_features"] = {}, {}
         d["stored_sha256"] = ref.stored_sha256(d)
         return FeatureTables.from_dict(d)
@@ -497,13 +503,13 @@ class TestSaveText:
     def test_file_and_digest_equal_one_dump_of_the_document(self, synth_tables, tmp_path,
                                                             case):
         tables = synth_tables if case == "synth" else self.bare(synth_tables)
-        d = tables.to_dict()
+        tables.save(tmp_path / "tables.json")
+        text = (tmp_path / "tables.json").read_text(encoding="utf-8")
+        d = json.loads(text)
         if case == "bare":
             assert not any(d["friends"].values()) and d["session_features"] == {}
         assert d["stored_sha256"] == ref.stored_sha256(d)
-        tables.save(tmp_path / "tables.json")
-        assert (tmp_path / "tables.json").read_text(encoding="utf-8") == json.dumps(
-            d, sort_keys=True)
+        assert text == json.dumps(d, sort_keys=True)
 
 
 def _state(value, path="tables"):
@@ -831,8 +837,8 @@ class TestOneEncodingPass:
         sessions = list(table)
         calls = poi_lookups(encodings)
         # a table under its own encodings hands over its columns
-        assert FeatureTables.build(table, graph, encodings).to_dict() == (
-            FeatureTables.build(sessions, graph, encodings).to_dict())
+        assert ref.saved_document(FeatureTables.build(table, graph, encodings)) == (
+            ref.saved_document(FeatureTables.build(sessions, graph, encodings)))
         assert calls == [v.poi.poi_id for s in sessions for v in s.visits]
         calls.clear()
         tables = FeatureTables.build(sessions, graph, encodings)
@@ -902,3 +908,13 @@ class TestBuild:
         batch = encode_sessions([], tables)
         assert (batch.inputs.shape, batch.attrs.shape, batch.feats.shape) == (
             (0, 0), (0, 0, ATTRIBUTE_DIM), (0, FEATURE_DIM))
+
+    def test_builds_for_a_catalogue_without_users(self, tiny_world):
+        """Encodings of POIs and no user give tables whose interest means
+        over the users read 0, with no division by the 0 users."""
+        _, _, encodings = tiny_world
+        no_users = Encodings(encodings.poi_to_ix, encodings.cat_to_ix, {},
+                             encodings.poi_coords, encodings.poi_cat)
+        tables = FeatureTables.build([], SocialGraph(), no_users)
+        assert tables.ast_poi.tolist() == [0.0] * encodings.n_pois
+        assert not tables.astcat_hour.any()

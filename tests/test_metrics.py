@@ -77,6 +77,11 @@ class TestPairsF1:
         assert pairs_f1([5], [5]) == (1.0, 1.0, 1.0)
         assert pairs_f1([5], [6]) == (0.0, 0.0, 0.0)
 
+    def test_rejects_an_empty_sequence(self):
+        for actual, predicted in (([], [1]), ([1], []), ([], [])):
+            with pytest.raises(ValueError, match="non-empty"):
+                pairs_f1(actual, predicted)
+
     def test_swap_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
@@ -273,6 +278,13 @@ class TestCrossValidate:
         assert agg.pairs_f1 == pytest.approx(1.0)
         assert agg.displacement_mean_km == pytest.approx(0.0, abs=1e-12)
         assert agg.sessions > 0
+        with pytest.raises(KeyError, match="nosuch"):
+            result.aggregate("nosuch")
+
+    def test_rejects_fewer_than_two_folds(self):
+        sessions = unambiguous_sessions()
+        with pytest.raises(ValueError, match="folds must be >= 2, got 1"):
+            cross_validate(sessions, SocialGraph(), Encodings.fit(sessions), {}, folds=1)
 
     def test_report_csv_deterministic_and_parseable(self):
         sessions = unambiguous_sessions()

@@ -238,7 +238,11 @@ class TestCheckpoints:
         model.save(path)
         sidecar = json.loads(path.with_suffix(".ckpt.json").read_text())
         assert sidecar["kind"] == "caps-lstm"
-        assert "encodings_sha256" in sidecar
+        assert set(sidecar) == {"kind", "params", "encodings_sha256"}
+        # an older sidecar's POI count is not read: the net is built for the tables'
+        sidecar["n_pois"] = 2
+        path.with_suffix(".ckpt.json").write_text(json.dumps(sidecar))
+        assert load_checkpoint(path, tables).net_.n_pois == tables.n_pois
 
     def test_rejects_foreign_encodings(self, world, tmp_path):
         model, tables = self.make(world)

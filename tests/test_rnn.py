@@ -342,6 +342,15 @@ class TestTrain:
                       learning_rate=0.0, clip_threshold=5.0, batch_size=50, epochs=5, seed=3)
         assert all(v == pytest.approx(curve[0], rel=1e-12) for v in curve)
 
+    def test_no_session_is_refused(self):
+        net = ContextRnn(8, hidden_size=4, n_layers=1, embedding_size=3, seed=1)
+        empty = Batch(inputs=np.zeros((0, 0), dtype=np.int64),
+                      targets=np.zeros((0, 0), dtype=np.int64), mask=np.zeros((0, 0)),
+                      attrs=np.zeros((0, 0, ADIM)), feats=np.zeros((0, FDIM)))
+        with pytest.raises(ValueError, match="at least one encoded session"):
+            train(net, empty, learning_rate=0.1, clip_threshold=5.0, batch_size=50, epochs=1,
+                  seed=3)
+
     def test_same_seed_identical_curves(self):
         rng = np.random.default_rng(5)
         seqs = self.make_sequences(rng)
