@@ -8,7 +8,6 @@ diversity and displacement under cross-validation.
 """
 
 from .data import (
-    CheckinRecord,
     Encodings,
     Poi,
     Session,
@@ -49,7 +48,6 @@ __all__ = [
     "AprioriRecommender",
     "CapsLstmRecommender",
     "CapsRnnRecommender",
-    "CheckinRecord",
     "Encodings",
     "EvalReport",
     "FEATURE_DIM",

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..data.types import visit_arrays
+from ..data.types import SessionTable
 from ..generation import GenRequest, ranked
 from ..geo import haversine_km
 from ..models.base import SequenceRecommender, check_positive
@@ -86,20 +86,16 @@ class HitsModel(NamedTuple):
 def hits_fit(sessions, encodings, coords,
              radius_km: float = DEFAULT_REGION_RADIUS_KM) -> HitsModel:
     """Regions of ``coords``, then visit counts, hubs, authorities, traversed
-    pairs and windows from one ``visit_arrays`` pass of ``sessions``."""
+    pairs and windows from the ``SessionTable`` of ``sessions``."""
     region_of_poi = cluster_regions(coords, radius_km)
     n_regions = int(region_of_poi.max()) + 1 if len(region_of_poi) else 0
 
-    users, pois, _, _, lengths = visit_arrays(sessions, encodings)
+    table = SessionTable.of(sessions, encodings)
     visits = np.zeros((encodings.n_users, len(region_of_poi)))
-    np.add.at(visits, (users, pois), 1.0)
-    ends = np.cumsum(lengths)
-    firsts = ends - lengths
-    pois = pois.tolist()
+    np.add.at(visits, (table.users, table.pois), 1.0)
     pair_users: dict[tuple, set] = defaultdict(set)
     windows: dict[tuple, dict] = defaultdict(dict)  # dict keys drop repeats in order
-    for u, first, end in zip(users[firsts].tolist(), firsts.tolist(), ends.tolist()):
-        ixs = pois[first:end]
+    for u, ixs in zip(table.users[table.starts].tolist(), table.split(table.pois)):
         for a, b in zip(ixs, ixs[1:]):
             pair_users[(a, b)].add(u)
         # candidate windows never cross a region border

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..data.types import visit_arrays
+from ..data.types import SessionTable
 from ..generation import GenRequest, ranked, sample_rows
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
 from ..models.base import SequenceRecommender
@@ -43,16 +43,12 @@ class MarkovModel(NamedTuple):
 
 
 def markov_fit(sessions, encodings) -> MarkovModel:
-    """Count session starts and transitions over one ``visit_arrays``
-    pass of ``sessions``, then Laplace-smooth: every count starts at 1."""
-    users, pois, _, _, lengths = visit_arrays(sessions, encodings)
-    ends = np.cumsum(lengths)
-    firsts = ends - lengths
-    pois = pois.tolist()
+    """Count session starts and transitions over the ``SessionTable`` of
+    ``sessions``, then Laplace-smooth: every count starts at 1."""
+    table = SessionTable.of(sessions, encodings)
     starts: dict[int, list] = defaultdict(list)
     pairs: dict[int, list] = defaultdict(list)
-    for u, first, end in zip(users[firsts].tolist(), firsts.tolist(), ends.tolist()):
-        ixs = pois[first:end]
+    for u, ixs in zip(table.users[table.starts].tolist(), table.split(table.pois)):
         for key in (u, POPULATION):
             starts[key].append(ixs[0])
             pairs[key].extend(zip(ixs, ixs[1:]))

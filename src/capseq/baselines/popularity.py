@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.types import visit_arrays
+from ..data.types import SessionTable
 from ..generation import GenRequest, first_hour, next_hour, ranked
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
 from ..geo import travel_seconds
@@ -57,7 +57,7 @@ class PopularityRecommender(SequenceRecommender):
 
     def fit(self, sessions, tables):
         self.tables_ = tables
-        pois = visit_arrays(sessions, tables.encodings)[1]
+        pois = SessionTable.of(sessions, tables.encodings).pois
         self.counts_ = np.bincount(pois, minlength=tables.encodings.n_pois).astype(float)
         return self
 

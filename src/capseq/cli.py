@@ -230,7 +230,7 @@ def cmd_synth(args) -> int:
     out = _out_dir(cfg)
     dataio.write_checkins_csv(out / "checkins.csv", records)
     dataio.write_friendships_csv(out / "friendships.csv", graph)
-    print(f"synth: {len(records)} check-ins, {graph.n_edges()} friendships -> {out}")
+    print(f"synth: {len(records.users)} check-ins, {graph.n_edges()} friendships -> {out}")
     return EXIT_OK
 
 
@@ -253,7 +253,7 @@ def cmd_ingest(args) -> int:
         raise DataError("no sessions remain after filtering")
     out = _out_dir(cfg)
     dataio.save_dataset(out, sessions, sessions.encodings, graph)
-    n_train = int((sessions.columns[4] >= 2).sum())
+    n_train = int((sessions.lengths >= 2).sum())
     print(
         f"ingest: {len(sessions)} sessions ({n_train} trainable), "
         f"{sessions.encodings.n_users} users, {sessions.encodings.n_pois} POIs -> {out}"
@@ -333,8 +333,7 @@ def cmd_generate(args) -> int:
     if args.start_poi:
         start_ix = encodings.poi(args.start_poi)
     else:
-        users, pois = sessions.columns[:2]
-        visited = pois[users == user_ix]
+        visited = sessions.pois[sessions.users == user_ix]
         if not len(visited):
             raise DataError(f"user {args.user!r} has no observed check-ins")
         start_ix = int(np.bincount(visited).argmax())  # the first of the most visited
@@ -443,9 +442,12 @@ def _read_csv(path, parse):
 
 
 def _sweep_plots(text: str) -> dict:
-    """Per model, the plot data lines of a ``sweep_csv`` text, by length."""
+    """Per model, the plot data lines of a ``sweep_csv`` text, by length; a
+    model name that cannot be part of a file name raises ``ValueError``."""
     plots: dict[str, list] = {}
     for row in sorted(csv_rows(text), key=lambda r: int(r["length"])):
+        if "\0" in row["model"] or os.path.basename(row["model"]) != row["model"]:
+            raise ValueError(f"model name {row['model']!r} holds a path separator or a NUL")
         plots.setdefault(row["model"], ["length,diversity,displacement_mean_km"]).append(
             f"{row['length']},{row['diversity']},{row['displacement_mean_km']}")
     return plots
@@ -454,16 +456,17 @@ def _sweep_plots(text: str) -> dict:
 def cmd_report(args) -> int:
     cfg = _merged_config(args)
     result = _read_csv(args.eval_csv, read_report_csv)
+    # both inputs are read before any output is written
+    plots = _read_csv(args.sweep_csv, _sweep_plots) if args.sweep_csv else {}
     out = _out_dir(cfg)
     tables_text = text_tables(result)
     (out / "report.txt").write_text(tables_text, encoding="utf-8")
     print(tables_text)
 
-    if args.sweep_csv:
-        for model, lines in sorted(_read_csv(args.sweep_csv, _sweep_plots).items()):
-            path = out / f"sweep_{model}.csv"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            print(f"report: plot data -> {path}")
+    for model, lines in sorted(plots.items()):
+        path = out / f"sweep_{model}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        print(f"report: plot data -> {path}")
     return EXIT_OK
 
 

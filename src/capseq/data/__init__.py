@@ -1,5 +1,4 @@
 from .types import (
-    CheckinRecord,
     Checkins,
     DataError,
     Encodings,
@@ -9,7 +8,6 @@ from .types import (
     SocialGraph,
     UnknownIdError,
     Visit,
-    visit_arrays,
 )
 from .parse import ParseResult, parse_checkins, parse_friendships
 from .sessions import (
@@ -22,7 +20,6 @@ from .synth import synth_dataset
 from . import io
 
 __all__ = [
-    "CheckinRecord",
     "Checkins",
     "DataError",
     "Encodings",
@@ -41,5 +38,4 @@ __all__ = [
     "parse_checkins",
     "parse_friendships",
     "synth_dataset",
-    "visit_arrays",
 ]

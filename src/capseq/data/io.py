@@ -32,12 +32,11 @@ import csv
 import json
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .types import (
-    CheckinRecord, DataError, Encodings, Session, SessionTable, SocialGraph, visit_arrays)
+from .types import Checkins, DataError, Encodings, Session, SessionTable, SocialGraph
 
 SESSIONS_FILE = "sessions.jsonl"
 ENCODINGS_FILE = "encodings.json"
@@ -60,15 +59,12 @@ def save_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    users, pois, arrivals, departures, lengths = visit_arrays(sessions, encodings)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    pois, arrivals, departures = pois.tolist(), arrivals.tolist(), departures.tolist()
+    table = SessionTable.of(sessions, encodings)
     # a list of ints prints as its JSON text; the keys are in sorted order
     lines = [
-        f'{{"arrivals": {arrivals[a:b]}, "departures": {departures[a:b]}, '
-        f'"pois": {pois[a:b]}, "user": {u}}}'
-        for u, a, b in zip(users[starts].tolist(), starts.tolist(), ends.tolist())
+        f'{{"arrivals": {a}, "departures": {d}, "pois": {p}, "user": {u}}}'
+        for u, p, a, d in zip(table.users[table.starts].tolist(), table.split(table.pois),
+                              table.split(table.arrivals), table.split(table.departures))
     ]
     (out / SESSIONS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     _dump_json(encodings.to_dict(), out / ENCODINGS_FILE)
@@ -233,7 +229,7 @@ def load_dataset(data_dir) -> tuple[SessionTable, Encodings, SocialGraph]:
         raise DataError(f"{sessions_path}:{lines[i]}: invalid content: a session with {what}")
     if error is not None:
         raise error
-    sessions = SessionTable((users[at], pois, arrivals, departures, lengths), encodings,
+    sessions = SessionTable(users[at], pois, arrivals, departures, lengths, encodings,
                             encodings.pois(), pois)
     graph_path = data / GRAPH_FILE
     graph = (
@@ -244,16 +240,16 @@ def load_dataset(data_dir) -> tuple[SessionTable, Encodings, SocialGraph]:
     return sessions, encodings, graph
 
 
-def write_checkins_csv(path, records: Iterable[CheckinRecord]) -> None:
-    """Write records in the canonical CSV schema."""
+def write_checkins_csv(path, records: Checkins) -> None:
+    """Write the check-ins ``records``, in their order, in the canonical CSV
+    schema."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["userid", "placeid", "datetime", "lat", "lon", "city", "category"])
-        for r in records:
-            writer.writerow(
-                [r.user_id, r.poi_id, r.timestamp, f"{r.lat:.6f}", f"{r.lon:.6f}",
-                 r.city or "", r.category]
-            )
+        for user, poi, time, lat, lon, category, city in zip(
+                records.users, records.pois, records.times, records.lats, records.lons,
+                records.categories, records.cities):
+            writer.writerow([user, poi, time, f"{lat:.6f}", f"{lon:.6f}", city or "", category])
 
 
 def write_friendships_csv(path, graph: SocialGraph) -> None:

@@ -42,7 +42,7 @@ FORMATS = {
 }
 
 
-# the fields of a check-in in the order CheckinRecord takes them
+# the fields of a check-in, in CHECKIN_FIELDS order
 FIELDS = ("user", "poi", "time", "lat", "lon", "category", "city")
 
 # The ISO-8601 times every supported Python reads alike (``fromisoformat``
@@ -92,11 +92,11 @@ def _parse_timestamp(raw: str) -> int:
 
 def parse_checkins(path, fmt: str = "weeplaces") -> ParseResult:
     """Parse a check-in CSV into ``Checkins`` columns sorted by (user,
-    timestamp); a row that ``CheckinRecord`` would refuse is dropped."""
+    timestamp); a row that ``check_checkin`` refuses is dropped."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(FORMATS)}")
     columns = FORMATS[fmt]
-    records = []  # one tuple of CheckinRecord fields per valid row
+    records = []  # one tuple of check-in fields per valid row
     dropped = 0
     total = 0
     rows = _rows(path, "check-in")

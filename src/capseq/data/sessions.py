@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from ..geo import arcs_km, place, travel_seconds
-from .types import CheckinRecord, Checkins, Encodings, Poi, SessionTable
+from .types import Checkins, Encodings, Poi, SessionTable
 
 SESSION_WINDOW_SECONDS = 8 * 3600
 FALLBACK_STAY_SECONDS = 30 * 60
@@ -39,7 +39,7 @@ class TravelTimeModel:
         self.mode = mode
         self.log_mu: float | None = None
 
-    def fit(self, records: Iterable[CheckinRecord]) -> "TravelTimeModel":
+    def fit(self, records: Checkins | Iterable[tuple]) -> "TravelTimeModel":
         """Fit the lognormal mode on consecutive same-user check-in gaps."""
         log = Checkins.of(records)
         ix: dict[tuple, int] = {}  # one converted point per distinct (lat, lon)
@@ -63,7 +63,7 @@ class TravelTimeModel:
 
 
 def build_sessions(
-    records: Iterable[CheckinRecord],
+    records: Checkins | Iterable[tuple],
     travel_time: TravelTimeModel | None = None,
     min_checkins: int = 0,
 ) -> SessionTable:
@@ -128,4 +128,4 @@ def build_sessions(
                                                places)
     pois = np.array(place_poi, dtype=np.int64)[place_ix]
     users = np.repeat(np.arange(len(first)), ends - first)
-    return SessionTable((users, pois, arrivals, departures, lengths), encodings, places, place_ix)
+    return SessionTable(users, pois, arrivals, departures, lengths, encodings, places, place_ix)

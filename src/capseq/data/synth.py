@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .types import CheckinRecord, SocialGraph
+from .types import Checkins, SocialGraph
 
 CITY_LAT = 40.70
 CITY_LON = -74.00
@@ -80,8 +80,8 @@ def synth_dataset(
     n_users: int = 60,
     n_pois: int = 200,
     days: int = 30,
-) -> tuple[list[CheckinRecord], SocialGraph]:
-    """Generate (records, friendship graph), deterministic per seed."""
+) -> tuple[Checkins, SocialGraph]:
+    """Generate (check-ins, friendship graph), deterministic per seed."""
     if n_users < 1 or n_pois < 1 or days < 1:
         raise ValueError("n_users, n_pois and days must all be >= 1")
     rng = np.random.default_rng(seed)
@@ -168,17 +168,7 @@ def synth_dataset(
                 ts = max(ts, prev_ts + 300)
                 prev_ts = ts
                 poi_id, lat, lon, cat = pois[poi_ix]
-                records.append(
-                    CheckinRecord(
-                        user_id=user["id"],
-                        poi_id=poi_id,
-                        timestamp=ts,
-                        lat=lat,
-                        lon=lon,
-                        category=cat,
-                        city="synthville",
-                    )
-                )
+                records.append((user["id"], poi_id, ts, lat, lon, cat, "synthville"))
 
     # colleagues (same office) befriend each other often; neighbours sometimes
     edges = []
@@ -190,5 +180,4 @@ def synth_dataset(
             elif j == i + 1 and rng.random() < 0.3:
                 edges.append((users[i]["id"], users[j]["id"]))
 
-    records.sort(key=lambda r: (r.user_id, r.timestamp))
-    return records, SocialGraph(edges)
+    return Checkins.of(records), SocialGraph(edges)

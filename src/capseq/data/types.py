@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,30 +24,10 @@ class UnknownIdError(KeyError):
 MAX_TIMESTAMP = 253402300799
 
 
-@dataclass(frozen=True)
-class CheckinRecord:
-    """A single timestamped, geolocated, categorized check-in.
-
-    ``category`` is hierarchical, ':'-separated (e.g. "Food:Coffee Shop").
-    ``timestamp`` is UTC seconds since the epoch, at most ``MAX_TIMESTAMP``.
-    """
-
-    user_id: str
-    poi_id: str
-    timestamp: int
-    lat: float
-    lon: float
-    category: str
-    city: str | None = None
-
-    def __post_init__(self):
-        check_checkin(self.user_id, self.poi_id, self.timestamp, self.lat, self.lon,
-                      self.category)
-
-
 def check_checkin(user_id, poi_id, timestamp, lat, lon, category, city=None) -> None:
-    """``DataError`` unless the fields, in ``CheckinRecord`` order, make a
-    valid check-in."""
+    """``DataError`` unless the fields, in ``CHECKIN_FIELDS`` order, make a
+    valid check-in; ``timestamp`` is UTC seconds since the epoch and
+    ``category`` is ':'-separated (e.g. "Food:Coffee Shop")."""
     if not user_id or not poi_id or not category:
         raise DataError("user_id, poi_id and category must be non-empty")
     if not 0 < timestamp <= MAX_TIMESTAMP:
@@ -63,8 +43,8 @@ CHECKIN_FIELDS = ("user_id", "poi_id", "timestamp", "lat", "lon", "category", "c
 
 @dataclass(frozen=True)
 class Checkins:
-    """Check-ins as columns, in ``CheckinRecord`` field order, sorted by
-    user id and then time with ties in input order."""
+    """Check-ins as columns, in ``CHECKIN_FIELDS`` order, sorted by user id
+    and then time with ties in input order: the one form of a check-in."""
 
     users: list
     pois: list
@@ -75,15 +55,20 @@ class Checkins:
     cities: list
 
     @classmethod
-    def of(cls, records: Iterable[CheckinRecord]) -> "Checkins":
-        """The check-ins ``records``, in any order, as sorted columns."""
-        if isinstance(records, cls):
-            return records
-        return cls.from_rows(map(attrgetter(*CHECKIN_FIELDS), records))
+    def of(cls, rows: Iterable[tuple]) -> "Checkins":
+        """The check-ins ``rows``, field tuples in ``CHECKIN_FIELDS`` order
+        in any order, as sorted columns, once ``check_checkin`` takes each;
+        ``Checkins`` as they are."""
+        if isinstance(rows, cls):
+            return rows
+        rows = list(rows)
+        for row in rows:
+            check_checkin(*row)
+        return cls.from_rows(rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> "Checkins":
-        """Sorted columns of valid check-ins given as field tuples."""
+        """Sorted columns of field tuples that ``check_checkin`` took."""
         rows = sorted(rows, key=itemgetter(0, 2))
         return cls(*map(list, zip(*rows))) if rows else cls(*([] for _ in CHECKIN_FIELDS))
 
@@ -96,6 +81,11 @@ class Poi:
     lat: float
     lon: float
     category: str
+
+
+def hour_of_day(seconds):
+    """The UTC hour of day, 0..23, of epoch ``seconds``, an int or an array."""
+    return seconds // 3600 % 24
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,7 @@ class Visit:
     @property
     def hour(self) -> int:
         """Arrival hour of day, UTC, 0..23."""
-        return (self.arrival // 3600) % 24
+        return hour_of_day(self.arrival)
 
 
 @dataclass(frozen=True)
@@ -272,38 +262,63 @@ class Encodings:
 
 
 class SessionTable(Sequence):
-    """Sessions as columns: the five int64 arrays of ``visit_arrays`` under
-    their ``encodings``, and each visit's place, an index into ``places``
-    (``Poi``s); a read-only sequence of ``Session``s, made once, on the
-    first element access."""
+    """Sessions as read-only int64 columns under their ``encodings``: the
+    ``users``, ``pois``, ``arrivals`` and ``departures`` of the visits in
+    session order, the ``lengths`` of the sessions, and two derived once:
+    each session's first visit (``starts``) and each visit's arrival hour of
+    day (``hours``). Each visit's place is an index into ``places``
+    (``Poi``s). A read-only sequence of ``Session``s, made on first access."""
 
-    def __init__(self, columns: tuple, encodings: Encodings, places: list, place_ix):
-        for column in (*columns, place_ix):
+    def __init__(self, users, pois, arrivals, departures, lengths, encodings: Encodings,
+                 places: list, place_ix):
+        self.users, self.pois, self.lengths = users, pois, lengths
+        self.arrivals, self.departures = arrivals, departures
+        self.starts, self.hours = np.cumsum(lengths) - lengths, hour_of_day(arrivals)
+        self.encodings, self.places, self.place_ix = encodings, places, place_ix
+        for column in (users, pois, arrivals, departures, lengths, self.starts, self.hours,
+                       place_ix):
             column.flags.writeable = False
-        self.columns, self.encodings = tuple(columns), encodings
-        self.places, self.place_ix = places, place_ix
 
     @classmethod
     def of(cls, sessions: Iterable[Session], encodings: Encodings) -> "SessionTable":
         """A table under ``encodings`` as it is; other ``Session``s encoded
-        once by ``visit_arrays``, each visit at its own ``Poi``."""
+        in the one pass that encodes sessions, each visit at its own ``Poi``."""
         if isinstance(sessions, cls) and sessions.encodings is encodings:
             return sessions
-        sessions = list(sessions)
-        for s in sessions:
-            if not isinstance(s, Session):
-                raise TypeError(f"expected Session, got {type(s).__name__}")
-        places = [v.poi for s in sessions for v in s.visits]
-        return cls(visit_arrays(sessions, encodings), encodings, places, np.arange(len(places)))
+        users, pois, arrivals, departures, lengths, places = [], [], [], [], [], []
+        poi_ix = encodings.poi_to_ix
+        for session in sessions:
+            if not isinstance(session, Session):
+                raise TypeError(f"expected Session, got {type(session).__name__}")
+            u = encodings.user(session.user_id)
+            lengths.append(len(session.visits))
+            for visit in session.visits:
+                poi_id = visit.poi.poi_id
+                users.append(u)
+                # an unknown id raises the closed-world UnknownIdError of Encodings.poi
+                pois.append(poi_ix[poi_id] if poi_id in poi_ix else encodings.poi(poi_id))
+                arrivals.append(visit.arrival)
+                departures.append(visit.departure)
+                places.append(visit.poi)
+        columns = (np.array(x, dtype=np.int64)
+                   for x in (users, pois, arrivals, departures, lengths))
+        return cls(*columns, encodings, places, np.arange(len(places)))
 
     def select(self, keep) -> "SessionTable":
         """The sessions where the boolean mask ``keep`` is true, in order."""
-        visits = np.repeat(keep, self.columns[4])
-        return SessionTable((*(c[visits] for c in self.columns[:4]), self.columns[4][keep]),
-                            self.encodings, self.places, self.place_ix[visits])
+        visits = np.repeat(keep, self.lengths)
+        return SessionTable(self.users[visits], self.pois[visits], self.arrivals[visits],
+                            self.departures[visits], self.lengths[keep], self.encodings,
+                            self.places, self.place_ix[visits])
+
+    def split(self, column: np.ndarray):
+        """The visit column ``column`` as one list of ints per session, in
+        order, each made as it is read."""
+        values = column.tolist()
+        return (values[a:a + n] for a, n in zip(self.starts.tolist(), self.lengths.tolist()))
 
     def __len__(self) -> int:
-        return len(self.columns[4])
+        return len(self.lengths)
 
     def __getitem__(self, i):
         return self._objects[i]
@@ -313,36 +328,11 @@ class SessionTable(Sequence):
 
     @cached_property
     def _objects(self) -> list:
-        users, _, arrivals, departures, lengths = self.columns
         visits = [Visit(self.places[k], a, d) for k, a, d in zip(
-            self.place_ix.tolist(), arrivals.tolist(), departures.tolist())]
-        ends = np.cumsum(lengths)
+            self.place_ix.tolist(), self.arrivals.tolist(), self.departures.tolist())]
         names = self.encodings.ix_to_user
-        return [Session(names[u], tuple(visits[b - n:b]))
-                for u, n, b in zip(users[ends - lengths].tolist(), lengths.tolist(), ends.tolist())]
-
-
-def visit_arrays(sessions: Iterable[Session], encodings: Encodings) -> tuple:
-    """The encoded user, POI, arrival and departure of every visit, in
-    session order, and the number of visits of each session, as five
-    int64 arrays: the one pass that encodes sessions. A ``SessionTable``
-    under its own ``encodings`` returns its columns."""
-    if isinstance(sessions, SessionTable) and encodings is sessions.encodings:
-        return sessions.columns
-    users, pois, arrivals, departures, lengths = [], [], [], [], []
-    poi_ix = encodings.poi_to_ix
-    for session in sessions:
-        u = encodings.user(session.user_id)
-        lengths.append(len(session.visits))
-        for visit in session.visits:
-            poi_id = visit.poi.poi_id
-            users.append(u)
-            # an unknown id raises the closed-world UnknownIdError of Encodings.poi
-            pois.append(poi_ix[poi_id] if poi_id in poi_ix else encodings.poi(poi_id))
-            arrivals.append(visit.arrival)
-            departures.append(visit.departure)
-    return tuple(np.array(x, dtype=np.int64)
-                 for x in (users, pois, arrivals, departures, lengths))
+        return [Session(names[u], tuple(visits[a:a + n])) for u, a, n in zip(
+            self.users[self.starts].tolist(), self.starts.tolist(), self.lengths.tolist())]
 
 
 class SocialGraph:
@@ -368,5 +358,7 @@ class SocialGraph:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SocialGraph":
-        edges = [(u, f) for u, fs in d.items() for f in fs]
-        return cls(edges)
+        for u, fs in d.items():
+            if type(fs) is not list or any(type(f) is not str for f in fs):
+                raise ValueError(f"the friends of {u!r} are not a list of user ids")
+        return cls((u, f) for u, fs in d.items() for f in fs)

@@ -6,8 +6,8 @@ per-step attribute vectors and per-sequence feature vectors consumed by
 the sequence models.
 
 All POIs, users and categories are handled as dense encoded integers.
-``FeatureTables.build`` encodes each visit once, with ``visit_arrays``, and
-takes everything from those arrays: the stay means, the step distances
+``FeatureTables.build`` encodes each visit once, into a ``SessionTable``,
+and takes everything from its columns: the stay means, the step distances
 (one scalar ``arc_km`` per distinct place pair) for the distance bounds
 and the session features (``session_steps``, which the training encoding
 shares) and the visit counts. Every interest statistic comes from one
@@ -37,7 +37,7 @@ import numpy as np
 from ..geo import arc_km, arcs_km, place
 from ..numerics import sequential_sum
 from ..data.types import (
-    DataError, Encodings, Session, SocialGraph, UnknownIdError, visit_arrays)
+    DataError, Encodings, Session, SessionTable, SocialGraph, UnknownIdError)
 
 HOURS = 24
 # attribute vector: 6 scalars + 24 hourly popularity entries
@@ -347,22 +347,22 @@ class FeatureTables:
             raise DataError("the encodings carry no POI catalogue to build tables on")
         graph = graph or SocialGraph()
         tables = cls(encodings)
-        visits = visit_arrays(sessions, encodings)
-        users, pois, arrivals, departures, lengths = visits
-        tables.stay = _stay_stats(users, pois, departures - arrivals, encodings.n_pois)
+        table = SessionTable.of(sessions, encodings)
+        users, pois, first = table.users, table.pois, table.starts
+        tables.stay = _stay_stats(users, pois, table.departures - table.arrivals,
+                                  encodings.n_pois)
         tables._friends = [
             sorted(encodings.user(f) for f in graph.friends(encodings.ix_to_user[u])
                    if f in encodings.user_to_ix)
             for u in range(encodings.n_users)
         ]
-        dist_prev, feats = tables.session_steps(visits)
-        first = np.cumsum(lengths) - lengths
+        dist_prev, feats = tables.session_steps(table)
         tables._build_distance_bounds(np.delete(pois, first), np.delete(dist_prev, first))
-        tables._build_session_features(users[first], pois[first], arrivals[first], feats)
+        tables._build_session_features(users[first], pois[first], table.hours[first], feats)
         seen, first_seen = np.unique(users, return_index=True)
         tables._derive(
             seen[np.argsort(first_seen)],
-            (users * encodings.n_pois + pois) * HOURS + arrivals // 3600 % HOURS,
+            (users * encodings.n_pois + pois) * HOURS + table.hours,
             np.ones(len(users), dtype=np.int64),
         )
         return tables
@@ -463,14 +463,14 @@ class FeatureTables:
 
     HOUR_BUCKET = 6  # sessions bucketed by start-hour quadrant
 
-    def _build_session_features(self, users, starts, arrivals, feats) -> None:
+    def _build_session_features(self, users, starts, hours, feats) -> None:
         """Historical mean of the whole-sequence features ``feats`` (a row
         per session) keyed by (user, start POI, start-hour bucket), with
-        coarser fallbacks; ``users``, ``starts`` and ``arrivals`` hold each
-        session's user, first POI and first arrival. Used to estimate the
-        feature vector at generation time, when the end of the sequence is
-        not known yet."""
-        bucket = arrivals // 3600 % HOURS // self.HOUR_BUCKET
+        coarser fallbacks; ``users``, ``starts`` and ``hours`` hold each
+        session's user, first POI and first arrival hour. Used to estimate
+        the feature vector at generation time, when the end of the sequence
+        is not known yet."""
+        bucket = hours // self.HOUR_BUCKET
         self._session_features = {}
         for keys in ([users, starts, bucket], [users, bucket], [users]):
             self._session_features.update(_group_means(keys, feats))
@@ -621,16 +621,15 @@ class FeatureTables:
         rows[..., 5] = dist_prev
         return rows
 
-    def session_steps(self, visits: tuple) -> tuple:
+    def session_steps(self, table: SessionTable) -> tuple:
         """The step distances and whole-sequence features of the sessions
-        of ``visit_arrays`` ``visits``: the km to each visit from the one
-        before it in its session (0.0 for a session's first), one scalar
-        ``arc_km`` per distinct place pair, and one (sessions, FEATURE_DIM)
-        array of start/end category and place codes, the mean step km (in
-        session order) and start/end hours."""
-        _, pois, arrivals, _, lengths = visits
-        ends = np.cumsum(lengths)
-        first, last = ends - lengths, ends - 1
+        of ``table``: the km to each visit from the one before it in its
+        session (0.0 for a session's first), one scalar ``arc_km`` per
+        distinct place pair, and one (sessions, FEATURE_DIM) array of
+        start/end category and place codes, the mean step km (in session
+        order) and start/end hours."""
+        pois, lengths, first = table.pois, table.lengths, table.starts
+        last = first + lengths - 1
         step = np.ones(len(pois), dtype=bool)
         step[first] = False
         at = np.flatnonzero(step)
@@ -649,10 +648,9 @@ class FeatureTables:
         mean_km = _divide(total, n_steps, n_steps > 0)
         dist_prev = np.zeros(len(pois))
         dist_prev[step] = km
-        hours = arrivals // 3600 % HOURS
         start, end = pois[first], pois[last]
         feats = np.column_stack([self.poi_cat[start], self.poi_cat[end], start, end,
-                                 mean_km, hours[first], hours[last]])
+                                 mean_km, table.hours[first], table.hours[last]])
         return dist_prev, feats
 
     # -- model input scaling ------------------------------------------------

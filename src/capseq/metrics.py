@@ -145,8 +145,7 @@ def assign_folds(sessions: SessionTable, folds: int, seed: int) -> tuple[np.ndar
     sessions always train, fold -1) with a warning.
     """
     rng = np.random.default_rng(seed)
-    users, lengths = sessions.columns[0], sessions.columns[4]
-    owner = users[np.cumsum(lengths) - lengths]  # each session's user
+    owner = sessions.users[sessions.starts]  # each session's user
     order = np.argsort(owner, kind="stable")
     seen, at = np.unique(owner[order], return_index=True)
     names = sessions.encodings.ix_to_user
@@ -210,15 +209,13 @@ def cross_validate(
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
     table = SessionTable.of(sessions, encodings)
-    users, pois, arrivals, _, lengths = table.columns
-    firsts = np.cumsum(lengths) - lengths
-    if np.bincount(users[firsts]).max(initial=0) < folds:
+    owners = table.users[table.starts]
+    if np.bincount(owners).max(initial=0) < folds:
         raise DataError(f"no user has at least {folds} sessions to evaluate")
     fold_of, _ = assign_folds(table, folds, seed)
-    users, pois, hours = users.tolist(), pois.tolist(), (arrivals // 3600 % 24).tolist()
     # each session's encoded user, POIs and first arrival hour
-    encoded = [(users[a], pois[a:a + n], hours[a])
-               for a, n in zip(firsts.tolist(), lengths.tolist())]
+    encoded = list(zip(owners.tolist(), table.split(table.pois),
+                       table.hours[table.starts].tolist()))
 
     result = EvalResult()
     sweep_acc: dict[tuple, list] = {}
@@ -226,7 +223,7 @@ def cross_validate(
     for fold in range(folds):
         train = table.select(fold_of != fold)
         held = [(i, *encoded[i])
-                for i in np.flatnonzero((fold_of == fold) & (lengths >= 2)).tolist()]
+                for i in np.flatnonzero((fold_of == fold) & (table.lengths >= 2)).tolist()]
         tables = FeatureTables.build(train, graph, encodings)
         for name, prototype in models.items():
             started = time.perf_counter()

@@ -47,7 +47,7 @@ def check_sessions(sessions: Iterable[Session], encodings: Encodings) -> Session
     """The training sessions (length >= 2) of ``sessions`` as a table under
     ``encodings``; a ``DataError`` if there is none."""
     table = SessionTable.of(sessions, encodings)
-    usable = table.select(table.columns[4] >= 2)
+    usable = table.select(table.lengths >= 2)
     if not len(usable):
         raise DataError("no session has length >= 2")
     return usable

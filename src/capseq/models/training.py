@@ -3,7 +3,7 @@ training loop shared by the recurrent models.
 
 Sessions become (input, target) index pairs under teacher forcing, with
 per-step attribute vectors and one per-sequence feature vector, all read
-from one ``visit_arrays`` pass. The sessions are right-padded once, with
+from one ``SessionTable``. The sessions are right-padded once, with
 the model's padding token, and loss-masked; each mini-batch is a gather
 of their rows.
 """
@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .. import numerics
-from ..data.types import DataError, Session, visit_arrays
-from ..features import ATTRIBUTE_DIM, HOURS, FeatureTables
+from ..data.types import DataError, Session, SessionTable
+from ..features import FeatureTables
 
 MAX_STEPS = 25  # cap on teacher-forcing steps per session
 
@@ -193,16 +193,16 @@ def encode_sessions(sessions: Sequence[Session], tables: FeatureTables) -> Batch
     ``MAX_STEPS`` steps, as one batch right-padded to the longest: padding
     token ``tables.n_pois``, mask 0 and zero attributes. The whole-sequence
     features are those of the whole session."""
-    visits = visit_arrays(sessions, tables.encodings)
-    _, pois, arrivals, _, lengths = visits
+    table = SessionTable.of(sessions, tables.encodings)
+    pois, lengths = table.pois, table.lengths
     if (lengths < 2).any():
         raise ValueError("training sessions must have at least two visits")
-    dist_prev, feats = tables.session_steps(visits)
+    dist_prev, feats = tables.session_steps(table)
     steps = np.minimum(lengths, MAX_STEPS + 1) - 1
     real = np.arange(steps.max(initial=0)) < steps[:, None]  # (B, T)
     # step t of row b reads visit ``at`` and predicts the next; padding reads visit 0
-    at = np.where(real, (np.cumsum(lengths) - lengths)[:, None] + np.arange(real.shape[1]), 0)
-    attrs = tables.attribute_rows(pois[at], arrivals[at] // 3600 % HOURS, dist_prev[at])
+    at = np.where(real, table.starts[:, None] + np.arange(real.shape[1]), 0)
+    attrs = tables.attribute_rows(pois[at], table.hours[at], dist_prev[at])
     attrs[~real] = 0.0
     attrs /= tables.attribute_scale
     return Batch(np.where(real, pois[at], tables.n_pois), np.where(real, pois[at + 1], 0),

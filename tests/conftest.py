@@ -20,7 +20,7 @@ def km_north(lat, km):
 @pytest.fixture
 def poi_lookups(monkeypatch):
     """``count(encodings)``: the list, from then on, of the POI ids read
-    from the POI index of ``encodings``, in order. ``visit_arrays`` reads
+    from the POI index of ``encodings``, in order. ``SessionTable.of`` reads
     the index directly and ``Encodings.poi`` through it, so the list holds
     one id per encoded visit."""
     def count(encodings) -> list:

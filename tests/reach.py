@@ -11,13 +11,17 @@ prints two lists:
   ``evaluate --models all`` and report) never call.
 
 A line of the first list needs a test, or a reason why it stays
-untested. A ``def`` of the second that only tests call is a deletion
-candidate, unless it is public API or ``perfbench`` holds its name.
+untested, and the script exits 1 while that list is not empty. A ``def``
+of the second that only tests call is a deletion candidate, unless it is
+public API or ``perfbench`` holds its name; it does not change the exit
+status.
 
 The collector is a ``sys.settrace`` line tracer limited to the frames of
 the files under one directory; it uses only the standard library. It
 sees nothing that runs in another process. pytest does not collect
-this file; ``test_reach.py`` tests its collector.
+this file; ``test_reach.py`` tests its collector. CI runs it on the
+Python 3.11 leg with the latest NumPy only: on other versions of Python
+or NumPy, version-specific lines may be reached differently.
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ def main() -> int:
     print(f"reach: {len(uncalled)} of {defs} defs in src/capseq never called by the "
           "golden CLI pipelines:")
     print("".join(f"  {entry}\n" for entry in uncalled), end="")
-    return 0
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

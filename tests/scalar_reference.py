@@ -36,7 +36,7 @@ block statistics of ``FeatureTables`` must equal it bit for bit.
 
 ``markov_fit`` is the earlier Markov fit, which encodes each ``Session``
 itself and counts its starts and transitions; every chain of the fit
-over ``visit_arrays`` must equal its chains bit for bit.
+over a ``SessionTable`` must equal its chains bit for bit.
 
 ``great_circle_km`` is the earlier one-step haversine formula, which
 converts and takes the cosine of both ends on every call, and
@@ -55,7 +55,7 @@ error with the same message.
 
 ``parse_checkins``, ``build_sessions`` (with ``sessionize`` and
 ``filter_users``), ``fit_encodings`` and ``load_sessions`` are the
-earlier object-per-row data layer: one ``CheckinRecord`` per CSV row, one
+earlier object-per-row data layer: one ``Record`` per CSV row, one
 ``Visit`` per visit (``derive_visits``) and one ``Session`` per session,
 each with its own checks, and one encoding pass over every visit. The
 columnar parse, session build and dataset load must give the same
@@ -104,6 +104,7 @@ from dataclasses import dataclass, fields
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,7 +114,7 @@ from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
 from capseq.data import TravelTimeModel
 from capseq.data.io import INT64_MAX, INT64_MIN, _read_json, _session_fields
 from capseq.data.parse import FORMATS, _parse_timestamp, _rows
-from capseq.data.types import CheckinRecord, DataError, Poi, Session, SessionTable, Visit
+from capseq.data.types import DataError, Poi, Session, SessionTable, Visit, check_checkin
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
@@ -122,10 +123,24 @@ from capseq.models import MAX_STEPS, Batch
 from capseq.models.lstm import GATES
 
 
+class Record(NamedTuple):
+    """One check-in as an object, as the earlier data layer held it: the
+    fields in ``CHECKIN_FIELDS`` order. It is a tuple of those fields as
+    well, so a list of them is check-in rows that the package takes."""
+
+    user_id: str
+    poi_id: str
+    timestamp: int
+    lat: float
+    lon: float
+    category: str
+    city: str | None = None
+
+
 def checkin_records(checkins) -> list:
-    """The ``CheckinRecord`` of each row of ``Checkins`` columns, in order."""
+    """The ``Record`` of each row of ``Checkins`` columns, in order."""
     columns = (getattr(checkins, field.name) for field in fields(checkins))
-    return [CheckinRecord(*row) for row in zip(*columns)]
+    return [Record(*row) for row in zip(*columns)]
 
 
 def saved_document(tables: FeatureTables) -> dict:
@@ -749,8 +764,8 @@ def derive_visits(records, travel_time) -> list:
 def parse_checkins(path, fmt: str = "weeplaces") -> tuple:
     """(records, dropped) of a check-in CSV: each row's cells read through a
     dict of the header names (so the last cell of a repeated name that the
-    row reaches), one ``CheckinRecord`` per row, a row it refuses dropped,
-    and one sort by (user, time)."""
+    row reaches), one ``Record`` per row, a row ``check_checkin`` refuses
+    dropped, and one sort by (user, time)."""
     rows = _rows(path, "check-in")
     names = [name.strip().lower() for name in next(rows)]
     column = {field: next((c for c in candidates if c in names), None)
@@ -762,10 +777,12 @@ def parse_checkins(path, fmt: str = "weeplaces") -> tuple:
         cells = dict(zip(names, values))
         cell = {field: cells.get(name, "") for field, name in column.items()}
         try:
-            records.append(CheckinRecord(
+            record = Record(
                 cell["user"].strip(), cell["poi"].strip(), _parse_timestamp(cell["time"]),
                 float(cell["lat"].strip()), float(cell["lon"].strip()),
-                cell["category"].strip(), cell["city"].strip() or None))
+                cell["category"].strip(), cell["city"].strip() or None)
+            check_checkin(*record)
+            records.append(record)
         except ValueError:
             dropped += 1
     records.sort(key=attrgetter("user_id", "timestamp"))
@@ -888,7 +905,7 @@ def load_session_table(path, encodings) -> SessionTable:
         raise DataError(f"{path}:{lines[i]}: invalid content: a session with {what}")
     if error is not None:
         raise error
-    return SessionTable((users[at], pois, arrivals, departures, lengths), encodings,
+    return SessionTable(users[at], pois, arrivals, departures, lengths, encodings,
                         encodings.pois(), pois)
 
 

@@ -248,7 +248,7 @@ class TestMarkov:
 
 
 def test_markov_fit_equals_the_session_loop(synth_small):
-    """Every chain of the fit over ``visit_arrays`` equals the one the
+    """Every chain of the fit over a ``SessionTable`` equals the one the
     per-session loop counts: alphabet, index, and the dtype, shape and
     bytes of the initial and transition arrays, also on a part of the
     corpus and in another session order."""

@@ -381,6 +381,11 @@ BAD_INPUTS = {
         {"ds/pois.json": "[]"}, ["features", "--data-dir", "{tmp}/ds"], 2),
     "graph-json-a-list": (
         {"ds/graph.json": "[]"}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    # a string is iterable: each of its characters would be a friend
+    "graph-json-friends-a-string": (
+        {"ds/graph.json": '{"u0000": "u0001u0002"}'}, ["features", "--data-dir", "{tmp}/ds"], 2),
+    "graph-json-friend-an-integer": (
+        {"ds/graph.json": '{"u0000": ["u0001", 2]}'}, ["features", "--data-dir", "{tmp}/ds"], 2),
     "sessions-line-a-list": (
         {"ds/sessions.jsonl": lambda raw: raw + b"[1]\n"},
         ["features", "--data-dir", "{tmp}/ds"], 2),
@@ -548,6 +553,10 @@ BAD_INPUT_MESSAGES = {
     "train-inf-lr": "learning_rate must be finite, got inf",
     "deep-encodings-json": "encodings.json: JSON nested too deeply",
     "deep-graph-json": "graph.json: JSON nested too deeply",
+    "graph-json-friends-a-string": "graph.json: invalid content: ValueError: the friends of "
+                                   "'u0000' are not a list of user ids",
+    "graph-json-friend-an-integer": "graph.json: invalid content: ValueError: the friends of "
+                                    "'u0000' are not a list of user ids",
     "deep-sessions-line": "JSON nested too deeply",
     "deep-checkpoint-sidecar": "cannot load checkpoint: maximum recursion depth exceeded",
 }
@@ -604,6 +613,9 @@ REPORT_BAD_INPUTS = {
         "model,length,displacement_mean_km\npopularity,3,1.0\n"),
     "eval-csv-a-directory": None,
     "sweep-csv-a-directory": None,
+    # the model name is part of the name of the file report writes
+    "sweep-model-with-a-slash": _sweep_csv("3").replace("popularity", "a/b"),
+    "sweep-model-with-a-nul": _sweep_csv("3").replace("popularity", "a\0b"),
 }
 
 
@@ -628,9 +640,11 @@ def test_report_non_numeric_cell_is_data_error(tmp_path, capsys):
                 path.write_text(content, encoding="utf-8", errors="surrogateescape")
             argv += ["--sweep-csv", str(path)]
         assert main(argv) == 2, case
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1, (case, err)
-        assert err.startswith(f"data error: {path}: "), (case, err)
+        captured = capsys.readouterr()
+        assert len(captured.err.strip().splitlines()) == 1, (case, captured.err)
+        assert captured.err.startswith(f"data error: {path}: "), (case, captured.err)
+        # a bad input leaves no output behind
+        assert not captured.out and not (tmp_path / "report.txt").exists(), case
 
 
 def test_bad_out_dir_fails_before_training(bad_input_sources, tmp_path, monkeypatch,

@@ -2,7 +2,6 @@
 the columnar data layer against the earlier per-row loops."""
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -10,13 +9,14 @@ import math
 import re
 import sys
 from collections import Counter
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 import scalar_reference as ref
 from capseq.data import (
-    CheckinRecord,
+    Checkins,
     DataError,
     Encodings,
     SessionTable,
@@ -26,7 +26,6 @@ from capseq.data import (
     parse_checkins,
     parse_friendships,
     synth_dataset,
-    visit_arrays,
 )
 from capseq.data import io as dataio
 from capseq.data.types import MAX_TIMESTAMP, Poi, Session, Visit
@@ -34,6 +33,12 @@ from capseq.features import FeatureTables
 from capseq.geo import arc_km, arcs_km, haversine_km, place
 
 HEADER = "userid,placeid,datetime,lat,lon,city,category\n"
+COLUMNS = ("users", "pois", "arrivals", "departures", "lengths")
+
+
+def columns(table) -> list:
+    """The five stored columns of a ``SessionTable``, in ``COLUMNS`` order."""
+    return [getattr(table, name) for name in COLUMNS]
 
 
 def write_csv(path, rows):
@@ -131,7 +136,7 @@ class TestParse:
         result = parse_checkins(path)
         assert (result.records.pois, result.dropped) == (["p2"], 1)
         with pytest.raises(DataError, match="longitude out of range"):
-            rec("u1", "p1", 1272704400, 40.0, 180.5)
+            Checkins.of([rec("u1", "p1", 1272704400, 40.0, 180.5)])
 
     def test_blank_lines_are_skipped_not_counted(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -316,10 +321,33 @@ class TestTimes:
 
     def test_record_times_run_from_1_to_the_end_of_year_9999(self):
         for ts in (1, MAX_TIMESTAMP):
-            assert rec("u", "p", ts).timestamp == ts
+            assert Checkins.of([rec("u", "p", ts)]).times == [ts]
         for ts in (0, -1, MAX_TIMESTAMP + 1, 2**63):
             with pytest.raises(DataError, match="timestamp"):
-                rec("u", "p", ts)
+                Checkins.of([rec("u", "p", ts)])
+
+
+class TestCheckins:
+    GOOD = ("u", "p", 100, 40.0, -74.0, "Food", None)
+    # a field tuple that breaks each rule of check_checkin, and its error's words
+    BROKEN = {
+        "empty-user": (("", "p", 100, 40.0, -74.0, "Food", None), "must be non-empty"),
+        "empty-poi": (("u", "", 100, 40.0, -74.0, "Food", None), "must be non-empty"),
+        "empty-category": (("u", "p", 100, 40.0, -74.0, "", None), "must be non-empty"),
+        "time-0": (("u", "p", 0, 40.0, -74.0, "Food", None), "timestamp must be in"),
+        "time-past-9999": (("u", "p", MAX_TIMESTAMP + 1, 40.0, -74.0, "Food", None),
+                           "timestamp must be in"),
+        "latitude-past-90": (("u", "p", 100, 90.5, -74.0, "Food", None), "latitude out"),
+        "latitude-nan": (("u", "p", 100, math.nan, -74.0, "Food", None), "latitude out"),
+        "longitude-past-180": (("u", "p", 100, 40.0, -180.5, "Food", None), "longitude out"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BROKEN))
+    def test_of_refuses_a_tuple_that_breaks_a_rule(self, case):
+        row, words = self.BROKEN[case]
+        for rows in ([row], [self.GOOD, row], [row, self.GOOD]):
+            with pytest.raises(DataError, match=words):
+                Checkins.of(rows)
 
 
 class TestByteOrderMark:
@@ -392,7 +420,7 @@ class TestGreatCircle:
         assert len(calls) < len(steps)
 
         calls.clear()
-        log = sorted(records, key=lambda r: (r.user_id, r.timestamp))
+        log = ref.checkin_records(records)  # sorted by (user, time)
         gaps = [((a.lat, a.lon), (b.lat, b.lon)) for a, b in zip(log, log[1:])
                 if a.user_id == b.user_id and b.timestamp > a.timestamp]
         TravelTimeModel("lognormal").fit(records)
@@ -401,7 +429,7 @@ class TestGreatCircle:
 
 
 def rec(user, poi, ts, lat=40.0, lon=-74.0, cat="Food"):
-    return CheckinRecord(user, poi, ts, lat, lon, cat)
+    return ref.Record(user, poi, ts, lat, lon, cat)
 
 
 def derive_visits(records, travel_time=None) -> list:
@@ -455,7 +483,7 @@ class TestDeriveVisits:
 
     @pytest.mark.parametrize("mode", ["deterministic", "lognormal"])
     def test_equals_the_per_checkin_derivation(self, mode):
-        records, _ = synth_dataset(seed=4, n_users=5, n_pois=30, days=4)
+        records = ref.checkin_records(synth_dataset(seed=4, n_users=5, n_pois=30, days=4)[0])
         travel = TravelTimeModel(mode).fit(records)  # read only in lognormal mode
         assert travel.log_mu is not None
         for user in sorted({r.user_id for r in records}):
@@ -562,7 +590,7 @@ def messy_log(path, seed: int, fmt: str, bom: bool) -> None:
     which some check-ins place their POI elsewhere or under another
     category, some repeat the user's previous time at another POI, three
     users have under 6 check-ins, and some rows are short or malformed."""
-    records, _ = synth_dataset(seed=seed, n_users=6, n_pois=30, days=4)
+    records = ref.checkin_records(synth_dataset(seed=seed, n_users=6, n_pois=30, days=4)[0])
     rng = np.random.default_rng(seed)
     rows = []
     for r in records:
@@ -625,7 +653,7 @@ class TestColumnarOracles:
                     assert (enc.user_to_ix, enc.cat_to_ix, enc.poi_to_ix) == (users, cats, pois)
                     assert enc.poi_coords.tobytes() == np.reshape(coords, (-1, 2)).tobytes()
                     assert enc.poi_cat.tolist() == poi_cat
-                for got, loop in zip(visit_arrays(table, enc), visit_arrays(want, enc)):
+                for got, loop in zip(columns(table), columns(SessionTable.of(want, enc))):
                     assert got.dtype == np.int64
                     np.testing.assert_array_equal(got, loop)
         # the log holds what the loops must agree on
@@ -642,8 +670,32 @@ class TestColumnarOracles:
         dataio.save_dataset(tmp_path / "ds", table, table.encodings)
         loaded, encodings, _ = dataio.load_dataset(tmp_path / "ds")
         assert list(loaded) == ref.load_sessions(tmp_path / "ds" / "sessions.jsonl", encodings)
-        for got, saved in zip(visit_arrays(loaded, encodings), table.columns):
+        for got, saved in zip(columns(loaded), columns(table)):
             np.testing.assert_array_equal(got, saved)
+
+    def test_derived_columns_equal_a_per_session_loop(self, synth_small):
+        """``starts``, ``hours`` and ``split`` of a table, of a selection of
+        it and of a table made from ``Session``s are those of a loop over
+        the sessions' visits."""
+        table, _, encodings = synth_small
+        sessions = list(table)
+        keep = np.random.default_rng(1).random(len(table)) < 0.5
+        cases = [(table, sessions),
+                 (table.select(keep), [s for s, kept in zip(sessions, keep) if kept]),
+                 (SessionTable.of(sessions[::3], encodings), sessions[::3])]
+        assert SessionTable.of(sessions[::3], encodings) is not table
+        for got, want in cases:
+            starts, hours, at = [], [], 0
+            for session in want:
+                starts.append(at)
+                at += len(session.visits)
+                hours += [datetime.fromtimestamp(v.arrival, timezone.utc).hour
+                          for v in session.visits]
+            assert got.starts.tolist() == starts and got.hours.tolist() == hours
+            assert list(got.split(got.pois)) == [[encodings.poi(v.poi.poi_id) for v in s.visits]
+                                                 for s in want]
+            for column in (got.starts, got.hours):
+                assert column.dtype == np.int64 and not column.flags.writeable
 
     def test_a_row_selection_equals_filtering_the_sessions(self, tmp_path):
         messy_log(tmp_path / "c.csv", *self.LOGS[0])
@@ -652,7 +704,7 @@ class TestColumnarOracles:
         loaded = dataio.load_dataset(tmp_path / "ds")[0]
         listed = SessionTable.of(list(table), table.encodings)
         assert SessionTable.of(table, table.encodings) is table
-        for got, want in zip(listed.columns, table.columns):
+        for got, want in zip(columns(listed), columns(table)):
             np.testing.assert_array_equal(got, want)
         n = len(table)
         for keep in (np.random.default_rng(3).random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool)):
@@ -660,7 +712,8 @@ class TestColumnarOracles:
                 want = [s for s, kept in zip(source, keep) if kept]
                 chosen = source.select(keep)
                 assert list(chosen) == want and chosen.encodings is source.encodings
-                for got, loop in zip(chosen.columns, visit_arrays(want, source.encodings)):
+                for got, loop in zip(columns(chosen),
+                                     columns(SessionTable.of(want, source.encodings))):
                     assert got.dtype == np.int64
                     np.testing.assert_array_equal(got, loop)
 
@@ -757,7 +810,7 @@ class TestColumnarOracles:
             table = load()
         except DataError as exc:
             return type(exc), str(exc)
-        return list(table), [column.tolist() for column in table.columns]
+        return list(table), [column.tolist() for column in columns(table)]
 
     @pytest.mark.parametrize("case", sorted(HAND_OVER))
     def test_load_equals_the_per_line_reader_on_hand_over_lines(self, tmp_path, case):
@@ -907,7 +960,7 @@ class TestEncodings:
         stranger = Session("u0", (Visit(Poi("nope", 40.0, -74.0, "Food"), 1, 2),))
         for unknown in ([stranger], sessions[:2] + [stranger]):
             with pytest.raises(KeyError) as raised:
-                visit_arrays(unknown, encodings)
+                SessionTable.of(unknown, encodings)
             assert raised.value.args == ("unknown POI id 'nope': encodings are closed-world",)
 
 
@@ -934,7 +987,7 @@ class TestSynth:
 
     def test_poi_ids_within_range(self):
         records, _ = synth_dataset(seed=3, n_users=3, n_pois=20, days=2)
-        ids = {int(r.poi_id[1:]) for r in records}
+        ids = {int(poi_id[1:]) for poi_id in records.pois}
         assert all(0 <= i < 20 for i in ids)
 
     def test_rejects_degenerate_counts(self):
@@ -1005,23 +1058,22 @@ class TestTravelTimeModel:
             out.append(r)
             if i % 3 == 0:
                 there = records[(i + 1) % len(records)]
-                out.append(CheckinRecord(r.user_id, there.poi_id, r.timestamp,
-                                         there.lat, there.lon, there.category))
+                out.append(ref.Record(r.user_id, there.poi_id, r.timestamp,
+                                      there.lat, there.lon, there.category))
         return out
 
     def test_fit_equals_the_per_user_loop(self):
         """One sort of every check-in by (user, time) gives the per-user
         loop's ``log_mu`` bit for bit, in any record order: the sort is
         stable, so equal timestamps keep the order of the records."""
-        records, _ = synth_dataset(seed=7, n_users=120, n_pois=400, days=30)
+        records = ref.checkin_records(synth_dataset(seed=7, n_users=120, n_pois=400, days=30)[0])
         rng = np.random.default_rng(3)
         shuffled = [records[i] for i in rng.permutation(len(records))]
         repeated = self.with_repeated_times(shuffled)
         # each user's check-ins after the previous user's: a pair across
         # two users would pass every test but the one of the user
         rank = {u: i for i, u in enumerate(sorted({r.user_id for r in records}))}
-        in_turn = [dataclasses.replace(r, timestamp=r.timestamp + rank[r.user_id] * 10**7)
-                   for r in records]
+        in_turn = [r._replace(timestamp=r.timestamp + rank[r.user_id] * 10**7) for r in records]
         corpora = {"ingest-size": records, "shuffled": shuffled, "repeated-times": repeated,
                    "repeated-times-reversed": repeated[::-1], "users-in-turn": in_turn}
         for name, corpus in corpora.items():

@@ -10,7 +10,7 @@ import pytest
 import naive_reference as naive
 import scalar_reference as ref
 from conftest import make_visit
-from capseq.data.types import DataError, Encodings, Poi, Session, SocialGraph, Visit, visit_arrays
+from capseq.data.types import DataError, Encodings, Poi, Session, SessionTable, SocialGraph, Visit
 from capseq.data import build_sessions, synth_dataset
 from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 from capseq.metrics import assign_folds
@@ -325,7 +325,7 @@ class TestVectors:
             ),
         ]
         tables, encodings = build_tables(sessions)
-        vec = tables.session_steps(visit_arrays(sessions[:1], encodings))[1][0]
+        vec = tables.session_steps(SessionTable.of(sessions[:1], encodings))[1][0]
         assert vec.shape == (FEATURE_DIM,)
         assert vec[4] == pytest.approx(1.0, rel=1e-3)  # mean consecutive km
         assert vec[5] == 9.0 and vec[6] == 10.0
@@ -344,7 +344,7 @@ class TestVectors:
             ),
         ]
         tables, encodings = build_tables(sessions)
-        vec = tables.session_steps(visit_arrays(sessions[:1], encodings))[1][0]
+        vec = tables.session_steps(SessionTable.of(sessions[:1], encodings))[1][0]
         assert vec[0] == vec[1]
         assert vec[2] == vec[3]
         assert vec[4] == 0.0
@@ -812,8 +812,8 @@ def _encoded_state(tables):
 
 
 class TestOneEncodingPass:
-    """``build`` and ``encode_sessions`` encode each visit once, with
-    ``visit_arrays``, and take everything else from its arrays, bit for bit
+    """``build`` and ``encode_sessions`` encode each visit once, into a
+    ``SessionTable``, and take everything else from its columns, bit for bit
     as the per-visit loops of ``scalar_reference.session_tables`` and
     ``scalar_reference.encode_session``."""
 

@@ -9,6 +9,7 @@ import pytest
 
 from capseq import geo, metrics
 from capseq.baselines.hits import HitsModel, sequence_score
+from capseq.data import SessionTable
 from capseq.features import FeatureTables, tables as tables_module
 from capseq.generation import score_sequence
 from finite_diff import grad_check
@@ -73,10 +74,10 @@ class TestSequentialSum:
         sessions, graph, encodings = synth_small
         tables = FeatureTables.build(sessions, graph, encodings)
         monkeypatch.setattr(geo, "arc_km", lambda *places: 0.1)
-        one = np.zeros(1, dtype=np.int64)
-        visits = (one.repeat(11), np.arange(11), np.arange(11) * 60, np.arange(11) * 60,
-                  one + 11)
-        dist_prev, feats = tables.session_steps(visits)
+        pois, times = np.arange(11), np.arange(11) * 60
+        table = SessionTable(np.zeros(11, dtype=np.int64), pois, times, times,
+                             np.array([11]), encodings, encodings.pois(), pois)
+        dist_prev, feats = tables.session_steps(table)
         assert dist_prev.tolist() == [0.0] + TENTHS
         assert feats[0, 4] == self.SUM / 10
 
@@ -89,8 +90,10 @@ class TestSequentialSum:
         n = int(lengths.sum())
         km = rng.random(n - len(lengths)) * 10.0 ** rng.integers(-3, 3, n - len(lengths))
         monkeypatch.setattr(tables_module, "arcs_km", lambda points, a, b: km)
-        zeros = np.zeros(n, dtype=np.int64)
-        _, feats = synth_tables.session_steps((zeros, zeros, zeros, zeros, lengths))
+        zeros, encodings = np.zeros(n, dtype=np.int64), synth_tables.encodings
+        table = SessionTable(zeros, zeros, zeros, zeros, lengths, encodings, encodings.pois(),
+                             zeros)
+        _, feats = synth_tables.session_steps(table)
         ends = np.cumsum(lengths - 1).tolist()
         want = [sequential_sum(km[end - k:end].tolist()) / k if k else 0.0
                 for end, k in zip(ends, (lengths - 1).tolist())]

@@ -1,5 +1,5 @@
-"""``reach.py``, which CI does not run, keeps a working collector: on a
-small module of two functions it reports exactly the line never run."""
+"""``reach.py`` keeps a working collector: on a small module of two
+functions it reports exactly the line never run."""
 
 import importlib.util
 import sys
@@ -34,3 +34,19 @@ def test_collector_reports_exactly_the_line_never_run(tmp_path):
         assert module.sign(5) == 1
     assert reach.never_run(SOURCE, collector.lines[str(path)]) == [9]
     assert reach.never_called(SOURCE, str(path), collector.calls) == []
+
+
+def test_main_exits_1_while_a_package_line_is_never_run(monkeypatch, capsys):
+    """The exit status follows the first list only: 1 when the fast suite
+    ran no package line, 0 when it ran every one, though the golden
+    pipelines called nothing either time."""
+    everything = reach.Collector(reach.PACKAGE)
+    for path in reach.PACKAGE.rglob("*.py"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        everything.lines[str(path)] = set(range(1, len(lines) + 1))
+    monkeypatch.setattr(reach, "pipelines", lambda: reach.Collector(reach.PACKAGE))
+    for suite, code in ((reach.Collector(reach.PACKAGE), 1), (everything, 0)):
+        monkeypatch.setattr(reach, "fast_suite", lambda: suite)
+        assert reach.main() == code
+        out = capsys.readouterr().out
+        assert ("reach: 0 of" in out.split("never run by the fast suite")[0]) == (code == 0)
