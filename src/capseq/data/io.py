@@ -46,7 +46,8 @@ GRAPH_FILE = "graph.json"
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 
 
-def _dump_json(obj, path: Path) -> None:
+def dump_json(obj, path: Path) -> None:
+    """``obj`` to ``path`` as JSON: sorted keys, one-space indents, a newline."""
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
@@ -67,12 +68,12 @@ def save_dataset(
                               table.split(table.arrivals), table.split(table.departures))
     ]
     (out / SESSIONS_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _dump_json(encodings.to_dict(), out / ENCODINGS_FILE)
+    dump_json(encodings.to_dict(), out / ENCODINGS_FILE)
     table = {str(l): {"id": p.poi_id, "lat": p.lat, "lon": p.lon, "category": p.category}
              for l, p in enumerate(encodings.pois())}
-    _dump_json(table, out / POIS_FILE)
+    dump_json(table, out / POIS_FILE)
     if graph is not None:
-        _dump_json(graph.to_dict(), out / GRAPH_FILE)
+        dump_json(graph.to_dict(), out / GRAPH_FILE)
 
 
 def _open(path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,6 +39,20 @@ def check_checkin(user_id, poi_id, timestamp, lat, lon, category, city=None) -> 
         raise DataError(f"longitude out of range: {lon}")
 
 
+def _check_types(user_id, poi_id, timestamp, lat, lon, *rest) -> None:
+    """``DataError`` unless ``timestamp`` is an integer and ``lat`` and
+    ``lon`` are real numbers, none of them a bool: what ``check_checkin``
+    compares and the columns hold without a cast that changes a value.
+    An ``int`` and a ``float``, which parsing gives, pass the first test."""
+    if type(timestamp) is not int and (isinstance(timestamp, bool)
+                                       or not isinstance(timestamp, numbers.Integral)):
+        raise DataError(f"timestamp must be an integer, got {timestamp!r}")
+    for what, value in (("latitude", lat), ("longitude", lon)):
+        if type(value) is not float and (isinstance(value, bool)
+                                         or not isinstance(value, numbers.Real)):
+            raise DataError(f"{what} must be a number, got {value!r}")
+
+
 CHECKIN_FIELDS = ("user_id", "poi_id", "timestamp", "lat", "lon", "category", "city")
 
 
@@ -57,12 +72,13 @@ class Checkins:
     @classmethod
     def of(cls, rows: Iterable[tuple]) -> "Checkins":
         """The check-ins ``rows``, field tuples in ``CHECKIN_FIELDS`` order
-        in any order, as sorted columns, once ``check_checkin`` takes each;
-        ``Checkins`` as they are."""
+        in any order, as sorted columns, once ``_check_types`` and
+        ``check_checkin`` take each; ``Checkins`` as they are."""
         if isinstance(rows, cls):
             return rows
         rows = list(rows)
         for row in rows:
+            _check_types(*row)
             check_checkin(*row)
         return cls.from_rows(rows)
 

@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -57,14 +58,13 @@ class StayStats:
     global_mean: float
 
     @classmethod
-    def from_means(cls, n_pois: int, mean_stay: dict, global_mean: float) -> "StayStats":
-        """Stats from the mean stay of each POI that has one."""
-        pois = list(mean_stay)
-        means = np.full(n_pois, global_mean)
-        means[pois] = list(mean_stay.values())
+    def from_means(cls, n_pois: int, pois, means, global_mean: float) -> "StayStats":
+        """Stats from the mean stays ``means`` of the POIs ``pois`` that have one."""
+        mean_stay = np.full(n_pois, global_mean)
+        mean_stay[pois] = means
         own = np.zeros(n_pois, dtype=bool)
         own[pois] = True
-        return cls(means, _minmax(means, own), own, global_mean)
+        return cls(mean_stay, _minmax(mean_stay, own), own, global_mean)
 
 
 def _minmax(values: np.ndarray, over: np.ndarray) -> np.ndarray:
@@ -92,7 +92,7 @@ def _stay_stats(users, pois, stays, n_pois: int) -> StayStats:
     visited = pois[np.sort(np.unique(pois, return_index=True)[1])]
     mean_stay = (sums[visited] / np.bincount(poi, minlength=n_pois)[visited]).tolist()
     global_mean = sequential_sum(mean_stay) / len(mean_stay) if mean_stay else 0.0
-    return StayStats.from_means(n_pois, dict(zip(visited.tolist(), mean_stay)), global_mean)
+    return StayStats.from_means(n_pois, visited, mean_stay, global_mean)
 
 
 # the fields of a tables document (``save``) that are not its encodings and catalogue
@@ -324,11 +324,9 @@ class FeatureTables:
         # km from each source POI read so far to every POI: source l's
         # row is _dist_rows[_dist_slot[l]], and _dist_slot[l] is -1 until
         # l is first read
-        self._dist_slot: np.ndarray | None = None
-        self._dist_rows: np.ndarray | None = None
+        self._dist_slot = np.full(self.n_pois, -1, dtype=np.int64)
+        self._dist_rows = np.empty((0, self.n_pois))
         self._pref_tables: dict[int, np.ndarray] = {}  # stats row -> preference_table
-        self._attr_table: np.ndarray | None = None  # (n_pois, 24, ATTRIBUTE_DIM)
-        self._attr_scale: np.ndarray | None = None
         self._session_features: dict[tuple, np.ndarray] = {}
 
     # -- construction --------------------------------------------------
@@ -446,20 +444,16 @@ class FeatureTables:
         np.minimum.at(lo, to, km)
         np.maximum.at(hi, to, km)
         own = np.unique(to)
-        self._set_distance_bounds(
-            dict(zip(own.tolist(), zip(lo[own].tolist(), hi[own].tolist()))),
-            (float(km.min()), float(km.max())) if len(km) else (0.0, 0.0),
-        )
+        self._set_distance_bounds(own, np.column_stack([lo[own], hi[own]]),
+                                  (float(km.min()), float(km.max())) if len(km) else (0.0, 0.0))
 
-    def _set_distance_bounds(self, dist_in: dict, dist_global: tuple) -> None:
-        """Bounds from ``dist_in`` (POI -> (lo, hi)) and the global pair."""
+    def _set_distance_bounds(self, pois, bounds, dist_global: tuple) -> None:
+        """Bounds from the (lo, hi) rows ``bounds`` of ``pois`` and the global pair."""
         self._dist_global = dist_global
         self._dist_in = np.tile(dist_global, (self.n_pois, 1))
+        self._dist_in[pois] = np.reshape(bounds, (-1, 2))
         self._dist_own = np.zeros(self.n_pois, dtype=bool)
-        if dist_in:
-            pois = list(dist_in)
-            self._dist_in[pois] = list(dist_in.values())
-            self._dist_own[pois] = True
+        self._dist_own[pois] = True
 
     HOUR_BUCKET = 6  # sessions bucketed by start-hour quadrant
 
@@ -510,9 +504,6 @@ class FeatureTables:
         arrays), read from the row of each source. A source's row is
         filled with the scalar ``arc_km`` to every POI when the source is
         first read, so memory grows with the sources read."""
-        if self._dist_slot is None:
-            self._dist_slot = np.full(self.n_pois, -1, dtype=np.int64)
-            self._dist_rows = np.empty((0, self.n_pois))
         slot = self._dist_slot[a]
         new = slot < 0
         if new.any():
@@ -614,10 +605,7 @@ class FeatureTables:
         ``pois[i]`` at hour of day ``hours[i]`` (0-23), with
         ``dist_prev[i]`` km from the previous stop (0 for none) as its only
         per-step field."""
-        pois = self._pois(pois)
-        if self._attr_table is None:
-            self._build_attribute_table()
-        rows = self._attr_table[pois, hours]
+        rows = self._attributes[0][self._pois(pois), hours]
         rows[..., 5] = dist_prev
         return rows
 
@@ -662,13 +650,12 @@ class FeatureTables:
 
     @property
     def attribute_scale(self) -> np.ndarray:
-        if self._attr_scale is None:
-            self._build_attribute_table()
-        return self._attr_scale
+        return self._attributes[1]
 
-    def _build_attribute_table(self) -> None:
-        """The static fields of every (POI, hour) attribute vector, with
-        ``dist_prev`` left at 0, and the per-field input scales."""
+    @cached_property
+    def _attributes(self) -> tuple:
+        """The (n_pois, 24, ATTRIBUTE_DIM) static fields of every attribute
+        vector, ``dist_prev`` left at 0, and the per-field input scales."""
         table = np.zeros((self.n_pois, HOURS, ATTRIBUTE_DIM))
         ps = self.preference_table(None)
         table[:, :, 0] = self.stay.normalized[:, None]
@@ -683,8 +670,7 @@ class FeatureTables:
         scale[3] = max(1.0, float(np.abs(ps).max(initial=0.0)))
         scale[4] = max(1.0, self.encodings.n_categories - 1.0)
         scale[5] = max(1.0, self._dist_global[1])
-        self._attr_table = table
-        self._attr_scale = scale
+        return table, scale
 
     # -- serialization -----------------------------------------------------
 
@@ -743,24 +729,19 @@ class FeatureTables:
         n_users, n_pois = encodings.n_users, encodings.n_pois
         tables = cls(encodings)
         stay = d["stay"]
-        tables.stay = StayStats.from_means(
-            n_pois,
-            {_index(int(k), n_pois, "stay POI"): _number(v, "stay mean")
-             for k, v in stay["mean"].items()},
-            _number(stay["global_mean"], "stay global_mean"),
-        )
+        means = {_index(int(k), n_pois, "stay POI"): _number(v, "stay mean")
+                 for k, v in stay["mean"].items()}
+        tables.stay = StayStats.from_means(n_pois, list(means), list(means.values()),
+                                           _number(stay["global_mean"], "stay global_mean"))
         tables._friends = [[] for _ in range(n_users)]
         for u, fs in d["friends"].items():
             tables._friends[_index(int(u), n_users, "user")] = [
                 _index(f, n_users, "friend") for f in fs
             ]
-        tables._set_distance_bounds(
-            {
-                _index(int(k), n_pois, "dist_in POI"): _array(v, 2, "dist_in").tolist()
-                for k, v in d["dist_in"].items()
-            },
-            tuple(_array(d["dist_global"], 2, "dist_global").tolist()),
-        )
+        dist_in = {_index(int(k), n_pois, "dist_in POI"): _array(v, 2, "dist_in")
+                   for k, v in d["dist_in"].items()}
+        tables._set_distance_bounds(list(dist_in), list(dist_in.values()),
+                                    tuple(_array(d["dist_global"], 2, "dist_global").tolist()))
         tables._session_features = {
             tuple(int(x) for x in key.split(":")): _array(vec, FEATURE_DIM, "session_features")
             for key, vec in d["session_features"].items()

@@ -33,7 +33,7 @@ def pairs_f1(actual: Sequence, predicted: Sequence) -> tuple:
     When both sequences are single elements there are no pairs at all;
     the score is 1 if they are the same POI, else 0.
     """
-    if not actual or not predicted:
+    if not len(actual) or not len(predicted):
         raise ValueError("sequences must be non-empty")
     a_pairs = ordered_pairs(actual)
     p_pairs = ordered_pairs(predicted)
@@ -53,23 +53,12 @@ def diversity(categories: Sequence) -> float:
     n = len(categories)
     if n < 2:
         raise ValueError("diversity needs at least two items")
-    return _pair_share(diversity_raw(categories), n)
-
-
-def _pair_share(count: int, n: int) -> float:
-    """``count`` as a share of the unordered pairs of ``n`` items."""
-    return count / (n * (n - 1) / 2.0)
+    return diversity_raw(categories) / (n * (n - 1) / 2.0)
 
 
 def diversity_raw(categories: Sequence) -> int:
     """Unnormalized count of dissimilar pairs."""
-    n = len(categories)
-    return sum(
-        1
-        for i in range(n)
-        for j in range(i + 1, n)
-        if categories[i] != categories[j]
-    )
+    return sum(1 for i, a in enumerate(categories) for b in categories[i + 1:] if a != b)
 
 
 def displacement(actual_coords, predicted_coords) -> tuple:
@@ -187,7 +176,7 @@ def _evaluate(model, i, user, actual, hour, length, encodings, seed, candidates)
     p, r, f1 = pairs_f1(actual, predicted)
     cats = [int(cats_of[ix]) for ix in predicted]
     raw = diversity_raw(cats)
-    div = _pair_share(raw, len(cats)) if len(cats) >= 2 else 0.0
+    div = diversity(cats) if len(cats) >= 2 else 0.0
     n = min(len(actual), len(predicted))
     d_sum, d_mean = displacement(coords[actual[:n]], coords[predicted[:n]])
     return p, r, f1, div, d_sum, d_mean, float(raw)

@@ -11,9 +11,6 @@ from .training import (
     train,
 )
 from .recommenders import (
-    KIND_CAPS_LSTM,
-    KIND_CAPS_RNN,
-    KIND_PLAIN_RNN,
     MODEL_KINDS,
     CapsLstmRecommender,
     CapsRnnRecommender,
@@ -28,9 +25,6 @@ __all__ = [
     "CapsRnnRecommender",
     "ContextLstm",
     "ContextRnn",
-    "KIND_CAPS_LSTM",
-    "KIND_CAPS_RNN",
-    "KIND_PLAIN_RNN",
     "MAX_STEPS",
     "MODEL_KINDS",
     "NotFittedError",

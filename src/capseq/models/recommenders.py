@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .. import numerics
+from ..data.io import dump_json
 from ..data.types import Encodings
 from ..features import FeatureTables
 from ..generation import GenRequest, generate
@@ -23,10 +24,6 @@ from .base import SequenceRecommender, check_non_negative, check_positive, check
 from .lstm import ContextLstm
 from .rnn import ContextRnn
 from .training import encode_sessions, train
-
-KIND_PLAIN_RNN = "plain-rnn"
-KIND_CAPS_RNN = "caps-rnn"
-KIND_CAPS_LSTM = "caps-lstm"
 
 
 def encodings_hash(encodings: Encodings) -> str:
@@ -77,9 +74,7 @@ class _NeuralRecommender(SequenceRecommender):
             "params": self.get_params(),
             "encodings_sha256": encodings_hash(self.tables_.encodings),
         }
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(sidecar, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
+        dump_json(sidecar, path.with_suffix(path.suffix + ".json"))
 
     @classmethod
     def _restore(cls, sidecar: dict, weights, tables: FeatureTables):
@@ -95,7 +90,7 @@ class _NeuralRecommender(SequenceRecommender):
 class PlainRnnRecommender(_NeuralRecommender):
     """Plain recurrent sequence model; no context or feature inputs."""
 
-    kind = KIND_PLAIN_RNN
+    kind = "plain-rnn"
     contextual: ClassVar[bool] = False
     hidden_size: int = 256
     n_layers: int = 5
@@ -120,7 +115,7 @@ class PlainRnnRecommender(_NeuralRecommender):
 class CapsRnnRecommender(PlainRnnRecommender):
     """Context-aware RNN: attribute gating plus feature injection."""
 
-    kind = KIND_CAPS_RNN
+    kind = "caps-rnn"
     contextual = True
 
 
@@ -129,7 +124,7 @@ class CapsLstmRecommender(_NeuralRecommender):
     """Context-aware LSTM: gate updates see the attribute-gated state
     and the shared feature term."""
 
-    kind = KIND_CAPS_LSTM
+    kind = "caps-lstm"
     hidden_size: int = 512
     embedding_size: int = 384
 
@@ -146,11 +141,8 @@ class CapsLstmRecommender(_NeuralRecommender):
         )
 
 
-MODEL_KINDS = {
-    KIND_PLAIN_RNN: PlainRnnRecommender,
-    KIND_CAPS_RNN: CapsRnnRecommender,
-    KIND_CAPS_LSTM: CapsLstmRecommender,
-}
+MODEL_KINDS = {cls.kind: cls for cls in (PlainRnnRecommender, CapsRnnRecommender,
+                                          CapsLstmRecommender)}
 
 
 def load_checkpoint(path, tables: FeatureTables):
@@ -158,9 +150,7 @@ def load_checkpoint(path, tables: FeatureTables):
     the POIs of ``tables``; refuses a checkpoint whose encodings differ
     from theirs, or whose snapshot does not fit the net."""
     path = Path(path)
-    sidecar = json.loads(
-        path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8")
-    )
+    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
     kind = sidecar["kind"]
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r} in checkpoint")

@@ -13,8 +13,10 @@ prints two lists:
 A line of the first list needs a test, or a reason why it stays
 untested, and the script exits 1 while that list is not empty. A ``def``
 of the second that only tests call is a deletion candidate, unless it is
-public API or ``perfbench`` holds its name; it does not change the exit
-status.
+an error path, public API or a name ``perfbench`` holds: ``UNCALLED``
+pins the second list with one such reason per ``def``, and the script
+exits 1 when a ``def`` outside it goes uncalled or one of its entries
+is called.
 
 The collector is a ``sys.settrace`` line tracer limited to the frames of
 the files under one directory; it uses only the standard library. It
@@ -38,6 +40,40 @@ PACKAGE = TESTS.parent / "src" / "capseq"
 # statements that compile to no instruction of their own: their lines
 # never show in a trace
 SILENT = (ast.Global, ast.Nonlocal, ast.Try)
+
+# the defs the golden CLI pipelines never call, as ``module:qualified.name``,
+# each with the reason it stays
+UNCALLED = {
+    "cli.py:_Parser.error": "error path: argparse calls it on a usage error",
+    "config.py:parse_config_file": "public API: the CLI's --config, which the pipelines "
+                                   "do not pass",
+    "data/io.py:_session_fields": "error path: words each per-line sessions.jsonl error",
+    "data/types.py:Visit.__post_init__": "perfbench holds the Session object layer",
+    "data/types.py:Visit.stay": "public API: the test oracles read it",
+    "data/types.py:Visit.hour": "perfbench holds the Session object layer",
+    "data/types.py:Session.__post_init__": "perfbench holds the Session object layer",
+    "data/types.py:Session.__len__": "perfbench holds the Session object layer",
+    "data/types.py:Encodings.fit": "perfbench holds it (make_split, request_list)",
+    "data/types.py:Encodings.poi": "perfbench holds it (make_split, request_list)",
+    "data/types.py:SessionTable.__getitem__": "perfbench holds the table's object view",
+    "data/types.py:SessionTable.__iter__": "perfbench holds the table's object view",
+    "data/types.py:SessionTable._objects": "perfbench holds the table's object view",
+    "features/tables.py:_index": "perfbench holds FeatureTables.load, which reads with it",
+    "features/tables.py:_number": "perfbench holds FeatureTables.load, which reads with it",
+    "features/tables.py:_array": "perfbench holds FeatureTables.load, which reads with it",
+    "features/tables.py:FeatureTables.consolidated": "perfbench counts its calls",
+    "features/tables.py:FeatureTables.attribute_vector": "perfbench counts its calls",
+    "features/tables.py:FeatureTables.from_dict": "perfbench holds FeatureTables.load, "
+                                                  "which reads with it",
+    "features/tables.py:FeatureTables._from_dict": "perfbench holds FeatureTables.load, "
+                                                   "which reads with it",
+    "features/tables.py:FeatureTables.load": "perfbench times it",
+    "generation.py:sample_next": "perfbench times it",
+    "metrics.py:EvalResult.aggregate": "public API: criterion 7 and perfbench read a "
+                                       "model's mean row with it",
+    "models/training.py:TrainingDivergedError.__init__": "error path: a training loss "
+                                                         "that is not finite",
+}
 
 
 class Collector:
@@ -171,23 +207,28 @@ def pipelines() -> Collector:
 
 def main() -> int:
     suite, cli = fast_suite(), pipelines()
-    unrun, total, uncalled, defs = [], 0, [], 0
+    unrun, total, uncalled, defs = [], 0, {}, 0
     for path in sorted(PACKAGE.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
-        name, text = path.relative_to(PACKAGE), source.splitlines()
+        name, text = path.relative_to(PACKAGE).as_posix(), source.splitlines()
         total += len(body_statements(source))
         unrun += [f"{name}:{line}  {text[line - 1].strip()}"
                   for line in never_run(source, suite.lines.get(str(path), set()))]
         defs += len(functions(ast.parse(source)))
-        uncalled += [f"{name}:{line}  {qualname}"
-                     for line, qualname in never_called(source, str(path), cli.calls)]
+        uncalled.update({f"{name}:{qualname}": f"{name}:{line}  {qualname}"
+                         for line, qualname in never_called(source, str(path), cli.calls)})
+    unpinned = [entry for key, entry in uncalled.items() if key not in UNCALLED]
+    called = sorted(UNCALLED.keys() - uncalled.keys())
     print(f"\nreach: {len(unrun)} of {total} function-body statement lines in src/capseq "
           "never run by the fast suite:")
     print("".join(f"  {entry}\n" for entry in unrun), end="")
     print(f"reach: {len(uncalled)} of {defs} defs in src/capseq never called by the "
           "golden CLI pipelines:")
-    print("".join(f"  {entry}\n" for entry in uncalled), end="")
-    return 1 if unrun else 0
+    print("".join(f"  {entry}\n" for entry in uncalled.values()), end="")
+    print(f"reach: {len(unpinned)} of them not in UNCALLED, and {len(called)} entries of "
+          "UNCALLED called:")
+    print("".join(f"  {entry}\n" for entry in unpinned + called), end="")
+    return 1 if unrun or unpinned or called else 0
 
 
 if __name__ == "__main__":

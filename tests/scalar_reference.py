@@ -478,7 +478,8 @@ def compute_stay_stats(sessions, encodings) -> StayStats:
         visitors[l] += 1
     mean_stay = {l: s / visitors[l] for l, s in sums.items()}
     global_mean = left_to_right(mean_stay.values()) / len(mean_stay) if mean_stay else 0.0
-    return StayStats.from_means(encodings.n_pois, mean_stay, global_mean)
+    return StayStats.from_means(encodings.n_pois, list(mean_stay), list(mean_stay.values()),
+                                global_mean)
 
 
 def step_km(tables, session) -> list:
@@ -520,7 +521,8 @@ def build_distance_bounds(tables, sessions, step_km) -> None:
             lo, hi = bounds.get(l, (d, d))
             bounds[l] = (min(lo, d), max(hi, d))
     every = [d for dists in step_km for d in dists]
-    tables._set_distance_bounds(bounds, (min(every), max(every)) if every else (0.0, 0.0))
+    tables._set_distance_bounds(list(bounds), list(bounds.values()),
+                                (min(every), max(every)) if every else (0.0, 0.0))
 
 
 def build_session_features(tables, sessions, step_km) -> None:

@@ -340,6 +340,18 @@ class TestCheckins:
         "latitude-past-90": (("u", "p", 100, 90.5, -74.0, "Food", None), "latitude out"),
         "latitude-nan": (("u", "p", 100, math.nan, -74.0, "Food", None), "latitude out"),
         "longitude-past-180": (("u", "p", 100, 40.0, -180.5, "Food", None), "longitude out"),
+        # the types the int64 time column and the float coordinates take as they are
+        "time-float": (("u", "p", 100.7, 40.0, -74.0, "Food", None), "timestamp must be an int"),
+        "time-whole-float": (("u", "p", 100.0, 40.0, -74.0, "Food", None),
+                             "timestamp must be an int"),
+        "time-bool": (("u", "p", True, 40.0, -74.0, "Food", None), "timestamp must be an int"),
+        "time-string": (("u", "p", "100", 40.0, -74.0, "Food", None), "timestamp must be an int"),
+        "latitude-bool": (("u", "p", 100, True, -74.0, "Food", None), "latitude must be a num"),
+        "latitude-numpy-bool": (("u", "p", 100, np.True_, -74.0, "Food", None),
+                                "latitude must be a num"),
+        "latitude-string": (("u", "p", 100, "40.0", -74.0, "Food", None), "latitude must be a num"),
+        "longitude-bool": (("u", "p", 100, 40.0, False, "Food", None), "longitude must be a num"),
+        "longitude-string": (("u", "p", 100, 40.0, "-74", "Food", None), "longitude must be a num"),
     }
 
     @pytest.mark.parametrize("case", sorted(BROKEN))
@@ -348,6 +360,23 @@ class TestCheckins:
         for rows in ([row], [self.GOOD, row], [row, self.GOOD]):
             with pytest.raises(DataError, match=words):
                 Checkins.of(rows)
+
+    def test_of_takes_python_and_numpy_integers_and_numbers(self):
+        rows = [("u", "p", np.int64(300), np.float32(40.5), np.int32(-74), "Food", None),
+                ("u", "p", np.uint32(200), 40, np.float64(-74.0), "Food", None),
+                ("u", "p", 100, 40.0, -74.0, "Food", None)]
+        log = Checkins.of(rows)
+        assert log.times == [100, 200, 300]
+        assert np.array(log.times, dtype=np.int64).tolist() == [100, 200, 300]
+        assert np.array(log.lats).tolist() == [40.0, 40.0, 40.5]
+
+    def test_library_callers_refuse_what_of_refuses(self):
+        """``build_sessions`` and ``TravelTimeModel.fit`` take their rows
+        through ``Checkins.of``: a float time is refused, not cut to an int."""
+        rows = [("u", "p", 100.7, 40.0, -74.0, "F", None), ("u", "q", 3600, 40.0, -74.0, "F", None)]
+        for call in (build_sessions, TravelTimeModel("lognormal").fit):
+            with pytest.raises(DataError, match="timestamp must be an integer, got 100.7"):
+                call(rows)
 
 
 class TestByteOrderMark:

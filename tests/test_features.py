@@ -563,6 +563,31 @@ class TestLoadEqualsBuild:
             differ = [path for path in want if got[path] != want[path]]
             assert not differ, (name, differ)
 
+    def test_tables_on_no_sessions_load_as_built(self, tiny_world, tmp_path):
+        """The tables of an empty split hold no stay mean, no incoming
+        distance bound and no user; saved and loaded, every array and
+        every read equals the built one."""
+        _, graph, encodings = tiny_world
+        built = FeatureTables.build([], graph, encodings)
+        built.save(tmp_path / "empty.json")
+        doc = json.loads((tmp_path / "empty.json").read_text(encoding="utf-8"))
+        assert (doc["stay"]["mean"], doc["dist_in"], doc["users"]) == ({}, {}, [])
+        loaded = FeatureTables.load(tmp_path / "empty.json")
+        reads = []
+        for tables in (built, loaded):
+            reads.append([
+                tables.attribute_rows([0, 3], [9, 23], [0.0, 2.5]).tolist(),
+                tables.attribute_scale.tolist(),
+                tables.preference(None, [0, 1, 2, 3], 9).tolist(),
+                tables.consolidated(1, 2, 23, 0),
+                tables.discount([1, 3], [0, 0]).tolist(),
+                tables.expected_feature(0, 1, 9).tolist(),
+            ])
+        assert reads[1] == reads[0]
+        want, got = dict(_state(built)), dict(_state(loaded))
+        assert got.keys() == want.keys()
+        assert [path for path in want if got[path] != want[path]] == []
+
 
 def _category_past_end(tables):
     tables["poi_cat"][0] = len(tables["encodings"]["categories"])

@@ -100,6 +100,20 @@ class TestPairsF1:
             b = rng.integers(0, 6, size=rng.integers(2, 7)).tolist()
             assert pairs_f1(a, b) == brute_force_pairs_f1(a, b)
 
+    def test_arrays_score_as_lists(self):
+        """NumPy arrays, as ``diversity`` and ``displacement`` take, give
+        the lists' scores, single elements and empty ones included."""
+        rng = np.random.default_rng(11)
+        pairs = [([1, 2, 3], [1, 3, 2]), ([5], [5]), ([5], [6]), ([4], [4, 2])]
+        pairs += [(rng.integers(0, 5, size=rng.integers(1, 7)).tolist(),
+                   rng.integers(0, 5, size=rng.integers(1, 7)).tolist()) for _ in range(300)]
+        for a, b in pairs:
+            assert pairs_f1(np.array(a), np.array(b)) == pairs_f1(a, b)
+            assert pairs_f1(np.array(a), b) == pairs_f1(a, np.array(b)) == pairs_f1(a, b)
+        for actual, predicted in (([], [1]), ([1], [])):
+            with pytest.raises(ValueError, match="non-empty"):
+                pairs_f1(np.array(actual, dtype=np.int64), np.array(predicted, dtype=np.int64))
+
 
 class TestDiversity:
     def test_all_same_category(self):

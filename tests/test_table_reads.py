@@ -3,6 +3,7 @@ matrix, preference and discount reads over index arrays, and the
 rollouts, clocks and scores generation builds on them, bit for bit."""
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestArrayReads:
         sessions, graph, encodings = synth_small
         tables = FeatureTables.build(sessions, graph, encodings)
         encode_sessions([s for s in sessions if len(s) >= 2], tables)
-        assert tables._dist_rows is None
+        assert (tables._dist_slot < 0).all() and not len(tables._dist_rows)  # no row filled
         coords = tables.poi_coords
         for a, b in ((np.array([3, 3, 5]), np.array([1, 2, 3])), (4, 3), (3, 0)):
             got = tables.distance_km(a, b)
@@ -104,6 +105,28 @@ class TestArrayReads:
                    for u in (-1, pooled, 3))
         with pytest.raises(ValueError):
             tables.preference_table(0)[0, 0] = 1.0
+
+    def test_attribute_table_is_made_once_per_tables_object(self, synth_small, monkeypatch):
+        """The attribute table and its input scales are one value, made on
+        the first read of either and then kept, whichever comes first."""
+        sessions, graph, encodings = synth_small
+        made = []
+        make = FeatureTables._attributes.func
+        attributes = cached_property(lambda self: made.append(self) or make(self))
+        attributes.__set_name__(FeatureTables, "_attributes")
+        monkeypatch.setattr(FeatureTables, "_attributes", attributes)
+        seen = []
+        for order in (("rows", "scale", "vector"), ("scale", "vector", "rows")):
+            tables = FeatureTables.build(sessions, graph, encodings)
+            reads = {"rows": lambda: tables.attribute_rows([0, 5], [9, 23], [0.0, 1.5]).tolist(),
+                     "scale": lambda: tables.attribute_scale.tolist(),
+                     "vector": lambda: tables.attribute_vector(5, 23, 0).tolist()}
+            first = {name: reads[name]() for name in order}
+            assert {name: reads[name]() for name in order} == first
+            assert made == [tables]
+            seen.append(first)
+            made.clear()
+        assert seen[0] == seen[1]
 
     def test_preference_arrays_equal_scalar_reads(self, any_tables):
         tables = any_tables
