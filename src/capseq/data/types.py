@@ -31,12 +31,18 @@ def check_checkin(user_id, poi_id, timestamp, lat, lon, category, city=None) -> 
     ``category`` is ':'-separated (e.g. "Food:Coffee Shop")."""
     if not user_id or not poi_id or not category:
         raise DataError("user_id, poi_id and category must be non-empty")
-    if not 0 < timestamp <= MAX_TIMESTAMP:
-        raise DataError(f"timestamp must be in 1..{MAX_TIMESTAMP}, got {timestamp}")
-    if not -90.0 <= lat <= 90.0:
-        raise DataError(f"latitude out of range: {lat}")
-    if not -180.0 <= lon <= 180.0:
-        raise DataError(f"longitude out of range: {lon}")
+    try:
+        if not 0 < timestamp <= MAX_TIMESTAMP:
+            raise DataError(f"timestamp must be in 1..{MAX_TIMESTAMP}, got {timestamp}")
+        if not -90.0 <= lat <= 90.0:
+            raise DataError(f"latitude out of range: {lat}")
+        if not -180.0 <= lon <= 180.0:
+            raise DataError(f"longitude out of range: {lon}")
+    except TypeError:  # a field that does not compare with numbers
+        fields = {"timestamp": timestamp, "latitude": lat, "longitude": lon}
+        what = next((what for what, value in fields.items()
+                     if not isinstance(value, numbers.Real)), "timestamp")
+        raise DataError(f"{what} must be a number, got {fields[what]!r}") from None
 
 
 def _check_types(user_id, poi_id, timestamp, lat, lon, *rest) -> None:

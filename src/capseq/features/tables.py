@@ -533,8 +533,13 @@ class FeatureTables:
 
     def stats_row(self, u: int | None) -> int:
         """The statistics row ``preference`` reads for ``u``: its own, or
-        the pooled row ``n_users`` for ``None`` or a user without history."""
-        return u if u is not None and 0 <= u < self.n_users and self._max_lt[u] else self.n_users
+        the pooled row ``n_users`` for ``None`` or a user without history.
+        ``UnknownIdError`` for any other index outside ``[0, n_users)``."""
+        if u is None:
+            return self.n_users
+        if not 0 <= u < self.n_users:
+            raise UnknownIdError(f"unknown user index {u}: encodings are closed-world")
+        return u if self._max_lt[u] else self.n_users
 
     def preference_table(self, u: int | None) -> np.ndarray:
         """The read-only (n_pois, 24) preference of ``stats_row(u)`` for

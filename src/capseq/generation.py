@@ -13,7 +13,9 @@ as many rows (candidates x (length - 1)) as the net's ``input_table`` has
 once per net; a smaller one multiplies them per step. Each candidate
 draws all its uniforms at once from its own stream, derived from (seed,
 candidate index), so each row is the rollout that candidate would make
-alone.
+alone. A step draws from its logits' unnormalised softmax weights
+(``_draw_rows``); Markov walks and ``sample_next`` draw through
+``sample_rows``, which is ``choice``'s arithmetic exactly.
 
 Every fixed-length recommender, these rollouts and the popularity,
 Markov and HITS baselines, hands its (candidates, length) POI array to
@@ -66,7 +68,8 @@ def sample_rows(probs: np.ndarray, uniform) -> np.ndarray:
     """Draw one index per row of a (B, K) array of categorical weights:
     row ``b`` gets the index that ``choice`` with ``p=row / row.sum()``
     gives from a generator whose next double is ``uniform[b]``. Column t of
-    the streams' ``rng.random(n)`` blocks holds the doubles of their t-th draws."""
+    the streams' ``rng.random(n)`` blocks holds the doubles of their t-th draws.
+    Markov walks and ``sample_next`` draw here; rollouts use ``_draw_rows``."""
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     if len(uniform) != len(probs):
         raise ValueError(f"{len(probs)} rows of probabilities, {len(uniform)} draws")
@@ -80,6 +83,17 @@ def sample_rows(probs: np.ndarray, uniform) -> np.ndarray:
     cdf = (probs / totals).cumsum(axis=1)
     cdf /= cdf[:, -1:]
     return (cdf <= np.asarray(uniform)[:, None]).sum(axis=1)
+
+
+def _draw_rows(weights: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """A rollout's draw, one inverse-CDF pass over the (B, K) non-negative
+    ``weights``: ``sample_rows``'s index for the normalised rows, except where
+    a uniform lies within rounding of a normalised cumulative boundary."""
+    cdf = weights.cumsum(axis=1)
+    total = cdf[:, -1:]
+    if not ((total > 0) & (total < np.inf)).all():  # a NaN total fails both
+        raise ValueError("probabilities must be positive and finite")
+    return (cdf <= uniform[:, None] * total).sum(axis=1)
 
 
 def sample_next(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -123,15 +137,14 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> tuple:
         current, clock = pois[:, t], hours[:, t]
         attrs = tables.attribute_rows(current, clock.astype(np.int64), dist_prev)
         attrs /= tables.attribute_scale
-        state, _, probs = net.forward_step(state, current, attrs, feats, terms=terms,
-                                           table=table)
-        p = probs
+        state, w = net.forward_step(state, current, attrs, feats, terms=terms, table=table)
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)  # the softmax's weights, unnormalised
         if request.no_repeat:
-            p = probs.copy()
-            np.put_along_axis(p, pois[:, : t + 1], 0.0, axis=1)  # the POIs visited so far
-            spent = p.sum(axis=1) <= 0
-            p[spent] = probs[spent]  # everything visited: fall back to repeats
-        nxt = sample_rows(p, draws[:, t])
+            unseen = w.copy()
+            unseen[np.arange(n)[:, None], pois[:, : t + 1]] = 0.0  # the POIs visited so far
+            w = np.where(unseen.any(axis=1, keepdims=True), unseen, w)  # all visited: repeats
+        nxt = _draw_rows(w, draws[:, t])
         dist_prev = tables.distance_km(current, nxt)
         pois[:, t + 1] = nxt
         hours[:, t + 1] = next_hour(clock, stay[current], travel_seconds(dist_prev))

@@ -118,11 +118,11 @@ class RecurrentNet:
         numerics.sgd_step(self.params, grads, learning_rate, clip_threshold)
 
     def forward_step(self, state, inputs, attrs, feats, terms=None, table=None):
-        """One public step; returns (new_state, logits, probabilities).
-        ``terms`` is ``sequence_terms(feats)``, computed here if not given:
-        a rollout computes it once for all its steps. ``table`` is
-        ``input_table()``, from which a rollout gathers the input terms;
-        without it the step multiplies the embeddings by the input weights."""
+        """One public step; returns (new_state, logits), whose softmax is the
+        step's distribution. ``terms`` is ``sequence_terms(feats)``, computed
+        here if not given: a rollout computes it once for all its steps.
+        ``table`` is ``input_table()``, from which a rollout gathers the input
+        terms; without it the step multiplies the embeddings by the input weights."""
         inputs = np.atleast_1d(np.asarray(inputs, dtype=np.int64))
         if inputs.view(np.uint64).max(initial=0) >= self.n_pois:  # negatives wrap past it
             raise IndexError(
@@ -130,8 +130,7 @@ class RecurrentNet:
             )
         if terms is None:
             terms = self.sequence_terms(np.atleast_2d(feats))
-        new_state, logits = self._step(state, inputs, np.atleast_2d(attrs), terms, table=table)
-        return new_state, logits, numerics.softmax(logits)
+        return self._step(state, inputs, np.atleast_2d(attrs), terms, table=table)
 
     def _forward_sequence(self, batch, collect_cache: bool):
         """Run the whole padded batch; returns per-step probs and caches."""

@@ -114,7 +114,8 @@ from capseq.baselines.markov import POPULATION, MarkovModel, UserChain
 from capseq.data import TravelTimeModel
 from capseq.data.io import INT64_MAX, INT64_MIN, _read_json, _session_fields
 from capseq.data.parse import FORMATS, _parse_timestamp, _rows
-from capseq.data.types import DataError, Poi, Session, SessionTable, Visit, check_checkin
+from capseq.data.types import (
+    DataError, Poi, Session, SessionTable, UnknownIdError, Visit, check_checkin)
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
 from capseq.generation import GeneratedSequence, next_hour, sample_rows
@@ -201,8 +202,9 @@ class ScalarTables:
     def preference(self, u, poi: int, hour) -> float:
         t = self.tables
         self.check_poi(poi)
-        user = u is not None and 0 <= u < t.n_users
-        row = u if user and t._max_lt[u] else t.n_users
+        if u is not None and not 0 <= u < t.n_users:
+            raise UnknownIdError(f"unknown user index {u}: encodings are closed-world")
+        row = u if u is not None and t._max_lt[u] else t.n_users
         return self.row_preference(row, poi, int(hour) % HOURS)
 
     def row_preference(self, row: int, poi: int, hour: int) -> float:
@@ -295,7 +297,8 @@ def rollout(net, request, ref: ScalarTables, rngs) -> list:
                                  seq.pois[-2] if len(seq.pois) > 1 else None)
             for cur, seq in zip(current, seqs)
         ]) / ref.attr_scale
-        state, _, probs = net.forward_step(state, np.array(current), attrs, feats)
+        state, logits = net.forward_step(state, np.array(current), attrs, feats)
+        probs = numerics.softmax(logits)
         p = probs
         if request.no_repeat:
             p = probs.copy()

@@ -28,7 +28,7 @@ from capseq.data import (
     synth_dataset,
 )
 from capseq.data import io as dataio
-from capseq.data.types import MAX_TIMESTAMP, Poi, Session, Visit
+from capseq.data.types import MAX_TIMESTAMP, Poi, Session, Visit, check_checkin
 from capseq.features import FeatureTables
 from capseq.geo import arc_km, arcs_km, haversine_km, place
 
@@ -360,6 +360,17 @@ class TestCheckins:
         for rows in ([row], [self.GOOD, row], [row, self.GOOD]):
             with pytest.raises(DataError, match=words):
                 Checkins.of(rows)
+
+    @pytest.mark.parametrize("fields, words", [
+        (("u", "p", 100, "40", -74.0, "F"), "latitude must be a number, got '40'"),
+        (("u", "p", None, 40.0, -74.0, "F"), "timestamp must be a number, got None"),
+        (("u", "p", "100", 40.0, -74.0, "F"), "timestamp must be a number, got '100'"),
+    ], ids=["latitude-string", "time-none", "time-string"])
+    def test_check_checkin_names_a_field_it_cannot_compare(self, fields, words):
+        """Called directly, without ``Checkins.of``'s type rule first, the
+        range rule raises ``DataError`` naming the field, not ``TypeError``."""
+        with pytest.raises(DataError, match=words):
+            check_checkin(*fields)
 
     def test_of_takes_python_and_numpy_integers_and_numbers(self):
         rows = [("u", "p", np.int64(300), np.float32(40.5), np.int32(-74), "Food", None),

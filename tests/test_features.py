@@ -10,7 +10,8 @@ import pytest
 import naive_reference as naive
 import scalar_reference as ref
 from conftest import make_visit
-from capseq.data.types import DataError, Encodings, Poi, Session, SessionTable, SocialGraph, Visit
+from capseq.data.types import (
+    DataError, Encodings, Poi, Session, SessionTable, SocialGraph, UnknownIdError, Visit)
 from capseq.data import build_sessions, synth_dataset
 from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 from capseq.metrics import assign_folds
@@ -350,9 +351,12 @@ class TestVectors:
         assert vec[4] == 0.0
 
     def test_cold_user_falls_back_to_generalized(self, tiny_world):
+        """An encoded user without check-ins reads the pooled row, as ``None``
+        does."""
         sessions, graph, encodings = tiny_world
-        tables, _ = build_tables(sessions, graph)
-        assert tables.preference(None, 0, 9) == tables.preference(999, 0, 9)
+        tables = FeatureTables.build([s for s in sessions if s.user_id != "u2"], graph,
+                                     encodings)
+        assert tables.preference(None, 0, 9) == tables.preference(encodings.user("u2"), 0, 9)
         assert tables.preference(None, 0, 9) > 0.0
 
 
@@ -428,17 +432,20 @@ class TestSnapshot:
         loaded = FeatureTables.load(path)
         np.testing.assert_array_equal(loaded.ast_poi, tables.ast_poi)
         np.testing.assert_array_equal(loaded.astcat_hour, tables.astcat_hour)
-        # users out of range take the pooled score, like users without
-        # check-ins: a dense row index must never wrap around
+        # users out of range are refused by both, as unknown POIs are: a
+        # dense row index must never wrap around
         users = [None, *range(encodings.n_users), encodings.n_users, -1]
         for u in users:
             for l in range(encodings.n_pois):
                 if u is not None:
                     assert loaded._stats.ast[u, l] == tables._stats.ast[u, l]
+                if u is not None and not 0 <= u < encodings.n_users:
+                    for t in (loaded, tables):
+                        with pytest.raises(UnknownIdError):
+                            t.preference(u, l, 9)
+                    continue
                 for h in range(24):
                     assert loaded.preference(u, l, h) == tables.preference(u, l, h)
-                    if u is not None and not 0 <= u < encodings.n_users:
-                        assert tables.preference(u, l, h) == tables.preference(None, l, h)
         again = tmp_path / "again.json"
         loaded.save(again)
         assert again.read_bytes() == path.read_bytes()

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from capseq import numerics
 from capseq.generation import (
     GenRequest,
+    _draw_rows,
     _rollout,
     generate,
     sample_next,
@@ -68,8 +70,9 @@ class TestSampleRows:
 
     def test_block_draws_match_generator_choice(self):
         """Column t of each stream's one ``rng.random(n)`` block draws what
-        that stream's t-th ``choice`` draws: rollouts and Markov walks
-        draw a stream's uniforms all at once."""
+        that stream's t-th ``choice`` draws: Markov walks draw a stream's
+        uniforms all at once and then draw here (rollouts take their blocks
+        the same way but draw through ``_draw_rows``)."""
         cases = np.random.default_rng(2025)
         for _ in range(200):
             B, K, n = (int(cases.integers(1, 13)), int(cases.integers(2, 401)),
@@ -100,6 +103,47 @@ class TestSampleRows:
     def test_one_draw_per_row(self):
         with pytest.raises(ValueError, match="2 rows of probabilities, 1 draws"):
             sample_rows(np.full((2, 3), 1.0), [0.5])
+
+
+# A uniform this close to one of choice's normalised cumulative boundaries
+# may fall on either side of it in the rollout's unnormalised arithmetic.
+BOUNDARY_TOL = 1e-12
+
+
+def softmax_draws(cases, count):
+    """``count`` seeded (logits, uniforms) pairs: the logits of
+    ``random_weights`` rows (zeros are -inf, some rows peaked), K from 2 to
+    400, and one uniform per row."""
+    for _ in range(count):
+        B, K = int(cases.integers(1, 13)), int(cases.integers(2, 401))
+        with np.errstate(divide="ignore"):
+            logits = np.log(random_weights(cases, B, K))
+        yield logits, cases.random(B)
+
+
+class TestRolloutDraw:
+    def test_equals_sample_rows_over_the_softmax(self):
+        """A rollout step's draw, ``_draw_rows`` over the row's
+        ``exp(logits - rowmax)``, is the index ``sample_rows`` draws over
+        ``softmax(logits)``, except for a uniform within ``BOUNDARY_TOL``
+        of a normalised cumulative boundary."""
+        for logits, u in softmax_draws(np.random.default_rng(2026), 2000):
+            probs = numerics.softmax(logits)
+            want = sample_rows(probs, u)
+            w = logits - logits.max(axis=1, keepdims=True)
+            got = _draw_rows(np.exp(w, out=w), u)
+            cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            near = (np.abs(cdf - u[:, None]) < BOUNDARY_TOL).any(axis=1)
+            assert (got == want)[~near].all()
+
+    @pytest.mark.parametrize("row", [[0.2, np.nan, 0.2], [0.2, np.inf, 0.2], [0.0, 0.0, 0.0]],
+                             ids=["nan", "inf", "zero"])
+    def test_rejects_a_row_without_a_positive_finite_total(self, row):
+        w = np.full((3, 3), 0.2)
+        w[1] = row
+        with pytest.raises(ValueError, match="positive and finite"):
+            _draw_rows(w, np.full(3, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -272,9 +316,9 @@ def test_table_step_is_the_direct_step(kind, H, E):
         direct = gathered = net.init_state(B)
         for _ in range(6):
             ix, attrs = rng.integers(0, K, size=B), rng.normal(size=(B, ATTRIBUTE_DIM))
-            direct, want, _ = net.forward_step(direct, ix, attrs, feats, terms=terms)
-            gathered, got, _ = net.forward_step(gathered, ix, attrs, feats, terms=terms,
-                                                table=net.input_table())
+            direct, want = net.forward_step(direct, ix, attrs, feats, terms=terms)
+            gathered, got = net.forward_step(gathered, ix, attrs, feats, terms=terms,
+                                             table=net.input_table())
             for a, b in [(got, want), *zip(gathered, direct)]:
                 np.testing.assert_allclose(a, b, rtol=0,
                                            atol=TABLE_STEP_RTOL * np.abs(b).max())

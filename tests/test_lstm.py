@@ -77,7 +77,7 @@ class TestLstmStep:
                 ix = rng.integers(0, K, size=B)
                 A = rng.normal(size=(B, ADIM))
                 f = rng.normal(size=(B, FDIM))
-                state, logits, _ = net.forward_step(state, ix, A, f)
+                state, logits = net.forward_step(state, ix, A, f)
                 x = p["emb"][ix]
                 h_ref, c_ref, logits_ref = textbook_lstm_step(p, x, h_ref, c_ref)
                 assert np.array_equal(logits, logits_ref), B
@@ -134,7 +134,7 @@ class TestLstmStep:
         p["bi"][:] = -50.0  # i = 0 exactly
         c0 = np.array([[0.3, -0.7, 0.2, 0.9]])
         state = (np.zeros((1, H)), c0.copy())
-        state, _, _ = net.forward_step(state, [2], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
+        state, _ = net.forward_step(state, [2], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
         np.testing.assert_array_equal(state[1], c0)
 
     def test_hand_computed_intermediates(self):
@@ -190,7 +190,7 @@ class TestLstmStep:
         expected_logits = np.array([h[0], h[1], h[0] + h[1]])
 
         state = (h_prev[None, :].copy(), c_prev[None, :].copy())
-        new_state, logits, _ = net.forward_step(
+        new_state, logits = net.forward_step(
             state, [1], np.zeros((1, ADIM)), fvec[None, :]
         )
         np.testing.assert_allclose(new_state[1][0], c, atol=1e-12)

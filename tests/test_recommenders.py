@@ -222,8 +222,8 @@ class TestCheckpoints:
             ix = rng.integers(0, tables.n_pois, size=B)
             attrs = rng.normal(size=(B, ATTRIBUTE_DIM))
             feats = rng.normal(size=(B, FEATURE_DIM))
-            state, logits, _ = model.net_.forward_step(state, ix, attrs, feats)
-            restored, restored_logits, _ = loaded.net_.forward_step(restored, ix, attrs, feats)
+            state, logits = model.net_.forward_step(state, ix, attrs, feats)
+            restored, restored_logits = loaded.net_.forward_step(restored, ix, attrs, feats)
             assert logits.tobytes() == restored_logits.tobytes()
             assert [a.tobytes() for a in state] == [b.tobytes() for b in restored]
         if cls is CapsLstmRecommender:

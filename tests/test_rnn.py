@@ -69,7 +69,8 @@ class TestForwardStep:
         for name in net.params:
             net.params[name][:] = 0.0
         state = net.init_state(1)
-        _, _, probs = net.forward_step(state, [2], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
+        _, logits = net.forward_step(state, [2], np.zeros((1, ADIM)), np.zeros((1, FDIM)))
+        probs = numerics.softmax(logits)
         np.testing.assert_allclose(probs[0], 0.2, atol=1e-15)
 
     def test_out_of_range_index_rejected(self):
@@ -117,7 +118,8 @@ class TestForwardStep:
         expected_logits = np.array([h[0], h[1], h[2], h.sum() + 0.25])
         expected_logits[0] += 2.0 * -0.5
 
-        _, logits, probs = net.forward_step(state, [1], A, f)
+        _, logits = net.forward_step(state, [1], A, f)
+        probs = numerics.softmax(logits)
         np.testing.assert_allclose(logits[0], expected_logits, atol=1e-12)
         np.testing.assert_allclose(probs[0], numerics.softmax(expected_logits), atol=1e-12)
 
@@ -126,12 +128,13 @@ class TestForwardStep:
         net = ContextRnn(9, hidden_size=6, n_layers=3, embedding_size=5, seed=4)
         state = net.init_state(4)
         for _ in range(40):
-            state, _, probs = net.forward_step(
+            state, logits = net.forward_step(
                 state,
                 rng.integers(0, 9, size=4),
                 rng.normal(size=(4, ADIM)),
                 rng.normal(size=(4, FDIM)),
             )
+            probs = numerics.softmax(logits)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -174,8 +177,9 @@ class TestDegeneration:
             ix = rng.integers(0, K, size=1)
             A = rng.normal(size=(1, ADIM))
             f = rng.normal(size=(1, FDIM))
-            state_c, logits_c, probs_c = caps.forward_step(state_c, ix, A, f)
-            state_p, logits_p, probs_p = plain.forward_step(state_p, ix, A, f)
+            state_c, logits_c = caps.forward_step(state_c, ix, A, f)
+            state_p, logits_p = plain.forward_step(state_p, ix, A, f)
+            probs_c, probs_p = numerics.softmax(logits_c), numerics.softmax(logits_p)
             assert np.array_equal(logits_c, logits_p)
             assert np.array_equal(probs_c, probs_p)
             for a, b in zip(state_c, state_p):
@@ -216,9 +220,10 @@ class TestSequenceNll:
         state = net.init_state(1)
         expected = 0.0
         for t in range(T):
-            state, _, probs = net.forward_step(
+            state, logits = net.forward_step(
                 state, inputs[t : t + 1], attrs[t : t + 1], feat[None, :]
             )
+            probs = numerics.softmax(logits)
             expected += -np.log(probs[0, targets[t]])
         assert sequence_nll(net, inputs, targets, attrs, feat) == pytest.approx(
             expected, rel=1e-12

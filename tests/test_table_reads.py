@@ -16,6 +16,7 @@ from capseq.baselines import (
     PopularityRecommender,
 )
 from capseq.baselines.apriori import neighbour_arrays
+from capseq.data.types import UnknownIdError
 from capseq.features import HOURS, FeatureTables
 from capseq.baselines.hits import sequence_score
 from capseq.generation import GenRequest, GeneratedSequence, advance_hours, first_hour
@@ -46,7 +47,8 @@ def any_tables(request, cold_tables, tmp_path_factory):
 
 
 def users_of(tables):
-    return (None, -1, tables.n_users, 3, 0, 2)
+    """``None``, the user without history and two with."""
+    return (None, 3, 0, 2)
 
 
 class TestArrayReads:
@@ -101,8 +103,7 @@ class TestArrayReads:
             tables.attribute_rows([0], [9], [0.0])
         pooled, whole = tables.n_users, (tables.n_pois, 1)
         assert [c for c in calls if c[1] == whole] == [(pooled, whole), (0, whole), (2, whole)] * 2
-        assert all(tables.preference_table(u) is tables.preference_table(None)
-                   for u in (-1, pooled, 3))
+        assert tables.preference_table(3) is tables.preference_table(None)
         with pytest.raises(ValueError):
             tables.preference_table(0)[0, 0] = 1.0
 
@@ -181,6 +182,21 @@ class TestArrayReads:
             entries = list(zip(got.nxt.tolist(), got.travel_s.tolist(), got.discount.tolist()))
             assert [entries[a:b] for a, b in zip(starts, starts[1:])] == want
             assert starts[0] == 0 and starts[-1] == len(entries)
+
+    def test_user_outside_the_encodings_raises_like_the_scalar_read(self, any_tables):
+        """A user index past the encodings, negative or not, is refused by
+        the array reads and the scalar reference alike; ``None`` and the
+        user without history read the pooled row."""
+        tables = any_tables
+        scalar = ref.ScalarTables(tables)
+        for user in (-1, tables.n_users, 999):
+            for read in (lambda: tables.preference(user, 0, 9),
+                         lambda: tables.preference(user, np.arange(3), 9),
+                         lambda: tables.consolidated(user, np.arange(3), 9, 1),
+                         lambda: tables.preference_table(user),
+                         lambda: scalar.preference(user, 0, 9)):
+                with pytest.raises(UnknownIdError, match=f"unknown user index {user}"):
+                    read()
 
     @pytest.mark.parametrize("read", [
         lambda t, bad: t.distance_km(np.array([0, bad]), np.array([1, 2])),
@@ -293,6 +309,37 @@ class TestRollouts:
         assert [s.score for s in got] == [s.score for s in want]
 
 
+    @pytest.fixture(scope="class")
+    def bench_lstm(self, cold_tables, synth_small):
+        """The benchmark's median-request net: caps-lstm H64/E32 fitted for
+        two epochs."""
+        sessions, _, encodings = synth_small
+        kept = [s for s in sessions if s.user_id != encodings.ix_to_user[3] and len(s) >= 2]
+        return CapsLstmRecommender(hidden_size=64, embedding_size=32, learning_rate=0.2,
+                                   epochs=2, seed=1).fit(kept, cold_tables).net_
+
+    @pytest.mark.parametrize("mode", ["plain", "consolidated", "no_repeat"])
+    def test_benchmark_shaped_requests_equal_scalar_reference(self, bench_lstm, cold_tables,
+                                                              mode):
+        """Requests of the benchmark's shape, 10 candidates x 24 steps, step
+        more rows than the net has POIs, so they gather from the input table
+        and draw from unnormalised weights; the reference steps without the
+        table and draws with ``sample_rows`` over softmax probabilities."""
+        tables = cold_tables
+        assert 10 * 24 > bench_lstm.n_pois
+        scalar = ref.ScalarTables(tables)
+        for seed, (user, start_poi, start_hour) in enumerate(
+                [(2, 5, 9.0), (None, 0, 21.5), (0, 17, -0.5), (3, 11, 13.25)]):
+            req = GenRequest(user=user, start_poi=start_poi, start_hour=start_hour, length=25,
+                             candidates=10, k=10, no_repeat=mode == "no_repeat",
+                             consolidated=mode == "consolidated")
+            got = generate(bench_lstm, req, tables, seed=seed)
+            want = ref.generate(bench_lstm, req, scalar, seed=seed)
+            assert [s.pois for s in got] == [s.pois for s in want]
+            assert [s.hours for s in got] == [s.hours for s in want]
+            assert [s.score for s in got] == [s.score for s in want]
+
+
 class TestGenerationContract:
     @pytest.mark.parametrize("start_hour", START_HOURS)
     @pytest.mark.parametrize("kind", sorted(RECOMMENDERS))
@@ -323,6 +370,16 @@ class TestGenerationContract:
         for seq in seqs:
             assert seq.pois == [11]
             assert seq.hours == [first_hour(start_hour)]
+
+
+    @pytest.mark.parametrize("kind", sorted(set(RECOMMENDERS) - {"hits"}))
+    def test_request_for_an_unknown_user_raises(self, fit_kind, kind):
+        """No recommender that reads the request's user scores a user index
+        the encodings do not hold with the pooled row (HITS ranks by its own
+        user-free scores)."""
+        req = GenRequest(user=999, start_poi=5, start_hour=9.0, length=6, candidates=5, k=3)
+        with pytest.raises(UnknownIdError, match="unknown user index 999"):
+            fit_kind(kind).generate(req, seed=3)
 
 
 class TestRanked:
