@@ -89,7 +89,7 @@ def apriori_search(tables: FeatureTables, neighbours: Neighbours, user: int | No
     hours = np.array([[hour] + [np.nan] * (length - 1)])
     elapsed = stay[[start]]
     travel = np.zeros(1)
-    score = np.array([tables.preference(user, start, int(hour))])  # checks ``start``
+    score = np.array([tables.preference(user, start, int(hour))])
     preferences = tables.preference_table(user)
     dead = []
     for step in range(1, length):
@@ -156,7 +156,7 @@ class AprioriRecommender(SequenceRecommender):
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
-        self._check_fitted("tables_", "neighbours_")
+        self._check_request(request, "neighbours_")
         return apriori_search(self.tables_, self.neighbours_, request.user, request.start_poi,
                               request.start_hour, request.length, budget_hours=self.budget_hours,
                               k=request.k, beam_width=self.beam_width)

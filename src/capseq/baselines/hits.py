@@ -148,7 +148,7 @@ class HitsRecommender(SequenceRecommender):
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
-        self._check_fitted("model_", "tables_")
+        self._check_request(request, "model_")
         model = self.model_
         pool = model.windows.get((request.start_poi, request.length))
         if not pool:

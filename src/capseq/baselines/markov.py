@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..data.types import SessionTable
-from ..generation import GenRequest, ranked, sample_rows
+from ..generation import GenRequest, draw_rows, ranked
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
 from ..models.base import SequenceRecommender
 
@@ -81,9 +81,9 @@ def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
     alphabet = np.asarray(chain.alphabet, dtype=np.int64)
     current = np.full(len(draws), chain.index.get(start, -1))
     if unseen:  # the walk leaves from a state drawn from the initials
-        current = sample_rows(np.tile(chain.initial, (len(draws), 1)), draws[:, 0])
+        current = draw_rows(np.tile(chain.initial, (len(draws), 1)), draws[:, 0])
     for t in range(length - 1):
-        current = sample_rows(chain.transition[current], draws[:, unseen + t])
+        current = draw_rows(chain.transition[current], draws[:, unseen + t])
         walks[:, t + 1] = alphabet[current]
     return walks
 
@@ -97,7 +97,7 @@ class MarkovRecommender(SequenceRecommender):
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
-        self._check_fitted("model_", "tables_")
+        self._check_request(request, "model_")
         walks = markov_walks(
             self.model_, request.user, request.start_poi, request.length,
             [np.random.default_rng([seed, cand]) for cand in range(request.candidates)],

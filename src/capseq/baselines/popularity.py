@@ -62,7 +62,7 @@ class PopularityRecommender(SequenceRecommender):
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
-        self._check_fitted("counts_", "tables_")
+        self._check_request(request, "counts_")
         tables = self.tables_
         pois = [request.start_poi]
         hours = [first_hour(request.start_hour)]

@@ -473,7 +473,7 @@ class FeatureTables:
         """Best historical estimate of the sequence features for a
         rollout from (user, start POI, hour); with no history, the end of
         the sequence is unknown, so the end fields anchor to the start."""
-        self._check_poi(start_ix)
+        self.check_poi(start_ix)
         cat, h = float(self.poi_cat[start_ix]), float(int(hour) % HOURS)
         bucket = int(h) // self.HOUR_BUCKET
         for key in ((u, start_ix, bucket), (u, bucket), (u,)):
@@ -486,9 +486,15 @@ class FeatureTables:
 
     # -- lookups ---------------------------------------------------------
 
-    def _check_poi(self, poi_ix: int) -> None:
+    def check_poi(self, poi_ix: int) -> None:
+        """``UnknownIdError`` naming a POI index outside ``[0, n_pois)``."""
         if not 0 <= poi_ix < self.n_pois:
             raise UnknownIdError(f"unknown poi index {poi_ix}: encodings are closed-world")
+
+    def check_user(self, u: int | None) -> None:
+        """``UnknownIdError`` naming a user index neither ``None`` nor in ``[0, n_users)``."""
+        if u is not None and not 0 <= u < self.n_users:
+            raise UnknownIdError(f"unknown user index {u}: encodings are closed-world")
 
     def _pois(self, poi_ix) -> np.ndarray:
         """A POI index or index array as an int64 array; ``UnknownIdError``
@@ -496,7 +502,7 @@ class FeatureTables:
         pois = np.asarray(poi_ix, dtype=np.int64)
         unsigned = pois.view(np.uint64)  # negatives wrap past the last POI
         if unsigned.max(initial=0) >= self.n_pois:
-            self._check_poi(int(pois[unsigned >= self.n_pois][0]))
+            self.check_poi(int(pois[unsigned >= self.n_pois][0]))
         return pois
 
     def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -535,11 +541,8 @@ class FeatureTables:
         """The statistics row ``preference`` reads for ``u``: its own, or
         the pooled row ``n_users`` for ``None`` or a user without history.
         ``UnknownIdError`` for any other index outside ``[0, n_users)``."""
-        if u is None:
-            return self.n_users
-        if not 0 <= u < self.n_users:
-            raise UnknownIdError(f"unknown user index {u}: encodings are closed-world")
-        return u if self._max_lt[u] else self.n_users
+        self.check_user(u)
+        return u if u is not None and self._max_lt[u] else self.n_users
 
     def preference_table(self, u: int | None) -> np.ndarray:
         """The read-only (n_pois, 24) preference of ``stats_row(u)`` for

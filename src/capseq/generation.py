@@ -13,9 +13,9 @@ as many rows (candidates x (length - 1)) as the net's ``input_table`` has
 once per net; a smaller one multiplies them per step. Each candidate
 draws all its uniforms at once from its own stream, derived from (seed,
 candidate index), so each row is the rollout that candidate would make
-alone. A step draws from its logits' unnormalised softmax weights
-(``_draw_rows``); Markov walks and ``sample_next`` draw through
-``sample_rows``, which is ``choice``'s arithmetic exactly.
+alone. A step draws from its logits' unnormalised softmax weights with
+``draw_rows``, the package's one categorical draw, which Markov walks
+and ``sample_next`` use too.
 
 Every fixed-length recommender, these rollouts and the popularity,
 Markov and HITS baselines, hands its (candidates, length) POI array to
@@ -64,31 +64,11 @@ class GeneratedSequence:
     hours: list = field(default_factory=list)
 
 
-def sample_rows(probs: np.ndarray, uniform) -> np.ndarray:
-    """Draw one index per row of a (B, K) array of categorical weights:
-    row ``b`` gets the index that ``choice`` with ``p=row / row.sum()``
-    gives from a generator whose next double is ``uniform[b]``. Column t of
-    the streams' ``rng.random(n)`` blocks holds the doubles of their t-th draws.
-    Markov walks and ``sample_next`` draw here; rollouts use ``_draw_rows``."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    if len(uniform) != len(probs):
-        raise ValueError(f"{len(probs)} rows of probabilities, {len(uniform)} draws")
-    totals = probs.sum(axis=1, keepdims=True)
-    if not ((totals > 0) & (totals < np.inf)).all():  # a NaN total fails both
-        raise ValueError("probabilities must be positive and finite")
-    if probs.min(initial=0.0) < 0:
-        raise ValueError("probabilities must be non-negative")
-    # Generator.choice's own arithmetic: normalise, cumulate, renormalise,
-    # then count the cdf entries <= the uniform draw (a right-side search)
-    cdf = (probs / totals).cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return (cdf <= np.asarray(uniform)[:, None]).sum(axis=1)
-
-
-def _draw_rows(weights: np.ndarray, uniform: np.ndarray) -> np.ndarray:
-    """A rollout's draw, one inverse-CDF pass over the (B, K) non-negative
-    ``weights``: ``sample_rows``'s index for the normalised rows, except where
-    a uniform lies within rounding of a normalised cumulative boundary."""
+def draw_rows(weights: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """One index per row of the (B, K) non-negative ``weights``, in one inverse-CDF
+    pass: ``choice``'s index for ``p=row / row.sum()`` from a next double ``uniform[b]``,
+    except within rounding of a normalised cumulative boundary. ``ValueError``
+    unless each row's total is positive and finite; signs are not checked."""
     cdf = weights.cumsum(axis=1)
     total = cdf[:, -1:]
     if not ((total > 0) & (total < np.inf)).all():  # a NaN total fails both
@@ -97,8 +77,12 @@ def _draw_rows(weights: np.ndarray, uniform: np.ndarray) -> np.ndarray:
 
 
 def sample_next(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw one POI index from a categorical distribution."""
-    return int(sample_rows(np.reshape(probs, (1, -1)), [rng.random()])[0])
+    """One POI index drawn from a categorical distribution by ``draw_rows``;
+    ``ValueError`` for a negative entry or a zero, NaN or infinite total."""
+    probs = np.asarray(probs, dtype=np.float64).reshape(1, -1)
+    if probs.min(initial=0.0) < 0:
+        raise ValueError("probabilities must be non-negative")
+    return int(draw_rows(probs, np.array([rng.random()]))[0])
 
 
 def first_hour(start_hour) -> float:
@@ -144,7 +128,7 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> tuple:
             unseen = w.copy()
             unseen[np.arange(n)[:, None], pois[:, : t + 1]] = 0.0  # the POIs visited so far
             w = np.where(unseen.any(axis=1, keepdims=True), unseen, w)  # all visited: repeats
-        nxt = _draw_rows(w, draws[:, t])
+        nxt = draw_rows(w, draws[:, t])
         dist_prev = tables.distance_km(current, nxt)
         pois[:, t + 1] = nxt
         hours[:, t + 1] = next_hour(clock, stay[current], travel_seconds(dist_prev))

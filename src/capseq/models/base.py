@@ -42,6 +42,13 @@ class SequenceRecommender:
                     f"{type(self).__name__} must be fitted before this call"
                 )
 
+    def _check_request(self, request, *attrs: str) -> None:
+        """``_check_fitted(*attrs, "tables_")``, then ``UnknownIdError`` for a
+        request's user or start POI outside the tables, before any other work."""
+        self._check_fitted(*attrs, "tables_")
+        self.tables_.check_user(request.user)
+        self.tables_.check_poi(request.start_poi)
+
 
 def check_sessions(sessions: Iterable[Session], encodings: Encodings) -> SessionTable:
     """The training sessions (length >= 2) of ``sessions`` as a table under

@@ -60,7 +60,7 @@ class _NeuralRecommender(SequenceRecommender):
         return self
 
     def generate(self, request: GenRequest, seed: int = 0):
-        self._check_fitted("net_", "tables_")
+        self._check_request(request, "net_")
         return generate(self.net_, request, self.tables_, seed=seed)
 
     # -- checkpoints -----------------------------------------------------

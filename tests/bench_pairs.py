@@ -16,7 +16,14 @@ digests are equal) and, per workload and seed, a summary: the number of
 pairs, whether every pair's digests were equal, the failed operations of
 both sides, and per metric the parent's and the change's quartiles
 (``parent_q1_med_q3``, ``change_q1_med_q3``, by ``statistics.quantiles``)
-and the number of pairs in which the change read lower and higher.
+and the number of pairs in which the change read lower and higher. For
+each end-to-end metric of the change tree's ``BENCHMARK.json``, which it
+only reads, it adds the change median's move in the metric's worse
+direction as a fraction of the parent's median (``worse_by``; negative
+reads better), whether that move is within the metric's ``bound``
+(``within_bound``), and ``unresolved``: the parent's interquartile range
+is wider than ``bound`` times its median, and not every change run reads
+better than every parent run.
 
 Standard library only. pytest does not collect this file, and CI does
 not run it; ``test_bench_pairs.py`` tests its parsing and summary on
@@ -80,8 +87,30 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
 
 
-def summarize(pairs: list) -> dict:
-    """Per "<workload> seed <seed>", the summary of its pairs."""
+def load_bounds(path: Path) -> dict:
+    """Per end-to-end metric of the benchmark file ``path``, its
+    (``better``, ``bound``)."""
+    spec = json.loads(path.read_text(encoding="utf-8"))
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
+def verdict(parent: list, change: list, better: str, bound: float) -> dict:
+    """How the ``change`` runs of a metric read against the ``parent``
+    runs under the benchmark's ``better`` direction and ``bound``."""
+    sign = 1 if better == "lower" else -1  # a positive sign * delta reads worse
+    q1, med, q3 = quartiles(parent)
+    worse = sign * (quartiles(change)[1] - med)
+    return {
+        "worse_by": worse / abs(med) if med else None,  # no fraction of a zero median
+        "within_bound": worse <= bound * abs(med),
+        "unresolved": (q3 - q1 > bound * abs(med)
+                       and max(sign * c for c in change) >= min(sign * p for p in parent)),
+    }
+
+
+def summarize(pairs: list, bounds: dict) -> dict:
+    """Per "<workload> seed <seed>", the summary of its pairs; a metric of
+    ``bounds`` (as ``load_bounds`` gives them) gets its ``verdict``."""
     groups: dict = {}
     for pair in pairs:
         groups.setdefault(f"{pair['workload']} seed {pair['seed']}", []).append(pair)
@@ -101,6 +130,8 @@ def summarize(pairs: list) -> dict:
                 "change_lower": sum(c < p for p, c in zip(parent, change)),
                 "change_higher": sum(c > p for p, c in zip(parent, change)),
             }
+            if name in bounds:
+                entry[name].update(verdict(parent, change, *bounds[name]))
         summary[key] = entry
     return summary
 
@@ -124,6 +155,7 @@ def main(argv=None) -> int:
                         help="where the fresh copies go (default: a temporary directory)")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bounds = load_bounds(trees["change"] / "BENCHMARK.json")
     with tempfile.TemporaryDirectory(dir=args.workdir) as workdir:
         pairs, host = [], {}
         for workload, seed, count in args.run:
@@ -145,7 +177,7 @@ def main(argv=None) -> int:
         "command": COMMAND.format(workload="<workload>", seed="<seed>", seconds=args.seconds),
         "host": host,
         "pairs": pairs,
-        "summary": summarize(pairs),
+        "summary": summarize(pairs, bounds),
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -10,6 +10,11 @@ distance bounds of the document a built ``FeatureTables`` saves; it
 sums the pooled visit counts and min-max scales the stay means itself.
 Every array read must equal it bit for bit.
 
+``sample_rows`` is ``Generator.choice``'s own categorical arithmetic
+over a batch of rows, and ``rollout`` draws with it; ``generation.draw_rows``,
+the package's one draw, must give its index except where a uniform lies
+within rounding of a normalised cumulative boundary.
+
 ``apriori_search`` is the earlier Apriori beam search, one ``_Trip`` per
 candidate and one Python sort per level, over ``neighbour_lists`` of
 tuples; the array search must return its trips, hours and scores.
@@ -118,7 +123,7 @@ from capseq.data.types import (
     DataError, Poi, Session, SessionTable, UnknownIdError, Visit, check_checkin)
 from capseq.features import ATTRIBUTE_DIM, HOURS, FeatureTables, StayStats
 from capseq.features.tables import _Interest, _divide, _friend_slots, _ordered_mean
-from capseq.generation import GeneratedSequence, next_hour, sample_rows
+from capseq.generation import GeneratedSequence, next_hour
 from capseq.geo import EARTH_RADIUS_KM, WALK_SPEED_KMH, haversine_km, travel_seconds
 from capseq.models import MAX_STEPS, Batch
 from capseq.models.lstm import GATES
@@ -268,6 +273,26 @@ class ScalarTables:
         if prev is not None:
             row[5] = self.distance_km(prev, poi)
         return row
+
+
+def sample_rows(probs: np.ndarray, uniform) -> np.ndarray:
+    """Draw one index per row of a (B, K) array of categorical weights:
+    row ``b`` gets the index that ``choice`` with ``p=row / row.sum()``
+    gives from a generator whose next double is ``uniform[b]``. Column t of
+    the streams' ``rng.random(n)`` blocks holds the doubles of their t-th draws."""
+    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    if len(uniform) != len(probs):
+        raise ValueError(f"{len(probs)} rows of probabilities, {len(uniform)} draws")
+    totals = probs.sum(axis=1, keepdims=True)
+    if not ((totals > 0) & (totals < np.inf)).all():  # a NaN total fails both
+        raise ValueError("probabilities must be positive and finite")
+    if probs.min(initial=0.0) < 0:
+        raise ValueError("probabilities must be non-negative")
+    # Generator.choice's own arithmetic: normalise, cumulate, renormalise,
+    # then count the cdf entries <= the uniform draw (a right-side search)
+    cdf = (probs / totals).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= np.asarray(uniform)[:, None]).sum(axis=1)
 
 
 def first_hour(start_hour) -> float:

@@ -6,17 +6,17 @@ import pytest
 from capseq import numerics
 from capseq.generation import (
     GenRequest,
-    _draw_rows,
     _rollout,
+    draw_rows,
     generate,
     sample_next,
-    sample_rows,
     score_sequence,
 )
 from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM
 from capseq.models import CapsLstmRecommender, CapsRnnRecommender, encode_sessions, train
 from capseq.models.lstm import ContextLstm
 from capseq.models.rnn import ContextRnn
+from scalar_reference import sample_rows
 
 
 class TestSampleNext:
@@ -42,6 +42,11 @@ class TestSampleNext:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             sample_next(np.zeros(3), rng)
+
+    def test_rejects_a_negative_entry(self):
+        """The row's total is positive, so only the sign check refuses it."""
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_next(np.array([0.5, -0.25, 0.75]), np.random.default_rng(0))
 
 
 def random_weights(rng, B, K):
@@ -70,9 +75,9 @@ class TestSampleRows:
 
     def test_block_draws_match_generator_choice(self):
         """Column t of each stream's one ``rng.random(n)`` block draws what
-        that stream's t-th ``choice`` draws: Markov walks draw a stream's
-        uniforms all at once and then draw here (rollouts take their blocks
-        the same way but draw through ``_draw_rows``)."""
+        that stream's t-th ``choice`` draws: rollouts and Markov walks draw a
+        stream's uniforms all at once, then each column through ``draw_rows``,
+        whose oracle this is."""
         cases = np.random.default_rng(2025)
         for _ in range(200):
             B, K, n = (int(cases.integers(1, 13)), int(cases.integers(2, 401)),
@@ -110,6 +115,14 @@ class TestSampleRows:
 BOUNDARY_TOL = 1e-12
 
 
+def near_boundary(probs, u):
+    """Per row, whether ``u`` lies within ``BOUNDARY_TOL`` of one of the
+    normalised cumulative boundaries ``sample_rows`` compares it with."""
+    cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (np.abs(cdf - u[:, None]) < BOUNDARY_TOL).any(axis=1)
+
+
 def softmax_draws(cases, count):
     """``count`` seeded (logits, uniforms) pairs: the logits of
     ``random_weights`` rows (zeros are -inf, some rows peaked), K from 2 to
@@ -123,7 +136,7 @@ def softmax_draws(cases, count):
 
 class TestRolloutDraw:
     def test_equals_sample_rows_over_the_softmax(self):
-        """A rollout step's draw, ``_draw_rows`` over the row's
+        """A rollout step's draw, ``draw_rows`` over the row's
         ``exp(logits - rowmax)``, is the index ``sample_rows`` draws over
         ``softmax(logits)``, except for a uniform within ``BOUNDARY_TOL``
         of a normalised cumulative boundary."""
@@ -131,11 +144,8 @@ class TestRolloutDraw:
             probs = numerics.softmax(logits)
             want = sample_rows(probs, u)
             w = logits - logits.max(axis=1, keepdims=True)
-            got = _draw_rows(np.exp(w, out=w), u)
-            cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
-            cdf /= cdf[:, -1:]
-            near = (np.abs(cdf - u[:, None]) < BOUNDARY_TOL).any(axis=1)
-            assert (got == want)[~near].all()
+            got = draw_rows(np.exp(w, out=w), u)
+            assert (got == want)[~near_boundary(probs, u)].all()
 
     @pytest.mark.parametrize("row", [[0.2, np.nan, 0.2], [0.2, np.inf, 0.2], [0.0, 0.0, 0.0]],
                              ids=["nan", "inf", "zero"])
@@ -143,7 +153,29 @@ class TestRolloutDraw:
         w = np.full((3, 3), 0.2)
         w[1] = row
         with pytest.raises(ValueError, match="positive and finite"):
-            _draw_rows(w, np.full(3, 0.5))
+            draw_rows(w, np.full(3, 0.5))
+
+
+class TestMarkovDraw:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_equals_sample_rows_over_fitted_chains(self, seed):
+        """A Markov walk's draw, ``draw_rows`` over a chain's initial or
+        transition rows, is the index ``sample_rows`` draws over the same
+        rows, except for a uniform within ``BOUNDARY_TOL`` of a normalised
+        cumulative boundary: every chain of a seeded corpus, 100 uniforms per row."""
+        from capseq.baselines.markov import markov_fit
+        from capseq.data import Encodings, build_sessions, synth_dataset
+
+        records, _ = synth_dataset(seed=seed, n_users=20, n_pois=120, days=10)
+        sessions = build_sessions(records)
+        model = markov_fit(sessions, Encodings.fit(sessions))
+        cases = np.random.default_rng(seed)
+        for chain in model.chains.values():
+            rows = np.vstack([chain.initial, chain.transition])
+            for _ in range(100):
+                u = cases.random(len(rows))
+                got, want = draw_rows(rows, u), sample_rows(rows, u)
+                assert (got == want)[~near_boundary(rows, u)].all()
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import pytest
 
 import scalar_reference as ref
 from capseq.cli import RECOMMENDERS
-from capseq.data import Encodings, build_sessions, synth_dataset
+from capseq.data import Encodings, UnknownIdError, build_sessions, synth_dataset
 from capseq.features import ATTRIBUTE_DIM, FEATURE_DIM, FeatureTables
 from capseq.generation import GenRequest
 from capseq.models import (
@@ -133,6 +133,36 @@ def _row_sets(n):
         "permuted-threes": [order[i : i + 3] for i in range(0, n, 3)],
         "one-row": [np.array([i]) for i in range(n)],
     }
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    records, graph = synth_dataset(seed=5, n_users=5, n_pois=30, days=4)
+    sessions = build_sessions(records)
+    return sessions, graph, Encodings.fit(sessions)
+
+
+@pytest.mark.parametrize("field, index", [("user", "n_users"), ("user", -1),
+                                          ("start_poi", "n_pois"), ("start_poi", -1)])
+@pytest.mark.parametrize("name", sorted(RECOMMENDERS))
+def test_generate_refuses_an_unknown_id_before_any_work(name, field, index, corpus):
+    """Every kind refuses a user or start POI outside the encodings with an
+    ``UnknownIdError`` naming it, before it reads a distance: every kind but
+    Apriori, whose fit fills every row, leaves its fresh tables' distance
+    rows unfilled."""
+    sessions, graph, encodings = corpus
+    tables = FeatureTables.build(sessions, graph, encodings)
+    cls = RECOMMENDERS[name]
+    model = cls(**{k: v for k, v in TINY_NETS.items() if k in cls._param_names()})
+    model.fit([s for s in sessions if len(s) >= 2], tables)
+    index = getattr(tables, index) if isinstance(index, str) else index
+    request = GenRequest(**{"user": 0, "start_poi": 0, field: index}, start_hour=9.0,
+                         length=5, candidates=3)
+    before = tables._dist_slot.copy()
+    with pytest.raises(UnknownIdError, match=f"index {index}:"):
+        model.generate(request)
+    np.testing.assert_array_equal(tables._dist_slot, before)
+    assert name == "apriori" or (before < 0).all()
 
 
 class TestSessionEncoding:
