@@ -81,7 +81,10 @@ def apriori_search(tables: FeatureTables, neighbours: Neighbours, user: int | No
     A level is (trips, ``length``) arrays of POIs (-1 past the level) and
     hours, and per-trip arrays of elapsed travel + stay seconds, travel
     seconds and score. Trips no POI extends are kept, as arrays, and
-    returned, best first, only when no trip reaches ``length``."""
+    returned, best first, only when no trip reaches ``length``.
+    ``UnknownIdError`` for a user or start outside the tables."""
+    tables.check_user(user)
+    tables.check_poi(start)
     budget = budget_hours * 3600.0
     stay = tables.stay.mean_stay
     hour = first_hour(start_hour)

@@ -54,7 +54,10 @@ def cluster_regions(coords: np.ndarray, radius_km: float = DEFAULT_REGION_RADIUS
 def power_iterate(adjacency: np.ndarray):
     """HITS power iteration to ``POWER_TOL``; returns (hub, authority),
     L2-normalized. A norm is ``sqrt(v.dot(v))``, ``np.linalg.norm``'s own
-    formula for a 1-D float vector, without its dispatch."""
+    formula for a 1-D float vector, without its dispatch. ``ValueError``
+    for an empty matrix or one with a non-finite entry."""
+    if not adjacency.size or not np.isfinite(adjacency).all():
+        raise ValueError("power iteration needs a non-empty, finite matrix")
     n_users, n_locs = adjacency.shape
     hub = np.ones(n_users) / np.sqrt(n_users)
     auth = np.ones(n_locs) / np.sqrt(n_locs)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..data.types import SessionTable
+from ..data.types import SessionTable, check_poi, check_user
 from ..generation import GenRequest, draw_rows, ranked
 from ..generation import score_sequence  # unused here: the benchmark tracer patches it
 from ..models.base import SequenceRecommender
@@ -34,6 +34,8 @@ class UserChain(NamedTuple):
 
 class MarkovModel(NamedTuple):
     chains: dict  # user (or POPULATION) -> UserChain
+    n_users: int  # the encodings' counts, which bound a walk's user and start
+    n_pois: int
 
     def chain_for(self, user: int | None, start: int | None = None) -> UserChain:
         chain = self.chains.get(user if user is not None else POPULATION)
@@ -66,14 +68,17 @@ def markov_fit(sessions, encodings) -> MarkovModel:
             transition[index[a], index[b]] += 1.0
         transition /= transition.sum(axis=1, keepdims=True)
         chains[u] = UserChain(alphabet, index, initial, transition)
-    return MarkovModel(chains)
+    return MarkovModel(chains, encodings.n_users, encodings.n_pois)
 
 
 def markov_walks(model: MarkovModel, user: int | None, start: int, length: int,
                  rngs) -> np.ndarray:
     """One POI walk per RNG stream from ``start`` on the user's chain, all
     of them stepping as one batch, as a (streams, length) array; row ``b``
-    draws all its uniforms from ``rngs[b]``."""
+    draws all its uniforms from ``rngs[b]``. ``UnknownIdError`` for a user
+    or start outside the model's encodings."""
+    check_user(user, model.n_users)
+    check_poi(start, model.n_pois)
     chain = model.chain_for(user, start)
     unseen = start not in chain.index  # unseen even in the population chain
     draws = np.array([rng.random(length - 1 + unseen) for rng in rngs])

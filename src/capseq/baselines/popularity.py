@@ -22,6 +22,14 @@ DEFAULT_RADIUS_KM = 2.0
 DEFAULT_GROWTH = 1.5
 
 
+def check_search(radius_km: float, growth_factor: float) -> None:
+    """``ValueError`` unless the radius is positive and the growth factor
+    above 1: from any other the search never ends or answers an excluded POI."""
+    check_positive(radius_km=radius_km)
+    if not growth_factor > 1.0:  # NaN fails too
+        raise ValueError(f"growth_factor must be > 1, got {growth_factor}")
+
+
 def popularity_next(
     counts: np.ndarray,
     dists: np.ndarray,
@@ -30,7 +38,9 @@ def popularity_next(
     growth_factor: float = DEFAULT_GROWTH,
 ) -> int:
     """Most-visited POI not excluded within the (expanding) radius, with
-    ``dists`` the km from the current POI to each POI; ties go to the lower index."""
+    ``dists`` the km from the current POI to each POI; ties go to the lower index.
+    ``ValueError`` for a radius or growth factor ``check_search`` refuses."""
+    check_search(radius_km, growth_factor)
     excluded = np.zeros(len(counts), dtype=bool)
     for e in exclusions:
         excluded[e] = True
@@ -51,9 +61,7 @@ class PopularityRecommender(SequenceRecommender):
     growth_factor: float = DEFAULT_GROWTH
 
     def __post_init__(self):
-        check_positive(radius_km=self.radius_km)
-        if not self.growth_factor > 1.0:  # NaN fails too
-            raise ValueError(f"growth_factor must be > 1, got {self.growth_factor}")
+        check_search(self.radius_km, self.growth_factor)
 
     def fit(self, sessions, tables):
         self.tables_ = tables

@@ -21,6 +21,18 @@ class UnknownIdError(KeyError):
     encodings do not hold: they are closed-world."""
 
 
+def check_poi(poi_ix, n_pois: int) -> None:
+    """``UnknownIdError`` naming a POI index outside ``[0, n_pois)``."""
+    if not 0 <= poi_ix < n_pois:
+        raise UnknownIdError(f"unknown poi index {poi_ix}: encodings are closed-world")
+
+
+def check_user(u, n_users: int) -> None:
+    """``UnknownIdError`` naming a user index neither ``None`` nor in ``[0, n_users)``."""
+    if u is not None and not 0 <= u < n_users:
+        raise UnknownIdError(f"unknown user index {u}: encodings are closed-world")
+
+
 # 9999-12-31T23:59:59Z, the last second an ISO-8601 check-in time can name
 MAX_TIMESTAMP = 253402300799
 

@@ -38,7 +38,7 @@ import numpy as np
 from ..geo import arc_km, arcs_km, place
 from ..numerics import sequential_sum
 from ..data.types import (
-    DataError, Encodings, Session, SessionTable, SocialGraph, UnknownIdError)
+    DataError, Encodings, Session, SessionTable, SocialGraph, check_poi, check_user)
 
 HOURS = 24
 # attribute vector: 6 scalars + 24 hourly popularity entries
@@ -488,13 +488,11 @@ class FeatureTables:
 
     def check_poi(self, poi_ix: int) -> None:
         """``UnknownIdError`` naming a POI index outside ``[0, n_pois)``."""
-        if not 0 <= poi_ix < self.n_pois:
-            raise UnknownIdError(f"unknown poi index {poi_ix}: encodings are closed-world")
+        check_poi(poi_ix, self.n_pois)
 
     def check_user(self, u: int | None) -> None:
         """``UnknownIdError`` naming a user index neither ``None`` nor in ``[0, n_users)``."""
-        if u is not None and not 0 <= u < self.n_users:
-            raise UnknownIdError(f"unknown user index {u}: encodings are closed-world")
+        check_user(u, self.n_users)
 
     def _pois(self, poi_ix) -> np.ndarray:
         """A POI index or index array as an int64 array; ``UnknownIdError``

@@ -10,7 +10,9 @@ previous stop. The products of the request's whole-sequence features
 are computed once, before the first step. A request that steps at least
 as many rows (candidates x (length - 1)) as the net's ``input_table`` has
 (n_pois + 1) gathers each step's input-layer terms from that table, built
-once per net; a smaller one multiplies them per step. Each candidate
+once per net; a smaller one multiplies them per step. Every step of every
+request multiplies by the net's ``right_operands``, row-major copies of its
+weights, built once per net too. Each candidate
 draws all its uniforms at once from its own stream, derived from (seed,
 candidate index), so each row is the rollout that candidate would make
 alone. A step draws from its logits' unnormalised softmax weights with
@@ -115,13 +117,15 @@ def _rollout(net, request: GenRequest, tables: FeatureTables, rngs) -> tuple:
     # steps at least the table's rows; the choice reads the request alone, so
     # a request's bits do not depend on the requests before it.
     table = net.input_table() if n * steps > net.n_pois else None
+    right = net.right_operands()
     stay = tables.stay.mean_stay
     dist_prev = np.zeros(n)  # no previous stop before the start
     for t in range(steps):
         current, clock = pois[:, t], hours[:, t]
         attrs = tables.attribute_rows(current, clock.astype(np.int64), dist_prev)
         attrs /= tables.attribute_scale
-        state, w = net.forward_step(state, current, attrs, feats, terms=terms, table=table)
+        state, w = net.forward_step(state, current, attrs, feats, terms=terms, table=table,
+                                    right=right)
         w -= w.max(axis=1, keepdims=True)
         np.exp(w, out=w)  # the softmax's weights, unnormalised
         if request.no_repeat:

@@ -84,22 +84,29 @@ class ContextLstm(RecurrentNet):
         block, rows in ``ROWS`` order."""
         return np.matmul(self.params["emb"], self.stacks["Wx"].transpose(0, 2, 1))
 
-    def _step(self, state, inputs, attrs, terms, cache=None, table=None):
+    def _right_views(self) -> dict:
+        """The ``Wx`` and ``Wh`` stacks with each gate's block transposed,
+        ``P.T`` and ``V.T``."""
+        s, p = self.stacks, self.params
+        return {"Wx": s["Wx"].transpose(0, 2, 1), "Wh": s["Wh"].transpose(0, 2, 1),
+                "P": p["P"].T, "V": p["V"].T}
+
+    def _step(self, state, inputs, attrs, terms, right, cache=None, table=None):
         p, s = self.params, self.stacks
         h_prev, c_prev = state
         feat_in, feat_out = terms
-        gate_a = numerics.sigmoid(attrs @ p["P"].T + p["pb"])
+        gate_a = numerics.sigmoid(attrs @ right["P"] + p["pb"])
         hg = h_prev * gate_a
         # (4, B, H) preactivations, rows in ROWS order.
         if table is None:
             # matmul hands BLAS each gate's slice as ``x @ Wx_g.T`` would, so
-            # every float is the per-gate one.
+            # with the views every float is the per-gate one.
             x = p["emb"][inputs]
-            pre = np.matmul(x, s["Wx"].transpose(0, 2, 1))
+            pre = np.matmul(x, right["Wx"])
         else:
             # ``take`` copies the table's rows into one contiguous block.
             x, pre = None, np.take(table, inputs, axis=1)
-        pre += np.matmul(hg, s["Wh"].transpose(0, 2, 1))
+        pre += np.matmul(hg, right["Wh"])
         pre += s["b"][:, None]
         pre[:3] += c_prev * s["wc"][:, None]
         pre += feat_in
@@ -108,7 +115,7 @@ class ContextLstm(RecurrentNet):
         c = f * c_prev + i * z
         tc = np.tanh(c)
         h = o * tc
-        logits = h @ p["V"].T + p["c"] + feat_out
+        logits = h @ right["V"] + p["c"] + feat_out
         if cache is not None:
             cache.append((x, h_prev, c_prev, gate_a, hg, i, f, z, c, o, tc, h))
         return (h, c), logits

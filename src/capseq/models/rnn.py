@@ -68,14 +68,20 @@ class ContextRnn(RecurrentNet):
         """``emb @ U0.T``: layer 0's input term of every embedding row, (K+1, H)."""
         return self.params["emb"] @ self.params["U0"].T
 
-    def _step(self, state, inputs, attrs, terms, cache=None, table=None):
+    def _right_views(self) -> dict:
+        """``U_l.T``, ``W_l.T``, ``P_l.T`` (contextual only) and ``V.T``, by block name."""
+        names = [f"{w}{layer}" for layer in range(self.n_layers)
+                 for w in (("U", "W", "P") if self.contextual else ("U", "W"))]
+        return {name: self.params[name].T for name in names + ["V"]}
+
+    def _step(self, state, inputs, attrs, terms, right, cache=None, table=None):
         p = self.params
         layer_in = p["emb"][inputs] if table is None else None
         new_state = []
         for layer in range(self.n_layers):
             h_prev = state[layer]
             if self.contextual:
-                gate = numerics.sigmoid(attrs @ p[f"P{layer}"].T + p[f"pb{layer}"])
+                gate = numerics.sigmoid(attrs @ right[f"P{layer}"] + p[f"pb{layer}"])
                 rec = h_prev * gate
             else:
                 gate = None
@@ -83,8 +89,8 @@ class ContextRnn(RecurrentNet):
             if layer == 0 and table is not None:
                 into = table[inputs]
             else:
-                into = layer_in @ p[f"U{layer}"].T
-            pre = into + rec @ p[f"W{layer}"].T + p[f"b{layer}"]
+                into = layer_in @ right[f"U{layer}"]
+            pre = into + rec @ right[f"W{layer}"] + p[f"b{layer}"]
             if self.contextual:
                 pre += terms[0][layer]
             h = np.tanh(pre, out=pre)
@@ -92,7 +98,7 @@ class ContextRnn(RecurrentNet):
                 cache.append((layer_in, h_prev, gate, rec, h))
             new_state.append(h)
             layer_in = h
-        logits = layer_in @ p["V"].T + p["c"]
+        logits = layer_in @ right["V"] + p["c"]
         if self.contextual:
             logits += terms[1]
         return new_state, logits

@@ -46,10 +46,13 @@ class RecurrentNet:
     ``sequence_terms(feats)``, the products of the (B, FEATURE_DIM)
     whole-sequence features that every step of those sequences shares,
     ``_input_product()``, the input layer's term of every embedding row
-    (see ``input_table``), ``_step(state, inputs, attrs, terms, cache,
+    (see ``input_table``), ``_right_views()``, the ``.T`` view of every
+    weight ``_step`` multiplies on the right, by name (see
+    ``right_operands``), ``_step(state, inputs, attrs, terms, right, cache,
     table)`` returning ``(new_state, logits)``, whose cache ends with the
-    top hidden state, which gathers the input term from ``table`` when
-    given and multiplies the embeddings otherwise,
+    top hidden state, which multiplies by the right operands ``right``,
+    gathers the input term from ``table`` when given and multiplies the
+    embeddings otherwise,
     and ``_step_backward(cache, dh, carry, batch, t, grads) -> (carry,
     dx)``: from the top state's loss gradient and the state gradient of
     step ``t + 1`` it adds step ``t``'s cell grads and returns the state
@@ -57,8 +60,9 @@ class RecurrentNet:
     padding token (extra embedding row, never a valid output class).
 
     ``load_weights`` and ``sgd_step`` are the two writers of ``params``:
-    each drops the input table built from the old weights. A block written
-    in place by any other means after a rollout is not seen by the table.
+    each drops the rollout operands (the input table and the right
+    operands) built from the old weights. A block written in place by any
+    other means after a rollout is not seen by them.
     """
 
     def __init__(
@@ -79,18 +83,28 @@ class RecurrentNet:
         self.contextual = contextual
         self.pad_ix = n_pois
         self.params = self._init_params(np.random.default_rng(seed))
-        self._input_table = None
+        # "table" and "right", each built on first use from the current weights
+        self._rollout_operands = {}
 
     def input_table(self):
         """The input layer's term of every POI and the padding token, as
-        ``_step`` would compute it for an input: built on first use with one
-        product of fixed shape, so its bits do not depend on the request
-        that asked for it, and kept until ``load_weights`` or ``sgd_step``
-        writes the weights. A rollout gathers its steps' input terms from
-        it; they may differ from the per-step product's in the last bits."""
-        if self._input_table is None:
-            self._input_table = self._input_product()
-        return self._input_table
+        ``_step`` would compute it for an input: built with one product of
+        fixed shape, so its bits do not depend on the request that asked for
+        it. A rollout gathers its steps' input terms from it; they may
+        differ from the per-step product's in the last bits."""
+        if "table" not in self._rollout_operands:
+            self._rollout_operands["table"] = self._input_product()
+        return self._rollout_operands["table"]
+
+    def right_operands(self) -> dict:
+        """A C-contiguous copy of each of ``_right_views()``, by name: BLAS
+        multiplies a small batch by a row-major operand faster than by a
+        transposed view. Every rollout step multiplies by them; their
+        products may differ from the views' in the last bits."""
+        if "right" not in self._rollout_operands:
+            self._rollout_operands["right"] = {
+                name: np.ascontiguousarray(view) for name, view in self._right_views().items()}
+        return self._rollout_operands["right"]
 
     def load_weights(self, weights) -> None:
         """Write each block of the name -> array mapping ``weights`` into
@@ -108,21 +122,24 @@ class RecurrentNet:
                 raise numerics.NumericError(
                     f"shape mismatch for {name!r}: {self.params[name].shape} vs {arr.shape}"
                 )
-        self._input_table = None
+        self._rollout_operands = {}
         for name, arr in weights.items():
             self.params[name][...] = arr
 
     def sgd_step(self, grads, learning_rate: float, clip_threshold: float) -> None:
         """``numerics.sgd_step`` of ``params``, in place."""
-        self._input_table = None
+        self._rollout_operands = {}
         numerics.sgd_step(self.params, grads, learning_rate, clip_threshold)
 
-    def forward_step(self, state, inputs, attrs, feats, terms=None, table=None):
+    def forward_step(self, state, inputs, attrs, feats, terms=None, table=None, right=None):
         """One public step; returns (new_state, logits), whose softmax is the
         step's distribution. ``terms`` is ``sequence_terms(feats)``, computed
         here if not given: a rollout computes it once for all its steps.
         ``table`` is ``input_table()``, from which a rollout gathers the input
-        terms; without it the step multiplies the embeddings by the input weights."""
+        terms; without it the step multiplies the embeddings by the input weights.
+        ``right`` is ``right_operands()``, which a rollout multiplies by;
+        without it the step multiplies by the weights' ``.T`` views, as
+        teacher forcing does."""
         inputs = np.atleast_1d(np.asarray(inputs, dtype=np.int64))
         if inputs.view(np.uint64).max(initial=0) >= self.n_pois:  # negatives wrap past it
             raise IndexError(
@@ -130,18 +147,20 @@ class RecurrentNet:
             )
         if terms is None:
             terms = self.sequence_terms(np.atleast_2d(feats))
-        return self._step(state, inputs, np.atleast_2d(attrs), terms, table=table)
+        if right is None:
+            right = self._right_views()
+        return self._step(state, inputs, np.atleast_2d(attrs), terms, right, table=table)
 
     def _forward_sequence(self, batch, collect_cache: bool):
         """Run the whole padded batch; returns per-step probs and caches."""
         B, T = batch.inputs.shape
         state = self.init_state(B)
-        terms = self.sequence_terms(batch.feats)
+        terms, right = self.sequence_terms(batch.feats), self._right_views()
         steps = []
         for t in range(T):
             cache: list | None = [] if collect_cache else None
             state, logits = self._step(
-                state, batch.inputs[:, t], batch.attrs[:, t, :], terms, cache
+                state, batch.inputs[:, t], batch.attrs[:, t, :], terms, right, cache
             )
             steps.append((numerics.softmax(logits), cache))
         return steps

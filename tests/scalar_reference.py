@@ -755,7 +755,7 @@ def markov_fit(sessions, encodings) -> MarkovModel:
             transition[index[a], index[b]] += 1.0
         transition /= transition.sum(axis=1, keepdims=True)
         chains[u] = UserChain(alphabet, index, initial, transition)
-    return MarkovModel(chains)
+    return MarkovModel(chains, encodings.n_users, encodings.n_pois)
 
 
 def great_circle_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:

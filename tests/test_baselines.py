@@ -6,6 +6,9 @@ loop transcription of its fit."""
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 
 import scalar_reference as ref
 from capseq.data import build_sessions, synth_dataset
-from capseq.data.types import Encodings, Poi, Session, SocialGraph, Visit
+from capseq.data.types import Encodings, Poi, Session, SocialGraph, UnknownIdError, Visit
 from capseq.features import FeatureTables
 from capseq.generation import GenRequest, score_sequence, top_k
 from capseq.geo import WALK_SPEED_KMH, haversine_km
@@ -162,25 +165,27 @@ class TestMarkov:
 
     def test_deterministic_chain_reproduces_path(self):
         model = MarkovModel({0: deterministic_chain({3: 5, 5: 4, 4: 3}),
-                             POPULATION: deterministic_chain({3: 3, 4: 4, 5: 5})})
+                             POPULATION: deterministic_chain({3: 3, 4: 4, 5: 5})}, 1, 6)
         rngs = [np.random.default_rng(0), np.random.default_rng(1)]
         walks = markov_walks(model, 0, 3, 5, rngs)
         assert walks.tolist() == [[3, 5, 4, 3, 5]] * 2
 
     def test_unknown_user_uses_population_chain(self):
         model = MarkovModel({0: deterministic_chain({3: 3, 5: 5}),
-                             POPULATION: deterministic_chain({3: 5, 5: 3})})
-        walks = markov_walks(model, 999, 3, 3, [np.random.default_rng(0)])
+                             POPULATION: deterministic_chain({3: 5, 5: 3})}, 2, 6)
+        walks = markov_walks(model, 1, 3, 3, [np.random.default_rng(0)])
         assert walks.tolist() == [[3, 5, 3]]
         assert markov_walks(model, 0, 3, 3, [np.random.default_rng(0)]).tolist() == [[3, 3, 3]]
 
     @staticmethod
     def requests(sessions, enc):
-        """(user, start) pairs: known and unknown users, and a start that
-        only the first sessions' chains have not seen."""
+        """(user, start) pairs: users with and without a chain of their own
+        in a fit to the first sessions, and a start that only the first
+        sessions' chains have not seen."""
         unseen = enc.poi(sessions[-1].visits[-1].poi.poi_id)
         return [(enc.user(sessions[0].user_id), enc.poi(sessions[0].visits[0].poi.poi_id)),
-                (None, enc.poi(sessions[1].visits[0].poi.poi_id)), (999, unseen),
+                (None, enc.poi(sessions[1].visits[0].poi.poi_id)),
+                (enc.user(sessions[-1].user_id), unseen),
                 (enc.user(sessions[0].user_id), unseen)]
 
     def test_walks_equal_choice_reference(self, synth_small):
@@ -740,3 +745,81 @@ class TestHitsWindows:
             seqs = rec.generate(GenRequest(user=0, start_poi=start, start_hour=9.0,
                                            length=length, candidates=3, k=3))
             assert [s.pois for s in seqs] == [want]
+
+
+def bad_helper_calls():
+    """id -> (error, message pattern, call of the fitted ``synth_small``
+    model, tables and neighbours): each exported baseline helper's inputs
+    that it cannot serve."""
+    counts, dists = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0])
+
+    def walks(user, start):
+        return lambda markov, tables, neighbours: markov_walks(
+            markov, user, start, 3, [np.random.default_rng(0)])
+
+    def trips(user, start):
+        return lambda markov, tables, neighbours: apriori_search(
+            tables, neighbours, user, start, 9.0, 3)
+
+    def iterate(matrix):
+        return lambda markov, tables, neighbours: power_iterate(matrix)
+
+    def popular(radius_km, growth_factor, exclusions=(0,)):
+        return lambda markov, tables, neighbours: popularity_next(
+            counts, dists, exclusions, radius_km=radius_km, growth_factor=growth_factor)
+
+    N_USERS, N_POIS = 6, 30  # synth_small's encodings
+    unknown, matrix = (UnknownIdError, "encodings are closed-world"), (ValueError, "non-empty")
+    return {
+        # radius 0, a negative radius and growth 1 would never return:
+        # test_popularity_next_refuses_a_radius_that_never_grows has them
+        "popularity-nan-radius-excluded-answer": (ValueError, "radius_km",
+                                                  popular(math.nan, 1.5, (0, 1))),
+        "popularity-nan-growth": (ValueError, "growth_factor", popular(2.0, math.nan)),
+        "markov-user-999-start-1e6": (*unknown, walks(999, 10**6)),
+        "markov-user-n_users": (*unknown, walks(N_USERS, 0)),
+        "markov-user--1": (*unknown, walks(-1, 0)),
+        "markov-start-n_pois": (*unknown, walks(None, N_POIS)),
+        "markov-start--1": (*unknown, walks(0, -1)),
+        "apriori-start-n_pois": (*unknown, trips(0, N_POIS)),
+        "apriori-start--1": (*unknown, trips(0, -1)),
+        "apriori-user-n_users": (*unknown, trips(N_USERS, 0)),
+        "power-0x0": (*matrix, iterate(np.zeros((0, 0)))),
+        "power-0x3": (*matrix, iterate(np.zeros((0, 3)))),
+        "power-3x0": (*matrix, iterate(np.zeros((3, 0)))),
+        "power-all-nan": (*matrix, iterate(np.full((2, 3), math.nan))),
+        "power-one-inf": (*matrix, iterate(np.array([[1.0, math.inf], [2.0, 0.0]]))),
+    }
+
+
+@pytest.mark.parametrize("case", list(bad_helper_calls()))
+def test_exported_helpers_refuse_what_they_cannot_serve(case, synth_small, synth_tables):
+    """Each helper raises its package error before any work: never a bare
+    ``IndexError`` or NumPy error, a walk from a POI that does not exist, or
+    a silent answer."""
+    sessions, _, enc = synth_small
+    assert (enc.n_users, enc.n_pois) == (6, 30)
+    error, message, call = bad_helper_calls()[case]
+    with pytest.raises(error, match=message):
+        call(markov_fit(sessions, enc), synth_tables,
+             neighbour_arrays(synth_tables, DEFAULT_EPSILON_KM))
+
+
+@pytest.mark.parametrize("settings", [{"radius_km": 0.0}, {"radius_km": -1.0},
+                                      {"growth_factor": 1.0}])
+def test_popularity_next_refuses_a_radius_that_never_grows(settings):
+    """From radius 0, a negative radius or a growth factor of 1 the radius
+    never reaches a POI 1 km away; the call must refuse, not search forever,
+    so it runs in a process of its own that the test can stop."""
+    code = ("import numpy as np\n"
+            "from capseq.baselines import popularity_next\n"
+            "try:\n"
+            "    popularity_next(np.array([1., 2., 3.]), np.array([0., 1., 2.]), [0],"
+            f" **{settings!r})\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('answered')\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert done.returncode == 0, done.stderr

@@ -301,18 +301,19 @@ ROLLOUT_NETS = {
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
 def test_rollout_steps_share_one_terms_object(kind, synth_tables_module, monkeypatch):
     """A request makes one ``forward_step`` per generated stop, and every
-    one of them gets the same ``sequence_terms``, computed once, and, if the
-    request steps more rows than the net has POIs, the net's input table:
-    the features' products are not recomputed per step, and no step goes
-    around ``forward_step``. A smaller request steps without the table,
-    also once a wider one has built it."""
+    one of them gets the same ``sequence_terms``, computed once, the net's
+    right operands and, if the request steps more rows than the net has
+    POIs, the net's input table: the features' products are not recomputed
+    per step, and no step goes around ``forward_step``. A smaller request
+    steps without the table, also once a wider one has built it."""
     _, tables = synth_tables_module
     net = ROLLOUT_NETS[kind](tables.n_pois)
     step, seen = net.forward_step, []
 
-    def spy(state, inputs, attrs, feats, terms=None, table=None):
+    def spy(state, inputs, attrs, feats, terms=None, table=None, right=None):
+        assert right is net.right_operands()
         seen.append((terms, table))
-        return step(state, inputs, attrs, feats, terms=terms, table=table)
+        return step(state, inputs, attrs, feats, terms=terms, table=table, right=right)
 
     monkeypatch.setattr(net, "forward_step", spy)
     wide = net.n_pois // 4 + 2  # 4 * (wide - 1) > n_pois rows
@@ -328,32 +329,74 @@ def test_rollout_steps_share_one_terms_object(kind, synth_tables_module, monkeyp
             assert (seen[0][0] is None) == (kind == "plain-rnn")
 
 
-# A gathered input term differs from the per-step product only in the rounding
-# of its E-term sum, at most about E * 2.2e-16 (8.5e-14 at E = 384) of the
-# summed magnitudes; tanh and sigmoid do not amplify it. Measured: 1.4e-15.
+# A gathered input term, or a product with a row-major copy, differs from the
+# per-step product with a ``.T`` view only in the rounding of its E- or H-term
+# sums, at most about H * 2.2e-16 (1.1e-13 at H = 512) of the summed
+# magnitudes; tanh and sigmoid do not amplify it. Measured: 1.4e-15.
 TABLE_STEP_RTOL = 1e-12
 
 
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
 @pytest.mark.parametrize("H, E", [(6, 4), (64, 32), (512, 384)])
 def test_table_step_is_the_direct_step(kind, H, E):
-    """Steps that gather their input terms from ``input_table`` give the
-    states and logits of steps that multiply the embeddings, to within
-    ``TABLE_STEP_RTOL`` of the largest value, at batch sizes 1, 3 and 10."""
+    """Steps that gather their input terms from ``input_table``, multiply by
+    the C-contiguous ``right_operands``, or both, as a rollout does, give the
+    states and logits of steps that multiply the embeddings and the ``.T``
+    views, to within ``TABLE_STEP_RTOL`` of the largest value, at batch
+    sizes 1, 3 and 10: a copy of the wrong block, or one left untransposed,
+    is far outside that."""
     K, rng = 200, np.random.default_rng(H)
     net = ROLLOUT_NETS[kind](K, H, E)
-    for B in (1, 3, 10):
-        feats = rng.normal(size=(B, FEATURE_DIM))
-        terms = net.sequence_terms(feats)
-        direct = gathered = net.init_state(B)
-        for _ in range(6):
-            ix, attrs = rng.integers(0, K, size=B), rng.normal(size=(B, ATTRIBUTE_DIM))
-            direct, want = net.forward_step(direct, ix, attrs, feats, terms=terms)
-            gathered, got = net.forward_step(gathered, ix, attrs, feats, terms=terms,
-                                             table=net.input_table())
-            for a, b in [(got, want), *zip(gathered, direct)]:
-                np.testing.assert_allclose(a, b, rtol=0,
-                                           atol=TABLE_STEP_RTOL * np.abs(b).max())
+    assert all(m.flags.c_contiguous for m in net.right_operands().values())
+    for table, right in [(net.input_table(), None), (None, net.right_operands()),
+                         (net.input_table(), net.right_operands())]:
+        for B in (1, 3, 10):
+            feats = rng.normal(size=(B, FEATURE_DIM))
+            terms = net.sequence_terms(feats)
+            direct = rolled = net.init_state(B)
+            for _ in range(6):
+                ix, attrs = rng.integers(0, K, size=B), rng.normal(size=(B, ATTRIBUTE_DIM))
+                direct, want = net.forward_step(direct, ix, attrs, feats, terms=terms)
+                rolled, got = net.forward_step(rolled, ix, attrs, feats, terms=terms,
+                                               table=table, right=right)
+                for a, b in [(got, want), *zip(rolled, direct)]:
+                    np.testing.assert_allclose(a, b, rtol=0,
+                                               atol=TABLE_STEP_RTOL * np.abs(b).max())
+
+
+# one request above the input table's gate and one below it, on the module
+# corpus's 30 POIs
+GATED_REQUESTS = (
+    GenRequest(user=1, start_poi=3, start_hour=10.0, length=12, candidates=6, k=6),
+    GenRequest(user=1, start_poi=3, start_hour=10.0, length=5, candidates=6, k=6),
+)
+
+
+@pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
+def test_small_request_bytes_do_not_depend_on_a_large_one_before_it(kind,
+                                                                    synth_tables_module,
+                                                                    monkeypatch):
+    """A request below the input table's gate gives the same POIs, hours and
+    scores from a fresh net as from one that served a request above the gate
+    first: both step on the right operands alone, without the table."""
+    _, tables = synth_tables_module
+    large, small = GATED_REQUESTS
+    assert [r.candidates * (r.length - 1) > tables.n_pois for r in GATED_REQUESTS] == [True, False]
+
+    def rolled(net):
+        return [(s.pois, s.hours, s.score) for s in generate(net, small, tables, seed=4)]
+
+    fresh, served = ROLLOUT_NETS[kind](tables.n_pois), ROLLOUT_NETS[kind](tables.n_pois)
+    generate(served, large, tables, seed=2)
+    step, tables_seen = served.forward_step, []
+
+    def spy(*args, table=None, **kwargs):
+        tables_seen.append(table)
+        return step(*args, table=table, **kwargs)
+
+    monkeypatch.setattr(served, "forward_step", spy)
+    assert rolled(served) == rolled(fresh)
+    assert tables_seen == [None] * (small.length - 1)
 
 
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
@@ -383,24 +426,36 @@ def test_requests_to_one_net_build_the_input_table_once(kind, synth_tables_modul
     assert built == [net]
 
 
+def assert_rolls_out_as(net, fresh, before, tables):
+    """``net``, whose weights were written after it rolled out
+    ``GATED_REQUESTS`` to ``before``, rolls each of them out as ``fresh``
+    does, differently from before, from operands equal to ``fresh``'s."""
+    assert [r.candidates * (r.length - 1) > net.n_pois for r in GATED_REQUESTS] == [True, False]
+    for req, old in zip(GATED_REQUESTS, before):
+        after = [s.pois for s in generate(net, req, tables, seed=3)]
+        assert after == [s.pois for s in generate(fresh, req, tables, seed=3)]
+        assert after != old
+    np.testing.assert_array_equal(net.input_table(), fresh.input_table())
+    got, want = net.right_operands(), fresh.right_operands()
+    assert list(got) == list(want)
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name])
+
+
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
 def test_net_retrained_after_a_rollout_rolls_out_on_its_new_weights(kind,
                                                                     synth_tables_module):
-    """``train`` drops the input table that a rollout built, so the next
-    rollout is the one a fresh net with the new weights makes."""
+    """``train`` drops the input table and the right operands that a
+    rollout built, so the next rollout, above the table's gate or below it,
+    is the one a fresh net with the new weights makes."""
     sessions, tables = synth_tables_module
     net = ROLLOUT_NETS[kind](tables.n_pois)
-    req = GenRequest(user=1, start_poi=3, start_hour=10.0, length=12, candidates=6, k=6)
-    assert req.candidates * (req.length - 1) > net.n_pois  # the rollouts use the table
-    before = [s.pois for s in generate(net, req, tables, seed=3)]
+    before = [[s.pois for s in generate(net, req, tables, seed=3)] for req in GATED_REQUESTS]
     train(net, encode_sessions([s for s in sessions if len(s) >= 2], tables),
           learning_rate=1.0, clip_threshold=5.0, batch_size=20, epochs=5, seed=1)
     fresh = ROLLOUT_NETS[kind](tables.n_pois)
     fresh.load_weights(net.params)
-    after = [s.pois for s in generate(net, req, tables, seed=3)]
-    assert after == [s.pois for s in generate(fresh, req, tables, seed=3)]
-    assert after != before
-    np.testing.assert_array_equal(net.input_table(), fresh.input_table())
+    assert_rolls_out_as(net, fresh, before, tables)
 
 
 @pytest.mark.parametrize("kind", list(ROLLOUT_NETS))
@@ -412,14 +467,10 @@ def test_weights_loaded_after_a_rollout_are_rolled_out(kind, synth_tables_module
     net, fresh = ROLLOUT_NETS[kind](tables.n_pois), ROLLOUT_NETS[kind](tables.n_pois)
     rng = np.random.default_rng(5)
     weights = {name: rng.normal(size=arr.shape) for name, arr in net.params.items()}
-    req = GenRequest(user=1, start_poi=3, start_hour=10.0, length=12, candidates=6, k=6)
-    before = [s.pois for s in generate(net, req, tables, seed=3)]
+    before = [[s.pois for s in generate(net, req, tables, seed=3)] for req in GATED_REQUESTS]
     net.load_weights(weights)
     fresh.load_weights(weights)
-    after = [s.pois for s in generate(net, req, tables, seed=3)]
-    assert after == [s.pois for s in generate(fresh, req, tables, seed=3)]
-    assert after != before
-    np.testing.assert_array_equal(net.input_table(), fresh.input_table())
+    assert_rolls_out_as(net, fresh, before, tables)
 
 
 class TestBatchedCandidates:

@@ -101,7 +101,7 @@ class TestLstmStep:
             A = rng.normal(size=(B, ADIM))
             terms = net.sequence_terms(rng.normal(size=(B, FDIM)))
             cache, ref_cache = [], []
-            state, logits = net._step(state, ix, A, terms, cache)
+            state, logits = net._step(state, ix, A, terms, net._right_views(), cache)
             ref_state, ref_logits = lstm_step(net, ref_state, ix, A, terms, ref_cache)
             assert np.array_equal(logits, ref_logits)
             assert np.array_equal(state[0], ref_state[0])
@@ -209,6 +209,7 @@ class TestLstmStep:
                 rng.integers(0, 7, size=B),
                 rng.normal(size=(B, ADIM)),
                 net.sequence_terms(rng.normal(size=(B, FDIM))),
+                net._right_views(),
                 cache,
             )
             _, _, _, _, _, i, f, z, c, o, _, _ = cache[0]
